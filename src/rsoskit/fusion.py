@@ -294,9 +294,6 @@ class EigenFunction:
     points: tuple[WeightPoint, ...]
     values: np.ndarray
 
-    def value_at(self, a: WeightPoint) -> complex:
-        return complex(self.values[self.points.index(a)])
-
 
 def psi_value(lam: WeightPoint, a: WeightPoint, n: int, r: int) -> complex:
     lcoord, acoord = lam.offset, a.offset

@@ -7,65 +7,38 @@ product sums over arrow factorizations,
     (V (x) W)_gamma = (+)_{beta o alpha = gamma} V_alpha (x) W_beta,
 
 with the summands laid out in a canonical order (intermediate object, then
-first-factor shift, lexicographically).  Every basis vector carries a label
-recording how it was built, so spaces related by reassociation or unit
-insertion can be aligned by a permutation.
+first-factor shift, lexicographically).  Every basis vector carries a flat
+key, the sequence of atomic basis vectors it was built from, so spaces
+related by reassociation or unit insertion are aligned by an index
+permutation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import threading
+from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import ContextMismatch, ShapeMismatch
-from .groupoid import (Arrow, Context, WeightPoint, compose, identity_arrow,
-                       inverse)
+from .groupoid import (Arrow, Context, WeightPoint, add_vectors,
+                       identity_arrow, inverse)
+
+_ATOM_CODES: dict[tuple, int] = {}
+_ATOM_CODES_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
-class Atom:
-    """Basis vector `index` of an atomic component at `arrow`."""
-
-    arrow: Arrow
-    index: int
-    unit: bool = False  # marks basis vectors of the tensor unit
-
-
-@dataclass(frozen=True)
-class Pair:
-    """Basis vector ell_left (x) ell_right of a tensor summand."""
-
-    left: "Label"
-    right: "Label"
-
-
-@dataclass(frozen=True)
-class Dual:
-    """Dual basis vector of a label of the underlying space."""
-
-    of: "Label"
-
-
-Label = Union[Atom, Pair, Dual]
-
-
-def label_arrow(label: Label) -> Arrow:
-    if isinstance(label, Atom):
-        return label.arrow
-    if isinstance(label, Pair):
-        return compose(label_arrow(label.right), label_arrow(label.left))
-    return inverse(label_arrow(label.of))
-
-
-def flatten(label: Label) -> tuple:
-    """Atomic constituents in order, skipping tensor-unit factors."""
-    if isinstance(label, Atom):
-        return () if label.unit else (label,)
-    if isinstance(label, Pair):
-        return flatten(label.left) + flatten(label.right)
-    return (label,)  # dual labels are opaque atoms
+def _atom_keys(atoms) -> np.ndarray:
+    """One-column keys: the process-wide code of each atom value, either
+    (arrow, index) for an atomic basis vector or ("dual", arrow, key).
+    Codes are only compared for equality, so their order affects no result.
+    """
+    with _ATOM_CODES_LOCK:
+        codes = [_ATOM_CODES.setdefault(atom, len(_ATOM_CODES))
+                 for atom in atoms]
+    return np.array(codes, dtype=np.int64).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -80,23 +53,31 @@ class Summand:
 
 @dataclass
 class GradedSpace:
-    """Finite-type graded vector space: arrow -> dimension, with basis labels."""
+    """Finite-type graded vector space: arrow -> dimension, with flat keys.
+
+    `keys` holds one row of atom codes per basis vector, components stacked
+    in `dims` order; tensor-unit factors add no code, dual atoms are opaque.
+    """
 
     context: Context
     dims: dict[Arrow, int]
-    basis: dict[Arrow, tuple[Label, ...]]
+    keys: np.ndarray
     layout: dict[Arrow, tuple[Summand, ...]] | None = None
+    offsets: dict[Arrow, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.offsets, k = {}, 0
+        for arrow, d in self.dims.items():
+            self.offsets[arrow] = k
+            k += d
 
     @classmethod
     def from_dims(cls, context: Context, dims: dict[Arrow, int]) -> "GradedSpace":
         for arrow, d in dims.items():
             if d < 1:
                 raise ValueError(f"stored dimension must be >= 1 at {arrow!r}")
-        basis = {
-            arrow: tuple(Atom(arrow, k) for k in range(d))
-            for arrow, d in dims.items()
-        }
-        return cls(context=context, dims=dict(dims), basis=basis)
+        return cls(context=context, dims=dict(dims), keys=_atom_keys(
+            (arrow, k) for arrow, d in dims.items() for k in range(d)))
 
     def dim(self, arrow: Arrow) -> int:
         return self.dims.get(arrow, 0)
@@ -111,9 +92,6 @@ class GradedSpace:
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
-
-    def basis_position(self, arrow: Arrow, label: Label) -> int:
-        return self.basis[arrow].index(label)
 
     def to_json_dict(self) -> dict:
         comps = []
@@ -135,12 +113,9 @@ def _coords_json(point: WeightPoint):
 
 def unit_space(context: Context, points: list[WeightPoint]) -> GradedSpace:
     """Tensor unit: one-dimensional at the identity arrow of each point."""
-    dims, basis = {}, {}
-    for a in points:
-        arrow = identity_arrow(a)
-        dims[arrow] = 1
-        basis[arrow] = (Atom(arrow, 0, unit=True),)
-    return GradedSpace(context=context, dims=dims, basis=basis)
+    dims = {identity_arrow(a): 1 for a in points}
+    return GradedSpace(context=context, dims=dims,
+                       keys=np.zeros((len(dims), 0), dtype=np.int64))
 
 
 def _require_same_context(a, b):
@@ -151,38 +126,47 @@ def _require_same_context(a, b):
 def tensor_space(V: GradedSpace, W: GradedSpace) -> GradedSpace:
     """Tensor product summing over arrow factorizations."""
     _require_same_context(V, W)
-    by_source: dict[WeightPoint, list[Arrow]] = {}
-    for beta in W.dims:
-        by_source.setdefault(beta.source, []).append(beta)
-    pieces: dict[Arrow, list[tuple[Arrow, Arrow]]] = {}
-    for alpha in V.dims:
-        for beta in by_source.get(alpha.target, []):
-            gamma = compose(beta, alpha)
-            pieces.setdefault(gamma, []).append((alpha, beta))
-    dims, basis, layout = {}, {}, {}
-    for gamma, pairs in pieces.items():
-        pairs.sort(key=lambda ab: (ab[0].target.sort_key(), ab[0].shift))
-        labels: list[Label] = []
-        summands: list[Summand] = []
-        offset = 0
-        for alpha, beta in pairs:
-            size = V.dims[alpha] * W.dims[beta]
-            summands.append(Summand(alpha, beta, offset, size))
-            for lv in V.basis[alpha]:
-                for lw in W.basis[beta]:
-                    labels.append(Pair(lv, lw))
-            offset += size
+    by_source: dict[WeightPoint, list[tuple[Arrow, int, int]]] = {}
+    for beta, dw in W.dims.items():
+        by_source.setdefault(beta.source, []).append((beta, W.offsets[beta], dw))
+    pieces: dict[Arrow, list[tuple]] = {}
+    for alpha, dv in V.dims.items():
+        mid, vo = alpha.target, V.offsets[alpha]
+        order = (mid.sort_key(), alpha.shift)
+        for beta, wo, dw in by_source.get(mid, ()):
+            # beta starts where alpha ends: gamma = beta o alpha
+            gamma = Arrow(alpha.source, add_vectors(alpha.shift, beta.shift))
+            pieces.setdefault(gamma, []).append(
+                (order, alpha, beta, vo, dv, wo, dw))
+    dims, layout, spans = {}, {}, []
+    for gamma, parts in pieces.items():
+        parts.sort(key=itemgetter(0))
+        summands, offset = [], 0
+        for _, alpha, beta, vo, dv, wo, dw in parts:
+            summands.append(Summand(alpha, beta, offset, dv * dw))
+            spans.append((vo, dv, wo, dw))
+            offset += dv * dw
         dims[gamma] = offset
-        basis[gamma] = tuple(labels)
         layout[gamma] = tuple(summands)
-    return GradedSpace(context=V.context, dims=dims, basis=basis, layout=layout)
+    return GradedSpace(context=V.context, dims=dims,
+                       keys=_product_keys(V.keys, W.keys, spans),
+                       layout=layout)
 
 
-def tensor_many(spaces: list[GradedSpace]) -> GradedSpace:
-    out = spaces[0]
-    for s in spaces[1:]:
-        out = tensor_space(out, s)
-    return out
+def _product_keys(kv: np.ndarray, kw: np.ndarray, spans) -> np.ndarray:
+    """Keys of the summands V_alpha (x) W_beta, stacked in one step.
+
+    `spans` holds (first row of V_alpha, dim V_alpha, first row of W_beta,
+    dim W_beta) per summand; summand rows run over v, then w.
+    """
+    start_v, dim_v, start_w, dim_w = np.array(
+        spans, dtype=np.int64).reshape(-1, 4).T
+    size = dim_v * dim_w
+    which = np.repeat(np.arange(size.size), size)
+    local = np.arange(which.size) - np.repeat(np.cumsum(size) - size, size)
+    step = dim_w[which]
+    return np.concatenate((kv[start_v[which] + local // step],
+                           kw[start_w[which] + local % step]), axis=1)
 
 
 @dataclass
@@ -209,15 +193,24 @@ class GradedMorphism:
                         dtype=complex)
 
     def compose(self, other: "GradedMorphism") -> "GradedMorphism":
-        """self o other (apply `other` first)."""
+        """self o other (apply `other` first); a `Permutation` factor acts
+        exactly, by reindexing columns or rows."""
         if other.codomain.dims != self.domain.dims:
             raise ShapeMismatch("composition: inner spaces do not match")
-        blocks = {}
-        for arrow in set(self.blocks) & set(other.blocks):
-            m = self.blocks[arrow] @ other.blocks[arrow]
-            if m.size and np.abs(m).max() > 0:
-                blocks[arrow] = m
-        return GradedMorphism(other.domain, self.codomain, blocks)
+        if isinstance(other, Permutation):
+            if isinstance(self, Permutation):
+                return Permutation(other.domain, self.codomain, {
+                    g: self.index[g][p] for g, p in other.index.items()})
+            products = ((g, m[:, other.index[g]])
+                        for g, m in self.blocks.items())
+        elif isinstance(self, Permutation):
+            products = ((g, m[np.argsort(self.index[g])])
+                        for g, m in other.blocks.items())
+        else:
+            products = ((g, self.blocks[g] @ other.blocks[g])
+                        for g in set(self.blocks) & set(other.blocks))
+        return GradedMorphism(other.domain, self.codomain,
+                              {g: m for g, m in products if m.any()})
 
     def __matmul__(self, other: "GradedMorphism") -> "GradedMorphism":
         return self.compose(other)
@@ -249,9 +242,6 @@ class GradedMorphism:
                 worst = max(worst, float(np.abs(d).max()))
         return worst
 
-    def allclose(self, other: "GradedMorphism", tol: float = 1e-12) -> bool:
-        return self.max_diff(other) <= tol
-
     def is_identity(self, tol: float = 1e-12) -> bool:
         return self.max_diff(identity_morphism(self.domain)) <= tol
 
@@ -272,8 +262,23 @@ def identity_morphism(V: GradedSpace) -> GradedMorphism:
                                  for g, d in V.dims.items()})
 
 
-def align(src: GradedSpace, dst: GradedSpace) -> GradedMorphism:
-    """Permutation morphism matching basis vectors by flattened labels.
+class Permutation(GradedMorphism):
+    """Graded morphism sending basis vector j of the component at each arrow
+    to basis vector index[arrow][j]. Its dense `blocks` are built only when
+    something reads them."""
+
+    def __init__(self, domain: GradedSpace, codomain: GradedSpace,
+                 index: dict[Arrow, np.ndarray]):
+        self.domain, self.codomain, self.index = domain, codomain, index
+
+    @cached_property
+    def blocks(self) -> dict[Arrow, np.ndarray]:
+        return {g: np.eye(p.size, dtype=complex)[:, p]
+                for g, p in self.index.items()}
+
+
+def align(src: GradedSpace, dst: GradedSpace) -> Permutation:
+    """Permutation morphism matching basis vectors by flat keys.
 
     Defined when src and dst have the same components up to reassociation
     and insertion/removal of tensor-unit factors.
@@ -281,19 +286,26 @@ def align(src: GradedSpace, dst: GradedSpace) -> GradedMorphism:
     _require_same_context(src, dst)
     if set(src.dims) != set(dst.dims):
         raise ShapeMismatch("alignment: component arrows differ")
-    blocks = {}
     for arrow, d in src.dims.items():
         if dst.dims[arrow] != d:
             raise ShapeMismatch(f"alignment: dimension mismatch at {arrow!r}")
-        pos = {flatten(lbl): k for k, lbl in enumerate(dst.basis[arrow])}
-        m = np.zeros((d, d), dtype=complex)
-        for col, lbl in enumerate(src.basis[arrow]):
-            key = flatten(lbl)
-            if key not in pos:
-                raise ShapeMismatch(f"alignment: unmatched basis vector at {arrow!r}")
-            m[pos[key], col] = 1.0
-        blocks[arrow] = m
-    return GradedMorphism(src, dst, blocks)
+    # Tag each key with its component and sort: matched basis vectors then
+    # sit at equal positions of the two sorted lists.
+    slot = {arrow: k for k, arrow in enumerate(dst.dims)}
+    sides = []
+    for space in (src, dst):
+        tags = np.repeat([slot[g] for g in space.dims], list(space.dims.values()))
+        tagged = np.column_stack((tags, space.keys))
+        order = np.lexsort(tagged.T[::-1])
+        sides.append((tagged[order], order))
+    (rows_src, order_src), (rows_dst, order_dst) = sides
+    if not np.array_equal(rows_src, rows_dst):
+        raise ShapeMismatch("alignment: unmatched basis vector")
+    to_dst = np.empty_like(order_src)
+    to_dst[order_src] = order_dst
+    return Permutation(src, dst, {
+        g: to_dst[src.offsets[g]:src.offsets[g] + d] - dst.offsets[g]
+        for g, d in src.dims.items()})
 
 
 def tensor_morphism(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
@@ -333,69 +345,54 @@ class DualityData:
 
 
 def dual_space(V: GradedSpace) -> DualityData:
-    dims, basis = {}, {}
-    for gamma, d in V.dims.items():
-        gi = inverse(gamma)
-        dims[gi] = d
-        basis[gi] = tuple(Dual(lbl) for lbl in V.basis[gamma])
-    dual = GradedSpace(context=V.context, dims=dims, basis=basis)
-
+    dims = {inverse(gamma): d for gamma, d in V.dims.items()}
+    arrows = [gamma for gamma, d in V.dims.items() for _ in range(d)]
+    dual = GradedSpace(context=V.context, dims=dims, keys=_atom_keys(
+        ("dual", gamma, tuple(key))
+        for gamma, key in zip(arrows, V.keys.tolist())))
     points = V.objects()
     one = unit_space(V.context, points)
-
-    vxd = tensor_space(V, dual)
-    coev_blocks = {}
-    for a in points:
-        ida = identity_arrow(a)
-        if ida not in vxd.dims:
-            continue
-        col = np.zeros((vxd.dims[ida], 1), dtype=complex)
-        for s in vxd.layout[ida]:
-            if s.right != inverse(s.left):
-                continue
-            d = V.dims[s.left]
-            for k in range(d):
-                col[s.offset + k * d + k, 0] = 1.0
-        coev_blocks[ida] = col
-    coevaluation = GradedMorphism(one, vxd, coev_blocks)
-
-    dxv = tensor_space(dual, V)
-    ev_blocks = {}
-    for a in points:
-        ida = identity_arrow(a)
-        if ida not in dxv.dims:
-            continue
-        row = np.zeros((1, dxv.dims[ida]), dtype=complex)
-        for s in dxv.layout[ida]:
-            if s.right != inverse(s.left):
-                continue
-            d = dual.dims[s.left]
-            for k in range(d):
-                row[0, s.offset + k * d + k] = 1.0
-        ev_blocks[ida] = row
-    evaluation = GradedMorphism(dxv, one, ev_blocks)
-
+    vxd, dxv = tensor_space(V, dual), tensor_space(dual, V)
+    coevaluation = GradedMorphism(one, vxd, {
+        g: v[:, None] for g, v in _pairing_vectors(vxd, V, points).items()})
+    evaluation = GradedMorphism(dxv, one, {
+        g: v[None, :] for g, v in _pairing_vectors(dxv, dual, points).items()})
     return DualityData(dual=dual, coevaluation=coevaluation, evaluation=evaluation)
 
 
+def _pairing_vectors(P: GradedSpace, left: GradedSpace,
+                     points: list[WeightPoint]) -> dict[Arrow, np.ndarray]:
+    """At each identity arrow of P = left (x) right, the sum of e_k (x) e_k^*
+    over the summands whose right arrow inverts the left one."""
+    out = {}
+    for a in points:
+        ida = identity_arrow(a)
+        if ida not in P.dims:
+            continue
+        v = np.zeros(P.dims[ida], dtype=complex)
+        for s in P.layout[ida]:
+            if s.right == inverse(s.left):
+                v[s.offset:s.offset + s.size:left.dims[s.left] + 1] = 1.0
+        out[ida] = v
+    return out
+
+
 def zigzag_residual(V: GradedSpace, duality: DualityData | None = None) -> float:
-    """Deviation of the two triangle composites from the identity."""
+    """Deviation of the two triangle composites from the identity.
+
+    V = 1 (x) V -> (V (x) V*) (x) V = V (x) (V* (x) V) -> V (x) 1 = V and
+    V* = V* (x) 1 -> V* (x) (V (x) V*) = (V* (x) V) (x) V* -> 1 (x) V* = V*;
+    the reassociations and unit laws are the alignments of flat keys.
+    """
     dd = duality or dual_space(V)
-    one = dd.coevaluation.domain
-    # V = 1 (x) V -> (V (x) V*) (x) V = V (x) (V* (x) V) -> V (x) 1 = V
-    left_host = tensor_space(one, V)
-    step1 = tensor_morphism(dd.coevaluation, identity_morphism(V))
-    mid = align(step1.codomain, tensor_space(V, tensor_space(dd.dual, V)))
-    step2 = tensor_morphism(identity_morphism(V), dd.evaluation)
-    chain = step2 @ align(mid.codomain, step2.domain) @ mid @ step1
-    first = (align(chain.codomain, V) @ chain @ align(V, left_host))
-    res = first.max_diff(identity_morphism(V))
-    # V* = V* (x) 1 -> V* (x) (V (x) V*) = (V* (x) V) (x) V* -> 1 (x) V* = V*
-    right_host = tensor_space(dd.dual, one)
-    step1 = tensor_morphism(identity_morphism(dd.dual), dd.coevaluation)
-    mid = align(step1.codomain,
-                tensor_space(tensor_space(dd.dual, V), dd.dual))
-    step2 = tensor_morphism(dd.evaluation, identity_morphism(dd.dual))
-    chain = step2 @ align(mid.codomain, step2.domain) @ mid @ step1
-    second = (align(chain.codomain, dd.dual) @ chain @ align(dd.dual, right_host))
-    return max(res, second.max_diff(identity_morphism(dd.dual)))
+    id_v, id_d = identity_morphism(V), identity_morphism(dd.dual)
+    res = 0.0
+    for X, step1, step2 in (
+            (V, tensor_morphism(dd.coevaluation, id_v),
+             tensor_morphism(id_v, dd.evaluation)),
+            (dd.dual, tensor_morphism(id_d, dd.coevaluation),
+             tensor_morphism(dd.evaluation, id_d))):
+        chain = step2 @ align(step1.codomain, step2.domain) @ step1
+        composite = align(chain.codomain, X) @ chain @ align(X, step1.domain)
+        res = max(res, composite.max_diff(identity_morphism(X)))
+    return res

@@ -90,14 +90,19 @@ def vector_chain(kind: ModelKind, params: EllipticParams,
     return out
 
 
-def _loop_arrows(W: GradedSpace, a: WeightPoint) -> list[Arrow]:
-    loops = [g for g in W.dims if g.source == a and g.is_loop]
-    loops.sort(key=lambda g: g.shift)
-    return loops
+def _loop_offsets(W: GradedSpace, a: WeightPoint) -> tuple[dict[Arrow, int], int]:
+    """Offset of each loop component at `a` in the stacked loop sector
+    (loops ordered by shift), and the sector dimension."""
+    offsets, k = {}, 0
+    for g in sorted((g for g in W.dims if g.source == a and g.is_loop),
+                    key=lambda g: g.shift):
+        offsets[g] = k
+        k += W.dims[g]
+    return offsets, k
 
 
 def sector_dim(W: GradedSpace, a: WeightPoint) -> int:
-    return sum(W.dims[g] for g in _loop_arrows(W, a))
+    return _loop_offsets(W, a)[1]
 
 
 def partial_trace(f: GradedMorphism, aux: GradedSpace,
@@ -112,45 +117,31 @@ def partial_trace(f: GradedMorphism, aux: GradedSpace,
     g = align(f.codomain, cod) @ f @ align(dom, f.domain)
     out: dict[Arrow, np.ndarray] = {}
     for alpha, d_aux in aux.dims.items():
-        a, tgt = alpha.source, alpha.target
-        loops_src = _loop_arrows(quantum, a)
-        loops_tgt = _loop_arrows(quantum, tgt)
-        dim_src = sum(quantum.dims[l] for l in loops_src)
-        dim_tgt = sum(quantum.dims[l] for l in loops_tgt)
+        rows, dim_src = _loop_offsets(quantum, alpha.source)
+        cols, dim_tgt = _loop_offsets(quantum, alpha.target)
         if dim_src == 0 or dim_tgt == 0:
             continue
         block = np.zeros((dim_src, dim_tgt), dtype=complex)
-        off_src = 0
-        for lsrc in loops_src:
-            d_out = quantum.dims[lsrc]
-            off_tgt = 0
-            for ltgt in loops_tgt:
-                d_in = quantum.dims[ltgt]
-                if ltgt.shift == lsrc.shift:
-                    total = Arrow(a, add_vectors(alpha.shift, lsrc.shift))
-                    sub = _summand_block(g, total, (alpha, ltgt), (lsrc, alpha))
-                    if sub is not None:
-                        for p in range(d_out):
-                            for q in range(d_in):
-                                block[off_src + p, off_tgt + q] += sum(
-                                    sub[p * d_aux + v, v * d_in + q]
-                                    for v in range(d_aux))
-                off_tgt += d_in
-            off_src += d_out
+        for lsrc, r in rows.items():
+            ltgt = Arrow(alpha.target, lsrc.shift)
+            if ltgt not in cols:
+                continue
+            total = Arrow(alpha.source, add_vectors(alpha.shift, lsrc.shift))
+            sub = _summand_block(g, total, (alpha, ltgt), (lsrc, alpha))
+            d_out, d_in = quantum.dims[lsrc], quantum.dims[ltgt]
+            # rows of sub run over (p, v), its columns over (v', q)
+            block[r:r + d_out, cols[ltgt]:cols[ltgt] + d_in] = np.trace(
+                sub.reshape(d_out, d_aux, d_aux, d_in), axis1=1, axis2=2)
         out[alpha] = block
     return out
 
 
 def _summand_block(g: GradedMorphism, total: Arrow, dom_pair, cod_pair):
     """Sub-block of g at `total` between named factorization summands."""
-    if total not in g.domain.dims or total not in g.codomain.dims:
-        return None
-    dom_s = next((s for s in g.domain.layout[total]
-                  if (s.left, s.right) == dom_pair), None)
-    cod_s = next((s for s in g.codomain.layout[total]
-                  if (s.left, s.right) == cod_pair), None)
-    if dom_s is None or cod_s is None:
-        return None
+    dom_s = next(s for s in g.domain.layout[total]
+                 if (s.left, s.right) == dom_pair)
+    cod_s = next(s for s in g.codomain.layout[total]
+                 if (s.left, s.right) == cod_pair)
     return g.block(total)[cod_s.offset:cod_s.offset + cod_s.size,
                           dom_s.offset:dom_s.offset + dom_s.size]
 
@@ -245,6 +236,19 @@ def rll_residual(L: LOperator, z: complex, w: complex) -> float:
 FACE_BUDGET = 16
 
 
+def _checked_inhomogeneities(rows: int, cols: int,
+                             inhomogeneities: tuple[complex, ...] | None
+                             ) -> tuple[complex, ...]:
+    """Enforce FACE_BUDGET and return one inhomogeneity per column."""
+    if rows * cols > FACE_BUDGET:
+        raise TooLarge(f"FACE_BUDGET: {rows * cols} faces requested, "
+                       f"limit {FACE_BUDGET}")
+    us = inhomogeneities if inhomogeneities is not None else (0.0,) * cols
+    if len(us) != cols:
+        raise ValueError("one inhomogeneity per column required")
+    return us
+
+
 def _closed_rows(kind: ModelKind, cols: int) -> list[tuple[WeightPoint, tuple[int, ...]]]:
     """Admissible single-row states: closed step sequences of length `cols`."""
     out = []
@@ -287,11 +291,7 @@ def partition_enumerate(rows: int, cols: int, z: complex, kind: ModelKind,
     face in column k contributes the R-matrix entry at z + u_k read off at
     its western corner.
     """
-    if rows * cols > FACE_BUDGET:
-        raise TooLarge(f"{rows * cols} faces exceed the budget {FACE_BUDGET}")
-    us = inhomogeneities if inhomogeneities is not None else (0.0,) * cols
-    if len(us) != cols:
-        raise ValueError("one inhomogeneity per column required")
+    us = _checked_inhomogeneities(rows, cols, inhomogeneities)
     states = _closed_rows(kind, cols)
     if rows == 0:
         return complex(len(states))
@@ -354,11 +354,7 @@ def partition_via_transfer(rows: int, cols: int, z: complex, kind: ModelKind,
                            inhomogeneities: tuple[complex, ...] | None = None
                            ) -> complex:
     """Torus partition function as the trace of the rows-th transfer power."""
-    if rows * cols > FACE_BUDGET:
-        raise TooLarge(f"{rows * cols} faces exceed the budget {FACE_BUDGET}")
-    us = inhomogeneities if inhomogeneities is not None else (0.0,) * cols
-    if len(us) != cols:
-        raise ValueError("one inhomogeneity per column required")
+    us = _checked_inhomogeneities(rows, cols, inhomogeneities)
     L = vector_chain(kind, params, tuple(us))
     T = transfer_matrix(z, L)
     if rows == 0:

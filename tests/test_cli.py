@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from rsoskit.cli import main
+from rsoskit.cli import main, run_verify
 from rsoskit.errors import InvalidConfig, UnknownSuite
 from rsoskit.suites import RunConfig, run_suite
 
@@ -59,6 +60,14 @@ def test_byte_identical_reports(tmp_path):
     _, text1 = run_cli(args, tmp_path, "a.json")
     _, text2 = run_cli(args, tmp_path, "b.json")
     assert text1 == text2
+
+
+def test_verify_all_report_matches_golden():
+    # tests/data/verify_all_n2r5.json pins the report bytes: refactors of the
+    # graded and transfer layers must leave every residual bit-identical
+    golden = Path(__file__).parent / "data" / "verify_all_n2r5.json"
+    report = run_verify("all", RunConfig(2, 5))
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden.read_text()
 
 
 def test_parallel_merge_matches_sequential(tmp_path):

@@ -5,9 +5,9 @@ import pytest
 
 from rsoskit.elliptic import EllipticParams
 from rsoskit.errors import ContextMismatch, ShapeMismatch
-from rsoskit.graded import (GradedMorphism, GradedSpace, align, dual_space,
-                            identity_morphism, tensor_morphism, tensor_space,
-                            unit_space, zigzag_residual)
+from rsoskit.graded import (GradedMorphism, GradedSpace, Permutation, align,
+                            dual_space, identity_morphism, tensor_morphism,
+                            tensor_space, unit_space, zigzag_residual)
 from rsoskit.groupoid import Arrow, WeightPoint, eps, inverse, rsos_alcove
 from rsoskit.rsos import ModelKind, build_vector_space
 
@@ -74,6 +74,49 @@ def test_tensor_associativity_on_dimensions():
         assert np.array_equal(m @ m.conj().T, np.eye(m.shape[0]))
 
 
+def _aligned_pairs(V):
+    """Spaces equal up to reassociation or a unit factor."""
+    one = unit_space(V.context, V.objects())
+    VV = tensor_space(V, V)
+    return [(tensor_space(VV, V), tensor_space(V, VV)),
+            (tensor_space(one, V), V), (tensor_space(V, one), V)]
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
+def test_align_round_trip_is_exact_identity(n, r):
+    for a, b in _aligned_pairs(build_vector_space(ModelKind.rsos(n, r))):
+        there, back = align(a, b), align(b, a)
+        round_trip = back @ there
+        assert isinstance(round_trip, Permutation)
+        for g, p in round_trip.index.items():
+            assert np.array_equal(p, np.arange(a.dims[g]))
+        assert round_trip.is_identity(0)
+
+
+def test_align_composes_like_its_dense_blocks():
+    rng = random.Random(3)
+    for a, b in _aligned_pairs(vector_space()):
+        perm = align(a, b)
+        dense = GradedMorphism(a, b, perm.blocks)
+        f, h = _random_endo(rng, b), _random_endo(rng, a)
+        for got, want in ((f @ perm, f @ dense), (perm @ h, dense @ h)):
+            assert set(got.blocks) == set(want.blocks)
+            for g, m in want.blocks.items():
+                assert np.array_equal(got.blocks[g], m)
+
+
+def test_align_rejects_unmatched_keys_and_dimensions():
+    V = vector_space()
+    VV = tensor_space(V, V)
+    # same components and dimensions, but atomic keys against product keys
+    with pytest.raises(ShapeMismatch):
+        align(VV, GradedSpace.from_dims(VV.context, VV.dims))
+    g = V.arrows[0]
+    with pytest.raises(ShapeMismatch):
+        align(GradedSpace.from_dims(V.context, {g: 1}),
+              GradedSpace.from_dims(V.context, {g: 2}))
+
+
 def _random_space(rng, ctx, points, n, n_arrows=4):
     inside = set(points)
     dims = {}
@@ -93,6 +136,22 @@ def _random_endo(rng, V):
         blocks[g] = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
                                for _ in range(d)] for _ in range(d)])
     return GradedMorphism(V, V, blocks)
+
+
+def test_tensor_keys_concatenate_factor_keys():
+    rng = random.Random(11)
+    points = rsos_alcove(2, 5)
+    for _ in range(5):
+        A = _random_space(rng, KIND.context(), points, 2)
+        B = _random_space(rng, KIND.context(), points, 2)
+        AB = tensor_space(A, B)
+        for gamma, summands in AB.layout.items():
+            rows = AB.keys[AB.offsets[gamma]:AB.offsets[gamma] + AB.dims[gamma]]
+            for s in summands:
+                ka = A.keys[A.offsets[s.left]:A.offsets[s.left] + A.dims[s.left]]
+                kb = B.keys[B.offsets[s.right]:B.offsets[s.right] + B.dims[s.right]]
+                want = [list(x) + list(y) for x in ka for y in kb]
+                assert rows[s.offset:s.offset + s.size].tolist() == want
 
 
 def test_tensor_morphism_functorial():

@@ -102,6 +102,61 @@ def test_partial_trace_multiplicative():
     assert np.abs(lhs - m1 @ m2).max() < 1e-12
 
 
+def _loops(W, a):
+    return sorted((g for g in W.dims if g.source == a and g.is_loop),
+                  key=lambda g: g.shift)
+
+
+def _partial_trace_oracle(f, aux, quantum):
+    """tr over aux summed entry by entry: sum_v f[(p, v), (v, q)]."""
+    g = align(f.codomain, tensor_space(quantum, aux)) @ f @ align(
+        tensor_space(aux, quantum), f.domain)
+    out = {}
+    for alpha, d_aux in aux.dims.items():
+        rows, cols = _loops(quantum, alpha.source), _loops(quantum, alpha.target)
+        if not rows or not cols:
+            continue
+        block = np.zeros((sum(quantum.dims[l] for l in rows),
+                          sum(quantum.dims[l] for l in cols)), dtype=complex)
+        r0 = 0
+        for lsrc in rows:
+            c0 = 0
+            for ltgt in cols:
+                if ltgt.shift == lsrc.shift:
+                    total = Arrow(alpha.source, tuple(
+                        x + y for x, y in zip(alpha.shift, lsrc.shift)))
+                    ds = next(s for s in g.domain.layout[total]
+                              if (s.left, s.right) == (alpha, ltgt))
+                    cs = next(s for s in g.codomain.layout[total]
+                              if (s.left, s.right) == (lsrc, alpha))
+                    m, d_in = g.block(total), quantum.dims[ltgt]
+                    for p in range(quantum.dims[lsrc]):
+                        for q in range(d_in):
+                            block[r0 + p, c0 + q] = sum(
+                                m[cs.offset + p * d_aux + v,
+                                  ds.offset + v * d_in + q]
+                                for v in range(d_aux))
+                c0 += quantum.dims[ltgt]
+            r0 += quantum.dims[lsrc]
+        out[alpha] = block
+    return out
+
+
+def test_partial_trace_matches_entrywise_oracle_with_wide_aux():
+    rng = random.Random(5)
+    V = build_vector_space(KIND)
+    aux = tensor_space(V, V)
+    assert max(aux.dims.values()) > 1
+    W = vector_chain(KIND, PARAMS, (0.0, 0.3)).quantum
+    f = _random_rw_morphism(rng, aux, W)
+    got, want = partial_trace(f, aux, W), _partial_trace_oracle(f, aux, W)
+    assert set(got) == set(want)
+    assert any(aux.dims[alpha] > 1 and blk.any() for alpha, blk in want.items())
+    tol = 8 * np.finfo(float).eps
+    for alpha, blk in want.items():
+        assert np.abs(got[alpha] - blk).max() <= tol * max(1.0, np.abs(blk).max())
+
+
 def test_partial_trace_conjugation_invariant():
     rng = random.Random(9)
     V = build_vector_space(KIND)
@@ -200,6 +255,12 @@ def test_partition_budget_enforced():
         partition_enumerate(5, 4, 0.3, KIND, PARAMS)
     with pytest.raises(TooLarge):
         partition_via_transfer(5, 4, 0.3, KIND, PARAMS)
+
+
+def test_partition_budget_error_names_budget_request_and_limit():
+    for compute in (partition_enumerate, partition_via_transfer):
+        with pytest.raises(TooLarge, match="FACE_BUDGET: 18 faces requested, limit 16"):
+            compute(3, 6, 0.3, KIND, PARAMS)
 
 
 def test_partition_with_column_inhomogeneities():
