@@ -5,8 +5,12 @@ An element is a finitely supported map arrow -> coefficient; the product
 
     (m * n)(gamma) = sum_{beta o alpha = gamma} m(alpha) n(beta)
 
-is exact (integers or Fractions).  Over a finite point set A the subring
-supported on arrows inside A acts on functions psi: A -> k by
+is exact (integers or Fractions).  It is computed grouped by source: the
+arrows of n are indexed by source once, each alpha meets exactly the betas
+starting at its target, and the composite of such a pair is the shift sum
+from alpha's source, so no arrow is built per matched pair.  Over a finite
+point set A the subring supported on arrows inside A acts on functions
+psi: A -> k by
 
     (x psi)(a) = sum_mu x(a, mu) psi(a + mu).
 """
@@ -15,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
 from .errors import ContextMismatch, SupportOutsideAlcove
 from .graded import GradedSpace
-from .groupoid import (Arrow, Context, LatticeVector, WeightPoint, compose,
+from .groupoid import (Arrow, Context, LatticeVector, WeightPoint,
                        identity_arrow, inverse)
 
 Coefficient = int | Fraction
@@ -76,18 +81,32 @@ class ConvolutionElement:
 
 
 def conv_mul(m: ConvolutionElement, n: ConvolutionElement) -> ConvolutionElement:
-    """Convolution product; m sits on the first arrow of each factorization."""
+    """Convolution product; m sits on the first arrow of each factorization.
+
+    n is indexed by source as (shift, coeff) lists, so each alpha of m meets
+    exactly the betas that compose with it; their products are summed per
+    source of alpha under the shift tuple alpha.shift + beta.shift, and one
+    Arrow is built per distinct output term.  The cost is linear in
+    |m| + |n| + the number of matched pairs, with no groupoid object per pair.
+    """
     if m.context != n.context:
         raise ContextMismatch("product of elements over different groupoids")
-    by_source: dict[WeightPoint, list[Arrow]] = {}
-    for beta in n.coeffs:
-        by_source.setdefault(beta.source, []).append(beta)
-    out: dict[Arrow, Coefficient] = {}
+    by_source: dict[WeightPoint, list[tuple[LatticeVector, Coefficient]]] = {}
+    for beta, cb in n.coeffs.items():
+        by_source.setdefault(beta.source, []).append((beta.shift, cb))
+    out: dict[WeightPoint, dict[LatticeVector, Coefficient]] = {}
     for alpha, ca in m.coeffs.items():
-        for beta in by_source.get(alpha.target, []):
-            gamma = compose(beta, alpha)
-            out[gamma] = out.get(gamma, 0) + ca * n.coeffs[beta]
-    return ConvolutionElement(m.context, out)
+        betas = by_source.get(alpha.target)
+        if betas is None:
+            continue
+        mu = alpha.shift
+        sums = out.setdefault(alpha.source, {})
+        for nu, cb in betas:
+            shift = tuple(map(add, mu, nu))
+            sums[shift] = sums.get(shift, 0) + ca * cb
+    return ConvolutionElement(m.context, {Arrow(a, shift): c
+                                          for a, sums in out.items()
+                                          for shift, c in sums.items()})
 
 
 def involution(n: ConvolutionElement) -> ConvolutionElement:
@@ -117,9 +136,6 @@ class DifferenceOperator:
 
     points: tuple[WeightPoint, ...]
     terms: dict[LatticeVector, dict[WeightPoint, Coefficient]]
-
-    def index(self, a: WeightPoint) -> int:
-        return self.points.index(a)
 
     def matrix(self, dtype=None) -> np.ndarray:
         if dtype is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
 from .errors import InfiniteSet, NonComposable
@@ -119,7 +120,8 @@ class Arrow:
     source: WeightPoint
     shift: LatticeVector
 
-    @property
+    # cached in the instance dict: equality, hashing and repr see only fields
+    @cached_property
     def target(self) -> WeightPoint:
         return self.source.shifted(self.shift)
 

@@ -163,17 +163,20 @@ def restricted_r(z: complex, kind: ModelKind, params: EllipticParams,
     return GradedMorphism(VV, VV, blocks)
 
 
+def _same_weight(i: int, j: int, k: int, l: int) -> bool:
+    """eps_i + eps_j == eps_k + eps_l: {i, j} == {k, l} as multisets."""
+    return sorted((i, j)) == sorted((k, l))
+
+
 def _check_forbidden(flat: FlatR, a: WeightPoint, k: int, l: int,
                      kind: ModelKind) -> None:
     """Components from a valid path into a forbidden one must vanish."""
     n = kind.rank
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            si = eps(n, i)
-            if tuple(x + y for x, y in zip(si, eps(n, j))) != tuple(
-                    x + y for x, y in zip(eps(n, k), eps(n, l))):
+            if not _same_weight(i, j, k, l):
                 continue
-            if kind.step_allowed(a, i) and kind.step_allowed(a + si, j):
+            if kind.step_allowed(a, i) and kind.step_allowed(a + eps(n, i), j):
                 continue
             v = abs(flat.entry((i, j), (k, l)))
             if v > RESTRICTION_TOL:
@@ -197,8 +200,7 @@ def restriction_residual(z: complex, kind: ModelKind,
                     continue
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
-                        if tuple(map(sum, zip(eps(n, i), eps(n, j)))) != tuple(
-                                map(sum, zip(eps(n, k), eps(n, l)))):
+                        if not _same_weight(i, j, k, l):
                             continue
                         if (kind.step_allowed(a, i)
                                 and kind.step_allowed(a + eps(n, i), j)):
@@ -235,8 +237,7 @@ def _site_matrix(flat_of, a: WeightPoint, paths, slot: int, n: int) -> np.ndarra
         flat = flat_of(start)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                if tuple(map(sum, zip(eps(n, i), eps(n, j)))) != tuple(
-                        map(sum, zip(eps(n, p[slot]), eps(n, p[slot + 1])))):
+                if not _same_weight(i, j, p[slot], p[slot + 1]):
                     continue
                 q = p[:slot] + (i, j) + p[slot + 2:]
                 row = pos.get(q)

@@ -361,12 +361,14 @@ def fusion_suite(config: RunConfig) -> list[Case]:
               if fu.fusion_coeff(p, q, s, r) != fu.fusion_coeff(q, p, s, r))
     assoc = 0
     chars = {p: fu.sym_power_character_n2(p, r) for p in labels}
-    for p in labels:
-        for q in labels:
+    # (L_p L_q) L_s against L_p (L_q L_s) for every triple; each pair product
+    # is built once, and only the r - 1 products L_q L_s are held at a time
+    for q in labels:
+        qs = [cv.conv_mul(chars[q], chars[s]) for s in labels]
+        for p in labels:
+            pq = cv.conv_mul(chars[p], chars[q])
             for s in labels:
-                lhs = cv.conv_mul(cv.conv_mul(chars[p], chars[q]), chars[s])
-                rhs = cv.conv_mul(chars[p], cv.conv_mul(chars[q], chars[s]))
-                if lhs != rhs:
+                if cv.conv_mul(pq, chars[s]) != cv.conv_mul(chars[p], qs[s]):
                     assoc += 1
     cases = [
         Case(f"fusion-rules-r{r}", float(len(report.mismatches)), 0.0),

@@ -70,6 +70,15 @@ def test_verify_all_report_matches_golden():
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden.read_text()
 
 
+def test_fusion_and_characters_report_matches_golden_r11():
+    # tests/data/verify_fusion_characters_r11.json pins the report bytes of
+    # the convolution-heavy suites at (2, 11)
+    golden = Path(__file__).parent / "data" / "verify_fusion_characters_r11.json"
+    config = RunConfig(2, 11)
+    report = {s: run_verify(s, config) for s in ("fusion", "characters")}
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden.read_text()
+
+
 def test_parallel_merge_matches_sequential(tmp_path):
     args = ["verify", "all", "--n", "2", "--r", "4"]
     _, seq = run_cli(args, tmp_path, "seq.json")

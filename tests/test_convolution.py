@@ -6,9 +6,9 @@ import pytest
 
 from rsoskit.convolution import (ConvolutionElement, character, chi,
                                  conv_mul, involution, to_difference_operator)
-from rsoskit.errors import SupportOutsideAlcove
+from rsoskit.errors import ContextMismatch, SupportOutsideAlcove
 from rsoskit.graded import dual_space, tensor_space
-from rsoskit.groupoid import Arrow, WeightPoint, rsos_alcove
+from rsoskit.groupoid import Arrow, Context, WeightPoint, compose, rsos_alcove
 from rsoskit.rsos import ModelKind, build_vector_space
 
 KIND = ModelKind.rsos(2, 5)
@@ -16,15 +16,26 @@ CTX = KIND.context()
 POINTS = rsos_alcove(2, 5)
 
 
-def _rand_element(rng, n_terms=4):
-    inside = set(POINTS)
+def _int_coeff(rng):
+    return rng.randrange(-3, 4)
+
+
+def _random_arrows(rng, ctx, points, n_terms, coeff):
+    """Random element on unit-box shifts between the given points; loops
+    such as (1, ..., 1) stay distinct from identity shifts."""
+    inside = set(points)
+    rank = points[0].rank
     coeffs = {}
     for _ in range(n_terms):
-        a = rng.choice(POINTS)
-        mu = (rng.randrange(-1, 2), rng.randrange(-1, 2))
-        if (a + mu) in inside:
-            coeffs[Arrow(a, mu)] = rng.randrange(-3, 4)
-    return ConvolutionElement(CTX, coeffs)
+        a = rng.choice(points)
+        mu = tuple(rng.randrange(-1, 2) for _ in range(rank))
+        if a + mu in inside:
+            coeffs[Arrow(a, mu)] = coeff(rng)
+    return ConvolutionElement(ctx, coeffs)
+
+
+def _rand_element(rng, n_terms=4):
+    return _random_arrows(rng, CTX, POINTS, n_terms, _int_coeff)
 
 
 def test_chi_is_idempotent_unit_of_subring():
@@ -163,3 +174,85 @@ def test_involution_fixes_unit():
 def test_character_of_unit_object_is_unit_element():
     from rsoskit.graded import unit_space
     assert character(unit_space(CTX, POINTS)) == chi(CTX, POINTS)
+
+
+def _pairwise_conv_mul(m, n):
+    """Oracle: the product as a sum over composable pairs, one compose each."""
+    if m.context != n.context:
+        raise ContextMismatch("product of elements over different groupoids")
+    by_source = {}
+    for beta in n.coeffs:
+        by_source.setdefault(beta.source, []).append(beta)
+    out = {}
+    for alpha, ca in m.coeffs.items():
+        for beta in by_source.get(alpha.target, []):
+            gamma = compose(beta, alpha)
+            out[gamma] = out.get(gamma, 0) + ca * n.coeffs[beta]
+    return ConvolutionElement(m.context, out)
+
+
+def _assert_matches_oracle(ctx, points, coeff, seed, n_terms=12, trials=40):
+    rng = random.Random(seed)
+    for _ in range(trials):
+        x = _random_arrows(rng, ctx, points, n_terms, coeff)
+        y = _random_arrows(rng, ctx, points, n_terms, coeff)
+        assert conv_mul(x, y) == _pairwise_conv_mul(x, y)
+
+
+@pytest.mark.parametrize("n, r", [(2, 5), (3, 5)])
+def test_conv_mul_matches_pairwise_oracle_rsos(n, r):
+    kind = ModelKind.rsos(n, r)
+    _assert_matches_oracle(kind.context(), kind.alcove(), _int_coeff, seed=n + r)
+
+
+def test_conv_mul_matches_pairwise_oracle_sos_complex_base():
+    base = (0.29 + 0.1j, 0.11, 0)
+    ctx = Context(rank=3, kind="sos", base=base)
+    window = [WeightPoint(base, (i, j, 0)) for i in range(-1, 3)
+              for j in range(-1, 3)]
+    _assert_matches_oracle(ctx, window, _int_coeff, seed=31)
+
+
+def test_conv_mul_matches_pairwise_oracle_fractions():
+    def coeff(rng):
+        return Fraction(rng.randrange(-5, 6), rng.randrange(1, 7))
+
+    _assert_matches_oracle(CTX, POINTS, coeff, seed=37)
+
+
+def test_conv_mul_drops_cancelled_terms():
+    a = WeightPoint.from_level_coordinate(2)
+    x = ConvolutionElement(CTX, {Arrow(a, (1, 0)): 1, Arrow(a, (0, 1)): 1})
+    y = ConvolutionElement(CTX, {Arrow(a + (1, 0), (0, 1)): 1,
+                                 Arrow(a + (0, 1), (1, 0)): -1})
+    product = conv_mul(x, y)
+    assert Arrow(a, (1, 1)) not in product.coeffs
+    assert product.coeffs == {}
+    assert product == _pairwise_conv_mul(x, y)
+
+
+def test_conv_mul_empty_factors():
+    empty = ConvolutionElement(CTX, {})
+    x = character(build_vector_space(KIND))
+    for m, n in ((empty, x), (x, empty), (empty, empty)):
+        assert conv_mul(m, n).coeffs == {}
+        assert conv_mul(m, n) == _pairwise_conv_mul(m, n)
+
+
+def test_conv_mul_rejects_mixed_contexts():
+    x = character(build_vector_space(KIND))
+    y = character(build_vector_space(ModelKind.rsos(2, 6)))
+    with pytest.raises(ContextMismatch):
+        conv_mul(x, y)
+
+
+def test_cached_target_leaves_arrow_identity_unchanged():
+    a = POINTS[1]
+    read = Arrow(a, (1, 0))
+    assert read.target == a + (1, 0)
+    assert read.target is read.target
+    fresh = Arrow(a, (1, 0))
+    assert read == fresh
+    assert hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    assert {fresh: 1}[read] == 1

@@ -7,10 +7,11 @@ from rsoskit.convolution import character
 from rsoskit.elliptic import EllipticParams, bracket
 from rsoskit.errors import (BaseOnSingularSet, NonSquare, RestrictionViolated)
 from rsoskit.graded import identity_morphism
-from rsoskit.groupoid import Arrow, WeightPoint, eps, rsos_alcove
-from rsoskit.rsos import (ModelKind, boltzmann_weight, build_vector_space,
-                          restricted_r, restriction_residual,
-                          star_triangle_residual)
+from rsoskit.groupoid import (Arrow, WeightPoint, add_vectors, eps,
+                              rsos_alcove)
+from rsoskit.rsos import (ModelKind, _same_weight, boltzmann_weight,
+                          build_vector_space, restricted_r,
+                          restriction_residual, star_triangle_residual)
 
 TAU = 0.9j
 
@@ -164,6 +165,17 @@ def test_forbidden_components_vanish_exhaustively():
         kind = ModelKind.rsos(n, r)
         params = EllipticParams.rsos(n, r, TAU)
         assert restriction_residual(0.31 + 0.07j, kind, params) < 1e-12
+
+
+def test_same_weight_is_the_eps_sum_identity():
+    idx = range(1, 5)
+    for i in idx:
+        for j in idx:
+            for k in idx:
+                for l in idx:
+                    expected = (add_vectors(eps(4, i), eps(4, j))
+                                == add_vectors(eps(4, k), eps(4, l)))
+                    assert _same_weight(i, j, k, l) == expected
 
 
 def test_restriction_violation_detected_for_wrong_gamma():
