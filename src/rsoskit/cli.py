@@ -21,7 +21,7 @@ from . import rsos
 from . import transfer as tr
 from .errors import InvalidConfig, RsosError, UnknownTarget
 from .groupoid import Arrow, eps, rsos_alcove
-from .suites import SUITE_NAMES, RunConfig, run_suite, run_suite_parallel
+from .suites import SUITE_NAMES, RunConfig, run_suite
 
 COMPUTE_TARGETS = ("character", "boltzmann-table", "fusion-table", "spectrum",
                    "partition")
@@ -52,10 +52,9 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def run_verify(suite: str, config: RunConfig, parallel: bool = False) -> dict:
+def run_verify(suite: str, config: RunConfig) -> dict:
     """Run a named suite; returns the JSON-ready report dictionary."""
-    runner = run_suite_parallel if parallel else run_suite
-    cases = runner(suite, config)
+    cases = run_suite(suite, config)
     report = {
         "suite": suite,
         "config": config.to_json_dict(),
@@ -104,31 +103,20 @@ def _rows_boltzmann(args, config: RunConfig) -> tuple[list[str], list[list]]:
     header = ["a", "in1", "in2", "out1", "out2", "weight_re", "weight_im"]
     rows = []
     for a in kind.alcove():
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                alpha = Arrow(a, eps(n, k))
-                beta = Arrow(a + eps(n, k), eps(n, l))
-                if not (kind.step_allowed(a, k)
-                        and kind.step_allowed(alpha.target, l)):
+        two_steps = kind.paths(a, 2)
+        for k, l in two_steps:
+            alpha = Arrow(a, eps(n, k))
+            beta = Arrow(alpha.target, eps(n, l))
+            for i, j in two_steps:
+                if not rsos._same_weight(i, j, k, l):
                     continue
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        gamma = Arrow(a, eps(n, i))
-                        delta = Arrow(a + eps(n, i), eps(n, j))
-                        if (not (kind.step_allowed(a, i)
-                                 and kind.step_allowed(gamma.target, j))
-                                or compose_shift(k, l, n) != compose_shift(i, j, n)):
-                            continue
-                        w = rsos.boltzmann_weight(z, alpha, beta, gamma, delta,
-                                                  kind, params).value
-                        rows.append([
-                            ";".join(str(int(c)) for c in a.offset),
-                            k, l, i, j, _fmt(w.real), _fmt(w.imag)])
+                gamma = Arrow(a, eps(n, i))
+                delta = Arrow(gamma.target, eps(n, j))
+                w = rsos.boltzmann_weight(z, alpha, beta, gamma, delta,
+                                          kind, params).value
+                rows.append([";".join(str(int(c)) for c in a.offset),
+                             k, l, i, j, _fmt(w.real), _fmt(w.imag)])
     return header, rows
-
-
-def compose_shift(i: int, j: int, n: int) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(eps(n, i), eps(n, j)))
 
 
 def _rows_fusion(args, config: RunConfig) -> tuple[list[str], list[list]]:
@@ -204,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES)
     _add_common(p_verify)
-    p_verify.add_argument("--parallel", action="store_true",
-                          help="run the sub-suites of `all` concurrently")
 
     p_compute = sub.add_parser("compute", help="emit a deterministic artifact")
     p_compute.add_argument("what", choices=COMPUTE_TARGETS)
@@ -229,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         if args.command == "verify":
-            report = run_verify(args.suite, config, parallel=args.parallel)
+            report = run_verify(args.suite, config)
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
             _emit(text, args.output)
             return 0 if report["passed"] else 1

@@ -152,9 +152,6 @@ class DifferenceOperator:
                     m[pos[a], pos[b]] += c
         return m
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.matrix(dtype=complex) @ np.asarray(psi, dtype=complex)
-
     def to_json_dict(self) -> dict:
         m = self.matrix(dtype=complex)
         return {

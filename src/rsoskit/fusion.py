@@ -22,7 +22,7 @@ from .elliptic import EllipticParams, bracket, r_minus1, r_reg1
 from .errors import LambdaOutsideAlcove, OutOfRange
 from .groupoid import (Arrow, Context, WeightPoint, add_vectors, eps,
                        rsos_alcove)
-from .rsos import ModelKind
+from .rsos import ModelKind, _same_weight
 
 RANK_TOL = 1e-8
 
@@ -107,14 +107,11 @@ def fusion_bases(a: WeightPoint, kind: ModelKind,
     n = kind.rank
     m_minus = r_minus1(a, params)
     m_reg = r_reg1(a, params)
+    two_steps = kind.paths(a, 2)
     sectors = []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            paths = []
-            for first, second in ((i, j), (j, i)) if i != j else ((i, i),):
-                if (kind.step_allowed(a, first)
-                        and kind.step_allowed(a + eps(n, first), second)):
-                    paths.append((first, second))
+            paths = [p for p in two_steps if _same_weight(*p, i, j)]
             if not paths:
                 continue
             paths.sort(key=lambda p: (a + eps(n, p[0])).sort_key())

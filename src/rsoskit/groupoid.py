@@ -250,10 +250,3 @@ class Context:
         if self.kind != "rsos":
             raise InfiniteSet("only restricted contexts have a finite alcove")
         return rsos_alcove(self.rank, self.level)
-
-    def contains_point(self, a: WeightPoint) -> bool:
-        if self.kind == "sos":
-            return True
-        return alcove_contains(
-            a, AlcoveSpec(self.rank, AlcoveKind.AFFINE_REGULAR, self.level)
-        )

@@ -11,6 +11,7 @@ are verified to vanish and dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,12 +54,27 @@ class ModelKind:
     def alcove(self) -> list[WeightPoint]:
         return rsos_alcove(self.rank, self.level)
 
+    # cached in the instance dict: equality and hashing see only fields
+    @cached_property
+    def _heights(self) -> frozenset[WeightPoint]:
+        return frozenset(self.alcove())
+
     def step_allowed(self, a: WeightPoint, i: int) -> bool:
         """Whether (a, eps_i) is an arrow of the model's groupoid."""
         if not self.is_restricted:
             return True
-        return (self.context().contains_point(a)
-                and self.context().contains_point(a + eps(self.rank, i)))
+        return a in self._heights and a + eps(self.rank, i) in self._heights
+
+    def paths(self, a: WeightPoint, length: int) -> list[tuple[int, ...]]:
+        """Step-index sequences of the admissible paths of `length` steps
+        from a, in lexicographic order."""
+        n = self.rank
+        grown = [((), a)]
+        for _ in range(length):
+            grown = [(steps + (i,), point + eps(n, i))
+                     for steps, point in grown
+                     for i in range(1, n + 1) if self.step_allowed(point, i)]
+        return [steps for steps, _ in grown]
 
 
 def build_vector_space(kind: ModelKind,
@@ -149,14 +165,14 @@ def restricted_r(z: complex, kind: ModelKind, params: EllipticParams,
         a = gamma_arrow.source
         if a not in flat_cache:
             flat_cache[a] = r_matrix(z, a, params)
+            if kind.is_restricted:
+                _check_forbidden(flat_cache[a], a, kind)
         flat = flat_cache[a]
         d = VV.dims[gamma_arrow]
         m = np.zeros((d, d), dtype=complex)
         in_pairs = [(_step_index(s.left), _step_index(s.right))
                     for s in summands]
         for col, (k, l) in enumerate(in_pairs):
-            if kind.is_restricted:
-                _check_forbidden(flat, a, k, l, kind)
             for row, (i, j) in enumerate(in_pairs):
                 m[row, col] = flat.entry((i, j), (k, l))
         blocks[gamma_arrow] = m
@@ -168,20 +184,24 @@ def _same_weight(i: int, j: int, k: int, l: int) -> bool:
     return sorted((i, j)) == sorted((k, l))
 
 
-def _check_forbidden(flat: FlatR, a: WeightPoint, k: int, l: int,
-                     kind: ModelKind) -> None:
+def _forbidden_components(flat: FlatR, a: WeightPoint, kind: ModelKind):
+    """Entries of the flat R-matrix at a from an admissible two-step path
+    (k, l) into its forbidden reordering (l, k), with their moduli.
+
+    (l, k) is the only other path of the same weight as (k, l).
+    """
+    allowed = kind.paths(a, 2)
+    for k, l in allowed:
+        if (l, k) not in allowed:
+            yield (l, k), (k, l), abs(flat.entry((l, k), (k, l)))
+
+
+def _check_forbidden(flat: FlatR, a: WeightPoint, kind: ModelKind) -> None:
     """Components from a valid path into a forbidden one must vanish."""
-    n = kind.rank
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if not _same_weight(i, j, k, l):
-                continue
-            if kind.step_allowed(a, i) and kind.step_allowed(a + eps(n, i), j):
-                continue
-            v = abs(flat.entry((i, j), (k, l)))
-            if v > RESTRICTION_TOL:
-                raise RestrictionViolated(
-                    f"component ({i},{j})<-({k},{l}) at {a!r} is {v:.2e}")
+    for (i, j), (k, l), v in _forbidden_components(flat, a, kind):
+        if v > RESTRICTION_TOL:
+            raise RestrictionViolated(
+                f"component ({i},{j})<-({k},{l}) at {a!r} is {v:.2e}")
 
 
 def restriction_residual(z: complex, kind: ModelKind,
@@ -189,41 +209,12 @@ def restriction_residual(z: complex, kind: ModelKind,
     """Largest forbidden component over the whole alcove (restricted case)."""
     if not kind.is_restricted:
         raise ContextMismatch("restriction residual needs the restricted model")
-    n = kind.rank
     worst = 0.0
     for a in kind.alcove():
         flat = r_matrix(z, a, params)
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                if not (kind.step_allowed(a, k)
-                        and kind.step_allowed(a + eps(n, k), l)):
-                    continue
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        if not _same_weight(i, j, k, l):
-                            continue
-                        if (kind.step_allowed(a, i)
-                                and kind.step_allowed(a + eps(n, i), j)):
-                            continue
-                        worst = max(worst, abs(flat.entry((i, j), (k, l))))
+        for *_, v in _forbidden_components(flat, a, kind):
+            worst = max(worst, v)
     return worst
-
-
-def _paths(kind: ModelKind, a: WeightPoint, length: int) -> list[tuple[int, ...]]:
-    """Step-index sequences of admissible paths of the given length from a."""
-    n = kind.rank
-    out: list[tuple[int, ...]] = []
-
-    def grow(point, steps):
-        if len(steps) == length:
-            out.append(tuple(steps))
-            return
-        for i in range(1, n + 1):
-            if kind.step_allowed(point, i):
-                grow(point + eps(n, i), steps + [i])
-
-    grow(a, [])
-    return out
 
 
 def _site_matrix(flat_of, a: WeightPoint, paths, slot: int, n: int) -> np.ndarray:
@@ -265,7 +256,7 @@ def star_triangle_residual(z: complex, w: complex, kind: ModelKind,
     worst = 0.0
     cache: dict[tuple[WeightPoint, complex], FlatR] = {}
     for a in points:
-        paths = _paths(kind, a, 3)
+        paths = kind.paths(a, 3)
         if not paths:
             continue
 

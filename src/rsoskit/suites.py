@@ -441,15 +441,3 @@ def run_suite(name: str, config: RunConfig) -> list[Case]:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     return _SUITES[name](config)
 
-
-def run_suite_parallel(name: str, config: RunConfig) -> list[Case]:
-    """Run the sub-suites of `all` concurrently, merged in declaration order."""
-    if name != "all":
-        return run_suite(name, config)
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [pool.submit(_SUITES[key], config) for key in SUITE_NAMES[:-1]]
-        cases = []
-        for f in futures:
-            cases.extend(f.result())
-        return cases

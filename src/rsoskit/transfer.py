@@ -31,7 +31,6 @@ class LOperator:
     at: Callable[[complex], GradedMorphism]
     kind: ModelKind
     params: EllipticParams
-    evaluation_points: tuple[complex, ...] = ()
 
 
 def vector_l_operator(kind: ModelKind, params: EllipticParams,
@@ -42,8 +41,7 @@ def vector_l_operator(kind: ModelKind, params: EllipticParams,
     return LOperator(
         aux=V, quantum=V,
         at=lambda z: restricted_r(z + u, kind, params, space=V),
-        kind=kind, params=params, evaluation_points=(u,),
-    )
+        kind=kind, params=params)
 
 
 def trivial_l_operator(kind: ModelKind, params: EllipticParams,
@@ -74,9 +72,8 @@ def l_tensor(first: LOperator, second: LOperator) -> LOperator:
         m = step2 @ align(m.codomain, step2.domain) @ m
         return align(m.codomain, cod) @ m
 
-    pts = first.evaluation_points + second.evaluation_points
     return LOperator(aux=V, quantum=WZ, at=at, kind=first.kind,
-                     params=first.params, evaluation_points=pts)
+                     params=first.params)
 
 
 def vector_chain(kind: ModelKind, params: EllipticParams,
@@ -196,8 +193,7 @@ def commutator_residual(L: LOperator, z: complex, w: complex,
     return float(np.abs(tz @ tw - tw @ tz).max())
 
 
-def _three_factor_chain(factors: list[GradedSpace],
-                        steps) -> tuple[GradedMorphism, list[GradedSpace]]:
+def _three_factor_chain(factors: list[GradedSpace], steps) -> GradedMorphism:
     """Compose morphisms acting on adjacent slots of a three-factor product.
 
     Each step is (slot, morphism, (out_left, out_right)) with slot 0 or 1;
@@ -214,7 +210,7 @@ def _three_factor_chain(factors: list[GradedSpace],
             m = tensor_morphism(identity_morphism(fac[0]), f)
             fac = [fac[0], outs[0], outs[1]]
         total = m @ align(total.codomain, m.domain) @ total
-    return total, fac
+    return total
 
 
 def rll_residual(L: LOperator, z: complex, w: complex) -> float:
@@ -222,11 +218,11 @@ def rll_residual(L: LOperator, z: complex, w: complex) -> float:
     R(z-w)^(23) L(z)^(12) L(w)^(23) = L(w)^(12) L(z)^(23) R(z-w)^(12)."""
     V, W = L.aux, L.quantum
     r = restricted_r(z - w, L.kind, L.params, space=V)
-    lhs, _ = _three_factor_chain(
+    lhs = _three_factor_chain(
         [V, V, W],
         [(1, L.at(w), (W, V)), (0, L.at(z), (W, V)), (1, r, (V, V))],
     )
-    rhs, _ = _three_factor_chain(
+    rhs = _three_factor_chain(
         [V, V, W],
         [(0, r, (V, V)), (1, L.at(z), (W, V)), (0, L.at(w), (W, V))],
     )
@@ -250,20 +246,11 @@ def _checked_inhomogeneities(rows: int, cols: int,
 
 
 def _closed_rows(kind: ModelKind, cols: int) -> list[tuple[WeightPoint, tuple[int, ...]]]:
-    """Admissible single-row states: closed step sequences of length `cols`."""
-    out = []
-    for a in kind.alcove():
-        stack = [(a, ())]
-        while stack:
-            point, steps = stack.pop()
-            if len(steps) == cols:
-                if point == a:
-                    out.append((a, steps))
-                continue
-            for i in range(kind.rank, 0, -1):
-                if kind.step_allowed(point, i):
-                    stack.append((point + eps(kind.rank, i), steps + (i,)))
-    return out
+    """Admissible single-row states: paths of length `cols` that return to
+    their start mod (1,...,1), i.e. use every step index equally often."""
+    n = kind.rank
+    return [(a, steps) for a in kind.alcove() for steps in kind.paths(a, cols)
+            if len({steps.count(i) for i in range(1, n + 1)}) == 1]
 
 
 def _vertices(kind, a: WeightPoint, steps) -> list[WeightPoint]:

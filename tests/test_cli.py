@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import rsoskit
 from rsoskit.cli import main, run_verify
 from rsoskit.errors import InvalidConfig, UnknownSuite
 from rsoskit.suites import RunConfig, run_suite
@@ -79,11 +81,22 @@ def test_fusion_and_characters_report_matches_golden_r11():
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden.read_text()
 
 
-def test_parallel_merge_matches_sequential(tmp_path):
-    args = ["verify", "all", "--n", "2", "--r", "4"]
-    _, seq = run_cli(args, tmp_path, "seq.json")
-    _, par = run_cli(args + ["--parallel"], tmp_path, "par.json")
-    assert seq == par
+def test_verify_all_report_matches_golden_n3r5():
+    # tests/data/verify_all_n3r5.json pins the rank-3 paths: fusion bases,
+    # restriction, star-triangle and the partition row states at n = 3
+    golden = Path(__file__).parent / "data" / "verify_all_n3r5.json"
+    report = run_verify("all", RunConfig(3, 5))
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden.read_text()
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 6)])
+def test_boltzmann_table_matches_golden(tmp_path, n, r):
+    # tests/data/boltzmann_table_n{n}r{r}.csv pins the face-weight table bytes
+    golden = Path(__file__).parent / "data" / f"boltzmann_table_n{n}r{r}.csv"
+    code, text = run_cli(["compute", "boltzmann-table", "--n", str(n),
+                          "--r", str(r), "--z", "0.3,0.1"], tmp_path, "b.csv")
+    assert code == 0
+    assert text == golden.read_text()
 
 
 def test_gamma_override_accepted(tmp_path):
@@ -147,9 +160,14 @@ def test_compute_partition_report(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same rsoskit as this process, installed or not
+    src = str(Path(rsoskit.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "rsoskit", "compute", "fusion-table",
-         "--r", "4"], capture_output=True, text=True)
+         "--r", "4"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("p,q,s,N")
 

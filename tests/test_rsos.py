@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -7,8 +8,8 @@ from rsoskit.convolution import character
 from rsoskit.elliptic import EllipticParams, bracket
 from rsoskit.errors import (BaseOnSingularSet, NonSquare, RestrictionViolated)
 from rsoskit.graded import identity_morphism
-from rsoskit.groupoid import (Arrow, WeightPoint, add_vectors, eps,
-                              rsos_alcove)
+from rsoskit.groupoid import (AlcoveKind, AlcoveSpec, Arrow, WeightPoint,
+                              add_vectors, alcove_contains, eps, rsos_alcove)
 from rsoskit.rsos import (ModelKind, _same_weight, boltzmann_weight,
                           build_vector_space, restricted_r,
                           restriction_residual, star_triangle_residual)
@@ -181,7 +182,8 @@ def test_same_weight_is_the_eps_sum_identity():
 def test_restriction_violation_detected_for_wrong_gamma():
     kind = ModelKind.rsos(2, 5)
     off = EllipticParams(tau=TAU, gamma=1 / 5.3, rank=2)
-    with pytest.raises(RestrictionViolated):
+    with pytest.raises(RestrictionViolated,
+                       match=r"component \(\d,\d\)<-\(\d,\d\) at WeightPoint"):
         restricted_r(0.31, kind, off)
 
 
@@ -218,3 +220,51 @@ def test_grading_convention_consistency():
                 face = boltzmann_weight(z, sc.left, sc.right, sr.left,
                                         sr.right, kind, params).value
                 assert abs(block[row, col] - face) < 1e-14
+
+
+MODELS = [(2, 5), (3, 5), (3, 6)]
+
+
+@pytest.mark.parametrize("n,r", MODELS)
+def test_paths_equal_brute_force_filter(n, r):
+    kind = ModelKind.rsos(n, r)
+    spec = AlcoveSpec(n, AlcoveKind.AFFINE_REGULAR, r)
+    for a in rsos_alcove(n, r):
+        for length in range(5):
+            expected = []
+            for steps in itertools.product(range(1, n + 1), repeat=length):
+                point, ok = a, True
+                for i in steps:
+                    point = point + eps(n, i)
+                    ok = ok and alcove_contains(point, spec)
+                if ok:
+                    expected.append(steps)
+            got = kind.paths(a, length)
+            assert got == expected
+            assert got == sorted(got)
+
+
+def test_paths_unrestricted_are_all_sequences():
+    kind = ModelKind.sos((0.29, 0.11, 0.0))
+    b = WeightPoint(base=(0.29, 0.11, 0.0), offset=(0, 0, 0))
+    for length in range(4):
+        assert kind.paths(b, length) == list(
+            itertools.product(range(1, 4), repeat=length))
+
+
+@pytest.mark.parametrize("n,r", MODELS)
+def test_step_allowed_matches_alcove_definition(n, r):
+    kind = ModelKind.rsos(n, r)
+    spec = AlcoveSpec(n, AlcoveKind.AFFINE_REGULAR, r)
+    points = rsos_alcove(n, r)
+    around = set(points)
+    for a in points:
+        for i in range(1, n + 1):
+            around.add(a + eps(n, i))
+            around.add(a + tuple(-x for x in eps(n, i)))
+    assert len(around) > len(points)
+    for a in around:
+        for i in range(1, n + 1):
+            oracle = (alcove_contains(a, spec)
+                      and alcove_contains(a + eps(n, i), spec))
+            assert kind.step_allowed(a, i) == oracle
