@@ -69,16 +69,6 @@ class ConvolutionElement:
     def __mul__(self, other: "ConvolutionElement") -> "ConvolutionElement":
         return conv_mul(self, other)
 
-    def to_rows(self) -> list[dict]:
-        rows = []
-        for g in self.support:
-            rows.append({"source": [int(o) for o in g.source.offset]
-                         if g.source.has_zero_base
-                         else [[v.real, v.imag] for v in g.source.values()],
-                         "shift": list(g.shift),
-                         "coeff": self.coeffs[g]})
-        return rows
-
 
 def conv_mul(m: ConvolutionElement, n: ConvolutionElement) -> ConvolutionElement:
     """Convolution product; m sits on the first arrow of each factorization.
@@ -151,13 +141,6 @@ class DifferenceOperator:
                 if b in pos:
                     m[pos[a], pos[b]] += c
         return m
-
-    def to_json_dict(self) -> dict:
-        m = self.matrix(dtype=complex)
-        return {
-            "points": [[int(o) for o in a.offset] for a in self.points],
-            "matrix": [[[v.real, v.imag] for v in row] for row in m.tolist()],
-        }
 
 
 def to_difference_operator(x: ConvolutionElement,

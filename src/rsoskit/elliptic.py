@@ -11,6 +11,9 @@ The R-matrix acts on C^n (x) C^n in the row-major basis e_i (x) e_j:
     R(z,a) = sum_i E_ii (x) E_ii
            - sum_{i!=j} [a_i-a_j+1][z] / ([a_i-a_j][1-z]) E_ij (x) E_ji
            + sum_{i!=j} [a_i-a_j+z][1] / ([a_i-a_j][1-z]) E_ii (x) E_jj.
+
+Its residue at z = 1 and its value at z = -1 are the same formula with other
+coefficients, so one builder fills all three.
 """
 
 from __future__ import annotations
@@ -27,22 +30,34 @@ from .groupoid import WeightPoint, eps
 _TAIL_LOG10 = 17.0  # discard terms below 1e-17 relative
 
 
-def _truncation(z: complex, tau: complex) -> int:
-    t = tau.imag
-    y = abs(complex(z).imag)
-    n = y / t + math.sqrt(_TAIL_LOG10 * math.log(10.0) / (math.pi * t))
-    return max(12, int(math.ceil(n)) + 1)
+def _truncation(z, tau: complex):
+    """Series cut for each entry of z: the tail stays below 1e-17 relative."""
+    t = complex(tau).imag
+    n = np.abs(np.imag(z)) / t + math.sqrt(
+        _TAIL_LOG10 * math.log(10.0) / (math.pi * t))
+    return np.maximum(12, np.ceil(n).astype(int) + 1)
 
 
-def theta(z: complex, tau: complex, truncation: int | None = None) -> complex:
-    """Odd Jacobi theta function, truncated so the tail is below 1e-16 relative."""
+def _like(z, values: np.ndarray):
+    """A complex for scalar z, else values in the shape of z."""
+    return complex(values[0]) if np.ndim(z) == 0 else values.reshape(np.shape(z))
+
+
+def theta(z, tau: complex, truncation: int | None = None):
+    """Odd Jacobi theta function of a scalar or an array z; each entry keeps its
+    own truncation, so an array entry equals the scalar call bit for bit."""
     if complex(tau).imag <= 0:
         raise InvalidTau(f"Im tau must be positive, got {tau}")
-    N = truncation if truncation is not None else _truncation(z, tau)
-    m = np.arange(-N, N + 1)
-    half = m + 0.5
-    expo = 1j * math.pi * half * half * tau + 2j * math.pi * half * (z + 0.5)
-    return complex(-np.exp(expo).sum())
+    zs = np.asarray(z, dtype=complex).ravel()
+    cuts = _truncation(zs, tau) if truncation is None else np.full(zs.shape, truncation)
+    out = np.empty(zs.shape, dtype=complex)
+    for N in set(cuts.tolist()):
+        rows = cuts == N
+        half = np.arange(-N, N + 1) + 0.5
+        expo = (1j * math.pi * half * half * tau
+                + 2j * math.pi * half * (zs[rows][:, None] + 0.5))
+        out[rows] = -np.exp(expo).sum(axis=1)
+    return _like(z, out)
 
 
 @lru_cache(maxsize=64)
@@ -89,14 +104,16 @@ class EllipticParams:
             raise ValueError(f"restricted level must exceed the rank, got r={r}")
         return cls(tau=tau, gamma=1.0 / r, rank=rank, truncation=truncation)
 
-    def bracket(self, z: complex) -> complex:
-        return bracket(z, self)
 
+def bracket(z, params: EllipticParams):
+    """[z] = theta(gamma*z, tau)/(gamma*theta'(0, tau)) of a scalar or an array z.
 
-def bracket(z: complex, params: EllipticParams) -> complex:
-    """[z] = theta(gamma*z, tau)/(gamma*theta'(0, tau))."""
-    num = theta(params.gamma * z, params.tau, params.truncation)
-    return num / (params.gamma * theta_dz0(params.tau, params.truncation))
+    The scaling runs per entry in Python complex arithmetic, because numpy's
+    complex multiply and divide round differently from the scalar call."""
+    args = [params.gamma * w for w in np.asarray(z, dtype=complex).ravel().tolist()]
+    nums = theta(args, params.tau, params.truncation)
+    scale = params.gamma * theta_dz0(params.tau, params.truncation)
+    return _like(z, np.array([num / scale for num in nums.tolist()], dtype=complex))
 
 
 def _guarded(value: complex, params: EllipticParams, what: str) -> complex:
@@ -129,28 +146,39 @@ class FlatR:
         return complex(self.matrix[(i - 1) * n + (j - 1), (k - 1) * n + (l - 1)])
 
 
-def r_matrix(z: complex, a: WeightPoint, params: EllipticParams) -> FlatR:
-    """The elliptic dynamical R-matrix at (z, a)."""
+def _flat_r(z: complex, a: WeightPoint, params: EllipticParams, diagonal: float,
+            shift: complex, extra: tuple, coeffs) -> FlatR:
+    """R = diagonal sum_i E_ii(x)E_ii + sum_{i!=j} [d+1] X/([d] Y) E_ij(x)E_ji
+    + sum_{i!=j} [d+shift] W/([d] Y) E_ii(x)E_jj with d = a_i - a_j.
+
+    One array call gives every bracket of the point; coeffs maps the brackets
+    of the arguments `extra` to (X, W, Y)."""
     n = params.rank
     if a.rank != n:
         raise ValueError("point rank does not match params")
-    br = lambda w: bracket(w, params)
-    den_z = _guarded(br(1 - z), params, "[1-z]")
-    one = br(1)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    args = list(extra)
+    for i, j in pairs:
+        d = a.diff(i, j)
+        args += [d, d + 1, d + shift]
+    vals = bracket(args, params).tolist()
+    X, W, Y = coeffs(*vals[:len(extra)])
+    b = vals[len(extra):]
     m = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(1, n + 1):
-        m[(i - 1) * n + (i - 1), (i - 1) * n + (i - 1)] = 1.0
-    bz = br(z)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            d = a.diff(i, j)
-            den = _guarded(br(d), params, f"[a_{i}-a_{j}]")
-            row = (i - 1) * n + (j - 1)
-            m[row, (j - 1) * n + (i - 1)] = -br(d + 1) * bz / (den * den_z)
-            m[row, row] = br(d + z) * one / (den * den_z)
+    for i in range(n):
+        m[i * (n + 1), i * (n + 1)] = diagonal
+    for (i, j), b_d, b_d1, b_ds in zip(pairs, b[0::3], b[1::3], b[2::3]):
+        den = _guarded(b_d, params, f"[a_{i}-a_{j}]")
+        row = (i - 1) * n + (j - 1)
+        m[row, (j - 1) * n + (i - 1)] = b_d1 * X / (den * Y)
+        m[row, row] = b_ds * W / (den * Y)
     return FlatR(z=z, a=a, matrix=m)
+
+
+def r_matrix(z: complex, a: WeightPoint, params: EllipticParams) -> FlatR:
+    """The elliptic dynamical R-matrix at (z, a)."""
+    return _flat_r(z, a, params, 1.0, z, (z, 1, 1 - z), lambda bz, one, den_z: (
+        -bz, one, _guarded(den_z, params, "[1-z]")))
 
 
 def r_reg1(a: WeightPoint, params: EllipticParams) -> FlatR:
@@ -158,21 +186,7 @@ def r_reg1(a: WeightPoint, params: EllipticParams) -> FlatR:
 
     Closed form sum_{i!=j} [a_i-a_j+1][1]/[a_i-a_j] (E_ij(x)E_ji - E_ii(x)E_jj).
     """
-    n = params.rank
-    br = lambda w: bracket(w, params)
-    one = br(1)
-    m = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            d = a.diff(i, j)
-            den = _guarded(br(d), params, f"[a_{i}-a_{j}]")
-            c = br(d + 1) * one / den
-            row = (i - 1) * n + (j - 1)
-            m[row, (j - 1) * n + (i - 1)] += c
-            m[row, row] -= c
-    return FlatR(z=1.0, a=a, matrix=m)
+    return _flat_r(1.0, a, params, 0.0, 1, (1,), lambda one: (one, -one, 1))
 
 
 def r_minus1(a: WeightPoint, params: EllipticParams) -> FlatR:
@@ -183,23 +197,8 @@ def r_minus1(a: WeightPoint, params: EllipticParams) -> FlatR:
     [a_i-a_j+1][1]/([a_i-a_j][2]) (E_ij(x)E_ji) + [a_i-a_j-1][1]/([a_i-a_j][2]) (E_ii(x)E_jj)
     off the diagonal.
     """
-    n = params.rank
-    br = lambda w: bracket(w, params)
-    one = br(1)
-    two = _guarded(br(2), params, "[2]")
-    m = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(1, n + 1):
-        m[(i - 1) * n + (i - 1), (i - 1) * n + (i - 1)] = 1.0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            d = a.diff(i, j)
-            den = _guarded(br(d), params, f"[a_{i}-a_{j}]")
-            row = (i - 1) * n + (j - 1)
-            m[row, (j - 1) * n + (i - 1)] = br(d + 1) * one / (den * two)
-            m[row, row] = br(d - 1) * one / (den * two)
-    return FlatR(z=-1.0, a=a, matrix=m)
+    return _flat_r(-1.0, a, params, 1.0, -1, (1, 2), lambda one, two: (
+        one, one, _guarded(two, params, "[2]")))
 
 
 def _dynamical_23(z: complex, a: WeightPoint, params: EllipticParams) -> np.ndarray:

@@ -93,23 +93,6 @@ class GradedSpace:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def to_json_dict(self) -> dict:
-        comps = []
-        for arrow in self.arrows:
-            comps.append({
-                "source": _coords_json(arrow.source),
-                "shift": list(arrow.shift),
-                "dim": self.dims[arrow],
-            })
-        return {"rank": self.context.rank, "kind": self.context.kind,
-                "components": comps}
-
-
-def _coords_json(point: WeightPoint):
-    if point.has_zero_base:
-        return [int(o) for o in point.offset]
-    return [[complex(v).real, complex(v).imag] for v in point.values()]
-
 
 def unit_space(context: Context, points: list[WeightPoint]) -> GradedSpace:
     """Tensor unit: one-dimensional at the identity arrow of each point."""
@@ -241,20 +224,6 @@ class GradedMorphism:
             if d.size:
                 worst = max(worst, float(np.abs(d).max()))
         return worst
-
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return self.max_diff(identity_morphism(self.domain)) <= tol
-
-    def to_json_dict(self) -> dict:
-        out = []
-        for arrow in sorted(self.blocks, key=Arrow.sort_key):
-            m = self.blocks[arrow]
-            out.append({
-                "source": _coords_json(arrow.source),
-                "shift": list(arrow.shift),
-                "block": [[[v.real, v.imag] for v in row] for row in m.tolist()],
-            })
-        return {"blocks": out}
 
 
 def identity_morphism(V: GradedSpace) -> GradedMorphism:

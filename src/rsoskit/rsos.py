@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elliptic import EllipticParams, FlatR, r_matrix
+from .elliptic import EllipticParams, FlatR, bracket, r_matrix
 from .errors import (BaseOnSingularSet, ContextMismatch, NonSquare,
                      RestrictionViolated)
 from .graded import GradedMorphism, GradedSpace, tensor_space
@@ -98,7 +98,7 @@ def build_vector_space(kind: ModelKind,
             for a in points:
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
-                        if i != j and abs(params.bracket(a.diff(i, j))) < params.pole_guard:
+                        if i != j and abs(bracket(a.diff(i, j), params)) < params.pole_guard:
                             raise BaseOnSingularSet(
                                 f"base point {a!r} has [a_{i}-a_{j}] ~ 0")
     dims = {}

@@ -83,12 +83,6 @@ class Case:
         return self.residual <= self.tolerance
 
 
-def _apply_override(cases: list[Case], config: RunConfig) -> list[Case]:
-    if config.tolerance is None:
-        return cases
-    return [Case(c.name, c.residual, config.tolerance) for c in cases]
-
-
 class _PointSampler:
     """Seeded spectral/dynamical point generator avoiding the pole set."""
 
@@ -146,7 +140,7 @@ def theta_suite(config: RunConfig, samples: int = 50) -> list[Case]:
     params = config.params()
     h = 1e-5
     deriv = abs((el.bracket(h, params) - el.bracket(-h, params)) / (2 * h) - 1)
-    cases = [
+    return [
         Case("theta-odd", odd, 1e-12),
         Case("theta-period-one", qp_one, 1e-12),
         Case("theta-period-tau", qp_tau, 1e-12),
@@ -155,7 +149,6 @@ def theta_suite(config: RunConfig, samples: int = 50) -> list[Case]:
         Case("bracket-zero-at-r",
              abs(el.bracket(1.0 / params.gamma, params)), 1e-12),
     ]
-    return _apply_override(cases, config)
 
 
 def unitarity_suite(config: RunConfig, samples: int = 100) -> list[Case]:
@@ -167,8 +160,7 @@ def unitarity_suite(config: RunConfig, samples: int = 100) -> list[Case]:
         z = sampler.spectral()
         a = sampler.alcove_point(points)
         worst = max(worst, el.unitarity_residual(z, a, params))
-    return _apply_override(
-        [Case(f"unitarity-n{config.n}-r{config.r}", worst, 1e-9)], config)
+    return [Case(f"unitarity-n{config.n}-r{config.r}", worst, 1e-9)]
 
 
 def dybe_suite(config: RunConfig, samples: int = 20) -> list[Case]:
@@ -194,7 +186,7 @@ def dybe_suite(config: RunConfig, samples: int = 20) -> list[Case]:
             sos_worst = max(sos_worst,
                             el.dynamical_ybe_residual(z, w, b, params))
         cases.append(Case("dybe-sos-generic-base", sos_worst, 1e-9))
-    return _apply_override(cases, config)
+    return cases
 
 
 def star_triangle_suite(config: RunConfig, pairs: int = 10) -> list[Case]:
@@ -217,7 +209,7 @@ def star_triangle_suite(config: RunConfig, pairs: int = 10) -> list[Case]:
             sos_worst = max(sos_worst, rsos.star_triangle_residual(
                 z, w, sos_kind, params, points=window))
         cases.append(Case("star-triangle-sos-generic-base", sos_worst, 1e-9))
-    return _apply_override(cases, config)
+    return cases
 
 
 def restriction_suite(config: RunConfig, samples: int = 3) -> list[Case]:
@@ -228,8 +220,7 @@ def restriction_suite(config: RunConfig, samples: int = 3) -> list[Case]:
     for _ in range(samples):
         worst = max(worst, rsos.restriction_residual(sampler.spectral(),
                                                      kind, params))
-    return _apply_override(
-        [Case(f"restriction-n{config.n}-r{config.r}", worst, 1e-12)], config)
+    return [Case(f"restriction-n{config.n}-r{config.r}", worst, 1e-12)]
 
 
 def exactness_suite(config: RunConfig) -> list[Case]:
@@ -256,12 +247,11 @@ def exactness_suite(config: RunConfig) -> list[Case]:
         residue_rel = max(residue_rel,
                           float(np.abs(reg - oracle).max()
                                 / max(np.abs(reg).max(), 1e-30)))
-    cases = [
+    return [
         Case(f"exactness-n{config.n}-r{config.r}", worst, 1e-8),
         Case("kernel-dims-match-characters", float(dim_mismatches), 0.0),
         Case("residue-oracle-relative", residue_rel, 1e-6),
     ]
-    return _apply_override(cases, config)
 
 
 def transfer_commute_suite(config: RunConfig, pairs: int = 5) -> list[Case]:
@@ -279,7 +269,7 @@ def transfer_commute_suite(config: RunConfig, pairs: int = 5) -> list[Case]:
             z, w = sampler.spectral_pair()
             worst = max(worst, tr.commutator_residual(L, z, w))
         cases.append(Case(f"transfer-commute-{name}", worst, 1e-8))
-    return _apply_override(cases, config)
+    return cases
 
 
 def _random_element(rng: random.Random, ctx, points, n: int,
@@ -345,12 +335,11 @@ def characters_suite(config: RunConfig, samples: int = 100) -> list[Case]:
         if cv.involution(cv.conv_mul(x, y)) != cv.conv_mul(
                 cv.involution(y), cv.involution(x)):
             anti += 1
-    cases = [
+    return [
         Case("character-ring-map", float(failures), 0.0),
         Case("convolution-associativity", float(assoc), 0.0),
         Case("involution-antihomomorphism", float(anti), 0.0),
     ]
-    return _apply_override(cases, config)
 
 
 def fusion_suite(config: RunConfig) -> list[Case]:
@@ -370,12 +359,11 @@ def fusion_suite(config: RunConfig) -> list[Case]:
             for s in labels:
                 if cv.conv_mul(pq, chars[s]) != cv.conv_mul(chars[p], qs[s]):
                     assoc += 1
-    cases = [
+    return [
         Case(f"fusion-rules-r{r}", float(len(report.mismatches)), 0.0),
         Case("verlinde-symmetry", float(sym), 0.0),
         Case("verlinde-associativity", float(assoc), 0.0),
     ]
-    return _apply_override(cases, config)
 
 
 def spectrum_suite(config: RunConfig) -> list[Case]:
@@ -395,7 +383,7 @@ def spectrum_suite(config: RunConfig) -> list[Case]:
         cases.append(Case("spectrum-dense-eigensolver",
                           float(np.abs(eigs - expected).max()
                                 + np.abs(analytic - expected).max()), 1e-10))
-    return _apply_override(cases, config)
+    return cases
 
 
 def partition_suite(config: RunConfig, max_faces: int = 12) -> list[Case]:
@@ -409,11 +397,10 @@ def partition_suite(config: RunConfig, max_faces: int = 12) -> list[Case]:
             worst = max(worst, abs(z_en - z_tm) / max(1.0, abs(z_en)))
     dim_en = tr.partition_enumerate(0, 2, 0.3, kind, params)
     dim_tm = tr.partition_via_transfer(0, 2, 0.3, kind, params)
-    cases = [
+    return [
         Case(f"partition-oracle-n{config.n}-r{config.r}", worst, 1e-9),
         Case("partition-state-dimension", abs(dim_en - dim_tm), 0.0),
     ]
-    return _apply_override(cases, config)
 
 
 _SUITES = {
@@ -432,12 +419,15 @@ _SUITES = {
 
 
 def run_suite(name: str, config: RunConfig) -> list[Case]:
+    """Cases of one suite, or of every suite for "all", with config.tolerance
+    (when set) in place of each pinned tolerance."""
     if name == "all":
-        cases = []
-        for key in SUITE_NAMES[:-1]:
-            cases.extend(_SUITES[key](config))
-        return cases
-    if name not in _SUITES:
+        cases = [c for key in SUITE_NAMES[:-1] for c in _SUITES[key](config)]
+    elif name in _SUITES:
+        cases = _SUITES[name](config)
+    else:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return _SUITES[name](config)
+    if config.tolerance is None:
+        return cases
+    return [Case(c.name, c.residual, config.tolerance) for c in cases]
 

@@ -326,13 +326,7 @@ def partition_enumerate(rows: int, cols: int, z: complex, kind: ModelKind,
                 if wgt is not None:
                     dfs(assign + [s], acc * wgt)
 
-    if m == 1:
-        for s in range(len(states)):
-            wgt = row_weight(s, s)
-            if wgt is not None:
-                total += wgt
-    else:
-        dfs([], 1.0 + 0.0j)
+    dfs([], 1.0 + 0.0j)
     return complex(total)
 
 

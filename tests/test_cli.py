@@ -49,6 +49,15 @@ def test_unknown_suite_rejected():
         run_suite("nonsense", RunConfig())
 
 
+def test_tolerance_override_reaches_every_case():
+    cases = run_suite("all", RunConfig(tolerance=1e-3))
+    golden = json.loads((Path(__file__).parent / "data"
+                         / "verify_all_n2r5.json").read_text())
+    assert [(c.name, c.residual) for c in cases] == [
+        (c["name"], c["residual"]) for c in golden["cases"]]
+    assert {c.tolerance for c in cases} == {1e-3}
+
+
 def test_invalid_config_rejected():
     with pytest.raises(InvalidConfig):
         RunConfig(n=2, r=2)

@@ -153,19 +153,6 @@ def test_loop_shifts_land_on_diagonal():
     assert m[1, 1] == 3 and np.count_nonzero(m) == 1
 
 
-def test_rows_serialization():
-    chv = character(build_vector_space(KIND))
-    rows = chv.to_rows()
-    assert rows[0] == {"source": [1, 0], "shift": [1, 0], "coeff": 1}
-
-
-def test_difference_operator_json_dump():
-    chv = character(build_vector_space(KIND))
-    doc = to_difference_operator(chv, POINTS).to_json_dict()
-    assert doc["points"][0] == [1, 0]
-    assert doc["matrix"][0][1] == [1.0, 0.0]
-
-
 def test_involution_fixes_unit():
     unit = chi(CTX, POINTS)
     assert involution(unit) == unit

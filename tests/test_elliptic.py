@@ -1,12 +1,13 @@
 import cmath
+import math
 import random
 
 import numpy as np
 import pytest
 
-from rsoskit.elliptic import (EllipticParams, bracket, dynamical_ybe_residual,
-                              r_matrix, r_minus1, r_reg1,
-                              residue_extrapolation, theta, theta_dz0,
+from rsoskit.elliptic import (EllipticParams, _guarded, bracket,
+                              dynamical_ybe_residual, r_matrix, r_minus1,
+                              r_reg1, residue_extrapolation, theta, theta_dz0,
                               unitarity_residual)
 from rsoskit.errors import InvalidTau, NearPole
 from rsoskit.groupoid import WeightPoint, rsos_alcove
@@ -197,3 +198,171 @@ def test_theta_truncation_rule_handles_large_imaginary_part():
         auto = theta(z, TAU)
         ref = theta(z, TAU, truncation=80)
         assert abs(auto - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+# Oracles for the array bracket and the one R-matrix builder: the scalar
+# series and the three per-pair loop builders they replace, kept verbatim
+# up to names.  The new code must reproduce them bit for bit.
+
+def _scalar_truncation(z, tau):
+    t = tau.imag
+    n = abs(complex(z).imag) / t + math.sqrt(17.0 * math.log(10.0) / (math.pi * t))
+    return max(12, int(math.ceil(n)) + 1)
+
+
+def _scalar_theta(z, tau, truncation=None):
+    N = truncation if truncation is not None else _scalar_truncation(z, tau)
+    half = np.arange(-N, N + 1) + 0.5
+    expo = 1j * math.pi * half * half * tau + 2j * math.pi * half * (z + 0.5)
+    return complex(-np.exp(expo).sum())
+
+
+def _scalar_bracket(z, p):
+    num = _scalar_theta(p.gamma * z, p.tau, p.truncation)
+    return num / (p.gamma * theta_dz0(p.tau, p.truncation))
+
+
+def _loop_r_matrix(z, a, p):
+    n = p.rank
+    br = lambda w: _scalar_bracket(w, p)
+    den_z = _guarded(br(1 - z), p, "[1-z]")
+    one = br(1)
+    m = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(1, n + 1):
+        m[(i - 1) * n + (i - 1), (i - 1) * n + (i - 1)] = 1.0
+    bz = br(z)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            d = a.diff(i, j)
+            den = _guarded(br(d), p, f"[a_{i}-a_{j}]")
+            row = (i - 1) * n + (j - 1)
+            m[row, (j - 1) * n + (i - 1)] = -br(d + 1) * bz / (den * den_z)
+            m[row, row] = br(d + z) * one / (den * den_z)
+    return m
+
+
+def _loop_r_reg1(a, p):
+    n = p.rank
+    br = lambda w: _scalar_bracket(w, p)
+    one = br(1)
+    m = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            d = a.diff(i, j)
+            den = _guarded(br(d), p, f"[a_{i}-a_{j}]")
+            c = br(d + 1) * one / den
+            row = (i - 1) * n + (j - 1)
+            m[row, (j - 1) * n + (i - 1)] += c
+            m[row, row] -= c
+    return m
+
+
+def _loop_r_minus1(a, p):
+    n = p.rank
+    br = lambda w: _scalar_bracket(w, p)
+    one = br(1)
+    two = _guarded(br(2), p, "[2]")
+    m = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(1, n + 1):
+        m[(i - 1) * n + (i - 1), (i - 1) * n + (i - 1)] = 1.0
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            d = a.diff(i, j)
+            den = _guarded(br(d), p, f"[a_{i}-a_{j}]")
+            row = (i - 1) * n + (j - 1)
+            m[row, (j - 1) * n + (i - 1)] = br(d + 1) * one / (den * two)
+            m[row, row] = br(d - 1) * one / (den * two)
+    return m
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7)])
+def test_builders_match_loop_oracles_bit_for_bit(n, r):
+    rng = random.Random(17 * n + r)
+    points = rsos_alcove(n, r) + [_generic_point(rng, n, r) for _ in range(4)]
+    complex_params = EllipticParams(tau=0.3 + 0.9j, gamma=1 / (r + 0.2) + 0.02j,
+                                    rank=n)
+    for p in (params(n, r), complex_params):
+        for a in points:
+            for z in (0.3, 0.17 + 0.05j, -0.42 + 0.11j, 2.5 + 0.7j):
+                assert np.array_equal(r_matrix(z, a, p).matrix,
+                                      _loop_r_matrix(z, a, p))
+            assert np.array_equal(r_reg1(a, p).matrix, _loop_r_reg1(a, p))
+            assert np.array_equal(r_minus1(a, p).matrix, _loop_r_minus1(a, p))
+
+
+def test_array_theta_equals_scalar_calls_entry_by_entry():
+    zs = np.array([[0.1, 3 + 9j, -1.3 + 0.9j], [0.25, 2.0, 1e-3j]])
+    for tau in (TAU, 0.3 + 0.9j):
+        # the entries need different truncations, so several groups are summed
+        assert len({_scalar_truncation(z, tau) for z in zs.flat}) > 1
+        out = theta(zs, tau)
+        assert out.shape == zs.shape
+        for z, v in zip(zs.flat, out.flat):
+            assert v == theta(complex(z), tau) == _scalar_theta(complex(z), tau)
+        fixed = theta(zs, tau, truncation=40)
+        for z, v in zip(zs.flat, fixed.flat):
+            assert v == _scalar_theta(complex(z), tau, truncation=40)
+    assert isinstance(theta(0.1, TAU), complex)
+
+
+def test_array_bracket_equals_scalar_calls_entry_by_entry():
+    zs = [0.1, 3 + 9j, 1, 2.0, -0.42 + 0.11j, 1 - (0.3 + 0.05j)]
+    for p in (params(3, 7), EllipticParams(tau=0.3 + 0.9j, gamma=0.17 + 0.03j,
+                                           rank=2)):
+        out = bracket(np.array(zs), p)
+        for z, v in zip(zs, out):
+            assert v == bracket(z, p) == _scalar_bracket(z, p)
+        assert isinstance(bracket(zs[0], p), complex)
+
+
+def test_builder_errors_keep_their_order_and_messages():
+    p2, p3 = params(2, 5), params(3, 5)
+    singular = WeightPoint.integer((0, 0))
+    # rank mismatch first, even at a pole and a singular point
+    for build in (lambda: r_matrix(1.0, singular, p3),
+                  lambda: r_reg1(singular, p3), lambda: r_minus1(singular, p3)):
+        with pytest.raises(ValueError, match="rank"):
+            build()
+    with pytest.raises(NearPole, match=r"denominator \[1-z\] has modulus"):
+        r_matrix(1.0, singular, p2)
+    half = EllipticParams(tau=TAU, gamma=0.5, rank=2)
+    with pytest.raises(NearPole, match=r"denominator \[2\] has modulus"):
+        r_minus1(singular, half)
+    for coords, pair in (((0, 0, 0), "1-a_2"), ((1, 0, 0), "2-a_3"),
+                         ((1, 2, 1), "1-a_3")):
+        a = WeightPoint.integer(coords)
+        for build in (lambda: r_matrix(0.3, a, p3), lambda: r_reg1(a, p3),
+                      lambda: r_minus1(a, p3)):
+            with pytest.raises(NearPole, match=rf"denominator \[a_{pair}\]"):
+                build()
+
+
+def test_theta_and_bracket_against_mpmath_jtheta():
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(23)
+    worst = 0.0
+    with mp.workdps(30):
+        for tau in (0.8j, 0.3 + 0.9j, 1.2j):
+            q = mp.exp(1j * mp.pi * tau)
+            dz0 = complex(mp.pi * mp.jtheta(1, 0, q, 1))
+            worst = max(worst, abs(theta_dz0(tau) - dz0) / abs(dz0))
+            p = EllipticParams(tau=tau, gamma=0.2, rank=2)
+            for _ in range(50):
+                z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1))
+                ref = complex(mp.jtheta(1, mp.pi * z, q))
+                worst = max(worst, abs(theta(z, tau) - ref) / abs(ref))
+                # theta(z+1) = -theta(z)
+                # theta(z+tau) = -exp(-i pi tau - 2 pi i z) theta(z)
+                worst = max(worst, abs(theta(z + 1, tau) + ref) / abs(ref))
+                shifted = -cmath.exp(-1j * cmath.pi * tau - 2j * cmath.pi * z) * ref
+                worst = max(worst, abs(theta(z + tau, tau) - shifted) / abs(shifted))
+                u = 5 * z
+                ref_br = complex(mp.jtheta(1, mp.pi * p.gamma * u, q)) / (p.gamma * dz0)
+                worst = max(worst, abs(bracket(u, p) - ref_br) / abs(ref_br))
+    assert worst < 1e-14

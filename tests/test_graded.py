@@ -40,8 +40,8 @@ def test_tensor_with_unit_preserves_dimensions():
     for g, d in V.dims.items():
         assert left.dim(g) == d
         assert right.dim(g) == d
-    assert (align(left, V) @ align(V, left)).is_identity(0)
-    assert (align(right, V) @ align(V, right)).is_identity(0)
+    assert (align(left, V) @ align(V, left)).max_diff(identity_morphism(V)) <= 0
+    assert (align(right, V) @ align(V, right)).max_diff(identity_morphism(V)) <= 0
 
 
 def test_tensor_dimension_matches_bruteforce_factorizations():
@@ -90,7 +90,7 @@ def test_align_round_trip_is_exact_identity(n, r):
         assert isinstance(round_trip, Permutation)
         for g, p in round_trip.index.items():
             assert np.array_equal(p, np.arange(a.dims[g]))
-        assert round_trip.is_identity(0)
+        assert round_trip.max_diff(identity_morphism(a)) <= 0
 
 
 def test_align_composes_like_its_dense_blocks():
@@ -244,13 +244,3 @@ def test_zigzag_identities():
     rng = random.Random(6)
     W = _random_space(rng, KIND.context(), rsos_alcove(2, 5), 2)
     assert zigzag_residual(W) < 1e-12
-
-
-def test_serialization_shapes():
-    V = vector_space()
-    doc = V.to_json_dict()
-    assert {"source", "shift", "dim"} <= set(doc["components"][0])
-    f = identity_morphism(V)
-    mdoc = f.to_json_dict()
-    blk = mdoc["blocks"][0]["block"]
-    assert blk[0][0] == [1.0, 0.0]
