@@ -11,14 +11,20 @@ first-factor shift, lexicographically).  Every basis vector carries a flat
 key, the sequence of atomic basis vectors it was built from, so spaces
 related by reassociation or unit insertion are aligned by an index
 permutation.
+
+Everything that depends only on spaces (products, alignments, summand
+pairings) is built once and kept on the operand spaces, so morphisms that
+vary with a parameter over fixed spaces pay only for their blocks.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,12 +57,15 @@ class Summand:
     size: int
 
 
-@dataclass
+@dataclass(eq=False)
 class GradedSpace:
     """Finite-type graded vector space: arrow -> dimension, with flat keys.
 
     `keys` holds one row of atom codes per basis vector, components stacked
     in `dims` order; tensor-unit factors add no code, dual atoms are opaque.
+
+    A space is immutable after construction and is compared by identity:
+    values derived from it (see `memo`) are cached on it and never rebuilt.
     """
 
     context: Context
@@ -64,12 +73,16 @@ class GradedSpace:
     keys: np.ndarray
     layout: dict[Arrow, tuple[Summand, ...]] | None = None
     offsets: dict[Arrow, int] = field(init=False, repr=False)
+    _memo: dict = field(init=False, repr=False, default_factory=dict)
+    _partner_memo: weakref.WeakKeyDictionary = field(
+        init=False, repr=False, default_factory=weakref.WeakKeyDictionary)
 
     def __post_init__(self):
         self.offsets, k = {}, 0
         for arrow, d in self.dims.items():
             self.offsets[arrow] = k
             k += d
+        self.keys.flags.writeable = False
 
     @classmethod
     def from_dims(cls, context: Context, dims: dict[Arrow, int]) -> "GradedSpace":
@@ -94,6 +107,20 @@ class GradedSpace:
         return sum(self.dims.values())
 
 
+def memo(space: GradedSpace, key, build, partner: GradedSpace | None = None):
+    """build(), computed once per (space, partner, key) and kept on `space`.
+
+    The value must depend only on the spaces and `key`, and must not refer to
+    `partner`: it is dropped with `space`, or when `partner` is collected.
+    """
+    table = (space._memo if partner is None
+             else space._partner_memo.setdefault(partner, {}))
+    try:
+        return table[key]
+    except KeyError:
+        return table.setdefault(key, build())
+
+
 def unit_space(context: Context, points: list[WeightPoint]) -> GradedSpace:
     """Tensor unit: one-dimensional at the identity arrow of each point."""
     dims = {identity_arrow(a): 1 for a in points}
@@ -107,7 +134,12 @@ def _require_same_context(a, b):
 
 
 def tensor_space(V: GradedSpace, W: GradedSpace) -> GradedSpace:
-    """Tensor product summing over arrow factorizations."""
+    """Tensor product summing over arrow factorizations; built once per
+    (V, W) and the same object on every later call."""
+    return memo(V, "tensor", lambda: _build_tensor_space(V, W), partner=W)
+
+
+def _build_tensor_space(V: GradedSpace, W: GradedSpace) -> GradedSpace:
     _require_same_context(V, W)
     by_source: dict[WeightPoint, list[tuple[Arrow, int, int]]] = {}
     for beta, dw in W.dims.items():
@@ -250,8 +282,14 @@ def align(src: GradedSpace, dst: GradedSpace) -> Permutation:
     """Permutation morphism matching basis vectors by flat keys.
 
     Defined when src and dst have the same components up to reassociation
-    and insertion/removal of tensor-unit factors.
+    and insertion/removal of tensor-unit factors.  The index arrays are
+    found once per (src, dst) and are read-only.
     """
+    return Permutation(src, dst, memo(src, "align",
+                                      lambda: _alignment(src, dst), partner=dst))
+
+
+def _alignment(src: GradedSpace, dst: GradedSpace) -> MappingProxyType:
     _require_same_context(src, dst)
     if set(src.dims) != set(dst.dims):
         raise ShapeMismatch("alignment: component arrows differ")
@@ -272,9 +310,11 @@ def align(src: GradedSpace, dst: GradedSpace) -> Permutation:
         raise ShapeMismatch("alignment: unmatched basis vector")
     to_dst = np.empty_like(order_src)
     to_dst[order_src] = order_dst
-    return Permutation(src, dst, {
-        g: to_dst[src.offsets[g]:src.offsets[g] + d] - dst.offsets[g]
-        for g, d in src.dims.items()})
+    index = {}
+    for g, d in src.dims.items():
+        index[g] = to_dst[src.offsets[g]:src.offsets[g] + d] - dst.offsets[g]
+        index[g].flags.writeable = False
+    return MappingProxyType(index)
 
 
 def tensor_morphism(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
@@ -282,26 +322,37 @@ def tensor_morphism(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
     dom = tensor_space(f.domain, g.domain)
     cod = tensor_space(f.codomain, g.codomain)
     blocks = {}
-    for gamma, cod_summands in (cod.layout or {}).items():
-        if gamma not in dom.dims:
-            continue
-        dom_index = {(s.left, s.right): s for s in dom.layout[gamma]}
-        m = np.zeros((cod.dims[gamma], dom.dims[gamma]), dtype=complex)
-        touched = False
-        for cs in cod_summands:
-            ds = dom_index.get((cs.left, cs.right))
-            if ds is None:
-                continue
-            fb = f.blocks.get(cs.left)
-            gb = g.blocks.get(cs.right)
+    for gamma, shape, pairs in memo(dom, "summand-pairs",
+                                    lambda: _summand_pairs(dom, cod), partner=cod):
+        m = None
+        for left, right, row, col in pairs:
+            fb = f.blocks.get(left)
+            gb = g.blocks.get(right)
             if fb is None or gb is None:
                 continue
-            m[cs.offset:cs.offset + cs.size,
-              ds.offset:ds.offset + ds.size] = np.kron(fb, gb)
-            touched = True
-        if touched:
+            if m is None:
+                m = np.zeros(shape, dtype=complex)
+            (p, q), (s, t) = fb.shape, gb.shape
+            # np.kron(fb, gb) entry by entry: one multiply each
+            m[row:row + p * s, col:col + q * t] = (
+                fb[:, None, :, None] * gb[None, :, None, :]).reshape(p * s, q * t)
+        if m is not None:
             blocks[gamma] = m
     return GradedMorphism(dom, cod, blocks)
+
+
+def _summand_pairs(dom: GradedSpace, cod: GradedSpace) -> tuple:
+    """Per component shared by dom and cod: its block shape and the
+    (left, right, row offset, column offset) of each summand in both."""
+    out = []
+    for gamma, cod_summands in cod.layout.items():
+        if gamma not in dom.dims:
+            continue
+        dom_offset = {(s.left, s.right): s.offset for s in dom.layout[gamma]}
+        pairs = tuple((cs.left, cs.right, cs.offset, dom_offset[cs.left, cs.right])
+                      for cs in cod_summands if (cs.left, cs.right) in dom_offset)
+        out.append((gamma, (cod.dims[gamma], dom.dims[gamma]), pairs))
+    return tuple(out)
 
 
 @dataclass

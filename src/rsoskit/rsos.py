@@ -18,7 +18,7 @@ import numpy as np
 from .elliptic import EllipticParams, FlatR, bracket, r_matrix
 from .errors import (BaseOnSingularSet, ContextMismatch, NonSquare,
                      RestrictionViolated)
-from .graded import GradedMorphism, GradedSpace, tensor_space
+from .graded import GradedMorphism, GradedSpace, memo, tensor_space
 from .groupoid import (Arrow, Context, WeightPoint, compose, eps, rsos_alcove)
 
 RESTRICTION_TOL = 1e-12
@@ -59,22 +59,29 @@ class ModelKind:
     def _heights(self) -> frozenset[WeightPoint]:
         return frozenset(self.alcove())
 
+    @cached_property
+    def _paths(self) -> dict[tuple[WeightPoint, int], tuple[tuple[int, ...], ...]]:
+        return {}
+
     def step_allowed(self, a: WeightPoint, i: int) -> bool:
         """Whether (a, eps_i) is an arrow of the model's groupoid."""
         if not self.is_restricted:
             return True
         return a in self._heights and a + eps(self.rank, i) in self._heights
 
-    def paths(self, a: WeightPoint, length: int) -> list[tuple[int, ...]]:
+    def paths(self, a: WeightPoint, length: int) -> tuple[tuple[int, ...], ...]:
         """Step-index sequences of the admissible paths of `length` steps
-        from a, in lexicographic order."""
-        n = self.rank
-        grown = [((), a)]
-        for _ in range(length):
-            grown = [(steps + (i,), point + eps(n, i))
-                     for steps, point in grown
-                     for i in range(1, n + 1) if self.step_allowed(point, i)]
-        return [steps for steps, _ in grown]
+        from a, in lexicographic order; enumerated once per (a, length)."""
+        key = (a, length)
+        if key not in self._paths:
+            n = self.rank
+            grown = [((), a)]
+            for _ in range(length):
+                grown = [(steps + (i,), point + eps(n, i))
+                         for steps, point in grown
+                         for i in range(1, n + 1) if self.step_allowed(point, i)]
+            self._paths[key] = tuple(steps for steps, _ in grown)
+        return self._paths[key]
 
 
 def build_vector_space(kind: ModelKind,
@@ -161,22 +168,26 @@ def restricted_r(z: complex, kind: ModelKind, params: EllipticParams,
     VV = tensor_space(V, V)
     blocks = {}
     flat_cache: dict[WeightPoint, FlatR] = {}
-    for gamma_arrow, summands in VV.layout.items():
-        a = gamma_arrow.source
+    for gamma_arrow, a, pick in memo(VV, "r-matrix-entries",
+                                     lambda: _flat_positions(VV, kind.rank)):
         if a not in flat_cache:
             flat_cache[a] = r_matrix(z, a, params)
             if kind.is_restricted:
                 _check_forbidden(flat_cache[a], a, kind)
-        flat = flat_cache[a]
-        d = VV.dims[gamma_arrow]
-        m = np.zeros((d, d), dtype=complex)
-        in_pairs = [(_step_index(s.left), _step_index(s.right))
-                    for s in summands]
-        for col, (k, l) in enumerate(in_pairs):
-            for row, (i, j) in enumerate(in_pairs):
-                m[row, col] = flat.entry((i, j), (k, l))
-        blocks[gamma_arrow] = m
+        blocks[gamma_arrow] = flat_cache[a].matrix[pick]
     return GradedMorphism(VV, VV, blocks)
+
+
+def _flat_positions(VV: GradedSpace, n: int) -> tuple:
+    """Per component of V (x) V: its source and the index pair that picks
+    its block out of the flat R-matrix (row/column k <-> summand k)."""
+    out = []
+    for gamma_arrow, summands in VV.layout.items():
+        flat = np.array([(_step_index(s.left) - 1) * n + _step_index(s.right) - 1
+                         for s in summands])
+        flat.flags.writeable = False
+        out.append((gamma_arrow, gamma_arrow.source, np.ix_(flat, flat)))
+    return tuple(out)
 
 
 def _same_weight(i: int, j: int, k: int, l: int) -> bool:

@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .elliptic import EllipticParams, FlatR, r_matrix
-from .errors import ShapeMismatch, TooLarge
+from .errors import InvalidConfig, ShapeMismatch, TooLarge
 from .graded import (GradedMorphism, GradedSpace, align, identity_morphism,
-                     tensor_morphism, tensor_space, unit_space)
+                     memo, tensor_morphism, tensor_space, unit_space)
 from .groupoid import Arrow, WeightPoint, add_vectors, eps
 from .rsos import ModelKind, build_vector_space, restricted_r
 
@@ -87,15 +87,19 @@ def vector_chain(kind: ModelKind, params: EllipticParams,
     return out
 
 
-def _loop_offsets(W: GradedSpace, a: WeightPoint) -> tuple[dict[Arrow, int], int]:
+def _loop_offsets(W: GradedSpace, a: WeightPoint
+                  ) -> tuple[tuple[tuple[Arrow, int], ...], int]:
     """Offset of each loop component at `a` in the stacked loop sector
-    (loops ordered by shift), and the sector dimension."""
-    offsets, k = {}, 0
-    for g in sorted((g for g in W.dims if g.source == a and g.is_loop),
-                    key=lambda g: g.shift):
-        offsets[g] = k
-        k += W.dims[g]
-    return offsets, k
+    (loops ordered by shift), and the sector dimension; built once per (W, a)."""
+    def build():
+        offsets, k = [], 0
+        for g in sorted((g for g in W.dims if g.source == a and g.is_loop),
+                        key=lambda g: g.shift):
+            offsets.append((g, k))
+            k += W.dims[g]
+        return tuple(offsets), k
+
+    return memo(W, ("loop-offsets", a), build)
 
 
 def sector_dim(W: GradedSpace, a: WeightPoint) -> int:
@@ -113,34 +117,56 @@ def partial_trace(f: GradedMorphism, aux: GradedSpace,
     cod = tensor_space(quantum, aux)
     g = align(f.codomain, cod) @ f @ align(dom, f.domain)
     out: dict[Arrow, np.ndarray] = {}
+    plan = memo(aux, "trace-pieces",
+                lambda: _trace_pieces(aux, quantum, dom, cod), partner=quantum)
+    for alpha, shape, pieces in plan:
+        block = np.zeros(shape, dtype=complex)
+        for total, sub_rows, sub_cols, rows, cols, split in pieces:
+            # rows of sub run over (p, v), its columns over (v', q)
+            sub = g.block(total)[sub_rows, sub_cols]
+            block[rows, cols] = np.trace(sub.reshape(split), axis1=1, axis2=2)
+        out[alpha] = block
+    return out
+
+
+def _trace_pieces(aux: GradedSpace, quantum: GradedSpace,
+                  dom: GradedSpace, cod: GradedSpace) -> tuple:
+    """Per auxiliary arrow alpha with non-empty loop sectors at both ends:
+    the block shape and, for each loop l at alpha.source with a translate
+    l' at alpha.target, the component holding the (l, alpha) <- (alpha, l')
+    sub-block, that sub-block's row and column slices, the slices of its
+    trace in the block, and its (p, v, v', q) split; dom = aux (x) quantum
+    and cod = quantum (x) aux."""
+    out = []
     for alpha, d_aux in aux.dims.items():
         rows, dim_src = _loop_offsets(quantum, alpha.source)
         cols, dim_tgt = _loop_offsets(quantum, alpha.target)
         if dim_src == 0 or dim_tgt == 0:
             continue
-        block = np.zeros((dim_src, dim_tgt), dtype=complex)
-        for lsrc, r in rows.items():
+        cols = dict(cols)
+        pieces = []
+        for lsrc, r in rows:
             ltgt = Arrow(alpha.target, lsrc.shift)
             if ltgt not in cols:
                 continue
             total = Arrow(alpha.source, add_vectors(alpha.shift, lsrc.shift))
-            sub = _summand_block(g, total, (alpha, ltgt), (lsrc, alpha))
+            dom_s = _summand(dom, total, alpha, ltgt)
+            cod_s = _summand(cod, total, lsrc, alpha)
             d_out, d_in = quantum.dims[lsrc], quantum.dims[ltgt]
-            # rows of sub run over (p, v), its columns over (v', q)
-            block[r:r + d_out, cols[ltgt]:cols[ltgt] + d_in] = np.trace(
-                sub.reshape(d_out, d_aux, d_aux, d_in), axis1=1, axis2=2)
-        out[alpha] = block
-    return out
+            pieces.append((total,
+                           slice(cod_s.offset, cod_s.offset + cod_s.size),
+                           slice(dom_s.offset, dom_s.offset + dom_s.size),
+                           slice(r, r + d_out),
+                           slice(cols[ltgt], cols[ltgt] + d_in),
+                           (d_out, d_aux, d_aux, d_in)))
+        out.append((alpha, (dim_src, dim_tgt), tuple(pieces)))
+    return tuple(out)
 
 
-def _summand_block(g: GradedMorphism, total: Arrow, dom_pair, cod_pair):
-    """Sub-block of g at `total` between named factorization summands."""
-    dom_s = next(s for s in g.domain.layout[total]
-                 if (s.left, s.right) == dom_pair)
-    cod_s = next(s for s in g.codomain.layout[total]
-                 if (s.left, s.right) == cod_pair)
-    return g.block(total)[cod_s.offset:cod_s.offset + cod_s.size,
-                          dom_s.offset:dom_s.offset + dom_s.size]
+def _summand(P: GradedSpace, total: Arrow, left: Arrow, right: Arrow):
+    """The summand (left, right) of the component of P at `total`."""
+    return next(s for s in P.layout[total]
+                if (s.left, s.right) == (left, right))
 
 
 @dataclass
@@ -235,7 +261,12 @@ FACE_BUDGET = 16
 def _checked_inhomogeneities(rows: int, cols: int,
                              inhomogeneities: tuple[complex, ...] | None
                              ) -> tuple[complex, ...]:
-    """Enforce FACE_BUDGET and return one inhomogeneity per column."""
+    """Check the torus size and FACE_BUDGET, and return one inhomogeneity
+    per column."""
+    if rows < 0:
+        raise InvalidConfig(f"rows must be >= 0, got {rows}")
+    if cols < 1:
+        raise InvalidConfig(f"cols must be >= 1, got {cols}")
     if rows * cols > FACE_BUDGET:
         raise TooLarge(f"FACE_BUDGET: {rows * cols} faces requested, "
                        f"limit {FACE_BUDGET}")

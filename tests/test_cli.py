@@ -168,6 +168,14 @@ def test_compute_partition_report(tmp_path):
     assert doc["rel_err"] < 1e-9
 
 
+@pytest.mark.parametrize("size", [["--rows", "-1", "--cols", "2"],
+                                  ["--cols", "-2"], ["--cols", "0"],
+                                  ["--rows", "0", "--cols", "0"]])
+def test_compute_partition_degenerate_size_exits_2(size, capsys):
+    assert main(["compute", "partition"] + size) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_console_entry_point_runs():
     # the child imports the same rsoskit as this process, installed or not
     src = str(Path(rsoskit.__file__).parent.parent)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -244,3 +246,72 @@ def test_zigzag_identities():
     rng = random.Random(6)
     W = _random_space(rng, KIND.context(), rsos_alcove(2, 5), 2)
     assert zigzag_residual(W) < 1e-12
+
+
+def _fresh(space):
+    """An equal space that shares no cache with `space`."""
+    return GradedSpace(space.context, dict(space.dims), space.keys.copy(),
+                       space.layout)
+
+
+def test_tensor_space_is_built_once_and_equals_a_fresh_build():
+    V = vector_space()
+    VV = tensor_space(V, V)
+    assert tensor_space(V, V) is VV
+    for X, Y in ((V, V), (VV, V), (V, VV)):
+        cached, fresh = tensor_space(X, Y), tensor_space(_fresh(X), _fresh(Y))
+        assert fresh is not cached
+        assert cached.dims == fresh.dims
+        assert cached.layout == fresh.layout
+        assert np.array_equal(cached.keys, fresh.keys)
+        assert not cached.keys.flags.writeable
+
+
+def test_cached_alignment_equals_a_fresh_one():
+    for a, b in _aligned_pairs(vector_space()):
+        first, again = align(a, b), align(a, b)
+        fresh = align(_fresh(a), _fresh(b))
+        assert set(again.index) == set(fresh.index)
+        for g, p in fresh.index.items():
+            assert again.index[g] is first.index[g]
+            assert np.array_equal(again.index[g], p)
+            assert not again.index[g].flags.writeable
+
+
+def test_alignment_errors_are_raised_on_every_call():
+    V = vector_space()
+    VV = tensor_space(V, V)
+    atomic = GradedSpace.from_dims(VV.context, VV.dims)
+    for _ in range(2):
+        with pytest.raises(ShapeMismatch):
+            align(VV, atomic)
+
+
+def test_cached_products_die_with_their_operands():
+    V, W = vector_space(), vector_space()
+    product = weakref.ref(tensor_space(V, W))
+    square = weakref.ref(tensor_space(V, V))
+    align(tensor_space(tensor_space(V, W), V), tensor_space(V, tensor_space(W, V)))
+    assert product() is not None and square() is not None
+    del W
+    gc.collect()
+    assert product() is None
+    assert square() is not None
+    del V
+    gc.collect()
+    assert square() is None
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 3), (2, 2), (3, 1), (2, 4), (3, 4)])
+def test_broadcast_fill_is_bitwise_kronecker(p, q):
+    rng = np.random.default_rng(10 * p + q)
+    ctx = KIND.context()
+    a = _point(2)
+    g1, g2 = Arrow(a, eps(2, 1)), Arrow(a + eps(2, 1), eps(2, 2))
+    V, V2 = (GradedSpace.from_dims(ctx, {g1: d}) for d in (q, p))
+    W, W2 = (GradedSpace.from_dims(ctx, {g2: d}) for d in (p, q))
+    fb = rng.normal(size=(p, q)) + 1j * rng.normal(size=(p, q))
+    gb = rng.normal(size=(q, p)) + 1j * rng.normal(size=(q, p))
+    t = tensor_morphism(GradedMorphism(V, V2, {g1: fb}),
+                        GradedMorphism(W, W2, {g2: gb}))
+    assert np.array_equal(t.block(Arrow(a, (1, 1))), np.kron(fb, gb))

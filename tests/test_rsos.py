@@ -240,15 +240,24 @@ def test_paths_equal_brute_force_filter(n, r):
                 if ok:
                     expected.append(steps)
             got = kind.paths(a, length)
-            assert got == expected
-            assert got == sorted(got)
+            assert got == tuple(expected)
+            assert got == tuple(sorted(got))
+
+
+def test_paths_are_immutable_and_enumerated_once():
+    kind = ModelKind.rsos(3, 5)
+    a = rsos_alcove(3, 5)[0]
+    paths = kind.paths(a, 3)
+    assert isinstance(paths, tuple)
+    assert all(isinstance(p, tuple) for p in paths)
+    assert kind.paths(a, 3) is paths
 
 
 def test_paths_unrestricted_are_all_sequences():
     kind = ModelKind.sos((0.29, 0.11, 0.0))
     b = WeightPoint(base=(0.29, 0.11, 0.0), offset=(0, 0, 0))
     for length in range(4):
-        assert kind.paths(b, length) == list(
+        assert kind.paths(b, length) == tuple(
             itertools.product(range(1, 4), repeat=length))
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 
 from rsoskit.convolution import character, to_difference_operator
 from rsoskit.elliptic import EllipticParams
-from rsoskit.errors import TooLarge
+from rsoskit.errors import InvalidConfig, TooLarge
 from rsoskit.graded import (GradedMorphism, align, identity_morphism,
                             tensor_morphism, tensor_space, unit_space)
 from rsoskit.groupoid import Arrow, rsos_alcove
 from rsoskit.rsos import ModelKind, build_vector_space
-from rsoskit.transfer import (LOperator, commutator_residual, l_tensor,
-                              partial_trace, partition_enumerate,
+from rsoskit.transfer import (LOperator, _closed_rows, commutator_residual,
+                              l_tensor, partial_trace, partition_enumerate,
                               partition_via_transfer, rll_residual,
                               sector_dim, transfer_matrix, trivial_l_operator,
                               vector_chain, vector_l_operator)
@@ -240,6 +241,28 @@ def test_partition_oracle_agreement():
             z_en = partition_enumerate(rows, cols, 0.3, kind, params)
             z_tm = partition_via_transfer(rows, cols, 0.3, kind, params)
             assert abs(z_en - z_tm) <= 1e-9 * max(1.0, abs(z_en))
+
+
+@pytest.mark.parametrize("n,r,rows,cols,states", [
+    (2, 5, 2, 2, 6), (2, 5, 2, 4, 6), (2, 5, 4, 2, 6), (3, 5, 3, 3, 12)])
+def test_partition_at_zero_counts_closed_rows(n, r, rows, cols, states):
+    # R(0) is a permutation of the two-step paths, so every torus
+    # configuration has weight 1 and the survivors are the translates of
+    # one closed row of length gcd(rows, cols).
+    kind = ModelKind.rsos(n, r)
+    params = EllipticParams.rsos(n, r, TAU)
+    count = len(_closed_rows(kind, math.gcd(rows, cols)))
+    assert count == states
+    for compute in (partition_enumerate, partition_via_transfer):
+        assert abs(compute(rows, cols, 0.0, kind, params) - count) <= 1e-12
+
+
+@pytest.mark.parametrize("rows,cols", [(-1, 2), (2, -2), (2, 0), (0, 0)])
+def test_partition_rejects_degenerate_sizes(rows, cols):
+    for compute in (partition_enumerate, partition_via_transfer):
+        bad = rows if rows < 0 else cols
+        with pytest.raises(InvalidConfig, match=f"got {bad}$"):
+            compute(rows, cols, 0.3, KIND, PARAMS)
 
 
 def test_partition_forbidden_heights_contribute_nothing():
