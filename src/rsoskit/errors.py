@@ -46,7 +46,7 @@ class NonSquare(RsosError):
 
 
 class TooLarge(RsosError):
-    """Requested exact enumeration exceeds the face budget."""
+    """Requested torus exceeds the face budget."""
 
 
 class OutOfRange(RsosError):

@@ -1,5 +1,6 @@
 """L-operators, partial traces, transfer matrices as matrix-valued difference
-operators, and exact torus partition functions with an enumeration oracle.
+operators, and exact torus partition functions with an independent oracle:
+the scalar row-to-row transfer matrix over closed row states.
 
 Sections live on the loop components W_{(a, k(1,...,1))} of the quantum
 space; the transfer matrix tr_V L_W(z) maps the stacked loop sector at
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import EllipticParams, FlatR, r_matrix
+from .elliptic import EllipticParams, r_matrix
 from .errors import InvalidConfig, ShapeMismatch, TooLarge
 from .graded import (GradedMorphism, GradedSpace, align, identity_morphism,
                      memo, tensor_morphism, tensor_space, unit_space)
@@ -65,12 +66,9 @@ def l_tensor(first: LOperator, second: LOperator) -> LOperator:
     cod = tensor_space(WZ, V)
 
     def at(z: complex) -> GradedMorphism:
-        lw, lz = first.at(z), second.at(z)
-        step1 = tensor_morphism(lw, identity_morphism(Z))
-        step2 = tensor_morphism(identity_morphism(W), lz)
-        m = step1 @ align(dom, step1.domain)
-        m = step2 @ align(m.codomain, step2.domain) @ m
-        return align(m.codomain, cod) @ m
+        chain = _three_factor_chain(
+            dom, [V, W, Z], [(0, first.at(z), (W, V)), (1, second.at(z), (Z, V))])
+        return align(chain.codomain, cod) @ chain
 
     return LOperator(aux=V, quantum=WZ, at=at, kind=first.kind,
                      params=first.params)
@@ -219,14 +217,15 @@ def commutator_residual(L: LOperator, z: complex, w: complex,
     return float(np.abs(tz @ tw - tw @ tz).max())
 
 
-def _three_factor_chain(factors: list[GradedSpace], steps) -> GradedMorphism:
-    """Compose morphisms acting on adjacent slots of a three-factor product.
+def _three_factor_chain(start: GradedSpace, factors: list[GradedSpace],
+                        steps) -> GradedMorphism:
+    """Compose morphisms acting on adjacent slots of a three-factor product,
+    starting from `start`, a bracketing of factors[0] (x) factors[1] (x) factors[2].
 
     Each step is (slot, morphism, (out_left, out_right)) with slot 0 or 1;
     bracketing changes are absorbed by label alignment.
     """
-    cur = tensor_space(tensor_space(factors[0], factors[1]), factors[2])
-    total = identity_morphism(cur)
+    total = None
     fac = list(factors)
     for slot, f, outs in steps:
         if slot == 0:
@@ -235,7 +234,8 @@ def _three_factor_chain(factors: list[GradedSpace], steps) -> GradedMorphism:
         else:
             m = tensor_morphism(identity_morphism(fac[0]), f)
             fac = [fac[0], outs[0], outs[1]]
-        total = m @ align(total.codomain, m.domain) @ total
+        total = (m @ align(start, m.domain) if total is None
+                 else m @ align(total.codomain, m.domain) @ total)
     return total
 
 
@@ -244,12 +244,13 @@ def rll_residual(L: LOperator, z: complex, w: complex) -> float:
     R(z-w)^(23) L(z)^(12) L(w)^(23) = L(w)^(12) L(z)^(23) R(z-w)^(12)."""
     V, W = L.aux, L.quantum
     r = restricted_r(z - w, L.kind, L.params, space=V)
+    start = tensor_space(tensor_space(V, V), W)
     lhs = _three_factor_chain(
-        [V, V, W],
+        start, [V, V, W],
         [(1, L.at(w), (W, V)), (0, L.at(z), (W, V)), (1, r, (V, V))],
     )
     rhs = _three_factor_chain(
-        [V, V, W],
+        start, [V, V, W],
         [(0, r, (V, V)), (1, L.at(z), (W, V)), (0, L.at(w), (W, V))],
     )
     return lhs.max_diff(align(rhs.codomain, lhs.codomain) @ rhs)
@@ -272,7 +273,8 @@ def _checked_inhomogeneities(rows: int, cols: int,
                        f"limit {FACE_BUDGET}")
     us = inhomogeneities if inhomogeneities is not None else (0.0,) * cols
     if len(us) != cols:
-        raise ValueError("one inhomogeneity per column required")
+        raise InvalidConfig(f"one inhomogeneity per column required: "
+                            f"{len(us)} given for cols = {cols}")
     return us
 
 
@@ -284,81 +286,66 @@ def _closed_rows(kind: ModelKind, cols: int) -> list[tuple[WeightPoint, tuple[in
             if len({steps.count(i) for i in range(1, n + 1)}) == 1]
 
 
-def _vertices(kind, a: WeightPoint, steps) -> list[WeightPoint]:
-    verts = [a]
-    for s in steps[:-1]:
-        verts.append(verts[-1] + eps(kind.rank, s))
-    return verts
+def _row_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
+                         us: tuple[complex, ...]) -> np.ndarray:
+    """The scalar row-to-row transfer matrix (Baxter 1982, ch. 7) over the
+    closed row states of len(us) columns.
 
-
-def _step_between(p: WeightPoint, q: WeightPoint, n: int) -> int | None:
-    for i in range(1, n + 1):
-        if p + eps(n, i) == q:
-            return i
-    return None
+    R[t, b] is the weight of a row of faces between row state t below and b
+    above: zero unless every vertical edge is a step eps_i inside the alcove,
+    else the product over columns k of the R-matrix entries at z + u_k read
+    off at each face's western corner.
+    """
+    cols = len(us)
+    states = _closed_rows(kind, cols)
+    n, points = kind.rank, kind.alcove()
+    index = {a: p for p, a in enumerate(points)}
+    # move[p, i]: index of points[p] + eps_i; edge[p, q]: the step from p to q, else 0
+    move = np.full((len(points), n + 1), -1)
+    edge = np.zeros((len(points), len(points)), dtype=int)
+    for p, a in enumerate(points):
+        for i in range(1, n + 1):
+            if kind.step_allowed(a, i):
+                q = index[a + eps(n, i)]
+                move[p, i], edge[p, q] = q, i
+    # walk[s, k]: the k-th step of row state s; height[s, k]: its k-th vertex
+    walk = np.array([steps for _, steps in states], dtype=int).reshape(-1, cols)
+    height = np.empty_like(walk)
+    height[:, 0] = [index[a] for a, _ in states]
+    for k in range(1, cols):
+        height[:, k] = move[height[:, k - 1], walk[:, k - 1]]
+    # pairs (t below, b above) whose vertical edges are all steps, by column
+    adj = edge > 0
+    t, b = np.nonzero(adj[height[:, None, 0], height[None, :, 0]])
+    for k in range(1, cols):
+        keep = adj[height[t, k], height[b, k]]
+        t, b = t[keep], b[keep]
+    vert = [edge[height[t, k], height[b, k]] for k in range(cols)]
+    tables = {u: np.array([r_matrix(z + u, a, params).matrix for a in points])
+              for u in dict.fromkeys(us)}
+    weight = np.ones(len(t), dtype=complex)
+    for k, u in enumerate(us):
+        # face k: <e_walk[t,k] (x) e_vert[k+1] | R | e_vert[k] (x) e_walk[b,k]>
+        weight *= tables[u][height[t, k],
+                            (walk[t, k] - 1) * n + vert[(k + 1) % cols] - 1,
+                            (vert[k] - 1) * n + walk[b, k] - 1]
+    R = np.zeros((len(states), len(states)), dtype=complex)
+    R[t, b] = weight
+    return R
 
 
 def partition_enumerate(rows: int, cols: int, z: complex, kind: ModelKind,
                         params: EllipticParams,
                         inhomogeneities: tuple[complex, ...] | None = None
                         ) -> complex:
-    """Exact torus partition function by summing over height configurations.
-
-    Heights sit on the vertices of a cols x rows torus; every horizontal and
-    vertical nearest-neighbour step is some eps_i inside the alcove, and the
-    face in column k contributes the R-matrix entry at z + u_k read off at
-    its western corner.
-    """
+    """Exact torus partition function tr R^rows of the scalar row-to-row
+    transfer matrix R; shares only r_matrix and the row states with the
+    graded side."""
     us = _checked_inhomogeneities(rows, cols, inhomogeneities)
-    states = _closed_rows(kind, cols)
     if rows == 0:
-        return complex(len(states))
-    n = kind.rank
-    verts = [_vertices(kind, a, steps) for a, steps in states]
-    flats: dict[tuple[WeightPoint, complex], FlatR] = {}
-
-    def flat(point: WeightPoint, u: complex) -> FlatR:
-        if (point, u) not in flats:
-            flats[(point, u)] = r_matrix(z + u, point, params)
-        return flats[(point, u)]
-
-    def row_weight(t: int, b: int) -> complex | None:
-        """Product of the face weights between row-state t (below) and b (above)."""
-        vt, vb = verts[t], verts[b]
-        vstep = []
-        for k in range(cols):
-            s = _step_between(vt[k], vb[k], n)
-            if s is None:
-                return None
-            vstep.append(s)
-        wgt = 1.0 + 0.0j
-        st_t, st_b = states[t][1], states[b][1]
-        for k in range(cols):
-            wgt *= flat(vt[k], us[k]).entry((st_t[k], vstep[(k + 1) % cols]),
-                                            (vstep[k], st_b[k]))
-        return wgt
-
-    total = 0.0 + 0.0j
-    m = rows
-
-    def dfs(assign: list[int], acc: complex):
-        nonlocal total
-        t = len(assign)
-        if t == m:
-            closing = row_weight(assign[-1], assign[0])
-            if closing is not None:
-                total += acc * closing
-            return
-        for s in range(len(states)):
-            if t == 0:
-                dfs([s], acc)
-            else:
-                wgt = row_weight(assign[-1], s)
-                if wgt is not None:
-                    dfs(assign + [s], acc * wgt)
-
-    dfs([], 1.0 + 0.0j)
-    return complex(total)
+        return complex(len(_closed_rows(kind, cols)))
+    R = _row_transfer_matrix(z, kind, params, us)
+    return complex(np.trace(np.linalg.matrix_power(R, rows)))
 
 
 def partition_via_transfer(rows: int, cols: int, z: complex, kind: ModelKind,

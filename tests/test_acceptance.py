@@ -190,8 +190,8 @@ def test_criterion_11_partition_oracle():
                 z_en = partition_enumerate(rows, cols, 0.3, kind, params)
                 z_tm = partition_via_transfer(rows, cols, 0.3, kind, params)
                 worst = max(worst, abs(z_en - z_tm) / max(1.0, abs(z_en)))
-    _report("partition function: enumeration vs transfer on all tori "
-            "with <= 12 faces", worst, 1e-9)
+    _report("partition function: row-to-row oracle vs graded transfer on "
+            "all tori with <= 12 faces", worst, 1e-9)
     dim = partition_enumerate(0, 2, 0.3, ModelKind.rsos(2, 5),
                               EllipticParams.rsos(2, 5, TAU))
     _report("partition state-space dimension (c=2, n=2, r=5) equals 6",

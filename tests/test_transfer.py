@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from rsoskit.convolution import character, to_difference_operator
-from rsoskit.elliptic import EllipticParams
+from rsoskit.elliptic import EllipticParams, r_matrix
 from rsoskit.errors import InvalidConfig, TooLarge
 from rsoskit.graded import (GradedMorphism, align, identity_morphism,
                             tensor_morphism, tensor_space, unit_space)
-from rsoskit.groupoid import Arrow, rsos_alcove
+from rsoskit.groupoid import Arrow, eps, rsos_alcove
 from rsoskit.rsos import ModelKind, build_vector_space
-from rsoskit.transfer import (LOperator, _closed_rows, commutator_residual,
-                              l_tensor, partial_trace, partition_enumerate,
-                              partition_via_transfer, rll_residual,
-                              sector_dim, transfer_matrix, trivial_l_operator,
-                              vector_chain, vector_l_operator)
+from rsoskit.transfer import (LOperator, _closed_rows, _row_transfer_matrix,
+                              commutator_residual, l_tensor, partial_trace,
+                              partition_enumerate, partition_via_transfer,
+                              rll_residual, sector_dim, transfer_matrix,
+                              trivial_l_operator, vector_chain,
+                              vector_l_operator)
 
 TAU = 0.9j
 KIND = ModelKind.rsos(2, 5)
@@ -243,8 +244,106 @@ def test_partition_oracle_agreement():
             assert abs(z_en - z_tm) <= 1e-9 * max(1.0, abs(z_en))
 
 
+def _dfs_row_weights(cols, z, kind, params, us):
+    """Oracle: row_weight(t, b), the product of the face weights between the
+    row states t (below) and b (above) of _closed_rows, or None when some
+    vertical edge is not a step; each vertical step found by hand."""
+    n = kind.rank
+    states = _closed_rows(kind, cols)
+    verts = []
+    for a, steps in states:
+        verts.append([a])
+        for s in steps[:-1]:
+            verts[-1].append(verts[-1][-1] + eps(n, s))
+    flats = {}
+
+    def flat(point, u):
+        if (point, u) not in flats:
+            flats[(point, u)] = r_matrix(z + u, point, params)
+        return flats[(point, u)]
+
+    def row_weight(t, b):
+        vstep = [next((i for i in range(1, n + 1) if p + eps(n, i) == q), None)
+                 for p, q in zip(verts[t], verts[b])]
+        if None in vstep:
+            return None
+        wgt = 1.0 + 0.0j
+        for k in range(cols):
+            wgt *= flat(verts[t][k], us[k]).entry(
+                (states[t][1][k], vstep[(k + 1) % cols]),
+                (vstep[k], states[b][1][k]))
+        return wgt
+
+    return row_weight
+
+
+def _dfs_partition(rows, cols, z, kind, params, inhomogeneities=None):
+    """Oracle: the torus sum over height configurations by depth-first search
+    over the row states of successive rows."""
+    us = inhomogeneities if inhomogeneities is not None else (0.0,) * cols
+    row_weight = _dfs_row_weights(cols, z, kind, params, us)
+    count = len(_closed_rows(kind, cols))
+
+    def dfs(assign, acc):
+        if len(assign) == rows:
+            closing = row_weight(assign[-1], assign[0])
+            return 0j if closing is None else acc * closing
+        total = 0j
+        for s in range(count):
+            wgt = row_weight(assign[-1], s) if assign else 1.0
+            if wgt is not None:
+                total += dfs(assign + [s], acc * wgt)
+        return total
+
+    return complex(dfs([], 1.0 + 0.0j))
+
+
+@pytest.mark.parametrize("n,r,cols", [(2, 4, 4), (2, 5, 2), (2, 5, 6),
+                                      (3, 5, 3), (3, 5, 6)])
+def test_row_transfer_matrix_matches_dfs_row_weights(n, r, cols):
+    # entrywise, so the orientation of R (t below, b above) is checked too,
+    # which no trace of a power can see
+    kind = ModelKind.rsos(n, r)
+    params = EllipticParams.rsos(n, r, TAU)
+    z, us = 0.17 + 0.05j, tuple(0.1 * k for k in range(cols))
+    R = _row_transfer_matrix(z, kind, params, us)
+    row_weight = _dfs_row_weights(cols, z, kind, params, us)
+    want = np.zeros_like(R)
+    for t in range(len(R)):
+        for b in range(len(R)):
+            w = row_weight(t, b)
+            want[t, b] = 0 if w is None else w
+    assert np.count_nonzero(want) > 0
+    assert np.abs(R - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _assert_matches_dfs(rows, cols, z, kind, params, inhomogeneities=None):
+    got = partition_enumerate(rows, cols, z, kind, params, inhomogeneities)
+    want = _dfs_partition(rows, cols, z, kind, params, inhomogeneities)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (rows, cols, z)
+    return want
+
+
+@pytest.mark.parametrize("n,r", [(2, 4), (2, 5), (3, 5)])
+@pytest.mark.parametrize("z", [0.3, 0.17 + 0.05j, 0.0])
+def test_partition_enumerate_matches_dfs(n, r, z):
+    kind = ModelKind.rsos(n, r)
+    params = EllipticParams.rsos(n, r, TAU)
+    values = [_assert_matches_dfs(rows, cols, z, kind, params)
+              for cols in range(1, 13) for rows in range(1, 12 // cols + 1)]
+    assert any(abs(v) > 0.5 for v in values)
+
+
+@pytest.mark.parametrize("us", [(0.0, 0.2), (0.1, 0.3)])
+@pytest.mark.parametrize("z", [0.3, 0.17 + 0.05j, 0.0])
+def test_partition_enumerate_matches_dfs_inhomogeneous(us, z):
+    assert abs(_assert_matches_dfs(2, 2, z, KIND, PARAMS, us)) > 0.5
+
+
 @pytest.mark.parametrize("n,r,rows,cols,states", [
-    (2, 5, 2, 2, 6), (2, 5, 2, 4, 6), (2, 5, 4, 2, 6), (3, 5, 3, 3, 12)])
+    (2, 5, 2, 2, 6), (2, 5, 2, 4, 6), (2, 5, 4, 2, 6), (3, 5, 3, 3, 12),
+    (2, 5, 4, 4, 14), (2, 5, 2, 6, 6), (2, 5, 6, 2, 6), (2, 4, 4, 4, 8),
+    (3, 4, 3, 3, 3)])
 def test_partition_at_zero_counts_closed_rows(n, r, rows, cols, states):
     # R(0) is a permutation of the two-step paths, so every torus
     # configuration has weight 1 and the survivors are the translates of
@@ -263,6 +362,14 @@ def test_partition_rejects_degenerate_sizes(rows, cols):
         bad = rows if rows < 0 else cols
         with pytest.raises(InvalidConfig, match=f"got {bad}$"):
             compute(rows, cols, 0.3, KIND, PARAMS)
+
+
+def test_partition_rejects_wrong_inhomogeneity_count():
+    for compute in (partition_enumerate, partition_via_transfer):
+        for us in ((0.0,), (0.0, 0.2, 0.4)):
+            with pytest.raises(InvalidConfig,
+                               match=f"{len(us)} given for cols = 2$"):
+                compute(2, 2, 0.3, KIND, PARAMS, inhomogeneities=us)
 
 
 def test_partition_forbidden_heights_contribute_nothing():
