@@ -63,23 +63,35 @@ class ModelKind:
     def _paths(self) -> dict[tuple[WeightPoint, int], tuple[tuple[int, ...], ...]]:
         return {}
 
+    @cached_property
+    def _successors(self) -> dict[WeightPoint, tuple[tuple[int, WeightPoint], ...]]:
+        return {}
+
     def step_allowed(self, a: WeightPoint, i: int) -> bool:
         """Whether (a, eps_i) is an arrow of the model's groupoid."""
         if not self.is_restricted:
             return True
         return a in self._heights and a + eps(self.rank, i) in self._heights
 
+    def _steps_from(self, a: WeightPoint) -> tuple[tuple[int, WeightPoint], ...]:
+        """(i, a + eps_i) for each allowed step from a, by i; found once per a."""
+        out = self._successors.get(a)
+        if out is None:
+            n = self.rank
+            out = self._successors[a] = tuple(
+                (i, a + eps(n, i)) for i in range(1, n + 1)
+                if self.step_allowed(a, i))
+        return out
+
     def paths(self, a: WeightPoint, length: int) -> tuple[tuple[int, ...], ...]:
         """Step-index sequences of the admissible paths of `length` steps
         from a, in lexicographic order; enumerated once per (a, length)."""
         key = (a, length)
         if key not in self._paths:
-            n = self.rank
             grown = [((), a)]
             for _ in range(length):
-                grown = [(steps + (i,), point + eps(n, i))
-                         for steps, point in grown
-                         for i in range(1, n + 1) if self.step_allowed(point, i)]
+                grown = [(steps + (i,), nxt) for steps, point in grown
+                         for i, nxt in self._steps_from(point)]
             self._paths[key] = tuple(steps for steps, _ in grown)
         return self._paths[key]
 

@@ -386,17 +386,26 @@ def spectrum_suite(config: RunConfig) -> list[Case]:
     return cases
 
 
+def _torus_traces(matrix: np.ndarray, rows: int) -> list[complex]:
+    """tr M^m for m = 0, ..., rows."""
+    return [tr.torus_trace(matrix, m) for m in range(rows + 1)]
+
+
 def partition_suite(config: RunConfig, max_faces: int = 12) -> list[Case]:
+    """Each transfer matrix built once per column count (and dropped before
+    the other side's is built), traced for every row count; the state
+    dimensions compared at cols = n, the smallest width with a closed row."""
     params = config.params()
     kind = config.kind()
     worst = 0.0
-    for cols in range(1, max_faces + 1):
-        for m in range(1, max_faces // cols + 1):
-            z_en = tr.partition_enumerate(m, cols, 0.3, kind, params)
-            z_tm = tr.partition_via_transfer(m, cols, 0.3, kind, params)
-            worst = max(worst, abs(z_en - z_tm) / max(1.0, abs(z_en)))
-    dim_en = tr.partition_enumerate(0, 2, 0.3, kind, params)
-    dim_tm = tr.partition_via_transfer(0, 2, 0.3, kind, params)
+    for cols in range(1, max(max_faces, config.n) + 1):
+        us, rows = (0.0,) * cols, max_faces // cols
+        z_en = _torus_traces(tr._row_transfer_matrix(0.3, kind, params, us), rows)
+        z_tm = _torus_traces(tr.graded_transfer_matrix(0.3, kind, params, us), rows)
+        for en, tm in zip(z_en[1:], z_tm[1:]):
+            worst = max(worst, abs(en - tm) / max(1.0, abs(en)))
+        if cols == config.n:
+            dim_en, dim_tm = z_en[0], z_tm[0]
     return [
         Case(f"partition-oracle-n{config.n}-r{config.r}", worst, 1e-9),
         Case("partition-state-dimension", abs(dim_en - dim_tm), 0.0),

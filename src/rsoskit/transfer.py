@@ -4,8 +4,12 @@ the scalar row-to-row transfer matrix over closed row states.
 
 Sections live on the loop components W_{(a, k(1,...,1))} of the quantum
 space; the transfer matrix tr_V L_W(z) maps the stacked loop sector at
-a + eps_i to the one at a, and the trace of its m-th power is the partition
-function of the height model on a cols x m torus.
+a + eps_i to the one at a.  The partition function of the height model on a
+cols x rows torus is Z = tr M^rows, with M either the dense transfer matrix
+of a cols-site chain or the row-to-row matrix; rows = 0 gives dim M.  Every
+component of the chain has a shift whose coordinates sum to cols, and a loop
+k(1,...,1) sums to nk, so M is empty unless n divides cols; both builders
+decide that from the shifts before allocating anything.
 """
 
 from __future__ import annotations
@@ -297,6 +301,8 @@ def _row_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
     off at each face's western corner.
     """
     cols = len(us)
+    if cols % kind.rank:  # no row closes: see the module docstring
+        return np.zeros((0, 0), dtype=complex)
     states = _closed_rows(kind, cols)
     n, points = kind.rank, kind.alcove()
     index = {a: p for p, a in enumerate(points)}
@@ -334,6 +340,20 @@ def _row_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
     return R
 
 
+def graded_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
+                           us: tuple[complex, ...]) -> np.ndarray:
+    """Dense T(z) = tr_V L(z) of the chain V(u_1) (x) ... (x) V(u_c) on the
+    loop sections over the alcove."""
+    if len(us) % kind.rank:  # no loop sections: see the module docstring
+        return np.zeros((0, 0), dtype=complex)
+    return transfer_matrix(z, vector_chain(kind, params, tuple(us))).matrix()
+
+
+def torus_trace(M: np.ndarray, rows: int) -> complex:
+    """Z = tr M^rows of a row transfer matrix; rows = 0 gives dim M."""
+    return complex(np.trace(np.linalg.matrix_power(M, rows)))
+
+
 def partition_enumerate(rows: int, cols: int, z: complex, kind: ModelKind,
                         params: EllipticParams,
                         inhomogeneities: tuple[complex, ...] | None = None
@@ -342,10 +362,7 @@ def partition_enumerate(rows: int, cols: int, z: complex, kind: ModelKind,
     transfer matrix R; shares only r_matrix and the row states with the
     graded side."""
     us = _checked_inhomogeneities(rows, cols, inhomogeneities)
-    if rows == 0:
-        return complex(len(_closed_rows(kind, cols)))
-    R = _row_transfer_matrix(z, kind, params, us)
-    return complex(np.trace(np.linalg.matrix_power(R, rows)))
+    return torus_trace(_row_transfer_matrix(z, kind, params, us), rows)
 
 
 def partition_via_transfer(rows: int, cols: int, z: complex, kind: ModelKind,
@@ -354,11 +371,4 @@ def partition_via_transfer(rows: int, cols: int, z: complex, kind: ModelKind,
                            ) -> complex:
     """Torus partition function as the trace of the rows-th transfer power."""
     us = _checked_inhomogeneities(rows, cols, inhomogeneities)
-    L = vector_chain(kind, params, tuple(us))
-    T = transfer_matrix(z, L)
-    if rows == 0:
-        return complex(T.total_dim())
-    m = T.matrix()
-    if m.size == 0:
-        return 0.0 + 0.0j
-    return complex(np.trace(np.linalg.matrix_power(m, rows)))
+    return torus_trace(graded_transfer_matrix(z, kind, params, us), rows)

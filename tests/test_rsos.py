@@ -253,6 +253,26 @@ def test_paths_are_immutable_and_enumerated_once():
     assert kind.paths(a, 3) is paths
 
 
+def test_paths_find_each_points_successors_once(monkeypatch):
+    calls = []
+    allowed = ModelKind.step_allowed
+
+    def counted(self, a, i):
+        calls.append(self)
+        return allowed(self, a, i)
+
+    monkeypatch.setattr(ModelKind, "step_allowed", counted)
+    n, r = 2, 5
+    points = rsos_alcove(n, r)
+    for kind in (ModelKind.rsos(n, r), ModelKind.rsos(n, r)):
+        before = len(calls)
+        for a in points:
+            for length in range(1, 13):
+                assert kind.paths(a, length)
+        assert 0 < len(calls) - before <= n * len(points)
+        assert all(c is kind for c in calls[before:])
+
+
 def test_paths_unrestricted_are_all_sequences():
     kind = ModelKind.sos((0.29, 0.11, 0.0))
     b = WeightPoint(base=(0.29, 0.11, 0.0), offset=(0, 0, 0))

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from rsoskit import suites, transfer
 from rsoskit.convolution import character, to_difference_operator
 from rsoskit.elliptic import EllipticParams, r_matrix
 from rsoskit.errors import InvalidConfig, TooLarge
@@ -232,6 +233,65 @@ def test_transfer_commutes_four_site_chain():
 def test_state_space_dimension_two_columns():
     assert partition_enumerate(0, 2, 0.3, KIND, PARAMS) == 6
     assert partition_via_transfer(0, 2, 0.3, KIND, PARAMS) == 6
+
+
+@pytest.mark.parametrize("n,r,dim", [(2, 5, 6), (3, 5, 12), (3, 7, 48)])
+def test_state_dimension_at_n_columns_is_non_vacuous(n, r, dim):
+    # cols = n is the narrowest torus with a closed row at every rank
+    kind = ModelKind.rsos(n, r)
+    params = EllipticParams.rsos(n, r, TAU)
+    for compute in (partition_enumerate, partition_via_transfer):
+        assert compute(0, n, 0.3, kind, params) == dim
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
+def test_partition_suite_builds_each_matrix_once_per_column_count(
+        n, r, monkeypatch):
+    built = {}
+
+    def count(name, cols_of):
+        inner = getattr(transfer, name)
+        built[name] = []
+
+        def wrapper(*args):
+            built[name].append(cols_of(args))
+            return inner(*args)
+        monkeypatch.setattr(transfer, name, wrapper)
+
+    for name in ("_row_transfer_matrix", "graded_transfer_matrix"):
+        count(name, lambda args: len(args[3]))
+    count("vector_chain", lambda args: len(args[2]))
+    count("_closed_rows", lambda args: args[1])
+    cases = suites.run_suite("partition", suites.RunConfig(n=n, r=r))
+    assert all(c.passed for c in cases)
+    assert built["_row_transfer_matrix"] == list(range(1, 13))
+    assert built["graded_transfer_matrix"] == list(range(1, 13))
+    # the torus closes only when n divides cols: nothing else is built
+    assert built["_closed_rows"] == list(range(n, 13, n))
+    assert built["vector_chain"] == list(range(n, 13, n))
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
+def test_vacuous_widths_are_empty_in_the_full_construction(n, r):
+    kind = ModelKind.rsos(n, r)
+    params = EllipticParams.rsos(n, r, TAU)
+    for cols in (c for c in range(1, 8) if c % n):
+        L = vector_chain(kind, params, (0.0,) * cols)
+        assert transfer_matrix(0.3, L).total_dim() == 0
+        assert _closed_rows(kind, cols) == []
+        for rows in range(3):
+            for compute in (partition_enumerate, partition_via_transfer):
+                got = compute(rows, cols, 0.3, kind, params)
+                assert got == 0j and isinstance(got, complex)
+
+
+def test_vacuous_widths_still_raise_size_errors():
+    for compute in (partition_enumerate, partition_via_transfer):
+        with pytest.raises(TooLarge,
+                           match="FACE_BUDGET: 25 faces requested, limit 16"):
+            compute(5, 5, 0.3, KIND, PARAMS)
+        with pytest.raises(InvalidConfig, match="2 given for cols = 3$"):
+            compute(1, 3, 0.3, KIND, PARAMS, inhomogeneities=(0.0, 0.2))
 
 
 def test_partition_oracle_agreement():
