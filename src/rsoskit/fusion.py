@@ -265,6 +265,8 @@ def verify_fusion_rules(r: int) -> FusionRuleReport:
     ctx = chars[0].context
     # u^k with k = (p+q-s)/2 <= min(p, q), so every power is in range(r - 1)
     powers = {k: central_element_n2(r, k) for k in labels}
+    # u^k L_s recurs across (p, q): each distinct (k, s) is multiplied once
+    terms: dict[tuple[int, int], ConvolutionElement] = {}
     report = FusionRuleReport(r=r, cases=0)
     for p in labels:
         for q in labels:
@@ -272,7 +274,10 @@ def verify_fusion_rules(r: int) -> FusionRuleReport:
             rhs = ConvolutionElement(ctx, {})
             for s in labels:
                 if fusion_coeff(p, q, s, r):
-                    rhs = rhs + conv_mul(powers[(p + q - s) // 2], chars[s])
+                    key = ((p + q - s) // 2, s)
+                    if key not in terms:
+                        terms[key] = conv_mul(powers[key[0]], chars[s])
+                    rhs = rhs + terms[key]
             report.cases += 1
             if lhs != rhs:
                 report.mismatches.append((p, q))

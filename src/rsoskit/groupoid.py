@@ -4,6 +4,13 @@ Points live in the quotient h*_0 = C^n / C(1,...,1); the weight lattice
 Z^n acts on it by translation.  A point is stored as a base n-tuple b plus
 an integer offset, canonicalized so that the last offset coordinate is 0
 (all quantities of interest depend only on coordinate differences).
+
+WeightPoint and Arrow are immutable tuple subclasses, (base, offset) and
+(source, shift), with read-only field properties.  Every layer keys dicts
+and sets on them, so hashing and equality run as the tuple's C code rather
+than as Python methods; the hash of a point or arrow is that of its field
+tuple.  Ordering is refused as for any unordered value, and `+` on a point
+is the lattice shift, not tuple concatenation.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from operator import itemgetter
 
 from .errors import InfiniteSet, NonComposable
 
@@ -42,25 +50,40 @@ def rho(n: int) -> LatticeVector:
     return tuple(range(n - 1, -1, -1))
 
 
-@dataclass(frozen=True)
-class WeightPoint:
+class _Pair(tuple):
+    """Two-field value type: hashed and compared as its field tuple,
+    unordered, and rebuilt from its fields by copy and pickle."""
+
+    __slots__ = ()
+
+    def _unordered(self, other):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+
+class WeightPoint(_Pair):
     """Point a = base + offset of an orbit O_b, canonical mod Z(1,...,1).
 
     The canonical representative has offset[-1] == 0; equality and hashing
     use it, so translates by multiples of (1,...,1) are identified.
     """
 
-    base: tuple[complex, ...]
-    offset: LatticeVector
+    __slots__ = ()
 
-    def __post_init__(self):
-        last = self.offset[-1]
+    def __new__(cls, base: tuple[complex, ...], offset: LatticeVector):
+        last = offset[-1]
         if last != 0:
-            object.__setattr__(
-                self, "offset", tuple(o - last for o in self.offset)
-            )
-        if len(self.base) != len(self.offset):
+            offset = tuple(o - last for o in offset)
+        if len(base) != len(offset):
             raise ValueError("base and offset ranks differ")
+        return tuple.__new__(cls, (base, offset))
+
+    base = property(itemgetter(0))
+    offset = property(itemgetter(1))
 
     @classmethod
     def integer(cls, coords: tuple[int, ...] | list[int]) -> "WeightPoint":
@@ -113,12 +136,14 @@ class WeightPoint:
         return f"WeightPoint(base={self.base}, offset={self.offset})"
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(_Pair):
     """Arrow (a, mu) from a to a + mu of the action groupoid O_b x| P."""
 
-    source: WeightPoint
-    shift: LatticeVector
+    def __new__(cls, source: WeightPoint, shift: LatticeVector):
+        return tuple.__new__(cls, (source, shift))
+
+    source = property(itemgetter(0))
+    shift = property(itemgetter(1))
 
     # cached in the instance dict: equality, hashing and repr see only fields
     @cached_property

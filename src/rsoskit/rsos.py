@@ -241,7 +241,11 @@ def restriction_residual(z: complex, kind: ModelKind,
 
 
 def _site_matrix(flat_of, a: WeightPoint, paths, slot: int, n: int) -> np.ndarray:
-    """Operator acting on two adjacent steps (slot, slot+1) of each path."""
+    """Operator acting on two adjacent steps (slot, slot+1) of each path.
+
+    The only rows of the same weight as a column path are the path itself
+    and the path with its two steps swapped, so just those are looked up.
+    """
     pos = {p: k for k, p in enumerate(paths)}
     m = np.zeros((len(paths), len(paths)), dtype=complex)
     for col, p in enumerate(paths):
@@ -249,15 +253,11 @@ def _site_matrix(flat_of, a: WeightPoint, paths, slot: int, n: int) -> np.ndarra
         for s in p[:slot]:
             start = start + eps(n, s)
         flat = flat_of(start)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if not _same_weight(i, j, p[slot], p[slot + 1]):
-                    continue
-                q = p[:slot] + (i, j) + p[slot + 2:]
-                row = pos.get(q)
-                if row is None:
-                    continue
-                m[row, col] += flat.entry((i, j), (p[slot], p[slot + 1]))
+        k, l = p[slot], p[slot + 1]
+        for i, j in {(k, l), (l, k)}:
+            row = pos.get(p[:slot] + (i, j) + p[slot + 2:])
+            if row is not None:
+                m[row, col] += flat.entry((i, j), (k, l))
     return m
 
 

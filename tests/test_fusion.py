@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rsoskit.fusion as fu
 from rsoskit.convolution import character, chi, conv_mul, to_difference_operator
 from rsoskit.elliptic import EllipticParams
 from rsoskit.errors import LambdaOutsideAlcove, OutOfRange
@@ -104,6 +105,26 @@ def test_verlinde_rules_exact():
     for r in (4, 5, 6):
         report = verify_fusion_rules(r)
         assert report.passed and report.cases == (r - 1) ** 2
+
+
+def test_verlinde_rules_build_each_term_once(monkeypatch):
+    calls = []
+
+    def counted(m, n):
+        calls.append((m, n))
+        return conv_mul(m, n)
+
+    monkeypatch.setattr(fu, "conv_mul", counted)
+    r = 11
+    labels = range(r - 1)
+    report = fu.verify_fusion_rules(r)
+    terms = {((p + q - s) // 2, s) for p in labels for q in labels
+             for s in labels if fusion_coeff(p, q, s, r)}
+    assert report.passed
+    assert len(terms) == 55
+    assert len(calls) == (r - 1) ** 2 + len(terms) == 155
+    # no operand pair is multiplied twice
+    assert len({(id(m), id(n)) for m, n in calls}) == len(calls)
 
 
 def test_l2_squared_explicit_r5():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -127,3 +129,64 @@ def test_associativity_exhaustive_on_small_shift_arrows():
         for g in by_source.get(f.target, []):
             for h in by_source.get(g.target, []):
                 assert compose(h, compose(g, f)) == compose(compose(h, g), f)
+
+
+COMPLEX_BASE = (0.29 + 0.03j, 0.11, 0.0)
+
+
+def _value_samples():
+    g = Arrow(WeightPoint.integer((3, 1, 0)), (0, 1, 0))
+    assert g.target == WeightPoint.integer((3, 2, 0))   # cached before copying
+    return [WeightPoint.integer((4, 2, 1)),
+            WeightPoint(COMPLEX_BASE, (1, 0, 2)), g]
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))])
+def test_copy_and_pickle_round_trip(clone):
+    for x in _value_samples():
+        y = clone(x)
+        assert type(y) is type(x) and y == x and hash(y) == hash(x)
+        assert repr(y) == repr(x)
+    g = clone(_value_samples()[2])
+    assert g.target == g.source + g.shift
+
+
+def test_fields_are_read_only():
+    a = WeightPoint.integer((2, 0))
+    g = Arrow(a, (1, 0))
+    for obj, name in ((a, "offset"), (a, "base"), (g, "source"), (g, "shift")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+
+
+def test_points_and_arrows_are_unordered():
+    a, b = WeightPoint.integer((2, 0)), WeightPoint.integer((3, 0))
+    for x, y in ((a, b), (Arrow(a, (1, 0)), Arrow(b, (1, 0)))):
+        for op in (lambda: x < y, lambda: x <= y, lambda: x > y,
+                   lambda: x >= y):
+            with pytest.raises(TypeError):
+                op()
+
+
+def test_plus_is_the_lattice_shift():
+    a = WeightPoint.integer((2, 0))
+    moved = a + (1, 0)
+    assert type(moved) is WeightPoint and moved == WeightPoint.integer((3, 0))
+
+
+def test_hash_is_the_field_tuple_hash():
+    # the hash a frozen dataclass of the same fields returns, so set and
+    # dict iteration orders do not depend on the representation
+    for base, offset, canonical in (((0, 0, 0), (4, 2, 1), (3, 1, 0)),
+                                    (COMPLEX_BASE, (1, 0, 2), (-1, -2, 0))):
+        a = WeightPoint(base, offset)
+        assert a.offset == canonical
+        assert hash(a) == hash((base, canonical))
+        mu = (1, -1, 0)
+        assert hash(Arrow(a, mu)) == hash((a, mu))
+
+
+def test_rank_mismatch_is_rejected():
+    with pytest.raises(ValueError, match="base and offset ranks differ"):
+        WeightPoint((0, 0), (1, 2, 3))

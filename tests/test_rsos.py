@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from rsoskit.convolution import character
-from rsoskit.elliptic import EllipticParams, bracket
+from rsoskit.elliptic import EllipticParams, bracket, r_matrix
 from rsoskit.errors import (BaseOnSingularSet, NonSquare, RestrictionViolated)
 from rsoskit.graded import identity_morphism
 from rsoskit.groupoid import (AlcoveKind, AlcoveSpec, Arrow, WeightPoint,
                               add_vectors, alcove_contains, eps, rsos_alcove)
-from rsoskit.rsos import (ModelKind, _same_weight, boltzmann_weight,
-                          build_vector_space, restricted_r,
+from rsoskit.rsos import (ModelKind, _same_weight, _site_matrix,
+                          boltzmann_weight, build_vector_space, restricted_r,
                           restriction_residual, star_triangle_residual)
 
 TAU = 0.9j
@@ -204,6 +204,42 @@ def test_star_triangle_sos_generic_base():
     pts = [b, b + eps(3, 1), b + (1, 1, 0)]
     assert star_triangle_residual(0.31, 0.17 + 0.05j, kind, params,
                                   points=pts) < 1e-9
+
+
+def _site_matrix_scan(flat_of, a, paths, slot, n):
+    """Reference: scan every (i, j) pair for each column path."""
+    pos = {p: k for k, p in enumerate(paths)}
+    m = np.zeros((len(paths), len(paths)), dtype=complex)
+    for col, p in enumerate(paths):
+        start = a
+        for s in p[:slot]:
+            start = start + eps(n, s)
+        flat = flat_of(start)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if not _same_weight(i, j, p[slot], p[slot + 1]):
+                    continue
+                row = pos.get(p[:slot] + (i, j) + p[slot + 2:])
+                if row is not None:
+                    m[row, col] += flat.entry((i, j), (p[slot], p[slot + 1]))
+    return m
+
+
+def test_site_matrix_matches_full_pair_scan():
+    b = WeightPoint(base=(0.29 + 0.03j, 0.11, 0.0), offset=(0, 0, 0))
+    setups = [(ModelKind.rsos(n, r), EllipticParams.rsos(n, r, TAU), None)
+              for n, r in ((2, 5), (3, 5), (3, 7))]
+    setups.append((ModelKind.sos(b.base), EllipticParams.rsos(3, 5, TAU),
+                   [b, b + eps(3, 1), b + (1, 1, 0)]))
+    z = 0.31 + 0.02j
+    for kind, params, window in setups:
+        flat_of = lambda point: r_matrix(z, point, params)
+        for a in window or kind.alcove():
+            paths = kind.paths(a, 3)
+            for slot in (0, 1):
+                assert np.array_equal(
+                    _site_matrix(flat_of, a, paths, slot, kind.rank),
+                    _site_matrix_scan(flat_of, a, paths, slot, kind.rank))
 
 
 def test_grading_convention_consistency():
