@@ -9,14 +9,14 @@ from .elliptic import (EllipticParams, FlatR, bracket, dynamical_ybe_residual,
 from .graded import (DualityData, GradedMorphism, GradedSpace, align,
                      dual_space, identity_morphism, tensor_morphism,
                      tensor_space, unit_space)
-from .groupoid import (AlcoveKind, AlcoveSpec, Arrow, Context, WeightPoint,
+from .groupoid import (AlcoveKind, AlcoveSpec, Arrow, ModelKind, WeightPoint,
                        alcove_contains, compose, enumerate_alcove, eps,
                        identity_arrow, inverse, rho, rsos_alcove)
 from .fusion import (EigenFunction, FusionBases, exterior_character,
                      fusion_bases, fusion_coeff, psi, sym_power_character_n2,
                      sym_square_character, verify_fusion_rules, verify_spectrum)
-from .rsos import (BoltzmannBlock, ModelKind, boltzmann_weight,
-                   build_vector_space, restricted_r, star_triangle_residual)
+from .rsos import (boltzmann_weight, build_vector_space, restricted_r,
+                   star_triangle_residual)
 from .transfer import (LOperator, TransferOperator, commutator_residual,
                        l_tensor, partial_trace, partition_enumerate,
                        partition_via_transfer, rll_residual, transfer_matrix,

@@ -11,6 +11,7 @@ and iteration orders are fixed, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from pathlib import Path
@@ -32,19 +33,20 @@ def _fmt(x: float) -> str:
 
 
 def _parse_complex(text: str) -> complex:
+    """A finite complex number written RE,IM or RE."""
     try:
-        re_part, im_part = (float(p) for p in text.split(","))
-    except ValueError as exc:
+        value = complex(*(float(p) for p in text.split(",")))
+    except (TypeError, ValueError) as exc:
         raise InvalidConfig(f"expected RE,IM, got {text!r}") from exc
-    return complex(re_part, im_part)
+    if not cmath.isfinite(value):
+        raise InvalidConfig(f"expected finite RE,IM, got {text!r}")
+    return value
 
 
 def _config_from_args(args) -> RunConfig:
     base = None
     if args.base is not None:
-        parts = args.base.split(";")
-        base = tuple(_parse_complex(p) if "," in p else complex(float(p), 0.0)
-                     for p in parts)
+        base = tuple(_parse_complex(p) for p in args.base.split(";"))
     return RunConfig(
         n=args.n, r=args.r, tau=_parse_complex(args.tau),
         gamma_override=_parse_complex(args.gamma) if args.gamma else None,
@@ -113,7 +115,7 @@ def _rows_boltzmann(args, config: RunConfig) -> tuple[list[str], list[list]]:
                 gamma = Arrow(a, eps(n, i))
                 delta = Arrow(gamma.target, eps(n, j))
                 w = rsos.boltzmann_weight(z, alpha, beta, gamma, delta,
-                                          kind, params).value
+                                          kind, params)
                 rows.append([";".join(str(int(c)) for c in a.offset),
                              k, l, i, j, _fmt(w.real), _fmt(w.imag)])
     return header, rows
@@ -176,7 +178,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--gamma", default=None,
                         help="override gamma as RE,IM (default 1/r)")
     parser.add_argument("--base", default=None,
-                        help="generic base b as ';'-separated RE,IM entries")
+                        help="generic base b as ';'-separated RE,IM (or RE) entries")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tolerance", type=float, default=None,
                         help="override every case tolerance")

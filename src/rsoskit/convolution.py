@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ContextMismatch, SupportOutsideAlcove
 from .graded import GradedSpace
-from .groupoid import (Arrow, Context, LatticeVector, WeightPoint,
+from .groupoid import (Arrow, LatticeVector, ModelKind, WeightPoint,
                        identity_arrow, inverse)
 
 Coefficient = int | Fraction
@@ -33,7 +33,7 @@ Coefficient = int | Fraction
 
 @dataclass
 class ConvolutionElement:
-    context: Context
+    context: ModelKind
     coeffs: dict[Arrow, Coefficient]
 
     def __post_init__(self):
@@ -105,7 +105,7 @@ def involution(n: ConvolutionElement) -> ConvolutionElement:
                               {inverse(g): c for g, c in n.coeffs.items()})
 
 
-def chi(context: Context, points: list[WeightPoint]) -> ConvolutionElement:
+def chi(context: ModelKind, points: list[WeightPoint]) -> ConvolutionElement:
     """Idempotent characteristic function of identity arrows over `points`."""
     return ConvolutionElement(context,
                               {identity_arrow(a): 1 for a in points})

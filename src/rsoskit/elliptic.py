@@ -19,22 +19,41 @@ coefficients, so one builder fills all three.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidTau, NearPole
+from .errors import InvalidConfig, InvalidTau, NearPole, TooLarge
 from .groupoid import WeightPoint, eps
 
 _TAIL_LOG10 = 17.0  # discard terms below 1e-17 relative
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+THETA_TERM_BUDGET = 10_000  # series terms per entry
+POLE_GUARD = 1e-8  # smallest bracket modulus accepted in a denominator
 
 
 def _truncation(z, tau: complex):
-    """Series cut for each entry of z: the tail stays below 1e-17 relative."""
+    """Series cut N for each entry of z (2N + 1 terms): the tail stays below
+    1e-17 relative.
+
+    Checked before any series is allocated: the longest series must fit
+    THETA_TERM_BUDGET, and no partial sum may leave the float64 range; the
+    largest term has modulus exp(pi Im(z)^2 / Im tau)."""
     t = complex(tau).imag
-    n = np.abs(np.imag(z)) / t + math.sqrt(
-        _TAIL_LOG10 * math.log(10.0) / (math.pi * t))
+    y = np.abs(np.imag(z))
+    n = y / t + math.sqrt(_TAIL_LOG10 * math.log(10.0) / (math.pi * t))
+    longest = np.fmax.reduce(n, axis=None, initial=0.0)  # NaN entries ignored
+    terms = 2 * max(12.0, np.ceil(longest) + 1) + 1
+    if terms > THETA_TERM_BUDGET:
+        raise TooLarge(f"THETA_TERM_BUDGET: {terms:.0f} series terms requested "
+                       f"per entry, limit {THETA_TERM_BUDGET}")
+    peak = math.pi * np.fmax.reduce(y, axis=None, initial=0.0) ** 2 / t
+    if peak > _LOG_FLOAT_MAX - math.log(terms):
+        raise TooLarge(f"float64 range: {terms:.0f} theta terms up to "
+                       f"exp({peak:.6g}) requested, limit "
+                       f"exp({_LOG_FLOAT_MAX - math.log(terms):.6g}) per term")
     return np.maximum(12, np.ceil(n).astype(int) + 1)
 
 
@@ -61,11 +80,11 @@ def theta(z, tau: complex, truncation: int | None = None):
 
 
 @lru_cache(maxsize=64)
-def theta_dz0(tau: complex, truncation: int | None = None) -> complex:
+def theta_dz0(tau: complex) -> complex:
     """theta'(0, tau) from the term-wise differentiated series."""
     if complex(tau).imag <= 0:
         raise InvalidTau(f"Im tau must be positive, got {tau}")
-    N = truncation if truncation is not None else _truncation(0.0, tau)
+    N = _truncation(0.0, tau)
     m = np.arange(-N, N + 1)
     half = m + 0.5
     expo = 1j * math.pi * half * half * tau + 1j * math.pi * half
@@ -76,33 +95,29 @@ def theta_dz0(tau: complex, truncation: int | None = None) -> complex:
 class EllipticParams:
     """Fixed modular data: tau in the upper half plane, gamma off Z + tau*Z.
 
-    For the restricted model gamma = 1/r with integer level r > n.
-    truncation overrides the automatic series cut; pole_guard is the
-    smallest bracket modulus accepted in denominators.
+    For the restricted model gamma = 1/r; which levels are admissible is the
+    model's rule (`ModelKind`), not this one's.
     """
 
     tau: complex
     gamma: complex
     rank: int
-    truncation: int | None = None
-    pole_guard: float = 1e-8
 
     def __post_init__(self):
         if complex(self.tau).imag <= 0:
             raise InvalidTau(f"Im tau must be positive, got {self.tau}")
         if self.rank < 2:
-            raise ValueError("rank must be >= 2")
+            raise InvalidConfig("rank must be >= 2")
         # gamma on the theta zero lattice Z + tau*Z makes every bracket vanish
-        scale = abs(theta_dz0(self.tau, self.truncation))
-        if abs(theta(self.gamma, self.tau, self.truncation)) < 1e-10 * scale:
-            raise ValueError(f"gamma={self.gamma} lies on Z + tau*Z")
+        scale = abs(theta_dz0(self.tau))
+        if abs(theta(self.gamma, self.tau)) < 1e-10 * scale:
+            raise InvalidConfig(f"gamma={self.gamma} lies on Z + tau*Z")
 
     @classmethod
-    def rsos(cls, rank: int, r: int, tau: complex,
-             truncation: int | None = None) -> "EllipticParams":
-        if r <= rank:
-            raise ValueError(f"restricted level must exceed the rank, got r={r}")
-        return cls(tau=tau, gamma=1.0 / r, rank=rank, truncation=truncation)
+    def rsos(cls, rank: int, r: int, tau: complex) -> "EllipticParams":
+        if r == 0:
+            raise InvalidConfig("gamma = 1/r needs a level r != 0")
+        return cls(tau=tau, gamma=1.0 / r, rank=rank)
 
 
 def bracket(z, params: EllipticParams):
@@ -111,13 +126,13 @@ def bracket(z, params: EllipticParams):
     The scaling runs per entry in Python complex arithmetic, because numpy's
     complex multiply and divide round differently from the scalar call."""
     args = [params.gamma * w for w in np.asarray(z, dtype=complex).ravel().tolist()]
-    nums = theta(args, params.tau, params.truncation)
-    scale = params.gamma * theta_dz0(params.tau, params.truncation)
+    nums = theta(args, params.tau)
+    scale = params.gamma * theta_dz0(params.tau)
     return _like(z, np.array([num / scale for num in nums.tolist()], dtype=complex))
 
 
-def _guarded(value: complex, params: EllipticParams, what: str) -> complex:
-    if abs(value) < params.pole_guard:
+def _guarded(value: complex, what: str) -> complex:
+    if abs(value) < POLE_GUARD:
         raise NearPole(f"denominator {what} has modulus {abs(value):.2e}")
     return value
 
@@ -168,7 +183,7 @@ def _flat_r(z: complex, a: WeightPoint, params: EllipticParams, diagonal: float,
     for i in range(n):
         m[i * (n + 1), i * (n + 1)] = diagonal
     for (i, j), b_d, b_d1, b_ds in zip(pairs, b[0::3], b[1::3], b[2::3]):
-        den = _guarded(b_d, params, f"[a_{i}-a_{j}]")
+        den = _guarded(b_d, f"[a_{i}-a_{j}]")
         row = (i - 1) * n + (j - 1)
         m[row, (j - 1) * n + (i - 1)] = b_d1 * X / (den * Y)
         m[row, row] = b_ds * W / (den * Y)
@@ -178,7 +193,7 @@ def _flat_r(z: complex, a: WeightPoint, params: EllipticParams, diagonal: float,
 def r_matrix(z: complex, a: WeightPoint, params: EllipticParams) -> FlatR:
     """The elliptic dynamical R-matrix at (z, a)."""
     return _flat_r(z, a, params, 1.0, z, (z, 1, 1 - z), lambda bz, one, den_z: (
-        -bz, one, _guarded(den_z, params, "[1-z]")))
+        -bz, one, _guarded(den_z, "[1-z]")))
 
 
 def r_reg1(a: WeightPoint, params: EllipticParams) -> FlatR:
@@ -198,7 +213,7 @@ def r_minus1(a: WeightPoint, params: EllipticParams) -> FlatR:
     off the diagonal.
     """
     return _flat_r(-1.0, a, params, 1.0, -1, (1, 2), lambda one, two: (
-        one, one, _guarded(two, params, "[2]")))
+        one, one, _guarded(two, "[2]")))
 
 
 def _dynamical_23(z: complex, a: WeightPoint, params: EllipticParams) -> np.ndarray:

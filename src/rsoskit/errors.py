@@ -46,7 +46,7 @@ class NonSquare(RsosError):
 
 
 class TooLarge(RsosError):
-    """Requested torus exceeds the face budget."""
+    """A requested size exceeds a named budget or the float64 range."""
 
 
 class OutOfRange(RsosError):
@@ -65,5 +65,5 @@ class UnknownTarget(RsosError):
     """Computation target name not recognized."""
 
 
-class InvalidConfig(RsosError):
+class InvalidConfig(RsosError, ValueError):
     """Run configuration violates a constraint."""

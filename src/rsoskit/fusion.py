@@ -20,11 +20,12 @@ import numpy as np
 from .convolution import ConvolutionElement, conv_mul, to_difference_operator
 from .elliptic import EllipticParams, bracket, r_minus1, r_reg1
 from .errors import LambdaOutsideAlcove, OutOfRange
-from .groupoid import (Arrow, Context, WeightPoint, add_vectors, eps,
+from .groupoid import (Arrow, ModelKind, WeightPoint, add_vectors, eps,
                        rsos_alcove)
-from .rsos import ModelKind, _same_weight
+from .rsos import _same_weight
 
 RANK_TOL = 1e-8
+SPECTRUM_TOL = 1e-10
 
 
 @dataclass
@@ -172,7 +173,6 @@ def exterior_character(k: int, n: int, r: int) -> ConvolutionElement:
     if not 0 <= k <= n:
         raise OutOfRange(f"exterior degree {k} outside 0..{n}")
     kind = ModelKind.rsos(n, r)
-    ctx = kind.context()
     points = kind.alcove()
     inside = set(points)
     coeffs = {}
@@ -183,13 +183,12 @@ def exterior_character(k: int, n: int, r: int) -> ConvolutionElement:
                 mu = add_vectors(mu, eps(n, i))
             if (a + mu) in inside:
                 coeffs[Arrow(a, mu)] = 1
-    return ConvolutionElement(ctx, coeffs)
+    return ConvolutionElement(kind, coeffs)
 
 
 def sym_square_character(n: int, r: int) -> ConvolutionElement:
     """Character of the symmetric square from its closed form."""
     kind = ModelKind.rsos(n, r)
-    ctx = kind.context()
     points = kind.alcove()
     inside = set(points)
     coeffs = {}
@@ -202,15 +201,15 @@ def sym_square_character(n: int, r: int) -> ConvolutionElement:
             for j in range(i + 1, n + 1):
                 if a + eps(n, i) in inside and a + eps(n, j) in inside:
                     coeffs[Arrow(a, add_vectors(eps(n, i), eps(n, j)))] = 1
-    return ConvolutionElement(ctx, coeffs)
+    return ConvolutionElement(kind, coeffs)
 
 
-def _interval_element(ctx: Context, r: int, lo: int, hi: int,
+def _interval_element(kind: ModelKind, r: int, lo: int, hi: int,
                       shift: tuple[int, int]) -> ConvolutionElement:
     coeffs = {}
     for l in range(max(lo, 1), min(hi, r - 1) + 1):
         coeffs[Arrow(WeightPoint.from_level_coordinate(l), shift)] = 1
-    return ConvolutionElement(ctx, coeffs)
+    return ConvolutionElement(kind, coeffs)
 
 
 def sym_power_character_n2(p: int, r: int) -> ConvolutionElement:
@@ -219,17 +218,16 @@ def sym_power_character_n2(p: int, r: int) -> ConvolutionElement:
     """
     if not 0 <= p <= r - 2:
         raise OutOfRange(f"symmetric power {p} outside 0..{r - 2}")
-    ctx = ModelKind.rsos(2, r).context()
-    out = ConvolutionElement(ctx, {})
+    kind = ModelKind.rsos(2, r)
+    out = ConvolutionElement(kind, {})
     for j in range(p + 1):
-        out = out + _interval_element(ctx, r, 1 + j, r - 1 - p + j, (p - j, j))
+        out = out + _interval_element(kind, r, 1 + j, r - 1 - p + j, (p - j, j))
     return out
 
 
 def central_element_n2(r: int, power: int = 1) -> ConvolutionElement:
     """u^power with u = t_1 t_2, cut to the alcove subring."""
-    ctx = ModelKind.rsos(2, r).context()
-    return _interval_element(ctx, r, 1, r - 1, (power, power))
+    return _interval_element(ModelKind.rsos(2, r), r, 1, r - 1, (power, power))
 
 
 def fusion_coeff(p: int, q: int, s: int, r: int) -> int:
@@ -262,7 +260,7 @@ def verify_fusion_rules(r: int) -> FusionRuleReport:
     """Exact check of L_p L_q = sum_s N_pq^s u^{(p+q-s)/2} L_s for rank 2."""
     labels = list(range(r - 1))
     chars = {p: sym_power_character_n2(p, r) for p in labels}
-    ctx = chars[0].context
+    kind = chars[0].context
     # u^k with k = (p+q-s)/2 <= min(p, q), so every power is in range(r - 1)
     powers = {k: central_element_n2(r, k) for k in labels}
     # u^k L_s recurs across (p, q): each distinct (k, s) is multiplied once
@@ -271,7 +269,7 @@ def verify_fusion_rules(r: int) -> FusionRuleReport:
     for p in labels:
         for q in labels:
             lhs = conv_mul(chars[p], chars[q])
-            rhs = ConvolutionElement(ctx, {})
+            rhs = ConvolutionElement(kind, {})
             for s in labels:
                 if fusion_coeff(p, q, s, r):
                     key = ((p + q - s) // 2, s)
@@ -330,7 +328,6 @@ class SpectrumReport:
     k: int
     eigenvalues: list[complex]
     residuals: list[float]
-    tolerance: float = 1e-10
 
     @property
     def max_residual(self) -> float:
@@ -338,10 +335,10 @@ class SpectrumReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual < self.tolerance
+        return self.max_residual < SPECTRUM_TOL
 
 
-def verify_spectrum(k: int, n: int, r: int, tol: float = 1e-10) -> SpectrumReport:
+def verify_spectrum(k: int, n: int, r: int) -> SpectrumReport:
     """Check that every psi_lambda is an eigenfunction of the exterior-power
     character operator with eigenvalue e_k(q^{bar lambda})."""
     points = rsos_alcove(n, r)
@@ -354,4 +351,4 @@ def verify_spectrum(k: int, n: int, r: int, tol: float = 1e-10) -> SpectrumRepor
         residuals.append(float(np.abs(m @ f.values - ev * f.values).max()))
         eigenvalues.append(ev)
     return SpectrumReport(n=n, r=r, k=k, eigenvalues=eigenvalues,
-                          residuals=residuals, tolerance=tol)
+                          residuals=residuals)

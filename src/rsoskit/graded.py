@@ -29,7 +29,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ContextMismatch, ShapeMismatch
-from .groupoid import (Arrow, Context, WeightPoint, add_vectors,
+from .groupoid import (Arrow, ModelKind, WeightPoint, add_vectors,
                        identity_arrow, inverse)
 
 _ATOM_CODES: dict[tuple, int] = {}
@@ -68,7 +68,7 @@ class GradedSpace:
     values derived from it (see `memo`) are cached on it and never rebuilt.
     """
 
-    context: Context
+    context: ModelKind
     dims: dict[Arrow, int]
     keys: np.ndarray
     layout: dict[Arrow, tuple[Summand, ...]] | None = None
@@ -85,7 +85,7 @@ class GradedSpace:
         self.keys.flags.writeable = False
 
     @classmethod
-    def from_dims(cls, context: Context, dims: dict[Arrow, int]) -> "GradedSpace":
+    def from_dims(cls, context: ModelKind, dims: dict[Arrow, int]) -> "GradedSpace":
         for arrow, d in dims.items():
             if d < 1:
                 raise ValueError(f"stored dimension must be >= 1 at {arrow!r}")
@@ -121,7 +121,7 @@ def memo(space: GradedSpace, key, build, partner: GradedSpace | None = None):
         return table.setdefault(key, build())
 
 
-def unit_space(context: Context, points: list[WeightPoint]) -> GradedSpace:
+def unit_space(context: ModelKind, points: list[WeightPoint]) -> GradedSpace:
     """Tensor unit: one-dimensional at the identity arrow of each point."""
     dims = {identity_arrow(a): 1 for a in points}
     return GradedSpace(context=context, dims=dims,

@@ -1,4 +1,5 @@
-"""Weight-lattice points, arrows of translation action groupoids, and alcoves.
+"""Weight-lattice points, arrows of translation action groupoids, alcoves,
+and the model descriptor.
 
 Points live in the quotient h*_0 = C^n / C(1,...,1); the weight lattice
 Z^n acts on it by translation.  A point is stored as a base n-tuple b plus
@@ -11,6 +12,11 @@ and sets on them, so hashing and equality run as the tuple's C code rather
 than as Python methods; the hash of a point or arrow is that of its field
 tuple.  Ordering is refused as for any unordered value, and `+` on a point
 is the lattice shift, not tuple concatenation.
+
+ModelKind names the one groupoid a model lives over, the level-r alcove
+subgroupoid or the orbit of a generic base point, and is the only home of
+its rules: the level must exceed the rank (checked on construction), which
+steps (a, eps_i) are arrows, and the admissible step sequences (`paths`).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from operator import itemgetter
 
-from .errors import InfiniteSet, NonComposable
+from .errors import InfiniteSet, InvalidConfig, NonComposable
 
 LatticeVector = tuple[int, ...]
 
@@ -151,10 +157,6 @@ class Arrow(_Pair):
         return self.source.shifted(self.shift)
 
     @property
-    def is_identity(self) -> bool:
-        return all(s == 0 for s in self.shift)
-
-    @property
     def is_loop(self) -> bool:
         """True when the arrow fixes its source, i.e. shift in Z(1,...,1)."""
         return len(set(self.shift)) == 1
@@ -253,25 +255,80 @@ def rsos_alcove(n: int, r: int) -> list[WeightPoint]:
 
 
 @dataclass(frozen=True)
-class Context:
-    """Identifies the groupoid a graded object lives over.
+class ModelKind:
+    """The groupoid a model and its graded objects live over.
 
-    kind is "rsos" (full subgroupoid of O_0 x| P on the level-r alcove)
-    or "sos" (orbit O_b of a generic base point).
+    Restricted (`level` set): the full subgroupoid of O_0 x| P on the level-r
+    alcove.  Unrestricted: the orbit O_b of a generic base point b.  Models
+    are equal when their fields are; graded spaces and convolution elements
+    carry theirs as `context`.
     """
 
     rank: int
-    kind: str
     level: int | None = None
     base: tuple[complex, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("rsos", "sos"):
-            raise ValueError(f"unknown context kind {self.kind!r}")
-        if self.kind == "rsos" and (self.level is None or self.level <= self.rank):
-            raise ValueError("restricted context needs integer level r > n")
+        if self.rank < 2:
+            raise InvalidConfig(f"rank must be >= 2, got {self.rank}")
+        if self.is_restricted and self.level <= self.rank:
+            raise InvalidConfig(f"restricted level must exceed the rank "
+                                f"{self.rank}, got r={self.level}")
+
+    @classmethod
+    def rsos(cls, rank: int, r: int) -> "ModelKind":
+        return cls(rank=rank, level=r)
+
+    @classmethod
+    def sos(cls, base: tuple[complex, ...]) -> "ModelKind":
+        return cls(rank=len(base), base=tuple(base))
+
+    @property
+    def is_restricted(self) -> bool:
+        return self.level is not None
 
     def alcove(self) -> list[WeightPoint]:
-        if self.kind != "rsos":
-            raise InfiniteSet("only restricted contexts have a finite alcove")
+        if not self.is_restricted:
+            raise InfiniteSet("only the restricted model has a finite alcove")
         return rsos_alcove(self.rank, self.level)
+
+    # cached in the instance dict: equality and hashing see only fields
+    @cached_property
+    def _heights(self) -> frozenset[WeightPoint]:
+        return frozenset(self.alcove())
+
+    @cached_property
+    def _paths(self) -> dict[tuple[WeightPoint, int], tuple[tuple[int, ...], ...]]:
+        return {}
+
+    @cached_property
+    def _successors(self) -> dict[WeightPoint, tuple[tuple[int, WeightPoint], ...]]:
+        return {}
+
+    def step_allowed(self, a: WeightPoint, i: int) -> bool:
+        """Whether (a, eps_i) is an arrow of the model's groupoid."""
+        if not self.is_restricted:
+            return True
+        return a in self._heights and a + eps(self.rank, i) in self._heights
+
+    def _steps_from(self, a: WeightPoint) -> tuple[tuple[int, WeightPoint], ...]:
+        """(i, a + eps_i) for each allowed step from a, by i; found once per a."""
+        out = self._successors.get(a)
+        if out is None:
+            n = self.rank
+            out = self._successors[a] = tuple(
+                (i, a + eps(n, i)) for i in range(1, n + 1)
+                if self.step_allowed(a, i))
+        return out
+
+    def paths(self, a: WeightPoint, length: int) -> tuple[tuple[int, ...], ...]:
+        """Step-index sequences of the admissible paths of `length` steps
+        from a, in lexicographic order; enumerated once per (a, length)."""
+        key = (a, length)
+        if key not in self._paths:
+            grown = [((), a)]
+            for _ in range(length):
+                grown = [(steps + (i,), nxt) for steps, point in grown
+                         for i, nxt in self._steps_from(point)]
+            self._paths[key] = tuple(steps for steps, _ in grown)
+        return self._paths[key]

@@ -6,94 +6,23 @@ level-r alcove.  The block of the R-matrix on
 V_(a,eps_i) (x) V_(a+eps_i,eps_j) is the (e_i (x) e_j) column sector of the
 flat matrix at the common source a; components that would leave the alcove
 are verified to vanish and dropped.
+
+The model descriptor `ModelKind` (its rank/level rule, admissible steps and
+paths) lives in `groupoid` and is imported here; every space built here
+carries it as its `context`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
-from .elliptic import EllipticParams, FlatR, bracket, r_matrix
+from .elliptic import POLE_GUARD, EllipticParams, FlatR, bracket, r_matrix
 from .errors import (BaseOnSingularSet, ContextMismatch, NonSquare,
                      RestrictionViolated)
 from .graded import GradedMorphism, GradedSpace, memo, tensor_space
-from .groupoid import (Arrow, Context, WeightPoint, compose, eps, rsos_alcove)
+from .groupoid import Arrow, ModelKind, WeightPoint, compose, eps
 
 RESTRICTION_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ModelKind:
-    """Unrestricted model over a generic base orbit, or the restricted one."""
-
-    rank: int
-    level: int | None = None
-    base: tuple[complex, ...] | None = None
-
-    @classmethod
-    def rsos(cls, rank: int, r: int) -> "ModelKind":
-        if r <= rank:
-            raise ValueError(f"restricted level must exceed the rank, got {r}")
-        return cls(rank=rank, level=r)
-
-    @classmethod
-    def sos(cls, base: tuple[complex, ...]) -> "ModelKind":
-        return cls(rank=len(base), base=tuple(base))
-
-    @property
-    def is_restricted(self) -> bool:
-        return self.level is not None
-
-    def context(self) -> Context:
-        if self.is_restricted:
-            return Context(rank=self.rank, kind="rsos", level=self.level)
-        return Context(rank=self.rank, kind="sos", base=self.base)
-
-    def alcove(self) -> list[WeightPoint]:
-        return rsos_alcove(self.rank, self.level)
-
-    # cached in the instance dict: equality and hashing see only fields
-    @cached_property
-    def _heights(self) -> frozenset[WeightPoint]:
-        return frozenset(self.alcove())
-
-    @cached_property
-    def _paths(self) -> dict[tuple[WeightPoint, int], tuple[tuple[int, ...], ...]]:
-        return {}
-
-    @cached_property
-    def _successors(self) -> dict[WeightPoint, tuple[tuple[int, WeightPoint], ...]]:
-        return {}
-
-    def step_allowed(self, a: WeightPoint, i: int) -> bool:
-        """Whether (a, eps_i) is an arrow of the model's groupoid."""
-        if not self.is_restricted:
-            return True
-        return a in self._heights and a + eps(self.rank, i) in self._heights
-
-    def _steps_from(self, a: WeightPoint) -> tuple[tuple[int, WeightPoint], ...]:
-        """(i, a + eps_i) for each allowed step from a, by i; found once per a."""
-        out = self._successors.get(a)
-        if out is None:
-            n = self.rank
-            out = self._successors[a] = tuple(
-                (i, a + eps(n, i)) for i in range(1, n + 1)
-                if self.step_allowed(a, i))
-        return out
-
-    def paths(self, a: WeightPoint, length: int) -> tuple[tuple[int, ...], ...]:
-        """Step-index sequences of the admissible paths of `length` steps
-        from a, in lexicographic order; enumerated once per (a, length)."""
-        key = (a, length)
-        if key not in self._paths:
-            grown = [((), a)]
-            for _ in range(length):
-                grown = [(steps + (i,), nxt) for steps, point in grown
-                         for i, nxt in self._steps_from(point)]
-            self._paths[key] = tuple(steps for steps, _ in grown)
-        return self._paths[key]
 
 
 def build_vector_space(kind: ModelKind,
@@ -106,7 +35,6 @@ def build_vector_space(kind: ModelKind,
     supplied finite window (the orbit itself is infinite).
     """
     n = kind.rank
-    ctx = kind.context()
     if kind.is_restricted:
         points = kind.alcove()
     else:
@@ -117,7 +45,7 @@ def build_vector_space(kind: ModelKind,
             for a in points:
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
-                        if i != j and abs(bracket(a.diff(i, j), params)) < params.pole_guard:
+                        if i != j and abs(bracket(a.diff(i, j), params)) < POLE_GUARD:
                             raise BaseOnSingularSet(
                                 f"base point {a!r} has [a_{i}-a_{j}] ~ 0")
     dims = {}
@@ -125,7 +53,7 @@ def build_vector_space(kind: ModelKind,
         for i in range(1, n + 1):
             if kind.step_allowed(a, i):
                 dims[Arrow(a, eps(n, i))] = 1
-    return GradedSpace.from_dims(ctx, dims)
+    return GradedSpace.from_dims(kind, dims)
 
 
 def _step_index(arrow: Arrow) -> int:
@@ -136,21 +64,9 @@ def _step_index(arrow: Arrow) -> int:
     return s.index(1) + 1
 
 
-@dataclass(frozen=True)
-class BoltzmannBlock:
-    """Scalar face weight between the summands (alpha,beta) -> (gamma,delta)."""
-
-    z: complex
-    alpha: Arrow
-    beta: Arrow
-    gamma: Arrow
-    delta: Arrow
-    value: complex
-
-
 def boltzmann_weight(z: complex, alpha: Arrow, beta: Arrow, gamma: Arrow,
                      delta: Arrow, kind: ModelKind,
-                     params: EllipticParams) -> BoltzmannBlock:
+                     params: EllipticParams) -> complex:
     """Face weight: the component of the R-matrix mapping
     V_alpha (x) V_beta to V_gamma (x) V_delta."""
     if compose(beta, alpha) != compose(delta, gamma):
@@ -162,10 +78,8 @@ def boltzmann_weight(z: complex, alpha: Arrow, beta: Arrow, gamma: Arrow,
     present = all(kind.step_allowed(arr.source, idx) for arr, idx in
                   ((alpha, k), (beta, l), (gamma, i), (delta, j)))
     if not present:
-        return BoltzmannBlock(z, alpha, beta, gamma, delta, 0.0)
-    flat = r_matrix(z, alpha.source, params)
-    return BoltzmannBlock(z, alpha, beta, gamma, delta,
-                          flat.entry((i, j), (k, l)))
+        return 0.0
+    return r_matrix(z, alpha.source, params).entry((i, j), (k, l))
 
 
 def restricted_r(z: complex, kind: ModelKind, params: EllipticParams,

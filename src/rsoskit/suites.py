@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,12 +36,11 @@ class RunConfig:
     base_b: tuple[complex, ...] | None = None
     seed: int = 0
     tolerance: float | None = None  # overrides every case tolerance when set
+    # the one model every suite of this run shares, with its path caches
+    _kind: rsos.ModelKind = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvalidConfig("rank must be >= 2")
-        if self.r <= self.n:
-            raise InvalidConfig("level r must exceed the rank")
+        object.__setattr__(self, "_kind", rsos.ModelKind.rsos(self.n, self.r))
         if complex(self.tau).imag <= 0:
             raise InvalidConfig("Im tau must be positive")
         if self.tolerance is not None and self.tolerance <= 0:
@@ -57,7 +56,7 @@ class RunConfig:
         return el.EllipticParams.rsos(self.n, self.r, self.tau)
 
     def kind(self) -> rsos.ModelKind:
-        return rsos.ModelKind.rsos(self.n, self.r)
+        return self._kind
 
     def to_json_dict(self) -> dict:
         return {
@@ -272,7 +271,7 @@ def transfer_commute_suite(config: RunConfig, pairs: int = 5) -> list[Case]:
     return cases
 
 
-def _random_element(rng: random.Random, ctx, points, n: int,
+def _random_element(rng: random.Random, kind, points, n: int,
                     n_terms: int = 4) -> cv.ConvolutionElement:
     coeffs = {}
     inside = set(points)
@@ -281,10 +280,10 @@ def _random_element(rng: random.Random, ctx, points, n: int,
         mu = tuple(rng.randrange(-1, 2) for _ in range(n))
         if (a + mu) in inside:
             coeffs[Arrow(a, mu)] = rng.randrange(-3, 4)
-    return cv.ConvolutionElement(ctx, coeffs)
+    return cv.ConvolutionElement(kind, coeffs)
 
 
-def _random_graded_space(rng: random.Random, ctx, points, n: int,
+def _random_graded_space(rng: random.Random, kind, points, n: int,
                          n_arrows: int = 5):
     dims = {}
     inside = set(points)
@@ -297,13 +296,12 @@ def _random_graded_space(rng: random.Random, ctx, points, n: int,
         a = points[0]
         dims[Arrow(a, (0,) * n)] = 1
     from .graded import GradedSpace
-    return GradedSpace.from_dims(ctx, dims)
+    return GradedSpace.from_dims(kind, dims)
 
 
 def characters_suite(config: RunConfig, samples: int = 100) -> list[Case]:
     n, r = config.n, config.r
     kind = config.kind()
-    ctx = kind.context()
     points = kind.alcove()
     V = rsos.build_vector_space(kind)
     failures = 0
@@ -315,21 +313,21 @@ def characters_suite(config: RunConfig, samples: int = 100) -> list[Case]:
                                  + fu.sym_square_character(n, r)):
         failures += 1
     # closed forms of the square characters
-    if fu.exterior_character(0, n, r) != cv.chi(ctx, points):
+    if fu.exterior_character(0, n, r) != cv.chi(kind, points):
         failures += 1
     rng = random.Random(config.seed)
     # ch(V (x) W) = ch V * ch W on random graded spaces
     for _ in range(5):
-        v1 = _random_graded_space(rng, ctx, points, n)
-        v2 = _random_graded_space(rng, ctx, points, n)
+        v1 = _random_graded_space(rng, kind, points, n)
+        v2 = _random_graded_space(rng, kind, points, n)
         if cv.character(tensor_space(v1, v2)) != cv.conv_mul(
                 cv.character(v1), cv.character(v2)):
             failures += 1
     assoc = anti = 0
     for _ in range(samples):
-        x = _random_element(rng, ctx, points, n)
-        y = _random_element(rng, ctx, points, n)
-        z = _random_element(rng, ctx, points, n)
+        x = _random_element(rng, kind, points, n)
+        y = _random_element(rng, kind, points, n)
+        z = _random_element(rng, kind, points, n)
         if cv.conv_mul(cv.conv_mul(x, y), z) != cv.conv_mul(x, cv.conv_mul(y, z)):
             assoc += 1
         if cv.involution(cv.conv_mul(x, y)) != cv.conv_mul(
@@ -386,25 +384,30 @@ def spectrum_suite(config: RunConfig) -> list[Case]:
     return cases
 
 
-def _torus_traces(matrix: np.ndarray, rows: int) -> list[complex]:
-    """tr M^m for m = 0, ..., rows."""
-    return [tr.torus_trace(matrix, m) for m in range(rows + 1)]
+def _torus_traces(matrix: np.ndarray, rows: range) -> list[complex]:
+    """tr M^m for m = 0 and each m in rows."""
+    return [tr.torus_trace(matrix, m) for m in (0, *rows)]
 
 
 def partition_suite(config: RunConfig, max_faces: int = 12) -> list[Case]:
     """Each transfer matrix built once per column count (and dropped before
-    the other side's is built), traced for every row count; the state
-    dimensions compared at cols = n, the smallest width with a closed row."""
+    the other side's is built), traced for every row count that n divides
+    (tr M^rows is exactly 0 for the others, see `transfer`); a column count
+    with no such row count is not built, except cols = n, the smallest width
+    with a closed row, where the state dimensions are compared."""
     params = config.params()
     kind = config.kind()
+    n = config.n
     worst = 0.0
-    for cols in range(1, max(max_faces, config.n) + 1):
-        us, rows = (0.0,) * cols, max_faces // cols
+    for cols in range(1, max(max_faces, n) + 1):
+        us, rows = (0.0,) * cols, range(n, max_faces // cols + 1, n)
+        if not rows and cols != n:
+            continue
         z_en = _torus_traces(tr._row_transfer_matrix(0.3, kind, params, us), rows)
         z_tm = _torus_traces(tr.graded_transfer_matrix(0.3, kind, params, us), rows)
         for en, tm in zip(z_en[1:], z_tm[1:]):
             worst = max(worst, abs(en - tm) / max(1.0, abs(en)))
-        if cols == config.n:
+        if cols == n:
             dim_en, dim_tm = z_en[0], z_tm[0]
     return [
         Case(f"partition-oracle-n{config.n}-r{config.r}", worst, 1e-9),

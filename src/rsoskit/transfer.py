@@ -9,7 +9,12 @@ cols x rows torus is Z = tr M^rows, with M either the dense transfer matrix
 of a cols-site chain or the row-to-row matrix; rows = 0 gives dim M.  Every
 component of the chain has a shift whose coordinates sum to cols, and a loop
 k(1,...,1) sums to nk, so M is empty unless n divides cols; both builders
-decide that from the shifts before allocating anything.
+decide that from the shifts before allocating anything.  Both matrices are
+difference operators with blocks (a, a + eps_i): each row moves the row's
+first height by one step, and `rows` steps return to a mod (1,...,1) only
+when every index occurs equally often.  So tr M^rows is exactly 0 unless n
+also divides rows, and the partition functions return 0j for such tori
+without building anything.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from .elliptic import EllipticParams, r_matrix
 from .errors import InvalidConfig, ShapeMismatch, TooLarge
 from .graded import (GradedMorphism, GradedSpace, align, identity_morphism,
                      memo, tensor_morphism, tensor_space, unit_space)
-from .groupoid import Arrow, WeightPoint, add_vectors, eps
-from .rsos import ModelKind, build_vector_space, restricted_r
+from .groupoid import Arrow, ModelKind, WeightPoint, add_vectors, eps
+from .rsos import build_vector_space, restricted_r
 
 
 @dataclass
@@ -34,7 +39,6 @@ class LOperator:
     aux: GradedSpace
     quantum: GradedSpace
     at: Callable[[complex], GradedMorphism]
-    kind: ModelKind
     params: EllipticParams
 
 
@@ -46,7 +50,7 @@ def vector_l_operator(kind: ModelKind, params: EllipticParams,
     return LOperator(
         aux=V, quantum=V,
         at=lambda z: restricted_r(z + u, kind, params, space=V),
-        kind=kind, params=params)
+        params=params)
 
 
 def trivial_l_operator(kind: ModelKind, params: EllipticParams,
@@ -56,14 +60,15 @@ def trivial_l_operator(kind: ModelKind, params: EllipticParams,
     one = unit_space(V.context, V.objects())
     tautology = align(tensor_space(V, one), tensor_space(one, V))
     return LOperator(aux=V, quantum=one, at=lambda z: tautology,
-                     kind=kind, params=params)
+                     params=params)
 
 
 def l_tensor(first: LOperator, second: LOperator) -> LOperator:
     """Tensor product of quantum spaces: the auxiliary line crosses
-    `first` and then `second`."""
-    if first.params != second.params or first.kind != second.kind:
-        raise ShapeMismatch("L-operators live over different models")
+    `first` and then `second`; quantum spaces over different models raise
+    ContextMismatch."""
+    if first.params != second.params:
+        raise ShapeMismatch("L-operators have different modular data")
     V, W, Z = first.aux, first.quantum, second.quantum
     WZ = tensor_space(W, Z)
     dom = tensor_space(V, WZ)
@@ -74,8 +79,7 @@ def l_tensor(first: LOperator, second: LOperator) -> LOperator:
             dom, [V, W, Z], [(0, first.at(z), (W, V)), (1, second.at(z), (Z, V))])
         return align(chain.codomain, cod) @ chain
 
-    return LOperator(aux=V, quantum=WZ, at=at, kind=first.kind,
-                     params=first.params)
+    return LOperator(aux=V, quantum=WZ, at=at, params=first.params)
 
 
 def vector_chain(kind: ModelKind, params: EllipticParams,
@@ -201,7 +205,7 @@ def transfer_matrix(z: complex, L: LOperator,
                     points: list[WeightPoint] | None = None) -> TransferOperator:
     """T(z) = tr_V L(z) as a difference operator on loop sections."""
     if points is None:
-        points = L.kind.alcove()
+        points = L.aux.context.alcove()
     traced = partial_trace(L.at(z), L.aux, L.quantum)
     pts = set(points)
     blocks = {alpha: blk for alpha, blk in traced.items()
@@ -247,7 +251,7 @@ def rll_residual(L: LOperator, z: complex, w: complex) -> float:
     """Residual of the quadratic exchange relation
     R(z-w)^(23) L(z)^(12) L(w)^(23) = L(w)^(12) L(z)^(23) R(z-w)^(12)."""
     V, W = L.aux, L.quantum
-    r = restricted_r(z - w, L.kind, L.params, space=V)
+    r = restricted_r(z - w, V.context, L.params, space=V)
     start = tensor_space(tensor_space(V, V), W)
     lhs = _three_factor_chain(
         start, [V, V, W],
@@ -362,6 +366,8 @@ def partition_enumerate(rows: int, cols: int, z: complex, kind: ModelKind,
     transfer matrix R; shares only r_matrix and the row states with the
     graded side."""
     us = _checked_inhomogeneities(rows, cols, inhomogeneities)
+    if rows % kind.rank:  # no torus closes: see the module docstring
+        return 0j
     return torus_trace(_row_transfer_matrix(z, kind, params, us), rows)
 
 
@@ -371,4 +377,6 @@ def partition_via_transfer(rows: int, cols: int, z: complex, kind: ModelKind,
                            ) -> complex:
     """Torus partition function as the trace of the rows-th transfer power."""
     us = _checked_inhomogeneities(rows, cols, inhomogeneities)
+    if rows % kind.rank:  # no torus closes: see the module docstring
+        return 0j
     return torus_trace(graded_transfer_matrix(z, kind, params, us), rows)

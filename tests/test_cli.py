@@ -191,3 +191,25 @@ def test_console_entry_point_runs():
 
 def test_base_point_rank_validated():
     assert main(["verify", "dybe", "--n", "3", "--base", "0.29"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "theta", "--gamma", "0,0"],
+    ["verify", "theta", "--gamma", "1,0"],
+    ["verify", "theta", "--base", "0.1;x"],
+    ["verify", "theta", "--gamma", "nan,0"],
+    ["verify", "theta", "--tau", "0,1e-4"],
+    ["compute", "partition", "--z", "0,200"],
+    ["compute", "boltzmann-table", "--z", "0,200"],
+])
+def test_rejected_configurations_exit_2_with_one_error_line(args, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_run_config_shares_one_model_across_suites():
+    config = RunConfig(n=3, r=5)
+    assert config.kind() is config.kind()
+    assert config == RunConfig(n=3, r=5)

@@ -8,11 +8,11 @@ from rsoskit.convolution import (ConvolutionElement, character, chi,
                                  conv_mul, involution, to_difference_operator)
 from rsoskit.errors import ContextMismatch, SupportOutsideAlcove
 from rsoskit.graded import dual_space, tensor_space
-from rsoskit.groupoid import Arrow, Context, WeightPoint, compose, rsos_alcove
+from rsoskit.groupoid import Arrow, WeightPoint, compose, rsos_alcove
 from rsoskit.rsos import ModelKind, build_vector_space
 
 KIND = ModelKind.rsos(2, 5)
-CTX = KIND.context()
+CTX = KIND
 POINTS = rsos_alcove(2, 5)
 
 
@@ -129,7 +129,7 @@ def test_homomorphism_exhaustive_small_levels():
         kind = ModelKind.rsos(2, r)
         pts = rsos_alcove(2, r)
         chv = character(build_vector_space(kind))
-        unit = chi(kind.context(), pts)
+        unit = chi(kind, pts)
         elements = [unit, chv, conv_mul(chv, chv)]
         for x in elements:
             for y in elements:
@@ -189,12 +189,12 @@ def _assert_matches_oracle(ctx, points, coeff, seed, n_terms=12, trials=40):
 @pytest.mark.parametrize("n, r", [(2, 5), (3, 5)])
 def test_conv_mul_matches_pairwise_oracle_rsos(n, r):
     kind = ModelKind.rsos(n, r)
-    _assert_matches_oracle(kind.context(), kind.alcove(), _int_coeff, seed=n + r)
+    _assert_matches_oracle(kind, kind.alcove(), _int_coeff, seed=n + r)
 
 
 def test_conv_mul_matches_pairwise_oracle_sos_complex_base():
     base = (0.29 + 0.1j, 0.11, 0)
-    ctx = Context(rank=3, kind="sos", base=base)
+    ctx = ModelKind.sos(base)
     window = [WeightPoint(base, (i, j, 0)) for i in range(-1, 3)
               for j in range(-1, 3)]
     _assert_matches_oracle(ctx, window, _int_coeff, seed=31)

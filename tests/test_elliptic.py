@@ -9,7 +9,7 @@ from rsoskit.elliptic import (EllipticParams, _guarded, bracket,
                               dynamical_ybe_residual, r_matrix, r_minus1,
                               r_reg1, residue_extrapolation, theta, theta_dz0,
                               unitarity_residual)
-from rsoskit.errors import InvalidTau, NearPole
+from rsoskit.errors import InvalidConfig, InvalidTau, NearPole, TooLarge
 from rsoskit.groupoid import WeightPoint, rsos_alcove
 
 TAU = 0.8j
@@ -52,6 +52,20 @@ def test_theta_rejects_lower_half_plane():
 def test_gamma_on_lattice_rejected():
     with pytest.raises(ValueError):
         EllipticParams(tau=TAU, gamma=1.0 + 0j, rank=2)
+
+
+def test_theta_series_guard_raises_before_allocating():
+    # 2 * 111625 + 1 terms for z = 0 at Im tau = 1e-9; 2e8 more per unit Im z
+    for call in (lambda: theta(0.0, 1e-9j), lambda: theta_dz0(1e-9j),
+                 lambda: EllipticParams(tau=1e-9j, gamma=0.2, rank=2)):
+        with pytest.raises(TooLarge, match="^THETA_TERM_BUDGET: 223251 series "
+                                           "terms requested per entry, limit 10000$"):
+            call()
+    # the largest term at Im z = 40, Im tau = 0.8 is exp(2000 pi)
+    with pytest.raises(TooLarge, match=r"^float64 range: .* exp\(6283.19\)"):
+        theta(np.array([0.1, 40j]), TAU)
+    with pytest.raises(InvalidConfig, match="rank"):
+        EllipticParams(tau=TAU, gamma=0.2, rank=1)
 
 
 def test_bracket_normalization_and_zeros():
@@ -218,14 +232,14 @@ def _scalar_theta(z, tau, truncation=None):
 
 
 def _scalar_bracket(z, p):
-    num = _scalar_theta(p.gamma * z, p.tau, p.truncation)
-    return num / (p.gamma * theta_dz0(p.tau, p.truncation))
+    num = _scalar_theta(p.gamma * z, p.tau)
+    return num / (p.gamma * theta_dz0(p.tau))
 
 
 def _loop_r_matrix(z, a, p):
     n = p.rank
     br = lambda w: _scalar_bracket(w, p)
-    den_z = _guarded(br(1 - z), p, "[1-z]")
+    den_z = _guarded(br(1 - z), "[1-z]")
     one = br(1)
     m = np.zeros((n * n, n * n), dtype=complex)
     for i in range(1, n + 1):
@@ -236,7 +250,7 @@ def _loop_r_matrix(z, a, p):
             if i == j:
                 continue
             d = a.diff(i, j)
-            den = _guarded(br(d), p, f"[a_{i}-a_{j}]")
+            den = _guarded(br(d), f"[a_{i}-a_{j}]")
             row = (i - 1) * n + (j - 1)
             m[row, (j - 1) * n + (i - 1)] = -br(d + 1) * bz / (den * den_z)
             m[row, row] = br(d + z) * one / (den * den_z)
@@ -253,7 +267,7 @@ def _loop_r_reg1(a, p):
             if i == j:
                 continue
             d = a.diff(i, j)
-            den = _guarded(br(d), p, f"[a_{i}-a_{j}]")
+            den = _guarded(br(d), f"[a_{i}-a_{j}]")
             c = br(d + 1) * one / den
             row = (i - 1) * n + (j - 1)
             m[row, (j - 1) * n + (i - 1)] += c
@@ -265,7 +279,7 @@ def _loop_r_minus1(a, p):
     n = p.rank
     br = lambda w: _scalar_bracket(w, p)
     one = br(1)
-    two = _guarded(br(2), p, "[2]")
+    two = _guarded(br(2), "[2]")
     m = np.zeros((n * n, n * n), dtype=complex)
     for i in range(1, n + 1):
         m[(i - 1) * n + (i - 1), (i - 1) * n + (i - 1)] = 1.0
@@ -274,7 +288,7 @@ def _loop_r_minus1(a, p):
             if i == j:
                 continue
             d = a.diff(i, j)
-            den = _guarded(br(d), p, f"[a_{i}-a_{j}]")
+            den = _guarded(br(d), f"[a_{i}-a_{j}]")
             row = (i - 1) * n + (j - 1)
             m[row, (j - 1) * n + (i - 1)] = br(d + 1) * one / (den * two)
             m[row, row] = br(d - 1) * one / (den * two)

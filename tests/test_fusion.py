@@ -51,7 +51,7 @@ def test_exactness_exhaustive():
 
 
 def test_exterior_character_degenerate_degrees():
-    ctx = ModelKind.rsos(2, 5).context()
+    ctx = ModelKind.rsos(2, 5)
     assert exterior_character(0, 2, 5) == chi(ctx, rsos_alcove(2, 5))
     top = exterior_character(2, 2, 5)
     assert sorted(g.source.level_coordinate() for g in top.coeffs) == [1, 2, 3, 4]
@@ -66,7 +66,7 @@ def test_character_square_decomposition():
 
 
 def test_sym_power_characters_low_degrees():
-    ctx = ModelKind.rsos(2, 5).context()
+    ctx = ModelKind.rsos(2, 5)
     assert sym_power_character_n2(0, 5) == chi(ctx, rsos_alcove(2, 5))
     assert sym_power_character_n2(1, 5) == character(
         build_vector_space(ModelKind.rsos(2, 5)))

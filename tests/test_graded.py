@@ -51,7 +51,7 @@ def test_tensor_dimension_matches_bruteforce_factorizations():
     for n, r in ((2, 4), (2, 5), (2, 6), (3, 5), (3, 6)):
         kind = ModelKind.rsos(n, r)
         V = build_vector_space(kind)
-        W = _random_space(rng, kind.context(), rsos_alcove(n, r), n)
+        W = _random_space(rng, kind, rsos_alcove(n, r), n)
         VW = tensor_space(V, W)
         for g in VW.arrows:
             brute = sum(
@@ -144,8 +144,8 @@ def test_tensor_keys_concatenate_factor_keys():
     rng = random.Random(11)
     points = rsos_alcove(2, 5)
     for _ in range(5):
-        A = _random_space(rng, KIND.context(), points, 2)
-        B = _random_space(rng, KIND.context(), points, 2)
+        A = _random_space(rng, KIND, points, 2)
+        B = _random_space(rng, KIND, points, 2)
         AB = tensor_space(A, B)
         for gamma, summands in AB.layout.items():
             rows = AB.keys[AB.offsets[gamma]:AB.offsets[gamma] + AB.dims[gamma]]
@@ -159,7 +159,7 @@ def test_tensor_keys_concatenate_factor_keys():
 def test_tensor_morphism_functorial():
     rng = random.Random(8)
     points = rsos_alcove(2, 5)
-    ctx = KIND.context()
+    ctx = KIND
     V = _random_space(rng, ctx, points, 2)
     W = _random_space(rng, ctx, points, 2)
     f, f2 = _random_endo(rng, V), _random_endo(rng, V)
@@ -177,7 +177,7 @@ def test_tensor_of_identities_is_identity():
 
 
 def test_tensor_of_single_arrow_morphisms_is_kronecker():
-    ctx = KIND.context()
+    ctx = KIND
     a = _point(2)
     g1 = Arrow(a, eps(2, 1))
     g2 = Arrow(a + eps(2, 1), eps(2, 2))
@@ -193,7 +193,7 @@ def test_tensor_of_single_arrow_morphisms_is_kronecker():
 
 def test_morphism_algebra_laws():
     rng = random.Random(4)
-    V = _random_space(rng, KIND.context(), rsos_alcove(2, 5), 2)
+    V = _random_space(rng, KIND, rsos_alcove(2, 5), 2)
     f, g, h = (_random_endo(rng, V) for _ in range(3))
     ident = identity_morphism(V)
     assert (f @ ident).max_diff(f) == 0.0
@@ -203,7 +203,7 @@ def test_morphism_algebra_laws():
 
 def test_compose_of_inverse_pair_is_identity():
     rng = random.Random(9)
-    V = _random_space(rng, KIND.context(), rsos_alcove(2, 5), 2)
+    V = _random_space(rng, KIND, rsos_alcove(2, 5), 2)
     f = _random_endo(rng, V)
     inv_blocks = {g: np.linalg.inv(m + 2 * np.eye(m.shape[0]))
                   for g, m in f.blocks.items()}
@@ -236,7 +236,7 @@ def test_dual_space_components_are_inverted_arrows():
 
 
 def test_unit_is_self_dual():
-    one = unit_space(KIND.context(), rsos_alcove(2, 5))
+    one = unit_space(KIND, rsos_alcove(2, 5))
     dd = dual_space(one)
     assert dd.dual.dims == one.dims
 
@@ -244,7 +244,7 @@ def test_unit_is_self_dual():
 def test_zigzag_identities():
     assert zigzag_residual(vector_space()) < 1e-12
     rng = random.Random(6)
-    W = _random_space(rng, KIND.context(), rsos_alcove(2, 5), 2)
+    W = _random_space(rng, KIND, rsos_alcove(2, 5), 2)
     assert zigzag_residual(W) < 1e-12
 
 
@@ -305,7 +305,7 @@ def test_cached_products_die_with_their_operands():
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 3), (2, 2), (3, 1), (2, 4), (3, 4)])
 def test_broadcast_fill_is_bitwise_kronecker(p, q):
     rng = np.random.default_rng(10 * p + q)
-    ctx = KIND.context()
+    ctx = KIND
     a = _point(2)
     g1, g2 = Arrow(a, eps(2, 1)), Arrow(a + eps(2, 1), eps(2, 2))
     V, V2 = (GradedSpace.from_dims(ctx, {g1: d}) for d in (q, p))

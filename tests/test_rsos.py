@@ -6,7 +6,8 @@ import pytest
 
 from rsoskit.convolution import character
 from rsoskit.elliptic import EllipticParams, bracket, r_matrix
-from rsoskit.errors import (BaseOnSingularSet, NonSquare, RestrictionViolated)
+from rsoskit.errors import (BaseOnSingularSet, InfiniteSet, InvalidConfig,
+                            NonSquare, RestrictionViolated)
 from rsoskit.graded import identity_morphism
 from rsoskit.groupoid import (AlcoveKind, AlcoveSpec, Arrow, WeightPoint,
                               add_vectors, alcove_contains, eps, rsos_alcove)
@@ -46,6 +47,21 @@ def test_vector_space_arrow_count_matches_character_support():
     expected = sum(1 for a in points for i in range(1, n + 1)
                    if (a + eps(n, i)) in inside)
     assert len(V.dims) == expected
+
+
+def test_model_kind_checks_rank_and_level():
+    for bad in (lambda: ModelKind.rsos(2, 2), lambda: ModelKind.rsos(3, 1),
+                lambda: ModelKind.rsos(1, 5), lambda: ModelKind.sos((0.3,))):
+        with pytest.raises(InvalidConfig):
+            bad()
+    # gamma = 1/r is valid modular data at any level; the model decides
+    assert EllipticParams.rsos(2, 2, TAU).gamma == 0.5
+    with pytest.raises(InvalidConfig):
+        EllipticParams.rsos(2, 0, TAU)
+    with pytest.raises(InfiniteSet):
+        ModelKind.sos((0.29, 0.11, 0.0)).alcove()
+    assert ModelKind.rsos(2, 5) == ModelKind(rank=2, level=5)
+    assert ModelKind.sos((0.29, 0.0)) != ModelKind.sos((0.31, 0.0))
 
 
 def test_sos_space_needs_window_and_generic_base():
@@ -127,7 +143,7 @@ def test_boltzmann_faces_match_displayed_weights():
             (up(a), up(a + (1, 0)), up(a), up(a + (1, 0))) if l == 2
             else (down(a), down(a + (0, 1)), down(a), down(a + (0, 1))))
         for name, (al, be, ga, de) in faces.items():
-            got = boltzmann_weight(z, al, be, ga, de, kind, params).value
+            got = boltzmann_weight(z, al, be, ga, de, kind, params)
             assert abs(got - ref[name]) < 1e-10, name
 
 
@@ -136,11 +152,11 @@ def test_boltzmann_diagonal_face_is_one_and_w3_vanishes_at_zero():
     a = _point(2)
     up = Arrow(a, eps(2, 1))
     up2 = Arrow(a + (1, 0), eps(2, 1))
-    assert abs(boltzmann_weight(0.37, up, up2, up, up2, kind, params).value
+    assert abs(boltzmann_weight(0.37, up, up2, up, up2, kind, params)
                - 1) < 1e-14
     down_then_up = (Arrow(a, eps(2, 1)), Arrow(a + (1, 0), eps(2, 2)),
                     Arrow(a, eps(2, 2)), Arrow(a + (0, 1), eps(2, 1)))
-    w3 = boltzmann_weight(0.0, *down_then_up, kind, params).value
+    w3 = boltzmann_weight(0.0, *down_then_up, kind, params)
     assert abs(w3) < 1e-14
 
 
@@ -158,7 +174,7 @@ def test_boltzmann_absent_component_is_zero():
     a = _point(4)
     al = Arrow(a, eps(2, 1))  # leaves the alcove
     be = Arrow(a + (1, 0), eps(2, 2))
-    assert boltzmann_weight(0.3, al, be, al, be, kind, params).value == 0.0
+    assert boltzmann_weight(0.3, al, be, al, be, kind, params) == 0.0
 
 
 def test_forbidden_components_vanish_exhaustively():
@@ -254,7 +270,7 @@ def test_grading_convention_consistency():
         for col, sc in enumerate(summands):
             for row, sr in enumerate(summands):
                 face = boltzmann_weight(z, sc.left, sc.right, sr.left,
-                                        sr.right, kind, params).value
+                                        sr.right, kind, params)
                 assert abs(block[row, col] - face) < 1e-14
 
 

@@ -42,8 +42,7 @@ def test_trivial_auxiliary_gives_characteristic_function():
     taut = align(tensor_space(one, W), tensor_space(W, one))
     traced = partial_trace(taut, one, W)
     T = transfer_matrix(
-        0.0, LOperator(aux=one, quantum=W, at=lambda z: taut,
-                       kind=KIND, params=PARAMS))
+        0.0, LOperator(aux=one, quantum=W, at=lambda z: taut, params=PARAMS))
     m = T.matrix()
     assert np.abs(m - np.eye(m.shape[0])).max() < 1e-14
     assert set(traced) == {Arrow(a, (0, 0)) for a in POINTS}
@@ -264,11 +263,48 @@ def test_partition_suite_builds_each_matrix_once_per_column_count(
     count("_closed_rows", lambda args: args[1])
     cases = suites.run_suite("partition", suites.RunConfig(n=n, r=r))
     assert all(c.passed for c in cases)
-    assert built["_row_transfer_matrix"] == list(range(1, 13))
-    assert built["graded_transfer_matrix"] == list(range(1, 13))
+    # only widths with a row count n divides within 12 faces, and cols = n
+    widths, closed = {2: ([1, 2, 3, 4, 5, 6], [2, 4, 6]),
+                      3: ([1, 2, 3, 4], [3])}[n]
+    assert built["_row_transfer_matrix"] == widths
+    assert built["graded_transfer_matrix"] == widths
     # the torus closes only when n divides cols: nothing else is built
-    assert built["_closed_rows"] == list(range(n, 13, n))
-    assert built["vector_chain"] == list(range(n, 13, n))
+    assert built["_closed_rows"] == closed
+    assert built["vector_chain"] == closed
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
+def test_vacuous_row_counts_are_zero_in_the_full_construction(n, r):
+    # what the partition suite and the partition functions skip: every
+    # torus of at most 12 faces whose row count n does not divide
+    kind = ModelKind.rsos(n, r)
+    params = EllipticParams.rsos(n, r, TAU)
+    checked = 0
+    for cols in range(n, 13, n):
+        us = (0.0,) * cols
+        for M in (_row_transfer_matrix(0.3, kind, params, us),
+                  transfer.graded_transfer_matrix(0.3, kind, params, us)):
+            assert M.size
+            for rows in (m for m in range(1, 12 // cols + 1) if m % n):
+                assert transfer.torus_trace(M, rows) == 0j
+                checked += 1
+    assert checked
+
+
+def test_vacuous_row_counts_skip_the_build_but_not_the_size_checks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a torus that n does not divide")
+
+    monkeypatch.setattr(transfer, "_row_transfer_matrix", refuse)
+    monkeypatch.setattr(transfer, "graded_transfer_matrix", refuse)
+    for compute in (partition_enumerate, partition_via_transfer):
+        got = compute(3, 2, 0.3, KIND, PARAMS)
+        assert got == 0j and isinstance(got, complex)
+        with pytest.raises(TooLarge,
+                           match="FACE_BUDGET: 18 faces requested, limit 16"):
+            compute(9, 2, 0.3, KIND, PARAMS)
+        with pytest.raises(InvalidConfig, match="1 given for cols = 2$"):
+            compute(3, 2, 0.3, KIND, PARAMS, inhomogeneities=(0.0,))
 
 
 @pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
