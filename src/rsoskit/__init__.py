@@ -17,8 +17,8 @@ from .fusion import (EigenFunction, FusionBases, exterior_character,
                      sym_square_character, verify_fusion_rules, verify_spectrum)
 from .rsos import (boltzmann_weight, build_vector_space, restricted_r,
                    star_triangle_residual)
-from .transfer import (LOperator, TransferOperator, commutator_residual,
-                       l_tensor, partial_trace, partition_enumerate,
+from .transfer import (LOperator, commutator_residual, l_tensor,
+                       partial_trace, partition_enumerate,
                        partition_via_transfer, rll_residual, transfer_matrix,
                        trivial_l_operator, vector_chain, vector_l_operator)
 

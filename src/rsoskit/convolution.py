@@ -1,5 +1,5 @@
 """Integer convolution ring of an action groupoid and its realization as
-difference operators on functions over a finite alcove.
+difference operators on sections over a finite alcove.
 
 An element is a finitely supported map arrow -> coefficient; the product
 
@@ -8,11 +8,13 @@ An element is a finitely supported map arrow -> coefficient; the product
 is exact (integers or Fractions).  It is computed grouped by source: the
 arrows of n are indexed by source once, each alpha meets exactly the betas
 starting at its target, and the composite of such a pair is the shift sum
-from alpha's source, so no arrow is built per matched pair.  Over a finite
-point set A the subring supported on arrows inside A acts on functions
-psi: A -> k by
+from alpha's source, so no arrow is built per matched pair.  A difference
+operator acts on sections psi over a finite point set A by
 
-    (x psi)(a) = sum_mu x(a, mu) psi(a + mu).
+    (D psi)(a) = sum_mu r_(a, mu) psi(a + mu),
+
+each r_(a, mu) a block from the fibre at a + mu to the one at a: 1 x 1 for
+an element supported inside A, loop sectors for `transfer.transfer_matrix`.
 """
 
 from __future__ import annotations
@@ -118,28 +120,38 @@ def character(V: GradedSpace) -> ConvolutionElement:
 
 @dataclass
 class DifferenceOperator:
-    """Finite sum sum_mu f_mu t_mu acting on functions on the point set.
+    """Finite sum sum_mu r_mu t_mu acting on sections over `points`.
 
-    terms[mu][a] is the coefficient multiplying psi(a + mu) in (f psi)(a);
-    values outside the point set are treated as zero.
+    blocks[Arrow(a, mu)] maps the fibre at a + mu to the fibre at a, with
+    shape dims[a] x dims[a + mu]; a scalar stands for a 1 x 1 block.  Arrows
+    with an endpoint outside `points` add nothing to the matrix.
     """
 
     points: tuple[WeightPoint, ...]
-    terms: dict[LatticeVector, dict[WeightPoint, Coefficient]]
+    dims: dict[WeightPoint, int]
+    blocks: dict[Arrow, Coefficient | np.ndarray]
+
+    def total_dim(self) -> int:
+        return sum(self.dims.values())
 
     def matrix(self, dtype=None) -> np.ndarray:
+        """Dense matrix on the stacked fibres: int64 for integer scalars on
+        one-dimensional fibres, object with a Fraction, else complex."""
         if dtype is None:
-            vals = [c for t in self.terms.values() for c in t.values()]
-            exact = all(isinstance(c, (int, Fraction)) for c in vals)
+            vals = self.blocks.values()
             dtype = object if any(isinstance(c, Fraction) for c in vals) else (
-                np.int64 if exact else complex)
-        pos = {a: k for k, a in enumerate(self.points)}
-        m = np.zeros((len(self.points), len(self.points)), dtype=dtype)
-        for mu, coeffs in self.terms.items():
-            for a, c in coeffs.items():
-                b = a + mu
-                if b in pos:
-                    m[pos[a], pos[b]] += c
+                np.int64 if all(isinstance(c, int) for c in vals)
+                and all(d == 1 for d in self.dims.values()) else complex)
+        offs, k = {}, 0
+        for a in self.points:
+            offs[a] = k
+            k += self.dims[a]
+        m = np.zeros((k, k), dtype=dtype)
+        for alpha, block in self.blocks.items():
+            a, b = alpha.source, alpha.target
+            if a in offs and b in offs:
+                m[offs[a]:offs[a] + self.dims[a],
+                  offs[b]:offs[b] + self.dims[b]] += block
         return m
 
 
@@ -147,9 +159,8 @@ def to_difference_operator(x: ConvolutionElement,
                            points: list[WeightPoint]) -> DifferenceOperator:
     """Realize a subring element as a difference operator on functions on A."""
     pts = set(points)
-    terms: dict[LatticeVector, dict[WeightPoint, Coefficient]] = {}
-    for g, c in x.coeffs.items():
+    for g in x.coeffs:
         if g.source not in pts or g.target not in pts:
             raise SupportOutsideAlcove(f"arrow {g!r} leaves the point set")
-        terms.setdefault(g.shift, {})[g.source] = c
-    return DifferenceOperator(points=tuple(points), terms=terms)
+    return DifferenceOperator(tuple(points), dict.fromkeys(points, 1),
+                              dict(x.coeffs))

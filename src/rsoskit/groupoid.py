@@ -21,13 +21,14 @@ steps (a, eps_i) are arrows, and the admissible step sequences (`paths`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from operator import itemgetter
 
-from .errors import InfiniteSet, InvalidConfig, NonComposable
+from .errors import InfiniteSet, InvalidConfig, NonComposable, TooLarge
 
 LatticeVector = tuple[int, ...]
 
@@ -231,22 +232,30 @@ def alcove_contains(a: WeightPoint, spec: AlcoveSpec) -> bool:
     return True
 
 
+# points of one alcove: the 99,681 of (n, r) = (3, 448) peak at 83 MB RSS
+# in CPython 3.11
+ALCOVE_BUDGET = 100_000
+
+
 def enumerate_alcove(spec: AlcoveSpec) -> list[WeightPoint]:
-    """Canonical representatives of a finite alcove, lexicographically ordered."""
+    """Canonical representatives of a finite alcove, lexicographically
+    ordered; over ALCOVE_BUDGET points raise TooLarge before any is built."""
     if not spec.kind.is_affine:
         raise InfiniteSet(f"{spec.kind.value} is infinite")
     n, r = spec.rank, spec.level
-    points = []
     if spec.kind is AlcoveKind.AFFINE_REGULAR:
         # a_1 > ... > a_{n-1} > a_n = 0 with a_1 < r
-        for combo in combinations(range(1, r), n - 1):
-            points.append(WeightPoint.integer(tuple(reversed(combo)) + (0,)))
+        combos = combinations(range(1, r), n - 1)
+        count = math.comb(r - 1, n - 1)
     else:
         # a_1 >= ... >= a_{n-1} >= a_n = 0 with a_1 <= r
-        for combo in combinations_with_replacement(range(0, r + 1), n - 1):
-            points.append(WeightPoint.integer(tuple(reversed(combo)) + (0,)))
-    points.sort(key=WeightPoint.sort_key)
-    return points
+        combos = combinations_with_replacement(range(0, r + 1), n - 1)
+        count = math.comb(r + n - 1, n - 1)
+    if count > ALCOVE_BUDGET:
+        raise TooLarge(f"ALCOVE_BUDGET: {count} points requested, "
+                       f"limit {ALCOVE_BUDGET}")
+    return sorted((WeightPoint.integer(tuple(reversed(c)) + (0,)) for c in combos),
+                  key=WeightPoint.sort_key)
 
 
 def rsos_alcove(n: int, r: int) -> list[WeightPoint]:

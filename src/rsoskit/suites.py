@@ -19,12 +19,23 @@ from . import fusion as fu
 from . import rsos
 from . import transfer as tr
 from .errors import InvalidConfig, NearPole, UnknownSuite
-from .graded import tensor_space
+from .graded import GradedSpace, tensor_space
 from .groupoid import Arrow, WeightPoint, eps, rsos_alcove
 
 SUITE_NAMES = ("theta", "unitarity", "dybe", "star-triangle", "restriction",
                "exactness", "transfer-commute", "characters", "fusion",
                "spectrum", "partition", "all")
+
+THETA_SAMPLES = 50
+UNITARITY_SAMPLES = 100
+DYBE_SAMPLES = 20
+STAR_TRIANGLE_PAIRS = 10
+RESTRICTION_SAMPLES = 3
+TRANSFER_PAIRS = 5
+CHARACTER_SAMPLES = 100
+ELEMENT_TERMS = 4  # arrow draws per random convolution element
+SPACE_ARROWS = 5  # arrow draws per random graded space
+PARTITION_MAX_FACES = 12
 
 
 @dataclass(frozen=True)
@@ -43,8 +54,9 @@ class RunConfig:
         object.__setattr__(self, "_kind", rsos.ModelKind.rsos(self.n, self.r))
         if complex(self.tau).imag <= 0:
             raise InvalidConfig("Im tau must be positive")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise InvalidConfig("tolerance must be positive")
+        if self.tolerance is not None and not 0 < self.tolerance < float("inf"):
+            raise InvalidConfig(f"tolerance must be finite and positive, "
+                                f"got {self.tolerance}")
         if self.base_b is not None and len(self.base_b) != self.n:
             raise InvalidConfig(
                 f"base point needs {self.n} coordinates, got {len(self.base_b)}")
@@ -111,9 +123,6 @@ class _PointSampler:
                     best = min(best, abs(z - sign - self.r * (k + l * tau)))
         return best
 
-    def alcove_point(self, points: list[WeightPoint]) -> WeightPoint:
-        return self.rng.choice(points)
-
     def generic_point(self, n: int) -> WeightPoint:
         """Integer alcove offset plus a generic complex base jitter, so all
         shifted arguments stay off the singular set."""
@@ -124,12 +133,12 @@ class _PointSampler:
         return WeightPoint(base=base, offset=offset)
 
 
-def theta_suite(config: RunConfig, samples: int = 50) -> list[Case]:
+def theta_suite(config: RunConfig) -> list[Case]:
     tau = config.tau
     sampler = _PointSampler(config)
     rng = sampler.rng
     odd = qp_one = qp_tau = 0.0
-    for _ in range(samples):
+    for _ in range(THETA_SAMPLES):
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.2, 0.2))
         odd = max(odd, abs(el.theta(-z, tau) + el.theta(z, tau)))
         qp_one = max(qp_one, abs(el.theta(z + 1, tau) + el.theta(z, tau)))
@@ -150,23 +159,23 @@ def theta_suite(config: RunConfig, samples: int = 50) -> list[Case]:
     ]
 
 
-def unitarity_suite(config: RunConfig, samples: int = 100) -> list[Case]:
+def unitarity_suite(config: RunConfig) -> list[Case]:
     params = config.params()
     sampler = _PointSampler(config)
     points = rsos_alcove(config.n, config.r)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(UNITARITY_SAMPLES):
         z = sampler.spectral()
-        a = sampler.alcove_point(points)
+        a = sampler.rng.choice(points)
         worst = max(worst, el.unitarity_residual(z, a, params))
     return [Case(f"unitarity-n{config.n}-r{config.r}", worst, 1e-9)]
 
 
-def dybe_suite(config: RunConfig, samples: int = 20) -> list[Case]:
+def dybe_suite(config: RunConfig) -> list[Case]:
     params = config.params()
     sampler = _PointSampler(config)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(DYBE_SAMPLES):
         z, w = sampler.spectral_pair()
         for _ in range(8):
             try:
@@ -180,7 +189,7 @@ def dybe_suite(config: RunConfig, samples: int = 20) -> list[Case]:
         b = WeightPoint(base=tuple(config.base_b),
                         offset=(0,) * len(config.base_b))
         sos_worst = 0.0
-        for _ in range(max(4, samples // 4)):
+        for _ in range(max(4, DYBE_SAMPLES // 4)):
             z, w = sampler.spectral_pair()
             sos_worst = max(sos_worst,
                             el.dynamical_ybe_residual(z, w, b, params))
@@ -188,12 +197,12 @@ def dybe_suite(config: RunConfig, samples: int = 20) -> list[Case]:
     return cases
 
 
-def star_triangle_suite(config: RunConfig, pairs: int = 10) -> list[Case]:
+def star_triangle_suite(config: RunConfig) -> list[Case]:
     params = config.params()
     kind = config.kind()
     sampler = _PointSampler(config)
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(STAR_TRIANGLE_PAIRS):
         z, w = sampler.spectral_pair()
         worst = max(worst, rsos.star_triangle_residual(z, w, kind, params))
     cases = [Case(f"star-triangle-n{config.n}-r{config.r}", worst, 1e-9)]
@@ -211,12 +220,12 @@ def star_triangle_suite(config: RunConfig, pairs: int = 10) -> list[Case]:
     return cases
 
 
-def restriction_suite(config: RunConfig, samples: int = 3) -> list[Case]:
+def restriction_suite(config: RunConfig) -> list[Case]:
     params = config.params()
     kind = config.kind()
     sampler = _PointSampler(config)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(RESTRICTION_SAMPLES):
         worst = max(worst, rsos.restriction_residual(sampler.spectral(),
                                                      kind, params))
     return [Case(f"restriction-n{config.n}-r{config.r}", worst, 1e-12)]
@@ -253,7 +262,7 @@ def exactness_suite(config: RunConfig) -> list[Case]:
     ]
 
 
-def transfer_commute_suite(config: RunConfig, pairs: int = 5) -> list[Case]:
+def transfer_commute_suite(config: RunConfig) -> list[Case]:
     params = config.params()
     kind = config.kind()
     sampler = _PointSampler(config)
@@ -264,42 +273,41 @@ def transfer_commute_suite(config: RunConfig, pairs: int = 5) -> list[Case]:
     cases = []
     for name, L in chains.items():
         worst = 0.0
-        for _ in range(pairs):
+        for _ in range(TRANSFER_PAIRS):
             z, w = sampler.spectral_pair()
             worst = max(worst, tr.commutator_residual(L, z, w))
         cases.append(Case(f"transfer-commute-{name}", worst, 1e-8))
     return cases
 
 
-def _random_element(rng: random.Random, kind, points, n: int,
-                    n_terms: int = 4) -> cv.ConvolutionElement:
-    coeffs = {}
+def _random_arrows(rng: random.Random, points, n: int, draws: int,
+                   low: int, high: int) -> dict[Arrow, int]:
+    """`draws` random arrows (a, mu) with mu in {-1, 0, 1}^n, each kept with a
+    value in [low, high) when a + mu is inside `points`."""
+    out = {}
     inside = set(points)
-    for _ in range(n_terms):
+    for _ in range(draws):
         a = rng.choice(points)
         mu = tuple(rng.randrange(-1, 2) for _ in range(n))
         if (a + mu) in inside:
-            coeffs[Arrow(a, mu)] = rng.randrange(-3, 4)
-    return cv.ConvolutionElement(kind, coeffs)
+            out[Arrow(a, mu)] = rng.randrange(low, high)
+    return out
 
 
-def _random_graded_space(rng: random.Random, kind, points, n: int,
-                         n_arrows: int = 5):
-    dims = {}
-    inside = set(points)
-    for _ in range(n_arrows):
-        a = rng.choice(points)
-        mu = tuple(rng.randrange(-1, 2) for _ in range(n))
-        if (a + mu) in inside:
-            dims[Arrow(a, mu)] = rng.randrange(1, 4)
+def _random_element(rng: random.Random, kind, points,
+                    n: int) -> cv.ConvolutionElement:
+    return cv.ConvolutionElement(
+        kind, _random_arrows(rng, points, n, ELEMENT_TERMS, -3, 4))
+
+
+def _random_graded_space(rng: random.Random, kind, points, n: int):
+    dims = _random_arrows(rng, points, n, SPACE_ARROWS, 1, 4)
     if not dims:
-        a = points[0]
-        dims[Arrow(a, (0,) * n)] = 1
-    from .graded import GradedSpace
+        dims[Arrow(points[0], (0,) * n)] = 1
     return GradedSpace.from_dims(kind, dims)
 
 
-def characters_suite(config: RunConfig, samples: int = 100) -> list[Case]:
+def characters_suite(config: RunConfig) -> list[Case]:
     n, r = config.n, config.r
     kind = config.kind()
     points = kind.alcove()
@@ -324,7 +332,7 @@ def characters_suite(config: RunConfig, samples: int = 100) -> list[Case]:
                 cv.character(v1), cv.character(v2)):
             failures += 1
     assoc = anti = 0
-    for _ in range(samples):
+    for _ in range(CHARACTER_SAMPLES):
         x = _random_element(rng, kind, points, n)
         y = _random_element(rng, kind, points, n)
         z = _random_element(rng, kind, points, n)
@@ -344,16 +352,17 @@ def fusion_suite(config: RunConfig) -> list[Case]:
     r = config.r
     report = fu.verify_fusion_rules(r)
     labels = range(r - 1)
-    sym = sum(1 for p in labels for q in labels for s in labels
-              if fu.fusion_coeff(p, q, s, r) != fu.fusion_coeff(q, p, s, r))
-    assoc = 0
+    sym = assoc = 0
     chars = {p: fu.sym_power_character_n2(p, r) for p in labels}
-    # (L_p L_q) L_s against L_p (L_q L_s) for every triple; each pair product
-    # is built once, and only the r - 1 products L_q L_s are held at a time
+    # L_p L_q against L_q L_p for every pair, and (L_p L_q) L_s against
+    # L_p (L_q L_s) for every triple; each pair product is built once, and
+    # only the r - 1 products L_q L_s are held at a time
     for q in labels:
         qs = [cv.conv_mul(chars[q], chars[s]) for s in labels]
         for p in labels:
             pq = cv.conv_mul(chars[p], chars[q])
+            if pq != qs[p]:
+                sym += 1
             for s in labels:
                 if cv.conv_mul(pq, chars[s]) != cv.conv_mul(chars[p], qs[s]):
                     assoc += 1
@@ -366,30 +375,23 @@ def fusion_suite(config: RunConfig) -> list[Case]:
 
 def spectrum_suite(config: RunConfig) -> list[Case]:
     n, r = config.n, config.r
-    cases = []
-    for k in range(1, n):
-        rep = fu.verify_spectrum(k, n, r)
-        cases.append(Case(f"spectrum-k{k}", rep.max_residual, 1e-10))
+    reports = {k: fu.verify_spectrum(k, n, r) for k in range(1, n)}
+    cases = [Case(f"spectrum-k{k}", rep.max_residual, 1e-10)
+             for k, rep in reports.items()]
     if n == 2:
         points = rsos_alcove(2, r)
         adj = cv.to_difference_operator(
             cv.character(rsos.build_vector_space(config.kind())), points)
         eigs = np.sort(np.linalg.eigvalsh(adj.matrix().astype(float)))
         expected = np.sort([2 * np.cos(np.pi * l / r) for l in range(1, r)])
-        rep = fu.verify_spectrum(1, 2, r)
-        analytic = np.sort([e.real for e in rep.eigenvalues])
+        analytic = np.sort([e.real for e in reports[1].eigenvalues])
         cases.append(Case("spectrum-dense-eigensolver",
                           float(np.abs(eigs - expected).max()
                                 + np.abs(analytic - expected).max()), 1e-10))
     return cases
 
 
-def _torus_traces(matrix: np.ndarray, rows: range) -> list[complex]:
-    """tr M^m for m = 0 and each m in rows."""
-    return [tr.torus_trace(matrix, m) for m in (0, *rows)]
-
-
-def partition_suite(config: RunConfig, max_faces: int = 12) -> list[Case]:
+def partition_suite(config: RunConfig) -> list[Case]:
     """Each transfer matrix built once per column count (and dropped before
     the other side's is built), traced for every row count that n divides
     (tr M^rows is exactly 0 for the others, see `transfer`); a column count
@@ -399,12 +401,17 @@ def partition_suite(config: RunConfig, max_faces: int = 12) -> list[Case]:
     kind = config.kind()
     n = config.n
     worst = 0.0
-    for cols in range(1, max(max_faces, n) + 1):
-        us, rows = (0.0,) * cols, range(n, max_faces // cols + 1, n)
+    for cols in range(1, max(PARTITION_MAX_FACES, n) + 1):
+        us = (0.0,) * cols
+        rows = range(n, PARTITION_MAX_FACES // cols + 1, n)
         if not rows and cols != n:
             continue
-        z_en = _torus_traces(tr._row_transfer_matrix(0.3, kind, params, us), rows)
-        z_tm = _torus_traces(tr.graded_transfer_matrix(0.3, kind, params, us), rows)
+        traces = []  # tr M^m for m = 0 and each m in rows, per side
+        for build in (tr._row_transfer_matrix, tr.graded_transfer_matrix):
+            M = build(0.3, kind, params, us)
+            traces.append([tr.torus_trace(M, m) for m in (0, *rows)])
+            del M
+        z_en, z_tm = traces
         for en, tm in zip(z_en[1:], z_tm[1:]):
             worst = max(worst, abs(en - tm) / max(1.0, abs(en)))
         if cols == n:

@@ -3,18 +3,19 @@ operators, and exact torus partition functions with an independent oracle:
 the scalar row-to-row transfer matrix over closed row states.
 
 Sections live on the loop components W_{(a, k(1,...,1))} of the quantum
-space; the transfer matrix tr_V L_W(z) maps the stacked loop sector at
-a + eps_i to the one at a.  The partition function of the height model on a
-cols x rows torus is Z = tr M^rows, with M either the dense transfer matrix
-of a cols-site chain or the row-to-row matrix; rows = 0 gives dim M.  Every
-component of the chain has a shift whose coordinates sum to cols, and a loop
-k(1,...,1) sums to nk, so M is empty unless n divides cols; both builders
-decide that from the shifts before allocating anything.  Both matrices are
-difference operators with blocks (a, a + eps_i): each row moves the row's
-first height by one step, and `rows` steps return to a mod (1,...,1) only
-when every index occurs equally often.  So tr M^rows is exactly 0 unless n
-also divides rows, and the partition functions return 0j for such tori
-without building anything.
+space; T(z) = tr_V L_W(z) is a `convolution.DifferenceOperator` over the
+alcove with the stacked loop sector of W at a as fibre at a, and with the
+tensor unit as W it is the character operator of V.  The partition function
+of the height model on a cols x rows torus is Z = tr M^rows, with M either
+the dense transfer matrix of a cols-site chain or the row-to-row matrix;
+rows = 0 gives dim M.  Every component of the chain has a shift whose
+coordinates sum to cols, and a loop k(1,...,1) sums to nk, so M is empty
+unless n divides cols; both builders decide that from the shifts before
+allocating anything.  Both matrices are difference operators with blocks
+(a, a + eps_i): each row moves the row's first height by one step, and
+`rows` steps return to a mod (1,...,1) only when every index occurs equally
+often.  So tr M^rows is exactly 0 unless n also divides rows, and the
+partition functions return 0j for such tori without building anything.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .convolution import DifferenceOperator
 from .elliptic import EllipticParams, r_matrix
 from .errors import InvalidConfig, ShapeMismatch, TooLarge
 from .graded import (GradedMorphism, GradedSpace, align, identity_morphism,
@@ -116,12 +118,17 @@ def partial_trace(f: GradedMorphism, aux: GradedSpace,
                   quantum: GradedSpace) -> dict[Arrow, np.ndarray]:
     """Trace over the auxiliary factor of f : V (x) W -> W (x) V.
 
-    Returns, for each auxiliary arrow (a, mu), the map from the stacked
-    loop sector of W at a+mu to the one at a.
+    f must map tensor_space(aux, quantum) to tensor_space(quantum, aux),
+    those very objects; any other bracketing raises ShapeMismatch.  Returns,
+    for each auxiliary arrow (a, mu), the map from the stacked loop sector
+    of W at a+mu to the one at a.
     """
     dom = tensor_space(aux, quantum)
     cod = tensor_space(quantum, aux)
-    g = align(f.codomain, cod) @ f @ align(dom, f.domain)
+    if f.domain is not dom or f.codomain is not cod:
+        raise ShapeMismatch("partial trace needs a morphism from "
+                            "tensor_space(aux, quantum) to "
+                            "tensor_space(quantum, aux)")
     out: dict[Arrow, np.ndarray] = {}
     plan = memo(aux, "trace-pieces",
                 lambda: _trace_pieces(aux, quantum, dom, cod), partner=quantum)
@@ -129,7 +136,7 @@ def partial_trace(f: GradedMorphism, aux: GradedSpace,
         block = np.zeros(shape, dtype=complex)
         for total, sub_rows, sub_cols, rows, cols, split in pieces:
             # rows of sub run over (p, v), its columns over (v', q)
-            sub = g.block(total)[sub_rows, sub_cols]
+            sub = f.block(total)[sub_rows, sub_cols]
             block[rows, cols] = np.trace(sub.reshape(split), axis1=1, axis2=2)
         out[alpha] = block
     return out
@@ -175,54 +182,20 @@ def _summand(P: GradedSpace, total: Arrow, left: Arrow, right: Arrow):
                 if (s.left, s.right) == (left, right))
 
 
-@dataclass
-class TransferOperator:
-    """Matrix-valued difference operator sum_mu r_mu t_mu on loop sections."""
-
-    z: complex
-    points: tuple[WeightPoint, ...]
-    sector_dims: dict[WeightPoint, int]
-    blocks: dict[Arrow, np.ndarray]
-
-    def total_dim(self) -> int:
-        return sum(self.sector_dims.values())
-
-    def matrix(self) -> np.ndarray:
-        offs, k = {}, 0
-        for a in self.points:
-            offs[a] = k
-            k += self.sector_dims[a]
-        m = np.zeros((k, k), dtype=complex)
-        for alpha, block in self.blocks.items():
-            a, b = alpha.source, alpha.target
-            if a in offs and b in offs and block.size:
-                m[offs[a]:offs[a] + block.shape[0],
-                  offs[b]:offs[b] + block.shape[1]] += block
-        return m
+def transfer_matrix(z: complex, L: LOperator) -> DifferenceOperator:
+    """T(z) = tr_V L(z) as a difference operator on loop sections over the
+    alcove."""
+    alcove = L.aux.context.alcove()
+    return DifferenceOperator(
+        tuple(alcove), {a: sector_dim(L.quantum, a) for a in alcove},
+        partial_trace(L.at(z), L.aux, L.quantum))
 
 
-def transfer_matrix(z: complex, L: LOperator,
-                    points: list[WeightPoint] | None = None) -> TransferOperator:
-    """T(z) = tr_V L(z) as a difference operator on loop sections."""
-    if points is None:
-        points = L.aux.context.alcove()
-    traced = partial_trace(L.at(z), L.aux, L.quantum)
-    pts = set(points)
-    blocks = {alpha: blk for alpha, blk in traced.items()
-              if alpha.source in pts and alpha.target in pts}
-    dims = {a: sector_dim(L.quantum, a) for a in points}
-    return TransferOperator(z=z, points=tuple(points), sector_dims=dims,
-                            blocks=blocks)
-
-
-def commutator_residual(L: LOperator, z: complex, w: complex,
-                        points: list[WeightPoint] | None = None) -> float:
+def commutator_residual(L: LOperator, z: complex, w: complex) -> float:
     """Max-norm of [T(z), T(w)] on the global section space."""
-    tz = transfer_matrix(z, L, points).matrix()
-    tw = transfer_matrix(w, L, points).matrix()
-    if tz.size == 0:
-        return 0.0
-    return float(np.abs(tz @ tw - tw @ tz).max())
+    tz = transfer_matrix(z, L).matrix()
+    tw = transfer_matrix(w, L).matrix()
+    return float(np.abs(tz @ tw - tw @ tz).max(initial=0.0))
 
 
 def _three_factor_chain(start: GradedSpace, factors: list[GradedSpace],
@@ -265,25 +238,6 @@ def rll_residual(L: LOperator, z: complex, w: complex) -> float:
 
 
 FACE_BUDGET = 16
-
-
-def _checked_inhomogeneities(rows: int, cols: int,
-                             inhomogeneities: tuple[complex, ...] | None
-                             ) -> tuple[complex, ...]:
-    """Check the torus size and FACE_BUDGET, and return one inhomogeneity
-    per column."""
-    if rows < 0:
-        raise InvalidConfig(f"rows must be >= 0, got {rows}")
-    if cols < 1:
-        raise InvalidConfig(f"cols must be >= 1, got {cols}")
-    if rows * cols > FACE_BUDGET:
-        raise TooLarge(f"FACE_BUDGET: {rows * cols} faces requested, "
-                       f"limit {FACE_BUDGET}")
-    us = inhomogeneities if inhomogeneities is not None else (0.0,) * cols
-    if len(us) != cols:
-        raise InvalidConfig(f"one inhomogeneity per column required: "
-                            f"{len(us)} given for cols = {cols}")
-    return us
 
 
 def _closed_rows(kind: ModelKind, cols: int) -> list[tuple[WeightPoint, tuple[int, ...]]]:
@@ -358,6 +312,27 @@ def torus_trace(M: np.ndarray, rows: int) -> complex:
     return complex(np.trace(np.linalg.matrix_power(M, rows)))
 
 
+def _partition(build, rows: int, cols: int, z: complex, kind: ModelKind,
+               params: EllipticParams,
+               inhomogeneities: tuple[complex, ...] | None) -> complex:
+    """tr M^rows for M = build(z, kind, params, us), after checking the torus
+    size, FACE_BUDGET and one inhomogeneity per column."""
+    if rows < 0:
+        raise InvalidConfig(f"rows must be >= 0, got {rows}")
+    if cols < 1:
+        raise InvalidConfig(f"cols must be >= 1, got {cols}")
+    if rows * cols > FACE_BUDGET:
+        raise TooLarge(f"FACE_BUDGET: {rows * cols} faces requested, "
+                       f"limit {FACE_BUDGET}")
+    us = inhomogeneities if inhomogeneities is not None else (0.0,) * cols
+    if len(us) != cols:
+        raise InvalidConfig(f"one inhomogeneity per column required: "
+                            f"{len(us)} given for cols = {cols}")
+    if rows % kind.rank:  # no torus closes: see the module docstring
+        return 0j
+    return torus_trace(build(z, kind, params, us), rows)
+
+
 def partition_enumerate(rows: int, cols: int, z: complex, kind: ModelKind,
                         params: EllipticParams,
                         inhomogeneities: tuple[complex, ...] | None = None
@@ -365,10 +340,8 @@ def partition_enumerate(rows: int, cols: int, z: complex, kind: ModelKind,
     """Exact torus partition function tr R^rows of the scalar row-to-row
     transfer matrix R; shares only r_matrix and the row states with the
     graded side."""
-    us = _checked_inhomogeneities(rows, cols, inhomogeneities)
-    if rows % kind.rank:  # no torus closes: see the module docstring
-        return 0j
-    return torus_trace(_row_transfer_matrix(z, kind, params, us), rows)
+    return _partition(_row_transfer_matrix, rows, cols, z, kind, params,
+                      inhomogeneities)
 
 
 def partition_via_transfer(rows: int, cols: int, z: complex, kind: ModelKind,
@@ -376,7 +349,5 @@ def partition_via_transfer(rows: int, cols: int, z: complex, kind: ModelKind,
                            inhomogeneities: tuple[complex, ...] | None = None
                            ) -> complex:
     """Torus partition function as the trace of the rows-th transfer power."""
-    us = _checked_inhomogeneities(rows, cols, inhomogeneities)
-    if rows % kind.rank:  # no torus closes: see the module docstring
-        return 0j
-    return torus_trace(graded_transfer_matrix(z, kind, params, us), rows)
+    return _partition(graded_transfer_matrix, rows, cols, z, kind, params,
+                      inhomogeneities)

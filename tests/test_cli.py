@@ -199,6 +199,10 @@ def test_base_point_rank_validated():
     ["verify", "theta", "--base", "0.1;x"],
     ["verify", "theta", "--gamma", "nan,0"],
     ["verify", "theta", "--tau", "0,1e-4"],
+    ["verify", "theta", "--tolerance", "nan"],
+    ["verify", "unitarity", "--tolerance", "inf"],
+    ["verify", "unitarity", "--tolerance", "1e400"],
+    ["verify", "unitarity", "--n", "8", "--r", "40"],
     ["compute", "partition", "--z", "0,200"],
     ["compute", "boltzmann-table", "--z", "0,200"],
 ])

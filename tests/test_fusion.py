@@ -212,3 +212,26 @@ def test_exterior_characters_commute():
         for x in chars:
             for y in chars:
                 assert conv_mul(x, y) == conv_mul(y, x)
+
+
+def test_verlinde_symmetry_checks_the_ring_products(monkeypatch):
+    # dropping one arrow from L_1 breaks L_1 L_q = L_q L_1 in the ring,
+    # while the closed-form coefficients stay symmetric
+    from rsoskit import suites
+    from rsoskit.convolution import ConvolutionElement
+
+    def case(config):
+        return next(c for c in suites.fusion_suite(config)
+                    if c.name == "verlinde-symmetry")
+
+    config = suites.RunConfig(n=2, r=5)
+    assert case(config).passed
+
+    def perturbed(p, r):
+        x = sym_power_character_n2(p, r)
+        if p != 1:
+            return x
+        return x - ConvolutionElement(x.context, {x.support[0]: 1})
+
+    monkeypatch.setattr(fu, "sym_power_character_n2", perturbed)
+    assert not case(config).passed

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from rsoskit.errors import InfiniteSet, NonComposable
+from rsoskit import groupoid
+from rsoskit.errors import InfiniteSet, NonComposable, TooLarge
 from rsoskit.groupoid import (AlcoveKind, AlcoveSpec, Arrow, WeightPoint,
                               alcove_contains, compose, enumerate_alcove, eps,
                               identity_arrow, inverse, rho, rsos_alcove)
@@ -83,6 +84,34 @@ def test_enumerate_alcove_counts():
     for n in (2, 3, 4):
         for r in range(n + 1, 9):
             assert len(rsos_alcove(n, r)) == math.comb(r - 1, n - 1)
+
+
+def test_dominant_alcove_counts():
+    for n in (2, 3, 4):
+        for r in range(0, 7):
+            spec = AlcoveSpec(n, AlcoveKind.AFFINE_DOMINANT, r)
+            assert len(enumerate_alcove(spec)) == math.comb(r + n - 1, n - 1)
+
+
+@pytest.mark.parametrize("kind,count", [
+    (AlcoveKind.AFFINE_REGULAR, 15380937), (AlcoveKind.AFFINE_DOMINANT, 62891499)])
+def test_alcove_budget_is_checked_before_any_point_is_built(
+        kind, count, monkeypatch):
+    def refuse(coords):
+        raise AssertionError("built a point of an alcove over budget")
+
+    monkeypatch.setattr(groupoid.WeightPoint, "integer", refuse)
+    with pytest.raises(TooLarge, match=f"^ALCOVE_BUDGET: {count} points "
+                                       f"requested, limit 100000$"):
+        enumerate_alcove(AlcoveSpec(8, kind, 40))
+
+
+def test_alcove_budget_admits_its_limit(monkeypatch):
+    monkeypatch.setattr(groupoid, "ALCOVE_BUDGET", 6)
+    assert len(rsos_alcove(3, 5)) == 6
+    with pytest.raises(TooLarge, match="^ALCOVE_BUDGET: 10 points requested, "
+                                       "limit 6$"):
+        rsos_alcove(3, 6)
 
 
 def test_enumerate_alcove_matches_membership():

@@ -7,7 +7,7 @@ import pytest
 from rsoskit import suites, transfer
 from rsoskit.convolution import character, to_difference_operator
 from rsoskit.elliptic import EllipticParams, r_matrix
-from rsoskit.errors import InvalidConfig, TooLarge
+from rsoskit.errors import InvalidConfig, ShapeMismatch, TooLarge
 from rsoskit.graded import (GradedMorphism, align, identity_morphism,
                             tensor_morphism, tensor_space, unit_space)
 from rsoskit.groupoid import Arrow, eps, rsos_alcove
@@ -29,9 +29,26 @@ def test_trace_of_trivial_quantum_rep_is_vector_character():
     # quantum space = tensor unit: the trace reproduces dim V_(a,eps_i)
     L = trivial_l_operator(KIND, PARAMS)
     T = transfer_matrix(0.23, L)
-    adjacency = to_difference_operator(character(build_vector_space(KIND)),
-                                       POINTS).matrix()
+    chv = character(build_vector_space(KIND))
+    adjacency = to_difference_operator(chv, POINTS).matrix()
     assert np.abs(T.matrix() - adjacency).max() < 1e-14
+    # the same difference operator: one-dimensional fibres on the support
+    assert set(T.dims.values()) == {1}
+    assert set(T.blocks) == set(chv.support)
+
+
+def test_partial_trace_rejects_a_reassociated_bracketing():
+    V = build_vector_space(KIND)
+    V2 = tensor_space(V, V)
+    W = vector_chain(KIND, PARAMS, (0.0, 0.3)).quantum
+    f = _random_rw_morphism(random.Random(3), V2, W)
+    assert partial_trace(f, V2, W)
+    # the same map read from V (x) (V (x) W) instead of (V (x) V) (x) W
+    moved = f @ align(tensor_space(V, tensor_space(V, W)), f.domain)
+    with pytest.raises(ShapeMismatch,
+                       match=r"tensor_space\(aux, quantum\) to "
+                             r"tensor_space\(quantum, aux\)"):
+        partial_trace(moved, V2, W)
 
 
 def test_trivial_auxiliary_gives_characteristic_function():
