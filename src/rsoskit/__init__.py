@@ -5,7 +5,8 @@ operators, commuting transfer matrices, and the rank-2 fusion ring."""
 from .convolution import (ConvolutionElement, DifferenceOperator, character,
                           chi, conv_mul, involution, to_difference_operator)
 from .elliptic import (EllipticParams, FlatR, bracket, dynamical_ybe_residual,
-                       r_matrix, r_minus1, r_reg1, theta, unitarity_residual)
+                       r_matrix, r_minus1, r_reg1, r_table, theta,
+                       unitarity_residual)
 from .graded import (DualityData, GradedMorphism, GradedSpace, align,
                      dual_space, identity_morphism, tensor_morphism,
                      tensor_space, unit_space)

@@ -21,7 +21,7 @@ from . import fusion as fu
 from . import rsos
 from . import transfer as tr
 from .errors import InvalidConfig, RsosError, UnknownTarget
-from .groupoid import Arrow, eps, rsos_alcove
+from .groupoid import Arrow, eps
 from .suites import SUITE_NAMES, RunConfig, run_suite
 
 COMPUTE_TARGETS = ("character", "boltzmann-table", "fusion-table", "spectrum",
@@ -134,7 +134,7 @@ def _rows_spectrum(args, config: RunConfig) -> tuple[list[str], list[list]]:
     report = fu.verify_spectrum(k, n, r)
     header = ["lambda", "k", "eigenvalue_re", "eigenvalue_im", "residual"]
     rows = []
-    for lam, ev, res in zip(rsos_alcove(n, r), report.eigenvalues,
+    for lam, ev, res in zip(config.kind().alcove(), report.eigenvalues,
                             report.residuals):
         rows.append([";".join(str(int(c)) for c in lam.offset), k,
                      _fmt(ev.real), _fmt(ev.imag), _fmt(res)])

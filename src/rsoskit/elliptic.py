@@ -13,7 +13,10 @@ The R-matrix acts on C^n (x) C^n in the row-major basis e_i (x) e_j:
            + sum_{i!=j} [a_i-a_j+z][1] / ([a_i-a_j][1-z]) E_ii (x) E_jj.
 
 Its residue at z = 1 and its value at z = -1 are the same formula with other
-coefficients, so one builder fills all three.
+coefficients, so one builder fills all three.  It builds a table: the
+matrices at one spectral parameter over many points a, stacked, from a
+single array bracket call per table (`r_table`); `r_matrix` is its
+one-point view.
 """
 
 from __future__ import annotations
@@ -161,39 +164,63 @@ class FlatR:
         return complex(self.matrix[(i - 1) * n + (j - 1), (k - 1) * n + (l - 1)])
 
 
-def _flat_r(z: complex, a: WeightPoint, params: EllipticParams, diagonal: float,
-            shift: complex, extra: tuple, coeffs) -> FlatR:
+def _flat_r(points, params: EllipticParams, diagonal: float, shift: complex,
+            extra: tuple, coeffs) -> np.ndarray:
     """R = diagonal sum_i E_ii(x)E_ii + sum_{i!=j} [d+1] X/([d] Y) E_ij(x)E_ji
-    + sum_{i!=j} [d+shift] W/([d] Y) E_ii(x)E_jj with d = a_i - a_j.
+    + sum_{i!=j} [d+shift] W/([d] Y) E_ii(x)E_jj with d = a_i - a_j, for each
+    point a of `points`, stacked as a (len(points), n^2, n^2) array.
 
-    One array call gives every bracket of the point; coeffs maps the brackets
-    of the arguments `extra` to (X, W, Y)."""
+    One array call gives every bracket of the table: those of the arguments
+    `extra`, which coeffs maps to (X, W, Y), and [d], [d+1], [d+shift] for
+    each distinct difference d over the points.  The two entries of each d
+    are computed once in Python complex arithmetic and scattered by index
+    arrays, so every entry equals the one-point build bit for bit."""
     n = params.rank
-    if a.rank != n:
-        raise ValueError("point rank does not match params")
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    slot: dict[complex, int] = {}  # distinct d -> its position in `first`
+    first = []  # (d, i, j) at the first occurrence of each d
+    where = []  # per point and pair, the position of its d
+    for a in points:
+        if a.rank != n:
+            raise ValueError("point rank does not match params")
+        for i, j in pairs:
+            d = a.diff(i, j)
+            if d not in slot:
+                slot[d] = len(first)
+                first.append((d, i, j))
+            where.append(slot[d])
     args = list(extra)
-    for i, j in pairs:
-        d = a.diff(i, j)
+    for d, _, _ in first:
         args += [d, d + 1, d + shift]
     vals = bracket(args, params).tolist()
     X, W, Y = coeffs(*vals[:len(extra)])
     b = vals[len(extra):]
-    m = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        m[i * (n + 1), i * (n + 1)] = diagonal
-    for (i, j), b_d, b_d1, b_ds in zip(pairs, b[0::3], b[1::3], b[2::3]):
+    swap, keep = [], []
+    for (_, i, j), b_d, b_d1, b_ds in zip(first, b[0::3], b[1::3], b[2::3]):
         den = _guarded(b_d, f"[a_{i}-a_{j}]")
-        row = (i - 1) * n + (j - 1)
-        m[row, (j - 1) * n + (i - 1)] = b_d1 * X / (den * Y)
-        m[row, row] = b_ds * W / (den * Y)
-    return FlatR(z=z, a=a, matrix=m)
+        swap.append(b_d1 * X / (den * Y))
+        keep.append(b_ds * W / (den * Y))
+    at = np.array(where, dtype=np.intp).reshape(len(points), len(pairs))
+    rows = [(i - 1) * n + (j - 1) for i, j in pairs]
+    cols = [(j - 1) * n + (i - 1) for i, j in pairs]
+    diag = [i * (n + 1) for i in range(n)]
+    m = np.zeros((len(points), n * n, n * n), dtype=complex)
+    m[:, diag, diag] = diagonal
+    m[:, rows, cols] = np.array(swap, dtype=complex)[at]
+    m[:, rows, rows] = np.array(keep, dtype=complex)[at]
+    return m
+
+
+def r_table(z: complex, points, params: EllipticParams) -> np.ndarray:
+    """The elliptic dynamical R-matrices at z over `points`, stacked as a
+    (len(points), n^2, n^2) array, from one bracket call."""
+    return _flat_r(points, params, 1.0, z, (z, 1, 1 - z), lambda bz, one, den_z: (
+        -bz, one, _guarded(den_z, "[1-z]")))
 
 
 def r_matrix(z: complex, a: WeightPoint, params: EllipticParams) -> FlatR:
     """The elliptic dynamical R-matrix at (z, a)."""
-    return _flat_r(z, a, params, 1.0, z, (z, 1, 1 - z), lambda bz, one, den_z: (
-        -bz, one, _guarded(den_z, "[1-z]")))
+    return FlatR(z=z, a=a, matrix=r_table(z, [a], params)[0])
 
 
 def r_reg1(a: WeightPoint, params: EllipticParams) -> FlatR:
@@ -201,7 +228,8 @@ def r_reg1(a: WeightPoint, params: EllipticParams) -> FlatR:
 
     Closed form sum_{i!=j} [a_i-a_j+1][1]/[a_i-a_j] (E_ij(x)E_ji - E_ii(x)E_jj).
     """
-    return _flat_r(1.0, a, params, 0.0, 1, (1,), lambda one: (one, -one, 1))
+    m = _flat_r([a], params, 0.0, 1, (1,), lambda one: (one, -one, 1))
+    return FlatR(z=1.0, a=a, matrix=m[0])
 
 
 def r_minus1(a: WeightPoint, params: EllipticParams) -> FlatR:
@@ -212,17 +240,18 @@ def r_minus1(a: WeightPoint, params: EllipticParams) -> FlatR:
     [a_i-a_j+1][1]/([a_i-a_j][2]) (E_ij(x)E_ji) + [a_i-a_j-1][1]/([a_i-a_j][2]) (E_ii(x)E_jj)
     off the diagonal.
     """
-    return _flat_r(-1.0, a, params, 1.0, -1, (1, 2), lambda one, two: (
+    m = _flat_r([a], params, 1.0, -1, (1, 2), lambda one, two: (
         one, one, _guarded(two, "[2]")))
+    return FlatR(z=-1.0, a=a, matrix=m[0])
 
 
 def _dynamical_23(z: complex, a: WeightPoint, params: EllipticParams) -> np.ndarray:
     """R^(23)(z, a + h^(1)): the first factor's weight shifts the argument."""
     n = params.rank
+    table = r_table(z, [a + eps(n, i) for i in range(1, n + 1)], params)
     blocks = np.zeros((n ** 3, n ** 3), dtype=complex)
-    for i in range(1, n + 1):
-        ri = r_matrix(z, a + eps(n, i), params).matrix
-        sl = slice((i - 1) * n * n, i * n * n)
+    for i, ri in enumerate(table):
+        sl = slice(i * n * n, (i + 1) * n * n)
         blocks[sl, sl] = ri
     return blocks
 

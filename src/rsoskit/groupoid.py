@@ -296,12 +296,17 @@ class ModelKind:
     def is_restricted(self) -> bool:
         return self.level is not None
 
-    def alcove(self) -> list[WeightPoint]:
+    def alcove(self) -> tuple[WeightPoint, ...]:
+        """The height set P^r_++, enumerated once per model."""
         if not self.is_restricted:
             raise InfiniteSet("only the restricted model has a finite alcove")
-        return rsos_alcove(self.rank, self.level)
+        return self._alcove
 
     # cached in the instance dict: equality and hashing see only fields
+    @cached_property
+    def _alcove(self) -> tuple[WeightPoint, ...]:
+        return tuple(rsos_alcove(self.rank, self.level))
+
     @cached_property
     def _heights(self) -> frozenset[WeightPoint]:
         return frozenset(self.alcove())

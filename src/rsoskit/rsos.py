@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elliptic import POLE_GUARD, EllipticParams, FlatR, bracket, r_matrix
+from .elliptic import POLE_GUARD, EllipticParams, bracket, r_matrix, r_table
 from .errors import (BaseOnSingularSet, ContextMismatch, NonSquare,
                      RestrictionViolated)
 from .graded import GradedMorphism, GradedSpace, memo, tensor_space
@@ -85,35 +85,37 @@ def boltzmann_weight(z: complex, alpha: Arrow, beta: Arrow, gamma: Arrow,
 def restricted_r(z: complex, kind: ModelKind, params: EllipticParams,
                  window: list[WeightPoint] | None = None,
                  space: GradedSpace | None = None) -> GradedMorphism:
-    """The R-matrix as a graded endomorphism of V (x) V.
+    """The R-matrix as a graded endomorphism of V (x) V, read off one
+    R-matrix table over the component sources.
 
     In the restricted case, components whose target path exits the alcove
     are checked to vanish below RESTRICTION_TOL and dropped.
     """
     V = space if space is not None else build_vector_space(kind, params, window)
     VV = tensor_space(V, V)
-    blocks = {}
-    flat_cache: dict[WeightPoint, FlatR] = {}
-    for gamma_arrow, a, pick in memo(VV, "r-matrix-entries",
-                                     lambda: _flat_positions(VV, kind.rank)):
-        if a not in flat_cache:
-            flat_cache[a] = r_matrix(z, a, params)
-            if kind.is_restricted:
-                _check_forbidden(flat_cache[a], a, kind)
-        blocks[gamma_arrow] = flat_cache[a].matrix[pick]
+    sources, picks = memo(VV, "r-matrix-entries",
+                          lambda: _flat_positions(VV, kind.rank))
+    table = r_table(z, sources, params)
+    if kind.is_restricted:
+        for flat, a in zip(table, sources):
+            _check_forbidden(flat, a, kind)
+    blocks = {gamma_arrow: table[k][pick] for gamma_arrow, k, pick in picks}
     return GradedMorphism(VV, VV, blocks)
 
 
 def _flat_positions(VV: GradedSpace, n: int) -> tuple:
-    """Per component of V (x) V: its source and the index pair that picks
-    its block out of the flat R-matrix (row/column k <-> summand k)."""
-    out = []
+    """The distinct sources of the components of V (x) V, and per component
+    the row of its source among them and the index pair that picks its block
+    out of the flat R-matrix (row/column k <-> summand k)."""
+    rows: dict[WeightPoint, int] = {}
+    picks = []
     for gamma_arrow, summands in VV.layout.items():
         flat = np.array([(_step_index(s.left) - 1) * n + _step_index(s.right) - 1
                          for s in summands])
         flat.flags.writeable = False
-        out.append((gamma_arrow, gamma_arrow.source, np.ix_(flat, flat)))
-    return tuple(out)
+        k = rows.setdefault(gamma_arrow.source, len(rows))
+        picks.append((gamma_arrow, k, np.ix_(flat, flat)))
+    return tuple(rows), tuple(picks)
 
 
 def _same_weight(i: int, j: int, k: int, l: int) -> bool:
@@ -121,19 +123,21 @@ def _same_weight(i: int, j: int, k: int, l: int) -> bool:
     return sorted((i, j)) == sorted((k, l))
 
 
-def _forbidden_components(flat: FlatR, a: WeightPoint, kind: ModelKind):
+def _forbidden_components(flat: np.ndarray, a: WeightPoint, kind: ModelKind):
     """Entries of the flat R-matrix at a from an admissible two-step path
     (k, l) into its forbidden reordering (l, k), with their moduli.
 
     (l, k) is the only other path of the same weight as (k, l).
     """
+    n = kind.rank
     allowed = kind.paths(a, 2)
     for k, l in allowed:
         if (l, k) not in allowed:
-            yield (l, k), (k, l), abs(flat.entry((l, k), (k, l)))
+            v = complex(flat[(l - 1) * n + k - 1, (k - 1) * n + l - 1])
+            yield (l, k), (k, l), abs(v)
 
 
-def _check_forbidden(flat: FlatR, a: WeightPoint, kind: ModelKind) -> None:
+def _check_forbidden(flat: np.ndarray, a: WeightPoint, kind: ModelKind) -> None:
     """Components from a valid path into a forbidden one must vanish."""
     for (i, j), (k, l), v in _forbidden_components(flat, a, kind):
         if v > RESTRICTION_TOL:
@@ -146,33 +150,67 @@ def restriction_residual(z: complex, kind: ModelKind,
     """Largest forbidden component over the whole alcove (restricted case)."""
     if not kind.is_restricted:
         raise ContextMismatch("restriction residual needs the restricted model")
+    points = kind.alcove()
     worst = 0.0
-    for a in kind.alcove():
-        flat = r_matrix(z, a, params)
+    for flat, a in zip(r_table(z, points, params), points):
         for *_, v in _forbidden_components(flat, a, kind):
             worst = max(worst, v)
     return worst
 
 
-def _site_matrix(flat_of, a: WeightPoint, paths, slot: int, n: int) -> np.ndarray:
-    """Operator acting on two adjacent steps (slot, slot+1) of each path.
+class _SiteOperators:
+    """The operators acting on two adjacent steps (slot, slot+1), slot 0 or
+    1, of the three-step paths from each of `points`.
 
-    The only rows of the same weight as a column path are the path itself
-    and the path with its two steps swapped, so just those are looked up.
+    Entry (row, col) of the operator at (a, slot) is the R-matrix entry
+    <e_i (x) e_j | R | e_k (x) e_l> at the slot's start point, where (k, l)
+    are the column path's steps there and the row path has (i, j) in their
+    place: the only rows of the same weight as a column are the path itself
+    and the path with the two steps swapped.  The index arrays are made once;
+    `starts` are the start points, and `gather(table)` fills every operator
+    from one R-matrix table over them.
     """
-    pos = {p: k for k, p in enumerate(paths)}
-    m = np.zeros((len(paths), len(paths)), dtype=complex)
-    for col, p in enumerate(paths):
-        start = a
-        for s in p[:slot]:
-            start = start + eps(n, s)
-        flat = flat_of(start)
-        k, l = p[slot], p[slot + 1]
-        for i, j in {(k, l), (l, k)}:
-            row = pos.get(p[:slot] + (i, j) + p[slot + 2:])
-            if row is not None:
-                m[row, col] += flat.entry((i, j), (k, l))
-    return m
+
+    def __init__(self, kind: ModelKind, points):
+        n = kind.rank
+        rows: dict[WeightPoint, int] = {}
+        self.points, self._blocks = [], []  # (offset, size) per point
+        dest, point, flat_row, flat_col = [], [], [], []
+        offset = 0
+        for a in points:
+            paths = kind.paths(a, 3)
+            if not paths:
+                continue
+            pos = {p: k for k, p in enumerate(paths)}
+            size = len(paths)
+            self.points.append(a)
+            self._blocks.append((offset, size))
+            for slot in (0, 1):
+                for col, p in enumerate(paths):
+                    start = a + eps(n, p[0]) if slot else a
+                    t = rows.setdefault(start, len(rows))
+                    k, l = p[slot], p[slot + 1]
+                    for i, j in {(k, l), (l, k)}:
+                        row = pos.get(p[:slot] + (i, j) + p[slot + 2:])
+                        if row is not None:
+                            dest.append(offset + row * size + col)
+                            point.append(t)
+                            flat_row.append((i - 1) * n + j - 1)
+                            flat_col.append((k - 1) * n + l - 1)
+                offset += size * size
+        self.starts = list(rows)
+        self._total = offset
+        self._dest, self._point, self._flat_row, self._flat_col = (
+            np.array(v, dtype=np.intp) for v in (dest, point, flat_row, flat_col))
+
+    def gather(self, table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The (slot 0, slot 1) operators of each of `self.points`."""
+        buf = np.zeros(self._total, dtype=complex)
+        # each destination occurs once; += on zeros maps -0.0 entries to 0.0
+        buf[self._dest] += table[self._point, self._flat_row, self._flat_col]
+        return [(buf[o:o + s * s].reshape(s, s),
+                 buf[o + s * s:o + 2 * s * s].reshape(s, s))
+                for o, s in self._blocks]
 
 
 def star_triangle_residual(z: complex, w: complex, kind: ModelKind,
@@ -182,32 +220,21 @@ def star_triangle_residual(z: complex, w: complex, kind: ModelKind,
 
     For each starting point the three-step path space carries the two sides
     of the dynamical Yang-Baxter equation; entries of the difference are the
-    hexagon relations summed over internal arrows.
+    hexagon relations summed over internal arrows.  One R-matrix table per
+    distinct spectral parameter in (z - w, z, w) fills every site operator.
     """
     if points is None:
         if kind.is_restricted:
             points = kind.alcove()
         else:
             raise ValueError("unrestricted model needs explicit points")
-    n = kind.rank
+    sites = _SiteOperators(kind, points)
+    us = (z - w, z, w)
+    ops = {u: sites.gather(r_table(u, sites.starts, params))
+           for u in dict.fromkeys(us)}
     worst = 0.0
-    cache: dict[tuple[WeightPoint, complex], FlatR] = {}
-    for a in points:
-        paths = kind.paths(a, 3)
-        if not paths:
-            continue
-
-        def site(u, slot, _a=a, _paths=paths):
-            def fl(point):
-                key = (point, u)
-                if key not in cache:
-                    cache[key] = r_matrix(u, point, params)
-                return cache[key]
-
-            return _site_matrix(fl, _a, _paths, slot, n)
-
-        lhs = site(z - w, 1) @ site(z, 0) @ site(w, 1)
-        rhs = site(w, 0) @ site(z, 1) @ site(z - w, 0)
-        if lhs.size:
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    for (zw0, zw1), (z0, z1), (w0, w1) in zip(*(ops[u] for u in us)):
+        lhs = zw1 @ z0 @ w1
+        rhs = w0 @ z1 @ zw0
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst

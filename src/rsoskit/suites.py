@@ -20,7 +20,7 @@ from . import rsos
 from . import transfer as tr
 from .errors import InvalidConfig, NearPole, UnknownSuite
 from .graded import GradedSpace, tensor_space
-from .groupoid import Arrow, WeightPoint, eps, rsos_alcove
+from .groupoid import Arrow, WeightPoint, eps
 
 SUITE_NAMES = ("theta", "unitarity", "dybe", "star-triangle", "restriction",
                "exactness", "transfer-commute", "characters", "fusion",
@@ -162,7 +162,7 @@ def theta_suite(config: RunConfig) -> list[Case]:
 def unitarity_suite(config: RunConfig) -> list[Case]:
     params = config.params()
     sampler = _PointSampler(config)
-    points = rsos_alcove(config.n, config.r)
+    points = config.kind().alcove()
     worst = 0.0
     for _ in range(UNITARITY_SAMPLES):
         z = sampler.spectral()
@@ -379,9 +379,9 @@ def spectrum_suite(config: RunConfig) -> list[Case]:
     cases = [Case(f"spectrum-k{k}", rep.max_residual, 1e-10)
              for k, rep in reports.items()]
     if n == 2:
-        points = rsos_alcove(2, r)
+        kind = config.kind()
         adj = cv.to_difference_operator(
-            cv.character(rsos.build_vector_space(config.kind())), points)
+            cv.character(rsos.build_vector_space(kind)), kind.alcove())
         eigs = np.sort(np.linalg.eigvalsh(adj.matrix().astype(float)))
         expected = np.sort([2 * np.cos(np.pi * l / r) for l in range(1, r)])
         analytic = np.sort([e.real for e in reports[1].eigenvalues])

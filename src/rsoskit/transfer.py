@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .convolution import DifferenceOperator
-from .elliptic import EllipticParams, r_matrix
+from .elliptic import EllipticParams, r_table
 from .errors import InvalidConfig, ShapeMismatch, TooLarge
 from .graded import (GradedMorphism, GradedSpace, align, identity_morphism,
                      memo, tensor_morphism, tensor_space, unit_space)
@@ -285,8 +285,7 @@ def _row_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
         keep = adj[height[t, k], height[b, k]]
         t, b = t[keep], b[keep]
     vert = [edge[height[t, k], height[b, k]] for k in range(cols)]
-    tables = {u: np.array([r_matrix(z + u, a, params).matrix for a in points])
-              for u in dict.fromkeys(us)}
+    tables = {u: r_table(z + u, points, params) for u in dict.fromkeys(us)}
     weight = np.ones(len(t), dtype=complex)
     for k, u in enumerate(us):
         # face k: <e_walk[t,k] (x) e_vert[k+1] | R | e_vert[k] (x) e_walk[b,k]>
@@ -338,7 +337,7 @@ def partition_enumerate(rows: int, cols: int, z: complex, kind: ModelKind,
                         inhomogeneities: tuple[complex, ...] | None = None
                         ) -> complex:
     """Exact torus partition function tr R^rows of the scalar row-to-row
-    transfer matrix R; shares only r_matrix and the row states with the
+    transfer matrix R; shares only `r_table` and the row states with the
     graded side."""
     return _partition(_row_transfer_matrix, rows, cols, z, kind, params,
                       inhomogeneities)

@@ -7,8 +7,8 @@ import pytest
 
 from rsoskit.elliptic import (EllipticParams, _guarded, bracket,
                               dynamical_ybe_residual, r_matrix, r_minus1,
-                              r_reg1, residue_extrapolation, theta, theta_dz0,
-                              unitarity_residual)
+                              r_reg1, r_table, residue_extrapolation, theta,
+                              theta_dz0, unitarity_residual)
 from rsoskit.errors import InvalidConfig, InvalidTau, NearPole, TooLarge
 from rsoskit.groupoid import WeightPoint, rsos_alcove
 
@@ -302,10 +302,14 @@ def test_builders_match_loop_oracles_bit_for_bit(n, r):
     complex_params = EllipticParams(tau=0.3 + 0.9j, gamma=1 / (r + 0.2) + 0.02j,
                                     rank=n)
     for p in (params(n, r), complex_params):
+        for z in (0.3, 0.17 + 0.05j, -0.42 + 0.11j, 2.5 + 0.7j):
+            table = r_table(z, points, p)
+            assert table.shape == (len(points), n * n, n * n)
+            for a, m in zip(points, table):
+                loop = _loop_r_matrix(z, a, p)
+                assert np.array_equal(m, loop)
+                assert np.array_equal(r_matrix(z, a, p).matrix, loop)
         for a in points:
-            for z in (0.3, 0.17 + 0.05j, -0.42 + 0.11j, 2.5 + 0.7j):
-                assert np.array_equal(r_matrix(z, a, p).matrix,
-                                      _loop_r_matrix(z, a, p))
             assert np.array_equal(r_reg1(a, p).matrix, _loop_r_reg1(a, p))
             assert np.array_equal(r_minus1(a, p).matrix, _loop_r_minus1(a, p))
 
@@ -355,6 +359,25 @@ def test_builder_errors_keep_their_order_and_messages():
                       lambda: r_minus1(a, p3)):
             with pytest.raises(NearPole, match=rf"denominator \[a_{pair}\]"):
                 build()
+        # in a table, behind regular points
+        regular = rsos_alcove(3, 5)
+        with pytest.raises(NearPole, match=rf"denominator \[a_{pair}\]"):
+            r_table(0.3, regular + [a] + regular, p3)
+
+
+def test_table_makes_one_bracket_call(monkeypatch):
+    import rsoskit.elliptic as el
+    calls = []
+    real = el.bracket
+    monkeypatch.setattr(el, "bracket",
+                        lambda z, p: calls.append(np.size(z)) or real(z, p))
+    p, points = params(3, 7), rsos_alcove(3, 7)
+    assert r_table(0.3, points, p).shape == (len(points), 9, 9)
+    # one call: [z], [1], [1-z] and three brackets per distinct difference
+    diffs = {a.diff(i, j) for a in points for i in range(1, 4)
+             for j in range(1, 4) if i != j}
+    assert calls == [3 + 3 * len(diffs)]
+    assert r_table(0.3, [], p).shape == (0, 9, 9)
 
 
 def test_theta_and_bracket_against_mpmath_jtheta():

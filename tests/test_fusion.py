@@ -6,7 +6,7 @@ import pytest
 import rsoskit.fusion as fu
 from rsoskit.convolution import character, chi, conv_mul, to_difference_operator
 from rsoskit.elliptic import EllipticParams
-from rsoskit.errors import LambdaOutsideAlcove, OutOfRange
+from rsoskit.errors import LambdaOutsideAlcove, OutOfRange, TooLarge
 from rsoskit.fusion import (central_element_n2, exterior_character,
                             exterior_eigenvalue, fusion_bases, fusion_coeff,
                             psi, psi_value, sym_power_character_n2,
@@ -235,3 +235,10 @@ def test_verlinde_symmetry_checks_the_ring_products(monkeypatch):
 
     monkeypatch.setattr(fu, "sym_power_character_n2", perturbed)
     assert not case(config).passed
+
+
+def test_spectrum_check_over_budget_is_refused_before_densifying():
+    with pytest.raises(TooLarge, match=r"SPECTRUM_BUDGET: dense 19701 x 19701 "
+                                       r"complex matrix \(5\.78 GiB\) requested, "
+                                       rf"limit {fu.SPECTRUM_BUDGET} points"):
+        verify_spectrum(1, 3, 200)

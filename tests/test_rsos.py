@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from rsoskit.convolution import character
-from rsoskit.elliptic import EllipticParams, bracket, r_matrix
+from rsoskit.elliptic import EllipticParams, bracket, r_matrix, r_table
 from rsoskit.errors import (BaseOnSingularSet, InfiniteSet, InvalidConfig,
                             NonSquare, RestrictionViolated)
 from rsoskit.graded import identity_morphism
 from rsoskit.groupoid import (AlcoveKind, AlcoveSpec, Arrow, WeightPoint,
                               add_vectors, alcove_contains, eps, rsos_alcove)
-from rsoskit.rsos import (ModelKind, _same_weight, _site_matrix,
+from rsoskit.rsos import (ModelKind, _same_weight, _SiteOperators,
                           boltzmann_weight, build_vector_space, restricted_r,
                           restriction_residual, star_triangle_residual)
 
@@ -203,6 +203,50 @@ def test_restriction_violation_detected_for_wrong_gamma():
         restricted_r(0.31, kind, off)
 
 
+def test_forbidden_entry_in_the_table_is_detected(monkeypatch):
+    import rsoskit.rsos as rs
+    kind, params = setup_n2()
+    real = rs.r_table
+
+    def injected(z, points, p):
+        table = real(z, points, p)
+        for t, a in enumerate(points):
+            allowed = kind.paths(a, 2)
+            for k, l in allowed:
+                if (l, k) not in allowed:
+                    table[t, (l - 1) * 2 + k - 1, (k - 1) * 2 + l - 1] = 1e-9
+                    return table
+        raise AssertionError("the model has no forbidden component")
+
+    monkeypatch.setattr(rs, "r_table", injected)
+    with pytest.raises(RestrictionViolated, match=r"is 1\.00e-09"):
+        restricted_r(0.31, kind, params)
+
+
+def _count_brackets(monkeypatch) -> list:
+    import rsoskit.elliptic as el
+    calls = []
+    real = el.bracket
+    monkeypatch.setattr(el, "bracket",
+                        lambda z, p: calls.append(np.size(z)) or real(z, p))
+    return calls
+
+
+def test_one_table_per_spectral_parameter(monkeypatch):
+    kind, params = ModelKind.rsos(3, 7), EllipticParams.rsos(3, 7, TAU)
+    V = build_vector_space(kind)
+    calls = _count_brackets(monkeypatch)
+    for k, z in enumerate((0.31, 0.17 + 0.05j, -0.42), start=1):
+        restricted_r(z, kind, params, space=V)
+        assert len(calls) == k
+    del calls[:]
+    star_triangle_residual(0.31, 0.17 + 0.05j, kind, params)
+    assert len(calls) == 3
+    del calls[:]
+    star_triangle_residual(0.31, 0.31, kind, params)  # z == w
+    assert len(calls) == 2
+
+
 def test_star_triangle_restricted():
     kind, params = setup_n2()
     assert star_triangle_residual(0.31, 0.17 + 0.05j, kind, params) < 1e-9
@@ -250,11 +294,15 @@ def test_site_matrix_matches_full_pair_scan():
     z = 0.31 + 0.02j
     for kind, params, window in setups:
         flat_of = lambda point: r_matrix(z, point, params)
-        for a in window or kind.alcove():
+        points = window or kind.alcove()
+        sites = _SiteOperators(kind, points)
+        assert sites.points == [a for a in points if kind.paths(a, 3)]
+        gathered = sites.gather(r_table(z, sites.starts, params))
+        for a, ops in zip(sites.points, gathered, strict=True):
             paths = kind.paths(a, 3)
             for slot in (0, 1):
                 assert np.array_equal(
-                    _site_matrix(flat_of, a, paths, slot, kind.rank),
+                    ops[slot],
                     _site_matrix_scan(flat_of, a, paths, slot, kind.rank))
 
 
@@ -303,6 +351,28 @@ def test_paths_are_immutable_and_enumerated_once():
     assert isinstance(paths, tuple)
     assert all(isinstance(p, tuple) for p in paths)
     assert kind.paths(a, 3) is paths
+
+
+def test_alcove_is_built_once_per_model(monkeypatch):
+    import rsoskit.groupoid as gr
+    from rsoskit.suites import RunConfig, run_suite
+    kind = ModelKind.rsos(3, 5)
+    assert kind.alcove() is kind.alcove()
+    assert isinstance(kind.alcove(), tuple)
+    assert list(kind.alcove()) == rsos_alcove(3, 5)
+    enumerated, models = [], []
+    real_enumerate, real_init = gr.enumerate_alcove, ModelKind.__post_init__
+
+    def counted_init(self):
+        models.append(self)
+        real_init(self)
+
+    monkeypatch.setattr(gr, "enumerate_alcove",
+                        lambda spec: enumerated.append(spec)
+                        or real_enumerate(spec))
+    monkeypatch.setattr(ModelKind, "__post_init__", counted_init)
+    run_suite("all", RunConfig(n=3, r=5))
+    assert 0 < len(enumerated) <= sum(m.is_restricted for m in models)
 
 
 def test_paths_find_each_points_successors_once(monkeypatch):
