@@ -16,7 +16,8 @@ Its residue at z = 1 and its value at z = -1 are the same formula with other
 coefficients, so one builder fills all three.  It builds a table: the
 matrices at one spectral parameter over many points a, stacked, from a
 single array bracket call per table (`r_table`); `r_matrix` is its
-one-point view.
+one-point view.  Callers over large point sets table them run by run
+(`table_runs`), so no table exceeds TABLE_BUDGET entries.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ _TAIL_LOG10 = 17.0  # discard terms below 1e-17 relative
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 THETA_TERM_BUDGET = 10_000  # series terms per entry
 POLE_GUARD = 1e-8  # smallest bracket modulus accepted in a denominator
+# complex entries (16 MiB) of one R-matrix table built by a caller over many
+# points; larger point sets are tabled run by run (`table_runs`)
+TABLE_BUDGET = 2 ** 20
 
 
 def _truncation(z, tau: complex):
@@ -216,6 +220,14 @@ def r_table(z: complex, points, params: EllipticParams) -> np.ndarray:
     (len(points), n^2, n^2) array, from one bracket call."""
     return _flat_r(points, params, 1.0, z, (z, 1, 1 - z), lambda bz, one, den_z: (
         -bz, one, _guarded(den_z, "[1-z]")))
+
+
+def table_runs(points, n: int) -> list:
+    """(offset, run) pairs cutting `points` into consecutive runs of at most
+    TABLE_BUDGET / n^4 points (at least one), so that a table over one run
+    stays within TABLE_BUDGET entries."""
+    step = max(1, TABLE_BUDGET // n ** 4)
+    return [(k, points[k:k + step]) for k in range(0, len(points), step)]
 
 
 def r_matrix(z: complex, a: WeightPoint, params: EllipticParams) -> FlatR:

@@ -307,12 +307,14 @@ def psi_value(lam: WeightPoint, a: WeightPoint, n: int, r: int) -> complex:
     return complex(pref * np.linalg.det(m))
 
 
-def psi(lam: WeightPoint, n: int, r: int) -> EigenFunction:
-    points = rsos_alcove(n, r)
+def psi(lam: WeightPoint, n: int, r: int,
+        points: tuple[WeightPoint, ...] | None = None) -> EigenFunction:
+    """psi_lambda on `points`, by default the whole alcove P^r_++."""
+    points = tuple(rsos_alcove(n, r) if points is None else points)
     if lam not in set(points):
         raise LambdaOutsideAlcove(f"{lam!r} is not a regular affine weight")
     values = np.array([psi_value(lam, a, n, r) for a in points])
-    return EigenFunction(lam=lam, points=tuple(points), values=values)
+    return EigenFunction(lam=lam, points=points, values=values)
 
 
 def exterior_eigenvalue(k: int, lam: WeightPoint, n: int, r: int) -> complex:
@@ -347,7 +349,7 @@ def verify_spectrum(k: int, n: int, r: int) -> SpectrumReport:
 
     The operator is a dense |A| x |A| complex matrix; over SPECTRUM_BUDGET
     points raise TooLarge before it is built."""
-    points = ModelKind.rsos(n, r).alcove()
+    points = tuple(rsos_alcove(n, r))
     size = len(points)
     if size > SPECTRUM_BUDGET:
         raise TooLarge(f"SPECTRUM_BUDGET: dense {size} x {size} complex matrix "
@@ -357,9 +359,9 @@ def verify_spectrum(k: int, n: int, r: int) -> SpectrumReport:
     m = op.matrix(dtype=complex)
     eigenvalues, residuals = [], []
     for lam in points:
-        f = np.array([psi_value(lam, a, n, r) for a in points])
+        f = psi(lam, n, r, points)
         ev = exterior_eigenvalue(k, lam, n, r)
-        residuals.append(float(np.abs(m @ f - ev * f).max()))
+        residuals.append(float(np.abs(m @ f.values - ev * f.values).max()))
         eigenvalues.append(ev)
     return SpectrumReport(n=n, r=r, k=k, eigenvalues=eigenvalues,
                           residuals=residuals)

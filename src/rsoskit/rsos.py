@@ -14,9 +14,12 @@ carries it as its `context`.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .elliptic import POLE_GUARD, EllipticParams, bracket, r_matrix, r_table
+from .elliptic import (POLE_GUARD, TABLE_BUDGET, EllipticParams, bracket,
+                       r_matrix, r_table, table_runs)
 from .errors import (BaseOnSingularSet, ContextMismatch, NonSquare,
                      RestrictionViolated)
 from .graded import GradedMorphism, GradedSpace, memo, tensor_space
@@ -86,7 +89,7 @@ def restricted_r(z: complex, kind: ModelKind, params: EllipticParams,
                  window: list[WeightPoint] | None = None,
                  space: GradedSpace | None = None) -> GradedMorphism:
     """The R-matrix as a graded endomorphism of V (x) V, read off one
-    R-matrix table over the component sources.
+    R-matrix table over the component sources (one per run of `table_runs`).
 
     In the restricted case, components whose target path exits the alcove
     are checked to vanish below RESTRICTION_TOL and dropped.
@@ -95,27 +98,29 @@ def restricted_r(z: complex, kind: ModelKind, params: EllipticParams,
     VV = tensor_space(V, V)
     sources, picks = memo(VV, "r-matrix-entries",
                           lambda: _flat_positions(VV, kind.rank))
-    table = r_table(z, sources, params)
-    if kind.is_restricted:
-        for flat, a in zip(table, sources):
-            _check_forbidden(flat, a, kind)
-    blocks = {gamma_arrow: table[k][pick] for gamma_arrow, k, pick in picks}
+    blocks = {}
+    for offset, run in table_runs(sources, kind.rank):
+        at_run = picks[offset:offset + len(run)]
+        for flat, a, at in zip(r_table(z, run, params), run, at_run):
+            if kind.is_restricted:
+                _check_forbidden(flat, a, kind)
+            for gamma_arrow, pick in at:
+                blocks[gamma_arrow] = flat[pick]
     return GradedMorphism(VV, VV, blocks)
 
 
 def _flat_positions(VV: GradedSpace, n: int) -> tuple:
-    """The distinct sources of the components of V (x) V, and per component
-    the row of its source among them and the index pair that picks its block
-    out of the flat R-matrix (row/column k <-> summand k)."""
-    rows: dict[WeightPoint, int] = {}
-    picks = []
+    """The distinct sources of the components of V (x) V and, per source,
+    its components with the index pair that picks each block out of the flat
+    R-matrix (row/column k <-> summand k)."""
+    picks: dict[WeightPoint, list] = {}
     for gamma_arrow, summands in VV.layout.items():
         flat = np.array([(_step_index(s.left) - 1) * n + _step_index(s.right) - 1
                          for s in summands])
         flat.flags.writeable = False
-        k = rows.setdefault(gamma_arrow.source, len(rows))
-        picks.append((gamma_arrow, k, np.ix_(flat, flat)))
-    return tuple(rows), tuple(picks)
+        picks.setdefault(gamma_arrow.source, []).append(
+            (gamma_arrow, np.ix_(flat, flat)))
+    return tuple(picks), tuple(map(tuple, picks.values()))
 
 
 def _same_weight(i: int, j: int, k: int, l: int) -> bool:
@@ -150,67 +155,100 @@ def restriction_residual(z: complex, kind: ModelKind,
     """Largest forbidden component over the whole alcove (restricted case)."""
     if not kind.is_restricted:
         raise ContextMismatch("restriction residual needs the restricted model")
-    points = kind.alcove()
     worst = 0.0
-    for flat, a in zip(r_table(z, points, params), points):
-        for *_, v in _forbidden_components(flat, a, kind):
-            worst = max(worst, v)
+    for _, run in table_runs(kind.alcove(), kind.rank):
+        for flat, a in zip(r_table(z, run, params), run):
+            for *_, v in _forbidden_components(flat, a, kind):
+                worst = max(worst, v)
     return worst
 
 
 class _SiteOperators:
     """The operators acting on two adjacent steps (slot, slot+1), slot 0 or
-    1, of the three-step paths from each of `points`.
+    1, of the three-step paths from each added point.
 
     Entry (row, col) of the operator at (a, slot) is the R-matrix entry
     <e_i (x) e_j | R | e_k (x) e_l> at the slot's start point, where (k, l)
     are the column path's steps there and the row path has (i, j) in their
     place: the only rows of the same weight as a column are the path itself
-    and the path with the two steps swapped.  The index arrays are made once;
-    `starts` are the start points, and `gather(table)` fills every operator
-    from one R-matrix table over them.
+    and the path with the two steps swapped.  `add` records a point's index
+    arrays; `starts` are the start points of the added points, and
+    `gather(table)` fills every operator from one R-matrix table over them.
+    Add every point before the first gather.
     """
 
-    def __init__(self, kind: ModelKind, points):
-        n = kind.rank
-        rows: dict[WeightPoint, int] = {}
+    def __init__(self, kind: ModelKind, points=()):
+        self._kind = kind
+        self._rows: dict[WeightPoint, int] = {}
         self.points, self._blocks = [], []  # (offset, size) per point
-        dest, point, flat_row, flat_col = [], [], [], []
-        offset = 0
+        self._index = [], [], [], []  # destination, start, flat row, flat column
+        self.size = 0  # operator entries over both slots of every point
         for a in points:
-            paths = kind.paths(a, 3)
-            if not paths:
-                continue
-            pos = {p: k for k, p in enumerate(paths)}
-            size = len(paths)
-            self.points.append(a)
-            self._blocks.append((offset, size))
-            for slot in (0, 1):
-                for col, p in enumerate(paths):
-                    start = a + eps(n, p[0]) if slot else a
-                    t = rows.setdefault(start, len(rows))
-                    k, l = p[slot], p[slot + 1]
-                    for i, j in {(k, l), (l, k)}:
-                        row = pos.get(p[:slot] + (i, j) + p[slot + 2:])
-                        if row is not None:
-                            dest.append(offset + row * size + col)
-                            point.append(t)
-                            flat_row.append((i - 1) * n + j - 1)
-                            flat_col.append((k - 1) * n + l - 1)
-                offset += size * size
-        self.starts = list(rows)
-        self._total = offset
-        self._dest, self._point, self._flat_row, self._flat_col = (
-            np.array(v, dtype=np.intp) for v in (dest, point, flat_row, flat_col))
+            self.add(a)
+
+    def add(self, a: WeightPoint) -> None:
+        """Record the operators at a; a point without three-step paths has none."""
+        n = self._kind.rank
+        paths = self._kind.paths(a, 3)
+        if not paths:
+            return
+        pos = {p: k for k, p in enumerate(paths)}
+        size = len(paths)
+        self.points.append(a)
+        self._blocks.append((self.size, size))
+        dest, point, flat_row, flat_col = self._index
+        for slot in (0, 1):
+            for col, p in enumerate(paths):
+                start = a + eps(n, p[0]) if slot else a
+                t = self._rows.setdefault(start, len(self._rows))
+                k, l = p[slot], p[slot + 1]
+                for i, j in {(k, l), (l, k)}:
+                    row = pos.get(p[:slot] + (i, j) + p[slot + 2:])
+                    if row is not None:
+                        dest.append(self.size + row * size + col)
+                        point.append(t)
+                        flat_row.append((i - 1) * n + j - 1)
+                        flat_col.append((k - 1) * n + l - 1)
+            self.size += size * size
+
+    @property
+    def starts(self) -> list[WeightPoint]:
+        return list(self._rows)
+
+    @property
+    def entries(self) -> int:
+        """Complex entries of the operators and of one table over `starts`."""
+        return self.size + len(self._rows) * self._kind.rank ** 4
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.array(v, dtype=np.intp) for v in self._index)
 
     def gather(self, table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """The (slot 0, slot 1) operators of each of `self.points`."""
-        buf = np.zeros(self._total, dtype=complex)
+        dest, point, flat_row, flat_col = self._arrays
+        buf = np.zeros(self.size, dtype=complex)
         # each destination occurs once; += on zeros maps -0.0 entries to 0.0
-        buf[self._dest] += table[self._point, self._flat_row, self._flat_col]
+        buf[dest] += table[point, flat_row, flat_col]
         return [(buf[o:o + s * s].reshape(s, s),
                  buf[o + s * s:o + 2 * s * s].reshape(s, s))
                 for o, s in self._blocks]
+
+
+def _hexagon_residual(z: complex, w: complex, sites: _SiteOperators,
+                      params: EllipticParams) -> float:
+    """Largest entry of R23(z-w) R12(z) R23(w) - R12(w) R23(z) R12(z-w) over
+    the points of `sites`, from one R-matrix table per distinct spectral
+    parameter in (z - w, z, w)."""
+    us = (z - w, z, w)
+    ops = {u: sites.gather(r_table(u, sites.starts, params))
+           for u in dict.fromkeys(us)}
+    worst = 0.0
+    for (zw0, zw1), (z0, z1), (w0, w1) in zip(*(ops[u] for u in us)):
+        lhs = zw1 @ z0 @ w1
+        rhs = w0 @ z1 @ zw0
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
 
 
 def star_triangle_residual(z: complex, w: complex, kind: ModelKind,
@@ -220,21 +258,22 @@ def star_triangle_residual(z: complex, w: complex, kind: ModelKind,
 
     For each starting point the three-step path space carries the two sides
     of the dynamical Yang-Baxter equation; entries of the difference are the
-    hexagon relations summed over internal arrows.  One R-matrix table per
-    distinct spectral parameter in (z - w, z, w) fills every site operator.
+    hexagon relations summed over internal arrows.  The points are taken in
+    runs whose three tables and operator sets stay near TABLE_BUDGET
+    entries; each run makes one R-matrix table per spectral parameter.
     """
     if points is None:
         if kind.is_restricted:
             points = kind.alcove()
         else:
             raise ValueError("unrestricted model needs explicit points")
-    sites = _SiteOperators(kind, points)
-    us = (z - w, z, w)
-    ops = {u: sites.gather(r_table(u, sites.starts, params))
-           for u in dict.fromkeys(us)}
     worst = 0.0
-    for (zw0, zw1), (z0, z1), (w0, w1) in zip(*(ops[u] for u in us)):
-        lhs = zw1 @ z0 @ w1
-        rhs = w0 @ z1 @ zw0
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    sites = _SiteOperators(kind)
+    for a in points:
+        sites.add(a)
+        if 3 * sites.entries >= TABLE_BUDGET:
+            worst = max(worst, _hexagon_residual(z, w, sites, params))
+            sites = _SiteOperators(kind)
+    if sites.points:
+        worst = max(worst, _hexagon_residual(z, w, sites, params))
     return worst

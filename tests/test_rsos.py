@@ -247,6 +247,30 @@ def test_one_table_per_spectral_parameter(monkeypatch):
     assert len(calls) == 2
 
 
+def test_runs_of_one_point_give_the_same_results(monkeypatch):
+    import rsoskit.elliptic as el
+    import rsoskit.rsos as rs
+    kind, params = ModelKind.rsos(3, 7), EllipticParams.rsos(3, 7, TAU)
+    z, w = 0.31 + 0.02j, 0.17 + 0.05j
+    whole = restricted_r(z, kind, params)
+    worst = (restriction_residual(z, kind, params),
+             star_triangle_residual(z, w, kind, params))
+    monkeypatch.setattr(el, "TABLE_BUDGET", 1)
+    monkeypatch.setattr(rs, "TABLE_BUDGET", 1)
+    runs = []
+    real = rs.r_table
+    monkeypatch.setattr(rs, "r_table",
+                        lambda u, pts, p: runs.append(len(pts)) or real(u, pts, p))
+    R = restricted_r(z, kind, params)
+    assert R.blocks.keys() == whole.blocks.keys()
+    assert all(np.array_equal(R.blocks[g], m) for g, m in whole.blocks.items())
+    assert (restriction_residual(z, kind, params),
+            star_triangle_residual(z, w, kind, params)) == worst
+    assert len(runs) > 3 * len(kind.alcove())
+    # a site run holds one point's start points: itself and its successors
+    assert max(runs) <= 1 + kind.rank
+
+
 def test_star_triangle_restricted():
     kind, params = setup_n2()
     assert star_triangle_residual(0.31, 0.17 + 0.05j, kind, params) < 1e-9
