@@ -17,7 +17,10 @@ coefficients, so one builder fills all three.  It builds a table: the
 matrices at one spectral parameter over many points a, stacked, from a
 single array bracket call per table (`r_table`); `r_matrix` is its
 one-point view.  Callers over large point sets table them run by run
-(`table_runs`), so no table exceeds TABLE_BUDGET entries.
+(`table_runs`): each caller states the table entries one point costs (n^4
+for a table over the points themselves, 3 (n + 1) n^4 for the star-triangle
+check's three tables over each point and its successors), so no run's
+tables exceed TABLE_BUDGET entries.
 """
 
 from __future__ import annotations
@@ -222,11 +225,12 @@ def r_table(z: complex, points, params: EllipticParams) -> np.ndarray:
         -bz, one, _guarded(den_z, "[1-z]")))
 
 
-def table_runs(points, n: int) -> list:
+def table_runs(points, cost: int) -> list:
     """(offset, run) pairs cutting `points` into consecutive runs of at most
-    TABLE_BUDGET / n^4 points (at least one), so that a table over one run
-    stays within TABLE_BUDGET entries."""
-    step = max(1, TABLE_BUDGET // n ** 4)
+    TABLE_BUDGET / cost points (at least one), where `cost` is the table
+    entries one point adds to its run, so that a run's tables stay within
+    TABLE_BUDGET entries."""
+    step = max(1, TABLE_BUDGET // cost)
     return [(k, points[k:k + step]) for k in range(0, len(points), step)]
 
 

@@ -299,6 +299,7 @@ class EigenFunction:
 
 
 def psi_value(lam: WeightPoint, a: WeightPoint, n: int, r: int) -> complex:
+    """psi_lambda(a) from one determinant; the per-pair oracle of `psi`."""
     lcoord, acoord = lam.offset, a.offset
     root = cmath.exp(2j * cmath.pi / (r * n))
     pref = root ** (-sum(acoord) * sum(lcoord))
@@ -313,7 +314,17 @@ def psi(lam: WeightPoint, n: int, r: int,
     points = tuple(rsos_alcove(n, r) if points is None else points)
     if lam not in set(points):
         raise LambdaOutsideAlcove(f"{lam!r} is not a regular affine weight")
-    values = np.array([psi_value(lam, a, n, r) for a in points])
+    root = cmath.exp(2j * cmath.pi / (r * n))
+    q = cmath.exp(2j * cmath.pi / r)
+    # q^(lambda_i a_j) for every point, one Python power per distinct exponent
+    offsets = np.array([a.offset for a in points])
+    expo = (np.array(lam.offset)[:, None] * offsets[:, None, :]).ravel().tolist()
+    powers = {e: q ** e for e in set(expo)}
+    dets = np.linalg.det(np.array([powers[e] for e in expo], dtype=complex)
+                         .reshape(len(points), n, n))
+    total = sum(lam.offset)
+    values = np.array([complex(root ** (-sum(a.offset) * total) * d)
+                       for a, d in zip(points, dets)])
     return EigenFunction(lam=lam, points=points, values=values)
 
 

@@ -28,9 +28,14 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ContextMismatch, ShapeMismatch
+from .errors import ContextMismatch, ShapeMismatch, TooLarge
 from .groupoid import (Arrow, ModelKind, WeightPoint, add_vectors,
                        identity_arrow, inverse)
+
+# summands V_alpha (x) W_beta of one tensor product: the largest product of
+# the suites and tests has 162; V (x) (V (x) V) at (n, r) = (3, 140) has
+# 167,283 and takes 2.1 s and about 100 MB in CPython 3.11
+SUMMAND_BUDGET = 200_000
 
 _ATOM_CODES: dict[tuple, int] = {}
 _ATOM_CODES_LOCK = threading.Lock()
@@ -140,10 +145,16 @@ def tensor_space(V: GradedSpace, W: GradedSpace) -> GradedSpace:
 
 
 def _build_tensor_space(V: GradedSpace, W: GradedSpace) -> GradedSpace:
+    """The product; over SUMMAND_BUDGET summands raise TooLarge before any
+    is built."""
     _require_same_context(V, W)
     by_source: dict[WeightPoint, list[tuple[Arrow, int, int]]] = {}
     for beta, dw in W.dims.items():
         by_source.setdefault(beta.source, []).append((beta, W.offsets[beta], dw))
+    count = sum(len(by_source.get(alpha.target, ())) for alpha in V.dims)
+    if count > SUMMAND_BUDGET:
+        raise TooLarge(f"SUMMAND_BUDGET: {count} tensor-product summands "
+                       f"requested, limit {SUMMAND_BUDGET}")
     pieces: dict[Arrow, list[tuple]] = {}
     for alpha, dv in V.dims.items():
         mid, vo = alpha.target, V.offsets[alpha]

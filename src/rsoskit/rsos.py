@@ -14,12 +14,10 @@ carries it as its `context`.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from .elliptic import (POLE_GUARD, TABLE_BUDGET, EllipticParams, bracket,
-                       r_matrix, r_table, table_runs)
+from .elliptic import (POLE_GUARD, EllipticParams, bracket, r_matrix, r_table,
+                       table_runs)
 from .errors import (BaseOnSingularSet, ContextMismatch, NonSquare,
                      RestrictionViolated)
 from .graded import GradedMorphism, GradedSpace, memo, tensor_space
@@ -86,7 +84,6 @@ def boltzmann_weight(z: complex, alpha: Arrow, beta: Arrow, gamma: Arrow,
 
 
 def restricted_r(z: complex, kind: ModelKind, params: EllipticParams,
-                 window: list[WeightPoint] | None = None,
                  space: GradedSpace | None = None) -> GradedMorphism:
     """The R-matrix as a graded endomorphism of V (x) V, read off one
     R-matrix table over the component sources (one per run of `table_runs`).
@@ -94,12 +91,12 @@ def restricted_r(z: complex, kind: ModelKind, params: EllipticParams,
     In the restricted case, components whose target path exits the alcove
     are checked to vanish below RESTRICTION_TOL and dropped.
     """
-    V = space if space is not None else build_vector_space(kind, params, window)
+    V = space if space is not None else build_vector_space(kind, params)
     VV = tensor_space(V, V)
     sources, picks = memo(VV, "r-matrix-entries",
                           lambda: _flat_positions(VV, kind.rank))
     blocks = {}
-    for offset, run in table_runs(sources, kind.rank):
+    for offset, run in table_runs(sources, kind.rank ** 4):
         at_run = picks[offset:offset + len(run)]
         for flat, a, at in zip(r_table(z, run, params), run, at_run):
             if kind.is_restricted:
@@ -156,124 +153,77 @@ def restriction_residual(z: complex, kind: ModelKind,
     if not kind.is_restricted:
         raise ContextMismatch("restriction residual needs the restricted model")
     worst = 0.0
-    for _, run in table_runs(kind.alcove(), kind.rank):
+    for _, run in table_runs(kind.alcove(), kind.rank ** 4):
         for flat, a in zip(r_table(z, run, params), run):
             for *_, v in _forbidden_components(flat, a, kind):
                 worst = max(worst, v)
     return worst
 
 
-class _SiteOperators:
-    """The operators acting on two adjacent steps (slot, slot+1), slot 0 or
-    1, of the three-step paths from each added point.
-
-    Entry (row, col) of the operator at (a, slot) is the R-matrix entry
-    <e_i (x) e_j | R | e_k (x) e_l> at the slot's start point, where (k, l)
-    are the column path's steps there and the row path has (i, j) in their
-    place: the only rows of the same weight as a column are the path itself
-    and the path with the two steps swapped.  `add` records a point's index
-    arrays; `starts` are the start points of the added points, and
-    `gather(table)` fills every operator from one R-matrix table over them.
-    Add every point before the first gather.
-    """
-
-    def __init__(self, kind: ModelKind, points=()):
-        self._kind = kind
-        self._rows: dict[WeightPoint, int] = {}
-        self.points, self._blocks = [], []  # (offset, size) per point
-        self._index = [], [], [], []  # destination, start, flat row, flat column
-        self.size = 0  # operator entries over both slots of every point
-        for a in points:
-            self.add(a)
-
-    def add(self, a: WeightPoint) -> None:
-        """Record the operators at a; a point without three-step paths has none."""
-        n = self._kind.rank
-        paths = self._kind.paths(a, 3)
-        if not paths:
-            return
-        pos = {p: k for k, p in enumerate(paths)}
-        size = len(paths)
-        self.points.append(a)
-        self._blocks.append((self.size, size))
-        dest, point, flat_row, flat_col = self._index
-        for slot in (0, 1):
-            for col, p in enumerate(paths):
-                start = a + eps(n, p[0]) if slot else a
-                t = self._rows.setdefault(start, len(self._rows))
-                k, l = p[slot], p[slot + 1]
-                for i, j in {(k, l), (l, k)}:
-                    row = pos.get(p[:slot] + (i, j) + p[slot + 2:])
-                    if row is not None:
-                        dest.append(self.size + row * size + col)
-                        point.append(t)
-                        flat_row.append((i - 1) * n + j - 1)
-                        flat_col.append((k - 1) * n + l - 1)
-            self.size += size * size
-
-    @property
-    def starts(self) -> list[WeightPoint]:
-        return list(self._rows)
-
-    @property
-    def entries(self) -> int:
-        """Complex entries of the operators and of one table over `starts`."""
-        return self.size + len(self._rows) * self._kind.rank ** 4
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.array(v, dtype=np.intp) for v in self._index)
-
-    def gather(self, table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The (slot 0, slot 1) operators of each of `self.points`."""
-        dest, point, flat_row, flat_col = self._arrays
-        buf = np.zeros(self.size, dtype=complex)
-        # each destination occurs once; += on zeros maps -0.0 entries to 0.0
-        buf[dest] += table[point, flat_row, flat_col]
-        return [(buf[o:o + s * s].reshape(s, s),
-                 buf[o + s * s:o + 2 * s * s].reshape(s, s))
-                for o, s in self._blocks]
+def _sites(points, kind: ModelKind) -> tuple[list[WeightPoint], list]:
+    """The start points of the slots of the three-step paths from `points`,
+    in table-row order, and (a, paths, at) per point with such paths: at[s][c]
+    is the table row of the start of slot s of path c, which is a for slot 0
+    and a + eps_i after the first step i for slot 1."""
+    n = kind.rank
+    starts: dict[WeightPoint, int] = {}
+    sites = []
+    for a in points:
+        paths = kind.paths(a, 3)
+        if paths:
+            here = starts.setdefault(a, len(starts))
+            after = {i: starts.setdefault(a + eps(n, i), len(starts))
+                     for i in dict.fromkeys(p[0] for p in paths)}
+            at = ([here] * len(paths), [after[p[0]] for p in paths])
+            sites.append((a, paths, at))
+    return list(starts), sites
 
 
-def _hexagon_residual(z: complex, w: complex, sites: _SiteOperators,
-                      params: EllipticParams) -> float:
-    """Largest entry of R23(z-w) R12(z) R23(w) - R12(w) R23(z) R12(z-w) over
-    the points of `sites`, from one R-matrix table per distinct spectral
-    parameter in (z - w, z, w)."""
-    us = (z - w, z, w)
-    ops = {u: sites.gather(r_table(u, sites.starts, params))
-           for u in dict.fromkeys(us)}
-    worst = 0.0
-    for (zw0, zw1), (z0, z1), (w0, w1) in zip(*(ops[u] for u in us)):
-        lhs = zw1 @ z0 @ w1
-        rhs = w0 @ z1 @ zw0
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+def _site_operators(tables: dict, paths, at, n: int) -> dict:
+    """Per table over the start points of `_sites`, the operators on steps
+    (slot, slot + 1) of `paths`, stacked over slot 0 and 1.
+
+    Entry (row, col) of a slot's operator is <e_i (x) e_j | R | e_k (x) e_l>
+    at the slot's start, where (k, l) are the column path's steps there and
+    (i, j) the row path's, if the paths agree off the slot, else 0: the
+    operator is the identity on the other step."""
+    steps = np.array(paths) - 1
+    pair = np.stack([steps[:, 0] * n + steps[:, 1],
+                     steps[:, 1] * n + steps[:, 2]])
+    off = np.stack([steps[:, 2], steps[:, 0]])
+    index = np.array(at)[:, None, :], pair[:, :, None], pair[:, None, :]
+    mask = off[:, :, None] == off[:, None, :]
+    return {u: np.where(mask, table[index], 0) for u, table in tables.items()}
 
 
 def star_triangle_residual(z: complex, w: complex, kind: ModelKind,
                            params: EllipticParams,
                            points: list[WeightPoint] | None = None) -> float:
-    """Max-norm residual of the face-form Yang-Baxter identity.
+    """Max-norm residual of the face-form Yang-Baxter identity
 
-    For each starting point the three-step path space carries the two sides
-    of the dynamical Yang-Baxter equation; entries of the difference are the
-    hexagon relations summed over internal arrows.  The points are taken in
-    runs whose three tables and operator sets stay near TABLE_BUDGET
-    entries; each run makes one R-matrix table per spectral parameter.
+        R23(z-w) R12(z) R23(w) = R12(w) R23(z) R12(z-w)
+
+    on the three-step path space from each starting point; entries of the
+    difference are the hexagon relations summed over internal arrows.  Each
+    run of `table_runs` makes one R-matrix table per distinct spectral
+    parameter over the slot start points of its sites (`_sites`), and each
+    point's operators are read off them while that point is checked.
     """
     if points is None:
         if kind.is_restricted:
             points = kind.alcove()
         else:
             raise ValueError("unrestricted model needs explicit points")
+    us = (z - w, z, w)
     worst = 0.0
-    sites = _SiteOperators(kind)
-    for a in points:
-        sites.add(a)
-        if 3 * sites.entries >= TABLE_BUDGET:
-            worst = max(worst, _hexagon_residual(z, w, sites, params))
-            sites = _SiteOperators(kind)
-    if sites.points:
-        worst = max(worst, _hexagon_residual(z, w, sites, params))
+    for _, run in table_runs(points, 3 * (kind.rank + 1) * kind.rank ** 4):
+        starts, sites = _sites(run, kind)
+        if not sites:
+            continue
+        tables = {u: r_table(u, starts, params) for u in dict.fromkeys(us)}
+        for _, paths, at in sites:
+            ops = _site_operators(tables, paths, at, kind.rank)
+            (zw0, zw1), (z0, z1), (w0, w1) = (ops[u] for u in us)
+            diff = zw1 @ z0 @ w1 - w0 @ z1 @ zw0
+            worst = max(worst, float(np.abs(diff).max()))
     return worst

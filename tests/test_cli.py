@@ -204,6 +204,7 @@ def test_base_point_rank_validated():
     ["verify", "unitarity", "--tolerance", "1e400"],
     ["verify", "unitarity", "--n", "8", "--r", "40"],
     ["verify", "spectrum", "--n", "3", "--r", "200"],
+    ["verify", "transfer-commute", "--n", "3", "--r", "200"],
     ["compute", "partition", "--z", "0,200"],
     ["compute", "boltzmann-table", "--z", "0,200"],
 ])

@@ -154,6 +154,14 @@ def test_psi_vanishes_on_walls():
     assert walls > 0
 
 
+def test_batched_psi_matches_per_pair_values_bit_for_bit():
+    for n, r in ((2, 5), (2, 11), (3, 7), (3, 20), (4, 9)):
+        points = rsos_alcove(n, r)
+        for lam in points:
+            want = np.array([psi_value(lam, a, n, r) for a in points])
+            assert np.array_equal(psi(lam, n, r).values, want)
+
+
 def test_psi_orthogonal_family_rank2():
     n, r = 2, 5
     vectors = np.array([psi(lam, n, r).values for lam in rsos_alcove(n, r)])

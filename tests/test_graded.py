@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rsoskit.elliptic import EllipticParams
-from rsoskit.errors import ContextMismatch, ShapeMismatch
+from rsoskit.errors import ContextMismatch, ShapeMismatch, TooLarge
 from rsoskit.graded import (GradedMorphism, GradedSpace, Permutation, align,
                             dual_space, identity_morphism, tensor_morphism,
                             tensor_space, unit_space, zigzag_residual)
@@ -32,6 +32,19 @@ def test_tensor_square_dimensions_are_path_counts():
     assert VV.dim(Arrow(_point(1), (1, 1))) == 1      # only 1 -> 2 -> 1
     assert VV.dim(Arrow(_point(2), (1, 1))) == 2
     assert VV.dim(Arrow(_point(4), (2, 0))) == 0      # exits the alcove
+
+
+def test_tensor_space_over_the_summand_budget_is_refused(monkeypatch):
+    import rsoskit.graded as gr
+    V = vector_space()
+    count = sum(len(s) for s in tensor_space(V, V).layout.values())
+    W = vector_space()  # a fresh operand: the product above is kept on V
+    monkeypatch.setattr(gr, "SUMMAND_BUDGET", count - 1)
+    with pytest.raises(TooLarge, match=f"SUMMAND_BUDGET: {count} .* "
+                                       f"limit {count - 1}"):
+        tensor_space(W, W)
+    monkeypatch.setattr(gr, "SUMMAND_BUDGET", count)
+    assert tensor_space(W, W).dims == tensor_space(V, V).dims
 
 
 def test_tensor_with_unit_preserves_dimensions():

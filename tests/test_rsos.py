@@ -11,7 +11,7 @@ from rsoskit.errors import (BaseOnSingularSet, InfiniteSet, InvalidConfig,
 from rsoskit.graded import identity_morphism
 from rsoskit.groupoid import (AlcoveKind, AlcoveSpec, Arrow, WeightPoint,
                               add_vectors, alcove_contains, eps, rsos_alcove)
-from rsoskit.rsos import (ModelKind, _same_weight, _SiteOperators,
+from rsoskit.rsos import (ModelKind, _same_weight, _site_operators, _sites,
                           boltzmann_weight, build_vector_space, restricted_r,
                           restriction_residual, star_triangle_residual)
 
@@ -256,7 +256,6 @@ def test_runs_of_one_point_give_the_same_results(monkeypatch):
     worst = (restriction_residual(z, kind, params),
              star_triangle_residual(z, w, kind, params))
     monkeypatch.setattr(el, "TABLE_BUDGET", 1)
-    monkeypatch.setattr(rs, "TABLE_BUDGET", 1)
     runs = []
     real = rs.r_table
     monkeypatch.setattr(rs, "r_table",
@@ -319,11 +318,12 @@ def test_site_matrix_matches_full_pair_scan():
     for kind, params, window in setups:
         flat_of = lambda point: r_matrix(z, point, params)
         points = window or kind.alcove()
-        sites = _SiteOperators(kind, points)
-        assert sites.points == [a for a in points if kind.paths(a, 3)]
-        gathered = sites.gather(r_table(z, sites.starts, params))
-        for a, ops in zip(sites.points, gathered, strict=True):
-            paths = kind.paths(a, 3)
+        starts, sites = _sites(points, kind)
+        assert [a for a, *_ in sites] == [a for a in points if kind.paths(a, 3)]
+        table = r_table(z, starts, params)
+        for a, paths, at in sites:
+            assert paths == kind.paths(a, 3)
+            ops = _site_operators({z: table}, paths, at, kind.rank)[z]
             for slot in (0, 1):
                 assert np.array_equal(
                     ops[slot],
