@@ -20,7 +20,7 @@ from . import convolution as cv
 from . import fusion as fu
 from . import rsos
 from . import transfer as tr
-from .errors import InvalidConfig, RsosError, UnknownTarget
+from .errors import InvalidConfig, RsosError, TooLarge, UnknownTarget
 from .groupoid import Arrow, eps
 from .suites import SUITE_NAMES, RunConfig, run_suite
 
@@ -121,8 +121,18 @@ def _rows_boltzmann(args, config: RunConfig) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+# JSON output holds about 1.2 kB per row at its peak: 500,000 rows near 0.6 GB.
+FUSION_ROW_BUDGET = 500_000
+
+
 def _rows_fusion(args, config: RunConfig) -> tuple[list[str], list[list]]:
+    """The (r-1)^3 rows p, q, s, N_pq^s; over FUSION_ROW_BUDGET raise TooLarge
+    before any is built."""
     r = config.r
+    count = (r - 1) ** 3
+    if count > FUSION_ROW_BUDGET:
+        raise TooLarge(f"FUSION_ROW_BUDGET: {count} fusion-table rows "
+                       f"requested, limit {FUSION_ROW_BUDGET}")
     header = ["p", "q", "s", "N"]
     rows = [[p, q, s, fu.fusion_coeff(p, q, s, r)]
             for p in range(r - 1) for q in range(r - 1) for s in range(r - 1)]

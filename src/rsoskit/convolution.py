@@ -39,7 +39,11 @@ class ConvolutionElement:
     coeffs: dict[Arrow, Coefficient]
 
     def __post_init__(self):
-        self.coeffs = {g: c for g, c in self.coeffs.items() if c != 0}
+        # always a copy, so an element never aliases its caller's dict; the
+        # filter pass runs only when some term cancels
+        coeffs = self.coeffs
+        self.coeffs = ({g: c for g, c in coeffs.items() if c != 0}
+                       if 0 in coeffs.values() else dict(coeffs))
 
     def coeff(self, arrow: Arrow) -> Coefficient:
         return self.coeffs.get(arrow, 0)
@@ -78,25 +82,36 @@ def conv_mul(m: ConvolutionElement, n: ConvolutionElement) -> ConvolutionElement
     n is indexed by source as (shift, coeff) lists, so each alpha of m meets
     exactly the betas that compose with it; their products are summed per
     source of alpha under the shift tuple alpha.shift + beta.shift, and one
-    Arrow is built per distinct output term.  The cost is linear in
+    Arrow is built per distinct output term.  Each shift sum is formed once
+    per distinct (mu, nu) pair of the call, not once per matched pair: the
+    factors repeat a few shifts over many sources.  The cost is linear in
     |m| + |n| + the number of matched pairs, with no groupoid object per pair.
     """
     if m.context != n.context:
         raise ContextMismatch("product of elements over different groupoids")
     by_source: dict[WeightPoint, list[tuple[LatticeVector, Coefficient]]] = {}
-    for beta, cb in n.coeffs.items():
-        by_source.setdefault(beta.source, []).append((beta.shift, cb))
+    for (b, nu), cb in n.coeffs.items():
+        by_source.setdefault(b, []).append((nu, cb))
+    shift_sums: dict[LatticeVector, dict[LatticeVector, LatticeVector]] = {}
     out: dict[WeightPoint, dict[LatticeVector, Coefficient]] = {}
     for alpha, ca in m.coeffs.items():
         betas = by_source.get(alpha.target)
         if betas is None:
             continue
-        mu = alpha.shift
-        sums = out.setdefault(alpha.source, {})
+        a, mu = alpha
+        plus_mu = shift_sums.get(mu)
+        if plus_mu is None:
+            plus_mu = shift_sums[mu] = {}
+        sums = out.setdefault(a, {})
         for nu, cb in betas:
-            shift = tuple(map(add, mu, nu))
+            shift = plus_mu.get(nu)
+            if shift is None:
+                shift = plus_mu[nu] = tuple(map(add, mu, nu))
             sums[shift] = sums.get(shift, 0) + ca * cb
-    return ConvolutionElement(m.context, {Arrow(a, shift): c
+    # Arrow.__new__ only calls tuple.__new__; calling that directly skips a
+    # Python-level call per output term
+    new = tuple.__new__
+    return ConvolutionElement(m.context, {new(Arrow, (a, shift)): c
                                           for a, sums in out.items()
                                           for shift, c in sums.items()})
 

@@ -270,6 +270,8 @@ def transfer_commute_suite(config: RunConfig) -> list[Case]:
         "chain-2": tr.vector_chain(kind, params, (0.0, 0.3)),
         "chain-3": tr.vector_chain(kind, params, (0.0, 0.3, 0.7)),
     }
+    for L in chains.values():
+        tr.require_state_budget(L)
     cases = []
     for name, L in chains.items():
         worst = 0.0

@@ -98,16 +98,23 @@ def vector_chain(kind: ModelKind, params: EllipticParams,
 def _loop_offsets(W: GradedSpace, a: WeightPoint
                   ) -> tuple[tuple[tuple[Arrow, int], ...], int]:
     """Offset of each loop component at `a` in the stacked loop sector
-    (loops ordered by shift), and the sector dimension; built once per (W, a)."""
+    (loops ordered by shift), and the sector dimension; the sectors of every
+    point are built in one pass over W, once per W."""
     def build():
-        offsets, k = [], 0
-        for g in sorted((g for g in W.dims if g.source == a and g.is_loop),
-                        key=lambda g: g.shift):
-            offsets.append((g, k))
-            k += W.dims[g]
-        return tuple(offsets), k
+        loops: dict[WeightPoint, list[Arrow]] = {}
+        for g in W.dims:
+            if g.is_loop:
+                loops.setdefault(g.source, []).append(g)
+        sectors = {}
+        for b, gs in loops.items():
+            offsets, k = [], 0
+            for g in sorted(gs, key=lambda g: g.shift):
+                offsets.append((g, k))
+                k += W.dims[g]
+            sectors[b] = tuple(offsets), k
+        return sectors
 
-    return memo(W, ("loop-offsets", a), build)
+    return memo(W, "loop-offsets", build).get(a, ((), 0))
 
 
 def sector_dim(W: GradedSpace, a: WeightPoint) -> int:
@@ -191,8 +198,24 @@ def transfer_matrix(z: complex, L: LOperator) -> DifferenceOperator:
         partial_trace(L.at(z), L.aux, L.quantum))
 
 
+# The dense commutator keeps about five N x N complex matrices alive at once:
+# 3,000 states peak near 0.7 GB.  Measured at (3,34), 2,883 states: 632 MB.
+STATE_BUDGET = 3_000
+
+
+def require_state_budget(L: LOperator):
+    """Raise TooLarge when the loop-section space of L over the alcove has
+    more than STATE_BUDGET states; builds no T(z)."""
+    size = sum(sector_dim(L.quantum, a) for a in L.aux.context.alcove())
+    if size > STATE_BUDGET:
+        raise TooLarge(f"STATE_BUDGET: dense {size} x {size} transfer matrix "
+                       f"requested, limit {STATE_BUDGET} states")
+
+
 def commutator_residual(L: LOperator, z: complex, w: complex) -> float:
-    """Max-norm of [T(z), T(w)] on the global section space."""
+    """Max-norm of [T(z), T(w)] on the global section space; over
+    STATE_BUDGET raise TooLarge before either T is built."""
+    require_state_budget(L)
     tz = transfer_matrix(z, L).matrix()
     tw = transfer_matrix(w, L).matrix()
     return float(np.abs(tz @ tw - tw @ tz).max(initial=0.0))

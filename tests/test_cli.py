@@ -205,8 +205,10 @@ def test_base_point_rank_validated():
     ["verify", "unitarity", "--n", "8", "--r", "40"],
     ["verify", "spectrum", "--n", "3", "--r", "200"],
     ["verify", "transfer-commute", "--n", "3", "--r", "200"],
+    ["verify", "transfer-commute", "--n", "3", "--r", "80"],
     ["compute", "partition", "--z", "0,200"],
     ["compute", "boltzmann-table", "--z", "0,200"],
+    ["compute", "fusion-table", "--r", "400"],
 ])
 def test_rejected_configurations_exit_2_with_one_error_line(args, capsys):
     assert main(args) == 2

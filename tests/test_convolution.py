@@ -7,6 +7,7 @@ import pytest
 from rsoskit.convolution import (ConvolutionElement, character, chi,
                                  conv_mul, involution, to_difference_operator)
 from rsoskit.errors import ContextMismatch, SupportOutsideAlcove
+from rsoskit.fusion import exterior_character, sym_power_character_n2
 from rsoskit.graded import dual_space, tensor_space
 from rsoskit.groupoid import Arrow, WeightPoint, compose, rsos_alcove
 from rsoskit.rsos import ModelKind, build_vector_space
@@ -205,6 +206,35 @@ def test_conv_mul_matches_pairwise_oracle_fractions():
         return Fraction(rng.randrange(-5, 6), rng.randrange(1, 7))
 
     _assert_matches_oracle(CTX, POINTS, coeff, seed=37)
+
+
+@pytest.mark.parametrize("chars", [
+    [sym_power_character_n2(p, 11) for p in range(10)],
+    [exterior_character(k, 3, 7) for k in range(4)],
+], ids=["sym-n2-r11", "ext-n3-r7"])
+def test_conv_mul_matches_pairwise_oracle_on_characters(chars):
+    for x in chars:
+        for y in chars:
+            product = conv_mul(x, y)
+            assert product == _pairwise_conv_mul(x, y)
+            for g in product.coeffs:
+                a, shift = g
+                assert type(g) is Arrow
+                assert g == Arrow(a, shift) and hash(g) == hash(Arrow(a, shift))
+                assert g.target == Arrow(a, shift).target
+
+
+def test_element_copies_its_coefficients_and_drops_zeros():
+    a = POINTS[1]
+    given = {Arrow(a, (1, 0)): 2, Arrow(a, (0, 1)): Fraction(1, 2)}
+    x = ConvolutionElement(CTX, given)
+    given[Arrow(a, (1, 1))] = 5
+    del given[Arrow(a, (1, 0))]
+    assert x.coeffs == {Arrow(a, (1, 0)): 2, Arrow(a, (0, 1)): Fraction(1, 2)}
+    for zero in (0, Fraction(0)):
+        y = ConvolutionElement(CTX, {Arrow(a, (1, 0)): zero,
+                                     Arrow(a, (0, 1)): 3})
+        assert y.coeffs == {Arrow(a, (0, 1)): 3}
 
 
 def test_conv_mul_drops_cancelled_terms():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -12,7 +13,8 @@ from rsoskit.graded import (GradedMorphism, align, identity_morphism,
                             tensor_morphism, tensor_space, unit_space)
 from rsoskit.groupoid import Arrow, eps, rsos_alcove
 from rsoskit.rsos import ModelKind, build_vector_space
-from rsoskit.transfer import (LOperator, _closed_rows, _row_transfer_matrix,
+from rsoskit.transfer import (LOperator, _closed_rows, _loop_offsets,
+                              _row_transfer_matrix,
                               commutator_residual, l_tensor, partial_trace,
                               partition_enumerate, partition_via_transfer,
                               rll_residual, sector_dim, transfer_matrix,
@@ -244,6 +246,35 @@ def test_transfer_commutes_four_site_chain():
     L = vector_chain(KIND, PARAMS, (0.0, 0.3, 0.7, 0.1))
     assert transfer_matrix(0.21, L).total_dim() > 0
     assert commutator_residual(L, 0.21, 0.47 + 0.1j) < 1e-8
+
+
+@pytest.mark.parametrize("n,r,us", [(2, 5, (0.0, 0.3)), (3, 5, (0.0, 0.3, 0.7))])
+def test_loop_offsets_match_a_scan_per_point(n, r, us):
+    kind = ModelKind.rsos(n, r)
+    W = vector_chain(kind, EllipticParams.rsos(n, r, TAU), us).quantum
+    for a in kind.alcove():
+        loops = sorted((g for g in W.dims if g.source == a and g.is_loop),
+                       key=lambda g: g.shift)
+        starts = itertools.accumulate((W.dims[g] for g in loops), initial=0)
+        assert _loop_offsets(W, a) == (tuple(zip(loops, starts)),
+                                       sum(W.dims[g] for g in loops))
+
+
+def test_state_budget_is_checked_before_any_transfer_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a transfer matrix over STATE_BUDGET")
+
+    monkeypatch.setattr(transfer, "STATE_BUDGET", 5)
+    monkeypatch.setattr(transfer, "transfer_matrix", refuse)
+    L = vector_chain(KIND, PARAMS, (0.0, 0.3))
+    message = "STATE_BUDGET: dense 6 x 6 transfer matrix requested, limit 5 states"
+    with pytest.raises(TooLarge, match=message):
+        commutator_residual(L, 0.21, 0.47 + 0.1j)
+    # at (3,5) chain-2 is empty and chain-3 has 12 states: the suite checks
+    # both chains before its first commutator
+    monkeypatch.setattr(transfer, "commutator_residual", refuse)
+    with pytest.raises(TooLarge, match="dense 12 x 12"):
+        suites.transfer_commute_suite(suites.RunConfig(n=3, r=5))
 
 
 def test_state_space_dimension_two_columns():
