@@ -77,6 +77,8 @@ def theta(z, tau: complex, truncation: int | None = None):
     own truncation, so an array entry equals the scalar call bit for bit."""
     if complex(tau).imag <= 0:
         raise InvalidTau(f"Im tau must be positive, got {tau}")
+    # theta(z | tau + 8) = theta(z | tau); fmod leaves |Re tau| < 8 unchanged
+    tau = complex(math.fmod(complex(tau).real, 8.0), complex(tau).imag)
     zs = np.asarray(z, dtype=complex).ravel()
     cuts = _truncation(zs, tau) if truncation is None else np.full(zs.shape, truncation)
     out = np.empty(zs.shape, dtype=complex)
@@ -94,6 +96,7 @@ def theta_dz0(tau: complex) -> complex:
     """theta'(0, tau) from the term-wise differentiated series."""
     if complex(tau).imag <= 0:
         raise InvalidTau(f"Im tau must be positive, got {tau}")
+    tau = complex(math.fmod(complex(tau).real, 8.0), complex(tau).imag)
     N = _truncation(0.0, tau)
     m = np.arange(-N, N + 1)
     half = m + 0.5
@@ -120,6 +123,8 @@ class EllipticParams:
             raise InvalidConfig("rank must be >= 2")
         # gamma on the theta zero lattice Z + tau*Z makes every bracket vanish
         scale = abs(theta_dz0(self.tau))
+        if scale == 0:  # every bracket would divide by zero
+            raise InvalidTau(f"theta'(0, tau) underflows to 0 at {self.tau}")
         if abs(theta(self.gamma, self.tau)) < 1e-10 * scale:
             raise InvalidConfig(f"gamma={self.gamma} lies on Z + tau*Z")
 
@@ -274,7 +279,8 @@ def _dynamical_23(z: complex, a: WeightPoint, params: EllipticParams) -> np.ndar
 
 def dynamical_ybe_residual(z: complex, w: complex, a: WeightPoint,
                            params: EllipticParams) -> float:
-    """Max-norm residual of the dynamical Yang-Baxter equation at (z, w, a).
+    """Relative max-norm residual of the dynamical Yang-Baxter equation at
+    (z, w, a): max |lhs - rhs| over the largest |entry| of lhs and rhs.
 
     R^(23)(z-w, a+h^(1)) R^(12)(z, a) R^(23)(w, a+h^(1))
       = R^(12)(w, a) R^(23)(z, a+h^(1)) R^(12)(z-w, a).
@@ -285,7 +291,8 @@ def dynamical_ybe_residual(z: complex, w: complex, a: WeightPoint,
     r23 = lambda u: _dynamical_23(u, a, params)
     lhs = r23(z - w) @ r12(z) @ r23(w)
     rhs = r12(w) @ r23(z) @ r12(z - w)
-    return float(np.abs(lhs - rhs).max())
+    scale = max(np.abs(lhs).max(), np.abs(rhs).max())
+    return float(np.abs(lhs - rhs).max() / scale)
 
 
 def unitarity_residual(z: complex, a: WeightPoint, params: EllipticParams) -> float:

@@ -19,7 +19,6 @@ vary with a parameter over fixed spaces pay only for their blocks.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,7 +37,6 @@ from .groupoid import (Arrow, ModelKind, WeightPoint, add_vectors,
 SUMMAND_BUDGET = 200_000
 
 _ATOM_CODES: dict[tuple, int] = {}
-_ATOM_CODES_LOCK = threading.Lock()
 
 
 def _atom_keys(atoms) -> np.ndarray:
@@ -46,9 +44,7 @@ def _atom_keys(atoms) -> np.ndarray:
     (arrow, index) for an atomic basis vector or ("dual", arrow, key).
     Codes are only compared for equality, so their order affects no result.
     """
-    with _ATOM_CODES_LOCK:
-        codes = [_ATOM_CODES.setdefault(atom, len(_ATOM_CODES))
-                 for atom in atoms]
+    codes = [_ATOM_CODES.setdefault(atom, len(_ATOM_CODES)) for atom in atoms]
     return np.array(codes, dtype=np.int64).reshape(-1, 1)
 
 
@@ -235,8 +231,7 @@ class GradedMorphism:
         else:
             products = ((g, self.blocks[g] @ other.blocks[g])
                         for g in set(self.blocks) & set(other.blocks))
-        return GradedMorphism(other.domain, self.codomain,
-                              {g: m for g, m in products if m.any()})
+        return GradedMorphism(other.domain, self.codomain, dict(products))
 
     def __matmul__(self, other: "GradedMorphism") -> "GradedMorphism":
         return self.compose(other)

@@ -142,9 +142,10 @@ def theta_suite(config: RunConfig) -> list[Case]:
         z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.2, 0.2))
         odd = max(odd, abs(el.theta(-z, tau) + el.theta(z, tau)))
         qp_one = max(qp_one, abs(el.theta(z + 1, tau) + el.theta(z, tau)))
+        # before the factor: its TooLarge fires where exp(-i pi tau) overflows
+        shifted = el.theta(z + tau, tau)
         factor = -cmath.exp(-1j * cmath.pi * tau - 2j * cmath.pi * z)
-        qp_tau = max(qp_tau, abs(el.theta(z + tau, tau)
-                                 - factor * el.theta(z, tau)))
+        qp_tau = max(qp_tau, abs(shifted - factor * el.theta(z, tau)))
     params = config.params()
     h = 1e-5
     deriv = abs((el.bracket(h, params) - el.bracket(-h, params)) / (2 * h) - 1)
@@ -184,7 +185,7 @@ def dybe_suite(config: RunConfig) -> list[Case]:
                 break
             except NearPole:
                 continue
-    cases = [Case(f"dybe-n{config.n}-r{config.r}", worst, 1e-9)]
+    cases = [Case(f"dybe-n{config.n}-r{config.r}", worst, 1e-10)]
     if config.base_b is not None:
         b = WeightPoint(base=tuple(config.base_b),
                         offset=(0,) * len(config.base_b))
@@ -193,7 +194,7 @@ def dybe_suite(config: RunConfig) -> list[Case]:
             z, w = sampler.spectral_pair()
             sos_worst = max(sos_worst,
                             el.dynamical_ybe_residual(z, w, b, params))
-        cases.append(Case("dybe-sos-generic-base", sos_worst, 1e-9))
+        cases.append(Case("dybe-sos-generic-base", sos_worst, 1e-10))
     return cases
 
 
@@ -395,20 +396,18 @@ def spectrum_suite(config: RunConfig) -> list[Case]:
 
 
 def partition_suite(config: RunConfig) -> list[Case]:
-    """Each transfer matrix built once per column count (and dropped before
-    the other side's is built), traced for every row count that n divides
-    (tr M^rows is exactly 0 for the others, see `transfer`); a column count
-    with no such row count is not built, except cols = n, the smallest width
-    with a closed row, where the state dimensions are compared."""
+    """Each transfer matrix built once per width n divides (and dropped
+    before the other side's is built), traced for every row count n divides
+    within PARTITION_MAX_FACES faces (tr M^rows is 0 on the other tori, see
+    `transfer`); cols = n, the narrowest width with a closed row, is built
+    even when no row count fits, to compare the state dimensions."""
     params = config.params()
     kind = config.kind()
     n = config.n
     worst = 0.0
-    for cols in range(1, max(PARTITION_MAX_FACES, n) + 1):
+    for cols in range(n, max(PARTITION_MAX_FACES // n, n) + 1, n):
         us = (0.0,) * cols
         rows = range(n, PARTITION_MAX_FACES // cols + 1, n)
-        if not rows and cols != n:
-            continue
         traces = []  # tr M^m for m = 0 and each m in rows, per side
         for build in (tr._row_transfer_matrix, tr.graded_transfer_matrix):
             M = build(0.3, kind, params, us)

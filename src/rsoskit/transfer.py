@@ -9,13 +9,12 @@ tensor unit as W it is the character operator of V.  The partition function
 of the height model on a cols x rows torus is Z = tr M^rows, with M either
 the dense transfer matrix of a cols-site chain or the row-to-row matrix;
 rows = 0 gives dim M.  Every component of the chain has a shift whose
-coordinates sum to cols, and a loop k(1,...,1) sums to nk, so M is empty
-unless n divides cols; both builders decide that from the shifts before
-allocating anything.  Both matrices are difference operators with blocks
-(a, a + eps_i): each row moves the row's first height by one step, and
-`rows` steps return to a mod (1,...,1) only when every index occurs equally
-often.  So tr M^rows is exactly 0 unless n also divides rows, and the
-partition functions return 0j for such tori without building anything.
+coordinates sum to cols, and a loop k(1,...,1) sums to nk, so unless n
+divides cols M is empty and `transfer_matrix` evaluates no L(z).  Both
+matrices are difference operators with blocks (a, a + eps_i): each row moves
+the row's first height by one step, and `rows` steps return to a mod
+(1,...,1) only when every index occurs equally often.  So tr M^rows is 0
+unless n divides rows and cols; the partition functions return 0j unbuilt.
 """
 
 from __future__ import annotations
@@ -191,11 +190,12 @@ def _summand(P: GradedSpace, total: Arrow, left: Arrow, right: Arrow):
 
 def transfer_matrix(z: complex, L: LOperator) -> DifferenceOperator:
     """T(z) = tr_V L(z) as a difference operator on loop sections over the
-    alcove."""
+    alcove; with no loop section it has no blocks, and L(z) is not built."""
     alcove = L.aux.context.alcove()
-    return DifferenceOperator(
-        tuple(alcove), {a: sector_dim(L.quantum, a) for a in alcove},
-        partial_trace(L.at(z), L.aux, L.quantum))
+    dims = {a: sector_dim(L.quantum, a) for a in alcove}
+    blocks = (partial_trace(L.at(z), L.aux, L.quantum) if any(dims.values())
+              else {})
+    return DifferenceOperator(tuple(alcove), dims, blocks)
 
 
 # The dense commutator keeps about five N x N complex matrices alive at once:
@@ -282,8 +282,6 @@ def _row_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
     off at each face's western corner.
     """
     cols = len(us)
-    if cols % kind.rank:  # no row closes: see the module docstring
-        return np.zeros((0, 0), dtype=complex)
     states = _closed_rows(kind, cols)
     n, points = kind.rank, kind.alcove()
     index = {a: p for p, a in enumerate(points)}
@@ -324,8 +322,6 @@ def graded_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
                            us: tuple[complex, ...]) -> np.ndarray:
     """Dense T(z) = tr_V L(z) of the chain V(u_1) (x) ... (x) V(u_c) on the
     loop sections over the alcove."""
-    if len(us) % kind.rank:  # no loop sections: see the module docstring
-        return np.zeros((0, 0), dtype=complex)
     return transfer_matrix(z, vector_chain(kind, params, tuple(us))).matrix()
 
 
@@ -350,7 +346,7 @@ def _partition(build, rows: int, cols: int, z: complex, kind: ModelKind,
     if len(us) != cols:
         raise InvalidConfig(f"one inhomogeneity per column required: "
                             f"{len(us)} given for cols = {cols}")
-    if rows % kind.rank:  # no torus closes: see the module docstring
+    if rows % kind.rank or cols % kind.rank:  # see the module docstring
         return 0j
     return torus_trace(build(z, kind, params, us), rows)
 

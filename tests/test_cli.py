@@ -217,6 +217,23 @@ def test_rejected_configurations_exit_2_with_one_error_line(args, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args,status", [
+    (["verify", "theta", "--tau", "0,230"], 2),
+    (["verify", "unitarity", "--tau", "0,950"], 2),
+    (["verify", "all", "--tau", "0,1e6"], 2),
+    # the series reduce Re tau mod 8, the quasi-period factor does not:
+    # theta-period-tau fails as a case
+    (["verify", "all", "--tau", "1e300,1"], 1),
+])
+def test_extreme_tau_ends_in_a_status_not_a_traceback(args, status, capsys):
+    assert main(args) == status
+    err = capsys.readouterr().err
+    if status == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
 def test_run_config_shares_one_model_across_suites():
     config = RunConfig(n=3, r=5)
     assert config.kind() is config.kind()

@@ -5,12 +5,14 @@ import random
 import numpy as np
 import pytest
 
+from rsoskit import elliptic
 from rsoskit.elliptic import (EllipticParams, _guarded, bracket,
                               dynamical_ybe_residual, r_matrix, r_minus1,
                               r_reg1, r_table, residue_extrapolation, theta,
                               theta_dz0, unitarity_residual)
 from rsoskit.errors import InvalidConfig, InvalidTau, NearPole, TooLarge
 from rsoskit.groupoid import WeightPoint, rsos_alcove
+from rsoskit.suites import RunConfig, dybe_suite
 
 TAU = 0.8j
 
@@ -149,6 +151,23 @@ def test_dynamical_ybe_sos_base():
     p = params(3, 5)
     b = WeightPoint(base=(0.29, 0.11, 0.0), offset=(0, 0, 0))
     assert dynamical_ybe_residual(0.31, 0.17 + 0.05j, b, p) < 1e-9
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7)])
+def test_dybe_case_fails_on_one_entry_off_by_1e9_relative(n, r, monkeypatch):
+    config = RunConfig(n=n, r=r, seed=3)
+    [case] = dybe_suite(config)
+    assert case.passed
+    table = elliptic.r_table
+
+    def perturbed(z, points, p):
+        out = table(z, points, p).copy()
+        out[:, 1, p.rank] *= 1 + 1e-9  # <e_1 (x) e_2 | R | e_2 (x) e_1>
+        return out
+
+    monkeypatch.setattr(elliptic, "r_table", perturbed)
+    [case] = dybe_suite(config)
+    assert not case.passed
 
 
 def test_r_reg1_matches_numerical_residue():

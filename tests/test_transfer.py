@@ -235,10 +235,18 @@ def test_transfer_commutes_two_site_chain():
     assert commutator_residual(L, 0.21, 0.47 + 0.1j) < 1e-8
 
 
-def test_transfer_three_site_chain_is_vacuous_for_rank2():
-    L = vector_chain(KIND, PARAMS, (0.0, 0.3, 0.7))
-    T = transfer_matrix(0.21, L)
-    assert T.total_dim() == 0
+@pytest.mark.parametrize("n,r,sites", [(2, 5, 3), (3, 5, 2)])
+def test_empty_section_space_evaluates_no_l_operator(n, r, sites):
+    # n does not divide the chain length: no loop sections, so T(z) is the
+    # empty operator and L(z) is never built
+    def refuse(z):
+        raise AssertionError("evaluated L(z) on an empty section space")
+
+    kind = ModelKind.rsos(n, r)
+    params = EllipticParams.rsos(n, r, TAU)
+    L = vector_chain(kind, params, (0.0, 0.3, 0.7)[:sites])
+    L.at = refuse
+    assert transfer_matrix(0.21, L).total_dim() == 0
     assert commutator_residual(L, 0.21, 0.47 + 0.1j) == 0.0
 
 
@@ -311,14 +319,10 @@ def test_partition_suite_builds_each_matrix_once_per_column_count(
     count("_closed_rows", lambda args: args[1])
     cases = suites.run_suite("partition", suites.RunConfig(n=n, r=r))
     assert all(c.passed for c in cases)
-    # only widths with a row count n divides within 12 faces, and cols = n
-    widths, closed = {2: ([1, 2, 3, 4, 5, 6], [2, 4, 6]),
-                      3: ([1, 2, 3, 4], [3])}[n]
-    assert built["_row_transfer_matrix"] == widths
-    assert built["graded_transfer_matrix"] == widths
-    # the torus closes only when n divides cols: nothing else is built
-    assert built["_closed_rows"] == closed
-    assert built["vector_chain"] == closed
+    # only widths n divides with a row count n divides within 12 faces, and
+    # cols = n; the torus closes only when n divides cols
+    widths = {2: [2, 4, 6], 3: [3]}[n]
+    assert built == dict.fromkeys(built, widths)
 
 
 @pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
@@ -346,8 +350,9 @@ def test_vacuous_row_counts_skip_the_build_but_not_the_size_checks(monkeypatch):
     monkeypatch.setattr(transfer, "_row_transfer_matrix", refuse)
     monkeypatch.setattr(transfer, "graded_transfer_matrix", refuse)
     for compute in (partition_enumerate, partition_via_transfer):
-        got = compute(3, 2, 0.3, KIND, PARAMS)
-        assert got == 0j and isinstance(got, complex)
+        for rows, cols in ((3, 2), (2, 3)):  # n divides one count only
+            got = compute(rows, cols, 0.3, KIND, PARAMS)
+            assert got == 0j and isinstance(got, complex)
         with pytest.raises(TooLarge,
                            match="FACE_BUDGET: 18 faces requested, limit 16"):
             compute(9, 2, 0.3, KIND, PARAMS)
