@@ -15,13 +15,16 @@ operator acts on sections psi over a finite point set A by
 
 each r_(a, mu) a block from the fibre at a + mu to the one at a: 1 x 1 for
 an element supported inside A, loop sectors for `transfer.transfer_matrix`.
+Operators compose (`@`) by the pairing of the product above on blocks, so
+`power` and `trace` (over the loop arrows) never form the dense matrix on
+the stacked fibres that `matrix()` builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -77,24 +80,29 @@ class ConvolutionElement:
 
 
 def conv_mul(m: ConvolutionElement, n: ConvolutionElement) -> ConvolutionElement:
-    """Convolution product; m sits on the first arrow of each factorization.
+    """Convolution product; m sits on the first arrow of each factorization."""
+    if m.context != n.context:
+        raise ContextMismatch("product of elements over different groupoids")
+    return ConvolutionElement(m.context, _compose(m.coeffs, n.coeffs, mul))
 
-    n is indexed by source as (shift, coeff) lists, so each alpha of m meets
+
+def _compose(first: dict, second: dict, product) -> dict:
+    """Sum of product(first[alpha], second[beta]) over the composable pairs.
+
+    second is indexed by source as (shift, value) lists, so each alpha meets
     exactly the betas that compose with it; their products are summed per
     source of alpha under the shift tuple alpha.shift + beta.shift, and one
     Arrow is built per distinct output term.  Each shift sum is formed once
     per distinct (mu, nu) pair of the call, not once per matched pair: the
     factors repeat a few shifts over many sources.  The cost is linear in
-    |m| + |n| + the number of matched pairs, with no groupoid object per pair.
+    |first| + |second| + the matched pairs, with no groupoid object per pair.
     """
-    if m.context != n.context:
-        raise ContextMismatch("product of elements over different groupoids")
-    by_source: dict[WeightPoint, list[tuple[LatticeVector, Coefficient]]] = {}
-    for (b, nu), cb in n.coeffs.items():
+    by_source: dict[WeightPoint, list[tuple[LatticeVector, object]]] = {}
+    for (b, nu), cb in second.items():
         by_source.setdefault(b, []).append((nu, cb))
     shift_sums: dict[LatticeVector, dict[LatticeVector, LatticeVector]] = {}
-    out: dict[WeightPoint, dict[LatticeVector, Coefficient]] = {}
-    for alpha, ca in m.coeffs.items():
+    out: dict[WeightPoint, dict[LatticeVector, object]] = {}
+    for alpha, ca in first.items():
         betas = by_source.get(alpha.target)
         if betas is None:
             continue
@@ -107,13 +115,12 @@ def conv_mul(m: ConvolutionElement, n: ConvolutionElement) -> ConvolutionElement
             shift = plus_mu.get(nu)
             if shift is None:
                 shift = plus_mu[nu] = tuple(map(add, mu, nu))
-            sums[shift] = sums.get(shift, 0) + ca * cb
+            sums[shift] = sums.get(shift, 0) + product(ca, cb)
     # Arrow.__new__ only calls tuple.__new__; calling that directly skips a
     # Python-level call per output term
     new = tuple.__new__
-    return ConvolutionElement(m.context, {new(Arrow, (a, shift)): c
-                                          for a, sums in out.items()
-                                          for shift, c in sums.items()})
+    return {new(Arrow, (a, shift)): c
+            for a, sums in out.items() for shift, c in sums.items()}
 
 
 def involution(n: ConvolutionElement) -> ConvolutionElement:
@@ -148,6 +155,24 @@ class DifferenceOperator:
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
+
+    def __matmul__(self, other: "DifferenceOperator") -> "DifferenceOperator":
+        """(AB)(a, mu + nu) = sum A(a, mu) B(a + mu, nu), on the same fibres."""
+        return DifferenceOperator(self.points, self.dims,
+                                  _compose(self.blocks, other.blocks, np.dot))
+
+    def power(self, m: int) -> "DifferenceOperator":
+        """The m-th power; m = 0 gives the identity on the fibres."""
+        out = DifferenceOperator(self.points, self.dims, {
+            identity_arrow(a): np.eye(d) for a, d in self.dims.items() if d})
+        for _ in range(m):
+            out = out @ self
+        return out
+
+    def trace(self):
+        """Sum of the traces of the loop blocks, the diagonal of `matrix()`."""
+        return sum(np.trace(np.atleast_2d(block))
+                   for alpha, block in self.blocks.items() if alpha.is_loop)
 
     def matrix(self, dtype=None) -> np.ndarray:
         """Dense matrix on the stacked fibres: int64 for integer scalars on

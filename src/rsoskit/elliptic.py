@@ -123,8 +123,10 @@ class EllipticParams:
             raise InvalidConfig("rank must be >= 2")
         # gamma on the theta zero lattice Z + tau*Z makes every bracket vanish
         scale = abs(theta_dz0(self.tau))
-        if scale == 0:  # every bracket would divide by zero
-            raise InvalidTau(f"theta'(0, tau) underflows to 0 at {self.tau}")
+        # every bracket divides by it: a subnormal one has lost its precision
+        if scale < sys.float_info.min:
+            raise InvalidTau(f"theta'(0, tau) = {scale:.3g} is below the "
+                             f"smallest normal float at {self.tau}")
         if abs(theta(self.gamma, self.tau)) < 1e-10 * scale:
             raise InvalidConfig(f"gamma={self.gamma} lies on Z + tau*Z")
 

@@ -7,14 +7,15 @@ space; T(z) = tr_V L_W(z) is a `convolution.DifferenceOperator` over the
 alcove with the stacked loop sector of W at a as fibre at a, and with the
 tensor unit as W it is the character operator of V.  The partition function
 of the height model on a cols x rows torus is Z = tr M^rows, with M either
-the dense transfer matrix of a cols-site chain or the row-to-row matrix;
-rows = 0 gives dim M.  Every component of the chain has a shift whose
-coordinates sum to cols, and a loop k(1,...,1) sums to nk, so unless n
-divides cols M is empty and `transfer_matrix` evaluates no L(z).  Both
-matrices are difference operators with blocks (a, a + eps_i): each row moves
-the row's first height by one step, and `rows` steps return to a mod
-(1,...,1) only when every index occurs equally often.  So tr M^rows is 0
-unless n divides rows and cols; the partition functions return 0j unbuilt.
+the transfer matrix of a cols-site chain or the row-to-row matrix, both
+difference operators with blocks (a, a + eps_i), composed and traced block
+by block (`DifferenceOperator.power` and `trace`); rows = 0 gives dim M.
+Every component of the chain has a shift whose coordinates sum to cols, and
+a loop k(1,...,1) sums to nk, so unless n divides cols M is empty and
+`transfer_matrix` evaluates no L(z).  Each row moves the row's first height
+by one step, and `rows` steps return to a mod (1,...,1) only when every
+index occurs equally often.  So tr M^rows is 0 unless n divides rows and
+cols; the partition functions return 0j unbuilt.
 """
 
 from __future__ import annotations
@@ -188,37 +189,33 @@ def _summand(P: GradedSpace, total: Arrow, left: Arrow, right: Arrow):
                 if (s.left, s.right) == (left, right))
 
 
+# Loop sections of one T(z), or row states of one row-to-row matrix.  The
+# largest admitted 3-site chain, (3,84) with 19,683 states, peaks at 646 MB
+# RSS in `verify transfer-commute` and 604 MB in `verify partition`.
+STATE_BUDGET = 20_000
+
+
 def transfer_matrix(z: complex, L: LOperator) -> DifferenceOperator:
     """T(z) = tr_V L(z) as a difference operator on loop sections over the
-    alcove; with no loop section it has no blocks, and L(z) is not built."""
+    alcove.  Over STATE_BUDGET loop sections it raises TooLarge, and with
+    none it has no blocks: in both cases L(z) is not built."""
     alcove = L.aux.context.alcove()
     dims = {a: sector_dim(L.quantum, a) for a in alcove}
-    blocks = (partial_trace(L.at(z), L.aux, L.quantum) if any(dims.values())
-              else {})
+    size = sum(dims.values())
+    if size > STATE_BUDGET:
+        raise TooLarge(f"STATE_BUDGET: {size} states requested, "
+                       f"limit {STATE_BUDGET}")
+    blocks = partial_trace(L.at(z), L.aux, L.quantum) if size else {}
     return DifferenceOperator(tuple(alcove), dims, blocks)
 
 
-# The dense commutator keeps about five N x N complex matrices alive at once:
-# 3,000 states peak near 0.7 GB.  Measured at (3,34), 2,883 states: 632 MB.
-STATE_BUDGET = 3_000
-
-
-def require_state_budget(L: LOperator):
-    """Raise TooLarge when the loop-section space of L over the alcove has
-    more than STATE_BUDGET states; builds no T(z)."""
-    size = sum(sector_dim(L.quantum, a) for a in L.aux.context.alcove())
-    if size > STATE_BUDGET:
-        raise TooLarge(f"STATE_BUDGET: dense {size} x {size} transfer matrix "
-                       f"requested, limit {STATE_BUDGET} states")
-
-
 def commutator_residual(L: LOperator, z: complex, w: complex) -> float:
-    """Max-norm of [T(z), T(w)] on the global section space; over
-    STATE_BUDGET raise TooLarge before either T is built."""
-    require_state_budget(L)
-    tz = transfer_matrix(z, L).matrix()
-    tw = transfer_matrix(w, L).matrix()
-    return float(np.abs(tz @ tw - tw @ tz).max(initial=0.0))
+    """Max-norm of [T(z), T(w)] on the global section space, block by
+    block."""
+    tz, tw = transfer_matrix(z, L), transfer_matrix(w, L)
+    zw, wz = (tz @ tw).blocks, (tw @ tz).blocks
+    return max((float(np.abs(zw.get(g, 0) - wz.get(g, 0)).max(initial=0.0))
+                for g in zw.keys() | wz.keys()), default=0.0)
 
 
 def _three_factor_chain(start: GradedSpace, factors: list[GradedSpace],
@@ -272,62 +269,72 @@ def _closed_rows(kind: ModelKind, cols: int) -> list[tuple[WeightPoint, tuple[in
 
 
 def _row_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
-                         us: tuple[complex, ...]) -> np.ndarray:
+                         us: tuple[complex, ...]) -> DifferenceOperator:
     """The scalar row-to-row transfer matrix (Baxter 1982, ch. 7) over the
-    closed row states of len(us) columns.
+    closed row states of len(us) columns, those of first height a as fibre
+    at a; over STATE_BUDGET states raise TooLarge before pairing any.
 
-    R[t, b] is the weight of a row of faces between row state t below and b
-    above: zero unless every vertical edge is a step eps_i inside the alcove,
-    else the product over columns k of the R-matrix entries at z + u_k read
-    off at each face's western corner.
+    Entry (t, b) is the weight of a row of faces between row state t below
+    and b above: zero unless every vertical edge is a step eps_i inside the
+    alcove (so it sits in a block (a, eps_i)), else the product over columns
+    k of the R-matrix entries at z + u_k read off at each face's western
+    corner.
     """
     cols = len(us)
     states = _closed_rows(kind, cols)
+    if len(states) > STATE_BUDGET:
+        raise TooLarge(f"STATE_BUDGET: {len(states)} states requested, "
+                       f"limit {STATE_BUDGET}")
     n, points = kind.rank, kind.alcove()
     index = {a: p for p, a in enumerate(points)}
-    # move[p, i]: index of points[p] + eps_i; edge[p, q]: the step from p to q, else 0
+    # move[p, i]: index of points[p] + eps_i, else -1
     move = np.full((len(points), n + 1), -1)
-    edge = np.zeros((len(points), len(points)), dtype=int)
     for p, a in enumerate(points):
         for i in range(1, n + 1):
             if kind.step_allowed(a, i):
-                q = index[a + eps(n, i)]
-                move[p, i], edge[p, q] = q, i
+                move[p, i] = index[a + eps(n, i)]
     # walk[s, k]: the k-th step of row state s; height[s, k]: its k-th vertex
     walk = np.array([steps for _, steps in states], dtype=int).reshape(-1, cols)
     height = np.empty_like(walk)
     height[:, 0] = [index[a] for a, _ in states]
     for k in range(1, cols):
         height[:, k] = move[height[:, k - 1], walk[:, k - 1]]
-    # pairs (t below, b above) whose vertical edges are all steps, by column
-    adj = edge > 0
-    t, b = np.nonzero(adj[height[:, None, 0], height[None, :, 0]])
-    for k in range(1, cols):
-        keep = adj[height[t, k], height[b, k]]
-        t, b = t[keep], b[keep]
-    vert = [edge[height[t, k], height[b, k]] for k in range(cols)]
+    # the states are listed by first height: first[p]:first[p + 1] start at
+    # points[p].  The blocks (points[p], eps_i) between non-empty fibres are
+    # laid end to end row by row: entry e of block blk[e] pairs t[e] below
+    # with b[e] above
+    first = np.searchsorted(height[:, 0], np.arange(len(points) + 1))
+    size = np.diff(first)
+    p, i = np.nonzero((move >= 0) & (size[:, None] > 0) & (size[move] > 0))
+    q, area = move[p, i], size[p] * size[move[p, i]]
+    blk = np.repeat(np.arange(len(p)), area)
+    e = np.arange(area.sum()) - np.repeat(np.cumsum(area) - area, area)
+    t, b = first[p][blk] + e // size[q][blk], first[q][blk] + e % size[q][blk]
+    # vert[e, k]: the step from the k-th vertex of t[e] to that of b[e], else 0
+    vert = np.zeros((len(e), cols), dtype=int)
+    for step in range(1, n + 1):
+        vert[move[height[t], step] == height[b]] = step
+    steps = (vert > 0).all(axis=1)
+    t, b, vert = t[steps], b[steps], vert[steps]
     tables = {u: r_table(z + u, points, params) for u in dict.fromkeys(us)}
     weight = np.ones(len(t), dtype=complex)
     for k, u in enumerate(us):
         # face k: <e_walk[t,k] (x) e_vert[k+1] | R | e_vert[k] (x) e_walk[b,k]>
         weight *= tables[u][height[t, k],
-                            (walk[t, k] - 1) * n + vert[(k + 1) % cols] - 1,
-                            (vert[k] - 1) * n + walk[b, k] - 1]
-    R = np.zeros((len(states), len(states)), dtype=complex)
-    R[t, b] = weight
-    return R
+                            (walk[t, k] - 1) * n + vert[:, (k + 1) % cols] - 1,
+                            (vert[:, k] - 1) * n + walk[b, k] - 1]
+    entries = np.zeros(len(e), dtype=complex)
+    entries[steps] = weight
+    return DifferenceOperator(tuple(points), dict(zip(points, size.tolist())), {
+        Arrow(points[x], eps(n, y)): entries[end - s:end].reshape(size[x], -1)
+        for x, y, s, end in zip(p, i.tolist(), area, np.cumsum(area))})
 
 
 def graded_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
-                           us: tuple[complex, ...]) -> np.ndarray:
-    """Dense T(z) = tr_V L(z) of the chain V(u_1) (x) ... (x) V(u_c) on the
-    loop sections over the alcove."""
-    return transfer_matrix(z, vector_chain(kind, params, tuple(us))).matrix()
-
-
-def torus_trace(M: np.ndarray, rows: int) -> complex:
-    """Z = tr M^rows of a row transfer matrix; rows = 0 gives dim M."""
-    return complex(np.trace(np.linalg.matrix_power(M, rows)))
+                           us: tuple[complex, ...]) -> DifferenceOperator:
+    """T(z) = tr_V L(z) of the chain V(u_1) (x) ... (x) V(u_c) on the loop
+    sections over the alcove."""
+    return transfer_matrix(z, vector_chain(kind, params, tuple(us)))
 
 
 def _partition(build, rows: int, cols: int, z: complex, kind: ModelKind,
@@ -348,7 +355,7 @@ def _partition(build, rows: int, cols: int, z: complex, kind: ModelKind,
                             f"{len(us)} given for cols = {cols}")
     if rows % kind.rank or cols % kind.rank:  # see the module docstring
         return 0j
-    return torus_trace(build(z, kind, params, us), rows)
+    return complex(build(z, kind, params, us).power(rows).trace())
 
 
 def partition_enumerate(rows: int, cols: int, z: complex, kind: ModelKind,
@@ -356,8 +363,8 @@ def partition_enumerate(rows: int, cols: int, z: complex, kind: ModelKind,
                         inhomogeneities: tuple[complex, ...] | None = None
                         ) -> complex:
     """Exact torus partition function tr R^rows of the scalar row-to-row
-    transfer matrix R; shares only `r_table` and the row states with the
-    graded side."""
+    transfer matrix R; shares only `r_table`, the row states and the
+    `DifferenceOperator` algebra with the graded side."""
     return _partition(_row_transfer_matrix, rows, cols, z, kind, params,
                       inhomogeneities)
 

@@ -205,10 +205,11 @@ def test_base_point_rank_validated():
     ["verify", "unitarity", "--n", "8", "--r", "40"],
     ["verify", "spectrum", "--n", "3", "--r", "200"],
     ["verify", "transfer-commute", "--n", "3", "--r", "200"],
-    ["verify", "transfer-commute", "--n", "3", "--r", "80"],
+    ["verify", "transfer-commute", "--n", "3", "--r", "85"],
     ["compute", "partition", "--z", "0,200"],
     ["compute", "boltzmann-table", "--z", "0,200"],
     ["compute", "fusion-table", "--r", "400"],
+    ["verify", "partition", "--n", "3", "--r", "85"],
 ])
 def test_rejected_configurations_exit_2_with_one_error_line(args, capsys):
     assert main(args) == 2
@@ -221,9 +222,10 @@ def test_rejected_configurations_exit_2_with_one_error_line(args, capsys):
     (["verify", "theta", "--tau", "0,230"], 2),
     (["verify", "unitarity", "--tau", "0,950"], 2),
     (["verify", "all", "--tau", "0,1e6"], 2),
-    # the series reduce Re tau mod 8, the quasi-period factor does not:
-    # theta-period-tau fails as a case
-    (["verify", "all", "--tau", "1e300,1"], 1),
+    # the series and the quasi-period factor reduce Re tau mod 8 alike
+    (["verify", "all", "--tau", "1e300,1"], 0),
+    # theta-period-tau is relative to the values of modulus exp(pi Im tau)
+    (["verify", "theta", "--tau", "0,2"], 0),
 ])
 def test_extreme_tau_ends_in_a_status_not_a_traceback(args, status, capsys):
     assert main(args) == status
@@ -232,6 +234,18 @@ def test_extreme_tau_ends_in_a_status_not_a_traceback(args, status, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert err == ""
+
+
+@pytest.mark.parametrize("tau,status", [("0,903", 0), ("0,905", 2),
+                                        ("0,940", 2)])
+def test_subnormal_theta_prime_at_zero_is_refused(tau, status, capsys):
+    # |theta'(0, tau)| is 2.8e-308 at Im tau = 904 and subnormal from 905:
+    # every bracket divides by it
+    assert main(["verify", "unitarity", "--tau", tau]) == status
+    err = capsys.readouterr().err
+    assert err.count("\n") == (status == 2)
+    if status == 2:
+        assert err.startswith("error: theta'(0, tau) = ")
 
 
 def test_run_config_shares_one_model_across_suites():

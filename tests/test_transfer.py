@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -270,19 +271,25 @@ def test_loop_offsets_match_a_scan_per_point(n, r, us):
 
 def test_state_budget_is_checked_before_any_transfer_matrix(monkeypatch):
     def refuse(*args):
-        raise AssertionError("built a transfer matrix over STATE_BUDGET")
+        raise AssertionError("evaluated an R-matrix over STATE_BUDGET")
 
     monkeypatch.setattr(transfer, "STATE_BUDGET", 5)
-    monkeypatch.setattr(transfer, "transfer_matrix", refuse)
+    monkeypatch.setattr(transfer, "r_table", refuse)
     L = vector_chain(KIND, PARAMS, (0.0, 0.3))
-    message = "STATE_BUDGET: dense 6 x 6 transfer matrix requested, limit 5 states"
+    L.at = refuse
+    message = "^STATE_BUDGET: 6 states requested, limit 5$"
+    with pytest.raises(TooLarge, match=message):
+        transfer_matrix(0.21, L)
     with pytest.raises(TooLarge, match=message):
         commutator_residual(L, 0.21, 0.47 + 0.1j)
-    # at (3,5) chain-2 is empty and chain-3 has 12 states: the suite checks
-    # both chains before its first commutator
-    monkeypatch.setattr(transfer, "commutator_residual", refuse)
-    with pytest.raises(TooLarge, match="dense 12 x 12"):
-        suites.transfer_commute_suite(suites.RunConfig(n=3, r=5))
+    with pytest.raises(TooLarge, match=message):
+        _row_transfer_matrix(0.21, KIND, PARAMS, (0.0, 0.3))
+    # at (3,5) chain-2 is empty and chain-3, like the 3-column rows, has 12
+    # states
+    monkeypatch.setattr(transfer, "restricted_r", refuse)
+    for suite in (suites.transfer_commute_suite, suites.partition_suite):
+        with pytest.raises(TooLarge, match="12 states requested, limit 5$"):
+            suite(suites.RunConfig(n=3, r=5))
 
 
 def test_state_space_dimension_two_columns():
@@ -336,9 +343,10 @@ def test_vacuous_row_counts_are_zero_in_the_full_construction(n, r):
         us = (0.0,) * cols
         for M in (_row_transfer_matrix(0.3, kind, params, us),
                   transfer.graded_transfer_matrix(0.3, kind, params, us)):
-            assert M.size
+            assert M.total_dim()
             for rows in (m for m in range(1, 12 // cols + 1) if m % n):
-                assert transfer.torus_trace(M, rows) == 0j
+                assert M.power(rows).trace() == 0
+                assert np.trace(np.linalg.matrix_power(M.matrix(), rows)) == 0
                 checked += 1
     assert checked
 
@@ -455,7 +463,7 @@ def test_row_transfer_matrix_matches_dfs_row_weights(n, r, cols):
     kind = ModelKind.rsos(n, r)
     params = EllipticParams.rsos(n, r, TAU)
     z, us = 0.17 + 0.05j, tuple(0.1 * k for k in range(cols))
-    R = _row_transfer_matrix(z, kind, params, us)
+    R = _row_transfer_matrix(z, kind, params, us).matrix()
     row_weight = _dfs_row_weights(cols, z, kind, params, us)
     want = np.zeros_like(R)
     for t in range(len(R)):
@@ -464,6 +472,60 @@ def test_row_transfer_matrix_matches_dfs_row_weights(n, r, cols):
             want[t, b] = 0 if w is None else w
     assert np.count_nonzero(want) > 0
     assert np.abs(R - want).max() <= 1e-12 * np.abs(want).max()
+
+
+BLOCK_CASES = ([("T", n, r, sites) for n, r in ((2, 5), (3, 5), (3, 7))
+                for sites in (2, 3)]
+               + [("R", n, r, cols) for n, r, cols in ((2, 4, 4), (2, 5, 2),
+                                                       (2, 5, 6), (3, 5, 3),
+                                                       (3, 5, 6))])
+
+
+def _assert_close(got, want):
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("side,n,r,width", BLOCK_CASES)
+def test_block_algebra_matches_dense(side, n, r, width):
+    kind = ModelKind.rsos(n, r)
+    params = EllipticParams.rsos(n, r, TAU)
+    if side == "T":
+        L = vector_chain(kind, params, (0.0, 0.3, 0.7)[:width])
+        A, B = (transfer_matrix(z, L) for z in (0.21, 0.47 + 0.1j))
+    else:
+        us = tuple(0.1 * k for k in range(width))
+        A, B = (_row_transfer_matrix(z, kind, params, us)
+                for z in (0.17 + 0.05j, 0.31))
+    a, b = A.matrix(), B.matrix()
+    ab = a @ b
+    assert np.abs((A @ B).matrix() - ab).max(initial=0.0) <= (
+        1e-12 * np.abs(ab).max(initial=0.0))
+    for m in range(7):
+        _assert_close(A.power(m).trace(),
+                      np.trace(np.linalg.matrix_power(a, m)))
+    assert A.total_dim() or width % n
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7)])
+def test_block_commutator_matches_dense(n, r):
+    # T(z) and T(w) of n-site chains with other inhomogeneities do not
+    # commute, so the residual compared is not rounding noise
+    kind = ModelKind.rsos(n, r)
+    params = EllipticParams.rsos(n, r, TAU)
+    V = build_vector_space(kind, params)
+    chains = []
+    for us in ((0.0, 0.3, 0.7), (0.4, 0.1, 0.25)):
+        ops = [vector_l_operator(kind, params, u, space=V) for u in us[:n]]
+        chains.append(functools.reduce(l_tensor, ops))
+    z, w = 0.21, 0.47 + 0.1j
+    mixed = LOperator(aux=chains[0].aux, quantum=chains[0].quantum,
+                      at=lambda x: chains[x != z].at(x), params=params)
+    a = transfer_matrix(z, chains[0]).matrix()
+    b = transfer_matrix(w, chains[1]).matrix()
+    want = np.abs(a @ b - b @ a).max(initial=0.0)
+    got = commutator_residual(mixed, z, w)
+    assert want > 1e-3
+    _assert_close(got, want)
 
 
 def _assert_matches_dfs(rows, cols, z, kind, params, inhomogeneities=None):
