@@ -4,8 +4,8 @@ operators, commuting transfer matrices, and the rank-2 fusion ring."""
 
 from .convolution import (ConvolutionElement, DifferenceOperator, character,
                           chi, conv_mul, involution, to_difference_operator)
-from .elliptic import (EllipticParams, FlatR, bracket, dynamical_ybe_residual,
-                       r_matrix, r_minus1, r_reg1, r_table, theta,
+from .elliptic import (EllipticParams, bracket, dynamical_ybe_residual,
+                       pair_index, r_matrix, r_minus1, r_reg1, r_table, theta,
                        unitarity_residual)
 from .graded import (DualityData, GradedMorphism, GradedSpace, align,
                      dual_space, identity_morphism, tensor_morphism,
@@ -13,8 +13,8 @@ from .graded import (DualityData, GradedMorphism, GradedSpace, align,
 from .groupoid import (AlcoveKind, AlcoveSpec, Arrow, ModelKind, WeightPoint,
                        alcove_contains, compose, enumerate_alcove, eps,
                        identity_arrow, inverse, rho, rsos_alcove)
-from .fusion import (EigenFunction, FusionBases, exterior_character,
-                     fusion_bases, fusion_coeff, psi, sym_power_character_n2,
+from .fusion import (FusionBases, exterior_character, fusion_bases,
+                     fusion_coeff, psi, sym_power_character_n2,
                      sym_square_character, verify_fusion_rules, verify_spectrum)
 from .rsos import (boltzmann_weight, build_vector_space, restricted_r,
                    star_triangle_residual)

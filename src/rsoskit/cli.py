@@ -17,11 +17,11 @@ import sys
 from pathlib import Path
 
 from . import convolution as cv
+from . import elliptic as el
 from . import fusion as fu
 from . import rsos
 from . import transfer as tr
 from .errors import InvalidConfig, RsosError, TooLarge, UnknownTarget
-from .groupoid import Arrow, eps
 from .suites import SUITE_NAMES, RunConfig, run_suite
 
 COMPUTE_TARGETS = ("character", "boltzmann-table", "fusion-table", "spectrum",
@@ -98,26 +98,23 @@ def _rows_character(args, config: RunConfig) -> tuple[list[str], list[list]]:
 
 
 def _rows_boltzmann(args, config: RunConfig) -> tuple[list[str], list[list]]:
+    """Each face weight read off one R-matrix table per run of the alcove."""
     params = config.params()
     kind = config.kind()
     z = _parse_complex(args.z)
     n = config.n
     header = ["a", "in1", "in2", "out1", "out2", "weight_re", "weight_im"]
     rows = []
-    for a in kind.alcove():
-        two_steps = kind.paths(a, 2)
-        for k, l in two_steps:
-            alpha = Arrow(a, eps(n, k))
-            beta = Arrow(alpha.target, eps(n, l))
-            for i, j in two_steps:
-                if not rsos._same_weight(i, j, k, l):
-                    continue
-                gamma = Arrow(a, eps(n, i))
-                delta = Arrow(gamma.target, eps(n, j))
-                w = rsos.boltzmann_weight(z, alpha, beta, gamma, delta,
-                                          kind, params)
-                rows.append([";".join(str(int(c)) for c in a.offset),
-                             k, l, i, j, _fmt(w.real), _fmt(w.imag)])
+    for _, run in el.table_runs(kind.alcove(), n ** 4):
+        for flat, a in zip(el.r_table(z, run, params), run):
+            height = ";".join(str(int(c)) for c in a.offset)
+            two_steps = kind.paths(a, 2)
+            for k, l in two_steps:
+                for i, j in two_steps:
+                    if rsos._same_weight(i, j, k, l):
+                        w = flat[el.pair_index(n, i, j), el.pair_index(n, k, l)]
+                        rows.append([height, k, l, i, j, _fmt(w.real),
+                                     _fmt(w.imag)])
     return header, rows
 
 
@@ -151,8 +148,8 @@ def _rows_spectrum(args, config: RunConfig) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def run_compute(what: str, args, config: RunConfig) -> tuple[str, str]:
-    """Build the artifact; returns (text, default_extension)."""
+def run_compute(what: str, args, config: RunConfig) -> str:
+    """Build the artifact; returns its text."""
     if what == "partition":
         z = _parse_complex(args.z)
         kind, params = config.kind(), config.params()
@@ -162,7 +159,7 @@ def run_compute(what: str, args, config: RunConfig) -> tuple[str, str]:
         doc = {"value": {"re": value.real, "im": value.imag},
                "oracle_value": {"re": oracle.real, "im": oracle.imag},
                "rel_err": rel}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n", "json"
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     table_builders = {
         "character": _rows_character,
         "boltzmann-table": _rows_boltzmann,
@@ -175,10 +172,10 @@ def run_compute(what: str, args, config: RunConfig) -> tuple[str, str]:
     header, rows = table_builders[what](args, config)
     if args.format == "json":
         doc = [dict(zip(header, row)) for row in rows]
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n", "json"
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     lines = [",".join(header)]
     lines.extend(",".join(str(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n", "csv"
+    return "\n".join(lines) + "\n"
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -229,21 +226,22 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             report = run_verify(args.suite, config)
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-            _emit(text, args.output)
-            return 0 if report["passed"] else 1
-        text, _ = run_compute(args.what, args, config)
-        _emit(text, args.output)
-        return 0
+            status = 0 if report["passed"] else 1
+        else:
+            text, status = run_compute(args.what, args, config), 0
     except RsosError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _emit(text: str, output: str | None):
-    if output is None:
+    if args.output is None:
         sys.stdout.write(text)
-    else:
-        Path(output).write_text(text)
+        return status
+    try:
+        Path(args.output).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    return status
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ theta(z, tau) = -sum_m exp(i*pi*(m+1/2)^2*tau + 2*pi*i*(m+1/2)*(z+1/2))
 [z] = theta(gamma*z, tau) / (gamma * theta'(0, tau)) has derivative 1 at 0
 and first-order zeros exactly on Lambda = Z/gamma + Z*tau/gamma.
 
-The R-matrix acts on C^n (x) C^n in the row-major basis e_i (x) e_j:
+The R-matrix is a plain n^2 x n^2 array on C^n (x) C^n, whose row and
+column of e_i (x) e_j is `pair_index(n, i, j)` (every reader indexes it so):
 
     R(z,a) = sum_i E_ii (x) E_ii
            - sum_{i!=j} [a_i-a_j+1][z] / ([a_i-a_j][1-z]) E_ij (x) E_ji
@@ -16,7 +17,7 @@ Its residue at z = 1 and its value at z = -1 are the same formula with other
 coefficients, so one builder fills all three.  It builds a table: the
 matrices at one spectral parameter over many points a, stacked, from a
 single array bracket call per table (`r_table`); `r_matrix` is its
-one-point view.  Callers over large point sets table them run by run
+one-point row.  Callers over large point sets table them run by run
 (`table_runs`): each caller states the table entries one point costs (n^4
 for a table over the points themselves, 3 (n + 1) n^4 for the star-triangle
 check's three tables over each point and its successors), so no run's
@@ -154,28 +155,10 @@ def _guarded(value: complex, what: str) -> complex:
     return value
 
 
-@dataclass(frozen=True)
-class FlatR:
-    """R-matrix value on C^n (x) C^n at spectral parameter z and point a."""
-
-    z: complex
-    a: WeightPoint
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        n2 = self.matrix.shape[0]
-        if self.matrix.shape != (n2, n2):
-            raise ValueError("R-matrix block must be square")
-
-    @property
-    def rank(self) -> int:
-        return int(round(math.isqrt(self.matrix.shape[0])))
-
-    def entry(self, out_pair: tuple[int, int], in_pair: tuple[int, int]) -> complex:
-        """Matrix element <e_i (x) e_j | R | e_k (x) e_l> with 1-based indices."""
-        n = self.rank
-        (i, j), (k, l) = out_pair, in_pair
-        return complex(self.matrix[(i - 1) * n + (j - 1), (k - 1) * n + (l - 1)])
+def pair_index(n: int, i, j):
+    """Row of e_i (x) e_j in the row-major basis of C^n (x) C^n, with 1-based
+    i and j (ints or int arrays): the one index of every R-matrix entry."""
+    return (i - 1) * n + (j - 1)
 
 
 def _flat_r(points, params: EllipticParams, diagonal: float, shift: complex,
@@ -215,9 +198,9 @@ def _flat_r(points, params: EllipticParams, diagonal: float, shift: complex,
         swap.append(b_d1 * X / (den * Y))
         keep.append(b_ds * W / (den * Y))
     at = np.array(where, dtype=np.intp).reshape(len(points), len(pairs))
-    rows = [(i - 1) * n + (j - 1) for i, j in pairs]
-    cols = [(j - 1) * n + (i - 1) for i, j in pairs]
-    diag = [i * (n + 1) for i in range(n)]
+    rows = [pair_index(n, i, j) for i, j in pairs]
+    cols = [pair_index(n, j, i) for i, j in pairs]
+    diag = [pair_index(n, i, i) for i in range(1, n + 1)]
     m = np.zeros((len(points), n * n, n * n), dtype=complex)
     m[:, diag, diag] = diagonal
     m[:, rows, cols] = np.array(swap, dtype=complex)[at]
@@ -241,21 +224,21 @@ def table_runs(points, cost: int) -> list:
     return [(k, points[k:k + step]) for k in range(0, len(points), step)]
 
 
-def r_matrix(z: complex, a: WeightPoint, params: EllipticParams) -> FlatR:
-    """The elliptic dynamical R-matrix at (z, a)."""
-    return FlatR(z=z, a=a, matrix=r_table(z, [a], params)[0])
+def r_matrix(z: complex, a: WeightPoint, params: EllipticParams) -> np.ndarray:
+    """The elliptic dynamical R-matrix at (z, a): the one-point row of
+    `r_table`."""
+    return r_table(z, [a], params)[0]
 
 
-def r_reg1(a: WeightPoint, params: EllipticParams) -> FlatR:
+def r_reg1(a: WeightPoint, params: EllipticParams) -> np.ndarray:
     """Residue of the R-matrix at its pole z = 1.
 
     Closed form sum_{i!=j} [a_i-a_j+1][1]/[a_i-a_j] (E_ij(x)E_ji - E_ii(x)E_jj).
     """
-    m = _flat_r([a], params, 0.0, 1, (1,), lambda one: (one, -one, 1))
-    return FlatR(z=1.0, a=a, matrix=m[0])
+    return _flat_r([a], params, 0.0, 1, (1,), lambda one: (one, -one, 1))[0]
 
 
-def r_minus1(a: WeightPoint, params: EllipticParams) -> FlatR:
+def r_minus1(a: WeightPoint, params: EllipticParams) -> np.ndarray:
     """The R-matrix at z = -1, where it degenerates (closed form).
 
     Equals r_matrix(-1, a) wherever the latter is defined: identity on the
@@ -263,9 +246,8 @@ def r_minus1(a: WeightPoint, params: EllipticParams) -> FlatR:
     [a_i-a_j+1][1]/([a_i-a_j][2]) (E_ij(x)E_ji) + [a_i-a_j-1][1]/([a_i-a_j][2]) (E_ii(x)E_jj)
     off the diagonal.
     """
-    m = _flat_r([a], params, 1.0, -1, (1, 2), lambda one, two: (
-        one, one, _guarded(two, "[2]")))
-    return FlatR(z=-1.0, a=a, matrix=m[0])
+    return _flat_r([a], params, 1.0, -1, (1, 2), lambda one, two: (
+        one, one, _guarded(two, "[2]")))[0]
 
 
 def _dynamical_23(z: complex, a: WeightPoint, params: EllipticParams) -> np.ndarray:
@@ -289,7 +271,7 @@ def dynamical_ybe_residual(z: complex, w: complex, a: WeightPoint,
     """
     n = params.rank
     eye = np.eye(n)
-    r12 = lambda u: np.kron(r_matrix(u, a, params).matrix, eye)
+    r12 = lambda u: np.kron(r_matrix(u, a, params), eye)
     r23 = lambda u: _dynamical_23(u, a, params)
     lhs = r23(z - w) @ r12(z) @ r23(w)
     rhs = r12(w) @ r23(z) @ r12(z - w)
@@ -299,7 +281,7 @@ def dynamical_ybe_residual(z: complex, w: complex, a: WeightPoint,
 
 def unitarity_residual(z: complex, a: WeightPoint, params: EllipticParams) -> float:
     """Max-norm residual of R(z,a) R(-z,a) = Id."""
-    m = r_matrix(z, a, params).matrix @ r_matrix(-z, a, params).matrix
+    m = r_matrix(z, a, params) @ r_matrix(-z, a, params)
     return float(np.abs(m - np.eye(m.shape[0])).max())
 
 
@@ -307,7 +289,7 @@ def residue_extrapolation(a: WeightPoint, params: EllipticParams,
                           steps=(1e-4, 1e-5, 1e-6)) -> np.ndarray:
     """Numerical residue of the R-matrix at z=1 by Richardson extrapolation
     of eps * R(1 + eps, a); independent oracle for r_reg1."""
-    samples = [s * r_matrix(1.0 + s, a, params).matrix for s in steps]
+    samples = [s * r_matrix(1.0 + s, a, params) for s in steps]
     # Neville extrapolation to eps = 0 through the three sample points
     xs = list(steps)
     table = list(samples)

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .convolution import ConvolutionElement, conv_mul, to_difference_operator
-from .elliptic import EllipticParams, bracket, r_minus1, r_reg1
+from .elliptic import EllipticParams, bracket, pair_index, r_minus1, r_reg1
 from .errors import LambdaOutsideAlcove, OutOfRange, TooLarge
 from .groupoid import (Arrow, ModelKind, WeightPoint, add_vectors, eps,
                        rsos_alcove)
@@ -37,13 +37,10 @@ class SectorBases:
     sector of the graded square at a point."""
 
     shift: tuple[int, ...]
-    pair: tuple[int, int]
     case: str                      # "diagonal" | "interior" | "boundary"
     paths: list[tuple[int, int]]   # admissible step pairs, basis order
     sym_dim: int
     antisym_dim: int
-    sym_vectors: np.ndarray        # columns span im R(-1) = ker R_reg(1)
-    antisym_vectors: np.ndarray    # columns span im R_reg(1) = ker R(-1)
     minus_one_block: np.ndarray
     reg_one_block: np.ndarray
     residual: float                # subspace-equality + containment residual
@@ -119,10 +116,9 @@ def fusion_bases(a: WeightPoint, kind: ModelKind,
             if not paths:
                 continue
             paths.sort(key=lambda p: (a + eps(n, p[0])).sort_key())
-            blk_m = np.array([[m_minus.entry(po, pi) for pi in paths]
-                              for po in paths])
-            blk_r = np.array([[m_reg.entry(po, pi) for pi in paths]
-                              for po in paths])
+            at = [pair_index(n, *p) for p in paths]
+            pick = np.ix_(at, at)
+            blk_m, blk_r = m_minus[pick], m_reg[pick]
             if i == j:
                 case, sym, anti = "diagonal", 1, 0
             elif len(paths) == 2:
@@ -142,9 +138,8 @@ def fusion_bases(a: WeightPoint, kind: ModelKind,
             if sym_span.shape[1] != sym or anti_span.shape[1] != anti:
                 residual = max(residual, 1.0)
             sectors.append(SectorBases(
-                shift=add_vectors(eps(n, i), eps(n, j)), pair=(i, j),
-                case=case, paths=paths, sym_dim=sym, antisym_dim=anti,
-                sym_vectors=sym_vecs, antisym_vectors=anti_vecs,
+                shift=add_vectors(eps(n, i), eps(n, j)), case=case,
+                paths=paths, sym_dim=sym, antisym_dim=anti,
                 minus_one_block=blk_m, reg_one_block=blk_r,
                 residual=residual))
     return FusionBases(point=a, sectors=sectors)
@@ -285,19 +280,6 @@ def verify_fusion_rules(r: int) -> FusionRuleReport:
     return report
 
 
-@dataclass
-class EigenFunction:
-    """Character eigenfunction psi_lambda on the alcove.
-
-    psi_lambda(a) = q^{-(1/n) sum_i a_i sum_i lambda_i} det(q^{lambda_i a_j})
-    with q = exp(2 pi i / r) and the n-th root fixed as exp(2 pi i / (r n)).
-    """
-
-    lam: WeightPoint
-    points: tuple[WeightPoint, ...]
-    values: np.ndarray
-
-
 def psi_value(lam: WeightPoint, a: WeightPoint, n: int, r: int) -> complex:
     """psi_lambda(a) from one determinant; the per-pair oracle of `psi`."""
     lcoord, acoord = lam.offset, a.offset
@@ -309,8 +291,13 @@ def psi_value(lam: WeightPoint, a: WeightPoint, n: int, r: int) -> complex:
 
 
 def psi(lam: WeightPoint, n: int, r: int,
-        points: tuple[WeightPoint, ...] | None = None) -> EigenFunction:
-    """psi_lambda on `points`, by default the whole alcove P^r_++."""
+        points: tuple[WeightPoint, ...] | None = None) -> np.ndarray:
+    """The character eigenfunction psi_lambda on `points` (by default the
+    whole alcove P^r_++), as an array of its values in point order:
+
+    psi_lambda(a) = q^{-(1/n) sum_i a_i sum_i lambda_i} det(q^{lambda_i a_j})
+    with q = exp(2 pi i / r) and the n-th root fixed as exp(2 pi i / (r n)).
+    """
     points = tuple(rsos_alcove(n, r) if points is None else points)
     if lam not in set(points):
         raise LambdaOutsideAlcove(f"{lam!r} is not a regular affine weight")
@@ -323,9 +310,8 @@ def psi(lam: WeightPoint, n: int, r: int,
     dets = np.linalg.det(np.array([powers[e] for e in expo], dtype=complex)
                          .reshape(len(points), n, n))
     total = sum(lam.offset)
-    values = np.array([complex(root ** (-sum(a.offset) * total) * d)
-                       for a, d in zip(points, dets)])
-    return EigenFunction(lam=lam, points=points, values=values)
+    return np.array([complex(root ** (-sum(a.offset) * total) * d)
+                     for a, d in zip(points, dets)])
 
 
 def exterior_eigenvalue(k: int, lam: WeightPoint, n: int, r: int) -> complex:
@@ -372,7 +358,7 @@ def verify_spectrum(k: int, n: int, r: int) -> SpectrumReport:
     for lam in points:
         f = psi(lam, n, r, points)
         ev = exterior_eigenvalue(k, lam, n, r)
-        residuals.append(float(np.abs(m @ f.values - ev * f.values).max()))
+        residuals.append(float(np.abs(m @ f - ev * f).max()))
         eigenvalues.append(ev)
     return SpectrumReport(n=n, r=r, k=k, eigenvalues=eigenvalues,
                           residuals=residuals)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elliptic import (POLE_GUARD, EllipticParams, bracket, r_matrix, r_table,
-                       table_runs)
+from .elliptic import (POLE_GUARD, EllipticParams, bracket, pair_index,
+                       r_matrix, r_table, table_runs)
 from .errors import (BaseOnSingularSet, ContextMismatch, NonSquare,
                      RestrictionViolated)
 from .graded import GradedMorphism, GradedSpace, memo, tensor_space
@@ -80,7 +80,9 @@ def boltzmann_weight(z: complex, alpha: Arrow, beta: Arrow, gamma: Arrow,
                   ((alpha, k), (beta, l), (gamma, i), (delta, j)))
     if not present:
         return 0.0
-    return r_matrix(z, alpha.source, params).entry((i, j), (k, l))
+    n = params.rank
+    return complex(r_matrix(z, alpha.source, params)[pair_index(n, i, j),
+                                                     pair_index(n, k, l)])
 
 
 def restricted_r(z: complex, kind: ModelKind, params: EllipticParams,
@@ -112,8 +114,8 @@ def _flat_positions(VV: GradedSpace, n: int) -> tuple:
     R-matrix (row/column k <-> summand k)."""
     picks: dict[WeightPoint, list] = {}
     for gamma_arrow, summands in VV.layout.items():
-        flat = np.array([(_step_index(s.left) - 1) * n + _step_index(s.right) - 1
-                         for s in summands])
+        flat = np.array([pair_index(n, _step_index(s.left),
+                                    _step_index(s.right)) for s in summands])
         flat.flags.writeable = False
         picks.setdefault(gamma_arrow.source, []).append(
             (gamma_arrow, np.ix_(flat, flat)))
@@ -135,7 +137,7 @@ def _forbidden_components(flat: np.ndarray, a: WeightPoint, kind: ModelKind):
     allowed = kind.paths(a, 2)
     for k, l in allowed:
         if (l, k) not in allowed:
-            v = complex(flat[(l - 1) * n + k - 1, (k - 1) * n + l - 1])
+            v = complex(flat[pair_index(n, l, k), pair_index(n, k, l)])
             yield (l, k), (k, l), abs(v)
 
 
@@ -187,9 +189,8 @@ def _site_operators(tables: dict, paths, at, n: int) -> dict:
     at the slot's start, where (k, l) are the column path's steps there and
     (i, j) the row path's, if the paths agree off the slot, else 0: the
     operator is the identity on the other step."""
-    steps = np.array(paths) - 1
-    pair = np.stack([steps[:, 0] * n + steps[:, 1],
-                     steps[:, 1] * n + steps[:, 2]])
+    steps = np.array(paths)
+    pair = pair_index(n, steps[:, :2], steps[:, 1:]).T
     off = np.stack([steps[:, 2], steps[:, 0]])
     index = np.array(at)[:, None, :], pair[:, :, None], pair[:, None, :]
     mask = off[:, :, None] == off[:, None, :]

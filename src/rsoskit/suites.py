@@ -257,7 +257,7 @@ def exactness_suite(config: RunConfig) -> list[Case]:
                 dim_mismatches += 1
     residue_rel = 0.0
     for a in kind.alcove():
-        reg = el.r_reg1(a, params).matrix
+        reg = el.r_reg1(a, params)
         oracle = el.residue_extrapolation(a, params)
         residue_rel = max(residue_rel,
                           float(np.abs(reg - oracle).max()

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .convolution import DifferenceOperator
-from .elliptic import EllipticParams, r_table
+from .elliptic import EllipticParams, pair_index, r_table
 from .errors import InvalidConfig, ShapeMismatch, TooLarge
 from .graded import (GradedMorphism, GradedSpace, align, identity_morphism,
                      memo, tensor_morphism, tensor_space, unit_space)
@@ -321,8 +321,8 @@ def _row_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
     for k, u in enumerate(us):
         # face k: <e_walk[t,k] (x) e_vert[k+1] | R | e_vert[k] (x) e_walk[b,k]>
         weight *= tables[u][height[t, k],
-                            (walk[t, k] - 1) * n + vert[:, (k + 1) % cols] - 1,
-                            (vert[:, k] - 1) * n + walk[b, k] - 1]
+                            pair_index(n, walk[t, k], vert[:, (k + 1) % cols]),
+                            pair_index(n, vert[:, k], walk[b, k])]
     entries = np.zeros(len(e), dtype=complex)
     entries[steps] = weight
     return DifferenceOperator(tuple(points), dict(zip(points, size.tolist())), {

@@ -93,7 +93,7 @@ def test_criterion_05_rank2_boltzmann_table():
             [0, br(l + z) * br(1) / den, -br(l + 1) * br(z) / den, 0],
             [0, -br(l - 1) * br(z) / den, br(l - z) * br(1) / den, 0],
             [0, 0, 0, 1]])
-        got = r_matrix(z, WeightPoint.from_level_coordinate(l), params).matrix
+        got = r_matrix(z, WeightPoint.from_level_coordinate(l), params)
         worst = max(worst, float(np.abs(got - expected).max()))
     _report("rank-2 Boltzmann table vs displayed 4x4 matrix", worst, 1e-10)
     assert worst < 1e-10
@@ -114,7 +114,7 @@ def test_criterion_06_exactness_and_residue():
     for n, r in ((2, 5), (3, 5)):
         params = EllipticParams.rsos(n, r, TAU)
         for a in rsos_alcove(n, r):
-            reg = r_reg1(a, params).matrix
+            reg = r_reg1(a, params)
             oracle = residue_extrapolation(a, params)
             residue_rel = max(residue_rel,
                               float(np.abs(reg - oracle).max()
@@ -206,8 +206,8 @@ def test_criterion_12_cli_determinism(tmp_path):
     parser = build_parser()
     args = parser.parse_args(["compute", "spectrum", "--n", "2", "--r", "5",
                               "--k", "1"])
-    text1 = run_compute("spectrum", args, cfg)[0]
-    text2 = run_compute("spectrum", args, cfg)[0]
+    text1 = run_compute("spectrum", args, cfg)
+    text2 = run_compute("spectrum", args, cfg)
     identical = first == second and text1 == text2
     _report("CLI determinism: byte-identical reports and tables",
             0.0 if identical else 1.0, 0.0)

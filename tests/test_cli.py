@@ -2,13 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import rsoskit
+from rsoskit import elliptic
 from rsoskit.cli import main, run_verify
+from rsoskit.elliptic import EllipticParams
 from rsoskit.errors import InvalidConfig, UnknownSuite
+from rsoskit.groupoid import Arrow, ModelKind, WeightPoint, eps
+from rsoskit.rsos import boltzmann_weight
 from rsoskit.suites import RunConfig, run_suite
 
 
@@ -106,6 +111,66 @@ def test_boltzmann_table_matches_golden(tmp_path, n, r):
                           "--r", str(r), "--z", "0.3,0.1"], tmp_path, "b.csv")
     assert code == 0
     assert text == golden.read_text()
+
+
+def test_boltzmann_table_is_the_same_across_table_runs(tmp_path, monkeypatch):
+    # three alcove points per run cut the ten points of (3,6) into four runs
+    monkeypatch.setattr(elliptic, "TABLE_BUDGET", 3 * 3 ** 4)
+    runs = []
+    r_table = elliptic.r_table
+
+    def counted(z, points, params):
+        runs.append(points)
+        return r_table(z, points, params)
+
+    monkeypatch.setattr(elliptic, "r_table", counted)
+    golden = Path(__file__).parent / "data" / "boltzmann_table_n3r6.csv"
+    code, text = run_cli(["compute", "boltzmann-table", "--n", "3", "--r", "6",
+                          "--z", "0.3,0.1"], tmp_path, "b.csv")
+    assert code == 0
+    assert len(runs) >= 3
+    assert text == golden.read_text()
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7)])
+def test_boltzmann_table_rows_are_boltzmann_weights(tmp_path, n, r):
+    code, text = run_cli(["compute", "boltzmann-table", "--n", str(n),
+                          "--r", str(r), "--z", "0.31,0.07"], tmp_path, "b.csv")
+    assert code == 0
+    kind, params = ModelKind.rsos(n, r), EllipticParams.rsos(n, r, 0.8j)
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    # every face: two admissible two-step paths from a of the same weight
+    two_step = lambda a, s, t: (kind.step_allowed(a, s)
+                                and kind.step_allowed(a + eps(n, s), t))
+    faces = [[";".join(map(str, a.offset)), str(k), str(l), str(i), str(j)]
+             for a in kind.alcove()
+             for k, l, i, j in product(range(1, n + 1), repeat=4)
+             if sorted((i, j)) == sorted((k, l))
+             and two_step(a, k, l) and two_step(a, i, j)]
+    assert sorted(row[:5] for row in rows) == sorted(faces)
+    for height, *steps, re, im in rows:
+        a = WeightPoint.integer(tuple(map(int, height.split(";"))))
+        k, l, i, j = map(int, steps)
+        alpha, gamma = Arrow(a, eps(n, k)), Arrow(a, eps(n, i))
+        beta, delta = Arrow(alpha.target, eps(n, l)), Arrow(gamma.target, eps(n, j))
+        w = boltzmann_weight(0.31 + 0.07j, alpha, beta, gamma, delta, kind,
+                             params)
+        assert (float(re), float(im)) == (w.real, w.imag)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "theta"],
+    # the cases fail, yet the unwritable output decides the status
+    ["verify", "unitarity", "--tolerance", "1e-30"],
+    ["compute", "fusion-table", "--r", "5"],
+])
+def test_unwritable_output_exits_2_with_one_error_line(args, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.out"
+    assert main(args + ["-o", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_gamma_override_accepted(tmp_path):

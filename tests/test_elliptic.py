@@ -7,9 +7,9 @@ import pytest
 
 from rsoskit import elliptic
 from rsoskit.elliptic import (EllipticParams, _guarded, bracket,
-                              dynamical_ybe_residual, r_matrix, r_minus1,
-                              r_reg1, r_table, residue_extrapolation, theta,
-                              theta_dz0, unitarity_residual)
+                              dynamical_ybe_residual, pair_index, r_matrix,
+                              r_minus1, r_reg1, r_table, residue_extrapolation,
+                              theta, theta_dz0, unitarity_residual)
 from rsoskit.errors import InvalidConfig, InvalidTau, NearPole, TooLarge
 from rsoskit.groupoid import WeightPoint, rsos_alcove
 from rsoskit.suites import RunConfig, dybe_suite
@@ -93,13 +93,24 @@ def test_r_matrix_diagonal_entries_are_one():
     a = WeightPoint.integer((3, 1, 0))
     flat = r_matrix(0.42 + 0.1j, a, p)
     for i in range(1, 4):
-        assert abs(flat.entry((i, i), (i, i)) - 1) < 1e-14
+        assert abs(flat[pair_index(3, i, i), pair_index(3, i, i)] - 1) < 1e-14
+
+
+def test_pair_index_is_the_kron_basis_position():
+    for n in (2, 3, 4):
+        eye = np.eye(n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert np.kron(eye[i - 1], eye[j - 1])[pair_index(n, i, j)] == 1
+        steps = np.arange(1, n + 1)
+        i, j = np.meshgrid(steps, steps, indexing="ij")
+        assert np.array_equal(pair_index(n, i, j).ravel(), np.arange(n * n))
 
 
 def test_r_matrix_at_zero_is_identity():
     p = params(3, 5)
     a = WeightPoint.integer((3, 1, 0))
-    m = r_matrix(0.0, a, p).matrix
+    m = r_matrix(0.0, a, p)
     assert np.abs(m - np.eye(9)).max() < 1e-13
 
 
@@ -173,9 +184,9 @@ def test_dybe_case_fails_on_one_entry_off_by_1e9_relative(n, r, monkeypatch):
 def test_r_reg1_matches_numerical_residue():
     p = params(3, 5)
     a = WeightPoint.integer((3, 1, 0))
-    reg = r_reg1(a, p).matrix
+    reg = r_reg1(a, p)
     eps = 1e-6
-    approx = eps * r_matrix(1.0 + eps, a, p).matrix
+    approx = eps * r_matrix(1.0 + eps, a, p)
     rel = np.abs(approx - reg).max() / np.abs(reg).max()
     assert rel < 1e-4
     oracle = residue_extrapolation(a, p)
@@ -187,7 +198,7 @@ def test_r_reg1_vanishes_on_diagonal_vectors():
     a = WeightPoint.integer((3, 1, 0))
     flat = r_reg1(a, p)
     for i in range(1, 4):
-        col = flat.matrix[:, (i - 1) * 3 + (i - 1)]
+        col = flat[:, (i - 1) * 3 + (i - 1)]
         assert np.abs(col).max() == 0.0
 
 
@@ -195,7 +206,7 @@ def test_r_reg1_middle_block_rank_one_interior():
     p = params(2, 5)
     for l in (2, 3):
         a = WeightPoint.from_level_coordinate(l)
-        m = r_reg1(a, p).matrix[1:3, 1:3]
+        m = r_reg1(a, p)[1:3, 1:3]
         assert abs(abs(m[0, 0]) - abs(m[0, 1])) < 1e-12
         s = np.linalg.svd(m, compute_uv=False)
         assert s[1] < 1e-10 * s[0]
@@ -205,7 +216,7 @@ def test_r_minus1_consistent_with_r_matrix():
     p = params(3, 5)
     for coords in ((3, 1, 0), (4, 2, 0)):
         a = WeightPoint.integer(coords)
-        diff = np.abs(r_minus1(a, p).matrix - r_matrix(-1.0, a, p).matrix).max()
+        diff = np.abs(r_minus1(a, p) - r_matrix(-1.0, a, p)).max()
         assert diff < 1e-10
 
 
@@ -214,7 +225,7 @@ def test_r_minus1_nonzero_on_diagonal_sectors():
     a = WeightPoint.integer((3, 1, 0))
     flat = r_minus1(a, p)
     for i in range(1, 4):
-        assert abs(flat.entry((i, i), (i, i))) > 0.1
+        assert abs(flat[pair_index(3, i, i), pair_index(3, i, i)]) > 0.1
 
 
 def test_r_minus1_vanishes_on_wall_sector():
@@ -222,8 +233,8 @@ def test_r_minus1_vanishes_on_wall_sector():
     p = params(3, 5)
     a = WeightPoint.integer((2, 1, 0))  # a_1 = a_2 + 1
     flat = r_minus1(a, p)
-    assert abs(flat.entry((1, 2), (1, 2))) < 1e-14
-    assert abs(flat.entry((2, 1), (1, 2))) < 1e-14
+    assert abs(flat[pair_index(3, 1, 2), pair_index(3, 1, 2)]) < 1e-14
+    assert abs(flat[pair_index(3, 2, 1), pair_index(3, 1, 2)]) < 1e-14
 
 
 def test_theta_truncation_rule_handles_large_imaginary_part():
@@ -327,10 +338,10 @@ def test_builders_match_loop_oracles_bit_for_bit(n, r):
             for a, m in zip(points, table):
                 loop = _loop_r_matrix(z, a, p)
                 assert np.array_equal(m, loop)
-                assert np.array_equal(r_matrix(z, a, p).matrix, loop)
+                assert np.array_equal(r_matrix(z, a, p), loop)
         for a in points:
-            assert np.array_equal(r_reg1(a, p).matrix, _loop_r_reg1(a, p))
-            assert np.array_equal(r_minus1(a, p).matrix, _loop_r_minus1(a, p))
+            assert np.array_equal(r_reg1(a, p), _loop_r_reg1(a, p))
+            assert np.array_equal(r_minus1(a, p), _loop_r_minus1(a, p))
 
 
 def test_array_theta_equals_scalar_calls_entry_by_entry():

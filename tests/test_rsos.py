@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from rsoskit.convolution import character
-from rsoskit.elliptic import EllipticParams, bracket, r_matrix, r_table
+from rsoskit.elliptic import (EllipticParams, bracket, pair_index, r_matrix,
+                              r_table)
 from rsoskit.errors import (BaseOnSingularSet, InfiniteSet, InvalidConfig,
                             NonSquare, RestrictionViolated)
 from rsoskit.graded import identity_morphism
@@ -119,7 +120,7 @@ def test_flat_matrix_matches_displayed_rank2_form():
         z = complex(rng.uniform(0.1, 0.6), rng.uniform(0, 0.2))
         l = rng.choice([1, 2, 3, 4])
         expected, _ = _displayed_matrix(z, l, params)
-        got = r_matrix(z, _point(l), params).matrix
+        got = r_matrix(z, _point(l), params)
         assert np.abs(got - expected).max() < 1e-10
 
 
@@ -304,7 +305,8 @@ def _site_matrix_scan(flat_of, a, paths, slot, n):
                     continue
                 row = pos.get(p[:slot] + (i, j) + p[slot + 2:])
                 if row is not None:
-                    m[row, col] += flat.entry((i, j), (p[slot], p[slot + 1]))
+                    m[row, col] += flat[pair_index(n, i, j),
+                                        pair_index(n, p[slot], p[slot + 1])]
     return m
 
 

@@ -426,9 +426,10 @@ def _dfs_row_weights(cols, z, kind, params, us):
             return None
         wgt = 1.0 + 0.0j
         for k in range(cols):
-            wgt *= flat(verts[t][k], us[k]).entry(
-                (states[t][1][k], vstep[(k + 1) % cols]),
-                (vstep[k], states[b][1][k]))
+            # <e_i (x) e_j | R | e_k (x) e_l> is entry ((i-1)n + j-1, (k-1)n + l-1)
+            wgt *= flat(verts[t][k], us[k])[
+                (states[t][1][k] - 1) * n + vstep[(k + 1) % cols] - 1,
+                (vstep[k] - 1) * n + states[b][1][k] - 1]
         return wgt
 
     return row_weight
