@@ -21,11 +21,8 @@ from . import elliptic as el
 from . import fusion as fu
 from . import rsos
 from . import transfer as tr
-from .errors import InvalidConfig, RsosError, TooLarge, UnknownTarget
+from .errors import InvalidConfig, RsosError, UnknownTarget, check_budget
 from .suites import SUITE_NAMES, RunConfig, run_suite
-
-COMPUTE_TARGETS = ("character", "boltzmann-table", "fusion-table", "spectrum",
-                   "partition")
 
 
 def _fmt(x: float) -> str:
@@ -126,10 +123,8 @@ def _rows_fusion(args, config: RunConfig) -> tuple[list[str], list[list]]:
     """The (r-1)^3 rows p, q, s, N_pq^s; over FUSION_ROW_BUDGET raise TooLarge
     before any is built."""
     r = config.r
-    count = (r - 1) ** 3
-    if count > FUSION_ROW_BUDGET:
-        raise TooLarge(f"FUSION_ROW_BUDGET: {count} fusion-table rows "
-                       f"requested, limit {FUSION_ROW_BUDGET}")
+    check_budget("FUSION_ROW_BUDGET", (r - 1) ** 3, FUSION_ROW_BUDGET,
+                 "fusion-table rows")
     header = ["p", "q", "s", "N"]
     rows = [[p, q, s, fu.fusion_coeff(p, q, s, r)]
             for p in range(r - 1) for q in range(r - 1) for s in range(r - 1)]
@@ -148,6 +143,15 @@ def _rows_spectrum(args, config: RunConfig) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+_TABLE_BUILDERS = {
+    "character": _rows_character,
+    "boltzmann-table": _rows_boltzmann,
+    "fusion-table": _rows_fusion,
+    "spectrum": _rows_spectrum,
+}
+COMPUTE_TARGETS = (*_TABLE_BUILDERS, "partition")
+
+
 def run_compute(what: str, args, config: RunConfig) -> str:
     """Build the artifact; returns its text."""
     if what == "partition":
@@ -160,16 +164,10 @@ def run_compute(what: str, args, config: RunConfig) -> str:
                "oracle_value": {"re": oracle.real, "im": oracle.imag},
                "rel_err": rel}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    table_builders = {
-        "character": _rows_character,
-        "boltzmann-table": _rows_boltzmann,
-        "fusion-table": _rows_fusion,
-        "spectrum": _rows_spectrum,
-    }
-    if what not in table_builders:
+    if what not in _TABLE_BUILDERS:
         raise UnknownTarget(
             f"unknown target {what!r}; choose from {COMPUTE_TARGETS}")
-    header, rows = table_builders[what](args, config)
+    header, rows = _TABLE_BUILDERS[what](args, config)
     if args.format == "json":
         doc = [dict(zip(header, row)) for row in rows]
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidTau, NearPole, TooLarge
+from .errors import InvalidConfig, InvalidTau, NearPole, TooLarge, check_budget
 from .groupoid import WeightPoint, eps
 
 _TAIL_LOG10 = 17.0  # discard terms below 1e-17 relative
@@ -57,9 +57,8 @@ def _truncation(z, tau: complex):
     n = y / t + math.sqrt(_TAIL_LOG10 * math.log(10.0) / (math.pi * t))
     longest = np.fmax.reduce(n, axis=None, initial=0.0)  # NaN entries ignored
     terms = 2 * max(12.0, np.ceil(longest) + 1) + 1
-    if terms > THETA_TERM_BUDGET:
-        raise TooLarge(f"THETA_TERM_BUDGET: {terms:.0f} series terms requested "
-                       f"per entry, limit {THETA_TERM_BUDGET}")
+    check_budget("THETA_TERM_BUDGET", terms, THETA_TERM_BUDGET,
+                 "series terms per entry")
     peak = math.pi * np.fmax.reduce(y, axis=None, initial=0.0) ** 2 / t
     if peak > _LOG_FLOAT_MAX - math.log(terms):
         raise TooLarge(f"float64 range: {terms:.0f} theta terms up to "
@@ -285,14 +284,12 @@ def unitarity_residual(z: complex, a: WeightPoint, params: EllipticParams) -> fl
     return float(np.abs(m - np.eye(m.shape[0])).max())
 
 
-def residue_extrapolation(a: WeightPoint, params: EllipticParams,
-                          steps=(1e-4, 1e-5, 1e-6)) -> np.ndarray:
+def residue_extrapolation(a: WeightPoint, params: EllipticParams) -> np.ndarray:
     """Numerical residue of the R-matrix at z=1 by Richardson extrapolation
     of eps * R(1 + eps, a); independent oracle for r_reg1."""
-    samples = [s * r_matrix(1.0 + s, a, params) for s in steps]
+    xs = (1e-4, 1e-5, 1e-6)
+    table = [s * r_matrix(1.0 + s, a, params) for s in xs]
     # Neville extrapolation to eps = 0 through the three sample points
-    xs = list(steps)
-    table = list(samples)
     for level in range(1, len(xs)):
         nxt = []
         for k in range(len(table) - 1):

@@ -49,6 +49,16 @@ class TooLarge(RsosError):
     """A requested size exceeds a named budget or the float64 range."""
 
 
+def check_budget(name: str, requested: int | float, limit: int,
+                 unit: str) -> None:
+    """Raise TooLarge "NAME: N UNIT requested, limit L" when requested > limit;
+    a float count (a series length, inf when it overflows) is written without
+    decimals."""
+    if requested > limit:
+        count = f"{requested:.0f}" if isinstance(requested, float) else requested
+        raise TooLarge(f"{name}: {count} {unit} requested, limit {limit}")
+
+
 class OutOfRange(RsosError):
     """Index outside the admissible range."""
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .convolution import ConvolutionElement, conv_mul, to_difference_operator
 from .elliptic import EllipticParams, bracket, pair_index, r_minus1, r_reg1
-from .errors import LambdaOutsideAlcove, OutOfRange, TooLarge
+from .errors import LambdaOutsideAlcove, OutOfRange, check_budget
 from .groupoid import (Arrow, ModelKind, WeightPoint, add_vectors, eps,
                        rsos_alcove)
 from .rsos import _same_weight
@@ -27,7 +27,8 @@ from .rsos import _same_weight
 RANK_TOL = 1e-8
 SPECTRUM_TOL = 1e-10
 # alcove points of the dense spectrum check: the 1,953 of (n, r) = (3, 64)
-# take 64 s per k and peak at 90 MB RSS in CPython 3.11; time grows as |A|^2
+# take 27 s per k and peak at 91 MB RSS, the 1,176 of (3, 50) 6.7 s and
+# 53 MB (CPython 3.11, 2 cores, one BLAS thread)
 SPECTRUM_BUDGET = 2_000
 
 
@@ -347,11 +348,7 @@ def verify_spectrum(k: int, n: int, r: int) -> SpectrumReport:
     The operator is a dense |A| x |A| complex matrix; over SPECTRUM_BUDGET
     points raise TooLarge before it is built."""
     points = tuple(rsos_alcove(n, r))
-    size = len(points)
-    if size > SPECTRUM_BUDGET:
-        raise TooLarge(f"SPECTRUM_BUDGET: dense {size} x {size} complex matrix "
-                       f"({16 * size * size / 2 ** 30:.3g} GiB) requested, "
-                       f"limit {SPECTRUM_BUDGET} points")
+    check_budget("SPECTRUM_BUDGET", len(points), SPECTRUM_BUDGET, "points")
     op = to_difference_operator(exterior_character(k, n, r), points)
     m = op.matrix(dtype=complex)
     eigenvalues, residuals = [], []

@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ContextMismatch, ShapeMismatch, TooLarge
+from .errors import ContextMismatch, ShapeMismatch, check_budget
 from .groupoid import (Arrow, ModelKind, WeightPoint, add_vectors,
                        identity_arrow, inverse)
 
@@ -148,9 +148,8 @@ def _build_tensor_space(V: GradedSpace, W: GradedSpace) -> GradedSpace:
     for beta, dw in W.dims.items():
         by_source.setdefault(beta.source, []).append((beta, W.offsets[beta], dw))
     count = sum(len(by_source.get(alpha.target, ())) for alpha in V.dims)
-    if count > SUMMAND_BUDGET:
-        raise TooLarge(f"SUMMAND_BUDGET: {count} tensor-product summands "
-                       f"requested, limit {SUMMAND_BUDGET}")
+    check_budget("SUMMAND_BUDGET", count, SUMMAND_BUDGET,
+                 "tensor-product summands")
     pieces: dict[Arrow, list[tuple]] = {}
     for alpha, dv in V.dims.items():
         mid, vo = alpha.target, V.offsets[alpha]
@@ -403,14 +402,14 @@ def _pairing_vectors(P: GradedSpace, left: GradedSpace,
     return out
 
 
-def zigzag_residual(V: GradedSpace, duality: DualityData | None = None) -> float:
+def zigzag_residual(V: GradedSpace) -> float:
     """Deviation of the two triangle composites from the identity.
 
     V = 1 (x) V -> (V (x) V*) (x) V = V (x) (V* (x) V) -> V (x) 1 = V and
     V* = V* (x) 1 -> V* (x) (V (x) V*) = (V* (x) V) (x) V* -> 1 (x) V* = V*;
     the reassociations and unit laws are the alignments of flat keys.
     """
-    dd = duality or dual_space(V)
+    dd = dual_space(V)
     id_v, id_d = identity_morphism(V), identity_morphism(dd.dual)
     res = 0.0
     for X, step1, step2 in (

@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from operator import itemgetter
 
-from .errors import InfiniteSet, InvalidConfig, NonComposable, TooLarge
+from .errors import InfiniteSet, InvalidConfig, NonComposable, check_budget
 
 LatticeVector = tuple[int, ...]
 
@@ -251,9 +251,7 @@ def enumerate_alcove(spec: AlcoveSpec) -> list[WeightPoint]:
         # a_1 >= ... >= a_{n-1} >= a_n = 0 with a_1 <= r
         combos = combinations_with_replacement(range(0, r + 1), n - 1)
         count = math.comb(r + n - 1, n - 1)
-    if count > ALCOVE_BUDGET:
-        raise TooLarge(f"ALCOVE_BUDGET: {count} points requested, "
-                       f"limit {ALCOVE_BUDGET}")
+    check_budget("ALCOVE_BUDGET", count, ALCOVE_BUDGET, "points")
     return sorted((WeightPoint.integer(tuple(reversed(c)) + (0,)) for c in combos),
                   key=WeightPoint.sort_key)
 

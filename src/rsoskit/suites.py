@@ -23,10 +23,6 @@ from .errors import InvalidConfig, NearPole, UnknownSuite
 from .graded import GradedSpace, tensor_space
 from .groupoid import Arrow, WeightPoint, eps
 
-SUITE_NAMES = ("theta", "unitarity", "dybe", "star-triangle", "restriction",
-               "exactness", "transfer-commute", "characters", "fusion",
-               "spectrum", "partition", "all")
-
 THETA_SAMPLES = 50
 UNITARITY_SAMPLES = 100
 DYBE_SAMPLES = 20
@@ -400,11 +396,11 @@ def spectrum_suite(config: RunConfig) -> list[Case]:
 
 
 def partition_suite(config: RunConfig) -> list[Case]:
-    """Each transfer matrix built once per width n divides, and traced for
-    every row count n divides within PARTITION_MAX_FACES faces along one
-    running product of M (tr M^rows is 0 on the other tori, see
-    `transfer`); cols = n, the narrowest width with a closed row, is built
-    even when no row count fits, to compare the state dimensions."""
+    """Each transfer matrix built once per width n divides, and traced as
+    tr M^rows for every row count n divides within PARTITION_MAX_FACES faces
+    (tr M^rows is 0 on the other tori, see `transfer`); cols = n, the
+    narrowest width with a closed row, is built even when no row count fits,
+    to compare the state dimensions tr M^0."""
     params = config.params()
     kind = config.kind()
     n = config.n
@@ -415,12 +411,7 @@ def partition_suite(config: RunConfig) -> list[Case]:
         traces = []  # tr M^m for m = 0 and each m in rows, per side
         for build in (tr._row_transfer_matrix, tr.graded_transfer_matrix):
             M = build(0.3, kind, params, us)
-            power = M.power(0)
-            traces.append([complex(power.trace())])
-            for m in range(1, max(rows, default=0) + 1):
-                power = power @ M
-                if m in rows:
-                    traces[-1].append(complex(power.trace()))
+            traces.append([complex(M.power(m).trace()) for m in (0, *rows)])
         z_en, z_tm = traces
         for en, tm in zip(z_en[1:], z_tm[1:]):
             worst = max(worst, abs(en - tm) / max(1.0, abs(en)))
@@ -445,13 +436,14 @@ _SUITES = {
     "spectrum": spectrum_suite,
     "partition": partition_suite,
 }
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str, config: RunConfig) -> list[Case]:
     """Cases of one suite, or of every suite for "all", with config.tolerance
     (when set) in place of each pinned tolerance."""
     if name == "all":
-        cases = [c for key in SUITE_NAMES[:-1] for c in _SUITES[key](config)]
+        cases = [c for suite in _SUITES.values() for c in suite(config)]
     elif name in _SUITES:
         cases = _SUITES[name](config)
     else:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .convolution import DifferenceOperator
 from .elliptic import EllipticParams, pair_index, r_table
-from .errors import InvalidConfig, ShapeMismatch, TooLarge
+from .errors import InvalidConfig, ShapeMismatch, check_budget
 from .graded import (GradedMorphism, GradedSpace, align, identity_morphism,
                      memo, tensor_morphism, tensor_space, unit_space)
 from .groupoid import Arrow, ModelKind, WeightPoint, add_vectors, eps
@@ -86,7 +86,11 @@ def l_tensor(first: LOperator, second: LOperator) -> LOperator:
 
 def vector_chain(kind: ModelKind, params: EllipticParams,
                  points: tuple[complex, ...]) -> LOperator:
-    """Chain V(u_1) (x) ... (x) V(u_c) of vector representations."""
+    """Chain V(u_1) (x) ... (x) V(u_c) of vector representations.
+
+    Its loop sections are as many as the closed c-step rows, so STATE_BUDGET
+    is checked by `_closed_rows` before any tensor product is built."""
+    _closed_rows(kind, len(points))
     V = build_vector_space(kind, params)
     ops = [vector_l_operator(kind, params, u, space=V) for u in points]
     out = ops[0]
@@ -189,22 +193,13 @@ def _summand(P: GradedSpace, total: Arrow, left: Arrow, right: Arrow):
                 if (s.left, s.right) == (left, right))
 
 
-# Loop sections of one T(z), or row states of one row-to-row matrix.  The
-# largest admitted 3-site chain, (3,84) with 19,683 states, peaks at 646 MB
-# RSS in `verify transfer-commute` and 604 MB in `verify partition`.
-STATE_BUDGET = 20_000
-
-
 def transfer_matrix(z: complex, L: LOperator) -> DifferenceOperator:
     """T(z) = tr_V L(z) as a difference operator on loop sections over the
-    alcove.  Over STATE_BUDGET loop sections it raises TooLarge, and with
-    none it has no blocks: in both cases L(z) is not built."""
+    alcove; with none it has no blocks and L(z) is not built.  STATE_BUDGET
+    bounds the loop sections when `vector_chain` builds the chain."""
     alcove = L.aux.context.alcove()
     dims = {a: sector_dim(L.quantum, a) for a in alcove}
     size = sum(dims.values())
-    if size > STATE_BUDGET:
-        raise TooLarge(f"STATE_BUDGET: {size} states requested, "
-                       f"limit {STATE_BUDGET}")
     blocks = partial_trace(L.at(z), L.aux, L.quantum) if size else {}
     return DifferenceOperator(tuple(alcove), dims, blocks)
 
@@ -258,21 +253,28 @@ def rll_residual(L: LOperator, z: complex, w: complex) -> float:
 
 
 FACE_BUDGET = 16
+# Row states of one row-to-row matrix, or loop sections of one c-site chain.
+# The largest admitted 3-site chain, (3,84) with 19,683 states, peaks at
+# 646 MB RSS in `verify transfer-commute` and 604 MB in `verify partition`.
+STATE_BUDGET = 20_000
 
 
 def _closed_rows(kind: ModelKind, cols: int) -> list[tuple[WeightPoint, tuple[int, ...]]]:
     """Admissible single-row states: paths of length `cols` that return to
-    their start mod (1,...,1), i.e. use every step index equally often."""
+    their start mod (1,...,1), i.e. use every step index equally often; over
+    STATE_BUDGET states raise TooLarge."""
     n = kind.rank
-    return [(a, steps) for a in kind.alcove() for steps in kind.paths(a, cols)
-            if len({steps.count(i) for i in range(1, n + 1)}) == 1]
+    states = [(a, steps) for a in kind.alcove() for steps in kind.paths(a, cols)
+              if len({steps.count(i) for i in range(1, n + 1)}) == 1]
+    check_budget("STATE_BUDGET", len(states), STATE_BUDGET, "states")
+    return states
 
 
 def _row_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
                          us: tuple[complex, ...]) -> DifferenceOperator:
     """The scalar row-to-row transfer matrix (Baxter 1982, ch. 7) over the
     closed row states of len(us) columns, those of first height a as fibre
-    at a; over STATE_BUDGET states raise TooLarge before pairing any.
+    at a; over STATE_BUDGET states `_closed_rows` raises before any is paired.
 
     Entry (t, b) is the weight of a row of faces between row state t below
     and b above: zero unless every vertical edge is a step eps_i inside the
@@ -282,9 +284,6 @@ def _row_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
     """
     cols = len(us)
     states = _closed_rows(kind, cols)
-    if len(states) > STATE_BUDGET:
-        raise TooLarge(f"STATE_BUDGET: {len(states)} states requested, "
-                       f"limit {STATE_BUDGET}")
     n, points = kind.rank, kind.alcove()
     index = {a: p for p, a in enumerate(points)}
     # move[p, i]: index of points[p] + eps_i, else -1
@@ -346,9 +345,7 @@ def _partition(build, rows: int, cols: int, z: complex, kind: ModelKind,
         raise InvalidConfig(f"rows must be >= 0, got {rows}")
     if cols < 1:
         raise InvalidConfig(f"cols must be >= 1, got {cols}")
-    if rows * cols > FACE_BUDGET:
-        raise TooLarge(f"FACE_BUDGET: {rows * cols} faces requested, "
-                       f"limit {FACE_BUDGET}")
+    check_budget("FACE_BUDGET", rows * cols, FACE_BUDGET, "faces")
     us = inhomogeneities if inhomogeneities is not None else (0.0,) * cols
     if len(us) != cols:
         raise InvalidConfig(f"one inhomogeneity per column required: "

@@ -246,7 +246,6 @@ def test_verlinde_symmetry_checks_the_ring_products(monkeypatch):
 
 
 def test_spectrum_check_over_budget_is_refused_before_densifying():
-    with pytest.raises(TooLarge, match=r"SPECTRUM_BUDGET: dense 19701 x 19701 "
-                                       r"complex matrix \(5\.78 GiB\) requested, "
-                                       rf"limit {fu.SPECTRUM_BUDGET} points"):
+    with pytest.raises(TooLarge, match="^SPECTRUM_BUDGET: 19701 points requested, "
+                                       f"limit {fu.SPECTRUM_BUDGET}$"):
         verify_spectrum(1, 3, 200)

@@ -275,21 +275,31 @@ def test_state_budget_is_checked_before_any_transfer_matrix(monkeypatch):
 
     monkeypatch.setattr(transfer, "STATE_BUDGET", 5)
     monkeypatch.setattr(transfer, "r_table", refuse)
-    L = vector_chain(KIND, PARAMS, (0.0, 0.3))
-    L.at = refuse
-    message = "^STATE_BUDGET: 6 states requested, limit 5$"
-    with pytest.raises(TooLarge, match=message):
-        transfer_matrix(0.21, L)
-    with pytest.raises(TooLarge, match=message):
-        commutator_residual(L, 0.21, 0.47 + 0.1j)
-    with pytest.raises(TooLarge, match=message):
+    monkeypatch.setattr(transfer, "restricted_r", refuse)
+    with pytest.raises(TooLarge, match="^STATE_BUDGET: 6 states requested, "
+                                       "limit 5$"):
         _row_transfer_matrix(0.21, KIND, PARAMS, (0.0, 0.3))
     # at (3,5) chain-2 is empty and chain-3, like the 3-column rows, has 12
     # states
-    monkeypatch.setattr(transfer, "restricted_r", refuse)
     for suite in (suites.transfer_commute_suite, suites.partition_suite):
         with pytest.raises(TooLarge, match="12 states requested, limit 5$"):
             suite(suites.RunConfig(n=3, r=5))
+
+
+def test_vector_chain_refuses_over_state_budget_before_any_tensor_product(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a tensor product over STATE_BUDGET")
+
+    monkeypatch.setattr(transfer, "tensor_space", refuse)
+    monkeypatch.setattr(transfer, "STATE_BUDGET", 5)
+    with pytest.raises(TooLarge, match="^STATE_BUDGET: 6 states requested, "
+                                       "limit 5$"):
+        vector_chain(KIND, PARAMS, (0.0, 0.3))
+    # a chain within the budget reaches its first tensor product
+    monkeypatch.setattr(transfer, "STATE_BUDGET", 6)
+    with pytest.raises(AssertionError, match="tensor product"):
+        vector_chain(KIND, PARAMS, (0.0, 0.3))
 
 
 def test_state_space_dimension_two_columns():
@@ -323,7 +333,6 @@ def test_partition_suite_builds_each_matrix_once_per_column_count(
     for name in ("_row_transfer_matrix", "graded_transfer_matrix"):
         count(name, lambda args: len(args[3]))
     count("vector_chain", lambda args: len(args[2]))
-    count("_closed_rows", lambda args: args[1])
     cases = suites.run_suite("partition", suites.RunConfig(n=n, r=r))
     assert all(c.passed for c in cases)
     # only widths n divides with a row count n divides within 12 faces, and
