@@ -15,13 +15,17 @@ column of e_i (x) e_j is `pair_index(n, i, j)` (every reader indexes it so):
 
 Its residue at z = 1 and its value at z = -1 are the same formula with other
 coefficients, so one builder fills all three.  It builds a table: the
-matrices at one spectral parameter over many points a, stacked, from a
-single array bracket call per table (`r_table`); `r_matrix` is its
-one-point row.  Callers over large point sets table them run by run
-(`table_runs`): each caller states the table entries one point costs (n^4
-for a table over the points themselves, 3 (n + 1) n^4 for the star-triangle
-check's three tables over each point and its successors), so no run's
-tables exceed TABLE_BUDGET entries.
+matrices at many (z, a), one spectral parameter per row, stacked, from a
+single array bracket call per table that evaluates each distinct bracket
+argument once (`r_table`); `r_matrix` is its one-row table.  Every check
+makes one table for all its spectral parameters: the unitarity check one
+for its rows at z and -z, the Yang-Baxter check one for its 3 + 3n rows.
+Callers over large point or sample sets table them run by run
+(`table_runs`): each caller states the table entries one point or sample
+costs (n^4 for a table over the points themselves, 2 n^4 per unitarity
+sample, 3 (n + 1) n^4 for the star-triangle check's rows at three spectral
+parameters over each point and its successors), so no run's table exceeds
+TABLE_BUDGET entries.
 """
 
 from __future__ import annotations
@@ -54,12 +58,13 @@ def _truncation(z, tau: complex):
     largest term has modulus exp(pi Im(z)^2 / Im tau)."""
     t = complex(tau).imag
     y = np.abs(np.imag(z))
-    n = y / t + math.sqrt(_TAIL_LOG10 * math.log(10.0) / (math.pi * t))
+    with np.errstate(over="ignore"):  # a tiny Im tau overflows to inf terms
+        n = y / t + math.sqrt(_TAIL_LOG10 * math.log(10.0) / (math.pi * t))
+        peak = math.pi * np.fmax.reduce(y, axis=None, initial=0.0) ** 2 / t
     longest = np.fmax.reduce(n, axis=None, initial=0.0)  # NaN entries ignored
     terms = 2 * max(12.0, np.ceil(longest) + 1) + 1
     check_budget("THETA_TERM_BUDGET", terms, THETA_TERM_BUDGET,
                  "series terms per entry")
-    peak = math.pi * np.fmax.reduce(y, axis=None, initial=0.0) ** 2 / t
     if peak > _LOG_FLOAT_MAX - math.log(terms):
         raise TooLarge(f"float64 range: {terms:.0f} theta terms up to "
                        f"exp({peak:.6g}) requested, limit "
@@ -160,58 +165,67 @@ def pair_index(n: int, i, j):
     return (i - 1) * n + (j - 1)
 
 
-def _flat_r(points, params: EllipticParams, diagonal: float, shift: complex,
-            extra: tuple, coeffs) -> np.ndarray:
+def _flat_r(points, shifts, params: EllipticParams, diagonal: float,
+            extra, coeffs) -> np.ndarray:
     """R = diagonal sum_i E_ii(x)E_ii + sum_{i!=j} [d+1] X/([d] Y) E_ij(x)E_ji
-    + sum_{i!=j} [d+shift] W/([d] Y) E_ii(x)E_jj with d = a_i - a_j, for each
-    point a of `points`, stacked as a (len(points), n^2, n^2) array.
+    + sum_{i!=j} [d+s] W/([d] Y) E_ii(x)E_jj with d = a_i - a_j, for each
+    point a of `points` with its shift s of `shifts`, stacked as a
+    (len(points), n^2, n^2) array.
 
-    One array call gives every bracket of the table: those of the arguments
-    `extra`, which coeffs maps to (X, W, Y), and [d], [d+1], [d+shift] for
-    each distinct difference d over the points.  The two entries of each d
-    are computed once in Python complex arithmetic and scattered by index
-    arrays, so every entry equals the one-point build bit for bit."""
+    One array call gives every bracket of the table, each distinct argument
+    once: the arguments `extra(s)` per distinct shift s, which coeffs maps to
+    that shift's (X, W, Y), [d] and [d+1] per distinct difference d and [d+s]
+    per distinct (d, s) over the rows.  The two entries of each (d, s) are
+    computed once in Python complex arithmetic and scattered by index arrays,
+    so every entry equals the one-point build bit for bit."""
     n = params.rank
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    slot: dict[complex, int] = {}  # distinct d -> its position in `first`
-    first = []  # (d, i, j) at the first occurrence of each d
-    where = []  # per point and pair, the position of its d
-    for a in points:
+    position: dict[complex, int] = {}  # distinct bracket argument -> its index
+    at = lambda w: position.setdefault(w, len(position))
+    extras = {}  # distinct shift -> the indices of its extra arguments
+    slot: dict[tuple, int] = {}  # distinct (d, s) -> its position in `first`
+    first = []  # (i, j, s, indices of [d], [d+1], [d+s]) per distinct (d, s)
+    where = []  # per row and pair, the position of its (d, s)
+    for a, s in zip(points, shifts):
         if a.rank != n:
             raise ValueError("point rank does not match params")
+        if s not in extras:
+            extras[s] = [at(w) for w in extra(s)]
         for i, j in pairs:
             d = a.diff(i, j)
-            if d not in slot:
-                slot[d] = len(first)
-                first.append((d, i, j))
-            where.append(slot[d])
-    args = list(extra)
-    for d, _, _ in first:
-        args += [d, d + 1, d + shift]
-    vals = bracket(args, params).tolist()
-    X, W, Y = coeffs(*vals[:len(extra)])
-    b = vals[len(extra):]
+            if (d, s) not in slot:
+                slot[d, s] = len(first)
+                first.append((i, j, s, at(d), at(d + 1), at(d + s)))
+            where.append(slot[d, s])
+    vals = bracket(list(position), params).tolist()
+    coeff = {s: coeffs(*(vals[k] for k in ks)) for s, ks in extras.items()}
     swap, keep = [], []
-    for (_, i, j), b_d, b_d1, b_ds in zip(first, b[0::3], b[1::3], b[2::3]):
-        den = _guarded(b_d, f"[a_{i}-a_{j}]")
-        swap.append(b_d1 * X / (den * Y))
-        keep.append(b_ds * W / (den * Y))
-    at = np.array(where, dtype=np.intp).reshape(len(points), len(pairs))
+    for i, j, s, k_d, k_d1, k_ds in first:
+        X, W, Y = coeff[s]
+        den = _guarded(vals[k_d], f"[a_{i}-a_{j}]")
+        swap.append(vals[k_d1] * X / (den * Y))
+        keep.append(vals[k_ds] * W / (den * Y))
+    at_row = np.array(where, dtype=np.intp).reshape(len(points), len(pairs))
     rows = [pair_index(n, i, j) for i, j in pairs]
     cols = [pair_index(n, j, i) for i, j in pairs]
     diag = [pair_index(n, i, i) for i in range(1, n + 1)]
     m = np.zeros((len(points), n * n, n * n), dtype=complex)
     m[:, diag, diag] = diagonal
-    m[:, rows, cols] = np.array(swap, dtype=complex)[at]
-    m[:, rows, rows] = np.array(keep, dtype=complex)[at]
+    m[:, rows, cols] = np.array(swap, dtype=complex)[at_row]
+    m[:, rows, rows] = np.array(keep, dtype=complex)[at_row]
     return m
 
 
-def r_table(z: complex, points, params: EllipticParams) -> np.ndarray:
-    """The elliptic dynamical R-matrices at z over `points`, stacked as a
-    (len(points), n^2, n^2) array, from one bracket call."""
-    return _flat_r(points, params, 1.0, z, (z, 1, 1 - z), lambda bz, one, den_z: (
-        -bz, one, _guarded(den_z, "[1-z]")))
+def r_table(z, points, params: EllipticParams) -> np.ndarray:
+    """The elliptic dynamical R-matrices over `points`, stacked as a
+    (len(points), n^2, n^2) array from one bracket call: all at z, or, with
+    z a sequence of len(points) spectral parameters, row k at (z[k], points[k])."""
+    zs = [z] * len(points) if np.ndim(z) == 0 else list(z)
+    if len(zs) != len(points):
+        raise ValueError(f"one spectral parameter per point required: "
+                         f"{len(zs)} given for {len(points)} points")
+    return _flat_r(points, zs, params, 1.0, lambda u: (u, 1, 1 - u),
+                   lambda bz, one, den_z: (-bz, one, _guarded(den_z, "[1-z]")))
 
 
 def table_runs(points, cost: int) -> list:
@@ -234,7 +248,8 @@ def r_reg1(a: WeightPoint, params: EllipticParams) -> np.ndarray:
 
     Closed form sum_{i!=j} [a_i-a_j+1][1]/[a_i-a_j] (E_ij(x)E_ji - E_ii(x)E_jj).
     """
-    return _flat_r([a], params, 0.0, 1, (1,), lambda one: (one, -one, 1))[0]
+    return _flat_r([a], [1], params, 0.0, lambda _: (1,),
+                   lambda one: (one, -one, 1))[0]
 
 
 def r_minus1(a: WeightPoint, params: EllipticParams) -> np.ndarray:
@@ -245,19 +260,8 @@ def r_minus1(a: WeightPoint, params: EllipticParams) -> np.ndarray:
     [a_i-a_j+1][1]/([a_i-a_j][2]) (E_ij(x)E_ji) + [a_i-a_j-1][1]/([a_i-a_j][2]) (E_ii(x)E_jj)
     off the diagonal.
     """
-    return _flat_r([a], params, 1.0, -1, (1, 2), lambda one, two: (
+    return _flat_r([a], [-1], params, 1.0, lambda _: (1, 2), lambda one, two: (
         one, one, _guarded(two, "[2]")))[0]
-
-
-def _dynamical_23(z: complex, a: WeightPoint, params: EllipticParams) -> np.ndarray:
-    """R^(23)(z, a + h^(1)): the first factor's weight shifts the argument."""
-    n = params.rank
-    table = r_table(z, [a + eps(n, i) for i in range(1, n + 1)], params)
-    blocks = np.zeros((n ** 3, n ** 3), dtype=complex)
-    for i, ri in enumerate(table):
-        sl = slice(i * n * n, (i + 1) * n * n)
-        blocks[sl, sl] = ri
-    return blocks
 
 
 def dynamical_ybe_residual(z: complex, w: complex, a: WeightPoint,
@@ -267,28 +271,60 @@ def dynamical_ybe_residual(z: complex, w: complex, a: WeightPoint,
 
     R^(23)(z-w, a+h^(1)) R^(12)(z, a) R^(23)(w, a+h^(1))
       = R^(12)(w, a) R^(23)(z, a+h^(1)) R^(12)(z-w, a).
+
+    Its 3 + 3n R-matrices, at a and at each a + eps_i for each of the three
+    spectral parameters, are the rows of one table.
     """
     n = params.rank
+    us = (z, w, z - w)
+    table = r_table([u for u in us for _ in range(n + 1)],
+                    [a, *(a + eps(n, i) for i in range(1, n + 1))] * len(us),
+                    params)
     eye = np.eye(n)
-    r12 = lambda u: np.kron(r_matrix(u, a, params), eye)
-    r23 = lambda u: _dynamical_23(u, a, params)
-    lhs = r23(z - w) @ r12(z) @ r23(w)
-    rhs = r12(w) @ r23(z) @ r12(z - w)
+
+    def factors(k: int) -> tuple[np.ndarray, np.ndarray]:
+        """R^(12) at us[k] and R^(23) at us[k], whose i-th diagonal block
+        is the R-matrix at a + eps_i: the first factor's weight shifts it."""
+        rows = table[k * (n + 1):(k + 1) * (n + 1)]
+        r23 = np.zeros((n ** 3, n ** 3), dtype=complex)
+        for i, ri in enumerate(rows[1:]):
+            sl = slice(i * n * n, (i + 1) * n * n)
+            r23[sl, sl] = ri
+        return np.kron(rows[0], eye), r23
+
+    (z12, z23), (w12, w23), (zw12, zw23) = map(factors, range(len(us)))
+    lhs = zw23 @ z12 @ w23
+    rhs = w12 @ z23 @ zw12
     scale = max(np.abs(lhs).max(), np.abs(rhs).max())
     return float(np.abs(lhs - rhs).max() / scale)
 
 
-def unitarity_residual(z: complex, a: WeightPoint, params: EllipticParams) -> float:
-    """Max-norm residual of R(z,a) R(-z,a) = Id."""
-    m = r_matrix(z, a, params) @ r_matrix(-z, a, params)
-    return float(np.abs(m - np.eye(m.shape[0])).max())
+def unitarity_residual(z, a, params: EllipticParams) -> float:
+    """Max-norm residual of R(z,a) R(-z,a) = Id; given equal-length sequences
+    z and a, the largest over the pairs (z[k], a[k]).  Each run of
+    `table_runs` over the pairs is one table of its rows at z and at -z."""
+    if np.ndim(z) == 0:
+        z, a = [z], [a]
+    if len(z) != len(a):
+        raise ValueError(f"one point per spectral parameter required: "
+                         f"{len(a)} given for {len(z)}")
+    n2 = params.rank ** 2
+    worst = 0.0
+    for _, run in table_runs(list(zip(z, a)), 2 * n2 * n2):
+        us, points = zip(*run)
+        table = r_table([*us, *(-u for u in us)], points * 2, params)
+        m = table[:len(run)] @ table[len(run):]
+        worst = max(worst, float(np.abs(m - np.eye(n2)).max()))
+    return worst
 
 
 def residue_extrapolation(a: WeightPoint, params: EllipticParams) -> np.ndarray:
     """Numerical residue of the R-matrix at z=1 by Richardson extrapolation
-    of eps * R(1 + eps, a); independent oracle for r_reg1."""
+    of eps * R(1 + eps, a), its three rows from one table; independent
+    oracle for r_reg1."""
     xs = (1e-4, 1e-5, 1e-6)
-    table = [s * r_matrix(1.0 + s, a, params) for s in xs]
+    rows = r_table([1.0 + s for s in xs], [a] * len(xs), params)
+    table = [s * m for s, m in zip(xs, rows)]
     # Neville extrapolation to eps = 0 through the three sample points
     for level in range(1, len(xs)):
         nxt = []

@@ -206,9 +206,9 @@ def star_triangle_residual(z: complex, w: complex, kind: ModelKind,
 
     on the three-step path space from each starting point; entries of the
     difference are the hexagon relations summed over internal arrows.  Each
-    run of `table_runs` makes one R-matrix table per distinct spectral
-    parameter over the slot start points of its sites (`_sites`), and each
-    point's operators are read off them while that point is checked.
+    run of `table_runs` makes one R-matrix table, with rows at each distinct
+    spectral parameter over the slot start points of its sites (`_sites`),
+    and each point's operators are read off it while that point is checked.
     """
     if points is None:
         if kind.is_restricted:
@@ -221,7 +221,11 @@ def star_triangle_residual(z: complex, w: complex, kind: ModelKind,
         starts, sites = _sites(run, kind)
         if not sites:
             continue
-        tables = {u: r_table(u, starts, params) for u in dict.fromkeys(us)}
+        distinct = list(dict.fromkeys(us))
+        table = r_table([u for u in distinct for _ in starts],
+                        starts * len(distinct), params)
+        tables = dict(zip(distinct, table.reshape(len(distinct), len(starts),
+                                                  *table.shape[1:])))
         for _, paths, at in sites:
             ops = _site_operators(tables, paths, at, kind.rank)
             (zw0, zw1), (z0, z1), (w0, w1) = (ops[u] for u in us)

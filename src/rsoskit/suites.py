@@ -46,6 +46,9 @@ class RunConfig:
     tolerance: float | None = None  # overrides every case tolerance when set
     # the one model every suite of this run shares, with its path caches
     _kind: rsos.ModelKind = field(init=False, repr=False, compare=False)
+    # its modular data, built and checked at the first `params()` call
+    _params: el.EllipticParams | None = field(init=False, repr=False,
+                                              compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_kind", rsos.ModelKind.rsos(self.n, self.r))
@@ -59,10 +62,15 @@ class RunConfig:
                 f"base point needs {self.n} coordinates, got {len(self.base_b)}")
 
     def params(self) -> el.EllipticParams:
-        if self.gamma_override is not None:
-            return el.EllipticParams(tau=self.tau, gamma=self.gamma_override,
-                                     rank=self.n)
-        return el.EllipticParams.rsos(self.n, self.r, self.tau)
+        if self._params is None:
+            if self.gamma_override is None:
+                params = el.EllipticParams.rsos(self.n, self.r, self.tau)
+            else:
+                params = el.EllipticParams(tau=self.tau,
+                                           gamma=self.gamma_override,
+                                           rank=self.n)
+            object.__setattr__(self, "_params", params)
+        return self._params
 
     def kind(self) -> rsos.ModelKind:
         return self._kind
@@ -132,33 +140,37 @@ class _PointSampler:
 
 def theta_suite(config: RunConfig) -> list[Case]:
     tau = complex(config.tau)
-    sampler = _PointSampler(config)
-    rng = sampler.rng
+    rng = _PointSampler(config).rng
     # theta(z | tau + 8) = theta(z | tau) and theta(z + 8) = theta(z), so the
     # quasi-period is checked at the reduced tau the series themselves use
     period = complex(math.fmod(tau.real, 8.0), tau.imag)
+    zs = [complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.2, 0.2))
+          for _ in range(THETA_SAMPLES)]
+    # one call, before any factor: its TooLarge fires where exp(-i pi tau)
+    # overflows; per sample theta at -z, z, z + 1 and z + period, then at 0
+    values = el.theta([w for z in zs for w in (-z, z, z + 1, z + period)]
+                      + [0.0], tau).tolist()
     odd = qp_one = qp_tau = 0.0
-    for _ in range(THETA_SAMPLES):
-        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.2, 0.2))
-        odd = max(odd, abs(el.theta(-z, tau) + el.theta(z, tau)))
-        qp_one = max(qp_one, abs(el.theta(z + 1, tau) + el.theta(z, tau)))
-        # before the factor: its TooLarge fires where exp(-i pi tau) overflows
-        shifted = el.theta(z + period, tau)
+    for k, z in enumerate(zs):
+        minus, plus, one, shifted = values[4 * k:4 * k + 4]
+        odd = max(odd, abs(minus + plus))
+        qp_one = max(qp_one, abs(one + plus))
         factor = -cmath.exp(-1j * cmath.pi * period - 2j * cmath.pi * z)
-        expected = factor * el.theta(z, tau)  # modulus near exp(pi Im tau)
+        expected = factor * plus  # modulus near exp(pi Im tau)
         qp_tau = max(qp_tau, abs(shifted - expected)
                      / max(abs(shifted), abs(expected)))
     params = config.params()
     h = 1e-5
-    deriv = abs((el.bracket(h, params) - el.bracket(-h, params)) / (2 * h) - 1)
+    plus_h, minus_h, at_r = el.bracket([h, -h, 1.0 / params.gamma],
+                                       params).tolist()
+    deriv = abs((plus_h - minus_h) / (2 * h) - 1)
     return [
         Case("theta-odd", odd, 1e-12),
         Case("theta-period-one", qp_one, 1e-12),
         Case("theta-period-tau", qp_tau, 1e-12),
-        Case("theta-zero-at-origin", abs(el.theta(0.0, tau)), 1e-14),
+        Case("theta-zero-at-origin", abs(values[-1]), 1e-14),
         Case("bracket-derivative-one", float(deriv), 1e-8),
-        Case("bracket-zero-at-r",
-             abs(el.bracket(1.0 / params.gamma, params)), 1e-12),
+        Case("bracket-zero-at-r", abs(at_r), 1e-12),
     ]
 
 
@@ -166,11 +178,11 @@ def unitarity_suite(config: RunConfig) -> list[Case]:
     params = config.params()
     sampler = _PointSampler(config)
     points = config.kind().alcove()
-    worst = 0.0
+    zs, bases = [], []
     for _ in range(UNITARITY_SAMPLES):
-        z = sampler.spectral()
-        a = sampler.rng.choice(points)
-        worst = max(worst, el.unitarity_residual(z, a, params))
+        zs.append(sampler.spectral())
+        bases.append(sampler.rng.choice(points))
+    worst = el.unitarity_residual(zs, bases, params)
     return [Case(f"unitarity-n{config.n}-r{config.r}", worst, 1e-9)]
 
 

@@ -261,9 +261,12 @@ STATE_BUDGET = 20_000
 
 def _closed_rows(kind: ModelKind, cols: int) -> list[tuple[WeightPoint, tuple[int, ...]]]:
     """Admissible single-row states: paths of length `cols` that return to
-    their start mod (1,...,1), i.e. use every step index equally often; over
-    STATE_BUDGET states raise TooLarge."""
+    their start mod (1,...,1), i.e. use every step index equally often, so
+    none unless n divides cols (no path is listed then); over STATE_BUDGET
+    states raise TooLarge."""
     n = kind.rank
+    if cols % n:
+        return []
     states = [(a, steps) for a in kind.alcove() for steps in kind.paths(a, cols)
               if len({steps.count(i) for i in range(1, n + 1)}) == 1]
     check_budget("STATE_BUDGET", len(states), STATE_BUDGET, "states")
@@ -315,13 +318,16 @@ def _row_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
         vert[move[height[t], step] == height[b]] = step
     steps = (vert > 0).all(axis=1)
     t, b, vert = t[steps], b[steps], vert[steps]
-    tables = {u: r_table(z + u, points, params) for u in dict.fromkeys(us)}
+    # one table over the distinct z + u_k, read as [z + u_k][point]
+    shift = {v: k for k, v in enumerate(dict.fromkeys(z + u for u in us))}
+    table = r_table([v for v in shift for _ in points], points * len(shift),
+                    params).reshape(len(shift), len(points), n * n, n * n)
     weight = np.ones(len(t), dtype=complex)
     for k, u in enumerate(us):
         # face k: <e_walk[t,k] (x) e_vert[k+1] | R | e_vert[k] (x) e_walk[b,k]>
-        weight *= tables[u][height[t, k],
-                            pair_index(n, walk[t, k], vert[:, (k + 1) % cols]),
-                            pair_index(n, vert[:, k], walk[b, k])]
+        weight *= table[shift[z + u], height[t, k],
+                        pair_index(n, walk[t, k], vert[:, (k + 1) % cols]),
+                        pair_index(n, vert[:, k], walk[b, k])]
     entries = np.zeros(len(e), dtype=complex)
     entries[steps] = weight
     return DifferenceOperator(tuple(points), dict(zip(points, size.tolist())), {

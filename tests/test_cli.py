@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import rsoskit
-from rsoskit import elliptic
+from rsoskit import elliptic, suites
 from rsoskit.cli import main, run_verify
 from rsoskit.elliptic import EllipticParams
-from rsoskit.errors import InvalidConfig, UnknownSuite
+from rsoskit.errors import InvalidConfig, InvalidTau, UnknownSuite
 from rsoskit.groupoid import Arrow, ModelKind, WeightPoint, eps
 from rsoskit.rsos import boltzmann_weight
 from rsoskit.suites import RunConfig, run_suite
@@ -101,6 +101,80 @@ def test_verify_all_report_matches_golden_n3r5():
     golden = Path(__file__).parent / "data" / "verify_all_n3r5.json"
     report = run_verify("all", RunConfig(3, 5))
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden.read_text()
+
+
+def test_verify_all_report_matches_golden_n3r7():
+    # tests/data/verify_all_n3r7.json pins the rank-3 paths at the largest
+    # pinned alcove, where the batched R-matrix tables are widest
+    golden = Path(__file__).parent / "data" / "verify_all_n3r7.json"
+    report = run_verify("all", RunConfig(3, 7))
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden.read_text()
+
+
+# Bracket calls per suite at seed 0: one per R-matrix table, and a table
+# holds every spectral parameter of its check (theta: [h], [-h] and [r];
+# unitarity: every sample; dybe and star-triangle: one per sample;
+# restriction: one per z; exactness: per alcove point r_reg1, the residue
+# oracle, and fusion_bases' r_minus1 and r_reg1; transfer-commute: one per
+# site of each T(z) of the 3-site chain, the 2-site chain having no loop
+# section at n = 3)
+BRACKET_CALLS = {
+    (3, 7): {"theta": 1, "unitarity": 1, "dybe": 20, "star-triangle": 10,
+             "restriction": 3, "exactness": 4 * 15, "transfer-commute": 30,
+             "characters": 0, "fusion": 0, "spectrum": 0},
+    (2, 5): {"theta": 1, "unitarity": 1, "dybe": 20, "star-triangle": 10,
+             "restriction": 3, "exactness": 4 * 4, "transfer-commute": 20,
+             "characters": 0, "fusion": 0, "spectrum": 0, "partition": 15},
+}
+
+
+@pytest.mark.parametrize("n,r", list(BRACKET_CALLS))
+def test_bracket_calls_per_suite(n, r, monkeypatch):
+    calls, thetas = [], []
+    real, real_theta = elliptic.bracket, elliptic.theta
+    monkeypatch.setattr(elliptic, "bracket",
+                        lambda z, p: calls.append(z) or real(z, p))
+    monkeypatch.setattr(elliptic, "theta",
+                        lambda z, tau: thetas.append(z) or real_theta(z, tau))
+    config = RunConfig(n, r)
+    config.params()  # its check of theta(gamma) is no suite's
+    counts = {}
+    for name in BRACKET_CALLS[n, r]:
+        del calls[:], thetas[:]
+        run_suite(name, config)
+        counts[name] = len(calls)
+        if name == "theta":  # every sample argument and 0, then the brackets
+            assert len(thetas) == 2
+            assert len(thetas[0]) == 4 * suites.THETA_SAMPLES + 1
+    assert counts == BRACKET_CALLS[n, r]
+
+
+def test_params_are_built_once_and_refused_at_the_first_call():
+    config = RunConfig(3, 7)
+    params = config.params()
+    run_suite("unitarity", config)
+    assert config.params() is params
+    assert config == RunConfig(3, 7) and hash(config) == hash(RunConfig(3, 7))
+    # the checks of EllipticParams still run at the first call, and refuse
+    # again at the next
+    for bad in (RunConfig(gamma_override=0j), RunConfig(tau=950j)):
+        for _ in range(2):
+            with pytest.raises((InvalidConfig, InvalidTau)):
+                bad.params()
+
+
+def test_tiny_tau_writes_one_error_line():
+    # the series cut overflows to inf terms without a numpy warning
+    src = str(Path(rsoskit.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rsoskit", "verify", "theta", "--tau",
+         "0,1e-320"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: THETA_TERM_BUDGET: inf series terms per "
+                           "entry requested, limit 10000\n")
 
 
 @pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 6)])

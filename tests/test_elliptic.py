@@ -402,12 +402,74 @@ def test_table_makes_one_bracket_call(monkeypatch):
     monkeypatch.setattr(el, "bracket",
                         lambda z, p: calls.append(np.size(z)) or real(z, p))
     p, points = params(3, 7), rsos_alcove(3, 7)
-    assert r_table(0.3, points, p).shape == (len(points), 9, 9)
-    # one call: [z], [1], [1-z] and three brackets per distinct difference
     diffs = {a.diff(i, j) for a in points for i in range(1, 4)
              for j in range(1, 4) if i != j}
-    assert calls == [3 + 3 * len(diffs)]
+    assert r_table(0.3, points, p).shape == (len(points), 9, 9)
+    # one call, each distinct argument once: [z], [1], [1-z], and [d],
+    # [d+1], [d+z] per distinct difference d
+    args = {0.3, 1, 1 - 0.3} | {w for d in diffs for w in (d, d + 1, d + 0.3)}
+    assert calls == [len(args)] and len(args) < 3 + 3 * len(diffs)
+    # one z per row: the extras per z and [d+z] per distinct (d, z)
+    del calls[:]
+    zs = [(0.3, 0.17 + 0.05j)[k % 2] for k in range(len(points))]
+    assert r_table(zs, points, p).shape == (len(points), 9, 9)
+    args = ({w for z in zs for w in (z, 1, 1 - z)}
+            | {w for d in diffs for w in (d, d + 1)}
+            | {a.diff(i, j) + z for a, z in zip(points, zs)
+               for i in range(1, 4) for j in range(1, 4) if i != j})
+    assert calls == [len(args)]
     assert r_table(0.3, [], p).shape == (0, 9, 9)
+    assert r_table([], [], p).shape == (0, 9, 9)
+    with pytest.raises(ValueError, match="one spectral parameter per point"):
+        r_table([0.3], points[:2], p)
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 7)])
+def test_mixed_spectral_table_rows_equal_one_point_matrices(n, r):
+    rng = random.Random(5 * n + r)
+    p = params(n, r)
+    points = list(rsos_alcove(n, r)) + [_generic_point(rng, n, r)
+                                        for _ in range(4)]
+    spectral = (0.3, 0.17 + 0.05j, -0.42 + 0.11j, 1.0 + 1e-5)
+    zs = [rng.choice(spectral) for _ in points]
+    table = r_table(zs, points, p)
+    for z, a, m in zip(zs, points, table):
+        assert np.array_equal(m, r_matrix(z, a, p))
+
+
+def test_theta_on_thousands_of_entries_equals_scalar_calls():
+    rng = random.Random(41)
+    zs = [complex(rng.uniform(-3, 3), rng.uniform(-12.0, 12.0))
+          for _ in range(2400)]
+    for tau in (TAU, 0.3 + 0.9j):
+        # several series cuts, so several groups are summed
+        assert len({_scalar_truncation(z, tau) for z in zs}) > 3
+        out = theta(zs, tau)
+        assert all(v == theta(z, tau) for z, v in zip(zs, out.tolist()))
+
+
+def test_batched_unitarity_is_the_max_of_one_point_calls(monkeypatch):
+    p = params(3, 7)
+    rng = random.Random(8)
+    points = rsos_alcove(3, 7)
+    zs = [complex(rng.uniform(0.1, 0.6), rng.uniform(0.0, 0.2))
+          for _ in range(40)]
+    bases = [rng.choice(points) for _ in zs]
+    whole = unitarity_residual(zs, bases, p)
+    assert whole == max(unitarity_residual(z, a, p) for z, a in zip(zs, bases))
+    calls = []
+    real = elliptic.r_table
+    monkeypatch.setattr(elliptic, "r_table",
+                        lambda z, pts, q: calls.append(len(pts)) or real(z, pts, q))
+    # runs of 1, 3 and 7 samples: each a table of its rows at z and -z
+    for per_run in (1, 3, 7):
+        monkeypatch.setattr(elliptic, "TABLE_BUDGET", per_run * 2 * 3 ** 4)
+        del calls[:]
+        assert unitarity_residual(zs, bases, p) == whole
+        assert len(calls) == math.ceil(len(zs) / per_run)
+        assert max(calls) == 2 * per_run
+    with pytest.raises(ValueError, match="one point per spectral parameter"):
+        unitarity_residual(zs, bases[:-1], p)
 
 
 def test_theta_and_bracket_against_mpmath_jtheta():

@@ -240,12 +240,18 @@ def test_one_table_per_spectral_parameter(monkeypatch):
     for k, z in enumerate((0.31, 0.17 + 0.05j, -0.42), start=1):
         restricted_r(z, kind, params, space=V)
         assert len(calls) == k
+    # the star-triangle check: one table per run, its rows at every distinct
+    # spectral parameter over the slot start points
+    for w in (0.17 + 0.05j, 0.31, 0.0):  # 3, then 2 distinct parameters
+        del calls[:]
+        star_triangle_residual(0.31, w, kind, params)
+        assert len(calls) == 1
+    # [d] and [d+1] are shared by the rows at the three spectral parameters
     del calls[:]
     star_triangle_residual(0.31, 0.17 + 0.05j, kind, params)
-    assert len(calls) == 3
-    del calls[:]
-    star_triangle_residual(0.31, 0.31, kind, params)  # z == w
-    assert len(calls) == 2
+    starts, _ = _sites(kind.alcove(), kind)
+    r_table(0.31, starts, params)
+    assert calls[0] < 3 * calls[1]
 
 
 def test_runs_of_one_point_give_the_same_results(monkeypatch):
@@ -264,11 +270,15 @@ def test_runs_of_one_point_give_the_same_results(monkeypatch):
     R = restricted_r(z, kind, params)
     assert R.blocks.keys() == whole.blocks.keys()
     assert all(np.array_equal(R.blocks[g], m) for g, m in whole.blocks.items())
-    assert (restriction_residual(z, kind, params),
-            star_triangle_residual(z, w, kind, params)) == worst
-    assert len(runs) > 3 * len(kind.alcove())
-    # a site run holds one point's start points: itself and its successors
-    assert max(runs) <= 1 + kind.rank
+    assert restriction_residual(z, kind, params) == worst[0]
+    alcove = kind.alcove()
+    assert len(runs) == 2 * len(alcove) and max(runs) == 1
+    del runs[:]
+    assert star_triangle_residual(z, w, kind, params) == worst[1]
+    # a site run is one table over one point's start points, itself and its
+    # successors, at each of the three spectral parameters
+    assert len(runs) == sum(1 for a in alcove if kind.paths(a, 3))
+    assert max(runs) <= 3 * (1 + kind.rank)
 
 
 def test_star_triangle_restricted():

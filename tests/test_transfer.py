@@ -391,6 +391,31 @@ def test_vacuous_widths_are_empty_in_the_full_construction(n, r):
                 assert got == 0j and isinstance(got, complex)
 
 
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7)])
+def test_closed_rows_match_the_listed_rows(n, r):
+    kind = ModelKind.rsos(n, r)
+    for cols in range(1, 7):
+        # every admissible path that uses each step index equally often
+        listed = [(a, steps) for a in kind.alcove()
+                  for steps in kind.paths(a, cols)
+                  if len({steps.count(i) for i in range(1, n + 1)}) == 1]
+        assert _closed_rows(kind, cols) == listed
+        assert bool(listed) == (cols % n == 0)
+
+
+def test_closed_rows_list_no_path_unless_n_divides_cols(monkeypatch):
+    kind = ModelKind.rsos(3, 5)
+
+    def refuse(self, a, length):
+        raise AssertionError(f"paths of length {length} listed")
+
+    monkeypatch.setattr(ModelKind, "paths", refuse)
+    for cols in (1, 2, 4, 5, 7, 200):
+        assert _closed_rows(kind, cols) == []
+    with pytest.raises(AssertionError, match="length 3 listed"):
+        _closed_rows(kind, 3)
+
+
 def test_vacuous_widths_still_raise_size_errors():
     for compute in (partition_enumerate, partition_via_transfer):
         with pytest.raises(TooLarge,
