@@ -14,17 +14,17 @@ column of e_i (x) e_j is `pair_index(n, i, j)` (every reader indexes it so):
            + sum_{i!=j} [a_i-a_j+z][1] / ([a_i-a_j][1-z]) E_ii (x) E_jj.
 
 Its residue at z = 1 and its value at z = -1 are the same formula with other
-coefficients, so one builder fills all three.  It builds a table: the
-matrices at many (z, a), one spectral parameter per row, stacked, from a
-single array bracket call per table that evaluates each distinct bracket
-argument once (`r_table`); `r_matrix` is its one-row table.  Every check
-makes one table for all its spectral parameters: the unitarity check one
-for its rows at z and -z, the Yang-Baxter check one for its 3 + 3n rows.
-Callers over large point or sample sets table them run by run
-(`table_runs`): each caller states the table entries one point or sample
-costs (n^4 for a table over the points themselves, 2 n^4 per unitarity
-sample, 3 (n + 1) n^4 for the star-triangle check's rows at three spectral
-parameters over each point and its successors), so no run's table exceeds
+coefficients, so one builder fills all three, each as a table of many points
+from one array bracket call that evaluates each distinct bracket argument
+once (`r_table`, with one spectral parameter per row, `r_reg1`, `r_minus1`;
+`r_matrix` is the one-row `r_table`).  Every caller makes one table for all
+its spectral parameters: unitarity for z and -z, Yang-Baxter for its 3 + 3n
+rows, the residue oracle for its three eps rows, `rsos.restricted_r` for all
+its z (so a chain's L(z) for its sites z + u_k).  Over large point or sample
+sets callers table run by run (`table_runs`), each stating the table entries
+one point or sample costs (n^4 per spectral parameter over the points
+themselves, 2 n^4 per unitarity sample, 3 (n + 1) n^4 for the star-triangle
+rows over a point and its successors), so no run's table exceeds
 TABLE_BUDGET entries.
 """
 
@@ -243,25 +243,25 @@ def r_matrix(z: complex, a: WeightPoint, params: EllipticParams) -> np.ndarray:
     return r_table(z, [a], params)[0]
 
 
-def r_reg1(a: WeightPoint, params: EllipticParams) -> np.ndarray:
-    """Residue of the R-matrix at its pole z = 1.
+def r_reg1(points, params: EllipticParams) -> np.ndarray:
+    """Residues of the R-matrix at its pole z = 1, stacked over `points`.
 
     Closed form sum_{i!=j} [a_i-a_j+1][1]/[a_i-a_j] (E_ij(x)E_ji - E_ii(x)E_jj).
     """
-    return _flat_r([a], [1], params, 0.0, lambda _: (1,),
-                   lambda one: (one, -one, 1))[0]
+    return _flat_r(points, [1] * len(points), params, 0.0, lambda _: (1,),
+                   lambda one: (one, -one, 1))
 
 
-def r_minus1(a: WeightPoint, params: EllipticParams) -> np.ndarray:
-    """The R-matrix at z = -1, where it degenerates (closed form).
+def r_minus1(points, params: EllipticParams) -> np.ndarray:
+    """The R-matrices at z = -1, where they degenerate, stacked over `points`.
 
-    Equals r_matrix(-1, a) wherever the latter is defined: identity on the
-    diagonal sectors e_i (x) e_i and
+    Each equals r_matrix(-1, a) wherever the latter is defined: identity on
+    the diagonal sectors e_i (x) e_i and
     [a_i-a_j+1][1]/([a_i-a_j][2]) (E_ij(x)E_ji) + [a_i-a_j-1][1]/([a_i-a_j][2]) (E_ii(x)E_jj)
     off the diagonal.
     """
-    return _flat_r([a], [-1], params, 1.0, lambda _: (1, 2), lambda one, two: (
-        one, one, _guarded(two, "[2]")))[0]
+    return _flat_r(points, [-1] * len(points), params, 1.0, lambda _: (1, 2),
+                   lambda one, two: (one, one, _guarded(two, "[2]")))
 
 
 def dynamical_ybe_residual(z: complex, w: complex, a: WeightPoint,
@@ -318,18 +318,21 @@ def unitarity_residual(z, a, params: EllipticParams) -> float:
     return worst
 
 
-def residue_extrapolation(a: WeightPoint, params: EllipticParams) -> np.ndarray:
-    """Numerical residue of the R-matrix at z=1 by Richardson extrapolation
-    of eps * R(1 + eps, a), its three rows from one table; independent
-    oracle for r_reg1."""
+def residue_extrapolation(points, params: EllipticParams) -> np.ndarray:
+    """Numerical residues of the R-matrix at z=1 over `points`, stacked like
+    `r_reg1`, by Richardson extrapolation of eps * R(1 + eps, a); each run of
+    `table_runs` is one table of its three eps rows.  Independent oracle for
+    r_reg1."""
     xs = (1e-4, 1e-5, 1e-6)
-    rows = r_table([1.0 + s for s in xs], [a] * len(xs), params)
-    table = [s * m for s, m in zip(xs, rows)]
-    # Neville extrapolation to eps = 0 through the three sample points
-    for level in range(1, len(xs)):
-        nxt = []
-        for k in range(len(table) - 1):
-            x0, x1 = xs[k], xs[k + level]
-            nxt.append((x0 * table[k + 1] - x1 * table[k]) / (x0 - x1))
-        table = nxt
-    return table[0]
+    n2 = params.rank ** 2
+    out = np.empty((len(points), n2, n2), dtype=complex)
+    for offset, run in table_runs(points, len(xs) * n2 * n2):
+        rows = r_table([1.0 + s for s in xs for _ in run], list(run) * len(xs),
+                       params).reshape(len(xs), len(run), n2, n2)
+        table = [s * m for s, m in zip(xs, rows)]
+        # Neville extrapolation to eps = 0 through the three sample points
+        for level in range(1, len(xs)):
+            table = [(xs[k] * table[k + 1] - xs[k + level] * table[k])
+                     / (xs[k] - xs[k + level]) for k in range(len(table) - 1)]
+        out[offset:offset + len(run)] = table[0]
+    return out

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
 from .convolution import ConvolutionElement, conv_mul, to_difference_operator
-from .elliptic import EllipticParams, bracket, pair_index, r_minus1, r_reg1
+from .elliptic import (EllipticParams, bracket, pair_index, r_minus1, r_reg1,
+                       table_runs)
 from .errors import LambdaOutsideAlcove, OutOfRange, check_budget
 from .groupoid import (Arrow, ModelKind, WeightPoint, add_vectors, eps,
                        rsos_alcove)
@@ -51,6 +52,7 @@ class SectorBases:
 class FusionBases:
     point: WeightPoint
     sectors: list[SectorBases]
+    residue: np.ndarray  # r_reg1 at the point, the n^2 x n^2 array
 
     @property
     def max_residual(self) -> float:
@@ -103,68 +105,60 @@ def _containment(vectors: np.ndarray, span: np.ndarray) -> float:
     return float(np.abs(resid).max() / max(np.abs(vectors).max(), 1e-30))
 
 
-def fusion_bases(a: WeightPoint, kind: ModelKind,
-                 params: EllipticParams) -> FusionBases:
-    """Kernel/image bases of R(-1,a) and R_reg(1,a) on the graded square."""
+def fusion_bases(points, kind: ModelKind,
+                 params: EllipticParams) -> list[FusionBases]:
+    """Kernel/image bases of R(-1,a) and R_reg(1,a) on the graded square at
+    each alcove point of `points`, in order.  Each run of `table_runs` makes
+    one r_minus1 table, one r_reg1 table and one bracket call for the
+    explicit vectors of its interior sectors."""
     n = kind.rank
-    m_minus = r_minus1(a, params)
-    m_reg = r_reg1(a, params)
-    two_steps = kind.paths(a, 2)
-    sectors = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            paths = [p for p in two_steps if _same_weight(*p, i, j)]
-            if not paths:
-                continue
-            paths.sort(key=lambda p: (a + eps(n, p[0])).sort_key())
-            at = [pair_index(n, *p) for p in paths]
-            pick = np.ix_(at, at)
-            blk_m, blk_r = m_minus[pick], m_reg[pick]
-            if i == j:
-                case, sym, anti = "diagonal", 1, 0
-            elif len(paths) == 2:
-                case, sym, anti = "interior", 1, 1
-            else:
-                case, sym, anti = "boundary", 0, 1
-            sym_span = _span_of_image(blk_m)
-            anti_span = _span_of_image(blk_r)
-            residual = max(
-                _subspace_gap(sym_span, _span_of_kernel(blk_r)),
-                _subspace_gap(anti_span, _span_of_kernel(blk_m)),
-            )
-            sym_vecs, anti_vecs = _explicit_vectors(a, paths, case, params)
-            residual = max(residual,
-                           _containment(sym_vecs, sym_span),
-                           _containment(anti_vecs, anti_span))
-            if sym_span.shape[1] != sym or anti_span.shape[1] != anti:
-                residual = max(residual, 1.0)
-            sectors.append(SectorBases(
-                shift=add_vectors(eps(n, i), eps(n, j)), case=case,
-                paths=paths, sym_dim=sym, antisym_dim=anti,
-                minus_one_block=blk_m, reg_one_block=blk_r,
-                residual=residual))
-    return FusionBases(point=a, sectors=sectors)
-
-
-def _explicit_vectors(a, paths, case, params):
-    """Closed-form spanning vectors in path coordinates.
-
-    Interior sectors: the symmetric side is spanned by the unit-coefficient
-    sum of the two paths; the antisymmetric side by
-    [d+1] e_i(x)e_j - [d-1] e_j(x)e_i with d = a_i - a_j, i < j.
-    """
-    if case == "diagonal":
-        return np.ones((1, 1), dtype=complex), np.zeros((1, 0), dtype=complex)
-    if case == "boundary":
-        return (np.zeros((1, 0), dtype=complex),
-                np.ones((1, 1), dtype=complex))
-    sym = np.ones((2, 1), dtype=complex)
-    i, j = min(p[0] for p in paths), max(p[0] for p in paths)
-    d = a.diff(i, j)
-    anti = np.zeros((2, 1), dtype=complex)
-    anti[[p[0] for p in paths].index(i), 0] = bracket(d + 1, params)
-    anti[[p[0] for p in paths].index(j), 0] = -bracket(d - 1, params)
-    return sym, anti
+    out = []
+    for _, run in table_runs(points, 2 * n ** 4):
+        # [d + 1] and [d - 1] per distinct d = a_i - a_j, i < j, of the run
+        args = list(dict.fromkeys(a.diff(i, j) + s for a in run
+                                  for i in range(1, n) for j in range(i + 1, n + 1)
+                                  for s in (1, -1)))
+        known = dict(zip(args, bracket(args, params).tolist()))
+        for a, m_minus, m_reg in zip(run, r_minus1(run, params),
+                                     r_reg1(run, params)):
+            two_steps = kind.paths(a, 2)
+            sectors = []
+            for i, j in combinations_with_replacement(range(1, n + 1), 2):
+                paths = [p for p in two_steps if _same_weight(*p, i, j)]
+                if not paths:
+                    continue
+                paths.sort(key=lambda p: (a + eps(n, p[0])).sort_key())
+                at = [pair_index(n, *p) for p in paths]
+                blk_m, blk_r = m_minus[np.ix_(at, at)], m_reg[np.ix_(at, at)]
+                if i == j:
+                    case, sym, anti = "diagonal", 1, 0
+                elif len(paths) == 2:
+                    case, sym, anti = "interior", 1, 1
+                else:
+                    case, sym, anti = "boundary", 0, 1
+                sym_span = _span_of_image(blk_m)
+                anti_span = _span_of_image(blk_r)
+                # closed-form spanning vectors in path coordinates: units, but
+                # [d+1] e_i(x)e_j - [d-1] e_j(x)e_i (d = a_i - a_j) if interior
+                sym_vecs = np.ones((len(paths), sym), dtype=complex)
+                anti_vecs = np.ones((len(paths), anti), dtype=complex)
+                if case == "interior":
+                    d, first = a.diff(i, j), paths.index((i, j))
+                    anti_vecs[[first, 1 - first], 0] = known[d + 1], -known[d - 1]
+                residual = max(
+                    _subspace_gap(sym_span, _span_of_kernel(blk_r)),
+                    _subspace_gap(anti_span, _span_of_kernel(blk_m)),
+                    _containment(sym_vecs, sym_span),
+                    _containment(anti_vecs, anti_span))
+                if sym_span.shape[1] != sym or anti_span.shape[1] != anti:
+                    residual = max(residual, 1.0)
+                sectors.append(SectorBases(
+                    shift=add_vectors(eps(n, i), eps(n, j)), case=case,
+                    paths=paths, sym_dim=sym, antisym_dim=anti,
+                    minus_one_block=blk_m, reg_one_block=blk_r,
+                    residual=residual))
+            out.append(FusionBases(point=a, sectors=sectors, residue=m_reg))
+    return out
 
 
 def exterior_character(k: int, n: int, r: int) -> ConvolutionElement:
@@ -279,16 +273,6 @@ def verify_fusion_rules(r: int) -> FusionRuleReport:
             if lhs != rhs:
                 report.mismatches.append((p, q))
     return report
-
-
-def psi_value(lam: WeightPoint, a: WeightPoint, n: int, r: int) -> complex:
-    """psi_lambda(a) from one determinant; the per-pair oracle of `psi`."""
-    lcoord, acoord = lam.offset, a.offset
-    root = cmath.exp(2j * cmath.pi / (r * n))
-    pref = root ** (-sum(acoord) * sum(lcoord))
-    q = cmath.exp(2j * cmath.pi / r)
-    m = np.array([[q ** (li * aj) for aj in acoord] for li in lcoord])
-    return complex(pref * np.linalg.det(m))
 
 
 def psi(lam: WeightPoint, n: int, r: int,

@@ -85,10 +85,11 @@ def boltzmann_weight(z: complex, alpha: Arrow, beta: Arrow, gamma: Arrow,
                                                      pair_index(n, k, l)])
 
 
-def restricted_r(z: complex, kind: ModelKind, params: EllipticParams,
-                 space: GradedSpace | None = None) -> GradedMorphism:
-    """The R-matrix as a graded endomorphism of V (x) V, read off one
-    R-matrix table over the component sources (one per run of `table_runs`).
+def restricted_r(zs, kind: ModelKind, params: EllipticParams,
+                 space: GradedSpace | None = None) -> list[GradedMorphism]:
+    """The R-matrix at each spectral parameter of `zs` as a graded
+    endomorphism of V (x) V, all read off one R-matrix table over the
+    component sources per run of `table_runs` (n^4 entries per source and z).
 
     In the restricted case, components whose target path exits the alcove
     are checked to vanish below RESTRICTION_TOL and dropped.
@@ -97,15 +98,18 @@ def restricted_r(z: complex, kind: ModelKind, params: EllipticParams,
     VV = tensor_space(V, V)
     sources, picks = memo(VV, "r-matrix-entries",
                           lambda: _flat_positions(VV, kind.rank))
-    blocks = {}
-    for offset, run in table_runs(sources, kind.rank ** 4):
+    blocks = [{} for _ in zs]
+    n2 = kind.rank ** 2
+    for offset, run in table_runs(sources, len(zs) * n2 * n2):
         at_run = picks[offset:offset + len(run)]
-        for flat, a, at in zip(r_table(z, run, params), run, at_run):
-            if kind.is_restricted:
-                _check_forbidden(flat, a, kind)
-            for gamma_arrow, pick in at:
-                blocks[gamma_arrow] = flat[pick]
-    return GradedMorphism(VV, VV, blocks)
+        table = r_table([z for z in zs for _ in run], run * len(zs), params)
+        for flats, out in zip(table.reshape(len(zs), len(run), n2, n2), blocks):
+            for flat, a, at in zip(flats, run, at_run):
+                if kind.is_restricted:
+                    _check_forbidden(flat, a, kind)
+                for gamma_arrow, pick in at:
+                    out[gamma_arrow] = flat[pick]
+    return [GradedMorphism(VV, VV, b) for b in blocks]
 
 
 def _flat_positions(VV: GradedSpace, n: int) -> tuple:

@@ -20,6 +20,7 @@ cols; the partition functions return 0j unbuilt.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +52,7 @@ def vector_l_operator(kind: ModelKind, params: EllipticParams,
     V = space if space is not None else build_vector_space(kind, params)
     return LOperator(
         aux=V, quantum=V,
-        at=lambda z: restricted_r(z + u, kind, params, space=V),
+        at=lambda z: restricted_r([z + u], kind, params, space=V)[0],
         params=params)
 
 
@@ -72,31 +73,42 @@ def l_tensor(first: LOperator, second: LOperator) -> LOperator:
     if first.params != second.params:
         raise ShapeMismatch("L-operators have different modular data")
     V, W, Z = first.aux, first.quantum, second.quantum
+    return LOperator(aux=V, quantum=tensor_space(W, Z), params=first.params,
+                     at=lambda z: _cross(V, W, Z, first.at(z), second.at(z)))
+
+
+def _cross(V: GradedSpace, W: GradedSpace, Z: GradedSpace, f: GradedMorphism,
+           g: GradedMorphism) -> GradedMorphism:
+    """The auxiliary line V crossing W by f : V (x) W -> W (x) V and then Z by
+    g : V (x) Z -> Z (x) V, as a morphism V (x) WZ -> WZ (x) V, WZ = W (x) Z."""
     WZ = tensor_space(W, Z)
-    dom = tensor_space(V, WZ)
-    cod = tensor_space(WZ, V)
-
-    def at(z: complex) -> GradedMorphism:
-        chain = _three_factor_chain(
-            dom, [V, W, Z], [(0, first.at(z), (W, V)), (1, second.at(z), (Z, V))])
-        return align(chain.codomain, cod) @ chain
-
-    return LOperator(aux=V, quantum=WZ, at=at, params=first.params)
+    chain = _three_factor_chain(tensor_space(V, WZ), [V, W, Z],
+                                [(0, f, (W, V)), (1, g, (Z, V))])
+    return align(chain.codomain, tensor_space(WZ, V)) @ chain
 
 
 def vector_chain(kind: ModelKind, params: EllipticParams,
                  points: tuple[complex, ...]) -> LOperator:
-    """Chain V(u_1) (x) ... (x) V(u_c) of vector representations.
+    """Chain V(u_1) (x) ... (x) V(u_c) of vector representations, folded
+    like `l_tensor` from the c sites R(z + u_k) of one `restricted_r` call.
 
     Its loop sections are as many as the closed c-step rows, so STATE_BUDGET
     is checked by `_closed_rows` before any tensor product is built."""
+    if not points:
+        raise InvalidConfig("a chain needs at least one site")
     _closed_rows(kind, len(points))
     V = build_vector_space(kind, params)
-    ops = [vector_l_operator(kind, params, u, space=V) for u in points]
-    out = ops[0]
-    for op in ops[1:]:
-        out = l_tensor(out, op)
-    return out
+    # quantum[k]: the nested quantum space of the first k + 1 sites
+    quantum = list(itertools.accumulate([V] * len(points), tensor_space))
+
+    def at(z: complex) -> GradedMorphism:
+        first, *rest = restricted_r([z + u for u in points], kind, params,
+                                    space=V)
+        for W, site in zip(quantum, rest):
+            first = _cross(V, W, V, first, site)
+        return first
+
+    return LOperator(aux=V, quantum=quantum[-1], at=at, params=params)
 
 
 def _loop_offsets(W: GradedSpace, a: WeightPoint
@@ -239,16 +251,13 @@ def rll_residual(L: LOperator, z: complex, w: complex) -> float:
     """Residual of the quadratic exchange relation
     R(z-w)^(23) L(z)^(12) L(w)^(23) = L(w)^(12) L(z)^(23) R(z-w)^(12)."""
     V, W = L.aux, L.quantum
-    r = restricted_r(z - w, V.context, L.params, space=V)
+    [r] = restricted_r([z - w], V.context, L.params, space=V)
+    lz, lw = L.at(z), L.at(w)
     start = tensor_space(tensor_space(V, V), W)
     lhs = _three_factor_chain(
-        start, [V, V, W],
-        [(1, L.at(w), (W, V)), (0, L.at(z), (W, V)), (1, r, (V, V))],
-    )
+        start, [V, V, W], [(1, lw, (W, V)), (0, lz, (W, V)), (1, r, (V, V))])
     rhs = _three_factor_chain(
-        start, [V, V, W],
-        [(0, r, (V, V)), (1, L.at(z), (W, V)), (0, L.at(w), (W, V))],
-    )
+        start, [V, V, W], [(0, r, (V, V)), (1, lz, (W, V)), (0, lw, (W, V))])
     return lhs.max_diff(align(rhs.codomain, lhs.codomain) @ rhs)
 
 

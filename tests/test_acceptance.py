@@ -114,8 +114,8 @@ def test_criterion_06_exactness_and_residue():
     for n, r in ((2, 5), (3, 5)):
         params = EllipticParams.rsos(n, r, TAU)
         for a in rsos_alcove(n, r):
-            reg = r_reg1(a, params)
-            oracle = residue_extrapolation(a, params)
+            reg = r_reg1([a], params)[0]
+            oracle = residue_extrapolation([a], params)[0]
             residue_rel = max(residue_rel,
                               float(np.abs(reg - oracle).max()
                                     / np.abs(reg).max()))

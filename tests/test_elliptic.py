@@ -184,19 +184,19 @@ def test_dybe_case_fails_on_one_entry_off_by_1e9_relative(n, r, monkeypatch):
 def test_r_reg1_matches_numerical_residue():
     p = params(3, 5)
     a = WeightPoint.integer((3, 1, 0))
-    reg = r_reg1(a, p)
+    reg = r_reg1([a], p)[0]
     eps = 1e-6
     approx = eps * r_matrix(1.0 + eps, a, p)
     rel = np.abs(approx - reg).max() / np.abs(reg).max()
     assert rel < 1e-4
-    oracle = residue_extrapolation(a, p)
+    oracle = residue_extrapolation([a], p)[0]
     assert np.abs(oracle - reg).max() / np.abs(reg).max() < 1e-6
 
 
 def test_r_reg1_vanishes_on_diagonal_vectors():
     p = params(3, 5)
     a = WeightPoint.integer((3, 1, 0))
-    flat = r_reg1(a, p)
+    flat = r_reg1([a], p)[0]
     for i in range(1, 4):
         col = flat[:, (i - 1) * 3 + (i - 1)]
         assert np.abs(col).max() == 0.0
@@ -206,7 +206,7 @@ def test_r_reg1_middle_block_rank_one_interior():
     p = params(2, 5)
     for l in (2, 3):
         a = WeightPoint.from_level_coordinate(l)
-        m = r_reg1(a, p)[1:3, 1:3]
+        m = r_reg1([a], p)[0][1:3, 1:3]
         assert abs(abs(m[0, 0]) - abs(m[0, 1])) < 1e-12
         s = np.linalg.svd(m, compute_uv=False)
         assert s[1] < 1e-10 * s[0]
@@ -216,14 +216,14 @@ def test_r_minus1_consistent_with_r_matrix():
     p = params(3, 5)
     for coords in ((3, 1, 0), (4, 2, 0)):
         a = WeightPoint.integer(coords)
-        diff = np.abs(r_minus1(a, p) - r_matrix(-1.0, a, p)).max()
+        diff = np.abs(r_minus1([a], p)[0] - r_matrix(-1.0, a, p)).max()
         assert diff < 1e-10
 
 
 def test_r_minus1_nonzero_on_diagonal_sectors():
     p = params(3, 5)
     a = WeightPoint.integer((3, 1, 0))
-    flat = r_minus1(a, p)
+    flat = r_minus1([a], p)[0]
     for i in range(1, 4):
         assert abs(flat[pair_index(3, i, i), pair_index(3, i, i)]) > 0.1
 
@@ -232,7 +232,7 @@ def test_r_minus1_vanishes_on_wall_sector():
     # a_{i-1} = a_i + 1 kills the sector through a + eps_i
     p = params(3, 5)
     a = WeightPoint.integer((2, 1, 0))  # a_1 = a_2 + 1
-    flat = r_minus1(a, p)
+    flat = r_minus1([a], p)[0]
     assert abs(flat[pair_index(3, 1, 2), pair_index(3, 1, 2)]) < 1e-14
     assert abs(flat[pair_index(3, 2, 1), pair_index(3, 1, 2)]) < 1e-14
 
@@ -340,8 +340,8 @@ def test_builders_match_loop_oracles_bit_for_bit(n, r):
                 assert np.array_equal(m, loop)
                 assert np.array_equal(r_matrix(z, a, p), loop)
         for a in points:
-            assert np.array_equal(r_reg1(a, p), _loop_r_reg1(a, p))
-            assert np.array_equal(r_minus1(a, p), _loop_r_minus1(a, p))
+            assert np.array_equal(r_reg1([a], p)[0], _loop_r_reg1(a, p))
+            assert np.array_equal(r_minus1([a], p)[0], _loop_r_minus1(a, p))
 
 
 def test_array_theta_equals_scalar_calls_entry_by_entry():
@@ -374,19 +374,20 @@ def test_builder_errors_keep_their_order_and_messages():
     singular = WeightPoint.integer((0, 0))
     # rank mismatch first, even at a pole and a singular point
     for build in (lambda: r_matrix(1.0, singular, p3),
-                  lambda: r_reg1(singular, p3), lambda: r_minus1(singular, p3)):
+                  lambda: r_reg1([singular], p3)[0],
+                  lambda: r_minus1([singular], p3)[0]):
         with pytest.raises(ValueError, match="rank"):
             build()
     with pytest.raises(NearPole, match=r"denominator \[1-z\] has modulus"):
         r_matrix(1.0, singular, p2)
     half = EllipticParams(tau=TAU, gamma=0.5, rank=2)
     with pytest.raises(NearPole, match=r"denominator \[2\] has modulus"):
-        r_minus1(singular, half)
+        r_minus1([singular], half)[0]
     for coords, pair in (((0, 0, 0), "1-a_2"), ((1, 0, 0), "2-a_3"),
                          ((1, 2, 1), "1-a_3")):
         a = WeightPoint.integer(coords)
-        for build in (lambda: r_matrix(0.3, a, p3), lambda: r_reg1(a, p3),
-                      lambda: r_minus1(a, p3)):
+        for build in (lambda: r_matrix(0.3, a, p3), lambda: r_reg1([a], p3)[0],
+                      lambda: r_minus1([a], p3)[0]):
             with pytest.raises(NearPole, match=rf"denominator \[a_{pair}\]"):
                 build()
         # in a table, behind regular points

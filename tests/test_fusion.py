@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from rsoskit.elliptic import EllipticParams
 from rsoskit.errors import LambdaOutsideAlcove, OutOfRange, TooLarge
 from rsoskit.fusion import (central_element_n2, exterior_character,
                             exterior_eigenvalue, fusion_bases, fusion_coeff,
-                            psi, psi_value, sym_power_character_n2,
+                            psi, sym_power_character_n2,
                             sym_square_character, verify_fusion_rules,
                             verify_spectrum)
 from rsoskit.groupoid import (AlcoveKind, AlcoveSpec, WeightPoint,
@@ -19,14 +20,26 @@ from rsoskit.rsos import ModelKind, build_vector_space
 TAU = 0.9j
 
 
+def psi_value(lam: WeightPoint, a: WeightPoint, n: int, r: int) -> complex:
+    """psi_lambda(a) from one determinant; the per-pair oracle of `psi`."""
+    lcoord, acoord = lam.offset, a.offset
+    root = cmath.exp(2j * cmath.pi / (r * n))
+    pref = root ** (-sum(acoord) * sum(lcoord))
+    q = cmath.exp(2j * cmath.pi / r)
+    m = np.array([[q ** (li * aj) for aj in acoord] for li in lcoord])
+    return complex(pref * np.linalg.det(m))
+
+
 def test_fusion_bases_case_table_rank2_level5():
     kind = ModelKind.rsos(2, 5)
     params = EllipticParams.rsos(2, 5, TAU)
     expected = {1: (1, 1), 2: (2, 1), 3: (2, 1), 4: (1, 1)}
-    for a in kind.alcove():
-        fb = fusion_bases(a, kind, params)
+    bases = fusion_bases(kind.alcove(), kind, params)
+    assert tuple(fb.point for fb in bases) == kind.alcove()
+    for fb in bases:
         assert fb.max_residual < 1e-8
-        assert (fb.sym_dim, fb.antisym_dim) == expected[a.level_coordinate()]
+        assert (fb.sym_dim, fb.antisym_dim) == expected[
+            fb.point.level_coordinate()]
         for sector in fb.sectors:
             blk = sector.reg_one_block
             rank_reg = np.linalg.matrix_rank(blk, tol=1e-8)
@@ -37,7 +50,8 @@ def test_fusion_bases_case_table_rank2_level5():
 def test_fusion_bases_boundary_case_appears_at_walls():
     kind = ModelKind.rsos(2, 5)
     params = EllipticParams.rsos(2, 5, TAU)
-    fb = fusion_bases(WeightPoint.from_level_coordinate(1), kind, params)
+    [fb] = [b for b in fusion_bases(kind.alcove(), kind, params)
+            if b.point == WeightPoint.from_level_coordinate(1)]
     cases = {s.case for s in fb.sectors}
     assert "boundary" in cases
 
@@ -46,8 +60,8 @@ def test_exactness_exhaustive():
     for n, r in ((2, 5), (3, 5), (3, 6)):
         kind = ModelKind.rsos(n, r)
         params = EllipticParams.rsos(n, r, TAU)
-        for a in kind.alcove():
-            assert fusion_bases(a, kind, params).max_residual < 1e-8
+        for fb in fusion_bases(kind.alcove(), kind, params):
+            assert fb.max_residual < 1e-8
 
 
 def test_exterior_character_degenerate_degrees():

@@ -81,7 +81,7 @@ def test_sos_space_needs_window_and_generic_base():
 
 def test_restricted_r_at_zero_is_identity():
     kind, params = setup_n2()
-    R0 = restricted_r(0.0, kind, params)
+    R0 = restricted_r([0.0], kind, params)[0]
     assert R0.max_diff(identity_morphism(R0.domain)) <= 1e-12
 
 
@@ -92,8 +92,8 @@ def test_restricted_r_unitary_as_graded_morphism():
         params = EllipticParams.rsos(n, r, TAU)
         for _ in range(5):
             z = complex(rng.uniform(0.1, 0.6), rng.uniform(0, 0.2))
-            rz = restricted_r(z, kind, params)
-            rmz = restricted_r(-z, kind, params)
+            rz = restricted_r([z], kind, params)[0]
+            rmz = restricted_r([-z], kind, params)[0]
             assert (rz @ rmz).max_diff(identity_morphism(rz.domain)) < 1e-9
 
 
@@ -201,7 +201,7 @@ def test_restriction_violation_detected_for_wrong_gamma():
     off = EllipticParams(tau=TAU, gamma=1 / 5.3, rank=2)
     with pytest.raises(RestrictionViolated,
                        match=r"component \(\d,\d\)<-\(\d,\d\) at WeightPoint"):
-        restricted_r(0.31, kind, off)
+        restricted_r([0.31], kind, off)[0]
 
 
 def test_forbidden_entry_in_the_table_is_detected(monkeypatch):
@@ -221,7 +221,7 @@ def test_forbidden_entry_in_the_table_is_detected(monkeypatch):
 
     monkeypatch.setattr(rs, "r_table", injected)
     with pytest.raises(RestrictionViolated, match=r"is 1\.00e-09"):
-        restricted_r(0.31, kind, params)
+        restricted_r([0.31], kind, params)[0]
 
 
 def _count_brackets(monkeypatch) -> list:
@@ -238,7 +238,7 @@ def test_one_table_per_spectral_parameter(monkeypatch):
     V = build_vector_space(kind)
     calls = _count_brackets(monkeypatch)
     for k, z in enumerate((0.31, 0.17 + 0.05j, -0.42), start=1):
-        restricted_r(z, kind, params, space=V)
+        restricted_r([z], kind, params, space=V)[0]
         assert len(calls) == k
     # the star-triangle check: one table per run, its rows at every distinct
     # spectral parameter over the slot start points
@@ -256,18 +256,28 @@ def test_one_table_per_spectral_parameter(monkeypatch):
 
 def test_runs_of_one_point_give_the_same_results(monkeypatch):
     import rsoskit.elliptic as el
+    import rsoskit.fusion as fu
     import rsoskit.rsos as rs
     kind, params = ModelKind.rsos(3, 7), EllipticParams.rsos(3, 7, TAU)
     z, w = 0.31 + 0.02j, 0.17 + 0.05j
-    whole = restricted_r(z, kind, params)
+    whole = restricted_r([z], kind, params)[0]
     worst = (restriction_residual(z, kind, params),
              star_triangle_residual(z, w, kind, params))
+    zs = (z, w, -z, z)
+    several = restricted_r(zs, kind, params)
+    # every morphism of a several-z table equals its one-z build
+    for u, R in zip(zs, several):
+        one = restricted_r([u], kind, params)[0]
+        assert R.blocks.keys() == one.blocks.keys()
+        assert all(np.array_equal(R.blocks[g], m) for g, m in one.blocks.items())
+    bases = fu.fusion_bases(kind.alcove(), kind, params)
+    residues = el.residue_extrapolation(kind.alcove(), params)
     monkeypatch.setattr(el, "TABLE_BUDGET", 1)
     runs = []
     real = rs.r_table
     monkeypatch.setattr(rs, "r_table",
                         lambda u, pts, p: runs.append(len(pts)) or real(u, pts, p))
-    R = restricted_r(z, kind, params)
+    R = restricted_r([z], kind, params)[0]
     assert R.blocks.keys() == whole.blocks.keys()
     assert all(np.array_equal(R.blocks[g], m) for g, m in whole.blocks.items())
     assert restriction_residual(z, kind, params) == worst[0]
@@ -279,6 +289,35 @@ def test_runs_of_one_point_give_the_same_results(monkeypatch):
     # successors, at each of the three spectral parameters
     assert len(runs) == sum(1 for a in alcove if kind.paths(a, 3))
     assert max(runs) <= 3 * (1 + kind.rank)
+    # several spectral parameters: one table of len(zs) rows per source
+    del runs[:]
+    for R, want in zip(restricted_r(zs, kind, params), several):
+        assert R.blocks.keys() == want.blocks.keys()
+        assert all(np.array_equal(R.blocks[g], m)
+                   for g, m in want.blocks.items())
+    assert len(runs) == len(alcove) and set(runs) == {len(zs)}
+    # the z = -1 and residue tables of fusion_bases, and the residue oracle,
+    # one point per run
+    real_reg, real_table = fu.r_reg1, el.r_table
+    monkeypatch.setattr(fu, "r_reg1",
+                        lambda pts, p: runs.append(len(pts)) or real_reg(pts, p))
+    monkeypatch.setattr(el, "r_table",
+                        lambda u, pts, p: runs.append(len(pts))
+                        or real_table(u, pts, p))
+    del runs[:]
+    got = fu.fusion_bases(kind.alcove(), kind, params)
+    assert runs == [1] * len(alcove)
+    assert [b.point for b in got] == [b.point for b in bases]
+    for b, want in zip(got, bases):
+        assert np.array_equal(b.residue, want.residue)
+        assert b.max_residual == want.max_residual
+        for s, t in zip(b.sectors, want.sectors, strict=True):
+            assert (s.case, s.paths, s.residual) == (t.case, t.paths, t.residual)
+            assert np.array_equal(s.minus_one_block, t.minus_one_block)
+            assert np.array_equal(s.reg_one_block, t.reg_one_block)
+    del runs[:]
+    assert np.array_equal(el.residue_extrapolation(alcove, params), residues)
+    assert runs == [3] * len(alcove)  # three eps rows over one point
 
 
 def test_star_triangle_restricted():
@@ -347,7 +386,7 @@ def test_grading_convention_consistency():
     kind, params = setup_n2()
     from rsoskit.rsos import restricted_r
     z = 0.27 + 0.04j
-    R = restricted_r(z, kind, params)
+    R = restricted_r([z], kind, params)[0]
     VV = R.domain
     for g, summands in VV.layout.items():
         block = R.block(g)

@@ -202,7 +202,7 @@ def test_partial_trace_conjugation_invariant():
 def test_l_operator_of_vector_rep_is_shifted_r():
     L = vector_l_operator(KIND, PARAMS, u=0.3)
     from rsoskit.rsos import restricted_r
-    assert L.at(0.2).max_diff(restricted_r(0.5, KIND, PARAMS)) < 1e-14
+    assert L.at(0.2).max_diff(restricted_r([0.5], KIND, PARAMS)[0]) < 1e-14
 
 
 def test_l_tensor_with_trivial_rep_is_unit_isomorphic():
@@ -223,6 +223,41 @@ def test_rll_residuals():
     W2 = l_tensor(vector_l_operator(KIND, PARAMS, 0.0),
                   vector_l_operator(KIND, PARAMS, 0.3))
     assert rll_residual(W2, 0.31, 0.12 + 0.07j) < 1e-9
+
+
+def test_rll_residual_evaluates_each_l_operator_once():
+    W2 = vector_chain(KIND, PARAMS, (0.0, 0.3))
+    want = rll_residual(W2, 0.31, 0.12 + 0.07j)
+    at, points = W2.at, []
+    W2.at = lambda z: points.append(z) or at(z)
+    assert rll_residual(W2, 0.31, 0.12 + 0.07j) == want
+    assert sorted(points, key=abs) == [0.12 + 0.07j, 0.31]
+
+
+def test_vector_chain_is_the_nested_l_tensor_fold_bit_for_bit():
+    for n, r, us in ((2, 5, (0.0, 0.3, 0.7, 0.1)), (3, 5, (0.0, 0.3, 0.7))):
+        kind = ModelKind.rsos(n, r)
+        params = EllipticParams.rsos(n, r, TAU)
+        chain = vector_chain(kind, params, us)
+        V = chain.aux
+        fold = functools.reduce(l_tensor, [
+            vector_l_operator(kind, params, u, space=V) for u in us])
+        assert fold.quantum is chain.quantum
+        z = 0.29 + 0.06j
+        got, want = chain.at(z), fold.at(z)
+        assert (got.domain, got.codomain) == (want.domain, want.codomain)
+        assert got.blocks.keys() == want.blocks.keys()
+        assert all(np.array_equal(got.blocks[g], m)
+                   for g, m in want.blocks.items())
+
+
+def test_empty_chain_is_refused_before_any_row_is_listed(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("listed the rows of an empty chain")
+
+    monkeypatch.setattr(transfer, "_closed_rows", refuse)
+    with pytest.raises(InvalidConfig, match="at least one site"):
+        vector_chain(KIND, PARAMS, ())
 
 
 def test_single_vector_rep_has_empty_section_space():
