@@ -104,9 +104,6 @@ class GradedSpace:
         pts = {g.source for g in self.dims} | {g.target for g in self.dims}
         return sorted(pts, key=WeightPoint.sort_key)
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
 
 def memo(space: GradedSpace, key, build, partner: GradedSpace | None = None):
     """build(), computed once per (space, partner, key) and kept on `space`.
@@ -322,6 +319,20 @@ def _alignment(src: GradedSpace, dst: GradedSpace) -> MappingProxyType:
     return MappingProxyType(index)
 
 
+def composite(start: GradedSpace, *steps: GradedMorphism,
+              end: GradedSpace) -> GradedMorphism:
+    """steps[-1] o ... o steps[0] : start -> end, up to coherence: each step
+    is entered through `align` from the previous codomain (the first from
+    `start`), and the last codomain is aligned onto `end`; a step whose
+    domain is no re-bracketing of that codomain raises ShapeMismatch."""
+    total, at = None, start
+    for m in steps:
+        m = m @ align(at, m.domain)
+        total = m if total is None else m @ total
+        at = m.codomain
+    return align(at, end) @ total
+
+
 def tensor_morphism(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
     """f (x) g acting summand-wise by Kronecker products."""
     dom = tensor_space(f.domain, g.domain)
@@ -417,7 +428,6 @@ def zigzag_residual(V: GradedSpace) -> float:
              tensor_morphism(id_v, dd.evaluation)),
             (dd.dual, tensor_morphism(id_d, dd.coevaluation),
              tensor_morphism(dd.evaluation, id_d))):
-        chain = step2 @ align(step1.codomain, step2.domain) @ step1
-        composite = align(chain.codomain, X) @ chain @ align(X, step1.domain)
-        res = max(res, composite.max_diff(identity_morphism(X)))
+        zigzag = composite(X, step1, step2, end=X)
+        res = max(res, zigzag.max_diff(identity_morphism(X)))
     return res

@@ -43,12 +43,13 @@ def build_vector_space(kind: ModelKind,
             raise ValueError("unrestricted model needs an explicit point window")
         points = list(window)
         if params is not None:
-            for a in points:
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        if i != j and abs(bracket(a.diff(i, j), params)) < POLE_GUARD:
-                            raise BaseOnSingularSet(
-                                f"base point {a!r} has [a_{i}-a_{j}] ~ 0")
+            pairs = [(a, i, j) for a in points for i in range(1, n + 1)
+                     for j in range(1, n + 1) if i != j]
+            values = bracket([a.diff(i, j) for a, i, j in pairs], params)
+            for (a, i, j), value in zip(pairs, values.tolist()):
+                if abs(value) < POLE_GUARD:
+                    raise BaseOnSingularSet(
+                        f"base point {a!r} has [a_{i}-a_{j}] ~ 0")
     dims = {}
     for a in points:
         for i in range(1, n + 1):

@@ -29,8 +29,9 @@ import numpy as np
 from .convolution import DifferenceOperator
 from .elliptic import EllipticParams, pair_index, r_table
 from .errors import InvalidConfig, ShapeMismatch, check_budget
-from .graded import (GradedMorphism, GradedSpace, align, identity_morphism,
-                     memo, tensor_morphism, tensor_space, unit_space)
+from .graded import (GradedMorphism, GradedSpace, align, composite,
+                     identity_morphism, memo, tensor_morphism, tensor_space,
+                     unit_space)
 from .groupoid import Arrow, ModelKind, WeightPoint, add_vectors, eps
 from .rsos import build_vector_space, restricted_r
 
@@ -82,9 +83,10 @@ def _cross(V: GradedSpace, W: GradedSpace, Z: GradedSpace, f: GradedMorphism,
     """The auxiliary line V crossing W by f : V (x) W -> W (x) V and then Z by
     g : V (x) Z -> Z (x) V, as a morphism V (x) WZ -> WZ (x) V, WZ = W (x) Z."""
     WZ = tensor_space(W, Z)
-    chain = _three_factor_chain(tensor_space(V, WZ), [V, W, Z],
-                                [(0, f, (W, V)), (1, g, (Z, V))])
-    return align(chain.codomain, tensor_space(WZ, V)) @ chain
+    return composite(tensor_space(V, WZ),
+                     tensor_morphism(f, identity_morphism(Z)),
+                     tensor_morphism(identity_morphism(W), g),
+                     end=tensor_space(WZ, V))
 
 
 def vector_chain(kind: ModelKind, params: EllipticParams,
@@ -225,40 +227,19 @@ def commutator_residual(L: LOperator, z: complex, w: complex) -> float:
                 for g in zw.keys() | wz.keys()), default=0.0)
 
 
-def _three_factor_chain(start: GradedSpace, factors: list[GradedSpace],
-                        steps) -> GradedMorphism:
-    """Compose morphisms acting on adjacent slots of a three-factor product,
-    starting from `start`, a bracketing of factors[0] (x) factors[1] (x) factors[2].
-
-    Each step is (slot, morphism, (out_left, out_right)) with slot 0 or 1;
-    bracketing changes are absorbed by label alignment.
-    """
-    total = None
-    fac = list(factors)
-    for slot, f, outs in steps:
-        if slot == 0:
-            m = tensor_morphism(f, identity_morphism(fac[2]))
-            fac = [outs[0], outs[1], fac[2]]
-        else:
-            m = tensor_morphism(identity_morphism(fac[0]), f)
-            fac = [fac[0], outs[0], outs[1]]
-        total = (m @ align(start, m.domain) if total is None
-                 else m @ align(total.codomain, m.domain) @ total)
-    return total
-
-
 def rll_residual(L: LOperator, z: complex, w: complex) -> float:
     """Residual of the quadratic exchange relation
     R(z-w)^(23) L(z)^(12) L(w)^(23) = L(w)^(12) L(z)^(23) R(z-w)^(12)."""
     V, W = L.aux, L.quantum
     [r] = restricted_r([z - w], V.context, L.params, space=V)
     lz, lw = L.at(z), L.at(w)
-    start = tensor_space(tensor_space(V, V), W)
-    lhs = _three_factor_chain(
-        start, [V, V, W], [(1, lw, (W, V)), (0, lz, (W, V)), (1, r, (V, V))])
-    rhs = _three_factor_chain(
-        start, [V, V, W], [(0, r, (V, V)), (1, lz, (W, V)), (0, lw, (W, V))])
-    return lhs.max_diff(align(rhs.codomain, lhs.codomain) @ rhs)
+    id_v, id_w = identity_morphism(V), identity_morphism(W)
+    start, end = tensor_space(r.domain, W), tensor_space(W, r.domain)
+    lhs = composite(start, tensor_morphism(id_v, lw), tensor_morphism(lz, id_v),
+                    tensor_morphism(id_w, r), end=end)
+    rhs = composite(start, tensor_morphism(r, id_w), tensor_morphism(id_v, lz),
+                    tensor_morphism(lw, id_v), end=end)
+    return lhs.max_diff(rhs)
 
 
 FACE_BUDGET = 16

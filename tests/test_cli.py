@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import rsoskit
-from rsoskit import elliptic, fusion, suites
+from rsoskit import elliptic, fusion, rsos, suites
 from rsoskit.cli import main, run_verify
 from rsoskit.elliptic import EllipticParams
 from rsoskit.errors import InvalidConfig, InvalidTau, UnknownSuite
@@ -133,8 +133,8 @@ BRACKET_CALLS = {
 def test_bracket_calls_per_suite(n, r, monkeypatch):
     calls, thetas = [], []
     real, real_theta = elliptic.bracket, elliptic.theta
-    # fusion imports bracket by name: its calls are counted there
-    for module in (elliptic, fusion):
+    # fusion and rsos import bracket by name: their calls are counted there
+    for module in (elliptic, fusion, rsos):
         monkeypatch.setattr(module, "bracket",
                             lambda z, p: calls.append(z) or real(z, p))
     monkeypatch.setattr(elliptic, "theta",

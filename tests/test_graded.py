@@ -8,8 +8,9 @@ import pytest
 from rsoskit.elliptic import EllipticParams
 from rsoskit.errors import ContextMismatch, ShapeMismatch, TooLarge
 from rsoskit.graded import (GradedMorphism, GradedSpace, Permutation, align,
-                            dual_space, identity_morphism, tensor_morphism,
-                            tensor_space, unit_space, zigzag_residual)
+                            composite, dual_space, identity_morphism,
+                            tensor_morphism, tensor_space, unit_space,
+                            zigzag_residual)
 from rsoskit.groupoid import Arrow, WeightPoint, eps, inverse, rsos_alcove
 from rsoskit.rsos import ModelKind, build_vector_space
 
@@ -328,3 +329,65 @@ def test_broadcast_fill_is_bitwise_kronecker(p, q):
     t = tensor_morphism(GradedMorphism(V, V2, {g1: fb}),
                         GradedMorphism(W, W2, {g2: gb}))
     assert np.array_equal(t.block(Arrow(a, (1, 1))), np.kron(fb, gb))
+
+
+def _random_morphism(rng, dom, cod):
+    """Random complex blocks at every arrow of dom that cod also has."""
+    shapes = {g: (cod.dims[g], d) for g, d in dom.dims.items() if g in cod.dims}
+    return GradedMorphism(dom, cod, {
+        g: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for g, shape in shapes.items()})
+
+
+def _assert_same_morphism(got, want):
+    assert got.domain is want.domain and got.codomain is want.codomain
+    assert got.blocks.keys() == want.blocks.keys()
+    for g, m in want.blocks.items():
+        assert np.array_equal(got.blocks[g], m)
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
+def test_composite_of_a_crossing_equals_the_hand_written_chain(n, r):
+    # V crossing W then Z: V (x) (W (x) Z) -> (W (x) Z) (x) V
+    rng = np.random.default_rng(10 * n + r)
+    V = build_vector_space(ModelKind.rsos(n, r))
+    W, Z = tensor_space(V, V), V
+    f = _random_morphism(rng, tensor_space(V, W), tensor_space(W, V))
+    g = _random_morphism(rng, tensor_space(V, Z), tensor_space(Z, V))
+    first = tensor_morphism(f, identity_morphism(Z))
+    second = tensor_morphism(identity_morphism(W), g)
+    start = tensor_space(V, tensor_space(W, Z))
+    end = tensor_space(tensor_space(W, Z), V)
+    chain = (second @ align(first.codomain, second.domain)
+             @ (first @ align(start, first.domain)))
+    want = align(chain.codomain, end) @ chain
+    _assert_same_morphism(composite(start, first, second, end=end), want)
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
+def test_composite_of_an_rll_side_equals_the_hand_written_chain(n, r):
+    # L(w)^(23), L(z)^(12), R^(23) on (V (x) V) (x) W
+    rng = np.random.default_rng(10 * n + r + 1)
+    V = build_vector_space(ModelKind.rsos(n, r))
+    VV = tensor_space(V, V)
+    W = tensor_space(VV, V)
+    lz, lw = (_random_morphism(rng, tensor_space(V, W), tensor_space(W, V))
+              for _ in range(2))
+    rm = _random_morphism(rng, VV, VV)
+    steps = (tensor_morphism(identity_morphism(V), lw),
+             tensor_morphism(lz, identity_morphism(V)),
+             tensor_morphism(identity_morphism(W), rm))
+    start, end = tensor_space(VV, W), tensor_space(W, VV)
+    chain = steps[0] @ align(start, steps[0].domain)
+    chain = steps[1] @ align(chain.codomain, steps[1].domain) @ chain
+    chain = steps[2] @ align(chain.codomain, steps[2].domain) @ chain
+    want = align(chain.codomain, end) @ chain
+    _assert_same_morphism(composite(start, *steps, end=end), want)
+
+
+def test_composite_refuses_a_step_on_other_factors():
+    V = vector_space()
+    VV = tensor_space(V, V)
+    whisker = tensor_morphism(identity_morphism(V), identity_morphism(VV))
+    with pytest.raises(ShapeMismatch):
+        composite(VV, whisker, end=whisker.codomain)

@@ -79,6 +79,31 @@ def test_sos_space_needs_window_and_generic_base():
         build_vector_space(singular, params, window=[bad])
 
 
+def test_window_pole_check_is_one_bracket_call(monkeypatch):
+    import rsoskit.rsos as rs
+    calls = []
+    monkeypatch.setattr(rs, "bracket",
+                        lambda z, p: calls.append(z) or bracket(z, p))
+    params = EllipticParams.rsos(3, 5, TAU)
+    base = (0.29, 0.11, 0.0)
+    window = [WeightPoint(base=base, offset=o)
+              for o in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))]
+    build_vector_space(ModelKind.sos(base), params, window=window)
+    # 4 points x 6 ordered pairs (i, j), each equal to its scalar call
+    [args] = calls
+    assert len(args) == 24
+    batch = bracket(args, params)
+    assert all(v == bracket(z, params) for z, v in zip(args, batch))
+    # [a_1 - a_2] = [5] vanishes at the second point; the first has none
+    base = (5.0, 0.0, 0.0)
+    fine, bad = (WeightPoint(base=base, offset=o)
+                 for o in ((0, 1, 3), (0, 0, 0)))
+    with pytest.raises(BaseOnSingularSet) as raised:
+        build_vector_space(ModelKind.sos(base), params, window=[fine, bad])
+    assert str(raised.value) == f"base point {bad!r} has [a_1-a_2] ~ 0"
+    assert len(calls) == 2
+
+
 def test_restricted_r_at_zero_is_identity():
     kind, params = setup_n2()
     R0 = restricted_r([0.0], kind, params)[0]
