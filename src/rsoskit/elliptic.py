@@ -20,12 +20,13 @@ once (`r_table`, with one spectral parameter per row, `r_reg1`, `r_minus1`;
 `r_matrix` is the one-row `r_table`).  Every caller makes one table for all
 its spectral parameters: unitarity for z and -z, Yang-Baxter for its 3 + 3n
 rows, the residue oracle for its three eps rows, `rsos.restricted_r` for all
-its z (so a chain's L(z) for its sites z + u_k).  Over large point or sample
-sets callers table run by run (`table_runs`), each stating the table entries
-one point or sample costs (n^4 per spectral parameter over the points
-themselves, 2 n^4 per unitarity sample, 3 (n + 1) n^4 for the star-triangle
-rows over a point and its successors), so no run's table exceeds
-TABLE_BUDGET entries.
+its z (so a chain's L(z) for its sites z + u_k at every z of a stack).  Over
+large point or sample sets callers table run by run (`table_runs`), each
+stating the table entries one point or sample costs (n^4 per spectral
+parameter over the points themselves, 2 n^4 per unitarity sample,
+3 (n + 1) n^4 for the star-triangle rows over a point and its successors),
+so no run's table exceeds TABLE_BUDGET entries; `transfer.transfer_matrix`
+cuts its stacked L(z) evaluations under the same budget.
 """
 
 from __future__ import annotations
@@ -175,9 +176,11 @@ def _flat_r(points, shifts, params: EllipticParams, diagonal: float,
     One array call gives every bracket of the table, each distinct argument
     once: the arguments `extra(s)` per distinct shift s, which coeffs maps to
     that shift's (X, W, Y), [d] and [d+1] per distinct difference d and [d+s]
-    per distinct (d, s) over the rows.  The two entries of each (d, s) are
-    computed once in Python complex arithmetic and scattered by index arrays,
-    so every entry equals the one-point build bit for bit."""
+    per distinct (d, s) over the rows; the differences d are taken once per
+    distinct point, which a table at many spectral parameters repeats.  The
+    two entries of each (d, s) are computed once in Python complex
+    arithmetic and scattered by index arrays, so every entry equals the
+    one-point build bit for bit."""
     n = params.rank
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     position: dict[complex, int] = {}  # distinct bracket argument -> its index
@@ -186,13 +189,15 @@ def _flat_r(points, shifts, params: EllipticParams, diagonal: float,
     slot: dict[tuple, int] = {}  # distinct (d, s) -> its position in `first`
     first = []  # (i, j, s, indices of [d], [d+1], [d+s]) per distinct (d, s)
     where = []  # per row and pair, the position of its (d, s)
+    diffs: dict[WeightPoint, list] = {}  # distinct point -> d per pair
     for a, s in zip(points, shifts):
-        if a.rank != n:
-            raise ValueError("point rank does not match params")
+        if a not in diffs:
+            if a.rank != n:
+                raise ValueError("point rank does not match params")
+            diffs[a] = [a.diff(i, j) for i, j in pairs]
         if s not in extras:
             extras[s] = [at(w) for w in extra(s)]
-        for i, j in pairs:
-            d = a.diff(i, j)
+        for (i, j), d in zip(pairs, diffs[a]):
             if (d, s) not in slot:
                 slot[d, s] = len(first)
                 first.append((i, j, s, at(d), at(d + 1), at(d + s)))

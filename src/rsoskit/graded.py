@@ -15,6 +15,11 @@ permutation.
 Everything that depends only on spaces (products, alignments, summand
 pairings) is built once and kept on the operand spaces, so morphisms that
 vary with a parameter over fixed spaces pay only for their blocks.
+
+A block is a matrix or a stack (B, rows, cols) of them, one per spectral
+parameter of a batch, so the Python work per component is paid once per
+batch; operations act on the two trailing axes, a plain block (identity,
+alignment) broadcasts against a stack, and `f[k]` is the k-th morphism.
 """
 
 from __future__ import annotations
@@ -189,19 +194,29 @@ def _product_keys(kv: np.ndarray, kw: np.ndarray, spans) -> np.ndarray:
 
 @dataclass
 class GradedMorphism:
-    """Family of matrices f_gamma : domain_gamma -> codomain_gamma."""
+    """Family of matrices f_gamma : domain_gamma -> codomain_gamma, each
+    plain or stacked over a batch of spectral parameters."""
 
     domain: GradedSpace
     codomain: GradedSpace
     blocks: dict[Arrow, np.ndarray]
 
     def __post_init__(self):
+        rows, cols = self.codomain.dims, self.domain.dims
         for arrow, m in self.blocks.items():
-            want = (self.codomain.dim(arrow), self.domain.dim(arrow))
-            if m.shape != want:
+            want = (rows.get(arrow, 0), cols.get(arrow, 0))
+            if m.shape[-2:] != want:
                 raise ShapeMismatch(
                     f"block at {arrow!r} has shape {m.shape}, expected {want}"
                 )
+
+    def __getitem__(self, k) -> "GradedMorphism":
+        """The morphism at the k-th spectral parameter of the stacked blocks,
+        or the stack at a slice of them; a plain block serves every k."""
+        return GradedMorphism(self.domain, self.codomain, {
+            g: m if m.ndim == 2 else m[k] for g, m in self.blocks.items()})
+
+    __iter__ = None  # not a sequence: a plain morphism serves every index
 
     def block(self, arrow: Arrow) -> np.ndarray:
         m = self.blocks.get(arrow)
@@ -219,10 +234,10 @@ class GradedMorphism:
             if isinstance(self, Permutation):
                 return Permutation(other.domain, self.codomain, {
                     g: self.index[g][p] for g, p in other.index.items()})
-            products = ((g, m[:, other.index[g]])
+            products = ((g, m[..., other.index[g]])
                         for g, m in self.blocks.items())
         elif isinstance(self, Permutation):
-            products = ((g, m[np.argsort(self.index[g])])
+            products = ((g, m.take(np.argsort(self.index[g]), axis=-2))
                         for g, m in other.blocks.items())
         else:
             products = ((g, self.blocks[g] @ other.blocks[g])
@@ -273,6 +288,9 @@ class Permutation(GradedMorphism):
     def __init__(self, domain: GradedSpace, codomain: GradedSpace,
                  index: dict[Arrow, np.ndarray]):
         self.domain, self.codomain, self.index = domain, codomain, index
+
+    def __getitem__(self, k) -> "Permutation":
+        return self
 
     @cached_property
     def blocks(self) -> dict[Arrow, np.ndarray]:
@@ -334,7 +352,8 @@ def composite(start: GradedSpace, *steps: GradedMorphism,
 
 
 def tensor_morphism(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
-    """f (x) g acting summand-wise by Kronecker products."""
+    """f (x) g acting summand-wise by Kronecker products, stacked where f or
+    g is."""
     dom = tensor_space(f.domain, g.domain)
     cod = tensor_space(f.codomain, g.codomain)
     blocks = {}
@@ -347,11 +366,15 @@ def tensor_morphism(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
             if fb is None or gb is None:
                 continue
             if m is None:
-                m = np.zeros(shape, dtype=complex)
-            (p, q), (s, t) = fb.shape, gb.shape
-            # np.kron(fb, gb) entry by entry: one multiply each
-            m[row:row + p * s, col:col + q * t] = (
-                fb[:, None, :, None] * gb[None, :, None, :]).reshape(p * s, q * t)
+                lead = fb.shape[:-2] or gb.shape[:-2]
+                m = np.zeros(lead + shape, dtype=complex)
+            (p, q), (s, t) = fb.shape[-2:], gb.shape[-2:]
+            # np.kron(fb, gb) entry by entry, one multiply each, written
+            # into the summand's rows (p, s) and columns (q, t); splitting
+            # the axes of a slice of m is a view, never a copy
+            view = m[..., row:row + p * s, col:col + q * t]
+            np.multiply(fb[..., :, None, :, None], gb[..., None, :, None, :],
+                        out=view.reshape(lead + (p, s, q, t)))
         if m is not None:
             blocks[gamma] = m
     return GradedMorphism(dom, cod, blocks)

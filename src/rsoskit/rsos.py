@@ -87,30 +87,30 @@ def boltzmann_weight(z: complex, alpha: Arrow, beta: Arrow, gamma: Arrow,
 
 
 def restricted_r(zs, kind: ModelKind, params: EllipticParams,
-                 space: GradedSpace | None = None) -> list[GradedMorphism]:
-    """The R-matrix at each spectral parameter of `zs` as a graded
-    endomorphism of V (x) V, all read off one R-matrix table over the
-    component sources per run of `table_runs` (n^4 entries per source and z).
+                 space: GradedSpace | None = None) -> GradedMorphism:
+    """The R-matrix at the spectral parameters `zs` as one graded
+    endomorphism of V (x) V with blocks stacked over zs (`r[k]` is the one at
+    zs[k]), all read off one R-matrix table over the component sources per
+    run of `table_runs` (n^4 entries per source and z).
 
     In the restricted case, components whose target path exits the alcove
-    are checked to vanish below RESTRICTION_TOL and dropped.
+    are checked to vanish below RESTRICTION_TOL at every z and dropped.
     """
     V = space if space is not None else build_vector_space(kind, params)
     VV = tensor_space(V, V)
     sources, picks = memo(VV, "r-matrix-entries",
                           lambda: _flat_positions(VV, kind.rank))
-    blocks = [{} for _ in zs]
+    blocks = {}
     n2 = kind.rank ** 2
     for offset, run in table_runs(sources, len(zs) * n2 * n2):
-        at_run = picks[offset:offset + len(run)]
-        table = r_table([z for z in zs for _ in run], run * len(zs), params)
-        for flats, out in zip(table.reshape(len(zs), len(run), n2, n2), blocks):
-            for flat, a, at in zip(flats, run, at_run):
-                if kind.is_restricted:
-                    _check_forbidden(flat, a, kind)
-                for gamma_arrow, pick in at:
-                    out[gamma_arrow] = flat[pick]
-    return [GradedMorphism(VV, VV, b) for b in blocks]
+        table = r_table([z for z in zs for _ in run], run * len(zs),
+                        params).reshape(len(zs), len(run), n2, n2)
+        for s, (a, at) in enumerate(zip(run, picks[offset:offset + len(run)])):
+            if kind.is_restricted:
+                _check_forbidden(table[:, s], a, kind)
+            for gamma_arrow, pick in at:
+                blocks[gamma_arrow] = table[:, s][(..., *pick)]
+    return GradedMorphism(VV, VV, blocks)
 
 
 def _flat_positions(VV: GradedSpace, n: int) -> tuple:
@@ -133,8 +133,8 @@ def _same_weight(i: int, j: int, k: int, l: int) -> bool:
 
 
 def _forbidden_components(flat: np.ndarray, a: WeightPoint, kind: ModelKind):
-    """Entries of the flat R-matrix at a from an admissible two-step path
-    (k, l) into its forbidden reordering (l, k), with their moduli.
+    """Entries of the flat R-matrix at a, or of a stack of them, from an
+    admissible two-step path (k, l) into its forbidden reordering (l, k).
 
     (l, k) is the only other path of the same weight as (k, l).
     """
@@ -142,14 +142,18 @@ def _forbidden_components(flat: np.ndarray, a: WeightPoint, kind: ModelKind):
     allowed = kind.paths(a, 2)
     for k, l in allowed:
         if (l, k) not in allowed:
-            v = complex(flat[pair_index(n, l, k), pair_index(n, k, l)])
-            yield (l, k), (k, l), abs(v)
+            yield (l, k), (k, l), flat[..., pair_index(n, l, k),
+                                       pair_index(n, k, l)]
 
 
-def _check_forbidden(flat: np.ndarray, a: WeightPoint, kind: ModelKind) -> None:
-    """Components from a valid path into a forbidden one must vanish."""
-    for (i, j), (k, l), v in _forbidden_components(flat, a, kind):
-        if v > RESTRICTION_TOL:
+def _check_forbidden(flats: np.ndarray, a: WeightPoint,
+                     kind: ModelKind) -> None:
+    """Components from a valid path into a forbidden one must vanish in each
+    flat R-matrix of the stack `flats` at a."""
+    for (i, j), (k, l), v in _forbidden_components(flats, a, kind):
+        over = np.flatnonzero(np.abs(v) > RESTRICTION_TOL)
+        if over.size:
+            v = abs(complex(v[over[0]]))
             raise RestrictionViolated(
                 f"component ({i},{j})<-({k},{l}) at {a!r} is {v:.2e}")
 
@@ -163,7 +167,7 @@ def restriction_residual(z: complex, kind: ModelKind,
     for _, run in table_runs(kind.alcove(), kind.rank ** 4):
         for flat, a in zip(r_table(z, run, params), run):
             for *_, v in _forbidden_components(flat, a, kind):
-                worst = max(worst, v)
+                worst = max(worst, abs(complex(v)))
     return worst
 
 

@@ -5,7 +5,8 @@ the scalar row-to-row transfer matrix over closed row states.
 Sections live on the loop components W_{(a, k(1,...,1))} of the quantum
 space; T(z) = tr_V L_W(z) is a `convolution.DifferenceOperator` over the
 alcove with the stacked loop sector of W at a as fibre at a, and with the
-tensor unit as W it is the character operator of V.  The partition function
+tensor unit as W it is the character operator of V; L is evaluated at many
+z at once, on blocks stacked over them (see `graded`).  The partition function
 of the height model on a cols x rows torus is Z = tr M^rows, with M either
 the transfer matrix of a cols-site chain or the row-to-row matrix, both
 difference operators with blocks (a, a + eps_i), composed and traced block
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .convolution import DifferenceOperator
-from .elliptic import EllipticParams, pair_index, r_table
+from .elliptic import EllipticParams, pair_index, r_table, table_runs
 from .errors import InvalidConfig, ShapeMismatch, check_budget
 from .graded import (GradedMorphism, GradedSpace, align, composite,
                      identity_morphism, memo, tensor_morphism, tensor_space,
@@ -38,11 +39,13 @@ from .rsos import build_vector_space, restricted_r
 
 @dataclass
 class LOperator:
-    """Meromorphic family z -> morphism V (x) W -> W (x) V obeying RLL."""
+    """Meromorphic family z -> morphism V (x) W -> W (x) V obeying RLL;
+    `at(zs)` is the morphism stacked over the sequence zs (plain where it
+    does not depend on z), and `at(zs)[k]` the one at zs[k]."""
 
     aux: GradedSpace
     quantum: GradedSpace
-    at: Callable[[complex], GradedMorphism]
+    at: Callable[[Sequence[complex]], GradedMorphism]
     params: EllipticParams
 
 
@@ -53,7 +56,8 @@ def vector_l_operator(kind: ModelKind, params: EllipticParams,
     V = space if space is not None else build_vector_space(kind, params)
     return LOperator(
         aux=V, quantum=V,
-        at=lambda z: restricted_r([z + u], kind, params, space=V)[0],
+        at=lambda zs: restricted_r([z + u for z in zs], kind, params,
+                                   space=V),
         params=params)
 
 
@@ -63,7 +67,7 @@ def trivial_l_operator(kind: ModelKind, params: EllipticParams,
     V = space if space is not None else build_vector_space(kind, params)
     one = unit_space(V.context, V.objects())
     tautology = align(tensor_space(V, one), tensor_space(one, V))
-    return LOperator(aux=V, quantum=one, at=lambda z: tautology,
+    return LOperator(aux=V, quantum=one, at=lambda zs: tautology,
                      params=params)
 
 
@@ -75,7 +79,8 @@ def l_tensor(first: LOperator, second: LOperator) -> LOperator:
         raise ShapeMismatch("L-operators have different modular data")
     V, W, Z = first.aux, first.quantum, second.quantum
     return LOperator(aux=V, quantum=tensor_space(W, Z), params=first.params,
-                     at=lambda z: _cross(V, W, Z, first.at(z), second.at(z)))
+                     at=lambda zs: _cross(V, W, Z, first.at(zs),
+                                          second.at(zs)))
 
 
 def _cross(V: GradedSpace, W: GradedSpace, Z: GradedSpace, f: GradedMorphism,
@@ -92,7 +97,8 @@ def _cross(V: GradedSpace, W: GradedSpace, Z: GradedSpace, f: GradedMorphism,
 def vector_chain(kind: ModelKind, params: EllipticParams,
                  points: tuple[complex, ...]) -> LOperator:
     """Chain V(u_1) (x) ... (x) V(u_c) of vector representations, folded
-    like `l_tensor` from the c sites R(z + u_k) of one `restricted_r` call.
+    like `l_tensor` from the c sites R(z + u_k), at every z, of one
+    `restricted_r` call.
 
     Its loop sections are as many as the closed c-step rows, so STATE_BUDGET
     is checked by `_closed_rows` before any tensor product is built."""
@@ -103,11 +109,13 @@ def vector_chain(kind: ModelKind, params: EllipticParams,
     # quantum[k]: the nested quantum space of the first k + 1 sites
     quantum = list(itertools.accumulate([V] * len(points), tensor_space))
 
-    def at(z: complex) -> GradedMorphism:
-        first, *rest = restricted_r([z + u for u in points], kind, params,
-                                    space=V)
-        for W, site in zip(quantum, rest):
-            first = _cross(V, W, V, first, site)
+    def at(zs: Sequence[complex]) -> GradedMorphism:
+        b = len(zs)
+        sites = restricted_r([z + u for u in points for z in zs], kind,
+                             params, space=V)
+        first = sites[:b]
+        for k, W in enumerate(quantum[:-1], start=1):
+            first = _cross(V, W, V, first, sites[k * b:(k + 1) * b])
         return first
 
     return LOperator(aux=V, quantum=quantum[-1], at=at, params=params)
@@ -146,7 +154,7 @@ def partial_trace(f: GradedMorphism, aux: GradedSpace,
     f must map tensor_space(aux, quantum) to tensor_space(quantum, aux),
     those very objects; any other bracketing raises ShapeMismatch.  Returns,
     for each auxiliary arrow (a, mu), the map from the stacked loop sector
-    of W at a+mu to the one at a.
+    of W at a+mu to the one at a, stacked like the blocks of f.
     """
     dom = tensor_space(aux, quantum)
     cod = tensor_space(quantum, aux)
@@ -157,12 +165,14 @@ def partial_trace(f: GradedMorphism, aux: GradedSpace,
     out: dict[Arrow, np.ndarray] = {}
     plan = memo(aux, "trace-pieces",
                 lambda: _trace_pieces(aux, quantum, dom, cod), partner=quantum)
+    lead = next((m.shape[:-2] for m in f.blocks.values()), ())
     for alpha, shape, pieces in plan:
-        block = np.zeros(shape, dtype=complex)
+        block = np.zeros(lead + shape, dtype=complex)
         for total, sub_rows, sub_cols, rows, cols, split in pieces:
             # rows of sub run over (p, v), its columns over (v', q)
-            sub = f.block(total)[sub_rows, sub_cols]
-            block[rows, cols] = np.trace(sub.reshape(split), axis1=1, axis2=2)
+            sub = f.block(total)[..., sub_rows, sub_cols]
+            block[..., rows, cols] = np.trace(
+                sub.reshape(sub.shape[:-2] + split), axis1=-3, axis2=-2)
         out[alpha] = block
     return out
 
@@ -207,32 +217,70 @@ def _summand(P: GradedSpace, total: Arrow, left: Arrow, right: Arrow):
                 if (s.left, s.right) == (left, right))
 
 
-def transfer_matrix(z: complex, L: LOperator) -> DifferenceOperator:
-    """T(z) = tr_V L(z) as a difference operator on loop sections over the
-    alcove; with none it has no blocks and L(z) is not built.  STATE_BUDGET
-    bounds the loop sections when `vector_chain` builds the chain."""
-    alcove = L.aux.context.alcove()
+# morphisms the size of L(z) alive at once per point while a chain crosses
+# its last site (both whiskers, aligned copies, products): under tracemalloc
+# a 3-site chain at (3,10) to (3,40) peaks at 7.7 to 8.2 times L(z)
+_ALIVE = 8
+
+
+def _point_cost(L: LOperator) -> int:
+    """Block entries held per spectral point while L is evaluated; 1 when
+    there is no loop section, as T(z) then evaluates nothing."""
+    if not any(sector_dim(L.quantum, a) for a in L.aux.context.alcove()):
+        return 1
+    dims = tensor_space(L.aux, L.quantum).dims
+    return _ALIVE * sum(d * d for d in dims.values())
+
+
+def transfer_matrix(zs: Sequence[complex],
+                    L: LOperator) -> list[DifferenceOperator]:
+    """T(z) = tr_V L(z) for each z of zs, as difference operators on loop
+    sections over the alcove, L evaluated and traced once per run of
+    `table_runs` over zs; with no section they have no blocks and L is not
+    evaluated.  STATE_BUDGET bounds the sections when `vector_chain` builds
+    the chain."""
+    alcove = tuple(L.aux.context.alcove())
     dims = {a: sector_dim(L.quantum, a) for a in alcove}
-    size = sum(dims.values())
-    blocks = partial_trace(L.at(z), L.aux, L.quantum) if size else {}
-    return DifferenceOperator(tuple(alcove), dims, blocks)
+    if not sum(dims.values()):
+        return [DifferenceOperator(alcove, dims, {}) for _ in zs]
+    out = []
+    for _, run in table_runs(list(zs), _point_cost(L)):
+        traced = partial_trace(L.at(run), L.aux, L.quantum)
+        out += [DifferenceOperator(alcove, dims, {
+            alpha: b if b.ndim == 2 else b[k] for alpha, b in traced.items()})
+            for k in range(len(run))]
+    return out
 
 
-def commutator_residual(L: LOperator, z: complex, w: complex) -> float:
-    """Max-norm of [T(z), T(w)] on the global section space, block by
-    block."""
-    tz, tw = transfer_matrix(z, L), transfer_matrix(w, L)
-    zw, wz = (tz @ tw).blocks, (tw @ tz).blocks
-    return max((float(np.abs(zw.get(g, 0) - wz.get(g, 0)).max(initial=0.0))
-                for g in zw.keys() | wz.keys()), default=0.0)
+def _commutator_norm(ts: list[DifferenceOperator]) -> float:
+    """Max-norm of [T(z), T(w)] over the pairs ts[0:2], ts[2:4], ..."""
+    worst = 0.0
+    for tz, tw in zip(ts[::2], ts[1::2]):
+        zw, wz = (tz @ tw).blocks, (tw @ tz).blocks
+        for g in zw.keys() | wz.keys():
+            worst = max(worst, float(np.abs(
+                zw.get(g, 0) - wz.get(g, 0)).max(initial=0.0)))
+    return worst
+
+
+def commutator_residual(L: LOperator,
+                        pairs: Sequence[tuple[complex, complex]]) -> float:
+    """Max-norm of [T(z), T(w)] over the (z, w) of pairs, block by block;
+    the T of each run of pairs come from one `transfer_matrix` call, and no
+    run's outlives it."""
+    return max((_commutator_norm(transfer_matrix(
+        [u for pair in run for u in pair], L))
+        for _, run in table_runs(list(pairs), 2 * _point_cost(L))),
+        default=0.0)
 
 
 def rll_residual(L: LOperator, z: complex, w: complex) -> float:
     """Residual of the quadratic exchange relation
     R(z-w)^(23) L(z)^(12) L(w)^(23) = L(w)^(12) L(z)^(23) R(z-w)^(12)."""
     V, W = L.aux, L.quantum
-    [r] = restricted_r([z - w], V.context, L.params, space=V)
-    lz, lw = L.at(z), L.at(w)
+    r = restricted_r([z - w], V.context, L.params, space=V)[0]
+    both = L.at([z, w])
+    lz, lw = both[0], both[1]
     id_v, id_w = identity_morphism(V), identity_morphism(W)
     start, end = tensor_space(r.domain, W), tensor_space(W, r.domain)
     lhs = composite(start, tensor_morphism(id_v, lw), tensor_morphism(lz, id_v),
@@ -329,7 +377,7 @@ def graded_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
                            us: tuple[complex, ...]) -> DifferenceOperator:
     """T(z) = tr_V L(z) of the chain V(u_1) (x) ... (x) V(u_c) on the loop
     sections over the alcove."""
-    return transfer_matrix(z, vector_chain(kind, params, tuple(us)))
+    return transfer_matrix([z], vector_chain(kind, params, tuple(us)))[0]
 
 
 def _partition(build, rows: int, cols: int, z: complex, kind: ModelKind,

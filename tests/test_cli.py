@@ -116,15 +116,17 @@ def test_verify_all_report_matches_golden_n3r7():
 # unitarity: every sample; dybe and star-triangle: one per sample;
 # restriction: one per z; exactness: fusion_bases' r_minus1 and r_reg1
 # tables, its one call for the brackets of the explicit vectors, and the
-# residue oracle's table; transfer-commute: one per T(z) of the 3-site chain,
-# all its sites from one table, the 2-site chain having no loop section at
-# n = 3; partition: per width, the row-to-row table and the chain's one)
+# residue oracle's table; transfer-commute: one for the chain with loop
+# sections (the 3-site chain at n = 3, the 2-site one at n = 2), all its
+# sites at all 2 * TRANSFER_PAIRS points from one table, the other chain
+# evaluating nothing; partition: per width, the row-to-row table and the
+# chain's one)
 BRACKET_CALLS = {
     (3, 7): {"theta": 1, "unitarity": 1, "dybe": 20, "star-triangle": 10,
-             "restriction": 3, "exactness": 4, "transfer-commute": 10,
+             "restriction": 3, "exactness": 4, "transfer-commute": 1,
              "characters": 0, "fusion": 0, "spectrum": 0},
     (2, 5): {"theta": 1, "unitarity": 1, "dybe": 20, "star-triangle": 10,
-             "restriction": 3, "exactness": 4, "transfer-commute": 10,
+             "restriction": 3, "exactness": 4, "transfer-commute": 1,
              "characters": 0, "fusion": 0, "spectrum": 0, "partition": 6},
 }
 

@@ -438,6 +438,24 @@ def test_mixed_spectral_table_rows_equal_one_point_matrices(n, r):
         assert np.array_equal(m, r_matrix(z, a, p))
 
 
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 7), (4, 6)])
+def test_stacked_table_equals_per_row_build(n, r, monkeypatch):
+    # the table of a batch of spectral parameters repeats every point once
+    # per parameter: each row equals its one-row build bit for bit, and each
+    # difference a_i - a_j is taken once per distinct point
+    p, points = params(n, r), rsos_alcove(n, r)
+    zs = (0.3, 0.17 + 0.05j, -0.42 + 0.11j, 0.6 + 0.02j)
+    rows = [(z, a) for z in zs for a in points]
+    want = [r_table(z, [a], p)[0] for z, a in rows]
+    diffs = []
+    real = WeightPoint.diff
+    monkeypatch.setattr(WeightPoint, "diff",
+                        lambda a, i, j: diffs.append(a) or real(a, i, j))
+    table = r_table(*zip(*rows), p)
+    assert len(diffs) == len(points) * n * (n - 1)
+    assert all(np.array_equal(m, w) for m, w in zip(table, want))
+
+
 def test_theta_on_thousands_of_entries_equals_scalar_calls():
     rng = random.Random(41)
     zs = [complex(rng.uniform(-3, 3), rng.uniform(-12.0, 12.0))

@@ -331,9 +331,11 @@ def test_broadcast_fill_is_bitwise_kronecker(p, q):
     assert np.array_equal(t.block(Arrow(a, (1, 1))), np.kron(fb, gb))
 
 
-def _random_morphism(rng, dom, cod):
-    """Random complex blocks at every arrow of dom that cod also has."""
-    shapes = {g: (cod.dims[g], d) for g, d in dom.dims.items() if g in cod.dims}
+def _random_morphism(rng, dom, cod, lead=()):
+    """Random complex blocks at every arrow of dom that cod also has, stacked
+    in the shape `lead`."""
+    shapes = {g: lead + (cod.dims[g], d)
+              for g, d in dom.dims.items() if g in cod.dims}
     return GradedMorphism(dom, cod, {
         g: rng.normal(size=shape) + 1j * rng.normal(size=shape)
         for g, shape in shapes.items()})
@@ -391,3 +393,45 @@ def test_composite_refuses_a_step_on_other_factors():
     whisker = tensor_morphism(identity_morphism(V), identity_morphism(VV))
     with pytest.raises(ShapeMismatch):
         composite(VV, whisker, end=whisker.codomain)
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
+def test_stacked_blocks_act_point_by_point_bit_for_bit(n, r):
+    # morphisms stacked over three spectral parameters: a crossing composite
+    # (Kronecker products with plain identities, alignments on both sides,
+    # dense products) and products with a plain morphism equal, at each
+    # point, the ones of that point's morphisms
+    rng = np.random.default_rng(10 * n + r + 2)
+    V = build_vector_space(ModelKind.rsos(n, r))
+    W = tensor_space(V, V)
+    f = _random_morphism(rng, tensor_space(V, W), tensor_space(W, V), (3,))
+    g = _random_morphism(rng, tensor_space(V, V), tensor_space(V, V), (3,))
+    plain = _random_morphism(rng, g.codomain, g.domain)
+    start = tensor_space(V, tensor_space(W, V))
+    end = tensor_space(tensor_space(W, V), V)
+
+    def crossing(f, g):
+        return composite(start, tensor_morphism(f, identity_morphism(V)),
+                         tensor_morphism(identity_morphism(W), g), end=end)
+
+    stacked, products = crossing(f, g), (plain @ g @ plain)
+    for k in range(3):
+        _assert_same_morphism(stacked[k], crossing(f[k], g[k]))
+        _assert_same_morphism(products[k], plain @ g[k] @ plain)
+    # a slice keeps a stack; a plain block serves every index
+    _assert_same_morphism(f[1:][1], f[2])
+    assert all(plain[2].blocks[g] is m for g, m in plain.blocks.items())
+
+
+def test_stacked_shapes_are_checked_on_the_trailing_axes():
+    V = vector_space()
+    g = V.arrows[0]
+    assert GradedMorphism(V, V, {g: np.zeros((4, 1, 1))})
+    for shape in ((4, 1, 2), (4, 2, 1), (2,)):
+        with pytest.raises(ShapeMismatch, match=rf"shape \({shape[0]},"):
+            GradedMorphism(V, V, {g: np.zeros(shape)})
+    # a morphism is no sequence: a plain one has a block for every index
+    with pytest.raises(TypeError):
+        iter(identity_morphism(V))
+    P = align(V, V)
+    assert P[5] is P

@@ -291,8 +291,8 @@ def test_runs_of_one_point_give_the_same_results(monkeypatch):
     zs = (z, w, -z, z)
     several = restricted_r(zs, kind, params)
     # every morphism of a several-z table equals its one-z build
-    for u, R in zip(zs, several):
-        one = restricted_r([u], kind, params)[0]
+    for k, u in enumerate(zs):
+        R, one = several[k], restricted_r([u], kind, params)[0]
         assert R.blocks.keys() == one.blocks.keys()
         assert all(np.array_equal(R.blocks[g], m) for g, m in one.blocks.items())
     bases = fu.fusion_bases(kind.alcove(), kind, params)
@@ -316,7 +316,9 @@ def test_runs_of_one_point_give_the_same_results(monkeypatch):
     assert max(runs) <= 3 * (1 + kind.rank)
     # several spectral parameters: one table of len(zs) rows per source
     del runs[:]
-    for R, want in zip(restricted_r(zs, kind, params), several):
+    stacked = restricted_r(zs, kind, params)
+    for k in range(len(zs)):
+        R, want = stacked[k], several[k]
         assert R.blocks.keys() == want.blocks.keys()
         assert all(np.array_equal(R.blocks[g], m)
                    for g, m in want.blocks.items())

@@ -6,10 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from rsoskit import suites, transfer
+from rsoskit import elliptic, rsos, suites, transfer
 from rsoskit.convolution import character, to_difference_operator
 from rsoskit.elliptic import EllipticParams, r_matrix
-from rsoskit.errors import InvalidConfig, ShapeMismatch, TooLarge
+from rsoskit.errors import (InvalidConfig, RestrictionViolated, ShapeMismatch,
+                            TooLarge)
 from rsoskit.graded import (GradedMorphism, align, identity_morphism,
                             tensor_morphism, tensor_space, unit_space)
 from rsoskit.groupoid import Arrow, eps, rsos_alcove
@@ -31,7 +32,7 @@ POINTS = rsos_alcove(2, 5)
 def test_trace_of_trivial_quantum_rep_is_vector_character():
     # quantum space = tensor unit: the trace reproduces dim V_(a,eps_i)
     L = trivial_l_operator(KIND, PARAMS)
-    T = transfer_matrix(0.23, L)
+    [T] = transfer_matrix([0.23], L)
     chv = character(build_vector_space(KIND))
     adjacency = to_difference_operator(chv, POINTS).matrix()
     assert np.abs(T.matrix() - adjacency).max() < 1e-14
@@ -61,8 +62,8 @@ def test_trivial_auxiliary_gives_characteristic_function():
     one = unit_space(W.context, POINTS)
     taut = align(tensor_space(one, W), tensor_space(W, one))
     traced = partial_trace(taut, one, W)
-    T = transfer_matrix(
-        0.0, LOperator(aux=one, quantum=W, at=lambda z: taut, params=PARAMS))
+    [T] = transfer_matrix(
+        [0.0], LOperator(aux=one, quantum=W, at=lambda zs: taut, params=PARAMS))
     m = T.matrix()
     assert np.abs(m - np.eye(m.shape[0])).max() < 1e-14
     assert set(traced) == {Arrow(a, (0, 0)) for a in POINTS}
@@ -72,7 +73,7 @@ def test_partial_trace_scales_with_block_scalar():
     rng = random.Random(1)
     lam = complex(rng.gauss(0, 1), rng.gauss(0, 1))
     L = trivial_l_operator(KIND, PARAMS)
-    f = L.at(0.0).scale(lam)
+    f = L.at([0.0]).scale(lam)
     traced = partial_trace(f, L.aux, L.quantum)
     for arrow, block in traced.items():
         assert abs(block[0, 0] - lam) < 1e-14
@@ -202,7 +203,7 @@ def test_partial_trace_conjugation_invariant():
 def test_l_operator_of_vector_rep_is_shifted_r():
     L = vector_l_operator(KIND, PARAMS, u=0.3)
     from rsoskit.rsos import restricted_r
-    assert L.at(0.2).max_diff(restricted_r([0.5], KIND, PARAMS)[0]) < 1e-14
+    assert L.at([0.2]).max_diff(restricted_r([0.5], KIND, PARAMS)) < 1e-14
 
 
 def test_l_tensor_with_trivial_rep_is_unit_isomorphic():
@@ -210,8 +211,8 @@ def test_l_tensor_with_trivial_rep_is_unit_isomorphic():
     Lt = trivial_l_operator(KIND, PARAMS)
     LT = l_tensor(Lv, Lt)
     z = 0.31 + 0.05j
-    got = LT.at(z)
-    want = Lv.at(z)
+    got = LT.at([z])[0]
+    want = Lv.at([z])[0]
     carried = align(got.codomain, want.codomain) @ got @ align(
         want.domain, got.domain)
     assert carried.max_diff(want) < 1e-12
@@ -226,12 +227,14 @@ def test_rll_residuals():
 
 
 def test_rll_residual_evaluates_each_l_operator_once():
+    # L(z) and L(w) are read off one stacked evaluation; the residual is the
+    # one of the one-point evaluations, bit for bit
     W2 = vector_chain(KIND, PARAMS, (0.0, 0.3))
-    want = rll_residual(W2, 0.31, 0.12 + 0.07j)
-    at, points = W2.at, []
-    W2.at = lambda z: points.append(z) or at(z)
-    assert rll_residual(W2, 0.31, 0.12 + 0.07j) == want
-    assert sorted(points, key=abs) == [0.12 + 0.07j, 0.31]
+    at, calls = W2.at, []
+    W2.at = lambda zs: calls.append(list(zs)) or at(zs)
+    got = rll_residual(W2, 0.31, 0.12 + 0.07j)
+    assert got.hex() == "0x1.419894c2329f0p-47"
+    assert calls == [[0.31, 0.12 + 0.07j]]
 
 
 def test_vector_chain_is_the_nested_l_tensor_fold_bit_for_bit():
@@ -244,7 +247,7 @@ def test_vector_chain_is_the_nested_l_tensor_fold_bit_for_bit():
             vector_l_operator(kind, params, u, space=V) for u in us])
         assert fold.quantum is chain.quantum
         z = 0.29 + 0.06j
-        got, want = chain.at(z), fold.at(z)
+        got, want = chain.at([z])[0], fold.at([z])[0]
         assert (got.domain, got.codomain) == (want.domain, want.codomain)
         assert got.blocks.keys() == want.blocks.keys()
         assert all(np.array_equal(got.blocks[g], m)
@@ -262,34 +265,93 @@ def test_empty_chain_is_refused_before_any_row_is_listed(monkeypatch):
 
 def test_single_vector_rep_has_empty_section_space():
     L = vector_l_operator(KIND, PARAMS, 0.0)
-    T = transfer_matrix(0.3, L)
+    [T] = transfer_matrix([0.3], L)
     assert T.total_dim() == 0
 
 
 def test_transfer_commutes_two_site_chain():
     L = vector_chain(KIND, PARAMS, (0.0, 0.3))
-    assert commutator_residual(L, 0.21, 0.47 + 0.1j) < 1e-8
+    assert commutator_residual(L, [(0.21, 0.47 + 0.1j)]) < 1e-8
+
+
+STACK_ZS = (0.21, 0.47 + 0.1j, -0.13 + 0.02j, 0.33 + 0.05j)
+
+
+def _assert_same_operator(got, want):
+    assert got.dims == want.dims and got.blocks.keys() == want.blocks.keys()
+    assert all(np.array_equal(got.blocks[g], m) for g, m in want.blocks.items())
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7), (4, 6)])
+def test_stacked_transfer_matrices_equal_one_point_builds(n, r, monkeypatch):
+    # T(z) for every z of a stack equals its one-point build bit for bit,
+    # also with runs of one point each
+    kind = ModelKind.rsos(n, r)
+    params = EllipticParams.rsos(n, r, TAU)
+    for sites in sorted({1, 2, 3, n}):
+        L = vector_chain(kind, params, (0.0, 0.3, 0.7, 0.1)[:sites])
+        want = [transfer_matrix([z], L)[0] for z in STACK_ZS]
+        with monkeypatch.context() as m:
+            runs, at = [], L.at
+            m.setattr(L, "at", lambda zs: runs.append(len(zs)) or at(zs))
+            stacked = transfer_matrix(STACK_ZS, L)
+            assert runs == ([len(STACK_ZS)] if sites % n == 0 else [])
+            m.setattr(elliptic, "TABLE_BUDGET", transfer._point_cost(L))
+            del runs[:]
+            one_by_one = transfer_matrix(STACK_ZS, L)
+            assert runs == ([1] * len(STACK_ZS) if sites % n == 0 else [])
+        assert len(stacked) == len(one_by_one) == len(STACK_ZS)
+        for got, again, one in zip(stacked, one_by_one, want):
+            _assert_same_operator(got, one)
+            _assert_same_operator(again, one)
+        assert any(T.total_dim() for T in want) == (sites % n == 0)
+
+
+def test_forbidden_entry_at_the_last_point_of_a_stack_is_detected(
+        monkeypatch):
+    # the entry is injected into one table row at the last spectral
+    # parameter of the stack only (the last site at the last point)
+    real, injected = rsos.r_table, []
+
+    def inject(zs, points, p):
+        table = real(zs, points, p)
+        for t, (u, a) in enumerate(zip(zs, points)):
+            allowed = KIND.paths(a, 2)
+            bad = [(k, l) for k, l in allowed if (l, k) not in allowed]
+            if u == zs[-1] and bad:
+                k, l = bad[0]
+                table[t, (l - 1) * 2 + k - 1, (k - 1) * 2 + l - 1] = 1e-9
+                injected.append(f"component ({l},{k})<-({k},{l}) at {a!r} "
+                                f"is 1.00e-09")
+                return table
+        raise AssertionError("no forbidden component at the last z")
+
+    L = vector_chain(KIND, PARAMS, (0.0, 0.3))
+    monkeypatch.setattr(rsos, "r_table", inject)
+    with pytest.raises(RestrictionViolated) as raised:
+        transfer_matrix(STACK_ZS, L)
+    assert [str(raised.value)] == injected
 
 
 @pytest.mark.parametrize("n,r,sites", [(2, 5, 3), (3, 5, 2)])
 def test_empty_section_space_evaluates_no_l_operator(n, r, sites):
     # n does not divide the chain length: no loop sections, so T(z) is the
     # empty operator and L(z) is never built
-    def refuse(z):
+    def refuse(zs):
         raise AssertionError("evaluated L(z) on an empty section space")
 
     kind = ModelKind.rsos(n, r)
     params = EllipticParams.rsos(n, r, TAU)
     L = vector_chain(kind, params, (0.0, 0.3, 0.7)[:sites])
     L.at = refuse
-    assert transfer_matrix(0.21, L).total_dim() == 0
-    assert commutator_residual(L, 0.21, 0.47 + 0.1j) == 0.0
+    assert transfer_matrix([0.21], L)[0].total_dim() == 0
+    assert commutator_residual(L, [(0.21, 0.47 + 0.1j)]) == 0.0
 
 
 def test_transfer_commutes_four_site_chain():
     L = vector_chain(KIND, PARAMS, (0.0, 0.3, 0.7, 0.1))
-    assert transfer_matrix(0.21, L).total_dim() > 0
-    assert commutator_residual(L, 0.21, 0.47 + 0.1j) < 1e-8
+    assert transfer_matrix([0.21], L)[0].total_dim() > 0
+    assert commutator_residual(L, [(0.21, 0.47 + 0.1j)]) < 1e-8
 
 
 @pytest.mark.parametrize("n,r,us", [(2, 5, (0.0, 0.3)), (3, 5, (0.0, 0.3, 0.7))])
@@ -418,7 +480,7 @@ def test_vacuous_widths_are_empty_in_the_full_construction(n, r):
     params = EllipticParams.rsos(n, r, TAU)
     for cols in (c for c in range(1, 8) if c % n):
         L = vector_chain(kind, params, (0.0,) * cols)
-        assert transfer_matrix(0.3, L).total_dim() == 0
+        assert transfer_matrix([0.3], L)[0].total_dim() == 0
         assert _closed_rows(kind, cols) == []
         for rows in range(3):
             for compute in (partition_enumerate, partition_via_transfer):
@@ -561,7 +623,7 @@ def test_block_algebra_matches_dense(side, n, r, width):
     params = EllipticParams.rsos(n, r, TAU)
     if side == "T":
         L = vector_chain(kind, params, (0.0, 0.3, 0.7)[:width])
-        A, B = (transfer_matrix(z, L) for z in (0.21, 0.47 + 0.1j))
+        A, B = transfer_matrix([0.21, 0.47 + 0.1j], L)
     else:
         us = tuple(0.1 * k for k in range(width))
         A, B = (_row_transfer_matrix(z, kind, params, us)
@@ -588,12 +650,20 @@ def test_block_commutator_matches_dense(n, r):
         ops = [vector_l_operator(kind, params, u, space=V) for u in us[:n]]
         chains.append(functools.reduce(l_tensor, ops))
     z, w = 0.21, 0.47 + 0.1j
+
+    def mixed_at(xs):
+        # the k-th morphism of the stack from the chain of xs[k]
+        ms = [chains[x != z].at([x])[0] for x in xs]
+        keys = set().union(*(m.blocks for m in ms))
+        return GradedMorphism(ms[0].domain, ms[0].codomain, {
+            g: np.stack([m.block(g) for m in ms]) for g in keys})
+
     mixed = LOperator(aux=chains[0].aux, quantum=chains[0].quantum,
-                      at=lambda x: chains[x != z].at(x), params=params)
-    a = transfer_matrix(z, chains[0]).matrix()
-    b = transfer_matrix(w, chains[1]).matrix()
+                      at=mixed_at, params=params)
+    a = transfer_matrix([z], chains[0])[0].matrix()
+    b = transfer_matrix([w], chains[1])[0].matrix()
     want = np.abs(a @ b - b @ a).max(initial=0.0)
-    got = commutator_residual(mixed, z, w)
+    got = commutator_residual(mixed, [(z, w)])
     assert want > 1e-3
     _assert_close(got, want)
 
@@ -687,7 +757,7 @@ def test_l_tensor_associative_up_to_alignment():
     left = l_tensor(l_tensor(ops[0], ops[1]), ops[2])
     right = l_tensor(ops[0], l_tensor(ops[1], ops[2]))
     z = 0.29 + 0.06j
-    got, want = left.at(z), right.at(z)
+    got, want = left.at([z])[0], right.at([z])[0]
     carried = align(got.codomain, want.codomain) @ got @ align(
         want.domain, got.domain)
     assert carried.max_diff(want) < 1e-12
