@@ -226,8 +226,10 @@ class GradedMorphism:
                         dtype=complex)
 
     def compose(self, other: "GradedMorphism") -> "GradedMorphism":
-        """self o other (apply `other` first); a `Permutation` factor acts
-        exactly, by reindexing columns or rows."""
+        """self o other (apply `other` first); a `Permutation` on the right
+        acts exactly, by reindexing columns, and one on the left through its
+        dense blocks (`composite` gathers its rows through the reverse
+        alignment instead)."""
         if other.codomain.dims != self.domain.dims:
             raise ShapeMismatch("composition: inner spaces do not match")
         if isinstance(other, Permutation):
@@ -236,9 +238,6 @@ class GradedMorphism:
                     g: self.index[g][p] for g, p in other.index.items()})
             products = ((g, m[..., other.index[g]])
                         for g, m in self.blocks.items())
-        elif isinstance(self, Permutation):
-            products = ((g, m.take(np.argsort(self.index[g]), axis=-2))
-                        for g, m in other.blocks.items())
         else:
             products = ((g, self.blocks[g] @ other.blocks[g])
                         for g in set(self.blocks) & set(other.blocks))
@@ -337,18 +336,28 @@ def _alignment(src: GradedSpace, dst: GradedSpace) -> MappingProxyType:
     return MappingProxyType(index)
 
 
-def composite(start: GradedSpace, *steps: GradedMorphism,
+def composite(start: GradedSpace,
+              *steps: tuple[GradedMorphism | GradedSpace,
+                            GradedMorphism | GradedSpace],
               end: GradedSpace) -> GradedMorphism:
-    """steps[-1] o ... o steps[0] : start -> end, up to coherence: each step
-    is entered through `align` from the previous codomain (the first from
-    `start`), and the last codomain is aligned onto `end`; a step whose
-    domain is no re-bracketing of that codomain raises ShapeMismatch."""
+    """The whiskers steps[-1] o ... o steps[0] : start -> end, up to
+    coherence.  A step (left, right) is tensor_morphism(left, right), a space
+    factor standing for its identity, so (f, Z) is f (x) id_Z.  Each whisker
+    is built when it is applied: entered through `align` from the previous
+    codomain (the first from `start`), multiplied in and dropped before the
+    next is built; the rows of the last codomain are gathered onto `end`
+    through the reverse alignment.  A step whose domain is no re-bracketing
+    of that codomain raises ShapeMismatch."""
     total, at = None, start
-    for m in steps:
+    for factors in steps:
+        m = tensor_morphism(*(identity_morphism(x) if isinstance(x, GradedSpace)
+                              else x for x in factors))
         m = m @ align(at, m.domain)
-        total = m if total is None else m @ total
-        at = m.codomain
-    return align(at, end) @ total
+        total, at = (m if total is None else m @ total), m.codomain
+        del m  # not alive while the next whisker is built
+    back = align(end, at).index
+    return GradedMorphism(start, end, {g: b[..., back[g], :]
+                                       for g, b in total.blocks.items()})
 
 
 def tensor_morphism(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
@@ -444,13 +453,7 @@ def zigzag_residual(V: GradedSpace) -> float:
     the reassociations and unit laws are the alignments of flat keys.
     """
     dd = dual_space(V)
-    id_v, id_d = identity_morphism(V), identity_morphism(dd.dual)
-    res = 0.0
-    for X, step1, step2 in (
-            (V, tensor_morphism(dd.coevaluation, id_v),
-             tensor_morphism(id_v, dd.evaluation)),
-            (dd.dual, tensor_morphism(id_d, dd.coevaluation),
-             tensor_morphism(dd.evaluation, id_d))):
-        zigzag = composite(X, step1, step2, end=X)
-        res = max(res, zigzag.max_diff(identity_morphism(X)))
-    return res
+    D, coev, ev = dd.dual, dd.coevaluation, dd.evaluation
+    return max(composite(X, *steps, end=X).max_diff(identity_morphism(X))
+               for X, steps in ((V, ((coev, V), (V, ev))),
+                                (D, ((D, coev), (ev, D)))))

@@ -30,9 +30,8 @@ import numpy as np
 from .convolution import DifferenceOperator
 from .elliptic import EllipticParams, pair_index, r_table, table_runs
 from .errors import InvalidConfig, ShapeMismatch, check_budget
-from .graded import (GradedMorphism, GradedSpace, align, composite,
-                     identity_morphism, memo, tensor_morphism, tensor_space,
-                     unit_space)
+from .graded import (GradedMorphism, GradedSpace, align, composite, memo,
+                     tensor_space, unit_space)
 from .groupoid import Arrow, ModelKind, WeightPoint, add_vectors, eps
 from .rsos import build_vector_space, restricted_r
 
@@ -88,9 +87,7 @@ def _cross(V: GradedSpace, W: GradedSpace, Z: GradedSpace, f: GradedMorphism,
     """The auxiliary line V crossing W by f : V (x) W -> W (x) V and then Z by
     g : V (x) Z -> Z (x) V, as a morphism V (x) WZ -> WZ (x) V, WZ = W (x) Z."""
     WZ = tensor_space(W, Z)
-    return composite(tensor_space(V, WZ),
-                     tensor_morphism(f, identity_morphism(Z)),
-                     tensor_morphism(identity_morphism(W), g),
+    return composite(tensor_space(V, WZ), (f, Z), (W, g),
                      end=tensor_space(WZ, V))
 
 
@@ -218,9 +215,11 @@ def _summand(P: GradedSpace, total: Arrow, left: Arrow, right: Arrow):
 
 
 # morphisms the size of L(z) alive at once per point while a chain crosses
-# its last site (both whiskers, aligned copies, products): under tracemalloc
-# a 3-site chain at (3,10) to (3,40) peaks at 7.7 to 8.2 times L(z)
-_ALIVE = 8
+# its last site (the partial product, one whisker and its aligned copy, their
+# product): under tracemalloc a warm L(z) of a 3-site chain at (3,10) to
+# (3,40) peaks at 5.2 to 5.8 times its blocks at one point, 4.2 to 4.5 per
+# point at two
+_ALIVE = 6
 
 
 def _point_cost(L: LOperator) -> int:
@@ -281,12 +280,9 @@ def rll_residual(L: LOperator, z: complex, w: complex) -> float:
     r = restricted_r([z - w], V.context, L.params, space=V)[0]
     both = L.at([z, w])
     lz, lw = both[0], both[1]
-    id_v, id_w = identity_morphism(V), identity_morphism(W)
     start, end = tensor_space(r.domain, W), tensor_space(W, r.domain)
-    lhs = composite(start, tensor_morphism(id_v, lw), tensor_morphism(lz, id_v),
-                    tensor_morphism(id_w, r), end=end)
-    rhs = composite(start, tensor_morphism(r, id_w), tensor_morphism(id_v, lz),
-                    tensor_morphism(lw, id_v), end=end)
+    lhs = composite(start, (V, lw), (lz, V), (W, r), end=end)
+    rhs = composite(start, (r, W), (V, lz), (lw, V), end=end)
     return lhs.max_diff(rhs)
 
 

@@ -363,7 +363,7 @@ def test_composite_of_a_crossing_equals_the_hand_written_chain(n, r):
     chain = (second @ align(first.codomain, second.domain)
              @ (first @ align(start, first.domain)))
     want = align(chain.codomain, end) @ chain
-    _assert_same_morphism(composite(start, first, second, end=end), want)
+    _assert_same_morphism(composite(start, (f, Z), (W, g), end=end), want)
 
 
 @pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
@@ -384,15 +384,15 @@ def test_composite_of_an_rll_side_equals_the_hand_written_chain(n, r):
     chain = steps[1] @ align(chain.codomain, steps[1].domain) @ chain
     chain = steps[2] @ align(chain.codomain, steps[2].domain) @ chain
     want = align(chain.codomain, end) @ chain
-    _assert_same_morphism(composite(start, *steps, end=end), want)
+    got = composite(start, (V, lw), (lz, V), (W, rm), end=end)
+    _assert_same_morphism(got, want)
 
 
 def test_composite_refuses_a_step_on_other_factors():
     V = vector_space()
     VV = tensor_space(V, V)
-    whisker = tensor_morphism(identity_morphism(V), identity_morphism(VV))
     with pytest.raises(ShapeMismatch):
-        composite(VV, whisker, end=whisker.codomain)
+        composite(VV, (V, VV), end=tensor_space(V, VV))
 
 
 @pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
@@ -411,8 +411,7 @@ def test_stacked_blocks_act_point_by_point_bit_for_bit(n, r):
     end = tensor_space(tensor_space(W, V), V)
 
     def crossing(f, g):
-        return composite(start, tensor_morphism(f, identity_morphism(V)),
-                         tensor_morphism(identity_morphism(W), g), end=end)
+        return composite(start, (f, V), (W, g), end=end)
 
     stacked, products = crossing(f, g), (plain @ g @ plain)
     for k in range(3):

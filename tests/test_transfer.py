@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,38 @@ def test_vector_chain_is_the_nested_l_tensor_fold_bit_for_bit():
         assert got.blocks.keys() == want.blocks.keys()
         assert all(np.array_equal(got.blocks[g], m)
                    for g, m in want.blocks.items())
+
+
+def test_a_warm_chain_evaluation_inverts_no_permutation(monkeypatch):
+    # the alignments are built once per space pair, so a second L(z) reindexes
+    # through them and sorts nothing
+    L = vector_chain(ModelKind.rsos(3, 5), EllipticParams.rsos(3, 5, TAU),
+                     (0.0, 0.3, 0.7))
+    zs = [0.29 + 0.06j, 0.13]
+    want = L.at(zs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argsort in a warm evaluation")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    got = L.at(zs)
+    assert got.blocks.keys() == want.blocks.keys()
+    assert all(np.array_equal(got.blocks[g], m) for g, m in want.blocks.items())
+
+
+def test_one_point_chain_evaluation_peaks_within_its_point_cost():
+    # `_point_cost` counts _ALIVE morphisms the size of L(z) per point: the
+    # traced peak of one warm L(z) of the 3-site chain stays within it
+    L = vector_chain(ModelKind.rsos(3, 10), EllipticParams.rsos(3, 10, TAU),
+                     (0.0, 0.0, 0.0))
+    L.at([0.3 + 0.1j])
+    tracemalloc.start()
+    try:
+        f = L.at([0.21 + 0.05j])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= transfer._ALIVE * sum(m.nbytes for m in f.blocks.values())
 
 
 def test_empty_chain_is_refused_before_any_row_is_listed(monkeypatch):
