@@ -66,20 +66,20 @@ def run_verify(suite: str, config: RunConfig) -> dict:
 
 
 def _character_element(args, config: RunConfig):
-    n, r = config.n, config.r
+    kind = config.kind()
     rep = args.rep
     if rep == "vector":
-        return cv.character(rsos.build_vector_space(config.kind()))
+        return cv.character(rsos.build_vector_space(kind))
     if rep == "trivial":
-        return fu.exterior_character(0, n, r)
+        return fu.exterior_character(0, kind)
     if rep == "ext":
-        return fu.exterior_character(args.k, n, r)
+        return fu.exterior_character(args.k, kind)
     if rep == "sym2":
-        return fu.sym_square_character(n, r)
+        return fu.sym_square_character(kind)
     if rep == "sym":
-        if n != 2:
+        if config.n != 2:
             raise InvalidConfig("symmetric power characters require n = 2")
-        return fu.sym_power_character_n2(args.p, r)
+        return fu.sym_power_character_n2(args.p, kind)
     raise UnknownTarget(f"unknown representation {rep!r}")
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from .convolution import ConvolutionElement, conv_mul, to_difference_operator
 from .elliptic import (EllipticParams, bracket, pair_index, r_minus1, r_reg1,
                        table_runs)
-from .errors import LambdaOutsideAlcove, OutOfRange, check_budget
+from .errors import (InvalidConfig, LambdaOutsideAlcove, OutOfRange,
+                     check_budget)
 from .groupoid import (Arrow, ModelKind, WeightPoint, add_vectors, eps,
                        rsos_alcove)
 from .rsos import _same_weight
@@ -161,15 +162,14 @@ def fusion_bases(points, kind: ModelKind,
     return out
 
 
-def exterior_character(k: int, n: int, r: int) -> ConvolutionElement:
+def exterior_character(k: int, kind: ModelKind) -> ConvolutionElement:
     """Character of the k-th exterior power: chi_A e_k(t) chi_A."""
+    n = kind.rank
     if not 0 <= k <= n:
         raise OutOfRange(f"exterior degree {k} outside 0..{n}")
-    kind = ModelKind.rsos(n, r)
-    points = kind.alcove()
-    inside = set(points)
+    inside = kind.alcove_index()
     coeffs = {}
-    for a in points:
+    for a in kind.alcove():
         for subset in combinations(range(1, n + 1), k):
             mu = (0,) * n
             for i in subset:
@@ -179,13 +179,12 @@ def exterior_character(k: int, n: int, r: int) -> ConvolutionElement:
     return ConvolutionElement(kind, coeffs)
 
 
-def sym_square_character(n: int, r: int) -> ConvolutionElement:
+def sym_square_character(kind: ModelKind) -> ConvolutionElement:
     """Character of the symmetric square from its closed form."""
-    kind = ModelKind.rsos(n, r)
-    points = kind.alcove()
-    inside = set(points)
+    n = kind.rank
+    inside = kind.alcove_index()
     coeffs = {}
-    for a in points:
+    for a in kind.alcove():
         for i in range(1, n + 1):
             mu = add_vectors(eps(n, i), eps(n, i))
             if a + mu in inside:
@@ -197,30 +196,39 @@ def sym_square_character(n: int, r: int) -> ConvolutionElement:
     return ConvolutionElement(kind, coeffs)
 
 
-def _interval_element(kind: ModelKind, r: int, lo: int, hi: int,
+def _rank2_level(kind: ModelKind) -> int:
+    if kind.rank != 2 or not kind.is_restricted:
+        raise InvalidConfig(f"rank-2 characters need a restricted rank-2 "
+                            f"model, got {kind!r}")
+    return kind.level
+
+
+def _interval_element(kind: ModelKind, lo: int, hi: int,
                       shift: tuple[int, int]) -> ConvolutionElement:
     coeffs = {}
-    for l in range(max(lo, 1), min(hi, r - 1) + 1):
+    for l in range(max(lo, 1), min(hi, kind.level - 1) + 1):
         coeffs[Arrow(WeightPoint.from_level_coordinate(l), shift)] = 1
     return ConvolutionElement(kind, coeffs)
 
 
-def sym_power_character_n2(p: int, r: int) -> ConvolutionElement:
-    """Character L_p of the p-th symmetric power for rank 2:
+def sym_power_character_n2(p: int, kind: ModelKind) -> ConvolutionElement:
+    """Character L_p of the p-th symmetric power over the rank-2 model `kind`
+    of level r:
     chi_[1,r-p-1] t_1^p + chi_[2,r-p] t_1^{p-1} t_2 + ... + chi_[p+1,r-1] t_2^p.
     """
+    r = _rank2_level(kind)
     if not 0 <= p <= r - 2:
         raise OutOfRange(f"symmetric power {p} outside 0..{r - 2}")
-    kind = ModelKind.rsos(2, r)
     out = ConvolutionElement(kind, {})
     for j in range(p + 1):
-        out = out + _interval_element(kind, r, 1 + j, r - 1 - p + j, (p - j, j))
+        out = out + _interval_element(kind, 1 + j, r - 1 - p + j, (p - j, j))
     return out
 
 
-def central_element_n2(r: int, power: int = 1) -> ConvolutionElement:
-    """u^power with u = t_1 t_2, cut to the alcove subring."""
-    return _interval_element(ModelKind.rsos(2, r), r, 1, r - 1, (power, power))
+def central_element_n2(kind: ModelKind, power: int = 1) -> ConvolutionElement:
+    """u^power with u = t_1 t_2, cut to the alcove subring of the rank-2
+    model `kind`."""
+    return _interval_element(kind, 1, _rank2_level(kind) - 1, (power, power))
 
 
 def fusion_coeff(p: int, q: int, s: int, r: int) -> int:
@@ -250,12 +258,13 @@ class FusionRuleReport:
 
 
 def verify_fusion_rules(r: int) -> FusionRuleReport:
-    """Exact check of L_p L_q = sum_s N_pq^s u^{(p+q-s)/2} L_s for rank 2."""
+    """Exact check of L_p L_q = sum_s N_pq^s u^{(p+q-s)/2} L_s for rank 2,
+    every character over one model."""
+    kind = ModelKind.rsos(2, r)
     labels = list(range(r - 1))
-    chars = {p: sym_power_character_n2(p, r) for p in labels}
-    kind = chars[0].context
+    chars = {p: sym_power_character_n2(p, kind) for p in labels}
     # u^k with k = (p+q-s)/2 <= min(p, q), so every power is in range(r - 1)
-    powers = {k: central_element_n2(r, k) for k in labels}
+    powers = {k: central_element_n2(kind, k) for k in labels}
     # u^k L_s recurs across (p, q): each distinct (k, s) is multiplied once
     terms: dict[tuple[int, int], ConvolutionElement] = {}
     report = FusionRuleReport(r=r, cases=0)
@@ -331,9 +340,10 @@ def verify_spectrum(k: int, n: int, r: int) -> SpectrumReport:
 
     The operator is a dense |A| x |A| complex matrix; over SPECTRUM_BUDGET
     points raise TooLarge before it is built."""
-    points = tuple(rsos_alcove(n, r))
+    kind = ModelKind.rsos(n, r)
+    points = kind.alcove()
     check_budget("SPECTRUM_BUDGET", len(points), SPECTRUM_BUDGET, "points")
-    op = to_difference_operator(exterior_character(k, n, r), points)
+    op = to_difference_operator(exterior_character(k, kind), points)
     m = op.matrix(dtype=complex)
     eigenvalues, residuals = [], []
     for lam in points:

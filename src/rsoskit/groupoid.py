@@ -305,9 +305,13 @@ class ModelKind:
     def _alcove(self) -> tuple[WeightPoint, ...]:
         return tuple(rsos_alcove(self.rank, self.level))
 
+    def alcove_index(self) -> dict[WeightPoint, int]:
+        """Position of each point in `alcove()`, built once per model."""
+        return self._alcove_index
+
     @cached_property
-    def _heights(self) -> frozenset[WeightPoint]:
-        return frozenset(self.alcove())
+    def _alcove_index(self) -> dict[WeightPoint, int]:
+        return {a: i for i, a in enumerate(self.alcove())}
 
     @cached_property
     def _paths(self) -> dict[tuple[WeightPoint, int], tuple[tuple[int, ...], ...]]:
@@ -321,7 +325,8 @@ class ModelKind:
         """Whether (a, eps_i) is an arrow of the model's groupoid."""
         if not self.is_restricted:
             return True
-        return a in self._heights and a + eps(self.rank, i) in self._heights
+        heights = self._alcove_index
+        return a in heights and a + eps(self.rank, i) in heights
 
     def _steps_from(self, a: WeightPoint) -> tuple[tuple[int, WeightPoint], ...]:
         """(i, a + eps_i) for each allowed step from a, by i; found once per a."""

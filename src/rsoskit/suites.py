@@ -249,9 +249,9 @@ def restriction_suite(config: RunConfig) -> list[Case]:
 def exactness_suite(config: RunConfig) -> list[Case]:
     params = config.params()
     kind = config.kind()
-    n, r = config.n, config.r
-    sym_char = fu.sym_square_character(n, r)
-    ext_char = fu.exterior_character(2, n, r)
+    n = config.n
+    sym_char = fu.sym_square_character(kind)
+    ext_char = fu.exterior_character(2, kind)
     worst = residue_rel = 0.0
     dim_mismatches = 0
     # one run's bases and residue oracle at a time, whatever the alcove size
@@ -320,7 +320,7 @@ def _random_graded_space(rng: random.Random, kind, points, n: int):
 
 
 def characters_suite(config: RunConfig) -> list[Case]:
-    n, r = config.n, config.r
+    n = config.n
     kind = config.kind()
     points = kind.alcove()
     V = rsos.build_vector_space(kind)
@@ -330,11 +330,11 @@ def characters_suite(config: RunConfig) -> list[Case]:
     square = cv.conv_mul(chv, chv)
     if cv.character(tensor_space(V, V)) != square:
         failures += 1
-    if square != (fu.exterior_character(2, n, r)
-                  + fu.sym_square_character(n, r)):
+    if square != (fu.exterior_character(2, kind)
+                  + fu.sym_square_character(kind)):
         failures += 1
     # closed forms of the square characters
-    if fu.exterior_character(0, n, r) != cv.chi(kind, points):
+    if fu.exterior_character(0, kind) != cv.chi(kind, points):
         failures += 1
     rng = random.Random(config.seed)
     # ch(V (x) W) = ch V * ch W on random graded spaces
@@ -366,7 +366,8 @@ def fusion_suite(config: RunConfig) -> list[Case]:
     report = fu.verify_fusion_rules(r)
     labels = range(r - 1)
     sym = assoc = 0
-    chars = {p: fu.sym_power_character_n2(p, r) for p in labels}
+    kind = rsos.ModelKind.rsos(2, r)
+    chars = {p: fu.sym_power_character_n2(p, kind) for p in labels}
     # L_p L_q against L_q L_p for every pair, and (L_p L_q) L_s against
     # L_p (L_q L_s) for every triple; each pair product is built once, and
     # only the r - 1 products L_q L_s are held at a time
@@ -420,7 +421,14 @@ def partition_suite(config: RunConfig) -> list[Case]:
         traces = []  # tr M^m for m = 0 and each m in rows, per side
         for build in (tr._row_transfer_matrix, tr.graded_transfer_matrix):
             M = build(0.3, kind, params, us)
-            traces.append([complex(M.power(m).trace()) for m in (0, *rows)])
+            # M^m = M^(m-1) @ M, the product order of `M.power(m)`
+            power = M.power(0)
+            side = [complex(power.trace())]
+            for m in range(1, max(rows, default=0) + 1):
+                power = power @ M
+                if m in rows:
+                    side.append(complex(power.trace()))
+            traces.append(side)
         z_en, z_tm = traces
         for en, tm in zip(z_en[1:], z_tm[1:]):
             worst = max(worst, abs(en - tm) / max(1.0, abs(en)))

@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import rsoskit.convolution as cv
 from rsoskit.convolution import (ConvolutionElement, character, chi,
                                  conv_mul, involution, to_difference_operator)
 from rsoskit.errors import ContextMismatch, SupportOutsideAlcove
-from rsoskit.fusion import exterior_character, sym_power_character_n2
+from rsoskit.fusion import (central_element_n2, exterior_character,
+                            sym_power_character_n2, sym_square_character)
 from rsoskit.graded import dual_space, tensor_space
 from rsoskit.groupoid import Arrow, WeightPoint, compose, rsos_alcove
 from rsoskit.rsos import ModelKind, build_vector_space
@@ -208,10 +210,32 @@ def test_conv_mul_matches_pairwise_oracle_fractions():
     _assert_matches_oracle(CTX, POINTS, coeff, seed=37)
 
 
+R11 = ModelKind.rsos(2, 11)
+L11 = [sym_power_character_n2(p, R11) for p in range(10)]
+N3R7 = ModelKind.rsos(3, 7)
+
+
+def _restricted(x, keep):
+    return ConvolutionElement(x.context,
+                              {g: c for g, c in x.coeffs.items() if keep(g)})
+
+
 @pytest.mark.parametrize("chars", [
-    [sym_power_character_n2(p, 11) for p in range(10)],
-    [exterior_character(k, 3, 7) for k in range(4)],
-], ids=["sym-n2-r11", "ext-n3-r7"])
+    L11,
+    [exterior_character(k, N3R7) for k in range(4)],
+    # pair products, L_s and u^k: products of products on both paths
+    [conv_mul(L11[2], L11[3]), conv_mul(L11[5], L11[5]), L11[0], L11[4],
+     central_element_n2(R11, 1), central_element_n2(R11, 3)],
+    [sym_square_character(N3R7), *(exterior_character(k, N3R7)
+                                   for k in range(4))],
+    # arrows into the lower half, arrows out of the upper half: a zero product
+    [_restricted(L11[4], lambda g: g.target.level_coordinate() <= 5),
+     _restricted(L11[4], lambda g: g.source.level_coordinate() >= 6)],
+    # 2^58 |A| < 2^63 < 2^80 |A|, and 3^41 > 2^63 has no int64 form
+    [L11[5].scale(2 ** 29), L11[5].scale(2 ** 40), L11[3].scale(3 ** 41)],
+    [L11[2].scale(Fraction(1, 3)), L11[3]],
+], ids=["sym-n2-r11", "ext-n3-r7", "products-n2-r11", "sym2-ext-n3-r7",
+        "zero-product", "int64-bound", "fraction"])
 def test_conv_mul_matches_pairwise_oracle_on_characters(chars):
     for x in chars:
         for y in chars:
@@ -222,6 +246,42 @@ def test_conv_mul_matches_pairwise_oracle_on_characters(chars):
                 assert type(g) is Arrow
                 assert g == Arrow(a, shift) and hash(g) == hash(Arrow(a, shift))
                 assert g.target == Arrow(a, shift).target
+
+
+def test_zero_matrix_products_equal_at_any_degree():
+    low = _restricted(L11[4], lambda g: g.target.level_coordinate() <= 5)
+    high = _restricted(L11[4], lambda g: g.source.level_coordinate() >= 6)
+    up = _restricted(L11[1], lambda g: g.source.level_coordinate() >= 6)
+    zero = conv_mul(low, high)
+    assert zero == ConvolutionElement(R11, {}) and zero.coeffs == {}
+    assert zero == conv_mul(low, conv_mul(high, up))
+    assert conv_mul(L11[2], L11[3]) != conv_mul(L11[2], L11[4])
+
+
+def _count_compose(monkeypatch):
+    calls = []
+    compose_ = cv._compose
+    monkeypatch.setattr(cv, "_compose",
+                        lambda *args: calls.append(1) or compose_(*args))
+    return calls
+
+
+def test_fusion_suite_multiplies_homogeneous_characters_as_matrices(
+        monkeypatch):
+    from rsoskit.suites import RunConfig, run_suite
+    calls = _count_compose(monkeypatch)
+    assert all(c.passed for c in run_suite("fusion", RunConfig(n=2, r=11)))
+    assert calls == []
+
+
+def test_sparse_characters_on_large_alcoves_multiply_by_arrow_pairs(
+        monkeypatch):
+    # chi_V fills 0.2% of the 1,711 x 1,711 matrix at (3, 60)
+    chv = character(build_vector_space(ModelKind.rsos(3, 60)))
+    calls = _count_compose(monkeypatch)
+    square = conv_mul(chv, chv)
+    assert calls == [1]
+    assert square == _pairwise_conv_mul(chv, chv)
 
 
 def test_element_copies_its_coefficients_and_drops_zeros():

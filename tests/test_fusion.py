@@ -7,7 +7,8 @@ import pytest
 import rsoskit.fusion as fu
 from rsoskit.convolution import character, chi, conv_mul, to_difference_operator
 from rsoskit.elliptic import EllipticParams
-from rsoskit.errors import LambdaOutsideAlcove, OutOfRange, TooLarge
+from rsoskit.errors import (InvalidConfig, LambdaOutsideAlcove, OutOfRange,
+                            TooLarge)
 from rsoskit.fusion import (central_element_n2, exterior_character,
                             exterior_eigenvalue, fusion_bases, fusion_coeff,
                             psi, sym_power_character_n2,
@@ -66,37 +67,43 @@ def test_exactness_exhaustive():
 
 def test_exterior_character_degenerate_degrees():
     ctx = ModelKind.rsos(2, 5)
-    assert exterior_character(0, 2, 5) == chi(ctx, rsos_alcove(2, 5))
-    top = exterior_character(2, 2, 5)
+    assert exterior_character(0, ctx) == chi(ctx, rsos_alcove(2, 5))
+    top = exterior_character(2, ctx)
     assert sorted(g.source.level_coordinate() for g in top.coeffs) == [1, 2, 3, 4]
     assert all(g.shift == (1, 1) for g in top.coeffs)
 
 
 def test_character_square_decomposition():
     for n, r in ((2, 5), (3, 5)):
-        chv = character(build_vector_space(ModelKind.rsos(n, r)))
-        assert conv_mul(chv, chv) == (exterior_character(2, n, r)
-                                      + sym_square_character(n, r))
+        kind = ModelKind.rsos(n, r)
+        chv = character(build_vector_space(kind))
+        assert conv_mul(chv, chv) == (exterior_character(2, kind)
+                                      + sym_square_character(kind))
 
 
 def test_sym_power_characters_low_degrees():
     ctx = ModelKind.rsos(2, 5)
-    assert sym_power_character_n2(0, 5) == chi(ctx, rsos_alcove(2, 5))
-    assert sym_power_character_n2(1, 5) == character(
-        build_vector_space(ModelKind.rsos(2, 5)))
+    assert sym_power_character_n2(0, ctx) == chi(ctx, rsos_alcove(2, 5))
+    assert sym_power_character_n2(1, ctx) == character(
+        build_vector_space(ctx))
 
 
 def test_sym_power_character_p3_r5():
-    el = sym_power_character_n2(3, 5)
+    el = sym_power_character_n2(3, ModelKind.rsos(2, 5))
     got = {(g.source.level_coordinate(), g.shift) for g in el.coeffs}
     assert got == {(1, (3, 0)), (2, (2, 1)), (3, (1, 2)), (4, (0, 3))}
 
 
 def test_sym_power_out_of_range():
+    kind = ModelKind.rsos(2, 5)
     with pytest.raises(OutOfRange):
-        sym_power_character_n2(4, 5)
+        sym_power_character_n2(4, kind)
     with pytest.raises(OutOfRange):
-        exterior_character(3, 2, 5)
+        exterior_character(3, kind)
+    with pytest.raises(InvalidConfig):
+        sym_power_character_n2(1, ModelKind.rsos(3, 5))
+    with pytest.raises(InvalidConfig):
+        central_element_n2(ModelKind.sos((0.25, 0)))
 
 
 def test_fusion_coeff_examples():
@@ -142,9 +149,10 @@ def test_verlinde_rules_build_each_term_once(monkeypatch):
 
 
 def test_l2_squared_explicit_r5():
-    l0, l2 = sym_power_character_n2(0, 5), sym_power_character_n2(2, 5)
-    rhs = (conv_mul(central_element_n2(5, 2), l0)
-           + conv_mul(central_element_n2(5, 1), l2))
+    kind = ModelKind.rsos(2, 5)
+    l0, l2 = sym_power_character_n2(0, kind), sym_power_character_n2(2, kind)
+    rhs = (conv_mul(central_element_n2(kind, 2), l0)
+           + conv_mul(central_element_n2(kind, 1), l2))
     assert conv_mul(l2, l2) == rhs
 
 
@@ -222,7 +230,7 @@ def test_simultaneous_diagonalization_weyl_symmetric_eigenvalue():
     n, r = 3, 6
     lam = WeightPoint.integer((3, 1, 0))  # unique self-symmetric-ish label
     f = psi(lam, n, r)
-    op = to_difference_operator(exterior_character(1, n, r),
+    op = to_difference_operator(exterior_character(1, ModelKind.rsos(n, r)),
                                 rsos_alcove(n, r)).matrix(dtype=complex)
     ev = exterior_eigenvalue(1, lam, n, r)
     assert np.abs(op @ f - ev * f).max() < 1e-10
@@ -230,7 +238,8 @@ def test_simultaneous_diagonalization_weyl_symmetric_eigenvalue():
 
 def test_exterior_characters_commute():
     for n, r in ((3, 5), (3, 6)):
-        chars = [exterior_character(k, n, r) for k in range(n + 1)]
+        kind = ModelKind.rsos(n, r)
+        chars = [exterior_character(k, kind) for k in range(n + 1)]
         for x in chars:
             for y in chars:
                 assert conv_mul(x, y) == conv_mul(y, x)
@@ -249,8 +258,8 @@ def test_verlinde_symmetry_checks_the_ring_products(monkeypatch):
     config = suites.RunConfig(n=2, r=5)
     assert case(config).passed
 
-    def perturbed(p, r):
-        x = sym_power_character_n2(p, r)
+    def perturbed(p, kind):
+        x = sym_power_character_n2(p, kind)
         if p != 1:
             return x
         return x - ConvolutionElement(x.context, {x.support[0]: 1})
