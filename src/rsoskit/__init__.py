@@ -14,7 +14,7 @@ from .groupoid import (AlcoveKind, AlcoveSpec, Arrow, ModelKind, WeightPoint,
                        alcove_contains, compose, enumerate_alcove, eps,
                        identity_arrow, inverse, rho, rsos_alcove)
 from .fusion import (FusionBases, exterior_character, fusion_bases,
-                     fusion_coeff, psi, sym_power_character_n2,
+                     fusion_coeff, psi_table, sym_power_character_n2,
                      sym_square_character, verify_fusion_rules, verify_spectrum)
 from .rsos import (boltzmann_weight, build_vector_space, restricted_r,
                    star_triangle_residual)

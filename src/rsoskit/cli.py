@@ -133,7 +133,7 @@ def _rows_fusion(args, config: RunConfig) -> tuple[list[str], list[list]]:
 
 def _rows_spectrum(args, config: RunConfig) -> tuple[list[str], list[list]]:
     n, r, k = config.n, config.r, args.k
-    report = fu.verify_spectrum(k, n, r)
+    [report] = fu.verify_spectrum([k], n, r)
     header = ["lambda", "k", "eigenvalue_re", "eigenvalue_im", "residual"]
     rows = []
     for lam, ev, res in zip(config.kind().alcove(), report.eigenvalues,

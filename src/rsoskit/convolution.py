@@ -17,6 +17,9 @@ factors alone:
   matmul, |A|^3 multiply-adds, is below that of the sparse path, about
   |m| |n| / |A| matched arrow pairs (`_matmul_is_cheaper`).  The product
   keeps only its matrix and builds its coefficient dict on first read.
+  A sum of two elements whose matrix forms are built, at one degree and
+  with max|m| + max|n| < 2^63, is the sum of the matrices; every other sum
+  adds the coefficient dicts.
 - Arrow pairs, for everything else: orbit models, Fractions, mixed
   degrees, and sparse factors on large alcoves.  The arrows of n are
   indexed by source once, each alpha meets exactly the betas starting at
@@ -58,7 +61,7 @@ class ConvolutionElement:
     An element is immutable after construction: it copies the coefficients
     it is given and drops the zero ones, and its matrix form (see
     `conv_mul`) is built at most once and cached on it.  An element that
-    comes out of a matrix product builds `coeffs` on its first read.
+    comes out of a matrix product or sum builds `coeffs` on its first read.
     """
 
     __slots__ = ("context", "_coeffs", "_form")
@@ -72,10 +75,12 @@ class ConvolutionElement:
         self._form = _UNKNOWN
 
     @classmethod
-    def _of_matrix(cls, context: ModelKind,
-                   form: "_MatrixForm") -> "ConvolutionElement":
+    def _of_matrix(cls, context: ModelKind, degree: int,
+                   matrix: np.ndarray) -> "ConvolutionElement":
+        matrix.flags.writeable = False
         x = cls.__new__(cls)
-        x.context, x._coeffs, x._form = context, None, form
+        x.context, x._coeffs = context, None
+        x._form = _MatrixForm(degree, matrix, int(np.abs(matrix).max()))
         return x
 
     @property
@@ -109,6 +114,11 @@ class ConvolutionElement:
     def __add__(self, other: "ConvolutionElement") -> "ConvolutionElement":
         if self.context != other.context:
             raise ContextMismatch("sum of elements over different groupoids")
+        x, y = self._form, other._form
+        if (type(x) is type(y) is _MatrixForm and x.degree == y.degree
+                and x.bound + y.bound < INT64_LIMIT):
+            return ConvolutionElement._of_matrix(self.context, x.degree,
+                                                 x.matrix + y.matrix)
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
             out[g] = out.get(g, 0) + c
@@ -199,10 +209,8 @@ def conv_mul(m: ConvolutionElement, n: ConvolutionElement) -> ConvolutionElement
         x, y = _form_of(m), _form_of(n)
         if (x is not None and y is not None
                 and x.bound * y.bound * len(x.matrix) < INT64_LIMIT):
-            prod = x.matrix @ y.matrix
-            prod.flags.writeable = False
-            return ConvolutionElement._of_matrix(kind, _MatrixForm(
-                x.degree + y.degree, prod, int(np.abs(prod).max())))
+            return ConvolutionElement._of_matrix(kind, x.degree + y.degree,
+                                                 x.matrix @ y.matrix)
     return ConvolutionElement(kind, _compose(m.coeffs, n.coeffs, mul))
 
 

@@ -63,10 +63,6 @@ class OutOfRange(RsosError):
     """Index outside the admissible range."""
 
 
-class LambdaOutsideAlcove(RsosError):
-    """Eigenfunction label must be a regular dominant affine weight."""
-
-
 class UnknownSuite(RsosError):
     """Verification suite name not recognized."""
 

@@ -1,18 +1,21 @@
 """Symmetric/exterior squares from the z = +-1 degenerations, exterior-power
 characters, the rank-2 fusion ring, and exact diagonalization of the
-character difference operators.
+character difference operators by one table of their eigenfunctions.
 
 ch_{Lambda^k V} = chi_A e_k(t_1,...,t_n) chi_A with e_k the elementary
 symmetric polynomial in the shift generators; on the rank-2 alcove the
 symmetric-power characters L_p generate the Verlinde algebra
 
-    L_p L_q = sum_{s = p+q mod 2} N_pq^s u^{(p+q-s)/2} L_s,  u = t_1 t_2.
+    L_p L_q = sum_{s = p+q mod 2} N_pq^s u^{(p+q-s)/2} L_s,  u = t_1 t_2,
+
+checked in one pass with its commutativity and associativity.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -20,17 +23,15 @@ import numpy as np
 from .convolution import ConvolutionElement, conv_mul, to_difference_operator
 from .elliptic import (EllipticParams, bracket, pair_index, r_minus1, r_reg1,
                        table_runs)
-from .errors import (InvalidConfig, LambdaOutsideAlcove, OutOfRange,
-                     check_budget)
-from .groupoid import (Arrow, ModelKind, WeightPoint, add_vectors, eps,
-                       rsos_alcove)
+from .errors import InvalidConfig, OutOfRange, check_budget
+from .groupoid import Arrow, ModelKind, WeightPoint, add_vectors, eps
 from .rsos import _same_weight
 
 RANK_TOL = 1e-8
 SPECTRUM_TOL = 1e-10
-# alcove points of the dense spectrum check: the 1,953 of (n, r) = (3, 64)
-# take 27 s per k and peak at 91 MB RSS, the 1,176 of (3, 50) 6.7 s and
-# 53 MB (CPython 3.11, 2 cores, one BLAS thread)
+# alcove points of psi_table, |A|^2 complex entries: `verify spectrum` takes
+# 3.9 s at 199 MB peak RSS on the 1,953 of (n, r) = (3, 64), 1.5 s at 111 MB
+# on the 1,176 of (3, 50) (whole process, CPython 3.11, 2 cores, 1 BLAS thread)
 SPECTRUM_BUDGET = 2_000
 
 
@@ -203,14 +204,6 @@ def _rank2_level(kind: ModelKind) -> int:
     return kind.level
 
 
-def _interval_element(kind: ModelKind, lo: int, hi: int,
-                      shift: tuple[int, int]) -> ConvolutionElement:
-    coeffs = {}
-    for l in range(max(lo, 1), min(hi, kind.level - 1) + 1):
-        coeffs[Arrow(WeightPoint.from_level_coordinate(l), shift)] = 1
-    return ConvolutionElement(kind, coeffs)
-
-
 def sym_power_character_n2(p: int, kind: ModelKind) -> ConvolutionElement:
     """Character L_p of the p-th symmetric power over the rank-2 model `kind`
     of level r:
@@ -219,16 +212,17 @@ def sym_power_character_n2(p: int, kind: ModelKind) -> ConvolutionElement:
     r = _rank2_level(kind)
     if not 0 <= p <= r - 2:
         raise OutOfRange(f"symmetric power {p} outside 0..{r - 2}")
-    out = ConvolutionElement(kind, {})
-    for j in range(p + 1):
-        out = out + _interval_element(kind, 1 + j, r - 1 - p + j, (p - j, j))
-    return out
+    return ConvolutionElement(kind, {
+        Arrow(WeightPoint.from_level_coordinate(l), (p - j, j)): 1
+        for j in range(p + 1) for l in range(1 + j, r - p + j)})
 
 
 def central_element_n2(kind: ModelKind, power: int = 1) -> ConvolutionElement:
     """u^power with u = t_1 t_2, cut to the alcove subring of the rank-2
     model `kind`."""
-    return _interval_element(kind, 1, _rank2_level(kind) - 1, (power, power))
+    return ConvolutionElement(kind, {
+        Arrow(WeightPoint.from_level_coordinate(l), (power, power)): 1
+        for l in range(1, _rank2_level(kind))})
 
 
 def fusion_coeff(p: int, q: int, s: int, r: int) -> int:
@@ -246,66 +240,74 @@ def fusion_coeff(p: int, q: int, s: int, r: int) -> int:
     return int(abs(p - q) <= s <= min(p + q, 2 * r - 4 - p - q))
 
 
-@dataclass
-class FusionRuleReport:
-    r: int
-    cases: int
-    mismatches: list[tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-
-def verify_fusion_rules(r: int) -> FusionRuleReport:
-    """Exact check of L_p L_q = sum_s N_pq^s u^{(p+q-s)/2} L_s for rank 2,
-    every character over one model."""
+def verify_fusion_rules(r: int) -> tuple[int, int, int]:
+    """Mismatch counts (rules, symmetry, associativity) of the exact checks
+    L_p L_q = sum_s N_pq^s u^{(p+q-s)/2} L_s and L_p L_q = L_q L_p for every
+    pair, and (L_p L_q) L_s = L_p (L_q L_s) for every triple, over one rank-2
+    model and one set of characters.  One L_p L_q serves all three checks;
+    the row L_q L_s over s is the only one held, so L_p L_q is built twice,
+    as itself and in the row of p."""
     kind = ModelKind.rsos(2, r)
-    labels = list(range(r - 1))
-    chars = {p: sym_power_character_n2(p, kind) for p in labels}
+    labels = range(r - 1)
+    chars = [sym_power_character_n2(p, kind) for p in labels]
     # u^k with k = (p+q-s)/2 <= min(p, q), so every power is in range(r - 1)
-    powers = {k: central_element_n2(kind, k) for k in labels}
-    # u^k L_s recurs across (p, q): each distinct (k, s) is multiplied once
-    terms: dict[tuple[int, int], ConvolutionElement] = {}
-    report = FusionRuleReport(r=r, cases=0)
-    for p in labels:
-        for q in labels:
-            lhs = conv_mul(chars[p], chars[q])
-            rhs = ConvolutionElement(kind, {})
+    powers = [central_element_n2(kind, k) for k in labels]
+
+    @cache  # u^k L_s recurs across (p, q): each (k, s) is multiplied once
+    def term(k: int, s: int) -> ConvolutionElement:
+        return conv_mul(powers[k], chars[s])
+
+    rules = sym = assoc = 0
+    for q in labels:
+        qs = [conv_mul(chars[q], chars[s]) for s in labels]
+        for p in labels:
+            pq = conv_mul(chars[p], chars[q])
+            # the sum starts from a term, so it keeps the terms' matrix form
+            rhs = [term((p + q - s) // 2, s) for s in labels
+                   if fusion_coeff(p, q, s, r)]
+            rules += pq != sum(rhs[1:], rhs[0])
+            sym += pq != qs[p]
             for s in labels:
-                if fusion_coeff(p, q, s, r):
-                    key = ((p + q - s) // 2, s)
-                    if key not in terms:
-                        terms[key] = conv_mul(powers[key[0]], chars[s])
-                    rhs = rhs + terms[key]
-            report.cases += 1
-            if lhs != rhs:
-                report.mismatches.append((p, q))
-    return report
+                assoc += conv_mul(pq, chars[s]) != conv_mul(chars[p], qs[s])
+    return rules, sym, assoc
 
 
-def psi(lam: WeightPoint, n: int, r: int,
-        points: tuple[WeightPoint, ...] | None = None) -> np.ndarray:
-    """The character eigenfunction psi_lambda on `points` (by default the
-    whole alcove P^r_++), as an array of its values in point order:
+def psi_table(kind: ModelKind) -> np.ndarray:
+    """The character eigenfunctions on the alcove A of the restricted model
+    `kind` as the |A| x |A| table psi[l, j] = psi_{A[l]}(A[j]), where
 
     psi_lambda(a) = q^{-(1/n) sum_i a_i sum_i lambda_i} det(q^{lambda_i a_j})
     with q = exp(2 pi i / r) and the n-th root fixed as exp(2 pi i / (r n)).
-    """
-    points = tuple(rsos_alcove(n, r) if points is None else points)
-    if lam not in set(points):
-        raise LambdaOutsideAlcove(f"{lam!r} is not a regular affine weight")
-    root = cmath.exp(2j * cmath.pi / (r * n))
-    q = cmath.exp(2j * cmath.pi / r)
-    # q^(lambda_i a_j) for every point, one Python power per distinct exponent
+
+    Over SPECTRUM_BUDGET points raise TooLarge before anything is built;
+    each run of rows takes one stacked determinant call."""
+    n, r, points = kind.rank, kind.level, kind.alcove()
+    check_budget("SPECTRUM_BUDGET", len(points), SPECTRUM_BUDGET, "points")
     offsets = np.array([a.offset for a in points])
-    expo = (np.array(lam.offset)[:, None] * offsets[:, None, :]).ravel().tolist()
-    powers = {e: q ** e for e in set(expo)}
-    dets = np.linalg.det(np.array([powers[e] for e in expo], dtype=complex)
-                         .reshape(len(points), n, n))
-    total = sum(lam.offset)
-    return np.array([complex(root ** (-sum(a.offset) * total) * d)
-                     for a, d in zip(points, dets)])
+    sums = offsets.sum(axis=1)
+    q_pow = _powers(cmath.exp(2j * cmath.pi / r), offsets)
+    root_pow = _powers(cmath.exp(2j * cmath.pi / (r * n)), sums, sign=-1)
+    table = np.empty((len(points), len(points)), dtype=complex)
+    for start, run in table_runs(points, len(points) * n * n):
+        rows = slice(start, start + len(run))
+        dets = np.linalg.det(
+            q_pow[offsets[rows, None, :, None] * offsets[None, :, None, :]])
+        pref = root_pow[sums[rows, None] * sums[None, :]]
+        # Python's complex product; numpy's array multiply rounds differently
+        table[rows].real = pref.real * dets.real - pref.imag * dets.imag
+        table[rows].imag = pref.real * dets.imag + pref.imag * dets.real
+    return table
+
+
+def _powers(base: complex, factors: np.ndarray, sign: int = 1) -> np.ndarray:
+    """base ** (sign x y) at index x y for the non-negative entries x, y of
+    `factors`: one Python power per distinct product."""
+    values = set(factors.ravel().tolist())
+    products = {x * y for x in values for y in values}
+    out = np.zeros(max(products) + 1, dtype=complex)
+    for e in products:
+        out[e] = base ** (sign * e)
+    return out
 
 
 def exterior_eigenvalue(k: int, lam: WeightPoint, n: int, r: int) -> complex:
@@ -334,22 +336,31 @@ class SpectrumReport:
         return self.max_residual < SPECTRUM_TOL
 
 
-def verify_spectrum(k: int, n: int, r: int) -> SpectrumReport:
-    """Check that every psi_lambda is an eigenfunction of the exterior-power
-    character operator with eigenvalue e_k(q^{bar lambda}).
-
-    The operator is a dense |A| x |A| complex matrix; over SPECTRUM_BUDGET
-    points raise TooLarge before it is built."""
+def verify_spectrum(ks, n: int, r: int) -> list[SpectrumReport]:
+    """One report per exterior degree k in `ks`: every row psi_lambda of one
+    `psi_table` against the dense |A| x |A| exterior-power character operator
+    of degree k and its eigenvalue e_k(q^{bar lambda})."""
     kind = ModelKind.rsos(n, r)
     points = kind.alcove()
-    check_budget("SPECTRUM_BUDGET", len(points), SPECTRUM_BUDGET, "points")
-    op = to_difference_operator(exterior_character(k, kind), points)
-    m = op.matrix(dtype=complex)
-    eigenvalues, residuals = [], []
-    for lam in points:
-        f = psi(lam, n, r, points)
-        ev = exterior_eigenvalue(k, lam, n, r)
-        residuals.append(float(np.abs(m @ f - ev * f).max()))
-        eigenvalues.append(ev)
-    return SpectrumReport(n=n, r=r, k=k, eigenvalues=eigenvalues,
-                          residuals=residuals)
+    table = psi_table(kind)
+    reports = []
+    for k in ks:
+        op = to_difference_operator(exterior_character(k, kind), points)
+        evs = [exterior_eigenvalue(k, lam, n, r) for lam in points]
+        reports.append(SpectrumReport(n, r, k, evs, _eigen_residuals(
+            table, op.matrix(dtype=complex), evs)))
+    return reports
+
+
+def _eigen_residuals(table: np.ndarray, m: np.ndarray,
+                     eigenvalues: list[complex]) -> list[float]:
+    """max |m psi - e psi| for each row psi of `table` and its eigenvalue e,
+    one matrix product per run of rows.  The dense m lives only for this
+    call, so no two degrees' operators are alive beside the table at once."""
+    residuals = []
+    for start, run in table_runs(eigenvalues, len(eigenvalues)):
+        rows = table[start:start + len(run)]
+        diff = rows @ m.T
+        diff -= np.array(run)[:, None] * rows
+        residuals += np.abs(diff).max(axis=1).tolist()
+    return residuals

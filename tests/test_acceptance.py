@@ -146,11 +146,11 @@ def test_criterion_08_verlinde_tables():
 def test_criterion_09_spectrum():
     worst = 0.0
     for n, r in ((2, 5), (2, 7), (3, 5)):
-        for k in range(1, n):
-            rep = verify_spectrum(k, n, r)
+        for rep in verify_spectrum(range(1, n), n, r):
             worst = max(worst, rep.max_residual)
     golden = (1 + math.sqrt(5)) / 2
-    eigs = [e.real for e in verify_spectrum(1, 2, 5).eigenvalues]
+    [rep] = verify_spectrum([1], 2, 5)
+    eigs = [e.real for e in rep.eigenvalues]
     dense = np.sort(np.linalg.eigvalsh(to_difference_operator(
         character(build_vector_space(ModelKind.rsos(2, 5))),
         rsos_alcove(2, 5)).matrix().astype(float)))

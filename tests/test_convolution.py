@@ -258,6 +258,54 @@ def test_zero_matrix_products_equal_at_any_degree():
     assert conv_mul(L11[2], L11[3]) != conv_mul(L11[2], L11[4])
 
 
+def _homogeneous(rng, kind, degree, n_terms=30):
+    """Random integer element of one degree, its matrix form built."""
+    inside, rank = set(kind.alcove()), kind.rank
+    coeffs = {}
+    for _ in range(n_terms):
+        a = rng.choice(kind.alcove())
+        mu = tuple(rng.randrange(-1, 2) for _ in range(rank))
+        if sum(mu) == degree and a + mu in inside:
+            coeffs[Arrow(a, mu)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    x = ConvolutionElement(kind, coeffs)
+    assert type(cv._form_of(x)) is cv._MatrixForm
+    return x
+
+
+def _dict_sum(x, y):
+    out = dict(x.coeffs)
+    for g, c in y.coeffs.items():
+        out[g] = out.get(g, 0) + c
+    return {g: c for g, c in out.items() if c}
+
+
+@pytest.mark.parametrize("n, r", [(2, 11), (3, 7)])
+def test_matrix_sums_match_dict_sums(n, r):
+    kind = ModelKind.rsos(n, r)
+    rng = random.Random(n * r)
+    for _ in range(20):
+        x, y = _homogeneous(rng, kind, 1), _homogeneous(rng, kind, 1)
+        minus_x = x.scale(-1)
+        cv._form_of(minus_x)
+        for total, want in ((x + y, _dict_sum(x, y)), (x + minus_x, {})):
+            assert type(total._form) is cv._MatrixForm
+            assert total == ConvolutionElement(kind, want)
+            assert total.coeffs == want
+        # mixed degrees add as dicts
+        z = _homogeneous(rng, kind, 0)
+        assert (x + z)._form is cv._UNKNOWN
+        assert (x + z).coeffs == _dict_sum(x, z)
+
+
+def test_sums_over_the_int64_bound_add_exactly_as_dicts():
+    big = L11[3].scale(2 ** 62)
+    assert cv._form_of(big).bound == 2 ** 62
+    total = big + big
+    assert total._form is cv._UNKNOWN
+    assert set(total.coeffs.values()) == {2 ** 63}
+    assert total.coeffs == _dict_sum(big, big)
+
+
 def _count_compose(monkeypatch):
     calls = []
     compose_ = cv._compose

@@ -20,7 +20,9 @@ REFUSALS = {
     "theta-terms": (elliptic, "THETA_TERM_BUDGET",
                     lambda: elliptic.theta(0.0, TAU)),
     "spectrum": (fusion, "SPECTRUM_BUDGET",
-                 lambda: fusion.verify_spectrum(1, 2, 5)),
+                 lambda: fusion.verify_spectrum([1], 2, 5)),
+    "psi-table": (fusion, "SPECTRUM_BUDGET",
+                  lambda: fusion.psi_table(KIND)),
     "faces": (transfer, "FACE_BUDGET",
               lambda: transfer.partition_enumerate(2, 2, 0.3, KIND, PARAMS)),
     "fusion-rows": (cli, "FUSION_ROW_BUDGET", lambda: cli._rows_fusion(

@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,11 +8,10 @@ import pytest
 import rsoskit.fusion as fu
 from rsoskit.convolution import character, chi, conv_mul, to_difference_operator
 from rsoskit.elliptic import EllipticParams
-from rsoskit.errors import (InvalidConfig, LambdaOutsideAlcove, OutOfRange,
-                            TooLarge)
+from rsoskit.errors import InvalidConfig, OutOfRange, TooLarge
 from rsoskit.fusion import (central_element_n2, exterior_character,
                             exterior_eigenvalue, fusion_bases, fusion_coeff,
-                            psi, sym_power_character_n2,
+                            psi_table, sym_power_character_n2,
                             sym_square_character, verify_fusion_rules,
                             verify_spectrum)
 from rsoskit.groupoid import (AlcoveKind, AlcoveSpec, WeightPoint,
@@ -22,7 +22,8 @@ TAU = 0.9j
 
 
 def psi_value(lam: WeightPoint, a: WeightPoint, n: int, r: int) -> complex:
-    """psi_lambda(a) from one determinant; the per-pair oracle of `psi`."""
+    """psi_lambda(a) from one determinant; the per-pair oracle of
+    `psi_table`."""
     lcoord, acoord = lam.offset, a.offset
     root = cmath.exp(2j * cmath.pi / (r * n))
     pref = root ** (-sum(acoord) * sum(lcoord))
@@ -124,8 +125,7 @@ def test_fusion_coeff_symmetry():
 
 def test_verlinde_rules_exact():
     for r in (4, 5, 6):
-        report = verify_fusion_rules(r)
-        assert report.passed and report.cases == (r - 1) ** 2
+        assert verify_fusion_rules(r) == (0, 0, 0)
 
 
 def test_verlinde_rules_build_each_term_once(monkeypatch):
@@ -138,14 +138,41 @@ def test_verlinde_rules_build_each_term_once(monkeypatch):
     monkeypatch.setattr(fu, "conv_mul", counted)
     r = 11
     labels = range(r - 1)
-    report = fu.verify_fusion_rules(r)
+    assert fu.verify_fusion_rules(r) == (0, 0, 0)
     terms = {((p + q - s) // 2, s) for p in labels for q in labels
              for s in labels if fusion_coeff(p, q, s, r)}
-    assert report.passed
     assert len(terms) == 55
-    assert len(calls) == (r - 1) ** 2 + len(terms) == 155
-    # no operand pair is multiplied twice
-    assert len({(id(m), id(n)) for m, n in calls}) == len(calls)
+    # L_q L_s per row, L_p L_q per pair, two products per triple, u^k L_s
+    assert len(calls) == 2 * 10 ** 2 + len(terms) + 2 * 10 ** 3 == 2255
+    # each product of two characters is made twice, as L_p L_q and in the
+    # row L_q L_s; every other operand pair once (`calls` keeps them alive)
+    chars = {id(n) for _, n in calls[:r - 1]}  # the row L_0 L_s
+    seen = Counter((id(m), id(n)) for m, n in calls)
+    assert all(count == (2 if {m, n} <= chars else 1)
+               for (m, n), count in seen.items())
+    assert len(seen) == len(calls) - (r - 1) ** 2
+
+
+def test_fusion_suite_never_reads_coefficient_dicts(monkeypatch):
+    # every product and every Verlinde sum keeps its matrix form, and the
+    # checks compare the matrices
+    from rsoskit import convolution as cv
+    from rsoskit.suites import RunConfig, run_suite
+    calls = []
+    coeffs_of = cv._coeffs_of
+    monkeypatch.setattr(cv, "_coeffs_of",
+                        lambda *args: calls.append(1) or coeffs_of(*args))
+    assert all(c.passed for c in run_suite("fusion", RunConfig(n=2, r=11)))
+    assert calls == []
+
+
+def test_verlinde_rules_count_a_dropped_fusion_coefficient(monkeypatch):
+    # without N_11^2 at r = 5, L_1 L_1 misses u^0 L_2: one rule fails, and
+    # the ring checks, which read no coefficient, still pass
+    coeff = fu.fusion_coeff
+    monkeypatch.setattr(fu, "fusion_coeff", lambda p, q, s, r: (
+        0 if (p, q, s) == (1, 1, 2) else coeff(p, q, s, r)))
+    assert verify_fusion_rules(5) == (1, 0, 0)
 
 
 def test_l2_squared_explicit_r5():
@@ -154,11 +181,6 @@ def test_l2_squared_explicit_r5():
     rhs = (conv_mul(central_element_n2(kind, 2), l0)
            + conv_mul(central_element_n2(kind, 1), l2))
     assert conv_mul(l2, l2) == rhs
-
-
-def test_psi_requires_regular_weight():
-    with pytest.raises(LambdaOutsideAlcove):
-        psi(WeightPoint.from_level_coordinate(5), 2, 5)
 
 
 def test_psi_vanishes_on_walls():
@@ -179,27 +201,27 @@ def test_psi_vanishes_on_walls():
 def test_batched_psi_matches_per_pair_values_bit_for_bit():
     for n, r in ((2, 5), (2, 11), (3, 7), (3, 20), (4, 9)):
         points = rsos_alcove(n, r)
-        for lam in points:
+        table = psi_table(ModelKind.rsos(n, r))
+        assert table.shape == (len(points), len(points))
+        for lam, row in zip(points, table):
             want = np.array([psi_value(lam, a, n, r) for a in points])
-            assert np.array_equal(psi(lam, n, r), want)
+            assert np.array_equal(row, want)
 
 
 def test_psi_orthogonal_family_rank2():
-    n, r = 2, 5
-    vectors = np.array([psi(lam, n, r) for lam in rsos_alcove(n, r)])
-    gram = vectors.conj() @ vectors.T
-    off = gram - np.diag(np.diag(gram))
-    assert np.abs(off).max() < 1e-10 * np.abs(gram).max()
+    for n, r in ((2, 5), (3, 7), (4, 6)):
+        table = psi_table(ModelKind.rsos(n, r))
+        gram = table @ table.conj().T
+        off = gram - np.diag(np.diag(gram))
+        assert np.abs(off).max() < 1e-10 * np.abs(gram).max()
 
 
 def test_psi_at_rho_like_point_is_nonzero():
-    n, r = 3, 5
-    lam = rsos_alcove(n, r)[0]
-    assert max(abs(v) for v in psi(lam, n, r)) > 1e-6
+    assert np.abs(psi_table(ModelKind.rsos(3, 5))[0]).max() > 1e-6
 
 
 def test_spectrum_rank2_matches_cosines():
-    report = verify_spectrum(1, 2, 5)
+    [report] = verify_spectrum([1], 2, 5)
     assert report.passed
     got = sorted(e.real for e in report.eigenvalues)
     want = sorted(2 * math.cos(math.pi * l / 5) for l in (1, 2, 3, 4))
@@ -214,13 +236,15 @@ def test_spectrum_eigenvalues_match_dense_eigensolver():
             character(build_vector_space(ModelKind.rsos(2, r))),
             rsos_alcove(2, r)).matrix().astype(float)
         dense = np.sort(np.linalg.eigvalsh(adjacency))
-        analytic = np.sort([e.real for e in verify_spectrum(1, 2, r).eigenvalues])
+        [report] = verify_spectrum([1], 2, r)
+        analytic = np.sort([e.real for e in report.eigenvalues])
         assert np.abs(dense - analytic).max() < 1e-10
 
 
 def test_spectrum_rank3_all_exterior_degrees():
-    for k in (1, 2):
-        report = verify_spectrum(k, 3, 5)
+    reports = verify_spectrum((1, 2), 3, 5)
+    assert [report.k for report in reports] == [1, 2]
+    for report in reports:
         assert report.passed
         assert len(report.eigenvalues) == 6
 
@@ -229,9 +253,10 @@ def test_simultaneous_diagonalization_weyl_symmetric_eigenvalue():
     # the k-th and (n-k)-th operators share eigenfunctions; check a midpoint
     n, r = 3, 6
     lam = WeightPoint.integer((3, 1, 0))  # unique self-symmetric-ish label
-    f = psi(lam, n, r)
-    op = to_difference_operator(exterior_character(1, ModelKind.rsos(n, r)),
-                                rsos_alcove(n, r)).matrix(dtype=complex)
+    kind = ModelKind.rsos(n, r)
+    f = psi_table(kind)[kind.alcove_index()[lam]]
+    op = to_difference_operator(exterior_character(1, kind),
+                                kind.alcove()).matrix(dtype=complex)
     ev = exterior_eigenvalue(1, lam, n, r)
     assert np.abs(op @ f - ev * f).max() < 1e-10
 
@@ -271,4 +296,4 @@ def test_verlinde_symmetry_checks_the_ring_products(monkeypatch):
 def test_spectrum_check_over_budget_is_refused_before_densifying():
     with pytest.raises(TooLarge, match="^SPECTRUM_BUDGET: 19701 points requested, "
                                        f"limit {fu.SPECTRUM_BUDGET}$"):
-        verify_spectrum(1, 3, 200)
+        verify_spectrum([1], 3, 200)
