@@ -17,9 +17,6 @@ factors alone:
   matmul, |A|^3 multiply-adds, is below that of the sparse path, about
   |m| |n| / |A| matched arrow pairs (`_matmul_is_cheaper`).  The product
   keeps only its matrix and builds its coefficient dict on first read.
-  A sum of two elements whose matrix forms are built, at one degree and
-  with max|m| + max|n| < 2^63, is the sum of the matrices; every other sum
-  adds the coefficient dicts.
 - Arrow pairs, for everything else: orbit models, Fractions, mixed
   degrees, and sparse factors on large alcoves.  The arrows of n are
   indexed by source once, each alpha meets exactly the betas starting at
@@ -61,7 +58,7 @@ class ConvolutionElement:
     An element is immutable after construction: it copies the coefficients
     it is given and drops the zero ones, and its matrix form (see
     `conv_mul`) is built at most once and cached on it.  An element that
-    comes out of a matrix product or sum builds `coeffs` on its first read.
+    comes out of a matrix product builds `coeffs` on its first read.
     """
 
     __slots__ = ("context", "_coeffs", "_form")
@@ -114,11 +111,6 @@ class ConvolutionElement:
     def __add__(self, other: "ConvolutionElement") -> "ConvolutionElement":
         if self.context != other.context:
             raise ContextMismatch("sum of elements over different groupoids")
-        x, y = self._form, other._form
-        if (type(x) is type(y) is _MatrixForm and x.degree == y.degree
-                and x.bound + y.bound < INT64_LIMIT):
-            return ConvolutionElement._of_matrix(self.context, x.degree,
-                                                 x.matrix + y.matrix)
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
             out[g] = out.get(g, 0) + c

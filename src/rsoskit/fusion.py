@@ -8,22 +8,23 @@ symmetric-power characters L_p generate the Verlinde algebra
 
     L_p L_q = sum_{s = p+q mod 2} N_pq^s u^{(p+q-s)/2} L_s,  u = t_1 t_2,
 
-checked in one pass with its commutativity and associativity.
+checked with its commutativity and associativity in float64 BLAS products
+of the L_p's stacked matrix forms, exact while every partial sum <= 2^53.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
-from .convolution import ConvolutionElement, conv_mul, to_difference_operator
+from .convolution import ConvolutionElement, _form_of, to_difference_operator
 from .elliptic import (EllipticParams, bracket, pair_index, r_minus1, r_reg1,
                        table_runs)
-from .errors import InvalidConfig, OutOfRange, check_budget
+from .errors import (InvalidConfig, OutOfRange, ShapeMismatch, TooLarge,
+                     check_budget)
 from .groupoid import Arrow, ModelKind, WeightPoint, add_vectors, eps
 from .rsos import _same_weight
 
@@ -166,8 +167,7 @@ def fusion_bases(points, kind: ModelKind,
 def exterior_character(k: int, kind: ModelKind) -> ConvolutionElement:
     """Character of the k-th exterior power: chi_A e_k(t) chi_A."""
     n = kind.rank
-    if not 0 <= k <= n:
-        raise OutOfRange(f"exterior degree {k} outside 0..{n}")
+    _check_exterior_degree(k, n)
     inside = kind.alcove_index()
     coeffs = {}
     for a in kind.alcove():
@@ -178,6 +178,11 @@ def exterior_character(k: int, kind: ModelKind) -> ConvolutionElement:
             if (a + mu) in inside:
                 coeffs[Arrow(a, mu)] = 1
     return ConvolutionElement(kind, coeffs)
+
+
+def _check_exterior_degree(k: int, n: int) -> None:
+    if not 0 <= k <= n:
+        raise OutOfRange(f"exterior degree {k} outside 0..{n}")
 
 
 def sym_square_character(kind: ModelKind) -> ConvolutionElement:
@@ -244,32 +249,46 @@ def verify_fusion_rules(r: int) -> tuple[int, int, int]:
     """Mismatch counts (rules, symmetry, associativity) of the exact checks
     L_p L_q = sum_s N_pq^s u^{(p+q-s)/2} L_s and L_p L_q = L_q L_p for every
     pair, and (L_p L_q) L_s = L_p (L_q L_s) for every triple, over one rank-2
-    model and one set of characters.  One L_p L_q serves all three checks;
-    the row L_q L_s over s is the only one held, so L_p L_q is built twice,
-    as itself and in the row of p."""
+    model: a few float64 BLAS products of the stacked |A| x |A| matrix forms
+    per label q, exact integers unless TooLarge is raised first."""
     kind = ModelKind.rsos(2, r)
-    labels = range(r - 1)
-    chars = [sym_power_character_n2(p, kind) for p in labels]
+    labels, m, size = range(r - 1), r - 1, len(kind.alcove())
     # u^k with k = (p+q-s)/2 <= min(p, q), so every power is in range(r - 1)
-    powers = [central_element_n2(kind, k) for k in labels]
-
-    @cache  # u^k L_s recurs across (p, q): each (k, s) is multiplied once
-    def term(k: int, s: int) -> ConvolutionElement:
-        return conv_mul(powers[k], chars[s])
-
+    forms = [_form_of(sym_power_character_n2(p, kind)) for p in labels] + [
+        _form_of(central_element_n2(kind, k)) for k in labels]
+    # L_p of degree p and u^k of 2k: every compared block has degree p + q
+    for form, degree in zip(forms, [*labels, *range(0, 2 * m, 2)]):
+        if form is None or form.degree != degree:
+            raise ShapeMismatch(f"not homogeneous of degree {degree}")
+    chars, powers = np.split(np.array([f.matrix for f in forms], float), 2)
+    tall, wide = np.vstack(chars), np.hstack(chars)  # block p: L_p
+    top = max(f.bound for f in forms)
     rules = sym = assoc = 0
     for q in labels:
-        qs = [conv_mul(chars[q], chars[s]) for s in labels]
-        for p in labels:
-            pq = conv_mul(chars[p], chars[q])
-            # the sum starts from a term, so it keeps the terms' matrix form
-            rhs = [term((p + q - s) // 2, s) for s in labels
-                   if fusion_coeff(p, q, s, r)]
-            rules += pq != sum(rhs[1:], rhs[0])
-            sym += pq != qs[p]
-            for s in labels:
-                assoc += conv_mul(pq, chars[s]) != conv_mul(chars[p], qs[s])
+        row, col = chars[q] @ wide, tall @ chars[q]  # L_q L_s, L_p L_q
+        # every entry and partial sum of a product below is at most this
+        bound = size * top * max(np.abs(row).max(), np.abs(col).max(), m * top)
+        if bound > 2 ** 53:
+            raise TooLarge(f"Verlinde products bounded by {bound:.0f} exceed "
+                           "2**53, beyond which float64 drops integers")
+        sym += _unequal_blocks(col, np.vstack(np.hsplit(row, m)), size)
+        for start, run in table_runs(labels, m * size * size):
+            rows = slice(start * size, (start + len(run)) * size)
+            # block (p, s) is u^{(p+q-s)/2} where N_pq^s != 0
+            verlinde = np.zeros((len(run), size, m, size))
+            for (i, p), s in product(enumerate(run), labels):
+                if fusion_coeff(p, q, s, r):
+                    verlinde[i, :, s] = powers[(p + q - s) // 2]
+            rules += _unequal_blocks(verlinde.reshape(len(run) * size, -1)
+                                     @ tall, col[rows], size)
+            assoc += _unequal_blocks(col[rows] @ wide, tall[rows] @ row, size)
     return rules, sym, assoc
+
+
+def _unequal_blocks(x: np.ndarray, y: np.ndarray, size: int) -> int:
+    """The number of size x size blocks in which x and y differ."""
+    rows, cols = x.shape[0] // size, x.shape[1] // size
+    return int((x != y).reshape(rows, size, cols, size).any(axis=(1, 3)).sum())
 
 
 def psi_table(kind: ModelKind) -> np.ndarray:
@@ -337,9 +356,12 @@ class SpectrumReport:
 
 
 def verify_spectrum(ks, n: int, r: int) -> list[SpectrumReport]:
-    """One report per exterior degree k in `ks`: every row psi_lambda of one
-    `psi_table` against the dense |A| x |A| exterior-power character operator
-    of degree k and its eigenvalue e_k(q^{bar lambda})."""
+    """One report per exterior degree k of the sequence `ks`: every row
+    psi_lambda of one `psi_table` against the dense |A| x |A| exterior-power
+    character operator of degree k and its eigenvalue e_k(q^{bar lambda}).
+    Every k is checked before the table is built."""
+    for k in ks:
+        _check_exterior_degree(k, n)
     kind = ModelKind.rsos(n, r)
     points = kind.alcove()
     table = psi_table(kind)

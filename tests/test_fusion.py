@@ -1,14 +1,15 @@
 import cmath
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 
 import rsoskit.fusion as fu
-from rsoskit.convolution import character, chi, conv_mul, to_difference_operator
+from rsoskit import elliptic
+from rsoskit.convolution import (ConvolutionElement, character, chi, conv_mul,
+                                 to_difference_operator)
 from rsoskit.elliptic import EllipticParams
-from rsoskit.errors import InvalidConfig, OutOfRange, TooLarge
+from rsoskit.errors import InvalidConfig, OutOfRange, ShapeMismatch, TooLarge
 from rsoskit.fusion import (central_element_n2, exterior_character,
                             exterior_eigenvalue, fusion_bases, fusion_coeff,
                             psi_table, sym_power_character_n2,
@@ -124,38 +125,80 @@ def test_fusion_coeff_symmetry():
 
 
 def test_verlinde_rules_exact():
-    for r in (4, 5, 6):
+    for r in range(4, 13):
         assert verify_fusion_rules(r) == (0, 0, 0)
 
 
-def test_verlinde_rules_build_each_term_once(monkeypatch):
-    calls = []
+def _drop_arrow(label, pick):
+    """sym_power_character_n2 with the arrow support[pick] of L_label cut."""
+    def perturbed(p, kind):
+        x = sym_power_character_n2(p, kind)
+        if p != label:
+            return x
+        return x - ConvolutionElement(kind, {x.support[pick]: 1})
+    return perturbed
 
-    def counted(m, n):
-        calls.append((m, n))
-        return conv_mul(m, n)
 
-    monkeypatch.setattr(fu, "conv_mul", counted)
-    r = 11
-    labels = range(r - 1)
-    assert fu.verify_fusion_rules(r) == (0, 0, 0)
-    terms = {((p + q - s) // 2, s) for p in labels for q in labels
-             for s in labels if fusion_coeff(p, q, s, r)}
-    assert len(terms) == 55
-    # L_q L_s per row, L_p L_q per pair, two products per triple, u^k L_s
-    assert len(calls) == 2 * 10 ** 2 + len(terms) + 2 * 10 ** 3 == 2255
-    # each product of two characters is made twice, as L_p L_q and in the
-    # row L_q L_s; every other operand pair once (`calls` keeps them alive)
-    chars = {id(n) for _, n in calls[:r - 1]}  # the row L_0 L_s
-    seen = Counter((id(m), id(n)) for m, n in calls)
-    assert all(count == (2 if {m, n} <= chars else 1)
-               for (m, n), count in seen.items())
-    assert len(seen) == len(calls) - (r - 1) ** 2
+def _scale(label, c):
+    """sym_power_character_n2 with L_label multiplied by c."""
+    def perturbed(p, kind):
+        x = sym_power_character_n2(p, kind)
+        return x.scale(c) if p == label else x
+    return perturbed
+
+
+# mismatch counts (rules, symmetry, associativity) at r = 5 and r = 11,
+# measured on the products of `conv_mul`, one pair of characters per call
+PERTURBED = {
+    "drop-first-arrow-of-L1": (_drop_arrow(1, 0),
+                               {5: (7, 4, 0), 11: (31, 16, 0)}),
+    "double-L2": (_scale(2, 2), {5: (8, 0, 0), 11: (36, 0, 0)}),
+    "drop-last-arrow-of-L3": (_drop_arrow(3, -1),
+                              {5: (7, 4, 0), 11: (37, 16, 0)}),
+}
+
+
+@pytest.mark.parametrize("r", [5, 11])
+@pytest.mark.parametrize("name", PERTURBED)
+def test_verlinde_counts_match_pairwise_products(name, r, monkeypatch):
+    perturbed, counts = PERTURBED[name]
+    monkeypatch.setattr(fu, "sym_power_character_n2", perturbed)
+    assert verify_fusion_rules(r) == counts[r]
+
+
+@pytest.mark.parametrize("name", PERTURBED)
+def test_verlinde_counts_do_not_depend_on_the_runs(name, monkeypatch):
+    # 2^10 entries hold less than one label's 10 x 10 x 10 products at
+    # r = 11, so every run is a single p
+    perturbed, counts = PERTURBED[name]
+    monkeypatch.setattr(fu, "sym_power_character_n2", perturbed)
+    monkeypatch.setattr(elliptic, "TABLE_BUDGET", 2 ** 10)
+    lengths = []
+    table_runs = fu.table_runs
+    monkeypatch.setattr(fu, "table_runs", lambda *args: [
+        lengths.append(len(run)) or (start, run)
+        for start, run in table_runs(*args)])
+    assert verify_fusion_rules(11) == counts[11]
+    assert set(lengths) == {1}
+
+
+def test_verlinde_products_past_float64_integers_are_refused(monkeypatch):
+    monkeypatch.setattr(fu, "sym_power_character_n2", _scale(2, 2 ** 30))
+    with pytest.raises(TooLarge, match=r"exceed 2\*\*53"):
+        verify_fusion_rules(5)
+
+
+def test_verlinde_check_needs_homogeneous_characters(monkeypatch):
+    def mixed(p, kind):
+        x = sym_power_character_n2(p, kind)
+        return x + chi(kind, kind.alcove()) if p == 1 else x
+    monkeypatch.setattr(fu, "sym_power_character_n2", mixed)
+    with pytest.raises(ShapeMismatch, match="degree 1$"):
+        verify_fusion_rules(5)
 
 
 def test_fusion_suite_never_reads_coefficient_dicts(monkeypatch):
-    # every product and every Verlinde sum keeps its matrix form, and the
-    # checks compare the matrices
+    # the check reads the characters' matrix forms, never a product's dict
     from rsoskit import convolution as cv
     from rsoskit.suites import RunConfig, run_suite
     calls = []
@@ -274,7 +317,6 @@ def test_verlinde_symmetry_checks_the_ring_products(monkeypatch):
     # dropping one arrow from L_1 breaks L_1 L_q = L_q L_1 in the ring,
     # while the closed-form coefficients stay symmetric
     from rsoskit import suites
-    from rsoskit.convolution import ConvolutionElement
 
     def case(config):
         return next(c for c in suites.fusion_suite(config)
@@ -291,6 +333,15 @@ def test_verlinde_symmetry_checks_the_ring_products(monkeypatch):
 
     monkeypatch.setattr(fu, "sym_power_character_n2", perturbed)
     assert not case(config).passed
+
+
+def test_spectrum_refuses_a_bad_exterior_degree_before_the_table(monkeypatch):
+    def no_table(kind):
+        raise AssertionError("psi_table built before every k was checked")
+    monkeypatch.setattr(fu, "psi_table", no_table)
+    with pytest.raises(OutOfRange,
+                       match=r"^exterior degree 7 outside 0\.\.3$"):
+        verify_spectrum([1, 7], 3, 60)
 
 
 def test_spectrum_check_over_budget_is_refused_before_densifying():
