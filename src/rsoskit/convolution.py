@@ -5,23 +5,16 @@ An element is a finitely supported map arrow -> coefficient; the product
 
     (m * n)(gamma) = sum_{beta o alpha = gamma} m(alpha) n(beta)
 
-is exact (integers or Fractions).  It has two paths, chosen from the
-factors alone:
+is exact (integers or Fractions).  The arrows of n are indexed by source
+once, each alpha meets exactly the betas starting at its target, and the
+composite of such a pair is the shift sum from alpha's source, so no arrow
+is built per matched pair.
 
-- Matrix form.  Over a restricted model an arrow (a, mu) of the alcove
-  subring is fixed by its source, its target and its degree sum(mu), so a
-  homogeneous integer element is one |A| x |A| int64 matrix at one degree,
-  and the product of two such elements is one matmul with the degrees
-  added.  `conv_mul` takes it when both factors have the form, the result
-  cannot overflow (max|m| max|n| |A| < 2^63), and the estimated cost of the
-  matmul, |A|^3 multiply-adds, is below that of the sparse path, about
-  |m| |n| / |A| matched arrow pairs (`_matmul_is_cheaper`).  The product
-  keeps only its matrix and builds its coefficient dict on first read.
-- Arrow pairs, for everything else: orbit models, Fractions, mixed
-  degrees, and sparse factors on large alcoves.  The arrows of n are
-  indexed by source once, each alpha meets exactly the betas starting at
-  its target, and the composite of such a pair is the shift sum from
-  alpha's source, so no arrow is built per matched pair.
+Over a restricted model an arrow (a, mu) of the alcove subring is fixed by
+its source, its target and its degree sum(mu), so a homogeneous integer
+element is one |A| x |A| matrix at one degree (`matrix_form`); a check that
+needs dense homogeneous products reads these matrices and multiplies them
+with numpy itself.
 
 A difference operator acts on sections psi over a finite point set A by
 
@@ -39,11 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContextMismatch, SupportOutsideAlcove
+from .errors import ContextMismatch, ShapeMismatch, SupportOutsideAlcove
 from .graded import GradedSpace
 from .groupoid import (Arrow, LatticeVector, ModelKind, WeightPoint,
                        identity_arrow, inverse)
@@ -56,35 +48,17 @@ class ConvolutionElement:
     `context`.
 
     An element is immutable after construction: it copies the coefficients
-    it is given and drops the zero ones, and its matrix form (see
-    `conv_mul`) is built at most once and cached on it.  An element that
-    comes out of a matrix product builds `coeffs` on its first read.
+    it is given and drops the zero ones.
     """
 
-    __slots__ = ("context", "_coeffs", "_form")
+    __slots__ = ("context", "coeffs")
 
     def __init__(self, context: ModelKind, coeffs: dict[Arrow, Coefficient]):
         self.context = context
         # always a copy, so an element never aliases its caller's dict; the
         # filter pass runs only when some term cancels
-        self._coeffs = ({g: c for g, c in coeffs.items() if c != 0}
-                        if 0 in coeffs.values() else dict(coeffs))
-        self._form = _UNKNOWN
-
-    @classmethod
-    def _of_matrix(cls, context: ModelKind, degree: int,
-                   matrix: np.ndarray) -> "ConvolutionElement":
-        matrix.flags.writeable = False
-        x = cls.__new__(cls)
-        x.context, x._coeffs = context, None
-        x._form = _MatrixForm(degree, matrix, int(np.abs(matrix).max()))
-        return x
-
-    @property
-    def coeffs(self) -> dict[Arrow, Coefficient]:
-        if self._coeffs is None:
-            self._coeffs = _coeffs_of(self.context, self._form)
-        return self._coeffs
+        self.coeffs = ({g: c for g, c in coeffs.items() if c != 0}
+                       if 0 in coeffs.values() else dict(coeffs))
 
     def coeff(self, arrow: Arrow) -> Coefficient:
         return self.coeffs.get(arrow, 0)
@@ -98,15 +72,9 @@ class ConvolutionElement:
                f"coeffs={self.coeffs!r})"
 
     def __eq__(self, other) -> bool:
-        if not (isinstance(other, ConvolutionElement)
-                and self.context == other.context):
-            return False
-        x, y = self._form, other._form
-        if type(x) is type(y) is _MatrixForm:
-            # both matrices built; all-zero ones match at any degree
-            return (x.degree == y.degree and np.array_equal(x.matrix, y.matrix)
-                    or x.bound == y.bound == 0)
-        return self.coeffs == other.coeffs
+        return (isinstance(other, ConvolutionElement)
+                and self.context == other.context
+                and self.coeffs == other.coeffs)
 
     def __add__(self, other: "ConvolutionElement") -> "ConvolutionElement":
         if self.context != other.context:
@@ -127,105 +95,33 @@ class ConvolutionElement:
         return conv_mul(self, other)
 
 
-class _MatrixForm(NamedTuple):
-    """Matrix form of a homogeneous integer element over the alcove A:
-    matrix[i, j] is the coefficient of the arrow of degree `degree` from
-    A[i] to A[j] (read-only int64), and `bound` its largest |entry|."""
+def matrix_form(x: ConvolutionElement, degree: int) -> np.ndarray:
+    """The float64 |A| x |A| matrix of x over the alcove A of its restricted
+    model: entry [i, j] is the coefficient of the arrow of degree `degree`
+    from A[i] to A[j], the one arrow its source, target and degree fix.
 
-    degree: int
-    matrix: np.ndarray
-    bound: int
-
-
-# not yet built; None stands for an element with no matrix form
-_UNKNOWN = object()
-INT64_LIMIT = 2 ** 63
-
-
-def _form_of(x: ConvolutionElement) -> _MatrixForm | None:
-    if x._form is _UNKNOWN:
-        x._form = _to_form(x.context, x.coeffs)
-    return x._form
-
-
-def _to_form(kind: ModelKind, coeffs: dict) -> _MatrixForm | None:
-    """The matrix form of an element, or None unless it is nonzero,
-    homogeneous and integer with int64 coefficients on arrows inside the
-    alcove of a restricted model."""
-    if not (kind.is_restricted and coeffs):
-        return None
-    values = list(coeffs.values())
-    degrees = {sum(mu) for _, mu in coeffs}
-    if len(degrees) > 1 or any(type(c) is not int for c in values):
-        return None
-    bound = max(map(abs, values))
-    if bound >= INT64_LIMIT:
-        return None
-    index = kind.alcove_index()
-    rows, cols = [], []
-    for g in coeffs:
+    Raises ShapeMismatch unless x is homogeneous of that degree with int
+    coefficients on arrows inside A.  Entries past 2^53 are rounded; a
+    caller that needs exact products bounds them itself."""
+    refusal = f"not homogeneous of degree {degree}"
+    if not x.context.is_restricted:
+        raise ShapeMismatch(refusal)
+    index = x.context.alcove_index()
+    m = np.zeros((len(index), len(index)))
+    for g, c in x.coeffs.items():
         i, j = index.get(g.source), index.get(g.target)
-        if i is None or j is None:
-            return None
-        rows.append(i)
-        cols.append(j)
-    m = np.zeros((len(index), len(index)), dtype=np.int64)
-    m[rows, cols] = values
-    m.flags.writeable = False
-    return _MatrixForm(degrees.pop(), m, bound)
-
-
-def _coeffs_of(kind: ModelKind, form: _MatrixForm) -> dict[Arrow, int]:
-    """The coefficient dict of a matrix form: the arrow from A[i] to A[j] of
-    degree d has shift A[j] - A[i] + k (1, ..., 1), with k fixed by d."""
-    rows, cols = np.nonzero(form.matrix)
-    points = kind.alcove()
-    offsets = np.array([a.offset for a in points], dtype=np.int64)
-    shifts = offsets[cols] - offsets[rows]
-    shifts += ((form.degree - shifts.sum(axis=1)) // kind.rank)[:, None]
-    new = tuple.__new__
-    return {new(Arrow, (points[i], tuple(mu))): c for i, mu, c in zip(
-        rows.tolist(), shifts.tolist(), form.matrix[rows, cols].tolist())}
+        if (i is None or j is None or sum(g.shift) != degree
+                or type(c) is not int):
+            raise ShapeMismatch(refusal)
+        m[i, j] = c
+    return m
 
 
 def conv_mul(m: ConvolutionElement, n: ConvolutionElement) -> ConvolutionElement:
-    """Convolution product; m sits on the first arrow of each factorization.
-
-    One int64 matmul of the matrix forms when both factors have one, the
-    result cannot overflow and `_matmul_is_cheaper`; else `_compose`."""
+    """Convolution product; m sits on the first arrow of each factorization."""
     if m.context != n.context:
         raise ContextMismatch("product of elements over different groupoids")
-    kind = m.context
-    if kind.is_restricted and _matmul_is_cheaper(
-            _size(m), _size(n), len(kind.alcove())):
-        x, y = _form_of(m), _form_of(n)
-        if (x is not None and y is not None
-                and x.bound * y.bound * len(x.matrix) < INT64_LIMIT):
-            return ConvolutionElement._of_matrix(kind, x.degree + y.degree,
-                                                 x.matrix @ y.matrix)
-    return ConvolutionElement(kind, _compose(m.coeffs, n.coeffs, mul))
-
-
-def _size(x: ConvolutionElement) -> int:
-    coeffs = x._coeffs
-    if coeffs is None:
-        return int(np.count_nonzero(x._form.matrix))
-    return len(coeffs)
-
-
-# Measured with one BLAS thread on 2 cores (CPython 3.11, numpy 2.4):
-# `_compose` spends 0.4-1.1 us per matched arrow pair, less on larger
-# elements, and the pairs number about |m| |n| / |A| on an alcove of |A|
-# points; an int64 matmul spends 0.5-0.7 ns per multiply-add at |A| = 30-600,
-# and the matrix path about 2 us more per call than `_compose` in fixed costs
-PAIR_S = 0.5e-6
-MULTIPLY_ADD_S = 0.6e-9
-MATMUL_CALL_S = 2e-6
-
-
-def _matmul_is_cheaper(m_size: int, n_size: int, points: int) -> bool:
-    return (m_size * n_size / points * PAIR_S
-            > points ** 3 * MULTIPLY_ADD_S + MATMUL_CALL_S)
+    return ConvolutionElement(m.context, _compose(m.coeffs, n.coeffs, mul))
 
 
 def _compose(first: dict, second: dict, product) -> dict:

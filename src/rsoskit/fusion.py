@@ -9,18 +9,21 @@ symmetric-power characters L_p generate the Verlinde algebra
     L_p L_q = sum_{s = p+q mod 2} N_pq^s u^{(p+q-s)/2} L_s,  u = t_1 t_2,
 
 checked with its commutativity and associativity in float64 BLAS products
-of the L_p's stacked matrix forms, exact while every partial sum <= 2^53.
+of the L_p's stacked matrix forms, exact while every partial sum <= 2^53;
+u^k is the identity on the rank-2 alcove (its arrows are loops), so each
+Verlinde sum is sum_s N_pq^s L_s.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .convolution import ConvolutionElement, _form_of, to_difference_operator
+from .convolution import (ConvolutionElement, matrix_form,
+                          to_difference_operator)
 from .elliptic import (EllipticParams, bracket, pair_index, r_minus1, r_reg1,
                        table_runs)
 from .errors import (InvalidConfig, OutOfRange, ShapeMismatch, TooLarge,
@@ -250,19 +253,21 @@ def verify_fusion_rules(r: int) -> tuple[int, int, int]:
     L_p L_q = sum_s N_pq^s u^{(p+q-s)/2} L_s and L_p L_q = L_q L_p for every
     pair, and (L_p L_q) L_s = L_p (L_q L_s) for every triple, over one rank-2
     model: a few float64 BLAS products of the stacked |A| x |A| matrix forms
-    per label q, exact integers unless TooLarge is raised first."""
+    per label q, exact integers unless TooLarge is raised first.  Each u^k
+    is checked once to be the identity matrix (else ShapeMismatch)."""
     kind = ModelKind.rsos(2, r)
     labels, m, size = range(r - 1), r - 1, len(kind.alcove())
-    # u^k with k = (p+q-s)/2 <= min(p, q), so every power is in range(r - 1)
-    forms = [_form_of(sym_power_character_n2(p, kind)) for p in labels] + [
-        _form_of(central_element_n2(kind, k)) for k in labels]
-    # L_p of degree p and u^k of 2k: every compared block has degree p + q
-    for form, degree in zip(forms, [*labels, *range(0, 2 * m, 2)]):
-        if form is None or form.degree != degree:
-            raise ShapeMismatch(f"not homogeneous of degree {degree}")
-    chars, powers = np.split(np.array([f.matrix for f in forms], float), 2)
+    # L_p has degree p, so every compared block has degree p + q
+    chars = np.array([matrix_form(sym_power_character_n2(p, kind), p)
+                      for p in labels])
+    # u^k with k = (p+q-s)/2 <= min(p, q), so every power is in range(r - 1);
+    # its arrows (a, (k, k)) are loops, so it drops out of the Verlinde sums
+    for k in labels:
+        if not np.array_equal(matrix_form(central_element_n2(kind, k), 2 * k),
+                              np.eye(size)):
+            raise ShapeMismatch(f"u^{k} is not the identity on the alcove")
     tall, wide = np.vstack(chars), np.hstack(chars)  # block p: L_p
-    top = max(f.bound for f in forms)
+    top = np.abs(chars).max()
     rules = sym = assoc = 0
     for q in labels:
         row, col = chars[q] @ wide, tall @ chars[q]  # L_q L_s, L_p L_q
@@ -274,13 +279,10 @@ def verify_fusion_rules(r: int) -> tuple[int, int, int]:
         sym += _unequal_blocks(col, np.vstack(np.hsplit(row, m)), size)
         for start, run in table_runs(labels, m * size * size):
             rows = slice(start * size, (start + len(run)) * size)
-            # block (p, s) is u^{(p+q-s)/2} where N_pq^s != 0
-            verlinde = np.zeros((len(run), size, m, size))
-            for (i, p), s in product(enumerate(run), labels):
-                if fusion_coeff(p, q, s, r):
-                    verlinde[i, :, s] = powers[(p + q - s) // 2]
-            rules += _unequal_blocks(verlinde.reshape(len(run) * size, -1)
-                                     @ tall, col[rows], size)
+            coeffs = [[fusion_coeff(p, q, s, r) for s in labels] for p in run]
+            verlinde = np.tensordot(np.array(coeffs, float), chars, 1)
+            rules += _unequal_blocks(verlinde.reshape(-1, size), col[rows],
+                                     size)
             assoc += _unequal_blocks(col[rows] @ wide, tall[rows] @ row, size)
     return rules, sym, assoc
 

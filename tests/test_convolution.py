@@ -6,8 +6,9 @@ import pytest
 
 import rsoskit.convolution as cv
 from rsoskit.convolution import (ConvolutionElement, character, chi,
-                                 conv_mul, involution, to_difference_operator)
-from rsoskit.errors import ContextMismatch, SupportOutsideAlcove
+                                 conv_mul, involution, matrix_form,
+                                 to_difference_operator)
+from rsoskit.errors import ContextMismatch, ShapeMismatch, SupportOutsideAlcove
 from rsoskit.fusion import (central_element_n2, exterior_character,
                             sym_power_character_n2, sym_square_character)
 from rsoskit.graded import dual_space, tensor_space
@@ -223,7 +224,7 @@ def _restricted(x, keep):
 @pytest.mark.parametrize("chars", [
     L11,
     [exterior_character(k, N3R7) for k in range(4)],
-    # pair products, L_s and u^k: products of products on both paths
+    # pair products, L_s and u^k: products of products
     [conv_mul(L11[2], L11[3]), conv_mul(L11[5], L11[5]), L11[0], L11[4],
      central_element_n2(R11, 1), central_element_n2(R11, 3)],
     [sym_square_character(N3R7), *(exterior_character(k, N3R7)
@@ -231,7 +232,7 @@ def _restricted(x, keep):
     # arrows into the lower half, arrows out of the upper half: a zero product
     [_restricted(L11[4], lambda g: g.target.level_coordinate() <= 5),
      _restricted(L11[4], lambda g: g.source.level_coordinate() >= 6)],
-    # 2^58 |A| < 2^63 < 2^80 |A|, and 3^41 > 2^63 has no int64 form
+    # coefficients and products past 2^63 stay exact Python ints
     [L11[5].scale(2 ** 29), L11[5].scale(2 ** 40), L11[3].scale(3 ** 41)],
     [L11[2].scale(Fraction(1, 3)), L11[3]],
 ], ids=["sym-n2-r11", "ext-n3-r7", "products-n2-r11", "sym2-ext-n3-r7",
@@ -258,8 +259,44 @@ def test_zero_matrix_products_equal_at_any_degree():
     assert conv_mul(L11[2], L11[3]) != conv_mul(L11[2], L11[4])
 
 
+@pytest.mark.parametrize("chars", [
+    L11, [exterior_character(k, N3R7) for k in range(4)],
+], ids=["sym-n2-r11", "ext-n3-r7"])
+def test_matrix_form_reads_each_arrow_by_source_target_and_degree(chars):
+    # the shift from A[i] to A[j] is fixed up to (1, ..., 1) by the
+    # offsets, and the degree fixes that multiple
+    points = chars[0].context.alcove()
+    n = points[0].rank
+    for degree, x in enumerate(chars):
+        m = matrix_form(x, degree)
+        assert m.dtype == float and m.shape == (len(points), len(points))
+        for i, a in enumerate(points):
+            for j, b in enumerate(points):
+                diff = [v - u for u, v in zip(a.offset, b.offset)]
+                k, rest = divmod(degree - sum(diff), n)
+                shift = tuple(v + k for v in diff)
+                assert m[i, j] == (0 if rest else x.coeff(Arrow(a, shift)))
+        assert np.count_nonzero(m) == len(x.coeffs)
+
+
+SOS = ModelKind.sos((0.29 + 0.1j, 0.11, 0))
+
+
+@pytest.mark.parametrize("x", [
+    L11[2] + L11[1],
+    L11[2].scale(Fraction(1, 3)),
+    L11[2] + ConvolutionElement(R11, {
+        Arrow(WeightPoint.from_level_coordinate(10), (2, 0)): 1}),
+    ConvolutionElement(SOS, {Arrow(WeightPoint(SOS.base, (0, 0, 0)),
+                                   (1, 1, 0)): 1}),
+], ids=["mixed-degree", "fraction", "leaves-the-alcove", "orbit-model"])
+def test_matrix_form_refuses_elements_without_one(x):
+    with pytest.raises(ShapeMismatch, match="^not homogeneous of degree 2$"):
+        matrix_form(x, 2)
+
+
 def _homogeneous(rng, kind, degree, n_terms=30):
-    """Random integer element of one degree, its matrix form built."""
+    """Random integer element of one degree, with a matrix form."""
     inside, rank = set(kind.alcove()), kind.rank
     coeffs = {}
     for _ in range(n_terms):
@@ -268,7 +305,7 @@ def _homogeneous(rng, kind, degree, n_terms=30):
         if sum(mu) == degree and a + mu in inside:
             coeffs[Arrow(a, mu)] = rng.choice([-3, -2, -1, 1, 2, 3])
     x = ConvolutionElement(kind, coeffs)
-    assert type(cv._form_of(x)) is cv._MatrixForm
+    matrix_form(x, degree)
     return x
 
 
@@ -285,22 +322,18 @@ def test_matrix_sums_match_dict_sums(n, r):
     rng = random.Random(n * r)
     for _ in range(20):
         x, y = _homogeneous(rng, kind, 1), _homogeneous(rng, kind, 1)
-        minus_x = x.scale(-1)
-        cv._form_of(minus_x)
-        for total, want in ((x + y, _dict_sum(x, y)), (x + minus_x, {})):
+        for total, want in ((x + y, _dict_sum(x, y)),
+                            (x + x.scale(-1), {})):
             assert total == ConvolutionElement(kind, want)
             assert total.coeffs == want
-        # mixed degrees add as dicts
+        # a sum of two degrees
         z = _homogeneous(rng, kind, 0)
-        assert (x + z)._form is cv._UNKNOWN
         assert (x + z).coeffs == _dict_sum(x, z)
 
 
 def test_sums_over_the_int64_bound_add_exactly_as_dicts():
     big = L11[3].scale(2 ** 62)
-    assert cv._form_of(big).bound == 2 ** 62
     total = big + big
-    assert total._form is cv._UNKNOWN
     assert set(total.coeffs.values()) == {2 ** 63}
     assert total.coeffs == _dict_sum(big, big)
 
@@ -311,14 +344,6 @@ def _count_compose(monkeypatch):
     monkeypatch.setattr(cv, "_compose",
                         lambda *args: calls.append(1) or compose_(*args))
     return calls
-
-
-def test_fusion_suite_multiplies_homogeneous_characters_as_matrices(
-        monkeypatch):
-    from rsoskit.suites import RunConfig, run_suite
-    calls = _count_compose(monkeypatch)
-    assert all(c.passed for c in run_suite("fusion", RunConfig(n=2, r=11)))
-    assert calls == []
 
 
 def test_sparse_characters_on_large_alcoves_multiply_by_arrow_pairs(

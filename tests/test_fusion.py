@@ -197,16 +197,28 @@ def test_verlinde_check_needs_homogeneous_characters(monkeypatch):
         verify_fusion_rules(5)
 
 
-def test_fusion_suite_never_reads_coefficient_dicts(monkeypatch):
-    # the check reads the characters' matrix forms, never a product's dict
+@pytest.mark.parametrize("perturb", [
+    lambda x: x.scale(2),
+    lambda x: x - ConvolutionElement(x.context, {x.support[0]: 1}),
+], ids=["doubled", "dropped-arrow"])
+def test_verlinde_check_needs_u_to_be_the_identity(perturb, monkeypatch):
+    def perturbed(kind, power=1):
+        x = central_element_n2(kind, power)
+        return perturb(x) if power == 3 else x
+    monkeypatch.setattr(fu, "central_element_n2", perturbed)
+    with pytest.raises(ShapeMismatch, match=r"^u\^3 is not the identity"):
+        verify_fusion_rules(5)
+
+
+def test_verlinde_check_makes_no_convolution_product(monkeypatch):
+    # the check multiplies the characters' matrix forms with numpy alone
     from rsoskit import convolution as cv
-    from rsoskit.suites import RunConfig, run_suite
-    calls = []
-    coeffs_of = cv._coeffs_of
-    monkeypatch.setattr(cv, "_coeffs_of",
-                        lambda *args: calls.append(1) or coeffs_of(*args))
-    assert all(c.passed for c in run_suite("fusion", RunConfig(n=2, r=11)))
-    assert calls == []
+
+    def refuse(*args):
+        raise AssertionError("convolution product in the Verlinde check")
+    monkeypatch.setattr(cv, "conv_mul", refuse)
+    monkeypatch.setattr(cv, "_compose", refuse)
+    assert verify_fusion_rules(11) == (0, 0, 0)
 
 
 def test_verlinde_rules_count_a_dropped_fusion_coefficient(monkeypatch):
