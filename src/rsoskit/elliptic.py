@@ -194,7 +194,8 @@ def _flat_r(points, shifts, params: EllipticParams, diagonal: float,
         if a not in diffs:
             if a.rank != n:
                 raise ValueError("point rank does not match params")
-            diffs[a] = [a.diff(i, j) for i, j in pairs]
+            v = a.values()
+            diffs[a] = [v[i - 1] - v[j - 1] for i, j in pairs]
         if s not in extras:
             extras[s] = [at(w) for w in extra(s)]
         for (i, j), d in zip(pairs, diffs[a]):

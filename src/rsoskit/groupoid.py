@@ -24,17 +24,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache
 from itertools import combinations, combinations_with_replacement
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import InfiniteSet, InvalidConfig, NonComposable, check_budget
 
 LatticeVector = tuple[int, ...]
 
 
+@cache
 def eps(n: int, i: int) -> LatticeVector:
-    """Standard basis vector epsilon_i (1-based i) of the rank-n lattice."""
+    """Standard basis vector epsilon_i (1-based i) of the rank-n lattice,
+    built once per (n, i)."""
     if not 1 <= i <= n:
         raise IndexError(f"epsilon index {i} out of range 1..{n}")
     return tuple(1 if k == i - 1 else 0 for k in range(n))
@@ -45,7 +47,9 @@ def zero_vector(n: int) -> LatticeVector:
 
 
 def add_vectors(a: LatticeVector, b: LatticeVector) -> LatticeVector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vector ranks differ: {len(a)} and {len(b)}")
+    return tuple(map(add, a, b))
 
 
 def negate(a: LatticeVector) -> LatticeVector:
@@ -57,9 +61,37 @@ def rho(n: int) -> LatticeVector:
     return tuple(range(n - 1, -1, -1))
 
 
+class _cached_attribute:
+    """Non-data descriptor that computes an attribute on first read and
+    stores it in the instance `__dict__`, where later reads find it before
+    the descriptor.  It stands in for `functools.cached_property`, which on
+    CPython 3.10 and 3.11 takes an RLock on every first read; arrows are
+    built and their targets read in bulk, where that lock cost more than
+    the read itself."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+def _canonical(offset: LatticeVector) -> LatticeVector:
+    """The representative of offset mod Z(1,...,1) whose last entry is 0."""
+    last = offset[-1]
+    return offset if last == 0 else tuple([o - last for o in offset])
+
+
 class _Pair(tuple):
     """Two-field value type: hashed and compared as its field tuple,
-    unordered, and rebuilt from its fields by copy and pickle."""
+    unordered, and rebuilt from its fields alone by copy and pickle."""
 
     __slots__ = ()
 
@@ -68,8 +100,8 @@ class _Pair(tuple):
 
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
-    def __getnewargs__(self):
-        return tuple(self)
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
 class WeightPoint(_Pair):
@@ -82,9 +114,7 @@ class WeightPoint(_Pair):
     __slots__ = ()
 
     def __new__(cls, base: tuple[complex, ...], offset: LatticeVector):
-        last = offset[-1]
-        if last != 0:
-            offset = tuple(o - last for o in offset)
+        offset = _canonical(offset)
         if len(base) != len(offset):
             raise ValueError("base and offset ranks differ")
         return tuple.__new__(cls, (base, offset))
@@ -113,7 +143,8 @@ class WeightPoint(_Pair):
 
     def values(self) -> tuple[complex, ...]:
         """Coordinates of the canonical representative."""
-        return tuple(b + o for b, o in zip(self.base, self.offset))
+        base, offset = self
+        return tuple(map(add, base, offset))
 
     def diff(self, i: int, j: int) -> complex:
         """a_i - a_j (1-based), independent of the representative."""
@@ -127,7 +158,11 @@ class WeightPoint(_Pair):
         return self.offset[0] - self.offset[1]
 
     def shifted(self, mu: LatticeVector) -> "WeightPoint":
-        return WeightPoint(self.base, add_vectors(self.offset, mu))
+        # base and offset share a rank and add_vectors checks mu's, so the
+        # sum needs only canonicalizing, not __new__'s rank check
+        base, offset = self
+        offset = _canonical(add_vectors(offset, mu))
+        return tuple.__new__(WeightPoint, (base, offset))
 
     def __add__(self, mu: LatticeVector) -> "WeightPoint":
         return self.shifted(mu)
@@ -152,10 +187,12 @@ class Arrow(_Pair):
     source = property(itemgetter(0))
     shift = property(itemgetter(1))
 
-    # cached in the instance dict: equality, hashing and repr see only fields
-    @cached_property
+    # cached in the instance dict: equality, hashing, repr, copy and pickle
+    # see only the fields
+    @_cached_attribute
     def target(self) -> WeightPoint:
-        return self.source.shifted(self.shift)
+        source, shift = self
+        return source.shifted(shift)
 
     @property
     def is_loop(self) -> bool:
@@ -301,7 +338,7 @@ class ModelKind:
         return self._alcove
 
     # cached in the instance dict: equality and hashing see only fields
-    @cached_property
+    @_cached_attribute
     def _alcove(self) -> tuple[WeightPoint, ...]:
         return tuple(rsos_alcove(self.rank, self.level))
 
@@ -309,15 +346,15 @@ class ModelKind:
         """Position of each point in `alcove()`, built once per model."""
         return self._alcove_index
 
-    @cached_property
+    @_cached_attribute
     def _alcove_index(self) -> dict[WeightPoint, int]:
         return {a: i for i, a in enumerate(self.alcove())}
 
-    @cached_property
+    @_cached_attribute
     def _paths(self) -> dict[tuple[WeightPoint, int], tuple[tuple[int, ...], ...]]:
         return {}
 
-    @cached_property
+    @_cached_attribute
     def _successors(self) -> dict[WeightPoint, tuple[tuple[int, WeightPoint], ...]]:
         return {}
 

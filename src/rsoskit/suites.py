@@ -106,6 +106,9 @@ class _PointSampler:
         self.rng = random.Random(config.seed)
         self.config = config
         self.r = config.r
+        # r(k + l tau), |k|, |l| <= 2: the translates of the poles z = +-1
+        self._lattice = [self.r * (k + l * config.tau)
+                         for k in range(-2, 3) for l in range(-2, 3)]
 
     def spectral(self) -> complex:
         while True:
@@ -120,12 +123,11 @@ class _PointSampler:
                 return z, w
 
     def _pole_distance(self, z: complex) -> float:
-        tau = self.config.tau
         best = float("inf")
         for sign in (1.0, -1.0):
-            for k in range(-2, 3):
-                for l in range(-2, 3):
-                    best = min(best, abs(z - sign - self.r * (k + l * tau)))
+            w = z - sign
+            for c in self._lattice:
+                best = min(best, abs(w - c))
         return best
 
     def generic_point(self, n: int) -> WeightPoint:
@@ -300,9 +302,9 @@ def _random_arrows(rng: random.Random, points, n: int, draws: int,
     inside = set(points)
     for _ in range(draws):
         a = rng.choice(points)
-        mu = tuple(rng.randrange(-1, 2) for _ in range(n))
-        if (a + mu) in inside:
-            out[Arrow(a, mu)] = rng.randrange(low, high)
+        arrow = Arrow(a, tuple(rng.randrange(-1, 2) for _ in range(n)))
+        if arrow.target in inside:  # cached on the arrow for conv_mul
+            out[arrow] = rng.randrange(low, high)
     return out
 
 

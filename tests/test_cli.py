@@ -111,6 +111,16 @@ def test_verify_all_report_matches_golden_n3r7():
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden.read_text()
 
 
+def test_verify_all_report_matches_golden_n3r7_generic_base(tmp_path):
+    # tests/data/verify_all_n3r7_base.json pins the `*-sos-generic-base`
+    # cases, the only ones that shift and canonicalize complex-base points
+    golden = Path(__file__).parent / "data" / "verify_all_n3r7_base.json"
+    code, text = run_cli(["verify", "all", "--n", "3", "--r", "7",
+                          "--base", "0.29,0.03;0.11;0"], tmp_path, "b.json")
+    assert code == 0
+    assert text == golden.read_text()
+
+
 # Bracket calls per suite at seed 0: one per R-matrix table, and a table
 # holds every spectral parameter of its check (theta: [h], [-h] and [r];
 # unitarity: every sample; dybe and star-triangle: one per sample;

@@ -236,7 +236,7 @@ def _restricted(x, keep):
     [L11[5].scale(2 ** 29), L11[5].scale(2 ** 40), L11[3].scale(3 ** 41)],
     [L11[2].scale(Fraction(1, 3)), L11[3]],
 ], ids=["sym-n2-r11", "ext-n3-r7", "products-n2-r11", "sym2-ext-n3-r7",
-        "zero-product", "int64-bound", "fraction"])
+        "zero-product", "past-2-63-exact-ints", "fraction"])
 def test_conv_mul_matches_pairwise_oracle_on_characters(chars):
     for x in chars:
         for y in chars:
@@ -249,7 +249,7 @@ def test_conv_mul_matches_pairwise_oracle_on_characters(chars):
                 assert g.target == Arrow(a, shift).target
 
 
-def test_zero_matrix_products_equal_at_any_degree():
+def test_zero_products_equal_at_any_degree():
     low = _restricted(L11[4], lambda g: g.target.level_coordinate() <= 5)
     high = _restricted(L11[4], lambda g: g.source.level_coordinate() >= 6)
     up = _restricted(L11[1], lambda g: g.source.level_coordinate() >= 6)
@@ -331,7 +331,7 @@ def test_matrix_sums_match_dict_sums(n, r):
         assert (x + z).coeffs == _dict_sum(x, z)
 
 
-def test_sums_over_the_int64_bound_add_exactly_as_dicts():
+def test_sums_past_2_63_add_as_exact_python_ints():
     big = L11[3].scale(2 ** 62)
     total = big + big
     assert set(total.coeffs.values()) == {2 ** 63}
@@ -352,7 +352,7 @@ def test_sparse_characters_on_large_alcoves_multiply_by_arrow_pairs(
     chv = character(build_vector_space(ModelKind.rsos(3, 60)))
     calls = _count_compose(monkeypatch)
     square = conv_mul(chv, chv)
-    assert calls == [1]
+    assert calls == [1]  # one pairing pass per product, as for every conv_mul
     assert square == _pairwise_conv_mul(chv, chv)
 
 

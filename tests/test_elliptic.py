@@ -441,18 +441,19 @@ def test_mixed_spectral_table_rows_equal_one_point_matrices(n, r):
 @pytest.mark.parametrize("n,r", [(2, 5), (3, 7), (4, 6)])
 def test_stacked_table_equals_per_row_build(n, r, monkeypatch):
     # the table of a batch of spectral parameters repeats every point once
-    # per parameter: each row equals its one-row build bit for bit, and each
-    # difference a_i - a_j is taken once per distinct point
+    # per parameter: each row equals its one-row build bit for bit, and the
+    # coordinates behind the differences a_i - a_j are read once per
+    # distinct point
     p, points = params(n, r), rsos_alcove(n, r)
     zs = (0.3, 0.17 + 0.05j, -0.42 + 0.11j, 0.6 + 0.02j)
     rows = [(z, a) for z in zs for a in points]
     want = [r_table(z, [a], p)[0] for z, a in rows]
-    diffs = []
-    real = WeightPoint.diff
-    monkeypatch.setattr(WeightPoint, "diff",
-                        lambda a, i, j: diffs.append(a) or real(a, i, j))
+    reads = []
+    real = WeightPoint.values
+    monkeypatch.setattr(WeightPoint, "values",
+                        lambda a: reads.append(a) or real(a))
     table = r_table(*zip(*rows), p)
-    assert len(diffs) == len(points) * n * (n - 1)
+    assert len(reads) == len(points)
     assert all(np.array_equal(m, w) for m, w in zip(table, want))
 
 

@@ -8,8 +8,9 @@ import pytest
 from rsoskit import groupoid
 from rsoskit.errors import InfiniteSet, NonComposable, TooLarge
 from rsoskit.groupoid import (AlcoveKind, AlcoveSpec, Arrow, WeightPoint,
-                              alcove_contains, compose, enumerate_alcove, eps,
-                              identity_arrow, inverse, rho, rsos_alcove)
+                              add_vectors, alcove_contains, compose,
+                              enumerate_alcove, eps, identity_arrow, inverse,
+                              rho, rsos_alcove)
 
 
 def test_canonical_representative():
@@ -219,3 +220,62 @@ def test_hash_is_the_field_tuple_hash():
 def test_rank_mismatch_is_rejected():
     with pytest.raises(ValueError, match="base and offset ranks differ"):
         WeightPoint((0, 0), (1, 2, 3))
+
+
+def _shift_samples():
+    # seeded points of O_0 and of a complex-base orbit, each with a shift
+    # whose last entry is non-zero, so that every sum is canonicalized
+    rng = random.Random(29)
+    out = []
+    for base in ((0, 0, 0), COMPLEX_BASE):
+        for _ in range(25):
+            offset = tuple(rng.randrange(-4, 5) for _ in range(3))
+            mu = (rng.randrange(-2, 3), rng.randrange(-2, 3),
+                  rng.choice((-2, -1, 1, 2)))
+            out.append((WeightPoint(base, offset), mu))
+    return out
+
+
+def test_shift_is_the_point_of_the_summed_offsets():
+    for a, mu in _shift_samples():
+        moved = a + mu
+        want = WeightPoint(a.base, tuple(x + y for x, y in zip(a.offset, mu)))
+        assert type(moved) is WeightPoint and moved == want
+        assert moved.offset == want.offset and moved.offset[-1] == 0
+        assert hash(moved) == hash(want) and repr(moved) == repr(want)
+        assert moved.values() == tuple(b + o for b, o in
+                                       zip(want.base, want.offset))
+
+
+def test_shift_rank_mismatch_is_rejected():
+    a = WeightPoint(COMPLEX_BASE, (1, 0, 2))
+    for bad in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="vector ranks differ"):
+            add_vectors((1, 0, 0), bad)
+        with pytest.raises(ValueError, match="vector ranks differ"):
+            a.shifted(bad)
+        with pytest.raises(ValueError, match="vector ranks differ"):
+            Arrow(a, bad).target
+
+
+def test_cached_target_is_invisible_to_value_semantics():
+    a, mu = WeightPoint(COMPLEX_BASE, (1, 0, 2)), (0, 1, 1)
+    g = Arrow(a, mu)
+    before = (hash(g), repr(g), pickle.dumps(g))
+    target = g.target
+    assert g.target is target and target == a + mu
+    assert g == Arrow(a, mu)
+    assert (hash(g), repr(g), pickle.dumps(g)) == before
+    for clone in (copy.copy, copy.deepcopy,
+                  lambda x: pickle.loads(pickle.dumps(x))):
+        y = clone(g)
+        assert type(y) is Arrow and y == g and hash(y) == hash(g)
+        assert repr(y) == repr(g) and "target" not in vars(y)
+        assert y.target == target
+
+
+def test_eps_is_built_once_and_checks_its_index():
+    assert eps(3, 2) == (0, 1, 0) and eps(3, 2) is eps(3, 2)
+    for i in (0, 4, -1):
+        with pytest.raises(IndexError, match="out of range 1..3"):
+            eps(3, i)
