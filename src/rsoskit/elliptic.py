@@ -19,14 +19,19 @@ from one array bracket call that evaluates each distinct bracket argument
 once (`r_table`, with one spectral parameter per row, `r_reg1`, `r_minus1`;
 `r_matrix` is the one-row `r_table`).  Every caller makes one table for all
 its spectral parameters: unitarity for z and -z, Yang-Baxter for its 3 + 3n
-rows, the residue oracle for its three eps rows, `rsos.restricted_r` for all
-its z (so a chain's L(z) for its sites z + u_k at every z of a stack).  Over
-large point or sample sets callers table run by run (`table_runs`), each
-stating the table entries one point or sample costs (n^4 per spectral
-parameter over the points themselves, 2 n^4 per unitarity sample,
-3 (n + 1) n^4 for the star-triangle rows over a point and its successors),
-so no run's table exceeds TABLE_BUDGET entries; `transfer.transfer_matrix`
-cuts its stacked L(z) evaluations under the same budget.
+rows, the residue oracle for its three eps rows, `rsos.restricted_r` and
+`rsos.restriction_residual` for all their z (so a chain's L(z) for its sites
+z + u_k at every z of a stack), `rsos.star_triangle_residual` for all its
+pairs.  Over large point or sample sets callers table run by run
+(`table_runs`), each stating the table entries one point or sample costs
+(n^4 per spectral parameter over the points themselves, 2 n^4 per unitarity
+sample), so no run's table exceeds TABLE_BUDGET entries.  The star-triangle
+and restriction checks size their runs by one spectral pair or z
+(3 (n + 1) n^4 over a point and its successors, n^4 over a point) and cut
+their parameters into chunks (`param_chunks`), so that each tile, a run of
+points by a chunk of parameters, is one table within TABLE_BUDGET entries;
+`transfer.transfer_matrix` cuts its stacked L(z) evaluations under the same
+budget.
 """
 
 from __future__ import annotations
@@ -241,6 +246,26 @@ def table_runs(points, cost: int) -> list:
     TABLE_BUDGET entries."""
     step = max(1, TABLE_BUDGET // cost)
     return [(k, points[k:k + step]) for k in range(0, len(points), step)]
+
+
+def param_chunks(groups, cost: int) -> list:
+    """(members, params) pairs cutting `groups`, tuples of spectral
+    parameters, into consecutive chunks of at most TABLE_BUDGET / cost
+    groups and distinct parameters (at least one group), where `cost` is the
+    entries one parameter adds to a chunk's tables; `params` lists the
+    chunk's distinct parameters in order of first appearance."""
+    limit = TABLE_BUDGET // cost
+    chunks, members, params = [], [], {}
+    for group in groups:
+        grown = params | dict.fromkeys(group)
+        if members and max(len(grown), len(members) + 1) > limit:
+            chunks.append((members, list(params)))
+            members, grown = [], dict.fromkeys(group)
+        members.append(group)
+        params = grown
+    if members:
+        chunks.append((members, list(params)))
+    return chunks
 
 
 def r_matrix(z: complex, a: WeightPoint, params: EllipticParams) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .elliptic import (POLE_GUARD, EllipticParams, bracket, pair_index,
-                       r_matrix, r_table, table_runs)
+                       param_chunks, r_matrix, r_table, table_runs)
 from .errors import (BaseOnSingularSet, ContextMismatch, NonSquare,
                      RestrictionViolated)
 from .graded import GradedMorphism, GradedSpace, memo, tensor_space
@@ -158,86 +158,113 @@ def _check_forbidden(flats: np.ndarray, a: WeightPoint,
                 f"component ({i},{j})<-({k},{l}) at {a!r} is {v:.2e}")
 
 
-def restriction_residual(z: complex, kind: ModelKind,
-                         params: EllipticParams) -> float:
-    """Largest forbidden component over the whole alcove (restricted case)."""
+def restriction_residual(z, kind: ModelKind, params: EllipticParams) -> float:
+    """Largest forbidden component over the whole alcove (restricted case)
+    at z, or at every z of a sequence.  Per run of `table_runs` (sized by
+    one z's n^4 entries per point), each chunk of `param_chunks` is one
+    table with rows at its z over the run's points."""
     if not kind.is_restricted:
         raise ContextMismatch("restriction residual needs the restricted model")
+    zs = [z] if np.ndim(z) == 0 else list(z)
+    n2 = kind.rank ** 2
     worst = 0.0
-    for _, run in table_runs(kind.alcove(), kind.rank ** 4):
-        for flat, a in zip(r_table(z, run, params), run):
-            for *_, v in _forbidden_components(flat, a, kind):
-                worst = max(worst, abs(complex(v)))
+    for _, run in table_runs(kind.alcove(), n2 * n2):
+        for _, us in param_chunks([(u,) for u in zs], len(run) * n2 * n2):
+            table = r_table([u for u in us for _ in run], run * len(us),
+                            params).reshape(len(us), len(run), n2, n2)
+            for s, a in enumerate(run):
+                for *_, v in _forbidden_components(table[:, s], a, kind):
+                    worst = max(worst, *map(abs, v.tolist()))
     return worst
 
 
 def _sites(points, kind: ModelKind) -> tuple[list[WeightPoint], list]:
     """The start points of the slots of the three-step paths from `points`,
-    in table-row order, and (a, paths, at) per point with such paths: at[s][c]
-    is the table row of the start of slot s of path c, which is a for slot 0
-    and a + eps_i after the first step i for slot 1."""
+    in table-row order, and (a, paths, gather) per point with such paths.
+
+    gather indexes the flattened R-matrix table over the start points, and
+    `_site_operators` reads the point's operators on steps (slot, slot + 1)
+    with it, stacked over slot 0 and 1.  Entry (row, col) of a slot's
+    operator is <e_i (x) e_j | R | e_k (x) e_l> at the slot's start, where
+    (k, l) are the column path's steps there and (i, j) the row path's, if
+    the paths agree off the slot, else 0: the operator is the identity on
+    the other step.  The slot's start is table row a for slot 0 and
+    a + eps_i after the first step i for slot 1; a 0 entry reads
+    <e_1 (x) e_1 | R | e_1 (x) e_2>, which conserves no weight and so is 0
+    in every table."""
     n = kind.rank
     starts: dict[WeightPoint, int] = {}
     sites = []
+    zero = pair_index(n, 1, 1) * n * n + pair_index(n, 1, 2)
     for a in points:
         paths = kind.paths(a, 3)
         if paths:
             here = starts.setdefault(a, len(starts))
             after = {i: starts.setdefault(a + eps(n, i), len(starts))
                      for i in dict.fromkeys(p[0] for p in paths)}
-            at = ([here] * len(paths), [after[p[0]] for p in paths])
-            sites.append((a, paths, at))
+            at = np.array(([here] * len(paths), [after[p[0]] for p in paths]))
+            steps = np.array(paths)
+            pair = pair_index(n, steps[:, :2], steps[:, 1:]).T
+            off = np.stack([steps[:, 2], steps[:, 0]])
+            entry = ((at[:, None, :] * n * n + pair[:, :, None]) * n * n
+                     + pair[:, None, :])
+            agree = off[:, :, None] == off[:, None, :]
+            sites.append((a, paths, np.where(agree, entry, zero)))
     return list(starts), sites
 
 
-def _site_operators(tables: dict, paths, at, n: int) -> dict:
-    """Per table over the start points of `_sites`, the operators on steps
-    (slot, slot + 1) of `paths`, stacked over slot 0 and 1.
-
-    Entry (row, col) of a slot's operator is <e_i (x) e_j | R | e_k (x) e_l>
-    at the slot's start, where (k, l) are the column path's steps there and
-    (i, j) the row path's, if the paths agree off the slot, else 0: the
-    operator is the identity on the other step."""
-    steps = np.array(paths)
-    pair = pair_index(n, steps[:, :2], steps[:, 1:]).T
-    off = np.stack([steps[:, 2], steps[:, 0]])
-    index = np.array(at)[:, None, :], pair[:, :, None], pair[:, None, :]
-    mask = off[:, :, None] == off[:, None, :]
-    return {u: np.where(mask, table[index], 0) for u, table in tables.items()}
+def _site_operators(table: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """A site's operators read off `table`, a stack of R-matrix tables over
+    the start points of `_sites` (one per spectral parameter), by the site's
+    gather: shape (len(table), 2, P, P) for P paths."""
+    return np.take(table.reshape(len(table), -1), gather, axis=1)
 
 
-def star_triangle_residual(z: complex, w: complex, kind: ModelKind,
-                           params: EllipticParams,
+def star_triangle_residual(z, w, kind: ModelKind, params: EllipticParams,
                            points: list[WeightPoint] | None = None) -> float:
     """Max-norm residual of the face-form Yang-Baxter identity
 
         R23(z-w) R12(z) R23(w) = R12(w) R23(z) R12(z-w)
 
     on the three-step path space from each starting point; entries of the
-    difference are the hexagon relations summed over internal arrows.  Each
-    run of `table_runs` makes one R-matrix table, with rows at each distinct
-    spectral parameter over the slot start points of its sites (`_sites`),
-    and each point's operators are read off it while that point is checked.
+    difference are the hexagon relations summed over internal arrows.  Given
+    equal-length sequences z and w, the largest over the pairs (z[k], w[k]).
+
+    The points are cut into runs by `table_runs`, sized by one pair's
+    3 (n + 1) n^4 entries per point, and each run's sites (`_sites`) are
+    built once.  The pairs are cut into chunks by `param_chunks`, so that a
+    chunk's table, with rows at its distinct spectral parameters over the
+    run's slot start points, and each site's operator stack stay within
+    TABLE_BUDGET.  Both triple products are stacked matmuls over a chunk's
+    pairs, each slice the product of the one-pair check.
     """
     if points is None:
         if kind.is_restricted:
             points = kind.alcove()
         else:
             raise ValueError("unrestricted model needs explicit points")
-    us = (z - w, z, w)
+    if np.ndim(z) == 0:
+        z, w = [z], [w]
+    if len(z) != len(w):
+        raise ValueError(f"one w per z required: {len(w)} given for {len(z)}")
+    pairs = [(u - v, u, v) for u, v in dict.fromkeys(zip(z, w))]
+    n2 = kind.rank ** 2
     worst = 0.0
-    for _, run in table_runs(points, 3 * (kind.rank + 1) * kind.rank ** 4):
+    for _, run in table_runs(points, 3 * (kind.rank + 1) * n2 * n2):
         starts, sites = _sites(run, kind)
         if not sites:
             continue
-        distinct = list(dict.fromkeys(us))
-        table = r_table([u for u in distinct for _ in starts],
-                        starts * len(distinct), params)
-        tables = dict(zip(distinct, table.reshape(len(distinct), len(starts),
-                                                  *table.shape[1:])))
-        for _, paths, at in sites:
-            ops = _site_operators(tables, paths, at, kind.rank)
-            (zw0, zw1), (z0, z1), (w0, w1) = (ops[u] for u in us)
-            diff = zw1 @ z0 @ w1 - w0 @ z1 @ zw0
-            worst = max(worst, float(np.abs(diff).max()))
+        paths = max(len(p) for _, p, _ in sites)
+        cost = max(len(starts) * n2 * n2, 2 * paths * paths)
+        for members, us in param_chunks(pairs, cost):
+            table = r_table([u for u in us for _ in starts],
+                            starts * len(us), params).reshape(
+                                len(us), len(starts), n2, n2)
+            row = {u: k for k, u in enumerate(us)}
+            kzw, kz, kw = np.array([[row[u] for u in m] for m in members]).T
+            for _, _, gather in sites:
+                ops = _site_operators(table, gather)
+                diff = (ops[kzw, 1] @ ops[kz, 0] @ ops[kw, 1]
+                        - ops[kw, 0] @ ops[kz, 1] @ ops[kzw, 0])
+                worst = max(worst, float(np.abs(diff).max()))
     return worst

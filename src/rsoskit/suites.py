@@ -218,21 +218,17 @@ def star_triangle_suite(config: RunConfig) -> list[Case]:
     params = config.params()
     kind = config.kind()
     sampler = _PointSampler(config)
-    worst = 0.0
-    for _ in range(STAR_TRIANGLE_PAIRS):
-        z, w = sampler.spectral_pair()
-        worst = max(worst, rsos.star_triangle_residual(z, w, kind, params))
+    pairs = [sampler.spectral_pair() for _ in range(STAR_TRIANGLE_PAIRS)]
+    worst = rsos.star_triangle_residual(*zip(*pairs), kind, params)
     cases = [Case(f"star-triangle-n{config.n}-r{config.r}", worst, 1e-9)]
     if config.base_b is not None:
         n = config.n
         b = WeightPoint(base=tuple(config.base_b), offset=(0,) * n)
         window = [b, b + eps(n, 1), b + eps(n, n - 1)]
         sos_kind = rsos.ModelKind.sos(tuple(config.base_b))
-        sos_worst = 0.0
-        for _ in range(3):
-            z, w = sampler.spectral_pair()
-            sos_worst = max(sos_worst, rsos.star_triangle_residual(
-                z, w, sos_kind, params, points=window))
+        pairs = [sampler.spectral_pair() for _ in range(3)]
+        sos_worst = rsos.star_triangle_residual(*zip(*pairs), sos_kind,
+                                                params, points=window)
         cases.append(Case("star-triangle-sos-generic-base", sos_worst, 1e-9))
     return cases
 
@@ -241,10 +237,8 @@ def restriction_suite(config: RunConfig) -> list[Case]:
     params = config.params()
     kind = config.kind()
     sampler = _PointSampler(config)
-    worst = 0.0
-    for _ in range(RESTRICTION_SAMPLES):
-        worst = max(worst, rsos.restriction_residual(sampler.spectral(),
-                                                     kind, params))
+    zs = [sampler.spectral() for _ in range(RESTRICTION_SAMPLES)]
+    worst = rsos.restriction_residual(zs, kind, params)
     return [Case(f"restriction-n{config.n}-r{config.r}", worst, 1e-12)]
 
 

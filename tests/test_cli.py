@@ -121,22 +121,32 @@ def test_verify_all_report_matches_golden_n3r7_generic_base(tmp_path):
     assert text == golden.read_text()
 
 
-# Bracket calls per suite at seed 0: one per R-matrix table, and a table
-# holds every spectral parameter of its check (theta: [h], [-h] and [r];
-# unitarity: every sample; dybe and star-triangle: one per sample;
-# restriction: one per z; exactness: fusion_bases' r_minus1 and r_reg1
+def test_star_triangle_report_matches_golden_n3r60(tmp_path):
+    # tests/data/verify_star_triangle_n3r60.json pins a check that spans
+    # several runs of points and several chunks of spectral pairs
+    golden = (Path(__file__).parent / "data"
+              / "verify_star_triangle_n3r60.json")
+    code, text = run_cli(["verify", "star-triangle", "--n", "3", "--r", "60"],
+                         tmp_path, "st.json")
+    assert code == 0
+    assert text == golden.read_text()
+
+
+# Bracket calls per suite at seed 0: one per R-matrix table, and a table holds
+# every spectral parameter of its check (theta: [h], [-h] and [r]; unitarity:
+# every sample; dybe: one per sample; star-triangle: one for all its pairs;
+# restriction: one for all its z; exactness: fusion_bases' r_minus1 and r_reg1
 # tables, its one call for the brackets of the explicit vectors, and the
 # residue oracle's table; transfer-commute: one for the chain with loop
-# sections (the 3-site chain at n = 3, the 2-site one at n = 2), all its
-# sites at all 2 * TRANSFER_PAIRS points from one table, the other chain
-# evaluating nothing; partition: per width, the row-to-row table and the
-# chain's one)
+# sections (the 3-site chain at n = 3, the 2-site one at n = 2), all its sites
+# at all 2 * TRANSFER_PAIRS points from one table, the other chain evaluating
+# nothing; partition: per width, the row-to-row table and the chain's one)
 BRACKET_CALLS = {
-    (3, 7): {"theta": 1, "unitarity": 1, "dybe": 20, "star-triangle": 10,
-             "restriction": 3, "exactness": 4, "transfer-commute": 1,
+    (3, 7): {"theta": 1, "unitarity": 1, "dybe": 20, "star-triangle": 1,
+             "restriction": 1, "exactness": 4, "transfer-commute": 1,
              "characters": 0, "fusion": 0, "spectrum": 0},
-    (2, 5): {"theta": 1, "unitarity": 1, "dybe": 20, "star-triangle": 10,
-             "restriction": 3, "exactness": 4, "transfer-commute": 1,
+    (2, 5): {"theta": 1, "unitarity": 1, "dybe": 20, "star-triangle": 1,
+             "restriction": 1, "exactness": 4, "transfer-commute": 1,
              "characters": 0, "fusion": 0, "spectrum": 0, "partition": 6},
 }
 

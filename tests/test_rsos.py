@@ -8,7 +8,7 @@ from rsoskit.convolution import character
 from rsoskit.elliptic import (EllipticParams, bracket, pair_index, r_matrix,
                               r_table)
 from rsoskit.errors import (BaseOnSingularSet, InfiniteSet, InvalidConfig,
-                            NonSquare, RestrictionViolated)
+                            NearPole, NonSquare, RestrictionViolated)
 from rsoskit.graded import identity_morphism
 from rsoskit.groupoid import (AlcoveKind, AlcoveSpec, Arrow, WeightPoint,
                               add_vectors, alcove_contains, eps, rsos_alcove)
@@ -271,6 +271,12 @@ def test_one_table_per_spectral_parameter(monkeypatch):
         del calls[:]
         star_triangle_residual(0.31, w, kind, params)
         assert len(calls) == 1
+    # ... and one for every pair of a sequence, and every z of restriction
+    del calls[:]
+    star_triangle_residual([0.31, 0.2, 0.31], [0.17 + 0.05j, 0.0, 0.31],
+                           kind, params)
+    restriction_residual([0.31, 0.17 + 0.05j, -0.42], kind, params)
+    assert len(calls) == 2
     # [d] and [d+1] are shared by the rows at the three spectral parameters
     del calls[:]
     star_triangle_residual(0.31, 0.17 + 0.05j, kind, params)
@@ -366,6 +372,137 @@ def test_star_triangle_sos_generic_base():
                                   points=pts) < 1e-9
 
 
+def _star_triangle_setups():
+    b = WeightPoint(base=(0.29, 0.11, 0.0), offset=(0, 0, 0))
+    setups = [(ModelKind.rsos(n, r), EllipticParams.rsos(n, r, TAU), None)
+              for n, r in ((2, 5), (3, 5), (3, 7), (4, 6))]
+    setups.append((ModelKind.sos(b.base), EllipticParams.rsos(3, 5, TAU),
+                   [b, b + eps(3, 1), b + (1, 1, 0)]))
+    return setups
+
+
+# seeded pairs, a degenerate pair z == w, and a repeated pair
+_RNG = random.Random(30)
+PAIRS = [(complex(_RNG.uniform(0.1, 0.6), _RNG.uniform(0.0, 0.2)),
+          complex(_RNG.uniform(0.1, 0.6), _RNG.uniform(0.0, 0.2)))
+         for _ in range(4)]
+PAIRS += [(0.31 + 0.02j, 0.31 + 0.02j), PAIRS[1]]
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_batched_star_triangle_is_the_max_of_single_pairs(monkeypatch, budget):
+    import rsoskit.elliptic as el
+    import rsoskit.rsos as rs
+    singles = [[star_triangle_residual(z, w, kind, params, points=window)
+                for z, w in PAIRS]
+               for kind, params, window in _star_triangle_setups()]
+    tables = []
+    real = rs.r_table
+    monkeypatch.setattr(rs, "r_table", lambda u, pts, p:
+                        tables.append(len(pts)) or real(u, pts, p))
+    if budget is not None:
+        monkeypatch.setattr(el, "TABLE_BUDGET", budget)
+    zs, ws = zip(*PAIRS)
+    for (kind, params, window), single in zip(_star_triangle_setups(),
+                                              singles):
+        del tables[:]
+        worst = star_triangle_residual(zs, ws, kind, params, points=window)
+        assert worst == max(single)
+        points = window or kind.alcove()
+        if budget is None:  # the whole check is one table
+            assert len(tables) == 1
+        else:  # one point per run and one distinct pair per chunk
+            sites = sum(1 for a in points if kind.paths(a, 3))
+            assert len(tables) == sites * len(set(PAIRS))
+            assert max(tables) <= 3 * (1 + kind.rank)
+
+
+def test_star_triangle_tiles_stay_within_the_table_budget(monkeypatch):
+    import rsoskit.elliptic as el
+    import rsoskit.rsos as rs
+    kind, params = ModelKind.rsos(3, 7), EllipticParams.rsos(3, 7, TAU)
+    zs, ws = zip(*PAIRS)
+    want = star_triangle_residual(zs, ws, kind, params)
+    budget = 7_000  # runs of 7 points, chunks of a few pairs
+    monkeypatch.setattr(el, "TABLE_BUDGET", budget)
+    calls = _count_brackets(monkeypatch)
+    singles, args = [], []
+    for z, w in dict.fromkeys(PAIRS):
+        del calls[:]
+        singles.append(star_triangle_residual(z, w, kind, params))
+        args.append(sum(calls))
+    sizes, stacks = [], []
+    real_table, real_ops = rs.r_table, rs._site_operators
+
+    def ops(table, gather):
+        out = real_ops(table, gather)
+        stacks.append(out.size)
+        return out
+
+    monkeypatch.setattr(rs, "r_table", lambda u, pts, p:
+                        sizes.append(len(pts) * 81) or real_table(u, pts, p))
+    monkeypatch.setattr(rs, "_site_operators", ops)
+    del calls[:]
+    assert star_triangle_residual(zs, ws, kind, params) == want
+    assert want == max(singles)
+    # several runs, several chunks per run, each within the budget, and no
+    # more bracket arguments than the pairs checked one at a time
+    runs = len(el.table_runs(kind.alcove(), 3 * 4 * 81))
+    assert 1 < runs < len(sizes) < runs * len(set(PAIRS))
+    assert max(sizes) <= budget and max(stacks) <= budget
+    assert sum(calls) <= sum(args)
+
+
+def test_pairs_sharing_their_parameters_are_chunked_by_count(monkeypatch):
+    import rsoskit.elliptic as el
+    import rsoskit.rsos as rs
+    kind, params = setup_n2()
+    # the 15 pairs (v_i, v_j), i > j, of v_k = k c share the 6 parameters
+    # v_1..v_6: c is dyadic, so v_i - v_j is v_(i-j) exactly
+    c = 0.0625 + 0.015625j
+    pairs = [(i * c, j * c) for i in range(1, 7) for j in range(1, i)]
+    want = max(star_triangle_residual(z, w, kind, params) for z, w in pairs)
+    starts, sites = _sites(kind.alcove(), kind)
+    cost = max(len(starts) * 16, 2 * max(len(p) for _, p, _ in sites) ** 2)
+    # one run of the alcove, chunks of at most 9 pairs or parameters
+    monkeypatch.setattr(el, "TABLE_BUDGET", 600)
+    assert len(el.table_runs(kind.alcove(), 3 * 3 * 16)) == 1
+    assert 600 // cost == 9
+    tables = []
+    real = rs.r_table
+    monkeypatch.setattr(rs, "r_table", lambda u, pts, p:
+                        tables.append(len(pts)) or real(u, pts, p))
+    assert star_triangle_residual(*zip(*pairs), kind, params) == want
+    assert len(tables) == 2 and max(tables) <= 6 * len(starts)
+
+
+def test_one_pole_pair_raises_as_its_single_call():
+    kind, params = setup_n2()
+    pole = (1.25, 0.25)  # z - w = 1, where [1 - (z - w)] vanishes
+    with pytest.raises(NearPole) as single:
+        star_triangle_residual(*pole, kind, params)
+    zs, ws = zip(*PAIRS[:2], pole, *PAIRS[2:])
+    with pytest.raises(NearPole) as batched:
+        star_triangle_residual(zs, ws, kind, params)
+    assert str(batched.value) == str(single.value)
+    with pytest.raises(ValueError, match="one w per z"):
+        star_triangle_residual(zs, ws[1:], kind, params)
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_batched_restriction_is_the_max_of_single_z(monkeypatch, budget):
+    import rsoskit.elliptic as el
+    zs = [z for z, _ in PAIRS] + [-0.42]
+    setups = [(ModelKind.rsos(n, r), EllipticParams.rsos(n, r, TAU))
+              for n, r in ((2, 4), (3, 5), (3, 6), (4, 6))]
+    singles = [max(restriction_residual(z, kind, params) for z in zs)
+               for kind, params in setups]
+    if budget is not None:
+        monkeypatch.setattr(el, "TABLE_BUDGET", budget)
+    for (kind, params), want in zip(setups, singles):
+        assert restriction_residual(zs, kind, params) == want
+
+
 def _site_matrix_scan(flat_of, a, paths, slot, n):
     """Reference: scan every (i, j) pair for each column path."""
     pos = {p: k for k, p in enumerate(paths)}
@@ -399,9 +536,9 @@ def test_site_matrix_matches_full_pair_scan():
         starts, sites = _sites(points, kind)
         assert [a for a, *_ in sites] == [a for a in points if kind.paths(a, 3)]
         table = r_table(z, starts, params)
-        for a, paths, at in sites:
+        for a, paths, gather in sites:
             assert paths == kind.paths(a, 3)
-            ops = _site_operators({z: table}, paths, at, kind.rank)[z]
+            ops = _site_operators(table[None], gather)[0]
             for slot in (0, 1):
                 assert np.array_equal(
                     ops[slot],
