@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .elliptic import (EllipticParams, bracket, pair_index, r_minus1, r_reg1,
 from .errors import (InvalidConfig, OutOfRange, ShapeMismatch, TooLarge,
                      check_budget)
 from .groupoid import Arrow, ModelKind, WeightPoint, add_vectors, eps
-from .rsos import _same_weight
 
 RANK_TOL = 1e-8
 SPECTRUM_TOL = 1e-10
@@ -73,50 +72,50 @@ class FusionBases:
         return sum(s.antisym_dim for s in self.sectors)
 
 
-def _rank(s: np.ndarray) -> int:
+def _spans(blocks: np.ndarray):
+    """Ranks of a (S, k, k) stack of blocks and the projectors p pinv(p) onto
+    the image span p = u[:, :rank] and kernel span p = vh[rank:]^H of each,
+    from one SVD and one pinv per span and rank; an empty span's is zero."""
+    u, s, vh = np.linalg.svd(blocks)
     # blocks are O(1) ratios of brackets; exact zeros arrive as ~1e-16 noise,
     # so the threshold needs an absolute floor next to the relative one
-    if s.size == 0:
-        return 0
-    return int((s > RANK_TOL * max(1.0, float(s[0]))).sum())
+    ranks = (s > RANK_TOL * np.maximum(1.0, s[:, :1])).sum(-1)
+    image, kernel = np.zeros_like(blocks), np.zeros_like(blocks)
+    for rank in set(ranks.tolist()):  # np.unique would import numpy.ma
+        at = ranks == rank
+        kernel_span = vh[at][:, rank:].conj().transpose(0, 2, 1)
+        for proj, span in ((image, u[at][:, :, :rank]), (kernel, kernel_span)):
+            if span.shape[-1]:
+                proj[at] = span @ np.linalg.pinv(span)
+    return ranks, image, kernel
 
 
-def _span_of_image(m: np.ndarray) -> np.ndarray:
-    u, s, _ = np.linalg.svd(m)
-    return u[:, : _rank(s)]
-
-
-def _span_of_kernel(m: np.ndarray) -> np.ndarray:
-    _, s, vh = np.linalg.svd(m)
-    return vh[_rank(s):].conj().T
-
-
-def _subspace_gap(p: np.ndarray, q: np.ndarray) -> float:
-    """Max-norm difference of the orthogonal projectors onto two spans."""
-    if p.shape[1] != q.shape[1]:
-        return 1.0
-    if p.shape[1] == 0:
-        return 0.0
-    pp = p @ np.linalg.pinv(p)
-    qq = q @ np.linalg.pinv(q)
-    return float(np.abs(pp - qq).max())
-
-
-def _containment(vectors: np.ndarray, span: np.ndarray) -> float:
-    if vectors.shape[1] == 0:
-        return 0.0
-    proj = span @ np.linalg.pinv(span) if span.shape[1] else np.zeros(
-        (vectors.shape[0], vectors.shape[0]))
-    resid = vectors - proj @ vectors
-    return float(np.abs(resid).max() / max(np.abs(vectors).max(), 1e-30))
+def _residuals(blk_m, blk_r, dims, anti_vecs) -> np.ndarray:
+    """Residual of each sector of stacked k x k blocks of R(-1) and R_reg(1)
+    with (symmetric, exterior) dimensions `dims`: the projector gaps of each
+    image to the other's kernel, and the relative part off each image of its
+    spanning vector, units or a row of `anti_vecs`, if its dimension is 1."""
+    sym, anti = dims.T
+    rank_m, im_m, ker_m = _spans(blk_m)
+    rank_r, im_r, ker_r = _spans(blk_r)
+    residual = np.maximum(np.abs(im_m - ker_r).max(axis=(1, 2)),
+                          np.abs(im_r - ker_m).max(axis=(1, 2)))
+    residual[rank_m + rank_r != blk_m.shape[-1]] = 1.0  # unequal dimensions
+    v = anti_vecs[:, :, None]  # (S, k, 1)
+    for proj, vecs, dim in ((im_m, np.ones_like(v), sym), (im_r, v, anti)):
+        off = np.abs(vecs - proj @ vecs).max(axis=(1, 2)) / np.maximum(
+            np.abs(vecs).max(axis=(1, 2)), 1e-30)
+        residual = np.maximum(residual, np.where(dim, off, 0.0))
+    # at least 1.0 where a rank is not its dimension
+    return np.maximum(residual, (rank_m != sym) | (rank_r != anti))
 
 
 def fusion_bases(points, kind: ModelKind,
                  params: EllipticParams) -> list[FusionBases]:
     """Kernel/image bases of R(-1,a) and R_reg(1,a) on the graded square at
     each alcove point of `points`, in order.  Each run of `table_runs` makes
-    one r_minus1 table, one r_reg1 table and one bracket call for the
-    explicit vectors of its interior sectors."""
+    one r_minus1 table, one r_reg1 table, one bracket call for the explicit
+    vectors of its interior sectors and one stack per block size k."""
     n = kind.rank
     out = []
     for _, run in table_runs(points, 2 * n ** 4):
@@ -125,45 +124,46 @@ def fusion_bases(points, kind: ModelKind,
                                   for i in range(1, n) for j in range(i + 1, n + 1)
                                   for s in (1, -1)))
         known = dict(zip(args, bracket(args, params).tolist()))
-        for a, m_minus, m_reg in zip(run, r_minus1(run, params),
-                                     r_reg1(run, params)):
-            two_steps = kind.paths(a, 2)
+        m_minus, m_reg = r_minus1(run, params), r_reg1(run, params)
+        stacks = {}  # k -> (run position, indices, sector, exterior vector)
+        for t, a in enumerate(run):
+            weights: dict[tuple[int, int], list] = {}
+            for p in kind.paths(a, 2):  # eps_i + eps_j, i <= j, per path
+                weights.setdefault(tuple(sorted(p)), []).append(p)
             sectors = []
-            for i, j in combinations_with_replacement(range(1, n + 1), 2):
-                paths = [p for p in two_steps if _same_weight(*p, i, j)]
-                if not paths:
-                    continue
-                paths.sort(key=lambda p: (a + eps(n, p[0])).sort_key())
-                at = [pair_index(n, *p) for p in paths]
-                blk_m, blk_r = m_minus[np.ix_(at, at)], m_reg[np.ix_(at, at)]
+            for (i, j), paths in sorted(weights.items()):
+                # closed-form spanning vector in path coordinates: units, but
+                # [d+1] e_i(x)e_j - [d-1] e_j(x)e_i (d = a_i - a_j) if interior
+                vector = [1] * len(paths)
                 if i == j:
                     case, sym, anti = "diagonal", 1, 0
                 elif len(paths) == 2:
                     case, sym, anti = "interior", 1, 1
+                    paths.sort(key=lambda p: (a + eps(n, p[0])).sort_key())
+                    d = a.diff(i, j)
+                    vector = [known[d + 1] if p == (i, j) else -known[d - 1]
+                              for p in paths]
                 else:
                     case, sym, anti = "boundary", 0, 1
-                sym_span = _span_of_image(blk_m)
-                anti_span = _span_of_image(blk_r)
-                # closed-form spanning vectors in path coordinates: units, but
-                # [d+1] e_i(x)e_j - [d-1] e_j(x)e_i (d = a_i - a_j) if interior
-                sym_vecs = np.ones((len(paths), sym), dtype=complex)
-                anti_vecs = np.ones((len(paths), anti), dtype=complex)
-                if case == "interior":
-                    d, first = a.diff(i, j), paths.index((i, j))
-                    anti_vecs[[first, 1 - first], 0] = known[d + 1], -known[d - 1]
-                residual = max(
-                    _subspace_gap(sym_span, _span_of_kernel(blk_r)),
-                    _subspace_gap(anti_span, _span_of_kernel(blk_m)),
-                    _containment(sym_vecs, sym_span),
-                    _containment(anti_vecs, anti_span))
-                if sym_span.shape[1] != sym or anti_span.shape[1] != anti:
-                    residual = max(residual, 1.0)
                 sectors.append(SectorBases(
                     shift=add_vectors(eps(n, i), eps(n, j)), case=case,
                     paths=paths, sym_dim=sym, antisym_dim=anti,
-                    minus_one_block=blk_m, reg_one_block=blk_r,
-                    residual=residual))
-            out.append(FusionBases(point=a, sectors=sectors, residue=m_reg))
+                    minus_one_block=None, reg_one_block=None, residual=0.0))
+                stacks.setdefault(len(paths), []).append(
+                    (t, [pair_index(n, *p) for p in paths], sectors[-1],
+                     vector))
+            out.append(FusionBases(point=a, sectors=sectors, residue=m_reg[t]))
+        for of_k in stacks.values():  # fill in blocks and residuals
+            rows, at, members, vectors = zip(*of_k)
+            rows, at = np.array(rows)[:, None, None], np.array(at)
+            blk_m = m_minus[rows, at[:, :, None], at[:, None, :]]
+            blk_r = m_reg[rows, at[:, :, None], at[:, None, :]]
+            dims = np.array([(s.sym_dim, s.antisym_dim) for s in members])
+            worst = _residuals(blk_m, blk_r, dims, np.array(vectors, complex))
+            for sector, m, reg, res in zip(members, blk_m, blk_r,
+                                           worst.tolist()):
+                sector.minus_one_block, sector.reg_one_block = m, reg
+                sector.residual = res
     return out
 
 

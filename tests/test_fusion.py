@@ -1,5 +1,6 @@
 import cmath
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from rsoskit.fusion import (central_element_n2, exterior_character,
                             psi_table, sym_power_character_n2,
                             sym_square_character, verify_fusion_rules,
                             verify_spectrum)
-from rsoskit.groupoid import (AlcoveKind, AlcoveSpec, WeightPoint,
-                              enumerate_alcove, rsos_alcove)
-from rsoskit.rsos import ModelKind, build_vector_space
+from rsoskit.groupoid import (AlcoveKind, AlcoveSpec, WeightPoint, add_vectors,
+                              enumerate_alcove, eps, rsos_alcove)
+from rsoskit.rsos import ModelKind, _same_weight, build_vector_space
 
 TAU = 0.9j
 
@@ -65,6 +66,160 @@ def test_exactness_exhaustive():
         params = EllipticParams.rsos(n, r, TAU)
         for fb in fusion_bases(kind.alcove(), kind, params):
             assert fb.max_residual < 1e-8
+
+
+def _rank(s):
+    if s.size == 0:
+        return 0
+    return int((s > fu.RANK_TOL * max(1.0, float(s[0]))).sum())
+
+
+def _span_of_image(m):
+    u, s, _ = np.linalg.svd(m)
+    return u[:, : _rank(s)]
+
+
+def _span_of_kernel(m):
+    _, s, vh = np.linalg.svd(m)
+    return vh[_rank(s):].conj().T
+
+
+def _subspace_gap(p, q):
+    if p.shape[1] != q.shape[1]:
+        return 1.0
+    if p.shape[1] == 0:
+        return 0.0
+    pp = p @ np.linalg.pinv(p)
+    qq = q @ np.linalg.pinv(q)
+    return float(np.abs(pp - qq).max())
+
+
+def _containment(vectors, span):
+    if vectors.shape[1] == 0:
+        return 0.0
+    proj = span @ np.linalg.pinv(span) if span.shape[1] else np.zeros(
+        (vectors.shape[0], vectors.shape[0]))
+    resid = vectors - proj @ vectors
+    return float(np.abs(resid).max() / max(np.abs(vectors).max(), 1e-30))
+
+
+def reference_fusion_bases(points, kind, params):
+    """`fusion_bases` one sector at a time: two SVDs and up to four pinvs of
+    each sector's blocks, gathered by np.ix_ from the run's tables."""
+    n = kind.rank
+    out = []
+    for _, run in elliptic.table_runs(points, 2 * n ** 4):
+        args = list(dict.fromkeys(a.diff(i, j) + s for a in run
+                                  for i in range(1, n) for j in range(i + 1, n + 1)
+                                  for s in (1, -1)))
+        known = dict(zip(args, elliptic.bracket(args, params).tolist()))
+        for a, m_minus, m_reg in zip(run, elliptic.r_minus1(run, params),
+                                     elliptic.r_reg1(run, params)):
+            two_steps = kind.paths(a, 2)
+            sectors = []
+            for i, j in combinations_with_replacement(range(1, n + 1), 2):
+                paths = [p for p in two_steps if _same_weight(*p, i, j)]
+                if not paths:
+                    continue
+                paths.sort(key=lambda p: (a + eps(n, p[0])).sort_key())
+                at = [elliptic.pair_index(n, *p) for p in paths]
+                blk_m, blk_r = m_minus[np.ix_(at, at)], m_reg[np.ix_(at, at)]
+                if i == j:
+                    case, sym, anti = "diagonal", 1, 0
+                elif len(paths) == 2:
+                    case, sym, anti = "interior", 1, 1
+                else:
+                    case, sym, anti = "boundary", 0, 1
+                sym_span = _span_of_image(blk_m)
+                anti_span = _span_of_image(blk_r)
+                sym_vecs = np.ones((len(paths), sym), dtype=complex)
+                anti_vecs = np.ones((len(paths), anti), dtype=complex)
+                if case == "interior":
+                    d, first = a.diff(i, j), paths.index((i, j))
+                    anti_vecs[[first, 1 - first], 0] = known[d + 1], -known[d - 1]
+                residual = max(
+                    _subspace_gap(sym_span, _span_of_kernel(blk_r)),
+                    _subspace_gap(anti_span, _span_of_kernel(blk_m)),
+                    _containment(sym_vecs, sym_span),
+                    _containment(anti_vecs, anti_span))
+                if sym_span.shape[1] != sym or anti_span.shape[1] != anti:
+                    residual = max(residual, 1.0)
+                sectors.append(fu.SectorBases(
+                    shift=add_vectors(eps(n, i), eps(n, j)), case=case,
+                    paths=paths, sym_dim=sym, antisym_dim=anti,
+                    minus_one_block=blk_m, reg_one_block=blk_r,
+                    residual=residual))
+            out.append(fu.FusionBases(point=a, sectors=sectors, residue=m_reg))
+    return out
+
+
+def _assert_bases_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.point == w.point
+        assert np.array_equal(g.residue, w.residue)
+        assert len(g.sectors) == len(w.sectors)
+        for x, y in zip(g.sectors, w.sectors):
+            assert (x.shift, x.case, x.paths, x.sym_dim, x.antisym_dim) == (
+                y.shift, y.case, y.paths, y.sym_dim, y.antisym_dim)
+            assert np.array_equal(x.minus_one_block, y.minus_one_block)
+            assert np.array_equal(x.reg_one_block, y.reg_one_block)
+            assert x.residual == y.residual
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7), (4, 6)])
+def test_stacked_fusion_bases_match_the_per_sector_oracle(n, r, split,
+                                                          monkeypatch):
+    if split:  # runs of 3 points each
+        monkeypatch.setattr(elliptic, "TABLE_BUDGET", 3 * 2 * n ** 4)
+    kind = ModelKind.rsos(n, r)
+    params = EllipticParams.rsos(n, r, TAU)
+    points = kind.alcove()
+    _assert_bases_identical(fusion_bases(points, kind, params),
+                            reference_fusion_bases(points, kind, params))
+
+
+def _perturb_interior(monkeypatch, table, change):
+    """Replace `fu.<table>` by one that applies `change` to the block of the
+    first interior sector of the first (3, 5) point that has one; returns
+    that point."""
+    kind = ModelKind.rsos(3, 5)
+    params = EllipticParams.rsos(3, 5, TAU)
+    [(a, paths)] = [(fb.point, s.paths) for fb in fusion_bases(
+        kind.alcove(), kind, params) for s in fb.sectors
+        if s.case == "interior"][:1]
+    at = [elliptic.pair_index(3, *p) for p in paths]
+    real = getattr(fu, table)
+
+    def perturbed(run, p):
+        stack = real(run, p).copy()
+        for row, b in zip(stack, run):
+            if b == a:
+                row[np.ix_(at, at)] = change(row[np.ix_(at, at)])
+        return stack
+    monkeypatch.setattr(fu, table, perturbed)
+    return kind, params, a
+
+
+def test_exactness_check_sees_a_turned_image(monkeypatch):
+    # a rank-1 block with one row scaled keeps its rank but turns its image
+    kind, params, a = _perturb_interior(
+        monkeypatch, "r_minus1", lambda blk: blk * np.array([[1.0], [1.001]]))
+    for fb in fusion_bases(kind.alcove(), kind, params):
+        if fb.point == a:
+            assert 1e-8 < fb.max_residual < 1.0
+        else:
+            assert fb.max_residual < 1e-8
+
+
+@pytest.mark.parametrize("table", ["r_minus1", "r_reg1"])
+def test_exactness_check_scores_a_rank_loss_one(table, monkeypatch):
+    kind, params, a = _perturb_interior(monkeypatch, table, np.zeros_like)
+    [fb] = [b for b in fusion_bases(kind.alcove(), kind, params)
+            if b.point == a]
+    assert fb.max_residual == 1.0
+    assert sum(s.residual == 1.0 for s in fb.sectors) == 1
 
 
 def test_exterior_character_degenerate_degrees():
