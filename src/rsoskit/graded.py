@@ -13,8 +13,11 @@ related by reassociation or unit insertion are aligned by an index
 permutation.
 
 Everything that depends only on spaces (products, alignments, summand
-pairings) is built once and kept on the operand spaces, so morphisms that
-vary with a parameter over fixed spaces pay only for their blocks.
+pairings) is built once from integer arrays and kept on the operand spaces,
+so morphisms that vary with a parameter over fixed spaces pay only for their
+blocks.  A product records its summands as arrays (`Layout`), not one object
+each, and `tensor_morphism` writes all summand pairs of one block shape at
+once.
 
 A block is a matrix or a stack (B, rows, cols) of them, one per spectral
 parameter of a batch, so the Python work per component is paid once per
@@ -24,21 +27,22 @@ alignment) broadcasts against a stack, and `f[k]` is the k-th morphism.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
+from .elliptic import table_runs
 from .errors import ContextMismatch, ShapeMismatch, check_budget
-from .groupoid import (Arrow, ModelKind, WeightPoint, add_vectors,
-                       identity_arrow, inverse)
+from .groupoid import Arrow, ModelKind, WeightPoint, identity_arrow, inverse
 
 # summands V_alpha (x) W_beta of one tensor product: the largest product of
 # the suites and tests has 162; V (x) (V (x) V) at (n, r) = (3, 140) has
-# 167,283 and takes 2.1 s and about 100 MB in CPython 3.11
+# 167,283 and takes 0.3 s and about 64 MB in CPython 3.11 with numpy 2.4
 SUMMAND_BUDGET = 200_000
 
 _ATOM_CODES: dict[tuple, int] = {}
@@ -53,14 +57,44 @@ def _atom_keys(atoms) -> np.ndarray:
     return np.array(codes, dtype=np.int64).reshape(-1, 1)
 
 
-@dataclass(frozen=True)
-class Summand:
-    """One factorization slot inside a tensor-product component."""
+class Components(NamedTuple):
+    """A space's components as arrays in `dims` order: the index of each
+    source and target point, the shift rows, the dimensions and the first
+    rows."""
 
-    left: Arrow
-    right: Arrow
-    offset: int
-    size: int
+    source: np.ndarray
+    target: np.ndarray
+    shift: np.ndarray
+    dim: np.ndarray
+    offset: np.ndarray
+
+
+class Layout(NamedTuple):
+    """The summands V_alpha (x) W_beta of a product P = V (x) W as arrays,
+    one entry per summand in P's basis order: the index of alpha among V's
+    components, of beta among W's and of gamma = beta o alpha among P's
+    (`dims` order), the summand's first row in gamma's component, and its
+    size.  `width` is the number of W's components."""
+
+    left: np.ndarray
+    right: np.ndarray
+    component: np.ndarray
+    offset: np.ndarray
+    size: np.ndarray
+    width: int
+
+    def find(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The summand with components (left[k], right[k]) for each k, or -1
+        where there is none; a negative index matches no summand."""
+        want = left * self.width + right
+        if not self.left.size:
+            return np.full(want.shape, -1)
+        # one summand per (left, right): its code sorts it
+        codes = self.left * self.width + self.right
+        order = np.argsort(codes)
+        at = order[np.searchsorted(codes[order], want).clip(max=codes.size - 1)]
+        hit = (left >= 0) & (right >= 0) & (codes[at] == want)
+        return np.where(hit, at, -1)
 
 
 @dataclass(eq=False)
@@ -69,6 +103,7 @@ class GradedSpace:
 
     `keys` holds one row of atom codes per basis vector, components stacked
     in `dims` order; tensor-unit factors add no code, dual atoms are opaque.
+    A tensor product also has its `layout`.
 
     A space is immutable after construction and is compared by identity:
     values derived from it (see `memo`) are cached on it and never rebuilt.
@@ -77,7 +112,7 @@ class GradedSpace:
     context: ModelKind
     dims: dict[Arrow, int]
     keys: np.ndarray
-    layout: dict[Arrow, tuple[Summand, ...]] | None = None
+    layout: Layout | None = None
     offsets: dict[Arrow, int] = field(init=False, repr=False)
     _memo: dict = field(init=False, repr=False, default_factory=dict)
     _partner_memo: weakref.WeakKeyDictionary = field(
@@ -124,6 +159,14 @@ def memo(space: GradedSpace, key, build, partner: GradedSpace | None = None):
         return table.setdefault(key, build())
 
 
+def memoized(space: GradedSpace, key,
+             partner: GradedSpace | None = None) -> bool:
+    """Whether `memo` holds a value for (space, partner, key)."""
+    table = (space._memo if partner is None
+             else space._partner_memo.get(partner, {}))
+    return key in table
+
+
 def unit_space(context: ModelKind, points: list[WeightPoint]) -> GradedSpace:
     """Tensor unit: one-dimensional at the identity arrow of each point."""
     dims = {identity_arrow(a): 1 for a in points}
@@ -136,44 +179,114 @@ def _require_same_context(a, b):
         raise ContextMismatch(f"{a.context} != {b.context}")
 
 
+def components(space: GradedSpace, index: dict[WeightPoint, int] | None = None
+               ) -> Components:
+    """The component arrays of `space`, its points numbered by `index`; by
+    default by `alcove_index()`, and then built once per space (a product
+    gets them from its build)."""
+    if index is None:
+        return memo(space, "components", lambda: components(
+            space, space.context.alcove_index()))
+    arrows, n, dim = list(space.dims), space.context.rank, _dims(space)
+    return Components(
+        source=np.fromiter((index[g.source] for g in arrows), np.int64,
+                           len(arrows)),
+        target=np.fromiter((index[g.target] for g in arrows), np.int64,
+                           len(arrows)),
+        shift=np.array([g.shift for g in arrows],
+                       dtype=np.int64).reshape(-1, n),
+        dim=dim, offset=dim.cumsum() - dim)
+
+
 def tensor_space(V: GradedSpace, W: GradedSpace) -> GradedSpace:
     """Tensor product summing over arrow factorizations; built once per
     (V, W) and the same object on every later call."""
     return memo(V, "tensor", lambda: _build_tensor_space(V, W), partner=W)
 
 
+def _runs(lengths: np.ndarray, starts) -> np.ndarray:
+    """The runs starts[k], starts[k] + 1, ..., of lengths[k] each, end to
+    end."""
+    ends = lengths.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + (
+        starts - ends + lengths).repeat(lengths)
+
+
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """Where each run of equal rows of `rows` starts."""
+    change = np.empty(len(rows), dtype=bool)
+    change[:1] = True
+    np.logical_or.reduce(rows[1:] != rows[:-1], axis=1, out=change[1:])
+    return change.nonzero()[0]
+
+
 def _build_tensor_space(V: GradedSpace, W: GradedSpace) -> GradedSpace:
     """The product; over SUMMAND_BUDGET summands raise TooLarge before any
-    is built."""
+    is built.
+
+    Components appear in the order in which V's components, each followed
+    by W's components starting at its target, first reach them; within a
+    component the summands run by the `sort_key` rank of their middle point,
+    then by alpha's shift.  The points are numbered by that rank: by
+    `alcove_index()` when restricted, else over the operands' points."""
     _require_same_context(V, W)
-    by_source: dict[WeightPoint, list[tuple[Arrow, int, int]]] = {}
-    for beta, dw in W.dims.items():
-        by_source.setdefault(beta.source, []).append((beta, W.offsets[beta], dw))
-    count = sum(len(by_source.get(alpha.target, ())) for alpha in V.dims)
-    check_budget("SUMMAND_BUDGET", count, SUMMAND_BUDGET,
+    kind = V.context
+    if kind.is_restricted:
+        points, index = kind.alcove(), None
+    else:
+        points = sorted({p for S in (V, W) for g in S.dims
+                         for p in (g.source, g.target)}, key=WeightPoint.sort_key)
+        index = {p: k for k, p in enumerate(points)}
+    cv, cw = components(V, index), components(W, index)
+    # join: W's components sorted by source, stably, so in W's order within
+    # a source; those at each of V's targets
+    by_source = cw.source.argsort(kind="stable")
+    sources = cw.source[by_source]
+    first = sources.searchsorted(cv.target)
+    count = sources.searchsorted(cv.target, side="right") - first
+    total = int(np.add.reduce(count))
+    check_budget("SUMMAND_BUDGET", total, SUMMAND_BUDGET,
                  "tensor-product summands")
-    pieces: dict[Arrow, list[tuple]] = {}
-    for alpha, dv in V.dims.items():
-        mid, vo = alpha.target, V.offsets[alpha]
-        order = (mid.sort_key(), alpha.shift)
-        for beta, wo, dw in by_source.get(mid, ()):
-            # beta starts where alpha ends: gamma = beta o alpha
-            gamma = Arrow(alpha.source, add_vectors(alpha.shift, beta.shift))
-            pieces.setdefault(gamma, []).append(
-                (order, alpha, beta, vo, dv, wo, dw))
-    dims, layout, spans = {}, {}, []
-    for gamma, parts in pieces.items():
-        parts.sort(key=itemgetter(0))
-        summands, offset = [], 0
-        for _, alpha, beta, vo, dv, wo, dw in parts:
-            summands.append(Summand(alpha, beta, offset, dv * dw))
-            spans.append((vo, dv, wo, dw))
-            offset += dv * dw
-        dims[gamma] = offset
-        layout[gamma] = tuple(summands)
-    return GradedSpace(context=V.context, dims=dims,
-                       keys=_product_keys(V.keys, W.keys, spans),
-                       layout=layout)
+    if not total:
+        none = np.zeros(0, dtype=np.int64)
+        return GradedSpace(context=kind, dims={}, keys=np.zeros(
+            (0, V.keys.shape[1] + W.keys.shape[1]), dtype=np.int64),
+            layout=Layout(none, none, none, none, none, len(W.dims)))
+    left = np.arange(count.size).repeat(count)
+    right = by_source[_runs(count, first)]
+    # gamma = beta o alpha is (alpha's source, alpha's shift + beta's): sort
+    # by gamma, then by the middle point and alpha's shift
+    alpha_shift = cv.shift[left]
+    gamma = np.empty((total, kind.rank + 1), dtype=np.int64)
+    gamma[:, 0] = cv.source[left]
+    np.add(alpha_shift, cw.shift[right], out=gamma[:, 1:])
+    order = np.lexsort((*alpha_shift.T[::-1], cv.target[left],
+                        *gamma.T[::-1]))
+    gamma = gamma[order]
+    starts = _run_starts(gamma)
+    lengths = np.concatenate((starts[1:], [total])) - starts
+    # components by first appearance, each a run of the sorted summands
+    rank = np.minimum.reduceat(order, starts).argsort()
+    starts, lengths = starts[rank], lengths[rank]
+    order = order[_runs(lengths, starts)]
+    left, right = left[order], right[order]
+    size = cv.dim[left] * cw.dim[right]
+    ends = lengths.cumsum()
+    dims = np.add.reduceat(size, ends - lengths)
+    offset = size.cumsum() - size - (dims.cumsum() - dims).repeat(lengths)
+    head = gamma[starts]
+    arrows = [Arrow(points[row[0]], tuple(row[1:])) for row in head.tolist()]
+    P = GradedSpace(
+        context=kind, dims=dict(zip(arrows, dims.tolist())),
+        keys=_product_keys(V.keys, W.keys, np.array(
+            (cv.offset[left], cv.dim[left], cw.offset[right], cw.dim[right])).T),
+        layout=Layout(left, right, np.arange(dims.size).repeat(lengths),
+                      offset, size, len(W.dims)))
+    if index is None:
+        memo(P, "components", lambda: Components(
+            source=head[:, 0], target=cw.target[right[ends - 1]],
+            shift=head[:, 1:], dim=dims, offset=dims.cumsum() - dims))
+    return P
 
 
 def _product_keys(kv: np.ndarray, kw: np.ndarray, spans) -> np.ndarray:
@@ -275,18 +388,25 @@ class GradedMorphism:
 
 
 def identity_morphism(V: GradedSpace) -> GradedMorphism:
-    return GradedMorphism(V, V, {g: np.eye(d, dtype=complex)
-                                 for g, d in V.dims.items()})
+    """The identity; components of one dimension share one read-only
+    block."""
+    eye = {d: np.eye(d, dtype=complex) for d in set(V.dims.values())}
+    for m in eye.values():
+        m.flags.writeable = False
+    return GradedMorphism(V, V, {g: eye[d] for g, d in V.dims.items()})
 
 
 class Permutation(GradedMorphism):
     """Graded morphism sending basis vector j of the component at each arrow
     to basis vector index[arrow][j]. Its dense `blocks` are built only when
-    something reads them."""
+    something reads them.  `columns`, set by `align`, holds for each basis
+    vector of the codomain the j within its component sent to it."""
 
     def __init__(self, domain: GradedSpace, codomain: GradedSpace,
-                 index: dict[Arrow, np.ndarray]):
+                 index: dict[Arrow, np.ndarray],
+                 columns: np.ndarray | None = None):
         self.domain, self.codomain, self.index = domain, codomain, index
+        self.columns = columns
 
     def __getitem__(self, k) -> "Permutation":
         return self
@@ -304,11 +424,13 @@ def align(src: GradedSpace, dst: GradedSpace) -> Permutation:
     and insertion/removal of tensor-unit factors.  The index arrays are
     found once per (src, dst) and are read-only.
     """
-    return Permutation(src, dst, memo(src, "align",
-                                      lambda: _alignment(src, dst), partner=dst))
+    return Permutation(src, dst, *memo(src, "align",
+                                       lambda: _alignment(src, dst), partner=dst))
 
 
-def _alignment(src: GradedSpace, dst: GradedSpace) -> MappingProxyType:
+def _alignment(src: GradedSpace, dst: GradedSpace
+               ) -> tuple[MappingProxyType, np.ndarray]:
+    """The index arrays of align(src, dst) and its `columns`."""
     _require_same_context(src, dst)
     if set(src.dims) != set(dst.dims):
         raise ShapeMismatch("alignment: component arrows differ")
@@ -333,7 +455,10 @@ def _alignment(src: GradedSpace, dst: GradedSpace) -> MappingProxyType:
     for g, d in src.dims.items():
         index[g] = to_dst[src.offsets[g]:src.offsets[g] + d] - dst.offsets[g]
         index[g].flags.writeable = False
-    return MappingProxyType(index)
+    columns = np.empty_like(to_dst)
+    columns[to_dst] = _runs(_dims(src), 0)
+    columns.flags.writeable = False
+    return MappingProxyType(index), columns
 
 
 def composite(start: GradedSpace,
@@ -343,16 +468,15 @@ def composite(start: GradedSpace,
     """The whiskers steps[-1] o ... o steps[0] : start -> end, up to
     coherence.  A step (left, right) is tensor_morphism(left, right), a space
     factor standing for its identity, so (f, Z) is f (x) id_Z.  Each whisker
-    is built when it is applied: entered through `align` from the previous
-    codomain (the first from `start`), multiplied in and dropped before the
-    next is built; the rows of the last codomain are gathered onto `end`
-    through the reverse alignment.  A step whose domain is no re-bracketing
-    of that codomain raises ShapeMismatch."""
+    is built when it is applied: on the previous codomain (the first on
+    `start`), multiplied in and dropped before the next is built; the rows
+    of the last codomain are gathered onto `end` through the reverse
+    alignment.  A step whose domain is no re-bracketing of that codomain
+    raises ShapeMismatch."""
     total, at = None, start
     for factors in steps:
         m = tensor_morphism(*(identity_morphism(x) if isinstance(x, GradedSpace)
-                              else x for x in factors))
-        m = m @ align(at, m.domain)
+                              else x for x in factors), domain=at)
         total, at = (m if total is None else m @ total), m.codomain
         del m  # not alive while the next whisker is built
     back = align(end, at).index
@@ -360,47 +484,143 @@ def composite(start: GradedSpace,
                                        for g, b in total.blocks.items()})
 
 
-def tensor_morphism(f: GradedMorphism, g: GradedMorphism) -> GradedMorphism:
+def tensor_morphism(f: GradedMorphism, g: GradedMorphism,
+                    domain: GradedSpace | None = None) -> GradedMorphism:
     """f (x) g acting summand-wise by Kronecker products, stacked where f or
-    g is."""
+    g is; on `domain`, (f (x) g) o align(domain, tensor_space(f.domain,
+    g.domain)), its columns written where that alignment takes them.
+
+    The summand pairs of one block shape (p, q, s, t) are written together:
+    f's and g's blocks gathered, one broadcast multiply (the products of
+    np.kron) and one write into the result blocks, which share one buffer;
+    cut by `table_runs`, so that no product stack exceeds TABLE_BUDGET
+    entries.  A component has a block when one of its pairs has f's and g's.
+    """
     dom = tensor_space(f.domain, g.domain)
     cod = tensor_space(f.codomain, g.codomain)
-    blocks = {}
-    for gamma, shape, pairs in memo(dom, "summand-pairs",
-                                    lambda: _summand_pairs(dom, cod), partner=cod):
-        m = None
-        for left, right, row, col in pairs:
-            fb = f.blocks.get(left)
-            gb = g.blocks.get(right)
-            if fb is None or gb is None:
-                continue
-            if m is None:
-                lead = fb.shape[:-2] or gb.shape[:-2]
-                m = np.zeros(lead + shape, dtype=complex)
-            (p, q), (s, t) = fb.shape[-2:], gb.shape[-2:]
-            # np.kron(fb, gb) entry by entry, one multiply each, written
-            # into the summand's rows (p, s) and columns (q, t); splitting
-            # the axes of a slice of m is a view, never a copy
-            view = m[..., row:row + p * s, col:col + q * t]
-            np.multiply(fb[..., :, None, :, None], gb[..., None, :, None, :],
-                        out=view.reshape(lead + (p, s, q, t)))
-        if m is not None:
-            blocks[gamma] = m
-    return GradedMorphism(dom, cod, blocks)
+    domain = dom if domain is None else domain
+    f_arrows, g_arrows, arrows, shapes, area, groups = memo(
+        dom, "summand-pairs", lambda: _summand_pairs(
+            f.domain, f.codomain, g.domain, g.codomain, dom, cod), partner=cod)
+    columns = align(domain, dom).columns
+    fs, gs = _flat_blocks(f, f_arrows), _flat_blocks(g, g_arrows)
+    if fs is None or gs is None:
+        return GradedMorphism(domain, cod, {})
+    (f_flat, f_start, f_lead, f_all), (g_flat, g_start, g_lead, g_all) = fs, gs
+    lead = (np.broadcast_shapes(f_lead, g_lead) if f_lead and g_lead
+            else f_lead or g_lead)
+    size, f_size, g_size = map(math.prod, (lead, f_lead, g_lead))
+    f_lead = (1,) * (len(lead) - len(f_lead)) + f_lead
+    g_lead = (1,) * (len(lead) - len(g_lead)) + g_lead
+    if not (f_all and g_all):  # drop the pairs without both blocks
+        groups = [(shape, *(x[keep] for x in (fi, gi, comp, rows, cols)))
+                  for shape, fi, gi, comp, rows, cols in groups
+                  for keep in [(f_start[fi] >= 0) & (g_start[gi] >= 0)]]
+        has = np.zeros(area.size, dtype=bool)
+        for *_, comp, _, _ in groups:
+            has[comp] = True
+        area = area * has
+    # the blocks side by side, a row of them per stack index
+    base = area.cumsum() - area
+    out = np.zeros((size, int(area.sum())), dtype=complex)
+    for (p, q, s, t), fi, gi, comp, rows, cols in groups:
+        for k, run in table_runs(range(len(fi)), size * p * q * s * t):
+            run = slice(k, k + len(run))
+            fb = f_flat[f_start[fi[run], None] + np.arange(f_size * p * q)]
+            gb = g_flat[g_start[gi[run], None] + np.arange(g_size * s * t)]
+            # the block's first entry, the pair's rows and its columns in
+            # the domain
+            where = (base[comp[run], None, None] + rows[run, :, None]
+                     + columns[cols[run]][:, None, :])
+            m = len(where)
+            out[:, where] = (fb.reshape((m,) + f_lead + (p, 1, q, 1))
+                             * gb.reshape((m,) + g_lead + (1, s, 1, t))
+                             ).reshape(m, size, p * s, q * t).transpose(1, 0, 2, 3)
+    return GradedMorphism(domain, cod, {
+        gamma: out[:, b:b + n].reshape(lead + shape)
+        for gamma, b, n, shape in zip(arrows, base.tolist(), area.tolist(),
+                                      shapes) if n})
 
 
-def _summand_pairs(dom: GradedSpace, cod: GradedSpace) -> tuple:
-    """Per component shared by dom and cod: its block shape and the
-    (left, right, row offset, column offset) of each summand in both."""
-    out = []
-    for gamma, cod_summands in cod.layout.items():
-        if gamma not in dom.dims:
-            continue
-        dom_offset = {(s.left, s.right): s.offset for s in dom.layout[gamma]}
-        pairs = tuple((cs.left, cs.right, cs.offset, dom_offset[cs.left, cs.right])
-                      for cs in cod_summands if (cs.left, cs.right) in dom_offset)
-        out.append((gamma, (cod.dims[gamma], dom.dims[gamma]), pairs))
-    return tuple(out)
+def _flat_blocks(f: GradedMorphism, arrows: tuple):
+    """f's blocks at `arrows` raveled into one array, the first entry of each
+    block there (-1 where f has none), the blocks' leading shape and whether
+    every arrow has a block; None when none has."""
+    blocks = [f.blocks.get(a) for a in arrows]
+    present = [b for b in blocks if b is not None]
+    if not present:
+        return None
+    lead, *others = {b.shape[:-2] for b in present}
+    if others:  # plain blocks broadcast against stacked ones
+        lead = np.broadcast_shapes(lead, *others)
+        present = [np.broadcast_to(b, lead + b.shape[-2:]) for b in present]
+    sizes = np.array([b.size for b in present])
+    start = sizes.cumsum() - sizes
+    complete = len(present) == len(blocks)
+    if not complete:
+        start = np.full(len(blocks), -1)
+        start[[b is not None for b in blocks]] = sizes.cumsum() - sizes
+    return np.concatenate(present, axis=None), start, lead, complete
+
+
+def _positions(S: GradedSpace, T: GradedSpace) -> np.ndarray:
+    """The index of each of S's component arrows among T's, or -1."""
+    if S is T:
+        return np.arange(len(S.dims))
+    index = {a: k for k, a in enumerate(T.dims)}
+    return np.fromiter((index.get(a, -1) for a in S.dims), np.int64,
+                       len(S.dims))
+
+
+def _dims(S: GradedSpace) -> np.ndarray:
+    return np.fromiter(S.dims.values(), np.int64, len(S.dims))
+
+
+def _offsets(S: GradedSpace) -> np.ndarray:
+    return np.fromiter(S.offsets.values(), np.int64, len(S.offsets))
+
+
+def _summand_pairs(f_dom: GradedSpace, f_cod: GradedSpace, g_dom: GradedSpace,
+                   g_cod: GradedSpace, dom: GradedSpace,
+                   cod: GradedSpace) -> tuple:
+    """Each summand of cod = f_cod (x) g_cod joined, by one array join, to
+    the summand of dom = f_dom (x) g_dom with the same (alpha, beta), where
+    there is one: the arrows of f_cod (f's blocks) and of g_cod (g's), the
+    components of cod with a pair, their block shapes and areas, and per
+    block shape (p, q, s, t) of f's and g's blocks, for each pair, its arrow
+    of f_cod, its arrow of g_cod, its component, the first entry of each of
+    its p s rows in the block, and its q t columns in dom's basis."""
+    cl, dl = cod.layout, dom.layout
+    match = dl.find(_positions(f_cod, f_dom)[cl.left],
+                    _positions(g_cod, g_dom)[cl.right])
+    kept = np.flatnonzero(match >= 0)
+    match = match[kept]
+    # the components of cod with a pair (cod's summands run by component)
+    comp = cl.component[kept]
+    firsts = _run_starts(comp[:, None])
+    comps = comp[firsts]
+    component = comps.searchsorted(comp)
+    rows, width = _dims(cod)[comps], _dims(dom)[dl.component[match]]
+    f, g = cl.left[kept], cl.right[kept]
+    shape = np.stack((_dims(f_cod)[f], _dims(f_dom)[dl.left[match]],
+                      _dims(g_cod)[g], _dims(g_dom)[dl.right[match]]), axis=1)
+    order = np.lexsort(shape.T[::-1])
+    starts = _run_starts(shape[order])
+    # entry (a s + b, c t + d) of a pair at row offset + a s + b of its
+    # block and at column offset + c t + d of its component of dom
+    row = cl.offset[kept] * width
+    col = dl.offset[match] + _offsets(dom)[dl.component[match]]
+    groups = []
+    for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(order)]):
+        k = order[a:b]
+        p, q, s, t = shape[k[0]].tolist()
+        groups.append(((p, q, s, t), f[k], g[k], component[k],
+                       row[k, None] + np.arange(p * s) * width[k, None],
+                       col[k, None] + np.arange(q * t)))
+    cols, cod_arrows = width[firsts], list(cod.dims)
+    return (tuple(f_cod.dims), tuple(g_cod.dims),
+            tuple(cod_arrows[c] for c in comps.tolist()),
+            tuple(zip(rows.tolist(), cols.tolist())), rows * cols, tuple(groups))
 
 
 @dataclass
@@ -422,26 +642,31 @@ def dual_space(V: GradedSpace) -> DualityData:
     one = unit_space(V.context, points)
     vxd, dxv = tensor_space(V, dual), tensor_space(dual, V)
     coevaluation = GradedMorphism(one, vxd, {
-        g: v[:, None] for g, v in _pairing_vectors(vxd, V, points).items()})
+        g: v[:, None] for g, v in _pairing_vectors(vxd, V, dual, points).items()})
     evaluation = GradedMorphism(dxv, one, {
-        g: v[None, :] for g, v in _pairing_vectors(dxv, dual, points).items()})
+        g: v[None, :] for g, v in _pairing_vectors(dxv, dual, V, points).items()})
     return DualityData(dual=dual, coevaluation=coevaluation, evaluation=evaluation)
 
 
-def _pairing_vectors(P: GradedSpace, left: GradedSpace,
+def _pairing_vectors(P: GradedSpace, left: GradedSpace, right: GradedSpace,
                      points: list[WeightPoint]) -> dict[Arrow, np.ndarray]:
     """At each identity arrow of P = left (x) right, the sum of e_k (x) e_k^*
     over the summands whose right arrow inverts the left one."""
+    index = {a: k for k, a in enumerate(right.dims)}
+    inverses = np.fromiter((index.get(inverse(a), -1) for a in left.dims),
+                           np.int64, len(left.dims))
+    at = P.layout.find(np.arange(len(left.dims)), inverses)
+    at = at[at >= 0]
+    # the diagonal of each summand: every (d + 1)-th of its d * d rows
+    d = _dims(left)[P.layout.left[at]]
+    first = _offsets(P)[P.layout.component[at]] + P.layout.offset[at]
+    flat = np.zeros(sum(P.dims.values()), dtype=complex)
+    flat[first.repeat(d) + _runs(d, 0) * (d + 1).repeat(d)] = 1.0
     out = {}
     for a in points:
         ida = identity_arrow(a)
-        if ida not in P.dims:
-            continue
-        v = np.zeros(P.dims[ida], dtype=complex)
-        for s in P.layout[ida]:
-            if s.right == inverse(s.left):
-                v[s.offset:s.offset + s.size:left.dims[s.left] + 1] = 1.0
-        out[ida] = v
+        if ida in P.dims:
+            out[ida] = flat[P.offsets[ida]:P.offsets[ida] + P.dims[ida]]
     return out
 
 

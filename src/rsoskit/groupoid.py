@@ -28,6 +28,8 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement
 from operator import add, itemgetter
 
+import numpy as np
+
 from .errors import InfiniteSet, InvalidConfig, NonComposable, check_budget
 
 LatticeVector = tuple[int, ...]
@@ -349,6 +351,22 @@ class ModelKind:
     @_cached_attribute
     def _alcove_index(self) -> dict[WeightPoint, int]:
         return {a: i for i, a in enumerate(self.alcove())}
+
+    def move(self) -> np.ndarray:
+        """The step table: move[p, i] is the index in `alcove()` of
+        alcove()[p] + eps_i (1-based i; column 0 is -1), or -1 where the step
+        leaves the alcove.  Built once per model, read-only."""
+        return self._move
+
+    @_cached_attribute
+    def _move(self) -> np.ndarray:
+        n, index = self.rank, self.alcove_index()
+        table = np.full((len(index), n + 1), -1, dtype=np.int64)
+        for p, a in enumerate(self.alcove()):
+            for i in range(1, n + 1):
+                table[p, i] = index.get(a + eps(n, i), -1)
+        table.flags.writeable = False
+        return table
 
     @_cached_attribute
     def _paths(self) -> dict[tuple[WeightPoint, int], tuple[tuple[int, ...], ...]]:

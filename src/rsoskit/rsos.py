@@ -20,7 +20,8 @@ from .elliptic import (POLE_GUARD, EllipticParams, bracket, pair_index,
                        param_chunks, r_matrix, r_table, table_runs)
 from .errors import (BaseOnSingularSet, ContextMismatch, NonSquare,
                      RestrictionViolated)
-from .graded import GradedMorphism, GradedSpace, memo, tensor_space
+from .graded import (Components, GradedMorphism, GradedSpace, memo,
+                     tensor_space)
 from .groupoid import Arrow, ModelKind, WeightPoint, compose, eps
 
 RESTRICTION_TOL = 1e-12
@@ -37,7 +38,17 @@ def build_vector_space(kind: ModelKind,
     """
     n = kind.rank
     if kind.is_restricted:
+        # (a, eps_i) by a, then by i, with its components' point indices
+        move = kind.move()
+        p, i = np.nonzero(move[:, 1:] >= 0)
         points = kind.alcove()
+        V = GradedSpace.from_dims(kind, {
+            Arrow(points[a], eps(n, k + 1)): 1
+            for a, k in zip(p.tolist(), i.tolist())})
+        memo(V, "components", lambda: Components(
+            source=p, target=move[p, i + 1], shift=np.eye(n, dtype=np.int64)[i],
+            dim=np.ones(p.size, dtype=np.int64), offset=np.arange(p.size)))
+        return V
     else:
         if window is None:
             raise ValueError("unrestricted model needs an explicit point window")
@@ -99,7 +110,7 @@ def restricted_r(zs, kind: ModelKind, params: EllipticParams,
     V = space if space is not None else build_vector_space(kind, params)
     VV = tensor_space(V, V)
     sources, picks = memo(VV, "r-matrix-entries",
-                          lambda: _flat_positions(VV, kind.rank))
+                          lambda: _flat_positions(VV, V, kind.rank))
     blocks = {}
     n2 = kind.rank ** 2
     for offset, run in table_runs(sources, len(zs) * n2 * n2):
@@ -113,17 +124,19 @@ def restricted_r(zs, kind: ModelKind, params: EllipticParams,
     return GradedMorphism(VV, VV, blocks)
 
 
-def _flat_positions(VV: GradedSpace, n: int) -> tuple:
-    """The distinct sources of the components of V (x) V and, per source,
-    its components with the index pair that picks each block out of the flat
-    R-matrix (row/column k <-> summand k)."""
+def _flat_positions(VV: GradedSpace, V: GradedSpace, n: int) -> tuple:
+    """The distinct sources of the components of VV = V (x) V and, per
+    source, its components with the index pair that picks each block out of
+    the flat R-matrix (row/column k <-> summand k)."""
+    steps = np.array([_step_index(a) for a in V.dims], dtype=np.int64)
+    lay = VV.layout
+    flat = pair_index(n, steps[lay.left], steps[lay.right])
+    flat.flags.writeable = False
+    starts = np.flatnonzero(np.diff(lay.component)) + 1
     picks: dict[WeightPoint, list] = {}
-    for gamma_arrow, summands in VV.layout.items():
-        flat = np.array([pair_index(n, _step_index(s.left),
-                                    _step_index(s.right)) for s in summands])
-        flat.flags.writeable = False
+    for gamma_arrow, at in zip(VV.dims, np.split(flat, starts)):
         picks.setdefault(gamma_arrow.source, []).append(
-            (gamma_arrow, np.ix_(flat, flat)))
+            (gamma_arrow, np.ix_(at, at)))
     return tuple(picks), tuple(map(tuple, picks.values()))
 
 

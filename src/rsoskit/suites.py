@@ -8,6 +8,7 @@ residual with tolerance 0; numerical checks report a max-norm residual.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -276,9 +277,10 @@ def transfer_commute_suite(config: RunConfig) -> list[Case]:
     params = config.params()
     kind = config.kind()
     sampler = _PointSampler(config)
+    V = rsos.build_vector_space(kind, params)  # chain-3 extends chain-2
     chains = {
-        "chain-2": tr.vector_chain(kind, params, (0.0, 0.3)),
-        "chain-3": tr.vector_chain(kind, params, (0.0, 0.3, 0.7)),
+        "chain-2": tr.vector_chain(kind, params, (0.0, 0.3), space=V),
+        "chain-3": tr.vector_chain(kind, params, (0.0, 0.3, 0.7), space=V),
     }
     cases = []
     for name, L in chains.items():
@@ -394,12 +396,16 @@ def partition_suite(config: RunConfig) -> list[Case]:
     params = config.params()
     kind = config.kind()
     n = config.n
+    # one V for every width: each chain's products are the narrower ones'
+    # and one more
+    graded = functools.partial(tr.graded_transfer_matrix,
+                               space=rsos.build_vector_space(kind, params))
     worst = 0.0
     for cols in range(n, max(PARTITION_MAX_FACES // n, n) + 1, n):
         us = (0.0,) * cols
         rows = range(n, PARTITION_MAX_FACES // cols + 1, n)
         traces = []  # tr M^m for m = 0 and each m in rows, per side
-        for build in (tr._row_transfer_matrix, tr.graded_transfer_matrix):
+        for build in (tr._row_transfer_matrix, graded):
             M = build(0.3, kind, params, us)
             # M^m = M^(m-1) @ M, the product order of `M.power(m)`
             power = M.power(0)

@@ -31,8 +31,8 @@ from .convolution import DifferenceOperator
 from .elliptic import EllipticParams, pair_index, r_table, table_runs
 from .errors import InvalidConfig, ShapeMismatch, check_budget
 from .graded import (GradedMorphism, GradedSpace, align, composite, memo,
-                     tensor_space, unit_space)
-from .groupoid import Arrow, ModelKind, WeightPoint, add_vectors, eps
+                     memoized, tensor_space, unit_space)
+from .groupoid import Arrow, ModelKind, WeightPoint, eps
 from .rsos import build_vector_space, restricted_r
 
 
@@ -92,17 +92,18 @@ def _cross(V: GradedSpace, W: GradedSpace, Z: GradedSpace, f: GradedMorphism,
 
 
 def vector_chain(kind: ModelKind, params: EllipticParams,
-                 points: tuple[complex, ...]) -> LOperator:
+                 points: tuple[complex, ...],
+                 space: GradedSpace | None = None) -> LOperator:
     """Chain V(u_1) (x) ... (x) V(u_c) of vector representations, folded
     like `l_tensor` from the c sites R(z + u_k), at every z, of one
-    `restricted_r` call.
+    `restricted_r` call.  Chains given one `space` share its products.
 
     Its loop sections are as many as the closed c-step rows, so STATE_BUDGET
     is checked by `_closed_rows` before any tensor product is built."""
     if not points:
         raise InvalidConfig("a chain needs at least one site")
     _closed_rows(kind, len(points))
-    V = build_vector_space(kind, params)
+    V = space if space is not None else build_vector_space(kind, params)
     # quantum[k]: the nested quantum space of the first k + 1 sites
     quantum = list(itertools.accumulate([V] * len(points), tensor_space))
 
@@ -181,9 +182,10 @@ def _trace_pieces(aux: GradedSpace, quantum: GradedSpace,
     l' at alpha.target, the component holding the (l, alpha) <- (alpha, l')
     sub-block, that sub-block's row and column slices, the slices of its
     trace in the block, and its (p, v, v', q) split; dom = aux (x) quantum
-    and cod = quantum (x) aux."""
-    out = []
-    for alpha, d_aux in aux.dims.items():
+    and cod = quantum (x) aux, their summands found by one join each."""
+    index = {g: k for k, g in enumerate(quantum.dims)}
+    plans, found = [], []  # found: (alpha, l, l') as component indices
+    for a, (alpha, d_aux) in enumerate(aux.dims.items()):
         rows, dim_src = _loop_offsets(quantum, alpha.source)
         cols, dim_tgt = _loop_offsets(quantum, alpha.target)
         if dim_src == 0 or dim_tgt == 0:
@@ -192,58 +194,72 @@ def _trace_pieces(aux: GradedSpace, quantum: GradedSpace,
         pieces = []
         for lsrc, r in rows:
             ltgt = Arrow(alpha.target, lsrc.shift)
-            if ltgt not in cols:
-                continue
-            total = Arrow(alpha.source, add_vectors(alpha.shift, lsrc.shift))
-            dom_s = _summand(dom, total, alpha, ltgt)
-            cod_s = _summand(cod, total, lsrc, alpha)
-            d_out, d_in = quantum.dims[lsrc], quantum.dims[ltgt]
-            pieces.append((total,
-                           slice(cod_s.offset, cod_s.offset + cod_s.size),
-                           slice(dom_s.offset, dom_s.offset + dom_s.size),
-                           slice(r, r + d_out),
-                           slice(cols[ltgt], cols[ltgt] + d_in),
-                           (d_out, d_aux, d_aux, d_in)))
-        out.append((alpha, (dim_src, dim_tgt), tuple(pieces)))
-    return tuple(out)
+            if ltgt in cols:
+                d_out, d_in = quantum.dims[lsrc], quantum.dims[ltgt]
+                found.append((a, index[lsrc], index[ltgt]))
+                pieces.append((slice(r, r + d_out),
+                               slice(cols[ltgt], cols[ltgt] + d_in),
+                               (d_out, d_aux, d_aux, d_in)))
+        plans.append((alpha, (dim_src, dim_tgt), pieces))
+    alphas, lsrcs, ltgts = np.array(found, dtype=np.int64).reshape(-1, 3).T
+    dom_at = dom.layout.find(alphas, ltgts)
+    cod_at = cod.layout.find(lsrcs, alphas)
+    arrows = list(dom.dims)
+    found = iter(zip(dom.layout.component[dom_at].tolist(), cod_at.tolist(),
+                     dom_at.tolist()))
+    # zip takes from `found` only while `pieces` lasts
+    return tuple((alpha, shape, tuple(
+        (arrows[total], _span(cod, c), _span(dom, d), *piece)
+        for piece, (total, c, d) in zip(pieces, found)))
+        for alpha, shape, pieces in plans)
 
 
-def _summand(P: GradedSpace, total: Arrow, left: Arrow, right: Arrow):
-    """The summand (left, right) of the component of P at `total`."""
-    return next(s for s in P.layout[total]
-                if (s.left, s.right) == (left, right))
+def _span(P: GradedSpace, k: int) -> slice:
+    """The rows of summand k of P within its component."""
+    start = int(P.layout.offset[k])
+    return slice(start, start + int(P.layout.size[k]))
 
 
 # morphisms the size of L(z) alive at once per point while a chain crosses
-# its last site (the partial product, one whisker and its aligned copy, their
-# product): under tracemalloc a warm L(z) of a 3-site chain at (3,10) to
-# (3,40) peaks at 5.2 to 5.8 times its blocks at one point, 4.2 to 4.5 per
-# point at two
+# its last site (the partial product, one whisker written on its domain,
+# their product): under tracemalloc a warm run of a 3-site chain at (3,10) to
+# (3,40), L(z) and its trace, peaks at 4.8 to 5.2 times the blocks of L(z) at
+# one point, 4.0 to 4.3 per point at two.  The first, cold run also builds
+# the chain's products, alignments and summand pairings, and peaks at 10.9 to
+# 12.7 times them at one point: it is sized on _COLD.
 _ALIVE = 6
+_COLD = 13
 
 
-def _point_cost(L: LOperator) -> int:
-    """Block entries held per spectral point while L is evaluated; 1 when
-    there is no loop section, as T(z) then evaluates nothing."""
+def _point_cost(L: LOperator, alive: int = _ALIVE) -> int:
+    """Block entries held per spectral point while L is evaluated, with
+    `alive` morphisms the size of L(z); 1 when there is no loop section, as
+    T(z) then evaluates nothing."""
     if not any(sector_dim(L.quantum, a) for a in L.aux.context.alcove()):
         return 1
     dims = tensor_space(L.aux, L.quantum).dims
-    return _ALIVE * sum(d * d for d in dims.values())
+    return alive * sum(d * d for d in dims.values())
 
 
 def transfer_matrix(zs: Sequence[complex],
                     L: LOperator) -> list[DifferenceOperator]:
     """T(z) = tr_V L(z) for each z of zs, as difference operators on loop
     sections over the alcove, L evaluated and traced once per run of
-    `table_runs` over zs; with no section they have no blocks and L is not
+    `table_runs` over zs, the first run of a chain never traced before sized
+    on its cold peak; with no section they have no blocks and L is not
     evaluated.  STATE_BUDGET bounds the sections when `vector_chain` builds
     the chain."""
     alcove = tuple(L.aux.context.alcove())
     dims = {a: sector_dim(L.quantum, a) for a in alcove}
     if not sum(dims.values()):
         return [DifferenceOperator(alcove, dims, {}) for _ in zs]
+    zs, runs = list(zs), []
+    if zs and not memoized(L.aux, "trace-pieces", partner=L.quantum):
+        [(_, first), *_] = table_runs(zs, _point_cost(L, _COLD))
+        runs, zs = [first], zs[len(first):]
+    runs += [run for _, run in table_runs(zs, _point_cost(L))]
     out = []
-    for _, run in table_runs(list(zs), _point_cost(L)):
+    for run in runs:
         traced = partial_trace(L.at(run), L.aux, L.quantum)
         out += [DifferenceOperator(alcove, dims, {
             alpha: b if b.ndim == 2 else b[k] for alpha, b in traced.items()})
@@ -321,14 +337,8 @@ def _row_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
     """
     cols = len(us)
     states = _closed_rows(kind, cols)
-    n, points = kind.rank, kind.alcove()
-    index = {a: p for p, a in enumerate(points)}
-    # move[p, i]: index of points[p] + eps_i, else -1
-    move = np.full((len(points), n + 1), -1)
-    for p, a in enumerate(points):
-        for i in range(1, n + 1):
-            if kind.step_allowed(a, i):
-                move[p, i] = index[a + eps(n, i)]
+    n, points, move = kind.rank, kind.alcove(), kind.move()
+    index = kind.alcove_index()
     # walk[s, k]: the k-th step of row state s; height[s, k]: its k-th vertex
     walk = np.array([steps for _, steps in states], dtype=int).reshape(-1, cols)
     height = np.empty_like(walk)
@@ -370,10 +380,13 @@ def _row_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
 
 
 def graded_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
-                           us: tuple[complex, ...]) -> DifferenceOperator:
+                           us: tuple[complex, ...],
+                           space: GradedSpace | None = None
+                           ) -> DifferenceOperator:
     """T(z) = tr_V L(z) of the chain V(u_1) (x) ... (x) V(u_c) on the loop
-    sections over the alcove."""
-    return transfer_matrix([z], vector_chain(kind, params, tuple(us)))[0]
+    sections over the alcove, V = `space` when given."""
+    return transfer_matrix([z], vector_chain(kind, params, tuple(us),
+                                             space=space))[0]
 
 
 def _partition(build, rows: int, cols: int, z: complex, kind: ModelKind,

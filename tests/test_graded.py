@@ -38,7 +38,7 @@ def test_tensor_square_dimensions_are_path_counts():
 def test_tensor_space_over_the_summand_budget_is_refused(monkeypatch):
     import rsoskit.graded as gr
     V = vector_space()
-    count = sum(len(s) for s in tensor_space(V, V).layout.values())
+    count = tensor_space(V, V).layout.size.size
     W = vector_space()  # a fresh operand: the product above is kept on V
     monkeypatch.setattr(gr, "SUMMAND_BUDGET", count - 1)
     with pytest.raises(TooLarge, match=f"SUMMAND_BUDGET: {count} .* "
@@ -161,13 +161,13 @@ def test_tensor_keys_concatenate_factor_keys():
         A = _random_space(rng, KIND, points, 2)
         B = _random_space(rng, KIND, points, 2)
         AB = tensor_space(A, B)
-        for gamma, summands in AB.layout.items():
+        for gamma, summands in _decoded_layout(AB, A, B).items():
             rows = AB.keys[AB.offsets[gamma]:AB.offsets[gamma] + AB.dims[gamma]]
-            for s in summands:
-                ka = A.keys[A.offsets[s.left]:A.offsets[s.left] + A.dims[s.left]]
-                kb = B.keys[B.offsets[s.right]:B.offsets[s.right] + B.dims[s.right]]
+            for left, right, offset, size in summands:
+                ka = A.keys[A.offsets[left]:A.offsets[left] + A.dims[left]]
+                kb = B.keys[B.offsets[right]:B.offsets[right] + B.dims[right]]
                 want = [list(x) + list(y) for x in ka for y in kb]
-                assert rows[s.offset:s.offset + s.size].tolist() == want
+                assert rows[offset:offset + size].tolist() == want
 
 
 def test_tensor_morphism_functorial():
@@ -276,7 +276,7 @@ def test_tensor_space_is_built_once_and_equals_a_fresh_build():
         cached, fresh = tensor_space(X, Y), tensor_space(_fresh(X), _fresh(Y))
         assert fresh is not cached
         assert cached.dims == fresh.dims
-        assert cached.layout == fresh.layout
+        assert _decoded_layout(cached, X, Y) == _decoded_layout(fresh, X, Y)
         assert np.array_equal(cached.keys, fresh.keys)
         assert not cached.keys.flags.writeable
 
@@ -434,3 +434,217 @@ def test_stacked_shapes_are_checked_on_the_trailing_axes():
         iter(identity_morphism(V))
     P = align(V, V)
     assert P[5] is P
+
+
+# Reference builders: the product and the Kronecker fill summand by summand,
+# with an arrow, a shift tuple and a tuple per summand.
+
+def _reference_tensor_space(V, W):
+    """(dims, keys, layout) of V (x) W, layout[gamma] listing (alpha, beta,
+    offset, size) per summand: components by first appearance over V's
+    arrows, each followed by W's arrows from its target; summands within a
+    component by (middle point's sort_key, alpha's shift)."""
+    by_source = {}
+    for beta, dw in W.dims.items():
+        by_source.setdefault(beta.source, []).append((beta, W.offsets[beta], dw))
+    pieces = {}
+    for alpha, dv in V.dims.items():
+        mid, vo = alpha.target, V.offsets[alpha]
+        order = (mid.sort_key(), alpha.shift)
+        for beta, wo, dw in by_source.get(mid, ()):
+            gamma = Arrow(alpha.source, tuple(
+                x + y for x, y in zip(alpha.shift, beta.shift)))
+            pieces.setdefault(gamma, []).append(
+                (order, alpha, beta, vo, dv, wo, dw))
+    dims, layout, rows = {}, {}, []
+    for gamma, parts in pieces.items():
+        parts.sort(key=lambda part: part[0])
+        summands, offset = [], 0
+        for _, alpha, beta, vo, dv, wo, dw in parts:
+            summands.append((alpha, beta, offset, dv * dw))
+            rows += [list(V.keys[vo + i]) + list(W.keys[wo + j])
+                     for i in range(dv) for j in range(dw)]
+            offset += dv * dw
+        dims[gamma] = offset
+        layout[gamma] = tuple(summands)
+    width = V.keys.shape[1] + W.keys.shape[1]
+    return dims, np.array(rows, dtype=np.int64).reshape(-1, width), layout
+
+
+def _decoded_layout(P, V, W):
+    """P.layout as {gamma: ((alpha, beta, offset, size), ...)}."""
+    gammas, alphas, betas = list(P.dims), list(V.dims), list(W.dims)
+    out = {gamma: [] for gamma in gammas}
+    lay = P.layout
+    for l, r, c, o, s in zip(lay.left.tolist(), lay.right.tolist(),
+                             lay.component.tolist(), lay.offset.tolist(),
+                             lay.size.tolist()):
+        out[gammas[c]].append((alphas[l], betas[r], o, s))
+    return {gamma: tuple(summands) for gamma, summands in out.items()}
+
+
+def _reference_tensor_morphism(f, g):
+    """f (x) g by one broadcast multiply per summand pair, over the
+    reference layouts."""
+    *_, dom = _reference_tensor_space(f.domain, g.domain)
+    cod_dims, _, cod = _reference_tensor_space(f.codomain, g.codomain)
+    dom_dims = {gamma: sum(s[3] for s in summands)
+                for gamma, summands in dom.items()}
+    blocks = {}
+    for gamma, cod_summands in cod.items():
+        if gamma not in dom:
+            continue
+        dom_offset = {(a, b): o for a, b, o, _ in dom[gamma]}
+        m = None
+        for left, right, row, _ in cod_summands:
+            if (left, right) not in dom_offset:
+                continue
+            col = dom_offset[left, right]
+            fb, gb = f.blocks.get(left), g.blocks.get(right)
+            if fb is None or gb is None:
+                continue
+            if m is None:
+                lead = fb.shape[:-2] or gb.shape[:-2]
+                m = np.zeros(lead + (cod_dims[gamma], dom_dims[gamma]),
+                             dtype=complex)
+            (p, q), (s, t) = fb.shape[-2:], gb.shape[-2:]
+            view = m[..., row:row + p * s, col:col + q * t]
+            np.multiply(fb[..., :, None, :, None], gb[..., None, :, None, :],
+                        out=view.reshape(lead + (p, s, q, t)))
+        if m is not None:
+            blocks[gamma] = m
+    return blocks
+
+
+def _assert_product_matches_reference(V, W):
+    P = tensor_space(V, W)
+    dims, keys, layout = _reference_tensor_space(V, W)
+    assert list(P.dims.items()) == list(dims.items())
+    offset = 0
+    for gamma, d in dims.items():
+        assert P.offsets[gamma] == offset
+        offset += d
+    assert P.keys.dtype == keys.dtype and np.array_equal(P.keys, keys)
+    assert _decoded_layout(P, V, W) == layout
+    return P
+
+
+def _assert_tensor_morphism_matches_reference(f, g):
+    got = tensor_morphism(f, g)
+    want = _reference_tensor_morphism(f, g)
+    assert got.blocks.keys() == want.keys()
+    for gamma, m in want.items():
+        assert got.blocks[gamma].shape == m.shape
+        assert np.array_equal(got.blocks[gamma], m)
+
+
+def _sparse(rng, f, keep=0.6):
+    """f with a random part of its blocks dropped."""
+    return GradedMorphism(f.domain, f.codomain, {
+        g: m for g, m in f.blocks.items() if rng.random() < keep})
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7), (4, 6)])
+def test_products_and_kronecker_fills_match_the_reference_bit_for_bit(n, r):
+    rng = np.random.default_rng(100 * n + r)
+    kind = ModelKind.rsos(n, r)
+    V = build_vector_space(kind)
+    VV = _assert_product_matches_reference(V, V)
+    for X, Y in ((VV, V), (V, VV), (VV, VV)):
+        _assert_product_matches_reference(X, Y)
+    VVV = tensor_space(V, VV)
+    f = _random_morphism(rng, tensor_space(V, VV), tensor_space(VV, V))
+    g = _random_morphism(rng, VV, VV, (3,))
+    # plain, stacked, plain with stacked, identities, and blocks missing
+    for left, right in ((f, identity_morphism(V)),
+                        (identity_morphism(VV), g), (f, g), (g, f),
+                        (_sparse(np.random.default_rng(r), f), g),
+                        (identity_morphism(VVV), _sparse(
+                            np.random.default_rng(n), g))):
+        _assert_tensor_morphism_matches_reference(left, right)
+
+
+def test_kronecker_fill_of_the_restricted_r_matches_the_reference():
+    from rsoskit.rsos import restricted_r
+    kind = ModelKind.rsos(3, 5)
+    params = EllipticParams.rsos(3, 5, 0.9j)
+    V = build_vector_space(kind)
+    R = restricted_r([0.17 + 0.02j, 0.31], kind, params, space=V)
+    _assert_tensor_morphism_matches_reference(R, identity_morphism(V))
+    _assert_tensor_morphism_matches_reference(identity_morphism(V), R)
+    _assert_tensor_morphism_matches_reference(R, R[1])
+
+
+def test_windowed_products_match_the_reference():
+    base = (0.29, 0.11, 0.0)
+    kind = ModelKind.sos(base)
+    params = EllipticParams.rsos(3, 5, 0.9j)
+    window = [WeightPoint(base=base, offset=o) for o in
+              ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0))]
+    V = build_vector_space(kind, params, window=window)
+    VV = _assert_product_matches_reference(V, V)
+    _assert_product_matches_reference(VV, V)
+    _assert_product_matches_reference(V, VV)
+    rng = np.random.default_rng(7)
+    _assert_tensor_morphism_matches_reference(
+        _random_morphism(rng, VV, VV, (2,)), identity_morphism(V))
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
+def test_dual_and_unit_products_match_the_reference(n, r):
+    V = build_vector_space(ModelKind.rsos(n, r))
+    dd = dual_space(V)
+    D, coev, ev = dd.dual, dd.coevaluation, dd.evaluation
+    one = coev.domain
+    for X, Y in ((V, D), (D, V), (one, V), (V, one), (D, one),
+                 (tensor_space(V, D), V), (V, tensor_space(D, V)),
+                 (D, tensor_space(V, D)), (tensor_space(D, V), D)):
+        _assert_product_matches_reference(X, Y)
+    # the whiskers of both zigzag composites
+    for left, right in ((coev, V), (V, ev), (D, coev), (ev, D)):
+        _assert_tensor_morphism_matches_reference(*(
+            identity_morphism(x) if isinstance(x, GradedSpace) else x
+            for x in (left, right)))
+    # the pairing vectors: a 1 at each e_k (x) e_k^* of a summand (a, a^-1)
+    for P, left, m in ((coev.codomain, V, coev), (ev.domain, D, ev)):
+        *_, layout = _reference_tensor_space(*(
+            (V, D) if m is coev else (D, V)))
+        for gamma, block in m.blocks.items():
+            want = np.zeros(P.dims[gamma], dtype=complex)
+            for a, b, o, s in layout[gamma]:
+                if b == inverse(a):
+                    want[o:o + s:left.dims[a] + 1] = 1.0
+            assert np.array_equal(block.ravel(), want)
+
+
+def test_random_space_products_match_the_reference():
+    # characters-style spaces: shifts in {-1, 0, 1}^n, not unit steps
+    rng = random.Random(23)
+    for n, r in ((2, 11), (3, 6)):
+        kind = ModelKind.rsos(n, r)
+        points = rsos_alcove(n, r)
+        for _ in range(6):
+            A = _random_space(rng, kind, points, n, n_arrows=12)
+            B = _random_space(rng, kind, points, n, n_arrows=12)
+            _assert_product_matches_reference(A, B)
+            _assert_product_matches_reference(tensor_space(A, B), A)
+            nrng = np.random.default_rng(rng.randrange(1000))
+            _assert_tensor_morphism_matches_reference(
+                _random_morphism(nrng, A, A), _random_morphism(nrng, B, B, (2,)))
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
+def test_tensor_morphism_on_a_domain_is_the_aligned_product(n, r):
+    # f (x) g written on another bracketing of its domain equals the product
+    # entered through the alignment, bit for bit
+    rng = np.random.default_rng(10 * n + r + 3)
+    V = build_vector_space(ModelKind.rsos(n, r))
+    VV = tensor_space(V, V)
+    f = _random_morphism(rng, VV, VV, (2,))
+    for g in (identity_morphism(V), _random_morphism(rng, V, V)):
+        for X in (tensor_space(V, VV), tensor_space(VV, V)):
+            want = tensor_morphism(f, g)
+            want = want @ align(X, want.domain)
+            _assert_same_morphism(tensor_morphism(f, g, domain=X), want)
+    with pytest.raises(ShapeMismatch):
+        tensor_morphism(f, identity_morphism(V), domain=VV)

@@ -9,7 +9,7 @@ from rsoskit.elliptic import (EllipticParams, bracket, pair_index, r_matrix,
                               r_table)
 from rsoskit.errors import (BaseOnSingularSet, InfiniteSet, InvalidConfig,
                             NearPole, NonSquare, RestrictionViolated)
-from rsoskit.graded import identity_morphism
+from rsoskit.graded import GradedSpace, identity_morphism
 from rsoskit.groupoid import (AlcoveKind, AlcoveSpec, Arrow, WeightPoint,
                               add_vectors, alcove_contains, eps, rsos_alcove)
 from rsoskit.rsos import (ModelKind, _same_weight, _site_operators, _sites,
@@ -550,14 +550,20 @@ def test_grading_convention_consistency():
     kind, params = setup_n2()
     from rsoskit.rsos import restricted_r
     z = 0.27 + 0.04j
-    R = restricted_r([z], kind, params)[0]
+    V = build_vector_space(kind)
+    R = restricted_r([z], kind, params, space=V)[0]
     VV = R.domain
-    for g, summands in VV.layout.items():
+    # the summands (alpha, beta) of each component of V (x) V, in row order
+    arrows, gammas, lay = list(V.dims), list(VV.dims), VV.layout
+    summands = {g: [] for g in gammas}
+    for c, l, r in zip(lay.component, lay.left, lay.right):
+        summands[gammas[c]].append((arrows[l], arrows[r]))
+    for g, pairs in summands.items():
         block = R.block(g)
-        for col, sc in enumerate(summands):
-            for row, sr in enumerate(summands):
-                face = boltzmann_weight(z, sc.left, sc.right, sr.left,
-                                        sr.right, kind, params)
+        for col, (c_left, c_right) in enumerate(pairs):
+            for row, (r_left, r_right) in enumerate(pairs):
+                face = boltzmann_weight(z, c_left, c_right, r_left, r_right,
+                                        kind, params)
                 assert abs(block[row, col] - face) < 1e-14
 
 
@@ -658,3 +664,29 @@ def test_step_allowed_matches_alcove_definition(n, r):
             oracle = (alcove_contains(a, spec)
                       and alcove_contains(a + eps(n, i), spec))
             assert kind.step_allowed(a, i) == oracle
+
+
+@pytest.mark.parametrize("n,r", MODELS)
+def test_step_table_matches_step_allowed(n, r):
+    kind = ModelKind.rsos(n, r)
+    move = kind.move()
+    assert move is kind.move() and not move.flags.writeable
+    points, index = kind.alcove(), kind.alcove_index()
+    assert move.shape == (len(points), n + 1) and (move[:, 0] == -1).all()
+    for p, a in enumerate(points):
+        for i in range(1, n + 1):
+            want = index[a + eps(n, i)] if kind.step_allowed(a, i) else -1
+            assert move[p, i] == want
+
+
+@pytest.mark.parametrize("n,r", MODELS)
+def test_vector_space_components_come_from_the_step_table(n, r):
+    from rsoskit.graded import components
+    kind = ModelKind.rsos(n, r)
+    V = build_vector_space(kind)
+    assert list(V.dims) == [Arrow(a, eps(n, i)) for a in kind.alcove()
+                            for i in range(1, n + 1) if kind.step_allowed(a, i)]
+    # the arrays set from the table equal those read off the arrows
+    fresh = GradedSpace.from_dims(kind, V.dims)
+    for got, want in zip(components(V), components(fresh)):
+        assert np.array_equal(got, want)

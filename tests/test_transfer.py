@@ -131,6 +131,16 @@ def _loops(W, a):
                   key=lambda g: g.shift)
 
 
+def _summand_offset(P, V, W, total, left, right):
+    """First row, in the component of P = V (x) W at `total`, of the summand
+    V_left (x) W_right, found by a scan of P's layout."""
+    lay, gammas = P.layout, list(P.dims)
+    alphas, betas = list(V.dims), list(W.dims)
+    return next(o for c, l, r, o in zip(lay.component, lay.left, lay.right,
+                                        lay.offset)
+                if (gammas[c], alphas[l], betas[r]) == (total, left, right))
+
+
 def _partial_trace_oracle(f, aux, quantum):
     """tr over aux summed entry by entry: sum_v f[(p, v), (v, q)]."""
     g = align(f.codomain, tensor_space(quantum, aux)) @ f @ align(
@@ -149,16 +159,15 @@ def _partial_trace_oracle(f, aux, quantum):
                 if ltgt.shift == lsrc.shift:
                     total = Arrow(alpha.source, tuple(
                         x + y for x, y in zip(alpha.shift, lsrc.shift)))
-                    ds = next(s for s in g.domain.layout[total]
-                              if (s.left, s.right) == (alpha, ltgt))
-                    cs = next(s for s in g.codomain.layout[total]
-                              if (s.left, s.right) == (lsrc, alpha))
+                    ds = _summand_offset(g.domain, aux, quantum, total,
+                                         alpha, ltgt)
+                    cs = _summand_offset(g.codomain, quantum, aux, total,
+                                         lsrc, alpha)
                     m, d_in = g.block(total), quantum.dims[ltgt]
                     for p in range(quantum.dims[lsrc]):
                         for q in range(d_in):
                             block[r0 + p, c0 + q] = sum(
-                                m[cs.offset + p * d_aux + v,
-                                  ds.offset + v * d_in + q]
+                                m[cs + p * d_aux + v, ds + v * d_in + q]
                                 for v in range(d_aux))
                 c0 += quantum.dims[ltgt]
             r0 += quantum.dims[lsrc]
@@ -285,6 +294,38 @@ def test_one_point_chain_evaluation_peaks_within_its_point_cost():
     finally:
         tracemalloc.stop()
     assert peak <= transfer._ALIVE * sum(m.nbytes for m in f.blocks.values())
+
+
+def test_cold_chain_evaluation_peaks_within_its_cold_cost():
+    # the first run of a chain also builds its structure: its traced peak,
+    # L(z) and its partial trace, stays within _COLD morphisms the size of
+    # L(z)
+    L = vector_chain(ModelKind.rsos(3, 10), EllipticParams.rsos(3, 10, TAU),
+                     (0.0, 0.0, 0.0))
+    tracemalloc.start()
+    try:
+        f = L.at([0.21 + 0.05j])
+        partial_trace(f, L.aux, L.quantum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= transfer._COLD * sum(m.nbytes for m in f.blocks.values())
+
+
+def test_first_run_of_a_cold_chain_is_sized_on_its_cold_peak(monkeypatch):
+    L = vector_chain(KIND, PARAMS, (0.0, 0.3))
+    zs = [0.1 + 0.01 * k for k in range(9)]
+    runs, at = [], L.at
+    monkeypatch.setattr(L, "at", lambda zs: runs.append(len(zs)) or at(zs))
+    # four warm points per run, and 4 * _ALIVE // _COLD cold ones
+    monkeypatch.setattr(elliptic, "TABLE_BUDGET", 4 * transfer._point_cost(L))
+    cold = transfer_matrix(zs, L)
+    assert runs == [1, 4, 4]
+    del runs[:]
+    warm = transfer_matrix(zs, L)
+    assert runs == [4, 4, 1]
+    for got, want in zip(cold, warm):
+        _assert_same_operator(got, want)
 
 
 def test_empty_chain_is_refused_before_any_row_is_listed(monkeypatch):
@@ -449,15 +490,17 @@ def test_state_dimension_at_n_columns_is_non_vacuous(n, r, dim):
 @pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
 def test_partition_suite_builds_each_matrix_once_per_column_count(
         n, r, monkeypatch):
-    built = {}
+    built, spaces = {}, []
 
     def count(name, cols_of):
         inner = getattr(transfer, name)
         built[name] = []
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             built[name].append(cols_of(args))
-            return inner(*args)
+            if name == "vector_chain":
+                spaces.append(kwargs["space"])
+            return inner(*args, **kwargs)
         monkeypatch.setattr(transfer, name, wrapper)
 
     for name in ("_row_transfer_matrix", "graded_transfer_matrix"):
@@ -469,6 +512,8 @@ def test_partition_suite_builds_each_matrix_once_per_column_count(
     # cols = n; the torus closes only when n divides cols
     widths = {2: [2, 4, 6], 3: [3]}[n]
     assert built == dict.fromkeys(built, widths)
+    # every width's chain is built on one V, so they share its products
+    assert spaces[0] is not None and all(V is spaces[0] for V in spaces)
 
 
 @pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
