@@ -27,6 +27,7 @@ alignment) broadcasts against a stack, and `f[k]` is the k-th morphism.
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -58,15 +59,11 @@ def _atom_keys(atoms) -> np.ndarray:
 
 
 class Components(NamedTuple):
-    """A space's components as arrays in `dims` order: the index of each
-    source and target point, the shift rows, the dimensions and the first
-    rows."""
+    """The index of each component's source and target point, in `dims`
+    order, for one numbering of the points."""
 
     source: np.ndarray
     target: np.ndarray
-    shift: np.ndarray
-    dim: np.ndarray
-    offset: np.ndarray
 
 
 class Layout(NamedTuple):
@@ -103,7 +100,9 @@ class GradedSpace:
 
     `keys` holds one row of atom codes per basis vector, components stacked
     in `dims` order; tensor-unit factors add no code, dual atoms are opaque.
-    A tensor product also has its `layout`.
+    `shifts` (one row per component), `sizes` and `starts` (first rows) are
+    the components as read-only arrays in `dims` order.  A tensor product
+    also has its `layout`.
 
     A space is immutable after construction and is compared by identity:
     values derived from it (see `memo`) are cached on it and never rebuilt.
@@ -113,17 +112,33 @@ class GradedSpace:
     dims: dict[Arrow, int]
     keys: np.ndarray
     layout: Layout | None = None
-    offsets: dict[Arrow, int] = field(init=False, repr=False)
+    shifts: np.ndarray = field(init=False, repr=False)
+    sizes: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
     _memo: dict = field(init=False, repr=False, default_factory=dict)
     _partner_memo: weakref.WeakKeyDictionary = field(
         init=False, repr=False, default_factory=weakref.WeakKeyDictionary)
 
     def __post_init__(self):
-        self.offsets, k = {}, 0
-        for arrow, d in self.dims.items():
-            self.offsets[arrow] = k
-            k += d
-        self.keys.flags.writeable = False
+        count, n = len(self.dims), self.context.rank
+        self.shifts = np.fromiter(
+            itertools.chain.from_iterable(g.shift for g in self.dims),
+            np.int64, count * n).reshape(count, n)
+        self.sizes = np.fromiter(self.dims.values(), np.int64, count)
+        self.starts = self.sizes.cumsum() - self.sizes
+        for a in (self.keys, self.shifts, self.sizes, self.starts):
+            a.flags.writeable = False
+
+    @cached_property
+    def offsets(self) -> dict[Arrow, int]:
+        """The first row of each component."""
+        return dict(zip(self.dims, self.starts.tolist()))
+
+    def split(self, rows: np.ndarray) -> list[np.ndarray]:
+        """`rows`, one per basis vector, cut into one view per component in
+        `dims` order."""
+        ends = (self.starts + self.sizes).tolist()
+        return [rows[a:b] for a, b in zip(self.starts.tolist(), ends)]
 
     @classmethod
     def from_dims(cls, context: ModelKind, dims: dict[Arrow, int]) -> "GradedSpace":
@@ -181,21 +196,18 @@ def _require_same_context(a, b):
 
 def components(space: GradedSpace, index: dict[WeightPoint, int] | None = None
                ) -> Components:
-    """The component arrays of `space`, its points numbered by `index`; by
-    default by `alcove_index()`, and then built once per space (a product
-    gets them from its build)."""
+    """The source and target point indices of `space`'s components, its
+    points numbered by `index`; by default by `alcove_index()`, and then
+    built once per space (a product gets them from its build)."""
     if index is None:
         return memo(space, "components", lambda: components(
             space, space.context.alcove_index()))
-    arrows, n, dim = list(space.dims), space.context.rank, _dims(space)
+    count = len(space.dims)
     return Components(
-        source=np.fromiter((index[g.source] for g in arrows), np.int64,
-                           len(arrows)),
-        target=np.fromiter((index[g.target] for g in arrows), np.int64,
-                           len(arrows)),
-        shift=np.array([g.shift for g in arrows],
-                       dtype=np.int64).reshape(-1, n),
-        dim=dim, offset=dim.cumsum() - dim)
+        source=np.fromiter((index[g.source] for g in space.dims), np.int64,
+                           count),
+        target=np.fromiter((index[g.target] for g in space.dims), np.int64,
+                           count))
 
 
 def tensor_space(V: GradedSpace, W: GradedSpace) -> GradedSpace:
@@ -256,10 +268,10 @@ def _build_tensor_space(V: GradedSpace, W: GradedSpace) -> GradedSpace:
     right = by_source[_runs(count, first)]
     # gamma = beta o alpha is (alpha's source, alpha's shift + beta's): sort
     # by gamma, then by the middle point and alpha's shift
-    alpha_shift = cv.shift[left]
+    alpha_shift = V.shifts[left]
     gamma = np.empty((total, kind.rank + 1), dtype=np.int64)
     gamma[:, 0] = cv.source[left]
-    np.add(alpha_shift, cw.shift[right], out=gamma[:, 1:])
+    np.add(alpha_shift, W.shifts[right], out=gamma[:, 1:])
     order = np.lexsort((*alpha_shift.T[::-1], cv.target[left],
                         *gamma.T[::-1]))
     gamma = gamma[order]
@@ -270,7 +282,7 @@ def _build_tensor_space(V: GradedSpace, W: GradedSpace) -> GradedSpace:
     starts, lengths = starts[rank], lengths[rank]
     order = order[_runs(lengths, starts)]
     left, right = left[order], right[order]
-    size = cv.dim[left] * cw.dim[right]
+    size = V.sizes[left] * W.sizes[right]
     ends = lengths.cumsum()
     dims = np.add.reduceat(size, ends - lengths)
     offset = size.cumsum() - size - (dims.cumsum() - dims).repeat(lengths)
@@ -278,31 +290,27 @@ def _build_tensor_space(V: GradedSpace, W: GradedSpace) -> GradedSpace:
     arrows = [Arrow(points[row[0]], tuple(row[1:])) for row in head.tolist()]
     P = GradedSpace(
         context=kind, dims=dict(zip(arrows, dims.tolist())),
-        keys=_product_keys(V.keys, W.keys, np.array(
-            (cv.offset[left], cv.dim[left], cw.offset[right], cw.dim[right])).T),
+        keys=_product_keys(V, W, left, right),
         layout=Layout(left, right, np.arange(dims.size).repeat(lengths),
                       offset, size, len(W.dims)))
     if index is None:
         memo(P, "components", lambda: Components(
-            source=head[:, 0], target=cw.target[right[ends - 1]],
-            shift=head[:, 1:], dim=dims, offset=dims.cumsum() - dims))
+            source=head[:, 0], target=cw.target[right[ends - 1]]))
     return P
 
 
-def _product_keys(kv: np.ndarray, kw: np.ndarray, spans) -> np.ndarray:
-    """Keys of the summands V_alpha (x) W_beta, stacked in one step.
-
-    `spans` holds (first row of V_alpha, dim V_alpha, first row of W_beta,
-    dim W_beta) per summand; summand rows run over v, then w.
-    """
-    start_v, dim_v, start_w, dim_w = np.array(
-        spans, dtype=np.int64).reshape(-1, 4).T
-    size = dim_v * dim_w
-    which = np.repeat(np.arange(size.size), size)
-    local = np.arange(which.size) - np.repeat(np.cumsum(size) - size, size)
-    step = dim_w[which]
-    return np.concatenate((kv[start_v[which] + local // step],
-                           kw[start_w[which] + local % step]), axis=1)
+def _product_keys(V: GradedSpace, W: GradedSpace, left: np.ndarray,
+                  right: np.ndarray) -> np.ndarray:
+    """Keys of the summands V_alpha (x) W_beta, alpha = V's component
+    left[k] and beta = W's right[k], stacked in one step; summand rows run
+    over v, then w."""
+    dim_w = W.sizes[right]
+    size = V.sizes[left] * dim_w
+    which = np.arange(size.size).repeat(size)
+    local, step = _runs(size, 0), dim_w[which]
+    return np.concatenate((V.keys[V.starts[left[which]] + local // step],
+                           W.keys[W.starts[right[which]] + local % step]),
+                          axis=1)
 
 
 @dataclass
@@ -434,16 +442,14 @@ def _alignment(src: GradedSpace, dst: GradedSpace
     _require_same_context(src, dst)
     if set(src.dims) != set(dst.dims):
         raise ShapeMismatch("alignment: component arrows differ")
-    for arrow, d in src.dims.items():
-        if dst.dims[arrow] != d:
-            raise ShapeMismatch(f"alignment: dimension mismatch at {arrow!r}")
-    # Tag each key with its component and sort: matched basis vectors then
-    # sit at equal positions of the two sorted lists.
-    slot = {arrow: k for k, arrow in enumerate(dst.dims)}
+    slot = _positions(src, dst)
+    for arrow in itertools.compress(src.dims, dst.sizes[slot] != src.sizes):
+        raise ShapeMismatch(f"alignment: dimension mismatch at {arrow!r}")
+    # Tag each key with its component in dst and sort: matched basis vectors
+    # then sit at equal positions of the two sorted lists.
     sides = []
-    for space in (src, dst):
-        tags = np.repeat([slot[g] for g in space.dims], list(space.dims.values()))
-        tagged = np.column_stack((tags, space.keys))
+    for space, tags in ((src, slot), (dst, np.arange(len(dst.dims)))):
+        tagged = np.column_stack((tags.repeat(space.sizes), space.keys))
         order = np.lexsort(tagged.T[::-1])
         sides.append((tagged[order], order))
     (rows_src, order_src), (rows_dst, order_dst) = sides
@@ -451,14 +457,12 @@ def _alignment(src: GradedSpace, dst: GradedSpace
         raise ShapeMismatch("alignment: unmatched basis vector")
     to_dst = np.empty_like(order_src)
     to_dst[order_src] = order_dst
-    index = {}
-    for g, d in src.dims.items():
-        index[g] = to_dst[src.offsets[g]:src.offsets[g] + d] - dst.offsets[g]
-        index[g].flags.writeable = False
+    local = to_dst - dst.starts[slot].repeat(src.sizes)
+    local.flags.writeable = False
     columns = np.empty_like(to_dst)
-    columns[to_dst] = _runs(_dims(src), 0)
+    columns[to_dst] = _runs(src.sizes, 0)
     columns.flags.writeable = False
-    return MappingProxyType(index), columns
+    return MappingProxyType(dict(zip(src.dims, src.split(local)))), columns
 
 
 def composite(start: GradedSpace,
@@ -572,14 +576,6 @@ def _positions(S: GradedSpace, T: GradedSpace) -> np.ndarray:
                        len(S.dims))
 
 
-def _dims(S: GradedSpace) -> np.ndarray:
-    return np.fromiter(S.dims.values(), np.int64, len(S.dims))
-
-
-def _offsets(S: GradedSpace) -> np.ndarray:
-    return np.fromiter(S.offsets.values(), np.int64, len(S.offsets))
-
-
 def _summand_pairs(f_dom: GradedSpace, f_cod: GradedSpace, g_dom: GradedSpace,
                    g_cod: GradedSpace, dom: GradedSpace,
                    cod: GradedSpace) -> tuple:
@@ -600,16 +596,16 @@ def _summand_pairs(f_dom: GradedSpace, f_cod: GradedSpace, g_dom: GradedSpace,
     firsts = _run_starts(comp[:, None])
     comps = comp[firsts]
     component = comps.searchsorted(comp)
-    rows, width = _dims(cod)[comps], _dims(dom)[dl.component[match]]
+    rows, width = cod.sizes[comps], dom.sizes[dl.component[match]]
     f, g = cl.left[kept], cl.right[kept]
-    shape = np.stack((_dims(f_cod)[f], _dims(f_dom)[dl.left[match]],
-                      _dims(g_cod)[g], _dims(g_dom)[dl.right[match]]), axis=1)
+    shape = np.stack((f_cod.sizes[f], f_dom.sizes[dl.left[match]],
+                      g_cod.sizes[g], g_dom.sizes[dl.right[match]]), axis=1)
     order = np.lexsort(shape.T[::-1])
     starts = _run_starts(shape[order])
     # entry (a s + b, c t + d) of a pair at row offset + a s + b of its
     # block and at column offset + c t + d of its component of dom
     row = cl.offset[kept] * width
-    col = dl.offset[match] + _offsets(dom)[dl.component[match]]
+    col = dl.offset[match] + dom.starts[dl.component[match]]
     groups = []
     for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(order)]):
         k = order[a:b]
@@ -658,16 +654,12 @@ def _pairing_vectors(P: GradedSpace, left: GradedSpace, right: GradedSpace,
     at = P.layout.find(np.arange(len(left.dims)), inverses)
     at = at[at >= 0]
     # the diagonal of each summand: every (d + 1)-th of its d * d rows
-    d = _dims(left)[P.layout.left[at]]
-    first = _offsets(P)[P.layout.component[at]] + P.layout.offset[at]
-    flat = np.zeros(sum(P.dims.values()), dtype=complex)
+    d = left.sizes[P.layout.left[at]]
+    first = P.starts[P.layout.component[at]] + P.layout.offset[at]
+    flat = np.zeros(len(P.keys), dtype=complex)
     flat[first.repeat(d) + _runs(d, 0) * (d + 1).repeat(d)] = 1.0
-    out = {}
-    for a in points:
-        ida = identity_arrow(a)
-        if ida in P.dims:
-            out[ida] = flat[P.offsets[ida]:P.offsets[ida] + P.dims[ida]]
-    return out
+    pieces = dict(zip(P.dims, P.split(flat)))
+    return {g: pieces[g] for g in map(identity_arrow, points) if g in pieces}
 
 
 def zigzag_residual(V: GradedSpace) -> float:

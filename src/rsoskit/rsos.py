@@ -20,8 +20,7 @@ from .elliptic import (POLE_GUARD, EllipticParams, bracket, pair_index,
                        param_chunks, r_matrix, r_table, table_runs)
 from .errors import (BaseOnSingularSet, ContextMismatch, NonSquare,
                      RestrictionViolated)
-from .graded import (Components, GradedMorphism, GradedSpace, memo,
-                     tensor_space)
+from .graded import GradedMorphism, GradedSpace, memo, tensor_space
 from .groupoid import Arrow, ModelKind, WeightPoint, compose, eps
 
 RESTRICTION_TOL = 1e-12
@@ -38,17 +37,7 @@ def build_vector_space(kind: ModelKind,
     """
     n = kind.rank
     if kind.is_restricted:
-        # (a, eps_i) by a, then by i, with its components' point indices
-        move = kind.move()
-        p, i = np.nonzero(move[:, 1:] >= 0)
         points = kind.alcove()
-        V = GradedSpace.from_dims(kind, {
-            Arrow(points[a], eps(n, k + 1)): 1
-            for a, k in zip(p.tolist(), i.tolist())})
-        memo(V, "components", lambda: Components(
-            source=p, target=move[p, i + 1], shift=np.eye(n, dtype=np.int64)[i],
-            dim=np.ones(p.size, dtype=np.int64), offset=np.arange(p.size)))
-        return V
     else:
         if window is None:
             raise ValueError("unrestricted model needs an explicit point window")
@@ -61,12 +50,9 @@ def build_vector_space(kind: ModelKind,
                 if abs(value) < POLE_GUARD:
                     raise BaseOnSingularSet(
                         f"base point {a!r} has [a_{i}-a_{j}] ~ 0")
-    dims = {}
-    for a in points:
-        for i in range(1, n + 1):
-            if kind.step_allowed(a, i):
-                dims[Arrow(a, eps(n, i))] = 1
-    return GradedSpace.from_dims(kind, dims)
+    return GradedSpace.from_dims(kind, {
+        Arrow(a, eps(n, i)): 1 for a in points for i in range(1, n + 1)
+        if kind.step_allowed(a, i)})
 
 
 def _step_index(arrow: Arrow) -> int:
@@ -127,14 +113,14 @@ def restricted_r(zs, kind: ModelKind, params: EllipticParams,
 def _flat_positions(VV: GradedSpace, V: GradedSpace, n: int) -> tuple:
     """The distinct sources of the components of VV = V (x) V and, per
     source, its components with the index pair that picks each block out of
-    the flat R-matrix (row/column k <-> summand k)."""
-    steps = np.array([_step_index(a) for a in V.dims], dtype=np.int64)
+    the flat R-matrix (row/column k <-> summand k, as V's components are
+    one-dimensional)."""
+    steps = V.shifts.argmax(axis=1) + 1
     lay = VV.layout
     flat = pair_index(n, steps[lay.left], steps[lay.right])
     flat.flags.writeable = False
-    starts = np.flatnonzero(np.diff(lay.component)) + 1
     picks: dict[WeightPoint, list] = {}
-    for gamma_arrow, at in zip(VV.dims, np.split(flat, starts)):
+    for gamma_arrow, at in zip(VV.dims, VV.split(flat)):
         picks.setdefault(gamma_arrow.source, []).append(
             (gamma_arrow, np.ix_(at, at)))
     return tuple(picks), tuple(map(tuple, picks.values()))

@@ -648,3 +648,104 @@ def test_tensor_morphism_on_a_domain_is_the_aligned_product(n, r):
             _assert_same_morphism(tensor_morphism(f, g, domain=X), want)
     with pytest.raises(ShapeMismatch):
         tensor_morphism(f, identity_morphism(V), domain=VV)
+
+
+# Every space carries its components as read-only arrays in `dims` order;
+# `offsets` is built from them on first read.
+
+def _assert_component_arrays(S):
+    n = S.context.rank
+    shifts = np.array([g.shift for g in S.dims], dtype=np.int64).reshape(-1, n)
+    sizes, starts, offsets, k = [], [], {}, 0
+    for g, d in S.dims.items():
+        sizes.append(d)
+        starts.append(k)
+        offsets[g] = k
+        k += d
+    for got, want in ((S.shifts, shifts), (S.sizes, sizes),
+                      (S.starts, starts)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(
+            got.shape)) and len(got) == len(S.dims)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[...] = 0
+    assert "offsets" not in vars(S)
+    assert S.offsets == offsets and list(S.offsets) == list(S.dims)
+    assert S.offsets is S.offsets
+
+
+def test_component_arrays_of_every_kind_of_space():
+    from rsoskit.suites import _random_graded_space
+    V = vector_space()
+    dual = dual_space(vector_space()).dual
+    g1, g2 = Arrow(_point(1), (1, 0)), Arrow(_point(4), (0, 1))
+    spaces = [GradedSpace.from_dims(KIND, {g1: 2, g2: 3}),
+              GradedSpace.from_dims(KIND, {}),
+              unit_space(KIND, V.objects()), unit_space(KIND, []), V, dual,
+              tensor_space(dual, V), tensor_space(V, dual),
+              # no arrow of the second starts where one of the first ends
+              tensor_space(GradedSpace.from_dims(KIND, {g1: 2}),
+                           GradedSpace.from_dims(KIND, {g1: 1}))]
+    assert not spaces[-1].dims
+    for n, r in ((2, 5), (3, 7)):
+        W = build_vector_space(ModelKind.rsos(n, r))
+        WW = tensor_space(W, W)
+        spaces += [W, WW, tensor_space(WW, W), tensor_space(W, WW)]
+    base = (0.29, 0.11, 0.0)
+    window = [WeightPoint(base=base, offset=o) for o in
+              ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0))]
+    S = build_vector_space(ModelKind.sos(base),
+                           EllipticParams.rsos(3, 5, 0.9j), window=window)
+    spaces += [S, tensor_space(S, S), tensor_space(tensor_space(S, S), S)]
+    rng = random.Random(29)
+    for n, r in ((2, 11), (3, 6)):
+        kind, points = ModelKind.rsos(n, r), rsos_alcove(n, r)
+        for _ in range(3):
+            A = _random_graded_space(rng, kind, points, n)
+            B = _random_graded_space(rng, kind, points, n)
+            spaces += [A, B, tensor_space(A, B)]
+    for S in spaces:
+        _assert_component_arrays(S)
+
+
+def _reference_alignment(src, dst):
+    """align(src, dst)'s index arrays and columns, a slice of the matched
+    basis vectors per component."""
+    slot = {g: k for k, g in enumerate(dst.dims)}
+    sides = []
+    for space in (src, dst):
+        tags = np.repeat([slot[g] for g in space.dims],
+                         list(space.dims.values()))
+        tagged = np.column_stack((tags, space.keys))
+        order = np.lexsort(tagged.T[::-1])
+        sides.append(order)
+    to_dst = np.empty_like(sides[0])
+    to_dst[sides[0]] = sides[1]
+    index = {g: to_dst[src.offsets[g]:src.offsets[g] + d] - dst.offsets[g]
+             for g, d in src.dims.items()}
+    columns = np.empty_like(to_dst)
+    columns[to_dst] = np.concatenate(
+        [np.arange(d) for d in src.dims.values()] or [np.zeros(0, int)])
+    return index, columns
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7)])
+def test_alignment_equals_the_per_component_reference(n, r):
+    V = build_vector_space(ModelKind.rsos(n, r))
+    dd = dual_space(V)
+    D, one = dd.dual, dd.coevaluation.domain
+    pairs = _aligned_pairs(V) + [
+        (tensor_space(tensor_space(V, D), V), tensor_space(V, tensor_space(D, V))),
+        (tensor_space(D, one), D), (tensor_space(one, D), D)]
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        perm = align(a, b)
+        index, columns = _reference_alignment(a, b)
+        assert list(perm.index) == list(index)
+        for g, p in index.items():
+            got = perm.index[g]
+            assert np.array_equal(got, p) and not got.flags.writeable
+        # the index arrays are views of one array
+        assert len({id(p.base) for p in perm.index.values()}) <= 1
+        assert np.array_equal(perm.columns, columns)
+        assert not perm.columns.flags.writeable

@@ -679,14 +679,30 @@ def test_step_table_matches_step_allowed(n, r):
             assert move[p, i] == want
 
 
-@pytest.mark.parametrize("n,r", MODELS)
+def _reference_restricted_vector_space(kind):
+    """V read off the step table, (a, eps_i) by a, then by i, with its
+    components' source and target indices, shift rows and dimensions as the
+    table gives them."""
+    n, move, points = kind.rank, kind.move(), kind.alcove()
+    p, i = np.nonzero(move[:, 1:] >= 0)
+    V = GradedSpace.from_dims(kind, {
+        Arrow(points[a], eps(n, k + 1)): 1
+        for a, k in zip(p.tolist(), i.tolist())})
+    return V, (p, move[p, i + 1], np.eye(n, dtype=np.int64)[i],
+               np.ones(p.size, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n,r", MODELS + [(3, 7), (4, 6)])
 def test_vector_space_components_come_from_the_step_table(n, r):
     from rsoskit.graded import components
     kind = ModelKind.rsos(n, r)
     V = build_vector_space(kind)
-    assert list(V.dims) == [Arrow(a, eps(n, i)) for a in kind.alcove()
-                            for i in range(1, n + 1) if kind.step_allowed(a, i)]
-    # the arrays set from the table equal those read off the arrows
-    fresh = GradedSpace.from_dims(kind, V.dims)
-    for got, want in zip(components(V), components(fresh)):
-        assert np.array_equal(got, want)
+    want, (source, target, shifts, sizes) = (
+        _reference_restricted_vector_space(kind))
+    assert list(V.dims.items()) == list(want.dims.items())
+    assert np.array_equal(V.keys, want.keys)
+    got = components(V)
+    assert got._fields == ("source", "target")
+    for a, b in ((got.source, source), (got.target, target),
+                 (V.shifts, shifts), (V.sizes, sizes)):
+        assert np.array_equal(a, b)
