@@ -23,15 +23,17 @@ A difference operator acts on sections psi over a finite point set A by
 each r_(a, mu) a block from the fibre at a + mu to the one at a: 1 x 1 for
 an element supported inside A, loop sectors for `transfer.transfer_matrix`.
 Operators compose (`@`) by the arrow pairing of the product on blocks, so
-`power` and `trace` (over the loop arrows) never form the dense matrix on
-the stacked fibres that `matrix()` builds.
+`powers`, `power` and `trace` (over the loop arrows) never form the dense
+matrix on the stacked fibres that `matrix()` builds.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add, matmul, mul
+from typing import Iterator
 
 import numpy as np
 
@@ -199,13 +201,15 @@ class DifferenceOperator:
         return DifferenceOperator(self.points, self.dims,
                                   _compose(self.blocks, other.blocks, np.dot))
 
-    def power(self, m: int) -> "DifferenceOperator":
-        """The m-th power; m = 0 gives the identity on the fibres."""
-        out = DifferenceOperator(self.points, self.dims, {
+    def powers(self) -> Iterator["DifferenceOperator"]:
+        """M^0 = the identity on the fibres, then M^m = M^(m-1) @ M, ..."""
+        one = DifferenceOperator(self.points, self.dims, {
             identity_arrow(a): np.eye(d) for a, d in self.dims.items() if d})
-        for _ in range(m):
-            out = out @ self
-        return out
+        return itertools.accumulate(itertools.repeat(self), matmul, initial=one)
+
+    def power(self, m: int) -> "DifferenceOperator":
+        """The m-th power, the m-th of `powers()`."""
+        return next(itertools.islice(self.powers(), m, None))
 
     def trace(self):
         """Sum of the traces of the loop blocks, the diagonal of `matrix()`."""

@@ -194,20 +194,30 @@ def _require_same_context(a, b):
         raise ContextMismatch(f"{a.context} != {b.context}")
 
 
+def point_numbering(*spaces: GradedSpace
+                    ) -> tuple[tuple[WeightPoint, ...], dict | None]:
+    """The points, by `sort_key`, that number the components of `spaces`,
+    and their index: the alcove and None (`components`' default) when
+    restricted, else the points of `spaces`."""
+    if spaces[0].context.is_restricted:
+        return spaces[0].context.alcove(), None
+    points = tuple(sorted(set().union(*(S.objects() for S in spaces)),
+                          key=WeightPoint.sort_key))
+    return points, {p: k for k, p in enumerate(points)}
+
+
 def components(space: GradedSpace, index: dict[WeightPoint, int] | None = None
                ) -> Components:
-    """The source and target point indices of `space`'s components, its
-    points numbered by `index`; by default by `alcove_index()`, and then
-    built once per space (a product gets them from its build)."""
+    """The source and target point indices of `space`'s components, -1 for
+    a point `index` lacks; by default by `alcove_index()`, and then built
+    once per space (a product gets them from its build)."""
     if index is None:
         return memo(space, "components", lambda: components(
             space, space.context.alcove_index()))
     count = len(space.dims)
-    return Components(
-        source=np.fromiter((index[g.source] for g in space.dims), np.int64,
-                           count),
-        target=np.fromiter((index[g.target] for g in space.dims), np.int64,
-                           count))
+    ends = np.fromiter((index.get(p, -1) for g in space.dims
+                        for p in (g.source, g.target)), np.int64, 2 * count)
+    return Components(*ends.reshape(count, 2).T.copy())
 
 
 def tensor_space(V: GradedSpace, W: GradedSpace) -> GradedSpace:
@@ -239,16 +249,11 @@ def _build_tensor_space(V: GradedSpace, W: GradedSpace) -> GradedSpace:
     Components appear in the order in which V's components, each followed
     by W's components starting at its target, first reach them; within a
     component the summands run by the `sort_key` rank of their middle point,
-    then by alpha's shift.  The points are numbered by that rank: by
-    `alcove_index()` when restricted, else over the operands' points."""
+    then by alpha's shift.  The points are numbered by that rank, by
+    `point_numbering(V, W)`."""
     _require_same_context(V, W)
     kind = V.context
-    if kind.is_restricted:
-        points, index = kind.alcove(), None
-    else:
-        points = sorted({p for S in (V, W) for g in S.dims
-                         for p in (g.source, g.target)}, key=WeightPoint.sort_key)
-        index = {p: k for k, p in enumerate(points)}
+    points, index = point_numbering(V, W)
     cv, cw = components(V, index), components(W, index)
     # join: W's components sorted by source, stably, so in W's order within
     # a source; those at each of V's targets
@@ -511,8 +516,7 @@ def tensor_morphism(f: GradedMorphism, g: GradedMorphism,
     if fs is None or gs is None:
         return GradedMorphism(domain, cod, {})
     (f_flat, f_start, f_lead, f_all), (g_flat, g_start, g_lead, g_all) = fs, gs
-    lead = (np.broadcast_shapes(f_lead, g_lead) if f_lead and g_lead
-            else f_lead or g_lead)
+    lead = np.broadcast_shapes(f_lead, g_lead)
     size, f_size, g_size = map(math.prod, (lead, f_lead, g_lead))
     f_lead = (1,) * (len(lead) - len(f_lead)) + f_lead
     g_lead = (1,) * (len(lead) - len(g_lead)) + g_lead

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -372,7 +373,7 @@ def fusion_suite(config: RunConfig) -> list[Case]:
 def spectrum_suite(config: RunConfig) -> list[Case]:
     n, r = config.n, config.r
     reports = fu.verify_spectrum(range(1, n), n, r)
-    cases = [Case(f"spectrum-k{rep.k}", rep.max_residual, 1e-10)
+    cases = [Case(f"spectrum-k{rep.k}", rep.max_residual, fu.SPECTRUM_TOL)
              for rep in reports]
     if n == 2:
         kind = config.kind()
@@ -393,9 +394,7 @@ def partition_suite(config: RunConfig) -> list[Case]:
     (tr M^rows is 0 on the other tori, see `transfer`); cols = n, the
     narrowest width with a closed row, is built even when no row count fits,
     to compare the state dimensions tr M^0."""
-    params = config.params()
-    kind = config.kind()
-    n = config.n
+    params, kind, n = config.params(), config.kind(), config.n
     # one V for every width: each chain's products are the narrower ones'
     # and one more
     graded = functools.partial(tr.graded_transfer_matrix,
@@ -404,18 +403,11 @@ def partition_suite(config: RunConfig) -> list[Case]:
     for cols in range(n, max(PARTITION_MAX_FACES // n, n) + 1, n):
         us = (0.0,) * cols
         rows = range(n, PARTITION_MAX_FACES // cols + 1, n)
-        traces = []  # tr M^m for m = 0 and each m in rows, per side
-        for build in (tr._row_transfer_matrix, graded):
-            M = build(0.3, kind, params, us)
-            # M^m = M^(m-1) @ M, the product order of `M.power(m)`
-            power = M.power(0)
-            side = [complex(power.trace())]
-            for m in range(1, max(rows, default=0) + 1):
-                power = power @ M
-                if m in rows:
-                    side.append(complex(power.trace()))
-            traces.append(side)
-        z_en, z_tm = traces
+        # tr M^m for m = 0 and each m in rows, per side
+        z_en, z_tm = ([complex(power.trace()) for m, power in enumerate(
+            itertools.islice(build(0.3, kind, params, us).powers(),
+                             max(rows, default=0) + 1)) if m == 0 or m in rows]
+            for build in (tr._row_transfer_matrix, graded))
         for en, tm in zip(z_en[1:], z_tm[1:]):
             worst = max(worst, abs(en - tm) / max(1.0, abs(en)))
         if cols == n:

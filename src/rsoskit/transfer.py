@@ -3,11 +3,12 @@ operators, and exact torus partition functions with an independent oracle:
 the scalar row-to-row transfer matrix over closed row states.
 
 Sections live on the loop components W_{(a, k(1,...,1))} of the quantum
-space; T(z) = tr_V L_W(z) is a `convolution.DifferenceOperator` over the
-alcove with the stacked loop sector of W at a as fibre at a, and with the
-tensor unit as W it is the character operator of V; L is evaluated at many
-z at once, on blocks stacked over them (see `graded`).  The partition function
-of the height model on a cols x rows torus is Z = tr M^rows, with M either
+space, one table of arrays per W (`loop_sectors`); T(z) = tr_V L_W(z) is a
+`convolution.DifferenceOperator` over the alcove with the stacked loop
+sector of W at a as fibre at a, and with the tensor unit as W it is the
+character operator of V; L is evaluated at many z at once, on blocks
+stacked over them (see `graded`).  The partition function of the height
+model on a cols x rows torus is Z = tr M^rows, with M either
 the transfer matrix of a cols-site chain or the row-to-row matrix, both
 difference operators with blocks (a, a + eps_i), composed and traced block
 by block (`DifferenceOperator.power` and `trace`); rows = 0 gives dim M.
@@ -23,15 +24,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .convolution import DifferenceOperator
 from .elliptic import EllipticParams, pair_index, r_table, table_runs
 from .errors import InvalidConfig, ShapeMismatch, check_budget
-from .graded import (GradedMorphism, GradedSpace, align, composite, memo,
-                     memoized, tensor_space, unit_space)
+from .graded import (GradedMorphism, GradedSpace, _runs, align, components,
+                     composite, memo, memoized, point_numbering, tensor_space,
+                     unit_space)
 from .groupoid import Arrow, ModelKind, WeightPoint, eps
 from .rsos import build_vector_space, restricted_r
 
@@ -119,30 +121,37 @@ def vector_chain(kind: ModelKind, params: EllipticParams,
     return LOperator(aux=V, quantum=quantum[-1], at=at, params=params)
 
 
-def _loop_offsets(W: GradedSpace, a: WeightPoint
-                  ) -> tuple[tuple[tuple[Arrow, int], ...], int]:
-    """Offset of each loop component at `a` in the stacked loop sector
-    (loops ordered by shift), and the sector dimension; the sectors of every
-    point are built in one pass over W, once per W."""
-    def build():
-        loops: dict[WeightPoint, list[Arrow]] = {}
-        for g in W.dims:
-            if g.is_loop:
-                loops.setdefault(g.source, []).append(g)
-        sectors = {}
-        for b, gs in loops.items():
-            offsets, k = [], 0
-            for g in sorted(gs, key=lambda g: g.shift):
-                offsets.append((g, k))
-                k += W.dims[g]
-            sectors[b] = tuple(offsets), k
-        return sectors
+class LoopSectors(NamedTuple):
+    """A quantum space W's loops W_{(a, k(1,...,1))} (indices in `dims`
+    order) by point, then by k; each one's first row in its point's stacked
+    sector; the sector dimension at each point (`point_numbering(W)`)."""
 
-    return memo(W, "loop-offsets", build).get(a, ((), 0))
+    loops: np.ndarray
+    rows: np.ndarray
+    dims: np.ndarray
+
+
+def loop_sectors(W: GradedSpace) -> LoopSectors:
+    """W's loop sectors, built once per W from its component arrays."""
+    def build():
+        points, index = point_numbering(W)
+        source = components(W, index).source
+        # a loop's shift is k(1,...,1), so its first entry fixes it
+        loops = np.flatnonzero((W.shifts == W.shifts[:, :1]).all(axis=1))
+        loops = loops[np.lexsort((W.shifts[loops, 0], source[loops]))]
+        at, size = source[loops], W.sizes[loops]
+        ends = size.cumsum()
+        # bounds[p]: the first row of point p's sector, sectors stacked
+        bounds = np.append(0, ends)[at.searchsorted(range(len(points) + 1))]
+        return LoopSectors(loops, ends - size - bounds[at], np.diff(bounds))
+
+    return memo(W, "loop-sectors", build)
 
 
 def sector_dim(W: GradedSpace, a: WeightPoint) -> int:
-    return _loop_offsets(W, a)[1]
+    index = point_numbering(W)[1]
+    k = (W.context.alcove_index() if index is None else index).get(a)
+    return 0 if k is None else int(loop_sectors(W).dims[k])
 
 
 def partial_trace(f: GradedMorphism, aux: GradedSpace,
@@ -152,72 +161,62 @@ def partial_trace(f: GradedMorphism, aux: GradedSpace,
     f must map tensor_space(aux, quantum) to tensor_space(quantum, aux),
     those very objects; any other bracketing raises ShapeMismatch.  Returns,
     for each auxiliary arrow (a, mu), the map from the stacked loop sector
-    of W at a+mu to the one at a, stacked like the blocks of f.
+    of W at a+mu to the one at a, stacked like f's blocks broadcast together.
     """
-    dom = tensor_space(aux, quantum)
-    cod = tensor_space(quantum, aux)
+    dom, cod = tensor_space(aux, quantum), tensor_space(quantum, aux)
     if f.domain is not dom or f.codomain is not cod:
         raise ShapeMismatch("partial trace needs a morphism from "
                             "tensor_space(aux, quantum) to "
                             "tensor_space(quantum, aux)")
-    out: dict[Arrow, np.ndarray] = {}
-    plan = memo(aux, "trace-pieces",
-                lambda: _trace_pieces(aux, quantum, dom, cod), partner=quantum)
-    lead = next((m.shape[:-2] for m in f.blocks.values()), ())
-    for alpha, shape, pieces in plan:
-        block = np.zeros(lead + shape, dtype=complex)
-        for total, sub_rows, sub_cols, rows, cols, split in pieces:
-            # rows of sub run over (p, v), its columns over (v', q)
-            sub = f.block(total)[..., sub_rows, sub_cols]
-            block[..., rows, cols] = np.trace(
-                sub.reshape(sub.shape[:-2] + split), axis1=-3, axis2=-2)
-        out[alpha] = block
-    return out
+    alphas, shapes, pieces = memo(aux, "trace-pieces", lambda: _trace_pieces(
+        aux, quantum, dom, cod), partner=quantum)
+    lead = np.broadcast_shapes(*{m.shape[:-2] for m in f.blocks.values()})
+    out = [np.zeros(lead + shape, dtype=complex) for shape in shapes]
+    for k, total, sub_rows, sub_cols, rows, cols, split in pieces:
+        # rows of sub run over (p, v), its columns over (v', q)
+        sub = f.block(total)[..., sub_rows, sub_cols]
+        out[k][..., rows, cols] = np.trace(
+            sub.reshape(sub.shape[:-2] + split), axis1=-3, axis2=-2)
+    return dict(zip(alphas, out))
 
 
 def _trace_pieces(aux: GradedSpace, quantum: GradedSpace,
                   dom: GradedSpace, cod: GradedSpace) -> tuple:
-    """Per auxiliary arrow alpha with non-empty loop sectors at both ends:
-    the block shape and, for each loop l at alpha.source with a translate
-    l' at alpha.target, the component holding the (l, alpha) <- (alpha, l')
-    sub-block, that sub-block's row and column slices, the slices of its
-    trace in the block, and its (p, v, v', q) split; dom = aux (x) quantum
-    and cod = quantum (x) aux, their summands found by one join each."""
-    index = {g: k for k, g in enumerate(quantum.dims)}
-    plans, found = [], []  # found: (alpha, l, l') as component indices
-    for a, (alpha, d_aux) in enumerate(aux.dims.items()):
-        rows, dim_src = _loop_offsets(quantum, alpha.source)
-        cols, dim_tgt = _loop_offsets(quantum, alpha.target)
-        if dim_src == 0 or dim_tgt == 0:
-            continue
-        cols = dict(cols)
-        pieces = []
-        for lsrc, r in rows:
-            ltgt = Arrow(alpha.target, lsrc.shift)
-            if ltgt in cols:
-                d_out, d_in = quantum.dims[lsrc], quantum.dims[ltgt]
-                found.append((a, index[lsrc], index[ltgt]))
-                pieces.append((slice(r, r + d_out),
-                               slice(cols[ltgt], cols[ltgt] + d_in),
-                               (d_out, d_aux, d_aux, d_in)))
-        plans.append((alpha, (dim_src, dim_tgt), pieces))
-    alphas, lsrcs, ltgts = np.array(found, dtype=np.int64).reshape(-1, 3).T
-    dom_at = dom.layout.find(alphas, ltgts)
-    cod_at = cod.layout.find(lsrcs, alphas)
-    arrows = list(dom.dims)
-    found = iter(zip(dom.layout.component[dom_at].tolist(), cod_at.tolist(),
-                     dom_at.tolist()))
-    # zip takes from `found` only while `pieces` lasts
-    return tuple((alpha, shape, tuple(
-        (arrows[total], _span(cod, c), _span(dom, d), *piece)
-        for piece, (total, c, d) in zip(pieces, found)))
-        for alpha, shape, pieces in plans)
-
-
-def _span(P: GradedSpace, k: int) -> slice:
-    """The rows of summand k of P within its component."""
-    start = int(P.layout.offset[k])
-    return slice(start, start + int(P.layout.size[k]))
+    """The auxiliary arrows alpha with non-empty loop sectors at both ends,
+    their block shapes; and per loop l at an alpha's source with a loop l'
+    of the same shift at its target, by one array join: alpha's position, the
+    component of dom = aux (x) quantum and cod = quantum (x) aux holding the
+    (l, alpha) <- (alpha, l') sub-block, its row and column slices there and
+    in alpha's block, and its (p, v, v', q) split."""
+    loops, rows, dims = loop_sectors(quantum)
+    index = point_numbering(quantum)[1]
+    at = components(quantum, index).source[loops]
+    ca = components(aux, index)
+    has = np.append(dims, 0) > 0  # a point -1, not quantum's, has no sector
+    alphas = np.flatnonzero(has[ca.source] & has[ca.target])
+    src, tgt = ca.source[alphas], ca.target[alphas]
+    # each alpha against the loops at its source, then the loop of the same
+    # shift at its target: the loops, sorted by (point, k), have sorted codes
+    first = at.searchsorted(np.arange(dims.size + 1))
+    count = first[src + 1] - first[src]
+    a, lsrc = alphas.repeat(count), _runs(count, first[src])
+    k = quantum.shifts[loops, 0] - quantum.shifts[loops, 0].min(initial=0)
+    width = int(k.max(initial=0)) + 1
+    codes, want = at * width + k, ca.target[a] * width + k[lsrc]
+    ltgt = codes.searchsorted(want).clip(max=codes.size - 1)
+    hit = codes[ltgt] == want
+    a, l_out, l_in = a[hit], loops[lsrc[hit]], loops[ltgt[hit]]
+    dom_at, cod_at = dom.layout.find(a, l_in), cod.layout.find(l_out, a)
+    arrows, total = list(aux.dims), list(dom.dims)
+    shapes = list(zip(dims[src].tolist(), dims[tgt].tolist()))
+    return [arrows[x] for x in alphas.tolist()], shapes, [
+        (x, total[t], slice(r, r + p * v), slice(c, c + v * q),
+         slice(i, i + p), slice(j, j + q), (p, v, v, q))
+        for x, t, r, c, i, j, p, v, q in zip(*(y.tolist() for y in (
+            alphas.searchsorted(a), dom.layout.component[dom_at],
+            cod.layout.offset[cod_at], dom.layout.offset[dom_at],
+            rows[lsrc[hit]], rows[ltgt[hit]], quantum.sizes[l_out],
+            aux.sizes[a], quantum.sizes[l_in])))]
 
 
 # morphisms the size of L(z) alive at once per point while a chain crosses
@@ -235,10 +234,9 @@ def _point_cost(L: LOperator, alive: int = _ALIVE) -> int:
     """Block entries held per spectral point while L is evaluated, with
     `alive` morphisms the size of L(z); 1 when there is no loop section, as
     T(z) then evaluates nothing."""
-    if not any(sector_dim(L.quantum, a) for a in L.aux.context.alcove()):
+    if not loop_sectors(L.quantum).dims.any():
         return 1
-    dims = tensor_space(L.aux, L.quantum).dims
-    return alive * sum(d * d for d in dims.values())
+    return alive * int(np.square(tensor_space(L.aux, L.quantum).sizes).sum())
 
 
 def transfer_matrix(zs: Sequence[complex],
@@ -250,8 +248,9 @@ def transfer_matrix(zs: Sequence[complex],
     evaluated.  STATE_BUDGET bounds the sections when `vector_chain` builds
     the chain."""
     alcove = tuple(L.aux.context.alcove())
-    dims = {a: sector_dim(L.quantum, a) for a in alcove}
-    if not sum(dims.values()):
+    sectors = loop_sectors(L.quantum).dims
+    dims = dict(zip(alcove, sectors.tolist()))
+    if not sectors.any():
         return [DifferenceOperator(alcove, dims, {}) for _ in zs]
     zs, runs = list(zs), []
     if zs and not memoized(L.aux, "trace-pieces", partner=L.quantum):

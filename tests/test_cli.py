@@ -111,6 +111,14 @@ def test_verify_all_report_matches_golden_n3r7():
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden.read_text()
 
 
+def test_verify_all_report_matches_golden_n4r6():
+    # tests/data/verify_all_n4r6.json pins rank 4: its partition-state-dimension
+    # case builds a graded transfer matrix at cols = 4
+    golden = Path(__file__).parent / "data" / "verify_all_n4r6.json"
+    report = run_verify("all", RunConfig(4, 6))
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden.read_text()
+
+
 def test_verify_all_report_matches_golden_n3r7_generic_base(tmp_path):
     # tests/data/verify_all_n3r7_base.json pins the `*-sos-generic-base`
     # cases, the only ones that shift and canonicalize complex-base points

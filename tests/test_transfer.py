@@ -14,11 +14,11 @@ from rsoskit.errors import (InvalidConfig, RestrictionViolated, ShapeMismatch,
                             TooLarge)
 from rsoskit.graded import (GradedMorphism, align, identity_morphism,
                             tensor_morphism, tensor_space, unit_space)
-from rsoskit.groupoid import Arrow, eps, rsos_alcove
+from rsoskit.groupoid import Arrow, WeightPoint, eps, rsos_alcove
 from rsoskit.rsos import ModelKind, build_vector_space
-from rsoskit.transfer import (LOperator, _closed_rows, _loop_offsets,
-                              _row_transfer_matrix,
-                              commutator_residual, l_tensor, partial_trace,
+from rsoskit.transfer import (LOperator, _closed_rows, _row_transfer_matrix,
+                              commutator_residual, l_tensor, loop_sectors,
+                              partial_trace,
                               partition_enumerate, partition_via_transfer,
                               rll_residual, sector_dim, transfer_matrix,
                               trivial_l_operator, vector_chain,
@@ -175,19 +175,58 @@ def _partial_trace_oracle(f, aux, quantum):
     return out
 
 
+def _assert_partial_trace_matches_oracle(f, aux, W):
+    """partial_trace(f, aux, W) against the entrywise oracle; returns the
+    oracle's blocks."""
+    got, want = partial_trace(f, aux, W), _partial_trace_oracle(f, aux, W)
+    assert set(got) == set(want)
+    tol = 8 * np.finfo(float).eps
+    for alpha, blk in want.items():
+        assert np.abs(got[alpha] - blk).max() <= tol * max(1.0, np.abs(blk).max())
+    return want
+
+
 def test_partial_trace_matches_entrywise_oracle_with_wide_aux():
     rng = random.Random(5)
     V = build_vector_space(KIND)
     aux = tensor_space(V, V)
     assert max(aux.dims.values()) > 1
     W = vector_chain(KIND, PARAMS, (0.0, 0.3)).quantum
-    f = _random_rw_morphism(rng, aux, W)
-    got, want = partial_trace(f, aux, W), _partial_trace_oracle(f, aux, W)
-    assert set(got) == set(want)
+    want = _assert_partial_trace_matches_oracle(
+        _random_rw_morphism(rng, aux, W), aux, W)
     assert any(aux.dims[alpha] > 1 and blk.any() for alpha, blk in want.items())
-    tol = 8 * np.finfo(float).eps
-    for alpha, blk in want.items():
-        assert np.abs(got[alpha] - blk).max() <= tol * max(1.0, np.abs(blk).max())
+
+
+def _sos_space():
+    """V over the windowed sos model of base (0.29, 0), seven points."""
+    base = (0.29, 0.0)
+    window = [WeightPoint(base=base, offset=(k, 0)) for k in range(-3, 4)]
+    return build_vector_space(ModelKind.sos(base), PARAMS, window=window)
+
+
+def test_partial_trace_matches_entrywise_oracle_on_a_windowed_sos_space():
+    V = _sos_space()
+    W = tensor_space(V, V)
+    want = _assert_partial_trace_matches_oracle(
+        _random_rw_morphism(random.Random(11), V, W), V, W)
+    assert any(blk.any() for blk in want.values())
+
+
+def test_partial_trace_stacks_over_the_leading_shape_of_every_block():
+    # a plain first block beside stacked ones (the convention of `graded`):
+    # the trace is stacked like the stacked blocks
+    L = vector_chain(KIND, PARAMS, (0.0, 0.3))
+    f = L.at([0.2, 0.4])
+    first = next(iter(f.blocks))
+    mixed = GradedMorphism(f.domain, f.codomain,
+                           {**f.blocks, first: f.blocks[first][0]})
+    got = partial_trace(mixed, L.aux, L.quantum)
+    for k in range(2):
+        want = partial_trace(mixed[k], L.aux, L.quantum)
+        assert set(got) == set(want)
+        for alpha, blk in want.items():
+            assert got[alpha].shape == (2,) + blk.shape
+            assert np.array_equal(got[alpha][k], blk)
 
 
 def test_partial_trace_conjugation_invariant():
@@ -428,16 +467,42 @@ def test_transfer_commutes_four_site_chain():
     assert commutator_residual(L, [(0.21, 0.47 + 0.1j)]) < 1e-8
 
 
+def _assert_loop_sectors_match_a_scan(W, points):
+    """The loop-sector table of W against a scan of W's components per
+    point, the points numbered as listed."""
+    sectors, arrows = loop_sectors(W), list(W.dims)
+    want_loops, want_rows, want_dims = [], [], []
+    for a in points:
+        loops = _loops(W, a)
+        sizes = [W.dims[g] for g in loops]
+        want_loops += loops
+        want_rows += list(itertools.accumulate(sizes, initial=0))[:-1]
+        want_dims.append(sum(sizes))
+    assert [arrows[k] for k in sectors.loops.tolist()] == want_loops
+    assert sectors.rows.tolist() == want_rows
+    assert sectors.dims.tolist() == want_dims
+    assert [sector_dim(W, a) for a in points] == want_dims
+
+
 @pytest.mark.parametrize("n,r,us", [(2, 5, (0.0, 0.3)), (3, 5, (0.0, 0.3, 0.7))])
-def test_loop_offsets_match_a_scan_per_point(n, r, us):
+def test_loop_sectors_match_a_scan_per_point(n, r, us):
     kind = ModelKind.rsos(n, r)
     W = vector_chain(kind, EllipticParams.rsos(n, r, TAU), us).quantum
-    for a in kind.alcove():
-        loops = sorted((g for g in W.dims if g.source == a and g.is_loop),
-                       key=lambda g: g.shift)
-        starts = itertools.accumulate((W.dims[g] for g in loops), initial=0)
-        assert _loop_offsets(W, a) == (tuple(zip(loops, starts)),
-                                       sum(W.dims[g] for g in loops))
+    _assert_loop_sectors_match_a_scan(W, kind.alcove())
+
+
+def test_loop_sectors_of_the_unit_and_of_a_windowed_sos_space():
+    V = build_vector_space(KIND)
+    _assert_loop_sectors_match_a_scan(trivial_l_operator(KIND, PARAMS).quantum,
+                                      POINTS)
+    _assert_loop_sectors_match_a_scan(V, POINTS)  # no loop: all sectors empty
+    S = _sos_space()
+    SS = tensor_space(S, S)
+    points = sorted({a for g in SS.dims for a in (g.source, g.target)},
+                    key=WeightPoint.sort_key)
+    _assert_loop_sectors_match_a_scan(SS, points)
+    assert loop_sectors(SS).dims.any()
+    assert sector_dim(SS, WeightPoint(base=(0.29, 0.0), offset=(9, 0))) == 0
 
 
 def test_state_budget_is_checked_before_any_transfer_matrix(monkeypatch):
