@@ -17,18 +17,23 @@ Its residue at z = 1 and its value at z = -1 are the same formula with other
 coefficients, so one builder fills all three, each as a table of many points
 from one array bracket call that evaluates each distinct bracket argument
 once (`r_table`, with one spectral parameter per row, `r_reg1`, `r_minus1`;
-`r_matrix` is the one-row `r_table`).  Every caller makes one table for all
-its spectral parameters: unitarity for z and -z, Yang-Baxter for its 3 + 3n
-rows, the residue oracle for its three eps rows, `rsos.restricted_r` and
-`rsos.restriction_residual` for all their z (so a chain's L(z) for its sites
-z + u_k at every z of a stack), `rsos.star_triangle_residual` for all its
-pairs.  Over large point or sample sets callers table run by run
-(`table_runs`), each stating the table entries one point or sample costs
-(n^4 per spectral parameter over the points themselves, 2 n^4 per unitarity
-sample), so no run's table exceeds TABLE_BUDGET entries.  The star-triangle
-and restriction checks size their runs by one spectral pair or z
-(3 (n + 1) n^4 over a point and its successors, n^4 over a point) and cut
-their parameters into chunks (`param_chunks`), so that each tile, a run of
+`r_matrix` is the one-row `r_table`).  The builder finds each entry's
+distinct (difference, shift) slot by integer arrays and forms each slot's
+entries once, in Python complex arithmetic, so a row equals its one-point
+build bit for bit.  Every caller makes one table for all its spectral
+parameters: unitarity for z and -z of all its samples, Yang-Baxter for the
+3 + 3n rows of all its samples, the residue oracle for its three eps rows,
+`rsos.restricted_r` and `rsos.restriction_residual` for all their z (so a
+chain's L(z) for its sites z + u_k at every z of a stack),
+`rsos.star_triangle_residual` for all its pairs.  Over large point or sample
+sets callers table run by run (`table_runs`), each stating the entries one
+point or sample costs (n^4 per spectral parameter over the points
+themselves, 2 n^4 per unitarity sample, 3 (n + 1) n^4 table entries and
+4 n^6 for the n^3 x n^3 operators alive at once per Yang-Baxter sample), so
+no run exceeds TABLE_BUDGET entries.  The star-triangle and restriction
+checks size their runs by one spectral pair or z (3 (n + 1) n^4 over a
+point and its successors, n^4 over a point) and cut their parameters into
+chunks (`param_chunks`), so that each tile, a run of
 points by a chunk of parameters, is one table within TABLE_BUDGET entries;
 `transfer.transfer_matrix` cuts its stacked L(z) evaluations under the same
 budget.
@@ -40,6 +45,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import add, itemgetter, mul, sub, truediv
 
 import numpy as np
 
@@ -153,10 +160,12 @@ def bracket(z, params: EllipticParams):
 
     The scaling runs per entry in Python complex arithmetic, because numpy's
     complex multiply and divide round differently from the scalar call."""
-    args = [params.gamma * w for w in np.asarray(z, dtype=complex).ravel().tolist()]
-    nums = theta(args, params.tau)
+    args = list(map(mul, repeat(params.gamma),
+                    np.asarray(z, dtype=complex).ravel().tolist()))
+    nums = theta(args, params.tau).tolist()
     scale = params.gamma * theta_dz0(params.tau)
-    return _like(z, np.array([num / scale for num in nums.tolist()], dtype=complex))
+    return _like(z, np.fromiter(map(truediv, nums, repeat(scale)), complex,
+                                len(nums)))
 
 
 def _guarded(value: complex, what: str) -> complex:
@@ -178,52 +187,64 @@ def _flat_r(points, shifts, params: EllipticParams, diagonal: float,
     point a of `points` with its shift s of `shifts`, stacked as a
     (len(points), n^2, n^2) array.
 
-    One array call gives every bracket of the table, each distinct argument
-    once: the arguments `extra(s)` per distinct shift s, which coeffs maps to
-    that shift's (X, W, Y), [d] and [d+1] per distinct difference d and [d+s]
-    per distinct (d, s) over the rows; the differences d are taken once per
-    distinct point, which a table at many spectral parameters repeats.  The
-    two entries of each (d, s) are computed once in Python complex
-    arithmetic and scattered by index arrays, so every entry equals the
-    one-point build bit for bit."""
+    The distinct points, shifts and differences d are numbered once (the
+    differences from each distinct point's coordinates, which a table at
+    many spectral parameters repeats), and one `np.unique` over the integer
+    keys (difference code, shift code) of every (row, i != j) gives each
+    entry its distinct (d, s) slot.  One array bracket call evaluates each
+    distinct argument once: `extra(s)` per distinct shift s, which coeffs
+    maps to that shift's (X, W, Y), [d] and [d+1] per distinct d, and [d+s]
+    per slot.  The two entries of each slot are formed by `map` over the
+    same Python complex operations as the one-point build, so every entry
+    equals it bit for bit, and scattered by the slot index."""
     n = params.rank
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    position: dict[complex, int] = {}  # distinct bracket argument -> its index
-    at = lambda w: position.setdefault(w, len(position))
-    extras = {}  # distinct shift -> the indices of its extra arguments
-    slot: dict[tuple, int] = {}  # distinct (d, s) -> its position in `first`
-    first = []  # (i, j, s, indices of [d], [d+1], [d+s]) per distinct (d, s)
-    where = []  # per row and pair, the position of its (d, s)
-    diffs: dict[WeightPoint, list] = {}  # distinct point -> d per pair
-    for a, s in zip(points, shifts):
-        if a not in diffs:
-            if a.rank != n:
-                raise ValueError("point rank does not match params")
-            v = a.values()
-            diffs[a] = [v[i - 1] - v[j - 1] for i, j in pairs]
-        if s not in extras:
-            extras[s] = [at(w) for w in extra(s)]
-        for (i, j), d in zip(pairs, diffs[a]):
-            if (d, s) not in slot:
-                slot[d, s] = len(first)
-                first.append((i, j, s, at(d), at(d + 1), at(d + s)))
-            where.append(slot[d, s])
-    vals = bracket(list(position), params).tolist()
-    coeff = {s: coeffs(*(vals[k] for k in ks)) for s, ks in extras.items()}
-    swap, keep = [], []
-    for i, j, s, k_d, k_d1, k_ds in first:
-        X, W, Y = coeff[s]
-        den = _guarded(vals[k_d], f"[a_{i}-a_{j}]")
-        swap.append(vals[k_d1] * X / (den * Y))
-        keep.append(vals[k_ds] * W / (den * Y))
-    at_row = np.array(where, dtype=np.intp).reshape(len(points), len(pairs))
-    rows = [pair_index(n, i, j) for i, j in pairs]
-    cols = [pair_index(n, j, i) for i, j in pairs]
-    diag = [pair_index(n, i, i) for i in range(1, n + 1)]
+    first, second = np.nonzero(~np.eye(n, dtype=bool))  # pairs i != j, 0-based
+    distinct = list(dict.fromkeys(points))
+    for a in distinct:
+        if a.rank != n:
+            raise ValueError("point rank does not match params")
+    at_i, at_j = itemgetter(*first.tolist()), itemgetter(*second.tolist())
+    diffs = list(chain.from_iterable(map(sub, at_i(v), at_j(v))
+                                     for v in (a.values() for a in distinct)))
+    ds, ss = list(dict.fromkeys(diffs)), list(dict.fromkeys(shifts))
+
+    def codes(keys, of) -> np.ndarray:
+        code = dict(zip(of, range(len(of))))
+        return np.fromiter(map(code.__getitem__, keys), np.intp, len(keys))
+
+    per_point = codes(diffs, ds).reshape(len(distinct), len(first))
+    key = (per_point[codes(points, distinct)] * len(ss)
+           + codes(shifts, ss)[:, None])
+    slots, at_row = np.unique(key.ravel(), return_inverse=True)
+    slot_d, slot_s = (slots // len(ss)).tolist(), (slots % len(ss)).tolist()
+    extras = [extra(s) for s in ss]
+    ones = list(map(add, ds, repeat(1)))
+    sums = list(map(add, map(ds.__getitem__, slot_d),
+                    map(ss.__getitem__, slot_s)))
+    args = list(dict.fromkeys(chain(chain.from_iterable(extras), ds, ones,
+                                    sums)))
+    value = dict(zip(args, bracket(args, params).tolist())).__getitem__
+    coeff = [coeffs(*map(value, e)) for e in extras]
+    X, W, Y = ([c[k] for c in coeff] for k in range(3))
+    br_d, br_d1 = list(map(value, ds)), list(map(value, ones))
+    small = (np.abs(np.array(br_d, dtype=complex)) < POLE_GUARD)[per_point]
+    if small.any():  # name the first (row, pair) in row order
+        p, k = divmod(int(np.argmax(small)), len(first))
+        _guarded(br_d[per_point[p, k]], f"[a_{first[k] + 1}-a_{second[k] + 1}]")
+    # per slot: [d+1] X / ([d] Y) and [d+s] W / ([d] Y)
+    by_d, by_s = (lambda seq: map(seq.__getitem__, slot_d),
+                  lambda seq: map(seq.__getitem__, slot_s))
+    below = list(map(mul, by_d(br_d), by_s(Y)))
+    swap = map(truediv, map(mul, by_d(br_d1), by_s(X)), below)
+    keep = map(truediv, map(mul, map(value, sums), by_s(W)), below)
+    at_row = at_row.reshape(len(points), len(first))
+    rows = pair_index(n, first + 1, second + 1)
+    cols = pair_index(n, second + 1, first + 1)
+    diag = pair_index(n, np.arange(1, n + 1), np.arange(1, n + 1))
     m = np.zeros((len(points), n * n, n * n), dtype=complex)
     m[:, diag, diag] = diagonal
-    m[:, rows, cols] = np.array(swap, dtype=complex)[at_row]
-    m[:, rows, rows] = np.array(keep, dtype=complex)[at_row]
+    m[:, rows, cols] = np.fromiter(swap, complex, len(slots))[at_row]
+    m[:, rows, rows] = np.fromiter(keep, complex, len(slots))[at_row]
     return m
 
 
@@ -295,39 +316,68 @@ def r_minus1(points, params: EllipticParams) -> np.ndarray:
                    lambda one, two: (one, one, _guarded(two, "[2]")))
 
 
-def dynamical_ybe_residual(z: complex, w: complex, a: WeightPoint,
-                           params: EllipticParams) -> float:
+def _ybe_residuals(run, params: EllipticParams) -> np.ndarray:
+    """The Yang-Baxter residual of each (z, w, a) sample of `run`, from one
+    table of the run's rows and triple products stacked over the run."""
+    n = params.rank
+    n2, n3 = n * n, n ** 3
+    shifts = [eps(n, i) for i in range(1, n + 1)]
+    table = r_table([u for z, w, _ in run for u in (z, w, z - w)
+                     for _ in range(n + 1)],
+                    [b for *_, a in run for _ in range(3)
+                     for b in (a, *(a + mu for mu in shifts))],
+                    params).reshape(len(run), 3, n + 1, n2, n2)
+    eye = np.eye(n)[:, None, :]
+
+    def r12(k: int) -> np.ndarray:
+        """R^(12) = R (x) I at the samples' k-th spectral parameter, by the
+        broadcast multiply of np.kron."""
+        return (table[:, k, 0, :, None, :, None] * eye).reshape(-1, n3, n3)
+
+    def r23(k: int) -> np.ndarray:
+        """R^(23) at the samples' k-th spectral parameter: its i-th diagonal
+        block is the R-matrix at a + eps_i, as the first factor's weight
+        shifts it."""
+        m = np.zeros((len(run), n, n2, n, n2), dtype=complex)
+        m[:, range(n), :, range(n), :] = np.moveaxis(table[:, k, 1:], 1, 0)
+        return m.reshape(-1, n3, n3)
+
+    # each factor is built where it is multiplied in: at most four n^3 x n^3
+    # operators per sample are alive at once
+    lhs = r23(2) @ r12(0) @ r23(1)
+    rhs = r12(1) @ r23(0) @ r12(2)
+    scale = np.maximum(np.abs(lhs).max(axis=(1, 2)),
+                       np.abs(rhs).max(axis=(1, 2)))
+    return np.abs(lhs - rhs).max(axis=(1, 2)) / scale
+
+
+def dynamical_ybe_residual(z, w, a, params: EllipticParams) -> float:
     """Relative max-norm residual of the dynamical Yang-Baxter equation at
-    (z, w, a): max |lhs - rhs| over the largest |entry| of lhs and rhs.
+    (z, w, a): max |lhs - rhs| over the largest |entry| of lhs and rhs;
+    given equal-length sequences z, w and a, the largest over the samples
+    (z[k], w[k], a[k]).
 
     R^(23)(z-w, a+h^(1)) R^(12)(z, a) R^(23)(w, a+h^(1))
       = R^(12)(w, a) R^(23)(z, a+h^(1)) R^(12)(z-w, a).
 
-    Its 3 + 3n R-matrices, at a and at each a + eps_i for each of the three
-    spectral parameters, are the rows of one table.
+    A sample's 3 + 3n R-matrices, at a and at each a + eps_i for each of
+    its three spectral parameters, are rows of one table per run of
+    `table_runs` over the samples, and both triple products are stacked
+    over the run.  A sample costs its table rows and the four n^3 x n^3
+    operators alive at once: a product, its two factors and the other
+    product.
     """
+    if np.ndim(z) == 0:
+        z, w, a = [z], [w], [a]
+    if not len(z) == len(w) == len(a):
+        raise ValueError(f"one point per spectral pair required: {len(a)} "
+                         f"given for {len(z)} z and {len(w)} w")
     n = params.rank
-    us = (z, w, z - w)
-    table = r_table([u for u in us for _ in range(n + 1)],
-                    [a, *(a + eps(n, i) for i in range(1, n + 1))] * len(us),
-                    params)
-    eye = np.eye(n)
-
-    def factors(k: int) -> tuple[np.ndarray, np.ndarray]:
-        """R^(12) at us[k] and R^(23) at us[k], whose i-th diagonal block
-        is the R-matrix at a + eps_i: the first factor's weight shifts it."""
-        rows = table[k * (n + 1):(k + 1) * (n + 1)]
-        r23 = np.zeros((n ** 3, n ** 3), dtype=complex)
-        for i, ri in enumerate(rows[1:]):
-            sl = slice(i * n * n, (i + 1) * n * n)
-            r23[sl, sl] = ri
-        return np.kron(rows[0], eye), r23
-
-    (z12, z23), (w12, w23), (zw12, zw23) = map(factors, range(len(us)))
-    lhs = zw23 @ z12 @ w23
-    rhs = w12 @ z23 @ zw12
-    scale = max(np.abs(lhs).max(), np.abs(rhs).max())
-    return float(np.abs(lhs - rhs).max() / scale)
+    worst = 0.0
+    for _, run in table_runs(list(zip(z, w, a)),
+                             3 * (n + 1) * n ** 4 + 4 * n ** 6):
+        worst = max(worst, float(_ybe_residuals(run, params).max()))
+    return worst
 
 
 def unitarity_residual(z, a, params: EllipticParams) -> float:

@@ -256,14 +256,24 @@ def star_triangle_residual(z, w, kind: ModelKind, params: EllipticParams,
         paths = max(len(p) for _, p, _ in sites)
         cost = max(len(starts) * n2 * n2, 2 * paths * paths)
         for members, us in param_chunks(pairs, cost):
-            table = r_table([u for u in us for _ in starts],
-                            starts * len(us), params).reshape(
-                                len(us), len(starts), n2, n2)
-            row = {u: k for k, u in enumerate(us)}
-            kzw, kz, kw = np.array([[row[u] for u in m] for m in members]).T
-            for _, _, gather in sites:
-                ops = _site_operators(table, gather)
-                diff = (ops[kzw, 1] @ ops[kz, 0] @ ops[kw, 1]
-                        - ops[kw, 0] @ ops[kz, 1] @ ops[kzw, 0])
-                worst = max(worst, float(np.abs(diff).max()))
+            worst = max(worst, _tile_residual(members, us, starts, sites,
+                                              params))
+    return worst
+
+
+def _tile_residual(members, us, starts, sites, params: EllipticParams) -> float:
+    """The largest star-triangle residual of one tile, a chunk's pairs at a
+    run's sites, from one table at the chunk's spectral parameters `us`;
+    the table is dropped on return, before the next tile's is built."""
+    n2 = params.rank ** 2
+    worst = 0.0
+    table = r_table([u for u in us for _ in starts], starts * len(us),
+                    params).reshape(len(us), len(starts), n2, n2)
+    row = {u: k for k, u in enumerate(us)}
+    kzw, kz, kw = np.array([[row[u] for u in m] for m in members]).T
+    for _, _, gather in sites:
+        ops = _site_operators(table, gather)
+        diff = (ops[kzw, 1] @ ops[kz, 0] @ ops[kw, 1]
+                - ops[kw, 0] @ ops[kz, 1] @ ops[kzw, 0])
+        worst = max(worst, float(np.abs(diff).max()))
     return worst

@@ -142,7 +142,7 @@ def test_star_triangle_report_matches_golden_n3r60(tmp_path):
 
 # Bracket calls per suite at seed 0: one per R-matrix table, and a table holds
 # every spectral parameter of its check (theta: [h], [-h] and [r]; unitarity:
-# every sample; dybe: one per sample; star-triangle: one for all its pairs;
+# every sample; dybe: every sample; star-triangle: one for all its pairs;
 # restriction: one for all its z; exactness: fusion_bases' r_minus1 and r_reg1
 # tables, its one call for the brackets of the explicit vectors, and the
 # residue oracle's table; transfer-commute: one for the chain with loop
@@ -150,10 +150,10 @@ def test_star_triangle_report_matches_golden_n3r60(tmp_path):
 # at all 2 * TRANSFER_PAIRS points from one table, the other chain evaluating
 # nothing; partition: per width, the row-to-row table and the chain's one)
 BRACKET_CALLS = {
-    (3, 7): {"theta": 1, "unitarity": 1, "dybe": 20, "star-triangle": 1,
+    (3, 7): {"theta": 1, "unitarity": 1, "dybe": 1, "star-triangle": 1,
              "restriction": 1, "exactness": 4, "transfer-commute": 1,
              "characters": 0, "fusion": 0, "spectrum": 0},
-    (2, 5): {"theta": 1, "unitarity": 1, "dybe": 20, "star-triangle": 1,
+    (2, 5): {"theta": 1, "unitarity": 1, "dybe": 1, "star-triangle": 1,
              "restriction": 1, "exactness": 4, "transfer-commute": 1,
              "characters": 0, "fusion": 0, "spectrum": 0, "partition": 6},
 }
@@ -363,6 +363,15 @@ def test_console_entry_point_runs():
 
 def test_base_point_rank_validated():
     assert main(["verify", "dybe", "--n", "3", "--base", "0.29"]) == 2
+
+
+def test_singular_base_exits_2_naming_its_pair(capsys):
+    # a_1 = a_2 at the base: the table of the base samples refuses [a_1 - a_2]
+    assert main(["verify", "dybe", "--n", "2", "--r", "5",
+                 "--base", "0.1;0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: denominator [a_1-a_2] has modulus 9.75e-17\n"
 
 
 @pytest.mark.parametrize("args", [

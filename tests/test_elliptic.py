@@ -1,11 +1,12 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rsoskit import elliptic
+from rsoskit import elliptic, suites
 from rsoskit.elliptic import (EllipticParams, _guarded, bracket,
                               dynamical_ybe_residual, pair_index, r_matrix,
                               r_minus1, r_reg1, r_table, residue_extrapolation,
@@ -325,7 +326,8 @@ def _loop_r_minus1(a, p):
     return m
 
 
-@pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7)])
+# at (4,6) many rows share their (d, s) slots
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7), (4, 6)])
 def test_builders_match_loop_oracles_bit_for_bit(n, r):
     rng = random.Random(17 * n + r)
     points = rsos_alcove(n, r) + [_generic_point(rng, n, r) for _ in range(4)]
@@ -394,6 +396,17 @@ def test_builder_errors_keep_their_order_and_messages():
         regular = rsos_alcove(3, 5)
         with pytest.raises(NearPole, match=rf"denominator \[a_{pair}\]"):
             r_table(0.3, regular + [a] + regular, p3)
+    # two singular points with different pairs behind regular rows: the
+    # earlier row names its pair, though the later one's comes first in
+    # pair order
+    regular = rsos_alcove(3, 5)
+    first, second = WeightPoint.integer((1, 0, 0)), WeightPoint.integer((0, 0, 0))
+    for pair, rows in (("2-a_3", [first, second]), ("1-a_2", [second, first])):
+        for build in (lambda: r_table(0.3, regular + rows, p3),
+                      lambda: r_reg1(regular + rows, p3),
+                      lambda: r_minus1(regular + rows, p3)):
+            with pytest.raises(NearPole, match=rf"denominator \[a_{pair}\]"):
+                build()
 
 
 def test_table_makes_one_bracket_call(monkeypatch):
@@ -490,6 +503,106 @@ def test_batched_unitarity_is_the_max_of_one_point_calls(monkeypatch):
         assert max(calls) == 2 * per_run
     with pytest.raises(ValueError, match="one point per spectral parameter"):
         unitarity_residual(zs, bases[:-1], p)
+
+
+def _ybe_cost(n):
+    # a sample's 3 (n + 1) table rows and the four n^3 x n^3 operators alive
+    # at once
+    return 3 * (n + 1) * n ** 4 + 4 * n ** 6
+
+
+def test_batched_dybe_is_the_max_of_one_sample_calls(monkeypatch):
+    n, r = 3, 7
+    p = params(n, r)
+    rng = random.Random(9)
+    samples = [(complex(rng.uniform(0.1, 0.6), rng.uniform(0.0, 0.2)),
+                complex(rng.uniform(0.1, 0.6), rng.uniform(0.0, 0.2)),
+                _generic_point(rng, n, r)) for _ in range(20)]
+    zs, ws, points = zip(*samples)
+    whole = dynamical_ybe_residual(zs, ws, points, p)
+    assert whole == max(dynamical_ybe_residual(*s, p) for s in samples)
+    calls = []
+    real = elliptic.r_table
+    monkeypatch.setattr(elliptic, "r_table",
+                        lambda z, pts, q: calls.append(len(pts)) or real(z, pts, q))
+    assert dynamical_ybe_residual(zs, ws, points, p) == whole
+    assert calls == [3 * (n + 1) * len(samples)]
+    # runs of 1, 3 and 7 samples: each one table of its samples' rows
+    for per_run in (1, 3, 7):
+        monkeypatch.setattr(elliptic, "TABLE_BUDGET", per_run * _ybe_cost(n))
+        del calls[:]
+        assert dynamical_ybe_residual(zs, ws, points, p) == whole
+        assert len(calls) == math.ceil(len(samples) / per_run)
+        assert max(calls) == 3 * (n + 1) * per_run
+    with pytest.raises(ValueError, match="one point per spectral pair"):
+        dynamical_ybe_residual(zs, ws, points[:-1], p)
+
+
+def test_dybe_tables_one_sample_per_run_from_rank_7(monkeypatch):
+    # the operators of two samples at n = 7 would exceed TABLE_BUDGET
+    assert elliptic.TABLE_BUDGET // _ybe_cost(7) == 1
+    n, r = 7, 14
+    p = params(n, r)
+    rng = random.Random(2)
+    samples = [(0.3 + 0.1j, 0.2 + 0.05j, _generic_point(rng, n, r)),
+               (0.45 + 0.02j, 0.15, _generic_point(rng, n, r))]
+    calls = []
+    real = elliptic.r_table
+    monkeypatch.setattr(elliptic, "r_table",
+                        lambda z, pts, q: calls.append(len(pts)) or real(z, pts, q))
+    assert dynamical_ybe_residual(*zip(*samples), p) < 1e-9
+    assert calls == [3 * (n + 1)] * 2
+    # one sample's traced peak is its cost in complex entries, near enough
+    tracemalloc.start()
+    try:
+        dynamical_ybe_residual(*samples[0], p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * 16 * _ybe_cost(n)
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 7)])
+def test_dybe_near_pole_replays_the_per_sample_draws(n, r, monkeypatch):
+    # one point draw is the singular a = 0, where [a_1 - a_2] = 0: the suite
+    # replays its draws one sample at a time, as a per-sample loop does,
+    # redrawing that point
+    config = RunConfig(n=n, r=r, seed=4)
+    probe = suites._PointSampler(config)
+    for _ in range(5):
+        probe.spectral_pair()
+        target = probe.generic_point(n)
+    singular = WeightPoint.integer((0,) * n)
+    real = suites._PointSampler.generic_point
+    samplers, hits = [], []
+
+    def generic_point(self, n):
+        samplers.append(self)
+        a = real(self, n)
+        if a == target:
+            hits.append(a)
+            return singular
+        return a
+
+    monkeypatch.setattr(suites._PointSampler, "generic_point", generic_point)
+    [case] = dybe_suite(config)
+    assert len(hits) == 2  # the batched draw and its replay
+    p = config.params()
+    reference = suites._PointSampler(config)
+    worst = 0.0
+    for _ in range(suites.DYBE_SAMPLES):
+        z, w = reference.spectral_pair()
+        for _ in range(8):
+            try:
+                a = reference.generic_point(n)
+                worst = max(worst, dynamical_ybe_residual(z, w, a, p))
+                break
+            except NearPole:
+                continue
+    assert len(hits) == 3
+    assert case.name == f"dybe-n{n}-r{r}" and case.residual == worst
+    assert samplers[0] is not reference
+    assert samplers[0].rng.random() == reference.rng.random()
 
 
 def test_theta_and_bracket_against_mpmath_jtheta():

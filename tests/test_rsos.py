@@ -1,5 +1,6 @@
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -439,8 +440,17 @@ def test_star_triangle_tiles_stay_within_the_table_budget(monkeypatch):
         stacks.append(out.size)
         return out
 
-    monkeypatch.setattr(rs, "r_table", lambda u, pts, p:
-                        sizes.append(len(pts) * 81) or real_table(u, pts, p))
+    built = []  # a weak reference to each table
+
+    def table(u, pts, p):
+        # the tables of earlier tiles are dropped before the next is built
+        assert all(ref() is None for ref in built)
+        sizes.append(len(pts) * 81)
+        out = real_table(u, pts, p)
+        built.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(rs, "r_table", table)
     monkeypatch.setattr(rs, "_site_operators", ops)
     del calls[:]
     assert star_triangle_residual(zs, ws, kind, params) == want
