@@ -10,17 +10,14 @@ from .elliptic import (EllipticParams, bracket, dynamical_ybe_residual,
 from .graded import (DualityData, GradedMorphism, GradedSpace, align,
                      dual_space, identity_morphism, tensor_morphism,
                      tensor_space, unit_space)
-from .groupoid import (AlcoveKind, AlcoveSpec, Arrow, ModelKind, WeightPoint,
-                       alcove_contains, compose, enumerate_alcove, eps,
-                       identity_arrow, inverse, rho, rsos_alcove)
+from .groupoid import (Arrow, ModelKind, WeightPoint, eps, identity_arrow,
+                       inverse, rsos_alcove)
 from .fusion import (FusionBases, exterior_character, fusion_bases,
                      fusion_coeff, psi_table, sym_power_character_n2,
                      sym_square_character, verify_fusion_rules, verify_spectrum)
-from .rsos import (boltzmann_weight, build_vector_space, restricted_r,
-                   star_triangle_residual)
-from .transfer import (LOperator, commutator_residual, l_tensor,
-                       partial_trace, partition_enumerate,
-                       partition_via_transfer, rll_residual, transfer_matrix,
-                       trivial_l_operator, vector_chain, vector_l_operator)
+from .rsos import build_vector_space, restricted_r, star_triangle_residual
+from .transfer import (LOperator, commutator_residual, partial_trace,
+                       partition_enumerate, partition_via_transfer,
+                       rll_residual, transfer_matrix, vector_chain)
 
 __version__ = "0.1.0"

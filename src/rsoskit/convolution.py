@@ -86,16 +86,6 @@ class ConvolutionElement:
             out[g] = out.get(g, 0) + c
         return ConvolutionElement(self.context, out)
 
-    def __sub__(self, other: "ConvolutionElement") -> "ConvolutionElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: Coefficient) -> "ConvolutionElement":
-        return ConvolutionElement(self.context,
-                                  {g: c * v for g, v in self.coeffs.items()})
-
-    def __mul__(self, other: "ConvolutionElement") -> "ConvolutionElement":
-        return conv_mul(self, other)
-
 
 def matrix_form(x: ConvolutionElement, degree: int) -> np.ndarray:
     """The float64 |A| x |A| matrix of x over the alcove A of its restricted
@@ -192,9 +182,6 @@ class DifferenceOperator:
     points: tuple[WeightPoint, ...]
     dims: dict[WeightPoint, int]
     blocks: dict[Arrow, Coefficient | np.ndarray]
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
 
     def __matmul__(self, other: "DifferenceOperator") -> "DifferenceOperator":
         """(AB)(a, mu + nu) = sum A(a, mu) B(a + mu, nu), on the same fibres."""

@@ -5,12 +5,8 @@ class RsosError(Exception):
     """Base class for all package errors."""
 
 
-class NonComposable(RsosError):
-    """Arrows whose endpoints do not match cannot be composed."""
-
-
 class InfiniteSet(RsosError):
-    """Enumeration requested for a non-affine (infinite) alcove."""
+    """Enumeration requested of the infinite orbit of an unrestricted model."""
 
 
 class ContextMismatch(RsosError):
@@ -39,10 +35,6 @@ class RestrictionViolated(RsosError):
 
 class SupportOutsideAlcove(RsosError):
     """Convolution element has support outside the requested alcove."""
-
-
-class NonSquare(RsosError):
-    """The four arrows of a face do not close."""
 
 
 class TooLarge(RsosError):

@@ -63,14 +63,6 @@ class FusionBases:
     def max_residual(self) -> float:
         return max((s.residual for s in self.sectors), default=0.0)
 
-    @property
-    def sym_dim(self) -> int:
-        return sum(s.sym_dim for s in self.sectors)
-
-    @property
-    def antisym_dim(self) -> int:
-        return sum(s.antisym_dim for s in self.sectors)
-
 
 def _spans(blocks: np.ndarray):
     """Ranks of a (S, k, k) stack of blocks and the projectors p pinv(p) onto
@@ -351,10 +343,6 @@ class SpectrumReport:
     @property
     def max_residual(self) -> float:
         return max(self.residuals, default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < SPECTRUM_TOL
 
 
 def verify_spectrum(ks, n: int, r: int) -> list[SpectrumReport]:

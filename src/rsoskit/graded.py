@@ -10,7 +10,8 @@ with the summands laid out in a canonical order (intermediate object, then
 first-factor shift, lexicographically).  Every basis vector carries a flat
 key, the sequence of atomic basis vectors it was built from, so spaces
 related by reassociation or unit insertion are aligned by an index
-permutation.
+permutation (`align`), which acts on blocks by gathering their rows or
+placing their columns, never as a matrix.
 
 Everything that depends only on spaces (products, alignments, summand
 pairings) is built once from integer arrays and kept on the operand spaces,
@@ -21,8 +22,8 @@ once.
 
 A block is a matrix or a stack (B, rows, cols) of them, one per spectral
 parameter of a batch, so the Python work per component is paid once per
-batch; operations act on the two trailing axes, a plain block (identity,
-alignment) broadcasts against a stack, and `f[k]` is the k-th morphism.
+batch; operations act on the two trailing axes, a plain block (identity)
+broadcasts against a stack, and `f[k]` is the k-th morphism.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -129,11 +129,6 @@ class GradedSpace:
         for a in (self.keys, self.shifts, self.sizes, self.starts):
             a.flags.writeable = False
 
-    @cached_property
-    def offsets(self) -> dict[Arrow, int]:
-        """The first row of each component."""
-        return dict(zip(self.dims, self.starts.tolist()))
-
     def split(self, rows: np.ndarray) -> list[np.ndarray]:
         """`rows`, one per basis vector, cut into one view per component in
         `dims` order."""
@@ -147,13 +142,6 @@ class GradedSpace:
                 raise ValueError(f"stored dimension must be >= 1 at {arrow!r}")
         return cls(context=context, dims=dict(dims), keys=_atom_keys(
             (arrow, k) for arrow, d in dims.items() for k in range(d)))
-
-    def dim(self, arrow: Arrow) -> int:
-        return self.dims.get(arrow, 0)
-
-    @property
-    def arrows(self) -> list[Arrow]:
-        return sorted(self.dims, key=Arrow.sort_key)
 
     def objects(self) -> list[WeightPoint]:
         pts = {g.source for g in self.dims} | {g.target for g in self.dims}
@@ -348,48 +336,22 @@ class GradedMorphism:
         m = self.blocks.get(arrow)
         if m is not None:
             return m
-        return np.zeros((self.codomain.dim(arrow), self.domain.dim(arrow)),
-                        dtype=complex)
+        return np.zeros((self.codomain.dims.get(arrow, 0),
+                         self.domain.dims.get(arrow, 0)), dtype=complex)
 
     def compose(self, other: "GradedMorphism") -> "GradedMorphism":
-        """self o other (apply `other` first); a `Permutation` on the right
-        acts exactly, by reindexing columns, and one on the left through its
-        dense blocks (`composite` gathers its rows through the reverse
-        alignment instead)."""
+        """self o other (apply `other` first), block by block; a component
+        where either factor has no block has none in the product.  Alignments
+        act on blocks by index arrays instead (`composite`,
+        `tensor_morphism`)."""
         if other.codomain.dims != self.domain.dims:
             raise ShapeMismatch("composition: inner spaces do not match")
-        if isinstance(other, Permutation):
-            if isinstance(self, Permutation):
-                return Permutation(other.domain, self.codomain, {
-                    g: self.index[g][p] for g, p in other.index.items()})
-            products = ((g, m[..., other.index[g]])
-                        for g, m in self.blocks.items())
-        else:
-            products = ((g, self.blocks[g] @ other.blocks[g])
-                        for g in set(self.blocks) & set(other.blocks))
-        return GradedMorphism(other.domain, self.codomain, dict(products))
+        return GradedMorphism(other.domain, self.codomain, {
+            g: self.blocks[g] @ other.blocks[g]
+            for g in set(self.blocks) & set(other.blocks)})
 
     def __matmul__(self, other: "GradedMorphism") -> "GradedMorphism":
         return self.compose(other)
-
-    def add(self, other: "GradedMorphism") -> "GradedMorphism":
-        if (other.domain.dims != self.domain.dims
-                or other.codomain.dims != self.codomain.dims):
-            raise ShapeMismatch("addition: spaces do not match")
-        blocks = {}
-        for arrow in set(self.blocks) | set(other.blocks):
-            blocks[arrow] = self.block(arrow) + other.block(arrow)
-        return GradedMorphism(self.domain, self.codomain, blocks)
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def scale(self, c: complex) -> "GradedMorphism":
-        return GradedMorphism(self.domain, self.codomain,
-                              {g: c * m for g, m in self.blocks.items()})
-
-    def __rmul__(self, c: complex):
-        return self.scale(c)
 
     def max_diff(self, other: "GradedMorphism") -> float:
         worst = 0.0
@@ -409,41 +371,28 @@ def identity_morphism(V: GradedSpace) -> GradedMorphism:
     return GradedMorphism(V, V, {g: eye[d] for g, d in V.dims.items()})
 
 
-class Permutation(GradedMorphism):
-    """Graded morphism sending basis vector j of the component at each arrow
-    to basis vector index[arrow][j]. Its dense `blocks` are built only when
-    something reads them.  `columns`, set by `align`, holds for each basis
-    vector of the codomain the j within its component sent to it."""
+class Alignment(NamedTuple):
+    """The basis permutation src -> dst of `align`, as read-only index arrays:
+    index[arrow][j] is the basis vector of dst's component at arrow that
+    basis vector j of src's is sent to, and columns[i] is, for basis vector
+    i of dst, the j within its component sent to it."""
 
-    def __init__(self, domain: GradedSpace, codomain: GradedSpace,
-                 index: dict[Arrow, np.ndarray],
-                 columns: np.ndarray | None = None):
-        self.domain, self.codomain, self.index = domain, codomain, index
-        self.columns = columns
-
-    def __getitem__(self, k) -> "Permutation":
-        return self
-
-    @cached_property
-    def blocks(self) -> dict[Arrow, np.ndarray]:
-        return {g: np.eye(p.size, dtype=complex)[:, p]
-                for g, p in self.index.items()}
+    index: MappingProxyType
+    columns: np.ndarray
 
 
-def align(src: GradedSpace, dst: GradedSpace) -> Permutation:
-    """Permutation morphism matching basis vectors by flat keys.
+def align(src: GradedSpace, dst: GradedSpace) -> Alignment:
+    """The permutation matching basis vectors by flat keys.
 
     Defined when src and dst have the same components up to reassociation
-    and insertion/removal of tensor-unit factors.  The index arrays are
-    found once per (src, dst) and are read-only.
+    and insertion/removal of tensor-unit factors.  Found once per (src, dst):
+    every later call returns the same arrays.
     """
-    return Permutation(src, dst, *memo(src, "align",
-                                       lambda: _alignment(src, dst), partner=dst))
+    return memo(src, "align", lambda: _alignment(src, dst), partner=dst)
 
 
-def _alignment(src: GradedSpace, dst: GradedSpace
-               ) -> tuple[MappingProxyType, np.ndarray]:
-    """The index arrays of align(src, dst) and its `columns`."""
+def _alignment(src: GradedSpace, dst: GradedSpace) -> Alignment:
+    """align(src, dst), found from the keys."""
     _require_same_context(src, dst)
     if set(src.dims) != set(dst.dims):
         raise ShapeMismatch("alignment: component arrows differ")
@@ -467,7 +416,8 @@ def _alignment(src: GradedSpace, dst: GradedSpace
     columns = np.empty_like(to_dst)
     columns[to_dst] = _runs(src.sizes, 0)
     columns.flags.writeable = False
-    return MappingProxyType(dict(zip(src.dims, src.split(local)))), columns
+    return Alignment(MappingProxyType(dict(zip(src.dims, src.split(local)))),
+                     columns)
 
 
 def composite(start: GradedSpace,
@@ -496,8 +446,9 @@ def composite(start: GradedSpace,
 def tensor_morphism(f: GradedMorphism, g: GradedMorphism,
                     domain: GradedSpace | None = None) -> GradedMorphism:
     """f (x) g acting summand-wise by Kronecker products, stacked where f or
-    g is; on `domain`, (f (x) g) o align(domain, tensor_space(f.domain,
-    g.domain)), its columns written where that alignment takes them.
+    g is; on `domain`, f (x) g after the permutation of `domain` onto
+    tensor_space(f.domain, g.domain), its columns written where
+    align(domain, tensor_space(f.domain, g.domain)) takes them.
 
     The summand pairs of one block shape (p, q, s, t) are written together:
     f's and g's blocks gathered, one broadcast multiply (the products of

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from operator import add, itemgetter
 
 import numpy as np
 
-from .errors import InfiniteSet, InvalidConfig, NonComposable, check_budget
+from .errors import InfiniteSet, InvalidConfig, check_budget
 
 LatticeVector = tuple[int, ...]
 
@@ -56,11 +55,6 @@ def add_vectors(a: LatticeVector, b: LatticeVector) -> LatticeVector:
 
 def negate(a: LatticeVector) -> LatticeVector:
     return tuple(-x for x in a)
-
-
-def rho(n: int) -> LatticeVector:
-    """Half-sum analogue (n-1, n-2, ..., 0) shifting P^r_+ onto P^{r+n}_++."""
-    return tuple(range(n - 1, -1, -1))
 
 
 class _cached_attribute:
@@ -139,10 +133,6 @@ class WeightPoint(_Pair):
     def rank(self) -> int:
         return len(self.offset)
 
-    @property
-    def has_zero_base(self) -> bool:
-        return all(b == 0 for b in self.base)
-
     def values(self) -> tuple[complex, ...]:
         """Coordinates of the canonical representative."""
         base, offset = self
@@ -152,12 +142,6 @@ class WeightPoint(_Pair):
         """a_i - a_j (1-based), independent of the representative."""
         v = self.values()
         return v[i - 1] - v[j - 1]
-
-    def level_coordinate(self) -> int:
-        """a_1 - a_2 for rank-2 integer points."""
-        if self.rank != 2 or not self.has_zero_base:
-            raise ValueError("level coordinate defined for rank-2 integer points")
-        return self.offset[0] - self.offset[1]
 
     def shifted(self, mu: LatticeVector) -> "WeightPoint":
         # base and offset share a rank and add_vectors checks mu's, so the
@@ -175,7 +159,7 @@ class WeightPoint(_Pair):
         return tuple(key)
 
     def __repr__(self):
-        if self.has_zero_base:
+        if not any(self.base):
             return f"WeightPoint{self.offset}"
         return f"WeightPoint(base={self.base}, offset={self.offset})"
 
@@ -217,87 +201,20 @@ def inverse(gamma: Arrow) -> Arrow:
     return Arrow(gamma.target, negate(gamma.shift))
 
 
-def compose(later: Arrow, earlier: Arrow) -> Arrow:
-    """Composite `later o earlier`, defined when later starts where earlier ends."""
-    if later.source != earlier.target:
-        raise NonComposable(
-            f"cannot compose: {later.source!r} != target {earlier.target!r}"
-        )
-    return Arrow(earlier.source, add_vectors(earlier.shift, later.shift))
-
-
-class AlcoveKind(Enum):
-    DOMINANT = "P+"
-    REGULAR_DOMINANT = "P++"
-    AFFINE_DOMINANT = "Pr+"
-    AFFINE_REGULAR = "Pr++"
-
-    @property
-    def is_affine(self) -> bool:
-        return self in (AlcoveKind.AFFINE_DOMINANT, AlcoveKind.AFFINE_REGULAR)
-
-
-@dataclass(frozen=True)
-class AlcoveSpec:
-    rank: int
-    kind: AlcoveKind
-    level: int | None = None
-
-    def __post_init__(self):
-        if self.rank < 2:
-            raise ValueError("rank must be >= 2")
-        if self.kind.is_affine:
-            if self.level is None or self.level < 0:
-                raise ValueError("affine alcoves need a level r >= 0")
-            if self.kind is AlcoveKind.AFFINE_REGULAR and self.level < self.rank:
-                raise ValueError("regular affine alcove needs r >= n")
-
-
-def alcove_contains(a: WeightPoint, spec: AlcoveSpec) -> bool:
-    """Membership test; conditions are invariant under (1,...,1) shifts."""
-    if not a.has_zero_base:
-        raise ValueError("alcove membership is defined for integer points")
-    if a.rank != spec.rank:
-        raise ValueError("rank mismatch")
-    v = a.offset
-    strict = spec.kind in (AlcoveKind.REGULAR_DOMINANT, AlcoveKind.AFFINE_REGULAR)
-    for x, y in zip(v, v[1:]):
-        if (x <= y) if strict else (x < y):
-            return False
-    if spec.kind is AlcoveKind.AFFINE_DOMINANT and v[0] - v[-1] > spec.level:
-        return False
-    if spec.kind is AlcoveKind.AFFINE_REGULAR and v[0] - v[-1] >= spec.level:
-        return False
-    return True
-
-
 # points of one alcove: the 99,681 of (n, r) = (3, 448) peak at 83 MB RSS
 # in CPython 3.11
 ALCOVE_BUDGET = 100_000
 
 
-def enumerate_alcove(spec: AlcoveSpec) -> list[WeightPoint]:
-    """Canonical representatives of a finite alcove, lexicographically
-    ordered; over ALCOVE_BUDGET points raise TooLarge before any is built."""
-    if not spec.kind.is_affine:
-        raise InfiniteSet(f"{spec.kind.value} is infinite")
-    n, r = spec.rank, spec.level
-    if spec.kind is AlcoveKind.AFFINE_REGULAR:
-        # a_1 > ... > a_{n-1} > a_n = 0 with a_1 < r
-        combos = combinations(range(1, r), n - 1)
-        count = math.comb(r - 1, n - 1)
-    else:
-        # a_1 >= ... >= a_{n-1} >= a_n = 0 with a_1 <= r
-        combos = combinations_with_replacement(range(0, r + 1), n - 1)
-        count = math.comb(r + n - 1, n - 1)
-    check_budget("ALCOVE_BUDGET", count, ALCOVE_BUDGET, "points")
-    return sorted((WeightPoint.integer(tuple(reversed(c)) + (0,)) for c in combos),
-                  key=WeightPoint.sort_key)
-
-
 def rsos_alcove(n: int, r: int) -> list[WeightPoint]:
-    """The height set P^r_++ of the restricted model."""
-    return enumerate_alcove(AlcoveSpec(n, AlcoveKind.AFFINE_REGULAR, r))
+    """The height set P^r_++ of the restricted model, a_1 > ... > a_n = 0
+    with a_1 < r, lexicographically ordered; over ALCOVE_BUDGET points raise
+    TooLarge before any is built."""
+    check_budget("ALCOVE_BUDGET", math.comb(r - 1, n - 1), ALCOVE_BUDGET,
+                 "points")
+    return sorted((WeightPoint.integer(tuple(reversed(c)) + (0,))
+                   for c in combinations(range(1, r), n - 1)),
+                  key=WeightPoint.sort_key)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .elliptic import (POLE_GUARD, EllipticParams, bracket, pair_index,
-                       param_chunks, r_matrix, r_table, table_runs)
-from .errors import (BaseOnSingularSet, ContextMismatch, NonSquare,
-                     RestrictionViolated)
+                       param_chunks, r_table, table_runs)
+from .errors import BaseOnSingularSet, ContextMismatch, RestrictionViolated
 from .graded import GradedMorphism, GradedSpace, memo, tensor_space
-from .groupoid import Arrow, ModelKind, WeightPoint, compose, eps
+from .groupoid import Arrow, ModelKind, WeightPoint, eps
 
 RESTRICTION_TOL = 1e-12
 
@@ -53,34 +52,6 @@ def build_vector_space(kind: ModelKind,
     return GradedSpace.from_dims(kind, {
         Arrow(a, eps(n, i)): 1 for a in points for i in range(1, n + 1)
         if kind.step_allowed(a, i)})
-
-
-def _step_index(arrow: Arrow) -> int:
-    """1-based i with shift == eps_i, else 0."""
-    s = arrow.shift
-    if sum(s) != 1 or any(c not in (0, 1) for c in s):
-        return 0
-    return s.index(1) + 1
-
-
-def boltzmann_weight(z: complex, alpha: Arrow, beta: Arrow, gamma: Arrow,
-                     delta: Arrow, kind: ModelKind,
-                     params: EllipticParams) -> complex:
-    """Face weight: the component of the R-matrix mapping
-    V_alpha (x) V_beta to V_gamma (x) V_delta."""
-    if compose(beta, alpha) != compose(delta, gamma):
-        raise NonSquare("the four arrows do not close")
-    k, l = _step_index(alpha), _step_index(beta)
-    i, j = _step_index(gamma), _step_index(delta)
-    if 0 in (k, l, i, j):
-        raise NonSquare("face edges must be unit steps eps_i")
-    present = all(kind.step_allowed(arr.source, idx) for arr, idx in
-                  ((alpha, k), (beta, l), (gamma, i), (delta, j)))
-    if not present:
-        return 0.0
-    n = params.rank
-    return complex(r_matrix(z, alpha.source, params)[pair_index(n, i, j),
-                                                     pair_index(n, k, l)])
 
 
 def restricted_r(zs, kind: ModelKind, params: EllipticParams,

@@ -1,17 +1,21 @@
-"""L-operators, partial traces, transfer matrices as matrix-valued difference
-operators, and exact torus partition functions with an independent oracle:
-the scalar row-to-row transfer matrix over closed row states.
+"""The vector chain as an L-operator, partial traces, transfer matrices as
+matrix-valued difference operators, and exact torus partition functions with
+an independent oracle: the scalar row-to-row transfer matrix over closed row
+states.
 
-Sections live on the loop components W_{(a, k(1,...,1))} of the quantum
-space, one table of arrays per W (`loop_sectors`); T(z) = tr_V L_W(z) is a
-`convolution.DifferenceOperator` over the alcove with the stacked loop
-sector of W at a as fibre at a, and with the tensor unit as W it is the
-character operator of V; L is evaluated at many z at once, on blocks
-stacked over them (see `graded`).  The partition function of the height
-model on a cols x rows torus is Z = tr M^rows, with M either
-the transfer matrix of a cols-site chain or the row-to-row matrix, both
-difference operators with blocks (a, a + eps_i), composed and traced block
-by block (`DifferenceOperator.power` and `trace`); rows = 0 gives dim M.
+The one L-operator built here is the chain V(u_1) (x) ... (x) V(u_c) of
+`vector_chain`: its auxiliary line V crosses the sites R(z + u_k) one by
+one.  Sections live on the loop components W_{(a, k(1,...,1))} of the
+quantum space, one table of arrays per W (`loop_sectors`); T(z) =
+tr_V L_W(z) is a `convolution.DifferenceOperator` over the alcove with the
+stacked loop sector of W at a as fibre at a; L is evaluated at many z at
+once, on blocks stacked over them (see `graded`).
+
+The partition function of the height model on a cols x rows torus is
+Z = tr M^rows, with M either the transfer matrix of a cols-site chain or the
+row-to-row matrix, both difference operators with blocks (a, a + eps_i),
+composed and traced block by block (`DifferenceOperator.power` and
+`trace`); rows = 0 gives dim M.
 Every component of the chain has a shift whose coordinates sum to cols, and
 a loop k(1,...,1) sums to nk, so unless n divides cols M is empty and
 `transfer_matrix` evaluates no L(z).  Each row moves the row's first height
@@ -31,9 +35,8 @@ import numpy as np
 from .convolution import DifferenceOperator
 from .elliptic import EllipticParams, pair_index, r_table, table_runs
 from .errors import InvalidConfig, ShapeMismatch, check_budget
-from .graded import (GradedMorphism, GradedSpace, _runs, align, components,
-                     composite, memo, memoized, point_numbering, tensor_space,
-                     unit_space)
+from .graded import (GradedMorphism, GradedSpace, _runs, components, composite,
+                     memo, memoized, point_numbering, tensor_space)
 from .groupoid import Arrow, ModelKind, WeightPoint, eps
 from .rsos import build_vector_space, restricted_r
 
@@ -50,40 +53,6 @@ class LOperator:
     params: EllipticParams
 
 
-def vector_l_operator(kind: ModelKind, params: EllipticParams,
-                      u: complex = 0.0,
-                      space: GradedSpace | None = None) -> LOperator:
-    """The vector representation with evaluation point u: L(z) = R(z + u)."""
-    V = space if space is not None else build_vector_space(kind, params)
-    return LOperator(
-        aux=V, quantum=V,
-        at=lambda zs: restricted_r([z + u for z in zs], kind, params,
-                                   space=V),
-        params=params)
-
-
-def trivial_l_operator(kind: ModelKind, params: EllipticParams,
-                       space: GradedSpace | None = None) -> LOperator:
-    """The trivial representation on the tensor unit."""
-    V = space if space is not None else build_vector_space(kind, params)
-    one = unit_space(V.context, V.objects())
-    tautology = align(tensor_space(V, one), tensor_space(one, V))
-    return LOperator(aux=V, quantum=one, at=lambda zs: tautology,
-                     params=params)
-
-
-def l_tensor(first: LOperator, second: LOperator) -> LOperator:
-    """Tensor product of quantum spaces: the auxiliary line crosses
-    `first` and then `second`; quantum spaces over different models raise
-    ContextMismatch."""
-    if first.params != second.params:
-        raise ShapeMismatch("L-operators have different modular data")
-    V, W, Z = first.aux, first.quantum, second.quantum
-    return LOperator(aux=V, quantum=tensor_space(W, Z), params=first.params,
-                     at=lambda zs: _cross(V, W, Z, first.at(zs),
-                                          second.at(zs)))
-
-
 def _cross(V: GradedSpace, W: GradedSpace, Z: GradedSpace, f: GradedMorphism,
            g: GradedMorphism) -> GradedMorphism:
     """The auxiliary line V crossing W by f : V (x) W -> W (x) V and then Z by
@@ -96,9 +65,10 @@ def _cross(V: GradedSpace, W: GradedSpace, Z: GradedSpace, f: GradedMorphism,
 def vector_chain(kind: ModelKind, params: EllipticParams,
                  points: tuple[complex, ...],
                  space: GradedSpace | None = None) -> LOperator:
-    """Chain V(u_1) (x) ... (x) V(u_c) of vector representations, folded
-    like `l_tensor` from the c sites R(z + u_k), at every z, of one
-    `restricted_r` call.  Chains given one `space` share its products.
+    """Chain V(u_1) (x) ... (x) V(u_c) of vector representations: the
+    auxiliary line crosses the c sites R(z + u_k) one by one (`_cross`), the
+    sites at every z read off one `restricted_r` call.  Chains given one
+    `space` share its products.
 
     Its loop sections are as many as the closed c-step rows, so STATE_BUDGET
     is checked by `_closed_rows` before any tensor product is built."""
@@ -146,12 +116,6 @@ def loop_sectors(W: GradedSpace) -> LoopSectors:
         return LoopSectors(loops, ends - size - bounds[at], np.diff(bounds))
 
     return memo(W, "loop-sectors", build)
-
-
-def sector_dim(W: GradedSpace, a: WeightPoint) -> int:
-    index = point_numbering(W)[1]
-    k = (W.context.alcove_index() if index is None else index).get(a)
-    return 0 if k is None else int(loop_sectors(W).dims[k])
 
 
 def partial_trace(f: GradedMorphism, aux: GradedSpace,

@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 import rsoskit
+from oracles import boltzmann_weight
 from rsoskit import elliptic, fusion, rsos, suites
 from rsoskit.cli import main, run_verify
 from rsoskit.elliptic import EllipticParams
 from rsoskit.errors import InvalidConfig, InvalidTau, UnknownSuite
 from rsoskit.groupoid import Arrow, ModelKind, WeightPoint, eps
-from rsoskit.rsos import boltzmann_weight
 from rsoskit.suites import RunConfig, run_suite
 
 
@@ -196,15 +196,16 @@ def test_params_are_built_once_and_refused_at_the_first_call():
                 bad.params()
 
 
+# a child process imports the same rsoskit as this one, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(rsoskit.__file__).parent.parent), os.environ.get("PYTHONPATH")]))}
+
+
 def test_tiny_tau_writes_one_error_line():
     # the series cut overflows to inf terms without a numpy warning
-    src = str(Path(rsoskit.__file__).parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [
-               src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "rsoskit", "verify", "theta", "--tau",
-         "0,1e-320"], capture_output=True, text=True, env=env)
+         "0,1e-320"], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 2
     assert proc.stderr == ("error: THETA_TERM_BUDGET: inf series terms per "
                            "entry requested, limit 10000\n")
@@ -349,14 +350,9 @@ def test_compute_partition_degenerate_size_exits_2(size, capsys):
 
 
 def test_console_entry_point_runs():
-    # the child imports the same rsoskit as this process, installed or not
-    src = str(Path(rsoskit.__file__).parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [
-               src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "rsoskit", "compute", "fusion-table",
-         "--r", "4"], capture_output=True, text=True, env=env)
+         "--r", "4"], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout.startswith("p,q,s,N")
 

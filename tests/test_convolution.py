@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rsoskit.convolution as cv
+from oracles import compose
 from rsoskit.convolution import (ConvolutionElement, character, chi,
                                  conv_mul, involution, matrix_form,
                                  to_difference_operator)
@@ -12,7 +13,7 @@ from rsoskit.errors import ContextMismatch, ShapeMismatch, SupportOutsideAlcove
 from rsoskit.fusion import (central_element_n2, exterior_character,
                             sym_power_character_n2, sym_square_character)
 from rsoskit.graded import dual_space, tensor_space
-from rsoskit.groupoid import Arrow, WeightPoint, compose, rsos_alcove
+from rsoskit.groupoid import Arrow, WeightPoint, rsos_alcove
 from rsoskit.rsos import ModelKind, build_vector_space
 
 KIND = ModelKind.rsos(2, 5)
@@ -38,6 +39,12 @@ def _random_arrows(rng, ctx, points, n_terms, coeff):
     return ConvolutionElement(ctx, coeffs)
 
 
+def _scaled(x, c):
+    """The element c x."""
+    return ConvolutionElement(x.context,
+                              {g: c * v for g, v in x.coeffs.items()})
+
+
 def _rand_element(rng, n_terms=4):
     return _random_arrows(rng, CTX, POINTS, n_terms, _int_coeff)
 
@@ -54,9 +61,9 @@ def test_chi_is_idempotent_unit_of_subring():
 
 def test_vector_character_support():
     chv = character(build_vector_space(KIND))
-    ups = sorted(g.source.level_coordinate() for g in chv.coeffs
+    ups = sorted(g.source.diff(1, 2) for g in chv.coeffs
                  if g.shift == (1, 0))
-    downs = sorted(g.source.level_coordinate() for g in chv.coeffs
+    downs = sorted(g.source.diff(1, 2) for g in chv.coeffs
                    if g.shift == (0, 1))
     assert ups == [1, 2, 3]
     assert downs == [2, 3, 4]
@@ -230,11 +237,12 @@ def _restricted(x, keep):
     [sym_square_character(N3R7), *(exterior_character(k, N3R7)
                                    for k in range(4))],
     # arrows into the lower half, arrows out of the upper half: a zero product
-    [_restricted(L11[4], lambda g: g.target.level_coordinate() <= 5),
-     _restricted(L11[4], lambda g: g.source.level_coordinate() >= 6)],
+    [_restricted(L11[4], lambda g: g.target.diff(1, 2) <= 5),
+     _restricted(L11[4], lambda g: g.source.diff(1, 2) >= 6)],
     # coefficients and products past 2^63 stay exact Python ints
-    [L11[5].scale(2 ** 29), L11[5].scale(2 ** 40), L11[3].scale(3 ** 41)],
-    [L11[2].scale(Fraction(1, 3)), L11[3]],
+    [_scaled(L11[5], 2 ** 29), _scaled(L11[5], 2 ** 40),
+     _scaled(L11[3], 3 ** 41)],
+    [_scaled(L11[2], Fraction(1, 3)), L11[3]],
 ], ids=["sym-n2-r11", "ext-n3-r7", "products-n2-r11", "sym2-ext-n3-r7",
         "zero-product", "past-2-63-exact-ints", "fraction"])
 def test_conv_mul_matches_pairwise_oracle_on_characters(chars):
@@ -250,9 +258,9 @@ def test_conv_mul_matches_pairwise_oracle_on_characters(chars):
 
 
 def test_zero_products_equal_at_any_degree():
-    low = _restricted(L11[4], lambda g: g.target.level_coordinate() <= 5)
-    high = _restricted(L11[4], lambda g: g.source.level_coordinate() >= 6)
-    up = _restricted(L11[1], lambda g: g.source.level_coordinate() >= 6)
+    low = _restricted(L11[4], lambda g: g.target.diff(1, 2) <= 5)
+    high = _restricted(L11[4], lambda g: g.source.diff(1, 2) >= 6)
+    up = _restricted(L11[1], lambda g: g.source.diff(1, 2) >= 6)
     zero = conv_mul(low, high)
     assert zero == ConvolutionElement(R11, {}) and zero.coeffs == {}
     assert zero == conv_mul(low, conv_mul(high, up))
@@ -284,7 +292,7 @@ SOS = ModelKind.sos((0.29 + 0.1j, 0.11, 0))
 
 @pytest.mark.parametrize("x", [
     L11[2] + L11[1],
-    L11[2].scale(Fraction(1, 3)),
+    _scaled(L11[2], Fraction(1, 3)),
     L11[2] + ConvolutionElement(R11, {
         Arrow(WeightPoint.from_level_coordinate(10), (2, 0)): 1}),
     ConvolutionElement(SOS, {Arrow(WeightPoint(SOS.base, (0, 0, 0)),
@@ -323,7 +331,7 @@ def test_matrix_sums_match_dict_sums(n, r):
     for _ in range(20):
         x, y = _homogeneous(rng, kind, 1), _homogeneous(rng, kind, 1)
         for total, want in ((x + y, _dict_sum(x, y)),
-                            (x + x.scale(-1), {})):
+                            (x + _scaled(x, -1), {})):
             assert total == ConvolutionElement(kind, want)
             assert total.coeffs == want
         # a sum of two degrees
@@ -332,7 +340,7 @@ def test_matrix_sums_match_dict_sums(n, r):
 
 
 def test_sums_past_2_63_add_as_exact_python_ints():
-    big = L11[3].scale(2 ** 62)
+    big = _scaled(L11[3], 2 ** 62)
     total = big + big
     assert set(total.coeffs.values()) == {2 ** 63}
     assert total.coeffs == _dict_sum(big, big)

@@ -5,16 +5,16 @@ import weakref
 import numpy as np
 import pytest
 
+from oracles import boltzmann_weight, in_alcove
 from rsoskit.convolution import character
 from rsoskit.elliptic import (EllipticParams, bracket, pair_index, r_matrix,
                               r_table)
 from rsoskit.errors import (BaseOnSingularSet, InfiniteSet, InvalidConfig,
-                            NearPole, NonSquare, RestrictionViolated)
+                            NearPole, RestrictionViolated)
 from rsoskit.graded import GradedSpace, identity_morphism
-from rsoskit.groupoid import (AlcoveKind, AlcoveSpec, Arrow, WeightPoint,
-                              add_vectors, alcove_contains, eps, rsos_alcove)
+from rsoskit.groupoid import Arrow, WeightPoint, add_vectors, eps, rsos_alcove
 from rsoskit.rsos import (ModelKind, _same_weight, _site_operators, _sites,
-                          boltzmann_weight, build_vector_space, restricted_r,
+                          build_vector_space, restricted_r,
                           restriction_residual, star_triangle_residual)
 
 TAU = 0.9j
@@ -31,10 +31,8 @@ def _point(l):
 def test_vector_space_arrows_rank2():
     kind, params = setup_n2()
     V = build_vector_space(kind, params)
-    ups = sorted(g.source.level_coordinate() for g in V.dims
-                 if g.shift == (1, 0))
-    downs = sorted(g.source.level_coordinate() for g in V.dims
-                   if g.shift == (0, 1))
+    ups = sorted(g.source.diff(1, 2) for g in V.dims if g.shift == (1, 0))
+    downs = sorted(g.source.diff(1, 2) for g in V.dims if g.shift == (0, 1))
     assert ups == [1, 2, 3] and downs == [2, 3, 4]
     kind4 = ModelKind.rsos(2, 4)
     assert len(build_vector_space(kind4).dims) == 4
@@ -190,9 +188,14 @@ def test_boltzmann_diagonal_face_is_one_and_w3_vanishes_at_zero():
 def test_boltzmann_rejects_open_faces():
     kind, params = setup_n2()
     a = _point(2)
-    with pytest.raises(NonSquare):
+    with pytest.raises(ValueError, match="do not close"):
         boltzmann_weight(0.3, Arrow(a, eps(2, 1)), Arrow(a + (1, 0), eps(2, 1)),
                          Arrow(a, eps(2, 2)), Arrow(a + (0, 1), eps(2, 2)),
+                         kind, params)
+    # a face that closes but is no square of unit steps
+    with pytest.raises(ValueError, match="unit steps"):
+        boltzmann_weight(0.3, Arrow(a, (2, 0)), Arrow(a + (2, 0), (0, 0)),
+                         Arrow(a, (1, 0)), Arrow(a + (1, 0), (1, 0)),
                          kind, params)
 
 
@@ -558,7 +561,6 @@ def test_site_matrix_matches_full_pair_scan():
 def test_grading_convention_consistency():
     # every restricted block entry equals the face weight of its summands
     kind, params = setup_n2()
-    from rsoskit.rsos import restricted_r
     z = 0.27 + 0.04j
     V = build_vector_space(kind)
     R = restricted_r([z], kind, params, space=V)[0]
@@ -583,7 +585,6 @@ MODELS = [(2, 5), (3, 5), (3, 6)]
 @pytest.mark.parametrize("n,r", MODELS)
 def test_paths_equal_brute_force_filter(n, r):
     kind = ModelKind.rsos(n, r)
-    spec = AlcoveSpec(n, AlcoveKind.AFFINE_REGULAR, r)
     for a in rsos_alcove(n, r):
         for length in range(5):
             expected = []
@@ -591,7 +592,7 @@ def test_paths_equal_brute_force_filter(n, r):
                 point, ok = a, True
                 for i in steps:
                     point = point + eps(n, i)
-                    ok = ok and alcove_contains(point, spec)
+                    ok = ok and in_alcove(point, r)
                 if ok:
                     expected.append(steps)
             got = kind.paths(a, length)
@@ -616,15 +617,15 @@ def test_alcove_is_built_once_per_model(monkeypatch):
     assert isinstance(kind.alcove(), tuple)
     assert list(kind.alcove()) == rsos_alcove(3, 5)
     enumerated, models = [], []
-    real_enumerate, real_init = gr.enumerate_alcove, ModelKind.__post_init__
+    real_enumerate, real_init = gr.rsos_alcove, ModelKind.__post_init__
 
     def counted_init(self):
         models.append(self)
         real_init(self)
 
-    monkeypatch.setattr(gr, "enumerate_alcove",
-                        lambda spec: enumerated.append(spec)
-                        or real_enumerate(spec))
+    monkeypatch.setattr(gr, "rsos_alcove",
+                        lambda n, r: enumerated.append((n, r))
+                        or real_enumerate(n, r))
     monkeypatch.setattr(ModelKind, "__post_init__", counted_init)
     run_suite("all", RunConfig(n=3, r=5))
     assert 0 < len(enumerated) <= sum(m.is_restricted for m in models)
@@ -661,7 +662,6 @@ def test_paths_unrestricted_are_all_sequences():
 @pytest.mark.parametrize("n,r", MODELS)
 def test_step_allowed_matches_alcove_definition(n, r):
     kind = ModelKind.rsos(n, r)
-    spec = AlcoveSpec(n, AlcoveKind.AFFINE_REGULAR, r)
     points = rsos_alcove(n, r)
     around = set(points)
     for a in points:
@@ -671,8 +671,7 @@ def test_step_allowed_matches_alcove_definition(n, r):
     assert len(around) > len(points)
     for a in around:
         for i in range(1, n + 1):
-            oracle = (alcove_contains(a, spec)
-                      and alcove_contains(a + eps(n, i), spec))
+            oracle = in_alcove(a, r) and in_alcove(a + eps(n, i), r)
             assert kind.step_allowed(a, i) == oracle
 
 

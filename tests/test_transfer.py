@@ -7,22 +7,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import aligned, l_tensor, trivial_l_operator, vector_l_operator
 from rsoskit import elliptic, rsos, suites, transfer
-from rsoskit.convolution import character, to_difference_operator
+from rsoskit.convolution import (DifferenceOperator, character,
+                                 to_difference_operator)
 from rsoskit.elliptic import EllipticParams, r_matrix
 from rsoskit.errors import (InvalidConfig, RestrictionViolated, ShapeMismatch,
                             TooLarge)
-from rsoskit.graded import (GradedMorphism, align, identity_morphism,
+from rsoskit.graded import (GradedMorphism, identity_morphism,
                             tensor_morphism, tensor_space, unit_space)
 from rsoskit.groupoid import Arrow, WeightPoint, eps, rsos_alcove
 from rsoskit.rsos import ModelKind, build_vector_space
 from rsoskit.transfer import (LOperator, _closed_rows, _row_transfer_matrix,
-                              commutator_residual, l_tensor, loop_sectors,
-                              partial_trace,
-                              partition_enumerate, partition_via_transfer,
-                              rll_residual, sector_dim, transfer_matrix,
-                              trivial_l_operator, vector_chain,
-                              vector_l_operator)
+                              commutator_residual, loop_sectors,
+                              partial_trace, partition_enumerate,
+                              partition_via_transfer, rll_residual,
+                              transfer_matrix, vector_chain)
 
 TAU = 0.9j
 KIND = ModelKind.rsos(2, 5)
@@ -49,7 +49,7 @@ def test_partial_trace_rejects_a_reassociated_bracketing():
     f = _random_rw_morphism(random.Random(3), V2, W)
     assert partial_trace(f, V2, W)
     # the same map read from V (x) (V (x) W) instead of (V (x) V) (x) W
-    moved = f @ align(tensor_space(V, tensor_space(V, W)), f.domain)
+    moved = f @ aligned(tensor_space(V, tensor_space(V, W)), f.domain)
     with pytest.raises(ShapeMismatch,
                        match=r"tensor_space\(aux, quantum\) to "
                              r"tensor_space\(quantum, aux\)"):
@@ -61,7 +61,7 @@ def test_trivial_auxiliary_gives_characteristic_function():
     # by the characteristic function of the alcove
     W = vector_chain(KIND, PARAMS, (0.0, 0.3)).quantum
     one = unit_space(W.context, POINTS)
-    taut = align(tensor_space(one, W), tensor_space(W, one))
+    taut = aligned(tensor_space(one, W), tensor_space(W, one))
     traced = partial_trace(taut, one, W)
     [T] = transfer_matrix(
         [0.0], LOperator(aux=one, quantum=W, at=lambda zs: taut, params=PARAMS))
@@ -74,7 +74,9 @@ def test_partial_trace_scales_with_block_scalar():
     rng = random.Random(1)
     lam = complex(rng.gauss(0, 1), rng.gauss(0, 1))
     L = trivial_l_operator(KIND, PARAMS)
-    f = L.at([0.0]).scale(lam)
+    f = L.at([0.0])
+    f = GradedMorphism(f.domain, f.codomain,
+                       {g: lam * m for g, m in f.blocks.items()})
     traced = partial_trace(f, L.aux, L.quantum)
     for arrow, block in traced.items():
         assert abs(block[0, 0] - lam) < 1e-14
@@ -86,7 +88,7 @@ def _random_rw_morphism(rng, V, W):
     cod = tensor_space(W, V)
     blocks = {}
     for g in dom.dims:
-        dc, dd = cod.dim(g), dom.dim(g)
+        dc, dd = cod.dims.get(g, 0), dom.dims.get(g, 0)
         if dc and dd:
             blocks[g] = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
                                    for _ in range(dd)] for _ in range(dc)])
@@ -94,17 +96,8 @@ def _random_rw_morphism(rng, V, W):
 
 
 def _global_matrix(traced, quantum, points):
-    dims = {a: sector_dim(quantum, a) for a in points}
-    offs, k = {}, 0
-    for a in points:
-        offs[a] = k
-        k += dims[a]
-    m = np.zeros((k, k), dtype=complex)
-    for alpha, blk in traced.items():
-        a, b = alpha.source, alpha.target
-        if a in offs and b in offs and blk.size:
-            m[offs[a]:offs[a] + blk.shape[0], offs[b]:offs[b] + blk.shape[1]] += blk
-    return m
+    dims = dict(zip(points, loop_sectors(quantum).dims.tolist()))
+    return DifferenceOperator(tuple(points), dims, traced).matrix(complex)
 
 
 def test_partial_trace_multiplicative():
@@ -116,9 +109,9 @@ def test_partial_trace_multiplicative():
     f2 = _random_rw_morphism(rng, V, W)
     inner = tensor_morphism(identity_morphism(V), f2)
     outer = tensor_morphism(f1, identity_morphism(V))
-    comp = outer @ align(inner.codomain, outer.domain) @ inner
+    comp = outer @ aligned(inner.codomain, outer.domain) @ inner
     V2 = tensor_space(V, V)
-    composite = align(comp.codomain, tensor_space(W, V2)) @ comp @ align(
+    composite = aligned(comp.codomain, tensor_space(W, V2)) @ comp @ aligned(
         tensor_space(V2, W), comp.domain)
     lhs = _global_matrix(partial_trace(composite, V2, W), W, POINTS)
     m1 = _global_matrix(partial_trace(f1, V, W), W, POINTS)
@@ -143,7 +136,7 @@ def _summand_offset(P, V, W, total, left, right):
 
 def _partial_trace_oracle(f, aux, quantum):
     """tr over aux summed entry by entry: sum_v f[(p, v), (v, q)]."""
-    g = align(f.codomain, tensor_space(quantum, aux)) @ f @ align(
+    g = aligned(f.codomain, tensor_space(quantum, aux)) @ f @ aligned(
         tensor_space(aux, quantum), f.domain)
     out = {}
     for alpha, d_aux in aux.dims.items():
@@ -262,7 +255,7 @@ def test_l_tensor_with_trivial_rep_is_unit_isomorphic():
     z = 0.31 + 0.05j
     got = LT.at([z])[0]
     want = Lv.at([z])[0]
-    carried = align(got.codomain, want.codomain) @ got @ align(
+    carried = aligned(got.codomain, want.codomain) @ got @ aligned(
         want.domain, got.domain)
     assert carried.max_diff(want) < 1e-12
 
@@ -379,7 +372,7 @@ def test_empty_chain_is_refused_before_any_row_is_listed(monkeypatch):
 def test_single_vector_rep_has_empty_section_space():
     L = vector_l_operator(KIND, PARAMS, 0.0)
     [T] = transfer_matrix([0.3], L)
-    assert T.total_dim() == 0
+    assert sum(T.dims.values()) == 0
 
 
 def test_transfer_commutes_two_site_chain():
@@ -417,7 +410,7 @@ def test_stacked_transfer_matrices_equal_one_point_builds(n, r, monkeypatch):
         for got, again, one in zip(stacked, one_by_one, want):
             _assert_same_operator(got, one)
             _assert_same_operator(again, one)
-        assert any(T.total_dim() for T in want) == (sites % n == 0)
+        assert any(sum(T.dims.values()) for T in want) == (sites % n == 0)
 
 
 def test_forbidden_entry_at_the_last_point_of_a_stack_is_detected(
@@ -457,13 +450,13 @@ def test_empty_section_space_evaluates_no_l_operator(n, r, sites):
     params = EllipticParams.rsos(n, r, TAU)
     L = vector_chain(kind, params, (0.0, 0.3, 0.7)[:sites])
     L.at = refuse
-    assert transfer_matrix([0.21], L)[0].total_dim() == 0
+    assert sum(transfer_matrix([0.21], L)[0].dims.values()) == 0
     assert commutator_residual(L, [(0.21, 0.47 + 0.1j)]) == 0.0
 
 
 def test_transfer_commutes_four_site_chain():
     L = vector_chain(KIND, PARAMS, (0.0, 0.3, 0.7, 0.1))
-    assert transfer_matrix([0.21], L)[0].total_dim() > 0
+    assert sum(transfer_matrix([0.21], L)[0].dims.values()) > 0
     assert commutator_residual(L, [(0.21, 0.47 + 0.1j)]) < 1e-8
 
 
@@ -481,7 +474,6 @@ def _assert_loop_sectors_match_a_scan(W, points):
     assert [arrows[k] for k in sectors.loops.tolist()] == want_loops
     assert sectors.rows.tolist() == want_rows
     assert sectors.dims.tolist() == want_dims
-    assert [sector_dim(W, a) for a in points] == want_dims
 
 
 @pytest.mark.parametrize("n,r,us", [(2, 5, (0.0, 0.3)), (3, 5, (0.0, 0.3, 0.7))])
@@ -502,7 +494,6 @@ def test_loop_sectors_of_the_unit_and_of_a_windowed_sos_space():
                     key=WeightPoint.sort_key)
     _assert_loop_sectors_match_a_scan(SS, points)
     assert loop_sectors(SS).dims.any()
-    assert sector_dim(SS, WeightPoint(base=(0.29, 0.0), offset=(9, 0))) == 0
 
 
 def test_state_budget_is_checked_before_any_transfer_matrix(monkeypatch):
@@ -592,7 +583,7 @@ def test_vacuous_row_counts_are_zero_in_the_full_construction(n, r):
         us = (0.0,) * cols
         for M in (_row_transfer_matrix(0.3, kind, params, us),
                   transfer.graded_transfer_matrix(0.3, kind, params, us)):
-            assert M.total_dim()
+            assert sum(M.dims.values())
             for rows in (m for m in range(1, 12 // cols + 1) if m % n):
                 assert M.power(rows).trace() == 0
                 assert np.trace(np.linalg.matrix_power(M.matrix(), rows)) == 0
@@ -623,7 +614,7 @@ def test_vacuous_widths_are_empty_in_the_full_construction(n, r):
     params = EllipticParams.rsos(n, r, TAU)
     for cols in (c for c in range(1, 8) if c % n):
         L = vector_chain(kind, params, (0.0,) * cols)
-        assert transfer_matrix([0.3], L)[0].total_dim() == 0
+        assert sum(transfer_matrix([0.3], L)[0].dims.values()) == 0
         assert _closed_rows(kind, cols) == []
         for rows in range(3):
             for compute in (partition_enumerate, partition_via_transfer):
@@ -778,7 +769,7 @@ def test_block_algebra_matches_dense(side, n, r, width):
     for m in range(7):
         _assert_close(A.power(m).trace(),
                       np.trace(np.linalg.matrix_power(a, m)))
-    assert A.total_dim() or width % n
+    assert sum(A.dims.values()) or width % n
 
 
 @pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7)])
@@ -901,6 +892,6 @@ def test_l_tensor_associative_up_to_alignment():
     right = l_tensor(ops[0], l_tensor(ops[1], ops[2]))
     z = 0.29 + 0.06j
     got, want = left.at([z])[0], right.at([z])[0]
-    carried = align(got.codomain, want.codomain) @ got @ align(
+    carried = aligned(got.codomain, want.codomain) @ got @ aligned(
         want.domain, got.domain)
     assert carried.max_diff(want) < 1e-12
