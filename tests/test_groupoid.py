@@ -119,16 +119,26 @@ def test_enumeration_is_sorted_and_deterministic():
     assert pts == rsos_alcove(3, 6)
 
 
+def _dominant_alcove(n, r):
+    # P^r_+: a_1 >= ... >= a_n = 0 with a_1 <= r
+    return [WeightPoint.integer(c[::-1] + (0,)) for c in
+            combinations_with_replacement(range(r + 1), n - 1)]
+
+
+def test_dominant_alcove_counts():
+    for n in (2, 3, 4):
+        for r in range(0, 7):
+            dominant = _dominant_alcove(n, r)
+            assert len(set(dominant)) == len(dominant)
+            assert len(dominant) == math.comb(r + n - 1, n - 1)
+
+
 def test_rho_bijection_onto_shifted_alcove():
-    # P^r_+ (a_1 >= ... >= a_n = 0, a_1 <= r) shifted by rho = (n-1, ..., 0)
-    # is P^{r+n}_++
+    # P^r_+ shifted by rho = (n-1, ..., 0) is P^{r+n}_++
     for n in (2, 3, 4):
         rho = tuple(range(n - 1, -1, -1))
         for r in range(0, 7):
-            dominant = [WeightPoint.integer(c[::-1] + (0,)) for c in
-                        combinations_with_replacement(range(r + 1), n - 1)]
-            assert len(set(dominant)) == math.comb(r + n - 1, n - 1)
-            image = sorted((p + rho for p in dominant),
+            image = sorted((p + rho for p in _dominant_alcove(n, r)),
                            key=WeightPoint.sort_key)
             assert image == rsos_alcove(n, r + n)
 
