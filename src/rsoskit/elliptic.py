@@ -29,14 +29,14 @@ chain's L(z) for its sites z + u_k at every z of a stack),
 sets callers table run by run (`table_runs`), each stating the entries one
 point or sample costs (n^4 per spectral parameter over the points
 themselves, 2 n^4 per unitarity sample, 3 (n + 1) n^4 table entries and
-4 n^6 for the n^3 x n^3 operators alive at once per Yang-Baxter sample), so
-no run exceeds TABLE_BUDGET entries.  The star-triangle and restriction
-checks size their runs by one spectral pair or z (3 (n + 1) n^4 over a
-point and its successors, n^4 over a point) and cut their parameters into
-chunks (`param_chunks`), so that each tile, a run of
-points by a chunk of parameters, is one table within TABLE_BUDGET entries;
-`transfer.transfer_matrix` cuts its stacked L(z) evaluations under the same
-budget.
+4 n^6 for the n^3 x n^3 operators alive at once per Yang-Baxter sample,
+within YBE_SAMPLE_BUDGET), so no run exceeds TABLE_BUDGET entries.  The
+star-triangle and restriction checks size their point runs by one spectral
+pair or z (3 (n + 1) n^4 over a point and its successors, n^4 over a point)
+and cut each run's spectral parameters by `table_runs` too, so that each
+tile, a run of points by a run of parameters, is one table within
+TABLE_BUDGET entries; `transfer.transfer_matrix` cuts its stacked L(z)
+evaluations under the same budget.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ POLE_GUARD = 1e-8  # smallest bracket modulus accepted in a denominator
 # complex entries (16 MiB) of one R-matrix table built by a caller over many
 # points; larger point sets are tabled run by run (`table_runs`)
 TABLE_BUDGET = 2 ** 20
+# complex entries (512 MiB) of one Yang-Baxter sample: its table rows and the
+# four n^3 x n^3 operators alive at once, which no run can split
+YBE_SAMPLE_BUDGET = 2 ** 25
 
 
 def _truncation(z, tau: complex):
@@ -90,13 +93,20 @@ def _like(z, values: np.ndarray):
     return complex(values[0]) if np.ndim(z) == 0 else values.reshape(np.shape(z))
 
 
+def reduced_tau(tau: complex) -> complex:
+    """tau with Re tau reduced mod 8, as every theta series is summed:
+    theta(z | tau + 8) = theta(z | tau), and fmod leaves |Re tau| < 8
+    unchanged.  Raises InvalidTau unless Im tau > 0."""
+    t = complex(tau)
+    if t.imag <= 0:
+        raise InvalidTau(f"Im tau must be positive, got {tau}")
+    return complex(math.fmod(t.real, 8.0), t.imag)
+
+
 def theta(z, tau: complex, truncation: int | None = None):
     """Odd Jacobi theta function of a scalar or an array z; each entry keeps its
     own truncation, so an array entry equals the scalar call bit for bit."""
-    if complex(tau).imag <= 0:
-        raise InvalidTau(f"Im tau must be positive, got {tau}")
-    # theta(z | tau + 8) = theta(z | tau); fmod leaves |Re tau| < 8 unchanged
-    tau = complex(math.fmod(complex(tau).real, 8.0), complex(tau).imag)
+    tau = reduced_tau(tau)
     zs = np.asarray(z, dtype=complex).ravel()
     cuts = _truncation(zs, tau) if truncation is None else np.full(zs.shape, truncation)
     out = np.empty(zs.shape, dtype=complex)
@@ -112,9 +122,7 @@ def theta(z, tau: complex, truncation: int | None = None):
 @lru_cache(maxsize=64)
 def theta_dz0(tau: complex) -> complex:
     """theta'(0, tau) from the term-wise differentiated series."""
-    if complex(tau).imag <= 0:
-        raise InvalidTau(f"Im tau must be positive, got {tau}")
-    tau = complex(math.fmod(complex(tau).real, 8.0), complex(tau).imag)
+    tau = reduced_tau(tau)
     N = _truncation(0.0, tau)
     m = np.arange(-N, N + 1)
     half = m + 0.5
@@ -269,26 +277,6 @@ def table_runs(points, cost: int) -> list:
     return [(k, points[k:k + step]) for k in range(0, len(points), step)]
 
 
-def param_chunks(groups, cost: int) -> list:
-    """(members, params) pairs cutting `groups`, tuples of spectral
-    parameters, into consecutive chunks of at most TABLE_BUDGET / cost
-    groups and distinct parameters (at least one group), where `cost` is the
-    entries one parameter adds to a chunk's tables; `params` lists the
-    chunk's distinct parameters in order of first appearance."""
-    limit = TABLE_BUDGET // cost
-    chunks, members, params = [], [], {}
-    for group in groups:
-        grown = params | dict.fromkeys(group)
-        if members and max(len(grown), len(members) + 1) > limit:
-            chunks.append((members, list(params)))
-            members, grown = [], dict.fromkeys(group)
-        members.append(group)
-        params = grown
-    if members:
-        chunks.append((members, list(params)))
-    return chunks
-
-
 def r_matrix(z: complex, a: WeightPoint, params: EllipticParams) -> np.ndarray:
     """The elliptic dynamical R-matrix at (z, a): the one-point row of
     `r_table`."""
@@ -351,11 +339,10 @@ def _ybe_residuals(run, params: EllipticParams) -> np.ndarray:
     return np.abs(lhs - rhs).max(axis=(1, 2)) / scale
 
 
-def dynamical_ybe_residual(z, w, a, params: EllipticParams) -> float:
-    """Relative max-norm residual of the dynamical Yang-Baxter equation at
-    (z, w, a): max |lhs - rhs| over the largest |entry| of lhs and rhs;
-    given equal-length sequences z, w and a, the largest over the samples
-    (z[k], w[k], a[k]).
+def dynamical_ybe_residual(samples, params: EllipticParams) -> float:
+    """Relative max-norm residual of the dynamical Yang-Baxter equation, the
+    largest over the (z, w, a) of `samples`: max |lhs - rhs| over the largest
+    |entry| of lhs and rhs, where
 
     R^(23)(z-w, a+h^(1)) R^(12)(z, a) R^(23)(w, a+h^(1))
       = R^(12)(w, a) R^(23)(z, a+h^(1)) R^(12)(z-w, a).
@@ -365,33 +352,26 @@ def dynamical_ybe_residual(z, w, a, params: EllipticParams) -> float:
     `table_runs` over the samples, and both triple products are stacked
     over the run.  A sample costs its table rows and the four n^3 x n^3
     operators alive at once: a product, its two factors and the other
-    product.
+    product; a sample over YBE_SAMPLE_BUDGET is refused before any table
+    is built.
     """
-    if np.ndim(z) == 0:
-        z, w, a = [z], [w], [a]
-    if not len(z) == len(w) == len(a):
-        raise ValueError(f"one point per spectral pair required: {len(a)} "
-                         f"given for {len(z)} z and {len(w)} w")
     n = params.rank
+    cost = 3 * (n + 1) * n ** 4 + 4 * n ** 6
+    check_budget("YBE_SAMPLE_BUDGET", cost, YBE_SAMPLE_BUDGET,
+                 "complex entries per Yang-Baxter sample")
     worst = 0.0
-    for _, run in table_runs(list(zip(z, w, a)),
-                             3 * (n + 1) * n ** 4 + 4 * n ** 6):
+    for _, run in table_runs(samples, cost):
         worst = max(worst, float(_ybe_residuals(run, params).max()))
     return worst
 
 
-def unitarity_residual(z, a, params: EllipticParams) -> float:
-    """Max-norm residual of R(z,a) R(-z,a) = Id; given equal-length sequences
-    z and a, the largest over the pairs (z[k], a[k]).  Each run of
-    `table_runs` over the pairs is one table of its rows at z and at -z."""
-    if np.ndim(z) == 0:
-        z, a = [z], [a]
-    if len(z) != len(a):
-        raise ValueError(f"one point per spectral parameter required: "
-                         f"{len(a)} given for {len(z)}")
+def unitarity_residual(samples, params: EllipticParams) -> float:
+    """Max-norm residual of R(z,a) R(-z,a) = Id, the largest over the (z, a)
+    of `samples`.  Each run of `table_runs` over the samples is one table of
+    its rows at z and at -z."""
     n2 = params.rank ** 2
     worst = 0.0
-    for _, run in table_runs(list(zip(z, a)), 2 * n2 * n2):
+    for _, run in table_runs(samples, 2 * n2 * n2):
         us, points = zip(*run)
         table = r_table([*us, *(-u for u in us)], points * 2, params)
         m = table[:len(run)] @ table[len(run):]

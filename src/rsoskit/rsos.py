@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .elliptic import (POLE_GUARD, EllipticParams, bracket, pair_index,
-                       param_chunks, r_table, table_runs)
+                       r_table, table_runs)
 from .errors import BaseOnSingularSet, ContextMismatch, RestrictionViolated
 from .graded import GradedMorphism, GradedSpace, memo, tensor_space
 from .groupoid import Arrow, ModelKind, WeightPoint, eps
@@ -128,18 +128,17 @@ def _check_forbidden(flats: np.ndarray, a: WeightPoint,
                 f"component ({i},{j})<-({k},{l}) at {a!r} is {v:.2e}")
 
 
-def restriction_residual(z, kind: ModelKind, params: EllipticParams) -> float:
-    """Largest forbidden component over the whole alcove (restricted case)
-    at z, or at every z of a sequence.  Per run of `table_runs` (sized by
-    one z's n^4 entries per point), each chunk of `param_chunks` is one
-    table with rows at its z over the run's points."""
+def restriction_residual(zs, kind: ModelKind, params: EllipticParams) -> float:
+    """Largest forbidden component over the whole alcove (restricted case),
+    at every z of `zs`.  Per run of `table_runs` over the points (sized by
+    one z's n^4 entries per point), each run of `table_runs` over zs is one
+    table with rows at its z over the point run."""
     if not kind.is_restricted:
         raise ContextMismatch("restriction residual needs the restricted model")
-    zs = [z] if np.ndim(z) == 0 else list(z)
     n2 = kind.rank ** 2
     worst = 0.0
     for _, run in table_runs(kind.alcove(), n2 * n2):
-        for _, us in param_chunks([(u,) for u in zs], len(run) * n2 * n2):
+        for _, us in table_runs(zs, len(run) * n2 * n2):
             table = r_table([u for u in us for _ in run], run * len(us),
                             params).reshape(len(us), len(run), n2, n2)
             for s, a in enumerate(run):
@@ -190,34 +189,31 @@ def _site_operators(table: np.ndarray, gather: np.ndarray) -> np.ndarray:
     return np.take(table.reshape(len(table), -1), gather, axis=1)
 
 
-def star_triangle_residual(z, w, kind: ModelKind, params: EllipticParams,
+def star_triangle_residual(pairs, kind: ModelKind, params: EllipticParams,
                            points: list[WeightPoint] | None = None) -> float:
     """Max-norm residual of the face-form Yang-Baxter identity
 
         R23(z-w) R12(z) R23(w) = R12(w) R23(z) R12(z-w)
 
-    on the three-step path space from each starting point; entries of the
-    difference are the hexagon relations summed over internal arrows.  Given
-    equal-length sequences z and w, the largest over the pairs (z[k], w[k]).
+    on the three-step path space from each starting point, the largest over
+    the (z, w) of `pairs`; entries of the difference are the hexagon
+    relations summed over internal arrows.
 
     The points are cut into runs by `table_runs`, sized by one pair's
     3 (n + 1) n^4 entries per point, and each run's sites (`_sites`) are
-    built once.  The pairs are cut into chunks by `param_chunks`, so that a
-    chunk's table, with rows at its distinct spectral parameters over the
-    run's slot start points, and each site's operator stack stay within
-    TABLE_BUDGET.  Both triple products are stacked matmuls over a chunk's
-    pairs, each slice the product of the one-pair check.
+    built once.  The (z - w, z, w) triples of the distinct pairs are cut
+    into runs by `table_runs` too, so that a tile's table, with rows at its
+    parameters over the run's slot start points, and each site's operator
+    stack stay within TABLE_BUDGET.  Both triple products are stacked
+    matmuls over a tile's pairs, each slice the product of the one-pair
+    check.
     """
     if points is None:
         if kind.is_restricted:
             points = kind.alcove()
         else:
             raise ValueError("unrestricted model needs explicit points")
-    if np.ndim(z) == 0:
-        z, w = [z], [w]
-    if len(z) != len(w):
-        raise ValueError(f"one w per z required: {len(w)} given for {len(z)}")
-    pairs = [(u - v, u, v) for u, v in dict.fromkeys(zip(z, w))]
+    triples = [(z - w, z, w) for z, w in dict.fromkeys(pairs)]
     n2 = kind.rank ** 2
     worst = 0.0
     for _, run in table_runs(points, 3 * (kind.rank + 1) * n2 * n2):
@@ -226,25 +222,23 @@ def star_triangle_residual(z, w, kind: ModelKind, params: EllipticParams,
             continue
         paths = max(len(p) for _, p, _ in sites)
         cost = max(len(starts) * n2 * n2, 2 * paths * paths)
-        for members, us in param_chunks(pairs, cost):
-            worst = max(worst, _tile_residual(members, us, starts, sites,
-                                              params))
+        for _, tile in table_runs(triples, 3 * cost):
+            worst = max(worst, _tile_residual(tile, starts, sites, params))
     return worst
 
 
-def _tile_residual(members, us, starts, sites, params: EllipticParams) -> float:
-    """The largest star-triangle residual of one tile, a chunk's pairs at a
-    run's sites, from one table at the chunk's spectral parameters `us`;
-    the table is dropped on return, before the next tile's is built."""
+def _tile_residual(triples, starts, sites, params: EllipticParams) -> float:
+    """The largest star-triangle residual of one tile, a run of (z - w, z, w)
+    triples at a run's sites, from one table at the triples' parameters in
+    order; the table is dropped on return, before the next tile's is built."""
     n2 = params.rank ** 2
+    us = [u for triple in triples for u in triple]
     worst = 0.0
     table = r_table([u for u in us for _ in starts], starts * len(us),
                     params).reshape(len(us), len(starts), n2, n2)
-    row = {u: k for k, u in enumerate(us)}
-    kzw, kz, kw = np.array([[row[u] for u in m] for m in members]).T
     for _, _, gather in sites:
         ops = _site_operators(table, gather)
-        diff = (ops[kzw, 1] @ ops[kz, 0] @ ops[kw, 1]
-                - ops[kw, 0] @ ops[kz, 1] @ ops[kzw, 0])
+        diff = (ops[0::3, 1] @ ops[1::3, 0] @ ops[2::3, 1]
+                - ops[2::3, 0] @ ops[1::3, 1] @ ops[0::3, 0])
         worst = max(worst, float(np.abs(diff).max()))
     return worst

@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -147,7 +146,7 @@ def theta_suite(config: RunConfig) -> list[Case]:
     rng = _PointSampler(config).rng
     # theta(z | tau + 8) = theta(z | tau) and theta(z + 8) = theta(z), so the
     # quasi-period is checked at the reduced tau the series themselves use
-    period = complex(math.fmod(tau.real, 8.0), tau.imag)
+    period = el.reduced_tau(tau)
     zs = [complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.2, 0.2))
           for _ in range(THETA_SAMPLES)]
     # one call, before any factor: its TooLarge fires where exp(-i pi tau)
@@ -182,11 +181,9 @@ def unitarity_suite(config: RunConfig) -> list[Case]:
     params = config.params()
     sampler = _PointSampler(config)
     points = config.kind().alcove()
-    zs, bases = [], []
-    for _ in range(UNITARITY_SAMPLES):
-        zs.append(sampler.spectral())
-        bases.append(sampler.rng.choice(points))
-    worst = el.unitarity_residual(zs, bases, params)
+    samples = [(sampler.spectral(), sampler.rng.choice(points))
+               for _ in range(UNITARITY_SAMPLES)]
+    worst = el.unitarity_residual(samples, params)
     return [Case(f"unitarity-n{config.n}-r{config.r}", worst, 1e-9)]
 
 
@@ -197,7 +194,7 @@ def dybe_suite(config: RunConfig) -> list[Case]:
     samples = [(*sampler.spectral_pair(), sampler.generic_point(config.n))
                for _ in range(DYBE_SAMPLES)]
     try:
-        worst = el.dynamical_ybe_residual(*zip(*samples), params)
+        worst = el.dynamical_ybe_residual(samples, params)
     except NearPole:
         # replay the draws one sample at a time, redrawing a point at a pole
         sampler.rng.setstate(state)
@@ -208,7 +205,7 @@ def dybe_suite(config: RunConfig) -> list[Case]:
                 try:
                     a = sampler.generic_point(config.n)
                     worst = max(worst,
-                                el.dynamical_ybe_residual(z, w, a, params))
+                                el.dynamical_ybe_residual([(z, w, a)], params))
                     break
                 except NearPole:
                     continue
@@ -216,9 +213,9 @@ def dybe_suite(config: RunConfig) -> list[Case]:
     if config.base_b is not None:
         b = WeightPoint(base=tuple(config.base_b),
                         offset=(0,) * len(config.base_b))
-        zs, ws = zip(*(sampler.spectral_pair()
-                       for _ in range(max(4, DYBE_SAMPLES // 4))))
-        sos_worst = el.dynamical_ybe_residual(zs, ws, [b] * len(zs), params)
+        sos = [(*sampler.spectral_pair(), b)
+               for _ in range(max(4, DYBE_SAMPLES // 4))]
+        sos_worst = el.dynamical_ybe_residual(sos, params)
         cases.append(Case("dybe-sos-generic-base", sos_worst, 1e-10))
     return cases
 
@@ -228,7 +225,7 @@ def star_triangle_suite(config: RunConfig) -> list[Case]:
     kind = config.kind()
     sampler = _PointSampler(config)
     pairs = [sampler.spectral_pair() for _ in range(STAR_TRIANGLE_PAIRS)]
-    worst = rsos.star_triangle_residual(*zip(*pairs), kind, params)
+    worst = rsos.star_triangle_residual(pairs, kind, params)
     cases = [Case(f"star-triangle-n{config.n}-r{config.r}", worst, 1e-9)]
     if config.base_b is not None:
         n = config.n
@@ -236,8 +233,8 @@ def star_triangle_suite(config: RunConfig) -> list[Case]:
         window = [b, b + eps(n, 1), b + eps(n, n - 1)]
         sos_kind = rsos.ModelKind.sos(tuple(config.base_b))
         pairs = [sampler.spectral_pair() for _ in range(3)]
-        sos_worst = rsos.star_triangle_residual(*zip(*pairs), sos_kind,
-                                                params, points=window)
+        sos_worst = rsos.star_triangle_residual(pairs, sos_kind, params,
+                                                points=window)
         cases.append(Case("star-triangle-sos-generic-base", sos_worst, 1e-9))
     return cases
 

@@ -64,7 +64,7 @@ def test_criterion_04_restriction_and_star_triangle():
         params = EllipticParams.rsos(n, r, TAU)
         kind = ModelKind.rsos(n, r)
         worst_forbidden = max(worst_forbidden,
-                              restriction_residual(0.31 + 0.07j, kind, params))
+                              restriction_residual([0.31 + 0.07j], kind, params))
     _report("restriction: forbidden components, exhaustive over 4 alcoves",
             worst_forbidden, 1e-12)
     worst_st = 0.0

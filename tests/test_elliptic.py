@@ -118,7 +118,7 @@ def test_r_matrix_at_zero_is_identity():
 def test_r_matrix_unitarity_spec_point():
     p = params(3, 5)
     a = WeightPoint.integer((3, 1, 0))
-    assert unitarity_residual(0.37 + 0.11j, a, p) < 1e-10
+    assert unitarity_residual([(0.37 + 0.11j, a)], p) < 1e-10
 
 
 def test_r_matrix_near_pole_refused():
@@ -138,7 +138,7 @@ def test_unitarity_sweep():
         for _ in range(25):
             z = complex(rng.uniform(0.1, 0.6), rng.uniform(0, 0.2))
             a = rng.choice(points)
-            assert unitarity_residual(z, a, p) < 1e-9
+            assert unitarity_residual([(z, a)], p) < 1e-9
 
 
 def _generic_point(rng, n, r):
@@ -156,13 +156,13 @@ def test_dynamical_ybe_residual_generic_points():
             z = complex(rng.uniform(0.1, 0.6), rng.uniform(0, 0.2))
             w = complex(rng.uniform(0.1, 0.6), rng.uniform(0, 0.2))
             a = _generic_point(rng, n, r)
-            assert dynamical_ybe_residual(z, w, a, p) < 1e-9
+            assert dynamical_ybe_residual([(z, w, a)], p) < 1e-9
 
 
 def test_dynamical_ybe_sos_base():
     p = params(3, 5)
     b = WeightPoint(base=(0.29, 0.11, 0.0), offset=(0, 0, 0))
-    assert dynamical_ybe_residual(0.31, 0.17 + 0.05j, b, p) < 1e-9
+    assert dynamical_ybe_residual([(0.31, 0.17 + 0.05j, b)], p) < 1e-9
 
 
 @pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7)])
@@ -487,9 +487,9 @@ def test_batched_unitarity_is_the_max_of_one_point_calls(monkeypatch):
     points = rsos_alcove(3, 7)
     zs = [complex(rng.uniform(0.1, 0.6), rng.uniform(0.0, 0.2))
           for _ in range(40)]
-    bases = [rng.choice(points) for _ in zs]
-    whole = unitarity_residual(zs, bases, p)
-    assert whole == max(unitarity_residual(z, a, p) for z, a in zip(zs, bases))
+    samples = [(z, rng.choice(points)) for z in zs]
+    whole = unitarity_residual(samples, p)
+    assert whole == max(unitarity_residual([s], p) for s in samples)
     calls = []
     real = elliptic.r_table
     monkeypatch.setattr(elliptic, "r_table",
@@ -498,11 +498,9 @@ def test_batched_unitarity_is_the_max_of_one_point_calls(monkeypatch):
     for per_run in (1, 3, 7):
         monkeypatch.setattr(elliptic, "TABLE_BUDGET", per_run * 2 * 3 ** 4)
         del calls[:]
-        assert unitarity_residual(zs, bases, p) == whole
+        assert unitarity_residual(samples, p) == whole
         assert len(calls) == math.ceil(len(zs) / per_run)
         assert max(calls) == 2 * per_run
-    with pytest.raises(ValueError, match="one point per spectral parameter"):
-        unitarity_residual(zs, bases[:-1], p)
 
 
 def _ybe_cost(n):
@@ -518,24 +516,21 @@ def test_batched_dybe_is_the_max_of_one_sample_calls(monkeypatch):
     samples = [(complex(rng.uniform(0.1, 0.6), rng.uniform(0.0, 0.2)),
                 complex(rng.uniform(0.1, 0.6), rng.uniform(0.0, 0.2)),
                 _generic_point(rng, n, r)) for _ in range(20)]
-    zs, ws, points = zip(*samples)
-    whole = dynamical_ybe_residual(zs, ws, points, p)
-    assert whole == max(dynamical_ybe_residual(*s, p) for s in samples)
+    whole = dynamical_ybe_residual(samples, p)
+    assert whole == max(dynamical_ybe_residual([s], p) for s in samples)
     calls = []
     real = elliptic.r_table
     monkeypatch.setattr(elliptic, "r_table",
                         lambda z, pts, q: calls.append(len(pts)) or real(z, pts, q))
-    assert dynamical_ybe_residual(zs, ws, points, p) == whole
+    assert dynamical_ybe_residual(samples, p) == whole
     assert calls == [3 * (n + 1) * len(samples)]
     # runs of 1, 3 and 7 samples: each one table of its samples' rows
     for per_run in (1, 3, 7):
         monkeypatch.setattr(elliptic, "TABLE_BUDGET", per_run * _ybe_cost(n))
         del calls[:]
-        assert dynamical_ybe_residual(zs, ws, points, p) == whole
+        assert dynamical_ybe_residual(samples, p) == whole
         assert len(calls) == math.ceil(len(samples) / per_run)
         assert max(calls) == 3 * (n + 1) * per_run
-    with pytest.raises(ValueError, match="one point per spectral pair"):
-        dynamical_ybe_residual(zs, ws, points[:-1], p)
 
 
 def test_dybe_tables_one_sample_per_run_from_rank_7(monkeypatch):
@@ -550,16 +545,30 @@ def test_dybe_tables_one_sample_per_run_from_rank_7(monkeypatch):
     real = elliptic.r_table
     monkeypatch.setattr(elliptic, "r_table",
                         lambda z, pts, q: calls.append(len(pts)) or real(z, pts, q))
-    assert dynamical_ybe_residual(*zip(*samples), p) < 1e-9
+    assert dynamical_ybe_residual(samples, p) < 1e-9
     assert calls == [3 * (n + 1)] * 2
     # one sample's traced peak is its cost in complex entries, near enough
     tracemalloc.start()
     try:
-        dynamical_ybe_residual(*samples[0], p)
+        dynamical_ybe_residual(samples[:1], p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.01 * 16 * _ybe_cost(n)
+
+
+def test_dybe_sample_over_its_budget_is_refused_before_any_table(monkeypatch):
+    # (12,13) still runs; at (20,21) one sample's four operators alone are
+    # 4 * 20^6 complex entries (3.8 GiB)
+    assert _ybe_cost(12) <= elliptic.YBE_SAMPLE_BUDGET < _ybe_cost(20)
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(elliptic, "r_table", no_table)
+    with pytest.raises(TooLarge, match=r"^YBE_SAMPLE_BUDGET: 266080000 complex "
+                       r"entries per Yang-Baxter sample requested, limit "):
+        dybe_suite(RunConfig(n=20, r=21))
 
 
 @pytest.mark.parametrize("n,r", [(2, 5), (3, 7)])
@@ -595,7 +604,7 @@ def test_dybe_near_pole_replays_the_per_sample_draws(n, r, monkeypatch):
         for _ in range(8):
             try:
                 a = reference.generic_point(n)
-                worst = max(worst, dynamical_ybe_residual(z, w, a, p))
+                worst = max(worst, dynamical_ybe_residual([(z, w, a)], p))
                 break
             except NearPole:
                 continue

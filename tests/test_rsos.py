@@ -211,7 +211,7 @@ def test_forbidden_components_vanish_exhaustively():
     for n, r in ((2, 4), (2, 5), (3, 5), (3, 6)):
         kind = ModelKind.rsos(n, r)
         params = EllipticParams.rsos(n, r, TAU)
-        assert restriction_residual(0.31 + 0.07j, kind, params) < 1e-12
+        assert restriction_residual([0.31 + 0.07j], kind, params) < 1e-12
 
 
 def test_same_weight_is_the_eps_sum_identity():
@@ -273,17 +273,17 @@ def test_one_table_per_spectral_parameter(monkeypatch):
     # spectral parameter over the slot start points
     for w in (0.17 + 0.05j, 0.31, 0.0):  # 3, then 2 distinct parameters
         del calls[:]
-        star_triangle_residual(0.31, w, kind, params)
+        star_triangle_residual([(0.31, w)], kind, params)
         assert len(calls) == 1
     # ... and one for every pair of a sequence, and every z of restriction
     del calls[:]
-    star_triangle_residual([0.31, 0.2, 0.31], [0.17 + 0.05j, 0.0, 0.31],
+    star_triangle_residual([(0.31, 0.17 + 0.05j), (0.2, 0.0), (0.31, 0.31)],
                            kind, params)
     restriction_residual([0.31, 0.17 + 0.05j, -0.42], kind, params)
     assert len(calls) == 2
     # [d] and [d+1] are shared by the rows at the three spectral parameters
     del calls[:]
-    star_triangle_residual(0.31, 0.17 + 0.05j, kind, params)
+    star_triangle_residual([(0.31, 0.17 + 0.05j)], kind, params)
     starts, _ = _sites(kind.alcove(), kind)
     r_table(0.31, starts, params)
     assert calls[0] < 3 * calls[1]
@@ -296,8 +296,8 @@ def test_runs_of_one_point_give_the_same_results(monkeypatch):
     kind, params = ModelKind.rsos(3, 7), EllipticParams.rsos(3, 7, TAU)
     z, w = 0.31 + 0.02j, 0.17 + 0.05j
     whole = restricted_r([z], kind, params)[0]
-    worst = (restriction_residual(z, kind, params),
-             star_triangle_residual(z, w, kind, params))
+    worst = (restriction_residual([z], kind, params),
+             star_triangle_residual([(z, w)], kind, params))
     zs = (z, w, -z, z)
     several = restricted_r(zs, kind, params)
     # every morphism of a several-z table equals its one-z build
@@ -315,11 +315,11 @@ def test_runs_of_one_point_give_the_same_results(monkeypatch):
     R = restricted_r([z], kind, params)[0]
     assert R.blocks.keys() == whole.blocks.keys()
     assert all(np.array_equal(R.blocks[g], m) for g, m in whole.blocks.items())
-    assert restriction_residual(z, kind, params) == worst[0]
+    assert restriction_residual([z], kind, params) == worst[0]
     alcove = kind.alcove()
     assert len(runs) == 2 * len(alcove) and max(runs) == 1
     del runs[:]
-    assert star_triangle_residual(z, w, kind, params) == worst[1]
+    assert star_triangle_residual([(z, w)], kind, params) == worst[1]
     # a site run is one table over one point's start points, itself and its
     # successors, at each of the three spectral parameters
     assert len(runs) == sum(1 for a in alcove if kind.paths(a, 3))
@@ -359,12 +359,12 @@ def test_runs_of_one_point_give_the_same_results(monkeypatch):
 
 def test_star_triangle_restricted():
     kind, params = setup_n2()
-    assert star_triangle_residual(0.31, 0.17 + 0.05j, kind, params) < 1e-9
+    assert star_triangle_residual([(0.31, 0.17 + 0.05j)], kind, params) < 1e-9
 
 
 def test_star_triangle_degenerate_spectral_point():
     kind, params = setup_n2()
-    assert star_triangle_residual(0.31, 0.31, kind, params) < 1e-10
+    assert star_triangle_residual([(0.31, 0.31)], kind, params) < 1e-10
 
 
 def test_star_triangle_sos_generic_base():
@@ -372,7 +372,7 @@ def test_star_triangle_sos_generic_base():
     params = EllipticParams.rsos(3, 5, TAU)
     b = WeightPoint(base=(0.29, 0.11, 0.0), offset=(0, 0, 0))
     pts = [b, b + eps(3, 1), b + (1, 1, 0)]
-    assert star_triangle_residual(0.31, 0.17 + 0.05j, kind, params,
+    assert star_triangle_residual([(0.31, 0.17 + 0.05j)], kind, params,
                                   points=pts) < 1e-9
 
 
@@ -397,8 +397,8 @@ PAIRS += [(0.31 + 0.02j, 0.31 + 0.02j), PAIRS[1]]
 def test_batched_star_triangle_is_the_max_of_single_pairs(monkeypatch, budget):
     import rsoskit.elliptic as el
     import rsoskit.rsos as rs
-    singles = [[star_triangle_residual(z, w, kind, params, points=window)
-                for z, w in PAIRS]
+    singles = [[star_triangle_residual([pair], kind, params, points=window)
+                for pair in PAIRS]
                for kind, params, window in _star_triangle_setups()]
     tables = []
     real = rs.r_table
@@ -406,11 +406,10 @@ def test_batched_star_triangle_is_the_max_of_single_pairs(monkeypatch, budget):
                         tables.append(len(pts)) or real(u, pts, p))
     if budget is not None:
         monkeypatch.setattr(el, "TABLE_BUDGET", budget)
-    zs, ws = zip(*PAIRS)
     for (kind, params, window), single in zip(_star_triangle_setups(),
                                               singles):
         del tables[:]
-        worst = star_triangle_residual(zs, ws, kind, params, points=window)
+        worst = star_triangle_residual(PAIRS, kind, params, points=window)
         assert worst == max(single)
         points = window or kind.alcove()
         if budget is None:  # the whole check is one table
@@ -425,15 +424,14 @@ def test_star_triangle_tiles_stay_within_the_table_budget(monkeypatch):
     import rsoskit.elliptic as el
     import rsoskit.rsos as rs
     kind, params = ModelKind.rsos(3, 7), EllipticParams.rsos(3, 7, TAU)
-    zs, ws = zip(*PAIRS)
-    want = star_triangle_residual(zs, ws, kind, params)
+    want = star_triangle_residual(PAIRS, kind, params)
     budget = 7_000  # runs of 7 points, chunks of a few pairs
     monkeypatch.setattr(el, "TABLE_BUDGET", budget)
     calls = _count_brackets(monkeypatch)
     singles, args = [], []
-    for z, w in dict.fromkeys(PAIRS):
+    for pair in dict.fromkeys(PAIRS):
         del calls[:]
-        singles.append(star_triangle_residual(z, w, kind, params))
+        singles.append(star_triangle_residual([pair], kind, params))
         args.append(sum(calls))
     sizes, stacks = [], []
     real_table, real_ops = rs.r_table, rs._site_operators
@@ -456,7 +454,7 @@ def test_star_triangle_tiles_stay_within_the_table_budget(monkeypatch):
     monkeypatch.setattr(rs, "r_table", table)
     monkeypatch.setattr(rs, "_site_operators", ops)
     del calls[:]
-    assert star_triangle_residual(zs, ws, kind, params) == want
+    assert star_triangle_residual(PAIRS, kind, params) == want
     assert want == max(singles)
     # several runs, several chunks per run, each within the budget, and no
     # more bracket arguments than the pairs checked one at a time
@@ -471,35 +469,37 @@ def test_pairs_sharing_their_parameters_are_chunked_by_count(monkeypatch):
     import rsoskit.rsos as rs
     kind, params = setup_n2()
     # the 15 pairs (v_i, v_j), i > j, of v_k = k c share the 6 parameters
-    # v_1..v_6: c is dyadic, so v_i - v_j is v_(i-j) exactly
+    # v_1..v_6: c is dyadic, so v_i - v_j is v_(i-j) exactly; a tile still
+    # tables the three parameters of each of its pairs
     c = 0.0625 + 0.015625j
     pairs = [(i * c, j * c) for i in range(1, 7) for j in range(1, i)]
-    want = max(star_triangle_residual(z, w, kind, params) for z, w in pairs)
+    want = max(star_triangle_residual([pair], kind, params) for pair in pairs)
     starts, sites = _sites(kind.alcove(), kind)
     cost = max(len(starts) * 16, 2 * max(len(p) for _, p, _ in sites) ** 2)
-    # one run of the alcove, chunks of at most 9 pairs or parameters
+    # one run of the alcove, tiles of 3 pairs: 9 parameters of `cost` entries
     monkeypatch.setattr(el, "TABLE_BUDGET", 600)
     assert len(el.table_runs(kind.alcove(), 3 * 3 * 16)) == 1
-    assert 600 // cost == 9
+    triples = [(z - w, z, w) for z, w in pairs]
+    tiles = [[u for triple in tile for u in triple]
+             for _, tile in el.table_runs(triples, 3 * cost)]
+    assert [len(tile) for tile in tiles] == [9] * 5 and 9 * cost <= 600
     tables = []
     real = rs.r_table
     monkeypatch.setattr(rs, "r_table", lambda u, pts, p:
-                        tables.append(len(pts)) or real(u, pts, p))
-    assert star_triangle_residual(*zip(*pairs), kind, params) == want
-    assert len(tables) == 2 and max(tables) <= 6 * len(starts)
+                        tables.append((u, pts)) or real(u, pts, p))
+    assert star_triangle_residual(pairs, kind, params) == want
+    assert tables == [([u for u in tile for _ in starts], starts * len(tile))
+                      for tile in tiles]
 
 
 def test_one_pole_pair_raises_as_its_single_call():
     kind, params = setup_n2()
     pole = (1.25, 0.25)  # z - w = 1, where [1 - (z - w)] vanishes
     with pytest.raises(NearPole) as single:
-        star_triangle_residual(*pole, kind, params)
-    zs, ws = zip(*PAIRS[:2], pole, *PAIRS[2:])
+        star_triangle_residual([pole], kind, params)
     with pytest.raises(NearPole) as batched:
-        star_triangle_residual(zs, ws, kind, params)
+        star_triangle_residual([*PAIRS[:2], pole, *PAIRS[2:]], kind, params)
     assert str(batched.value) == str(single.value)
-    with pytest.raises(ValueError, match="one w per z"):
-        star_triangle_residual(zs, ws[1:], kind, params)
 
 
 @pytest.mark.parametrize("budget", [None, 1])
@@ -508,7 +508,7 @@ def test_batched_restriction_is_the_max_of_single_z(monkeypatch, budget):
     zs = [z for z, _ in PAIRS] + [-0.42]
     setups = [(ModelKind.rsos(n, r), EllipticParams.rsos(n, r, TAU))
               for n, r in ((2, 4), (3, 5), (3, 6), (4, 6))]
-    singles = [max(restriction_residual(z, kind, params) for z in zs)
+    singles = [max(restriction_residual([z], kind, params) for z in zs)
                for kind, params in setups]
     if budget is not None:
         monkeypatch.setattr(el, "TABLE_BUDGET", budget)
