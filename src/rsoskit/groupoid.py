@@ -53,10 +53,6 @@ def add_vectors(a: LatticeVector, b: LatticeVector) -> LatticeVector:
     return tuple(map(add, a, b))
 
 
-def negate(a: LatticeVector) -> LatticeVector:
-    return tuple(-x for x in a)
-
-
 class _cached_attribute:
     """Non-data descriptor that computes an attribute on first read and
     stores it in the instance `__dict__`, where later reads find it before
@@ -197,8 +193,14 @@ def identity_arrow(a: WeightPoint) -> Arrow:
 
 
 def inverse(gamma: Arrow) -> Arrow:
-    """The inverse arrow (a + mu, -mu)."""
-    return Arrow(gamma.target, negate(gamma.shift))
+    """The inverse arrow (a + mu, -mu), which carries its target a: the
+    products of `convolution.involution` then build no point."""
+    source, shift = gamma
+    arrow = Arrow(gamma.target, tuple([-x for x in shift]))
+    # the entry `Arrow.target` caches, which equality, hashing, copy and
+    # pickle do not see
+    arrow.__dict__["target"] = source
+    return arrow
 
 
 # points of one alcove: the 99,681 of (n, r) = (3, 448) peak at 83 MB RSS

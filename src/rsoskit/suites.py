@@ -124,12 +124,8 @@ class _PointSampler:
                 return z, w
 
     def _pole_distance(self, z: complex) -> float:
-        best = float("inf")
-        for sign in (1.0, -1.0):
-            w = z - sign
-            for c in self._lattice:
-                best = min(best, abs(w - c))
-        return best
+        return min(map(abs, [z - sign - c for sign in (1.0, -1.0)
+                             for c in self._lattice]))
 
     def generic_point(self, n: int) -> WeightPoint:
         """Integer alcove offset plus a generic complex base jitter, so all
@@ -295,35 +291,58 @@ def transfer_commute_suite(config: RunConfig) -> list[Case]:
     return cases
 
 
-def _random_arrows(rng: random.Random, points, n: int, draws: int,
-                   low: int, high: int) -> dict[Arrow, int]:
-    """`draws` random arrows (a, mu) with mu in {-1, 0, 1}^n, each kept with a
-    value in [low, high) when a + mu is inside `points`."""
+def _random_arrows(rng: random.Random, kind: rsos.ModelKind, table: dict,
+                   draws: int, low: int, high: int) -> dict[Arrow, int]:
+    """`draws` random arrows (a, mu), a in the alcove of `kind` and mu in
+    {-1, 0, 1}^n, each kept with a value in [low, high) when a + mu is in the
+    alcove too.
+
+    The draws make the rng calls of `rng.choice(alcove)` and of n
+    `rng.randrange(-1, 2)`.  They are read as one code, a's index followed by
+    the base-3 digits of mu + 1, and `table`, one dict per run, maps each
+    drawn code to its arrow, or to None when a + mu leaves the alcove: a run
+    builds and tests each arrow once."""
+    points, n = kind.alcove(), kind.rank
+    randrange = rng.randrange
     out = {}
-    inside = set(points)
     for _ in range(draws):
-        a = rng.choice(points)
-        arrow = Arrow(a, tuple(rng.randrange(-1, 2) for _ in range(n)))
-        if arrow.target in inside:  # cached on the arrow for conv_mul
-            out[arrow] = rng.randrange(low, high)
+        code = randrange(len(points))
+        for _ in range(n):
+            code = 3 * code + 1 + randrange(-1, 2)
+        if code not in table:
+            table[code] = _coded_arrow(kind, code)
+        arrow = table[code]
+        if arrow is not None:
+            out[arrow] = randrange(low, high)
     return out
 
 
-def _random_element(rng: random.Random, kind, points,
-                    n: int) -> cv.ConvolutionElement:
+def _coded_arrow(kind: rsos.ModelKind, code: int) -> Arrow | None:
+    """The arrow of a `_random_arrows` code, with its target cached for
+    conv_mul, or None when the target leaves the alcove."""
+    digits = []
+    for _ in range(kind.rank):
+        code, digit = divmod(code, 3)
+        digits.append(digit - 1)
+    arrow = Arrow(kind.alcove()[code], tuple(reversed(digits)))
+    return arrow if arrow.target in kind.alcove_index() else None
+
+
+def _random_element(rng: random.Random, kind: rsos.ModelKind,
+                    table: dict) -> cv.ConvolutionElement:
     return cv.ConvolutionElement(
-        kind, _random_arrows(rng, points, n, ELEMENT_TERMS, -3, 4))
+        kind, _random_arrows(rng, kind, table, ELEMENT_TERMS, -3, 4))
 
 
-def _random_graded_space(rng: random.Random, kind, points, n: int):
-    dims = _random_arrows(rng, points, n, SPACE_ARROWS, 1, 4)
+def _random_graded_space(rng: random.Random, kind: rsos.ModelKind,
+                         table: dict) -> GradedSpace:
+    dims = _random_arrows(rng, kind, table, SPACE_ARROWS, 1, 4)
     if not dims:
-        dims[Arrow(points[0], (0,) * n)] = 1
+        dims[Arrow(kind.alcove()[0], (0,) * kind.rank)] = 1
     return GradedSpace.from_dims(kind, dims)
 
 
 def characters_suite(config: RunConfig) -> list[Case]:
-    n = config.n
     kind = config.kind()
     points = kind.alcove()
     V = rsos.build_vector_space(kind)
@@ -339,19 +358,19 @@ def characters_suite(config: RunConfig) -> list[Case]:
     # closed forms of the square characters
     if fu.exterior_character(0, kind) != cv.chi(kind, points):
         failures += 1
-    rng = random.Random(config.seed)
+    rng, table = random.Random(config.seed), {}
     # ch(V (x) W) = ch V * ch W on random graded spaces
     for _ in range(5):
-        v1 = _random_graded_space(rng, kind, points, n)
-        v2 = _random_graded_space(rng, kind, points, n)
+        v1 = _random_graded_space(rng, kind, table)
+        v2 = _random_graded_space(rng, kind, table)
         if cv.character(tensor_space(v1, v2)) != cv.conv_mul(
                 cv.character(v1), cv.character(v2)):
             failures += 1
     assoc = anti = 0
     for _ in range(CHARACTER_SAMPLES):
-        x = _random_element(rng, kind, points, n)
-        y = _random_element(rng, kind, points, n)
-        z = _random_element(rng, kind, points, n)
+        x = _random_element(rng, kind, table)
+        y = _random_element(rng, kind, table)
+        z = _random_element(rng, kind, table)
         xy = cv.conv_mul(x, y)
         if cv.conv_mul(xy, z) != cv.conv_mul(x, cv.conv_mul(y, z)):
             assoc += 1

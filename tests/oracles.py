@@ -1,8 +1,11 @@
 """Independent references for the tests, built the plain way: one arrow
 composite, one face weight from one flat R-matrix, one dense permutation
-matrix, one L-operator per site folded by `l_tensor`.  The reports read face
-weights off R-matrix tables, cross a chain's sites in `transfer.vector_chain`
-and apply alignments by index arrays."""
+matrix, one L-operator per site folded by `l_tensor`, one arrow built per
+random draw.  The reports read face weights off R-matrix tables, cross a
+chain's sites in `transfer.vector_chain`, apply alignments by index arrays
+and look drawn arrows up in a table."""
+
+import random
 
 import numpy as np
 
@@ -28,6 +31,21 @@ def compose(later: Arrow, earlier: Arrow) -> Arrow:
         raise ValueError(
             f"cannot compose: {later.source!r} != target {earlier.target!r}")
     return Arrow(earlier.source, add_vectors(earlier.shift, later.shift))
+
+
+def random_arrows(rng: random.Random, points, n: int, draws: int,
+                  low: int, high: int) -> dict[Arrow, int]:
+    """`draws` random arrows (a, mu) with mu in {-1, 0, 1}^n, each built on
+    its draw and kept with a value in [low, high) when a + mu is inside
+    `points`."""
+    out = {}
+    inside = set(points)
+    for _ in range(draws):
+        a = rng.choice(points)
+        arrow = Arrow(a, tuple(rng.randrange(-1, 2) for _ in range(n)))
+        if arrow.target in inside:
+            out[arrow] = rng.randrange(low, high)
+    return out
 
 
 def boltzmann_weight(z: complex, alpha: Arrow, beta: Arrow, gamma: Arrow,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import rsoskit.convolution as cv
-from oracles import compose
+from oracles import compose, random_arrows
+from rsoskit import suites
 from rsoskit.convolution import (ConvolutionElement, character, chi,
                                  conv_mul, involution, matrix_form,
                                  to_difference_operator)
@@ -15,6 +16,7 @@ from rsoskit.fusion import (central_element_n2, exterior_character,
 from rsoskit.graded import dual_space, tensor_space
 from rsoskit.groupoid import Arrow, WeightPoint, rsos_alcove
 from rsoskit.rsos import ModelKind, build_vector_space
+from rsoskit.suites import RunConfig, characters_suite
 
 KIND = ModelKind.rsos(2, 5)
 CTX = KIND
@@ -413,3 +415,41 @@ def test_cached_target_leaves_arrow_identity_unchanged():
     assert hash(read) == hash(fresh)
     assert repr(read) == repr(fresh)
     assert {fresh: 1}[read] == 1
+
+
+# the characters suite's draws: 10 graded spaces, then x, y, z per sample
+CHARACTER_DRAWS = ([(suites.SPACE_ARROWS, 1, 4)] * 10
+                   + [(suites.ELEMENT_TERMS, -3, 4)]
+                   * (3 * suites.CHARACTER_SAMPLES))
+
+
+def test_characters_suite_makes_the_pinned_draws(monkeypatch):
+    made = []
+
+    def recorded(rng, kind, table, draws, low, high):
+        made.append((draws, low, high))
+        return real(rng, kind, table, draws, low, high)
+
+    real = suites._random_arrows
+    monkeypatch.setattr(suites, "_random_arrows", recorded)
+    cases = characters_suite(RunConfig(n=2, r=5))
+    assert made == CHARACTER_DRAWS and all(c.passed for c in cases)
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (2, 11), (3, 7), (4, 6), (3, 60)])
+def test_arrow_table_draws_the_samples_of_one_arrow_per_draw(n, r):
+    # same arrows and values in the same order, same targets and the same
+    # rng state after, with at most one table entry per draw made
+    kind = ModelKind.rsos(n, r)
+    points = kind.alcove()
+    for seed in range(10):
+        rng, reference, table = random.Random(seed), random.Random(seed), {}
+        made = 0
+        for draws, low, high in CHARACTER_DRAWS:
+            got = suites._random_arrows(rng, kind, table, draws, low, high)
+            want = random_arrows(reference, points, n, draws, low, high)
+            assert list(got.items()) == list(want.items())
+            assert [g.target for g in got] == [g.target for g in want]
+            made += draws
+            assert len(table) <= made
+        assert rng.getstate() == reference.getstate()

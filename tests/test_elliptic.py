@@ -637,3 +637,26 @@ def test_theta_and_bracket_against_mpmath_jtheta():
                 ref_br = complex(mp.jtheta(1, mp.pi * p.gamma * u, q)) / (p.gamma * dz0)
                 worst = max(worst, abs(bracket(u, p) - ref_br) / abs(ref_br))
     assert worst < 1e-14
+
+
+def test_pole_distance_is_the_stepwise_minimum_bit_for_bit():
+    sampler = suites._PointSampler(RunConfig(n=2, r=5))
+
+    def stepwise(z):
+        best = float("inf")
+        for sign in (1.0, -1.0):
+            w = z - sign
+            for c in sampler._lattice:
+                best = min(best, abs(w - c))
+        return best
+
+    rng = random.Random(3)
+    poles = [sign + c for sign in (1.0, -1.0) for c in sampler._lattice]
+    zs = [complex(rng.uniform(-12.0, 12.0), rng.uniform(-9.0, 9.0))
+          for _ in range(1500)]
+    zs += [rng.choice(poles) + complex(rng.uniform(-7e-4, 7e-4),
+                                       rng.uniform(-7e-4, 7e-4))
+           for _ in range(500)]
+    distances = [sampler._pole_distance(z) for z in zs]
+    assert [d.hex() for d in distances] == [stepwise(z).hex() for z in zs]
+    assert sum(d < 1e-3 for d in distances) == 500

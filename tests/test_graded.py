@@ -705,10 +705,10 @@ def test_component_arrays_of_every_kind_of_space():
     spaces += [S, tensor_space(S, S), tensor_space(tensor_space(S, S), S)]
     rng = random.Random(29)
     for n, r in ((2, 11), (3, 6)):
-        kind, points = ModelKind.rsos(n, r), rsos_alcove(n, r)
+        kind, table = ModelKind.rsos(n, r), {}
         for _ in range(3):
-            A = _random_graded_space(rng, kind, points, n)
-            B = _random_graded_space(rng, kind, points, n)
+            A = _random_graded_space(rng, kind, table)
+            B = _random_graded_space(rng, kind, table)
             spaces += [A, B, tensor_space(A, B)]
     for S in spaces:
         _assert_component_arrays(S)

@@ -58,7 +58,26 @@ def test_inverse_involutive_on_random_arrows():
     for _ in range(100):
         a = WeightPoint.integer(tuple(rng.randrange(-4, 5) for _ in range(3)))
         g = Arrow(a, tuple(rng.randrange(-3, 4) for _ in range(3)))
-        assert inverse(inverse(g)) == g
+        back = inverse(inverse(g))
+        assert back == g and hash(back) == hash(g)
+
+
+def test_inverse_carries_its_target_and_only_its_fields():
+    rng = random.Random(13)
+    clones = (copy.copy, copy.deepcopy,
+              lambda x: pickle.loads(pickle.dumps(x)))
+    for base in ((0, 0, 0), COMPLEX_BASE):
+        for _ in range(50):
+            offset = tuple(rng.randrange(-4, 5) for _ in range(3))
+            a = WeightPoint(base, offset)
+            g = Arrow(a, tuple(rng.randrange(-3, 4) for _ in range(3)))
+            h = inverse(g)
+            assert vars(h)["target"] is g.source
+            assert h.target == g.source == Arrow(*h).target
+            for clone in clones:
+                y = clone(h)
+                assert type(y) is Arrow and y == h and hash(y) == hash(h)
+                assert "target" not in vars(y) and y.target == g.source
 
 
 def test_alcove_membership_rank2_levels():
