@@ -176,7 +176,9 @@ class DifferenceOperator:
 
     blocks[Arrow(a, mu)] maps the fibre at a + mu to the fibre at a, with
     shape dims[a] x dims[a + mu]; a scalar stands for a 1 x 1 block.  Arrows
-    with an endpoint outside `points` add nothing to the matrix.
+    with an endpoint outside `points` add nothing to the matrix.  Array
+    blocks may be stacked over leading axes, one operator per slice, for `@`
+    and `trace` (not `matrix`).
     """
 
     points: tuple[WeightPoint, ...]
@@ -184,23 +186,31 @@ class DifferenceOperator:
     blocks: dict[Arrow, Coefficient | np.ndarray]
 
     def __matmul__(self, other: "DifferenceOperator") -> "DifferenceOperator":
-        """(AB)(a, mu + nu) = sum A(a, mu) B(a + mu, nu), on the same fibres."""
+        """(AB)(a, mu + nu) = sum A(a, mu) B(a + mu, nu), on the same fibres;
+        array blocks by `np.matmul`, stacked ones slice by slice, and by
+        `np.dot` when a block of either factor is a scalar."""
+        blocks = itertools.chain(self.blocks.values(), other.blocks.values())
+        product = (matmul if all(isinstance(b, np.ndarray) for b in blocks)
+                   else np.dot)
         return DifferenceOperator(self.points, self.dims,
-                                  _compose(self.blocks, other.blocks, np.dot))
+                                  _compose(self.blocks, other.blocks, product))
 
     def powers(self) -> Iterator["DifferenceOperator"]:
-        """M^0 = the identity on the fibres, then M^m = M^(m-1) @ M, ..."""
+        """M^0 = the identity on the fibres, M^1 = M itself, then
+        M^m = M^(m-1) @ M, ..."""
         one = DifferenceOperator(self.points, self.dims, {
             identity_arrow(a): np.eye(d) for a, d in self.dims.items() if d})
-        return itertools.accumulate(itertools.repeat(self), matmul, initial=one)
+        return itertools.chain(
+            [one], itertools.accumulate(itertools.repeat(self), matmul))
 
     def power(self, m: int) -> "DifferenceOperator":
         """The m-th power, the m-th of `powers()`."""
         return next(itertools.islice(self.powers(), m, None))
 
     def trace(self):
-        """Sum of the traces of the loop blocks, the diagonal of `matrix()`."""
-        return sum(np.trace(np.atleast_2d(block))
+        """Sum of the traces of the loop blocks, the diagonal of `matrix()`;
+        of stacked blocks, one trace per slice."""
+        return sum(np.trace(np.atleast_2d(block), axis1=-2, axis2=-1)
                    for alpha, block in self.blocks.items() if alpha.is_loop)
 
     def matrix(self, dtype=None) -> np.ndarray:

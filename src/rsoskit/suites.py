@@ -8,7 +8,6 @@ residual with tolerance 0; numerical checks report a max-norm residual.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -298,17 +297,18 @@ def _random_arrows(rng: random.Random, kind: rsos.ModelKind, table: dict,
     alcove too.
 
     The draws make the rng calls of `rng.choice(alcove)` and of n
-    `rng.randrange(-1, 2)`.  They are read as one code, a's index followed by
-    the base-3 digits of mu + 1, and `table`, one dict per run, maps each
-    drawn code to its arrow, or to None when a + mu leaves the alcove: a run
-    builds and tests each arrow once."""
+    `rng.randrange(-1, 2)`: each digit of mu + 1 is `rng.choice((0, 1, 2))`,
+    the same `_randbelow(3)` at less cost.  They are read as one code, a's
+    index followed by the base-3 digits of mu + 1, and `table`, one dict per
+    run, maps each drawn code to its arrow, or to None when a + mu leaves the
+    alcove: a run builds and tests each arrow once."""
     points, n = kind.alcove(), kind.rank
-    randrange = rng.randrange
+    randrange, choice, digits = rng.randrange, rng.choice, (0, 1, 2)
     out = {}
     for _ in range(draws):
         code = randrange(len(points))
         for _ in range(n):
-            code = 3 * code + 1 + randrange(-1, 2)
+            code = 3 * code + choice(digits)
         if code not in table:
             table[code] = _coded_arrow(kind, code)
         arrow = table[code]
@@ -412,32 +412,35 @@ def spectrum_suite(config: RunConfig) -> list[Case]:
 
 
 def partition_suite(config: RunConfig) -> list[Case]:
-    """Each transfer matrix built once per width n divides, and traced as
-    tr M^rows for every row count n divides within PARTITION_MAX_FACES faces
-    (tr M^rows is 0 on the other tori, see `transfer`); cols = n, the
-    narrowest width with a closed row, is built even when no row count fits,
-    to compare the state dimensions tr M^0."""
+    """The transfer matrix of each width n divides, traced as tr M^rows for
+    every row count n divides within PARTITION_MAX_FACES faces (tr M^rows is
+    0 on the other tori, see `transfer`); cols = n, the narrowest width with
+    a closed row, is built even when no row count fits, to compare the state
+    dimensions tr M^0.  The row side builds one matrix per width, narrowest
+    first, so the narrowest width over STATE_BUDGET is the one refused; the
+    graded side traces every width off a prefix of one evaluation of the
+    widest chain."""
     params, kind, n = config.params(), config.kind(), config.n
-    # one V for every width: each chain's products are the narrower ones'
-    # and one more
-    graded = functools.partial(tr.graded_transfer_matrix,
-                               space=rsos.build_vector_space(kind, params))
-    worst = 0.0
-    for cols in range(n, max(PARTITION_MAX_FACES // n, n) + 1, n):
-        us = (0.0,) * cols
+    widths = range(n, max(PARTITION_MAX_FACES // n, n) + 1, n)
+
+    def traces(M, cols: int) -> list[complex]:
+        """tr M^m for m = 0 and each row count m of a cols-wide torus"""
         rows = range(n, PARTITION_MAX_FACES // cols + 1, n)
-        # tr M^m for m = 0 and each m in rows, per side
-        z_en, z_tm = ([complex(power.trace()) for m, power in enumerate(
-            itertools.islice(build(0.3, kind, params, us).powers(),
-                             max(rows, default=0) + 1)) if m == 0 or m in rows]
-            for build in (tr._row_transfer_matrix, graded))
-        for en, tm in zip(z_en[1:], z_tm[1:]):
-            worst = max(worst, abs(en - tm) / max(1.0, abs(en)))
-        if cols == n:
-            dim_en, dim_tm = z_en[0], z_tm[0]
+        return [complex(power.trace()) for m, power in enumerate(
+            itertools.islice(M.powers(), max(rows, default=0) + 1))
+            if m == 0 or m in rows]
+
+    z_en = [traces(tr._row_transfer_matrix(0.3, kind, params, (0.0,) * cols),
+                   cols) for cols in widths]
+    chain = tr.vector_chain(kind, params, (0.0,) * widths[-1])
+    z_tm = [traces(T, cols) for cols, T in zip(
+        widths, tr.prefix_transfer_matrices(0.3, chain, widths))]
+    worst = max((abs(en - tm) / max(1.0, abs(en))
+                 for ens, tms in zip(z_en, z_tm)
+                 for en, tm in zip(ens[1:], tms[1:])), default=0.0)
     return [
         Case(f"partition-oracle-n{config.n}-r{config.r}", worst, 1e-9),
-        Case("partition-state-dimension", abs(dim_en - dim_tm), 0.0),
+        Case("partition-state-dimension", abs(z_en[0][0] - z_tm[0][0]), 0.0),
     ]
 
 

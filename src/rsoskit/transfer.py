@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,14 +43,24 @@ from .rsos import build_vector_space, restricted_r
 
 @dataclass
 class LOperator:
-    """Meromorphic family z -> morphism V (x) W -> W (x) V obeying RLL;
-    `at(zs)` is the morphism stacked over the sequence zs (plain where it
-    does not depend on z), and `at(zs)[k]` the one at zs[k]."""
+    """Meromorphic family z -> morphism V (x) W -> W (x) V obeying RLL.
+    `prefixes(zs)` yields, crossing by crossing, the quantum space of the
+    first 1, 2, ... sites of a chain and their L stacked over the sequence
+    zs (plain where it does not depend on z); an L that is no chain yields
+    one pair, its quantum space and its L."""
 
     aux: GradedSpace
     quantum: GradedSpace
-    at: Callable[[Sequence[complex]], GradedMorphism]
+    prefixes: Callable[[Sequence[complex]],
+                       Iterable[tuple[GradedSpace, GradedMorphism]]]
     params: EllipticParams
+
+    def at(self, zs: Sequence[complex]) -> GradedMorphism:
+        """The morphism stacked over zs, the last prefix; `at(zs)[k]` is the
+        one at zs[k]."""
+        for _, last in self.prefixes(zs):
+            pass
+        return last
 
 
 def _cross(V: GradedSpace, W: GradedSpace, Z: GradedSpace, f: GradedMorphism,
@@ -79,16 +89,19 @@ def vector_chain(kind: ModelKind, params: EllipticParams,
     # quantum[k]: the nested quantum space of the first k + 1 sites
     quantum = list(itertools.accumulate([V] * len(points), tensor_space))
 
-    def at(zs: Sequence[complex]) -> GradedMorphism:
+    def prefixes(zs: Sequence[complex]
+                 ) -> Iterator[tuple[GradedSpace, GradedMorphism]]:
         b = len(zs)
         sites = restricted_r([z + u for u in points for z in zs], kind,
                              params, space=V)
         first = sites[:b]
+        yield V, first
         for k, W in enumerate(quantum[:-1], start=1):
             first = _cross(V, W, V, first, sites[k * b:(k + 1) * b])
-        return first
+            yield quantum[k], first
 
-    return LOperator(aux=V, quantum=quantum[-1], at=at, params=params)
+    return LOperator(aux=V, quantum=quantum[-1], prefixes=prefixes,
+                     params=params)
 
 
 class LoopSectors(NamedTuple):
@@ -203,53 +216,96 @@ def _point_cost(L: LOperator, alive: int = _ALIVE) -> int:
     return alive * int(np.square(tensor_space(L.aux, L.quantum).sizes).sum())
 
 
-def transfer_matrix(zs: Sequence[complex],
-                    L: LOperator) -> list[DifferenceOperator]:
-    """T(z) = tr_V L(z) for each z of zs, as difference operators on loop
-    sections over the alcove, L evaluated and traced once per run of
-    `table_runs` over zs, the first run of a chain never traced before sized
-    on its cold peak; with no section they have no blocks and L is not
-    evaluated.  STATE_BUDGET bounds the sections when `vector_chain` builds
-    the chain."""
+def _sections(L: LOperator, W: GradedSpace
+              ) -> tuple[tuple[WeightPoint, ...], dict[WeightPoint, int]]:
+    """The alcove of L and the loop-sector dimension of W at each point, the
+    fibres of its transfer matrices."""
     alcove = tuple(L.aux.context.alcove())
-    sectors = loop_sectors(L.quantum).dims
-    dims = dict(zip(alcove, sectors.tolist()))
-    if not sectors.any():
-        return [DifferenceOperator(alcove, dims, {}) for _ in zs]
+    return alcove, dict(zip(alcove, loop_sectors(W).dims.tolist()))
+
+
+def _traced_runs(zs: Sequence[complex], L: LOperator
+                 ) -> Iterator[tuple[list, dict[Arrow, np.ndarray]]]:
+    """tr_V L(z) per run of `table_runs` over zs, the first run of a chain
+    never traced before sized on its cold peak: each run with its
+    `partial_trace`, blocks stacked over the run (plain where L does not
+    depend on z)."""
     zs, runs = list(zs), []
     if zs and not memoized(L.aux, "trace-pieces", partner=L.quantum):
         [(_, first), *_] = table_runs(zs, _point_cost(L, _COLD))
         runs, zs = [first], zs[len(first):]
     runs += [run for _, run in table_runs(zs, _point_cost(L))]
-    out = []
     for run in runs:
-        traced = partial_trace(L.at(run), L.aux, L.quantum)
-        out += [DifferenceOperator(alcove, dims, {
-            alpha: b if b.ndim == 2 else b[k] for alpha, b in traced.items()})
-            for k in range(len(run))]
-    return out
+        yield run, partial_trace(L.at(run), L.aux, L.quantum)
 
 
-def _commutator_norm(ts: list[DifferenceOperator]) -> float:
-    """Max-norm of [T(z), T(w)] over the pairs ts[0:2], ts[2:4], ..."""
-    worst = 0.0
-    for tz, tw in zip(ts[::2], ts[1::2]):
-        zw, wz = (tz @ tw).blocks, (tw @ tz).blocks
-        for g in zw.keys() | wz.keys():
-            worst = max(worst, float(np.abs(
-                zw.get(g, 0) - wz.get(g, 0)).max(initial=0.0)))
-    return worst
+def transfer_matrix(zs: Sequence[complex],
+                    L: LOperator) -> list[DifferenceOperator]:
+    """T(z) = tr_V L(z) for each z of zs, as difference operators on loop
+    sections over the alcove, L evaluated and traced once per run
+    (`_traced_runs`); with no section they have no blocks and L is not
+    evaluated.  STATE_BUDGET bounds the sections when `vector_chain` builds
+    the chain."""
+    alcove, dims = _sections(L, L.quantum)
+    if not any(dims.values()):
+        return [DifferenceOperator(alcove, dims, {}) for _ in zs]
+    return [DifferenceOperator(alcove, dims, {
+        alpha: b if b.ndim == 2 else b[k] for alpha, b in traced.items()})
+        for run, traced in _traced_runs(zs, L) for k in range(len(run))]
+
+
+def prefix_transfer_matrices(z: complex, L: LOperator,
+                             sites: Sequence[int]) -> list[DifferenceOperator]:
+    """T(z) of the chain of the first c sites of the chain L for each c of
+    `sites`, in order, each traced off the prefix of c sites of one
+    evaluation of L at z (`LOperator.prefixes`): one crossing loop serves
+    every width, and it stops at the widest."""
+    wanted = set(sites)
+    traced = {c: (W, partial_trace(f, L.aux, W)) for c, (W, f) in enumerate(
+        itertools.islice(L.prefixes([z]), max(wanted)), start=1)
+        if c in wanted}
+    return [DifferenceOperator(*_sections(L, W), {
+        alpha: b[0] for alpha, b in blocks.items()})
+        for W, blocks in map(traced.get, sites)]
+
+
+def _commutator_norm(tz: DifferenceOperator,
+                     tw: DifferenceOperator) -> float:
+    """Max-norm of tz tw - tw tz over every slice of their stacked blocks,
+    from one stacked product per order."""
+    zw, wz = (tz @ tw).blocks, (tw @ tz).blocks
+    return max((float(np.abs(zw.get(g, 0) - wz.get(g, 0)).max(initial=0.0))
+                for g in zw.keys() | wz.keys()), default=0.0)
+
+
+def _pair_stacks(L: LOperator, pairs: Sequence[tuple[complex, complex]]
+                 ) -> tuple[DifferenceOperator, DifferenceOperator]:
+    """T(z) and T(w) over the (z, w) of pairs, each block stacked over the
+    pairs, from the `_traced_runs` of their points joined over the runs."""
+    parts = [traced for _, traced in _traced_runs(
+        [u for pair in pairs for u in pair], L)]
+    # plain blocks are the same at every z
+    stacked = {alpha: b if b.ndim == 2 or len(parts) == 1
+               else np.concatenate([t[alpha] for t in parts])
+               for alpha, b in parts[0].items()}
+    alcove, dims = _sections(L, L.quantum)
+    return tuple(DifferenceOperator(alcove, dims, {
+        alpha: b if b.ndim == 2 else b[k::2] for alpha, b in stacked.items()})
+        for k in (0, 1))
 
 
 def commutator_residual(L: LOperator,
                         pairs: Sequence[tuple[complex, complex]]) -> float:
-    """Max-norm of [T(z), T(w)] over the (z, w) of pairs, block by block;
-    the T of each run of pairs come from one `transfer_matrix` call, and no
-    run's outlives it."""
-    return max((_commutator_norm(transfer_matrix(
-        [u for pair in run for u in pair], L))
-        for _, run in table_runs(list(pairs), 2 * _point_cost(L))),
-        default=0.0)
+    """Max-norm of [T(z), T(w)] over the (z, w) of pairs, block by block.
+    Per run of pairs, T comes from the `transfer_matrix` runs of its points,
+    each block stacked over the run's pairs, so T(z)T(w) and T(w)T(z) are
+    one stacked product each; no run's T outlives it.  With no loop
+    section, L is not evaluated."""
+    if not loop_sectors(L.quantum).dims.any():
+        return 0.0
+    return max((_commutator_norm(*_pair_stacks(L, run))
+                for _, run in table_runs(list(pairs), 2 * _point_cost(L))),
+               default=0.0)
 
 
 def rll_residual(L: LOperator, z: complex, w: complex) -> float:
@@ -343,13 +399,10 @@ def _row_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
 
 
 def graded_transfer_matrix(z: complex, kind: ModelKind, params: EllipticParams,
-                           us: tuple[complex, ...],
-                           space: GradedSpace | None = None
-                           ) -> DifferenceOperator:
+                           us: tuple[complex, ...]) -> DifferenceOperator:
     """T(z) = tr_V L(z) of the chain V(u_1) (x) ... (x) V(u_c) on the loop
-    sections over the alcove, V = `space` when given."""
-    return transfer_matrix([z], vector_chain(kind, params, tuple(us),
-                                             space=space))[0]
+    sections over the alcove."""
+    return transfer_matrix([z], vector_chain(kind, params, tuple(us)))[0]
 
 
 def _partition(build, rows: int, cols: int, z: complex, kind: ModelKind,

@@ -1,14 +1,16 @@
 """Independent references for the tests, built the plain way: one arrow
 composite, one face weight from one flat R-matrix, one dense permutation
 matrix, one L-operator per site folded by `l_tensor`, one arrow built per
-random draw.  The reports read face weights off R-matrix tables, cross a
-chain's sites in `transfer.vector_chain`, apply alignments by index arrays
-and look drawn arrows up in a table."""
+random draw, one commutator per pair of transfer matrices.  The reports
+read face weights off R-matrix tables, cross a chain's sites in
+`transfer.vector_chain`, apply alignments by index arrays, look drawn
+arrows up in a table and multiply transfer matrices stacked over pairs."""
 
 import random
 
 import numpy as np
 
+from rsoskit.convolution import DifferenceOperator
 from rsoskit.elliptic import EllipticParams, pair_index, r_matrix
 from rsoskit.graded import (GradedMorphism, GradedSpace, align, tensor_space,
                             unit_space)
@@ -84,8 +86,8 @@ def vector_l_operator(kind: ModelKind, params: EllipticParams,
     V = space if space is not None else build_vector_space(kind, params)
     return LOperator(
         aux=V, quantum=V,
-        at=lambda zs: restricted_r([z + u for z in zs], kind, params,
-                                   space=V),
+        prefixes=lambda zs: [(V, restricted_r([z + u for z in zs], kind,
+                                              params, space=V))],
         params=params)
 
 
@@ -95,14 +97,27 @@ def trivial_l_operator(kind: ModelKind, params: EllipticParams) -> LOperator:
     V = build_vector_space(kind, params)
     one = unit_space(V.context, V.objects())
     tautology = aligned(tensor_space(V, one), tensor_space(one, V))
-    return LOperator(aux=V, quantum=one, at=lambda zs: tautology,
-                     params=params)
+    return LOperator(aux=V, quantum=one,
+                     prefixes=lambda zs: [(one, tautology)], params=params)
 
 
 def l_tensor(first: LOperator, second: LOperator) -> LOperator:
     """Tensor product of quantum spaces: the auxiliary line crosses `first`
     and then `second`."""
     V, W, Z = first.aux, first.quantum, second.quantum
-    return LOperator(aux=V, quantum=tensor_space(W, Z), params=first.params,
-                     at=lambda zs: _cross(V, W, Z, first.at(zs),
-                                          second.at(zs)))
+    WZ = tensor_space(W, Z)
+    return LOperator(aux=V, quantum=WZ, params=first.params,
+                     prefixes=lambda zs: [(WZ, _cross(V, W, Z, first.at(zs),
+                                                      second.at(zs)))])
+
+
+def commutator_norm(ts: list[DifferenceOperator]) -> float:
+    """Max-norm of [T(z), T(w)] over the pairs ts[0:2], ts[2:4], ..., one
+    pair at a time."""
+    worst = 0.0
+    for tz, tw in zip(ts[::2], ts[1::2]):
+        zw, wz = (tz @ tw).blocks, (tw @ tz).blocks
+        for g in zw.keys() | wz.keys():
+            worst = max(worst, float(np.abs(
+                zw.get(g, 0) - wz.get(g, 0)).max(initial=0.0)))
+    return worst

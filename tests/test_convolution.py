@@ -7,9 +7,9 @@ import pytest
 import rsoskit.convolution as cv
 from oracles import compose, random_arrows
 from rsoskit import suites
-from rsoskit.convolution import (ConvolutionElement, character, chi,
-                                 conv_mul, involution, matrix_form,
-                                 to_difference_operator)
+from rsoskit.convolution import (ConvolutionElement, DifferenceOperator,
+                                 character, chi, conv_mul, involution,
+                                 matrix_form, to_difference_operator)
 from rsoskit.errors import ContextMismatch, ShapeMismatch, SupportOutsideAlcove
 from rsoskit.fusion import (central_element_n2, exterior_character,
                             sym_power_character_n2, sym_square_character)
@@ -150,6 +150,49 @@ def test_homomorphism_exhaustive_small_levels():
                 rhs = (to_difference_operator(x, pts).matrix()
                        @ to_difference_operator(y, pts).matrix())
                 assert np.array_equal(lhs, rhs)
+
+
+def test_integer_scalar_blocks_compose_as_the_convolution_product():
+    rng = random.Random(31)
+    for _ in range(20):
+        x, y = _rand_element(rng), _rand_element(rng)
+        xy = (to_difference_operator(x, POINTS)
+              @ to_difference_operator(y, POINTS))
+        assert np.array_equal(
+            xy.matrix(), to_difference_operator(conv_mul(x, y), POINTS).matrix())
+
+
+def _random_operator(rng, dims, lead):
+    """Complex blocks, stacked over `lead`, on every arrow with shift in
+    {-1, 0, 1}^2 between points of `dims` with non-empty fibres."""
+    points = tuple(dims)
+    blocks = {}
+    for a in points:
+        for mu in ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)):
+            b = a + mu
+            if dims[a] and dims.get(b):
+                shape = lead + (dims[a], dims[b])
+                blocks[Arrow(a, mu)] = (rng.standard_normal(shape)
+                                        + 1j * rng.standard_normal(shape))
+    return DifferenceOperator(points, dims, blocks)
+
+
+def test_stacked_blocks_compose_and_trace_slice_by_slice():
+    # a product and a trace of operators stacked over 5 slices equal the
+    # ones of each slice bit for bit, fibres of dimension 0 to 9 included
+    rng = np.random.default_rng(5)
+    dims = dict(zip(POINTS, (1, 9, 0, 4)))
+    A, B = (_random_operator(rng, dims, (5,)) for _ in range(2))
+    AB, traces = A @ B, A.trace()
+    assert traces.shape == (5,)
+    for k in range(5):
+        a, b = (DifferenceOperator(POINTS, dims, {
+            g: m[k] for g, m in M.blocks.items()}) for M in (A, B))
+        ab = a @ b
+        assert list(ab.blocks) == list(AB.blocks)
+        assert all(np.array_equal(m, AB.blocks[g][k])
+                   for g, m in ab.blocks.items())
+        assert a.trace() == traces[k]
 
 
 def test_support_outside_alcove_rejected():

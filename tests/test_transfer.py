@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import aligned, l_tensor, trivial_l_operator, vector_l_operator
+from oracles import (aligned, commutator_norm, l_tensor, trivial_l_operator,
+                     vector_l_operator)
 from rsoskit import elliptic, rsos, suites, transfer
 from rsoskit.convolution import (DifferenceOperator, character,
                                  to_difference_operator)
@@ -21,8 +22,8 @@ from rsoskit.rsos import ModelKind, build_vector_space
 from rsoskit.transfer import (LOperator, _closed_rows, _row_transfer_matrix,
                               commutator_residual, loop_sectors,
                               partial_trace, partition_enumerate,
-                              partition_via_transfer, rll_residual,
-                              transfer_matrix, vector_chain)
+                              partition_via_transfer, prefix_transfer_matrices,
+                              rll_residual, transfer_matrix, vector_chain)
 
 TAU = 0.9j
 KIND = ModelKind.rsos(2, 5)
@@ -64,7 +65,8 @@ def test_trivial_auxiliary_gives_characteristic_function():
     taut = aligned(tensor_space(one, W), tensor_space(W, one))
     traced = partial_trace(taut, one, W)
     [T] = transfer_matrix(
-        [0.0], LOperator(aux=one, quantum=W, at=lambda zs: taut, params=PARAMS))
+        [0.0], LOperator(aux=one, quantum=W, prefixes=lambda zs: [(W, taut)],
+                         params=PARAMS))
     m = T.matrix()
     assert np.abs(m - np.eye(m.shape[0])).max() < 1e-14
     assert set(traced) == {Arrow(a, (0, 0)) for a in POINTS}
@@ -460,6 +462,35 @@ def test_transfer_commutes_four_site_chain():
     assert commutator_residual(L, [(0.21, 0.47 + 0.1j)]) < 1e-8
 
 
+COMMUTE_PAIRS = [(0.21 + 0.02 * k, 0.47 + 0.1j - 0.05 * k) for k in range(5)]
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7)])
+def test_stacked_commutator_equals_the_per_pair_oracle(n, r, monkeypatch):
+    # two stacked products per run of pairs, bit for bit the commutators
+    # taken one pair at a time, also when a cold first evaluation splits a
+    # run of pairs, and a pair, between two evaluations
+    kind = ModelKind.rsos(n, r)
+    params = EllipticParams.rsos(n, r, TAU)
+    us = (0.0, 0.3, 0.7)[:n]
+    L = vector_chain(kind, params, us)
+    want = commutator_norm(transfer_matrix(
+        [u for pair in COMMUTE_PAIRS for u in pair], L))
+    assert commutator_residual(L, COMMUTE_PAIRS) == want
+    cold = vector_chain(kind, params, us)
+    runs, at = [], cold.at
+    monkeypatch.setattr(cold, "at", lambda zs: runs.append(len(zs)) or at(zs))
+    # two pairs per run; the cold first evaluation holds 4 * _ALIVE // _COLD
+    # points
+    monkeypatch.setattr(elliptic, "TABLE_BUDGET", 4 * transfer._point_cost(L))
+    assert commutator_residual(cold, COMMUTE_PAIRS) == want
+    assert runs == [1, 3, 4, 2]
+    # plain blocks, the same at every z, across runs too
+    plain = trivial_l_operator(kind, params)
+    assert commutator_residual(plain, COMMUTE_PAIRS) == commutator_norm(
+        transfer_matrix([u for pair in COMMUTE_PAIRS for u in pair], plain))
+
+
 def _assert_loop_sectors_match_a_scan(W, points):
     """The loop-sector table of W against a scan of W's components per
     point, the points numbered as listed."""
@@ -546,30 +577,86 @@ def test_state_dimension_at_n_columns_is_non_vacuous(n, r, dim):
 @pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
 def test_partition_suite_builds_each_matrix_once_per_column_count(
         n, r, monkeypatch):
-    built, spaces = {}, []
+    # the row side once per width, one R-matrix table each; the graded side
+    # one chain, the widest, evaluated once: its crossings and its one table
+    # serve the narrower widths too
+    calls = {}
 
-    def count(name, cols_of):
-        inner = getattr(transfer, name)
-        built[name] = []
+    def count(module, name, record=lambda args: None):
+        inner, key = getattr(module, name), f"{module.__name__}.{name}"
+        calls[key] = []
 
         def wrapper(*args, **kwargs):
-            built[name].append(cols_of(args))
-            if name == "vector_chain":
-                spaces.append(kwargs["space"])
+            calls[key].append(record(args))
             return inner(*args, **kwargs)
-        monkeypatch.setattr(transfer, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_row_transfer_matrix", "graded_transfer_matrix"):
-        count(name, lambda args: len(args[3]))
-    count("vector_chain", lambda args: len(args[2]))
+    count(transfer, "_row_transfer_matrix", lambda args: len(args[3]))
+    count(transfer, "vector_chain", lambda args: len(args[2]))
+    for name in ("graded_transfer_matrix", "transfer_matrix", "restricted_r",
+                 "_cross", "r_table"):
+        count(transfer, name)
+    count(rsos, "r_table")
     cases = suites.run_suite("partition", suites.RunConfig(n=n, r=r))
     assert all(c.passed for c in cases)
     # only widths n divides with a row count n divides within 12 faces, and
     # cols = n; the torus closes only when n divides cols
     widths = {2: [2, 4, 6], 3: [3]}[n]
-    assert built == dict.fromkeys(built, widths)
-    # every width's chain is built on one V, so they share its products
-    assert spaces[0] is not None and all(V is spaces[0] for V in spaces)
+    assert calls == {
+        "rsoskit.transfer._row_transfer_matrix": widths,
+        "rsoskit.transfer.vector_chain": widths[-1:],
+        "rsoskit.transfer.graded_transfer_matrix": [],
+        "rsoskit.transfer.transfer_matrix": [],
+        "rsoskit.transfer.restricted_r": [None],
+        "rsoskit.transfer._cross": [None] * (widths[-1] - 1),
+        "rsoskit.transfer.r_table": [None] * len(widths),
+        "rsoskit.rsos.r_table": [None]}
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (2, 11), (3, 5), (4, 6)])
+def test_prefix_transfer_matrices_equal_each_width_built_alone(n, r):
+    # every width of the partition suite's widest chain and the ones
+    # between, with and without loop sections, bit for bit
+    kind = ModelKind.rsos(n, r)
+    params = EllipticParams.rsos(n, r, TAU)
+    us = (0.0, 0.3, 0.7, 0.1, 0.45, 0.2)[:max(12 // n, n)]
+    chain = vector_chain(kind, params, us)
+    sites = range(1, len(us) + 1)
+    for z in (0.21, 0.29 + 0.06j):
+        for c, got in zip(sites, prefix_transfer_matrices(z, chain, sites),
+                          strict=True):
+            want = transfer_matrix([z], vector_chain(
+                kind, params, us[:c], space=chain.aux))[0]
+            _assert_same_operator(got, want)
+            assert any(got.dims.values()) == (c % n == 0)
+
+
+def test_prefix_transfer_matrices_cross_only_up_to_the_widest_asked(
+        monkeypatch):
+    crossings, real = [], transfer._cross
+    monkeypatch.setattr(transfer, "_cross",
+                        lambda *args: crossings.append(1) or real(*args))
+    chain = vector_chain(KIND, PARAMS, (0.0,) * 6)
+    [T] = prefix_transfer_matrices(0.3, chain, [4])
+    assert len(crossings) == 3
+    _assert_same_operator(T, transfer_matrix([0.3], vector_chain(
+        KIND, PARAMS, (0.0,) * 4, space=chain.aux))[0])
+
+
+def test_partition_suite_refuses_the_narrowest_width_over_budget_first(
+        monkeypatch):
+    # at (2,5) the 2-column rows fit in a budget of 6 and the 4-column ones
+    # do not: the row side refuses them before any chain is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a chain over STATE_BUDGET")
+
+    states = len(_closed_rows(KIND, 4))
+    assert states > len(_closed_rows(KIND, 2)) == 6
+    monkeypatch.setattr(transfer, "STATE_BUDGET", 6)
+    monkeypatch.setattr(transfer, "vector_chain", refuse)
+    with pytest.raises(TooLarge, match=f"^STATE_BUDGET: {states} states "
+                                       f"requested, limit 6$"):
+        suites.partition_suite(suites.RunConfig(n=2, r=5))
 
 
 @pytest.mark.parametrize("n,r", [(2, 5), (3, 5)])
@@ -751,17 +838,22 @@ def _assert_close(got, want):
     assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
-@pytest.mark.parametrize("side,n,r,width", BLOCK_CASES)
-def test_block_algebra_matches_dense(side, n, r, width):
+def _block_case(side, n, r, width):
+    """Two transfer matrices of `width` sites, or two row-to-row matrices
+    of `width` columns, at (n, r)."""
     kind = ModelKind.rsos(n, r)
     params = EllipticParams.rsos(n, r, TAU)
     if side == "T":
         L = vector_chain(kind, params, (0.0, 0.3, 0.7)[:width])
-        A, B = transfer_matrix([0.21, 0.47 + 0.1j], L)
-    else:
-        us = tuple(0.1 * k for k in range(width))
-        A, B = (_row_transfer_matrix(z, kind, params, us)
-                for z in (0.17 + 0.05j, 0.31))
+        return transfer_matrix([0.21, 0.47 + 0.1j], L)
+    us = tuple(0.1 * k for k in range(width))
+    return [_row_transfer_matrix(z, kind, params, us)
+            for z in (0.17 + 0.05j, 0.31)]
+
+
+@pytest.mark.parametrize("side,n,r,width", BLOCK_CASES)
+def test_block_algebra_matches_dense(side, n, r, width):
+    A, B = _block_case(side, n, r, width)
     a, b = A.matrix(), B.matrix()
     ab = a @ b
     assert np.abs((A @ B).matrix() - ab).max(initial=0.0) <= (
@@ -770,6 +862,20 @@ def test_block_algebra_matches_dense(side, n, r, width):
         _assert_close(A.power(m).trace(),
                       np.trace(np.linalg.matrix_power(a, m)))
     assert sum(A.dims.values()) or width % n
+
+
+@pytest.mark.parametrize("side,n,r,width", BLOCK_CASES)
+def test_powers_start_from_m_itself_bit_for_bit(side, n, r, width):
+    # M^1 is M, and each power is the product begun at the identity, blocks
+    # in the same order
+    M = _block_case(side, n, r, width)[0]
+    powers = list(itertools.islice(M.powers(), 5))
+    assert powers[1] is M
+    product = powers[0]
+    for power in powers:
+        _assert_same_operator(power, product)
+        assert list(power.blocks) == list(product.blocks)
+        product = product @ M
 
 
 @pytest.mark.parametrize("n,r", [(2, 5), (3, 5), (3, 7)])
@@ -792,14 +898,16 @@ def test_block_commutator_matches_dense(n, r):
         return GradedMorphism(ms[0].domain, ms[0].codomain, {
             g: np.stack([m.block(g) for m in ms]) for g in keys})
 
-    mixed = LOperator(aux=chains[0].aux, quantum=chains[0].quantum,
-                      at=mixed_at, params=params)
+    W = chains[0].quantum
+    mixed = LOperator(aux=chains[0].aux, quantum=W,
+                      prefixes=lambda xs: [(W, mixed_at(xs))], params=params)
     a = transfer_matrix([z], chains[0])[0].matrix()
     b = transfer_matrix([w], chains[1])[0].matrix()
     want = np.abs(a @ b - b @ a).max(initial=0.0)
     got = commutator_residual(mixed, [(z, w)])
     assert want > 1e-3
     _assert_close(got, want)
+    assert got == commutator_norm(transfer_matrix([z, w], mixed))
 
 
 def _assert_matches_dfs(rows, cols, z, kind, params, inhomogeneities=None):
