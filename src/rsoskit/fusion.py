@@ -9,9 +9,9 @@ symmetric-power characters L_p generate the Verlinde algebra
     L_p L_q = sum_{s = p+q mod 2} N_pq^s u^{(p+q-s)/2} L_s,  u = t_1 t_2,
 
 checked with its commutativity and associativity in float64 BLAS products
-of the L_p's stacked matrix forms, exact while every partial sum <= 2^53;
-u^k is the identity on the rank-2 alcove (its arrows are loops), so each
-Verlinde sum is sum_s N_pq^s L_s.
+of the L_p's stacked matrix forms, stacked over runs of label pairs and
+exact while every partial sum <= 2^53; u^k is the identity on the rank-2
+alcove (its arrows are loops), so each Verlinde sum is sum_s N_pq^s L_s.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .elliptic import (EllipticParams, bracket, pair_index, r_minus1, r_reg1,
                        table_runs)
 from .errors import (InvalidConfig, OutOfRange, ShapeMismatch, TooLarge,
                      check_budget)
-from .groupoid import Arrow, ModelKind, WeightPoint, add_vectors, eps
+from .groupoid import (Arrow, ModelKind, WeightPoint, add_vectors,
+                       arrow_with_target, eps)
 
 RANK_TOL = 1e-8
 SPECTRUM_TOL = 1e-10
@@ -208,21 +209,27 @@ def sym_power_character_n2(p: int, kind: ModelKind) -> ConvolutionElement:
     """Character L_p of the p-th symmetric power over the rank-2 model `kind`
     of level r:
     chi_[1,r-p-1] t_1^p + chi_[2,r-p] t_1^{p-1} t_2 + ... + chi_[p+1,r-1] t_2^p.
+    Each arrow starts at a point of `kind.alcove()`, whose entry l - 1 has
+    level coordinate l, and carries its target from there.
     """
     r = _rank2_level(kind)
     if not 0 <= p <= r - 2:
         raise OutOfRange(f"symmetric power {p} outside 0..{r - 2}")
+    at = kind.alcove()
+    # (l, 0) + (p - j, j) has level coordinate l + p - 2j
     return ConvolutionElement(kind, {
-        Arrow(WeightPoint.from_level_coordinate(l), (p - j, j)): 1
+        arrow_with_target(at[l - 1], (p - j, j), at[l + p - 2 * j - 1]): 1
         for j in range(p + 1) for l in range(1 + j, r - p + j)})
 
 
 def central_element_n2(kind: ModelKind, power: int = 1) -> ConvolutionElement:
     """u^power with u = t_1 t_2, cut to the alcove subring of the rank-2
-    model `kind`."""
-    return ConvolutionElement(kind, {
-        Arrow(WeightPoint.from_level_coordinate(l), (power, power)): 1
-        for l in range(1, _rank2_level(kind))})
+    model `kind`; its arrows are loops, so each carries its source as its
+    target."""
+    _rank2_level(kind)
+    shift = (power, power)
+    return ConvolutionElement(kind, {arrow_with_target(a, shift, a): 1
+                                     for a in kind.alcove()})
 
 
 def fusion_coeff(p: int, q: int, s: int, r: int) -> int:
@@ -244,9 +251,17 @@ def verify_fusion_rules(r: int) -> tuple[int, int, int]:
     """Mismatch counts (rules, symmetry, associativity) of the exact checks
     L_p L_q = sum_s N_pq^s u^{(p+q-s)/2} L_s and L_p L_q = L_q L_p for every
     pair, and (L_p L_q) L_s = L_p (L_q L_s) for every triple, over one rank-2
-    model: a few float64 BLAS products of the stacked |A| x |A| matrix forms
-    per label q, exact integers unless TooLarge is raised first.  Each u^k
-    is checked once to be the identity matrix (else ShapeMismatch)."""
+    model, in float64 products of the stacked |A| x |A| matrix forms.  Every
+    product is an exact integer matrix unless TooLarge is raised first,
+    before any count, so the associativity count compares exact integer
+    products.  Each u^k is checked once to be the identity matrix (else
+    ShapeMismatch).
+
+    The pairs (p, q) are taken q by q, p within q, and cut into runs by
+    `table_runs`, a pair costing its m |A|^2 entries of (L_p L_q) L_s over
+    all s; each run forms its L_p L_q, L_q L_p and Verlinde sums in one
+    stacked product each, (L_p L_q) L_s in one GEMM and L_p (L_q L_s) in
+    one GEMM per label q it meets."""
     kind = ModelKind.rsos(2, r)
     labels, m, size = range(r - 1), r - 1, len(kind.alcove())
     # L_p has degree p, so every compared block has degree p + q
@@ -258,31 +273,62 @@ def verify_fusion_rules(r: int) -> tuple[int, int, int]:
         if not np.array_equal(matrix_form(central_element_n2(kind, k), 2 * k),
                               np.eye(size)):
             raise ShapeMismatch(f"u^{k} is not the identity on the alcove")
-    tall, wide = np.vstack(chars), np.hstack(chars)  # block p: L_p
+    tall, wide = chars.reshape(-1, size), np.hstack(chars)  # block p: L_p
     top = np.abs(chars).max()
-    rules = sym = assoc = 0
-    for q in labels:
-        row, col = chars[q] @ wide, tall @ chars[q]  # L_q L_s, L_p L_q
-        # every entry and partial sum of a product below is at most this
-        bound = size * top * max(np.abs(row).max(), np.abs(col).max(), m * top)
+    # largest |entry| of each L_q L_s, from runs of rows of tall @ wide
+    most = np.concatenate([
+        np.abs(tall[start * size:(start + len(run)) * size] @ wide).reshape(
+            len(run), size, m, size).max(1).max(2)
+        for start, run in table_runs(labels, m * size * size)])
+    # every entry and partial sum of a product below is at most bounds[q]
+    bounds = size * top * np.maximum(np.maximum(most.max(1), most.max(0)),
+                                     m * top)
+    for bound in bounds.tolist():
         if bound > 2 ** 53:
             raise TooLarge(f"Verlinde products bounded by {bound:.0f} exceed "
                            "2**53, beyond which float64 drops integers")
-        sym += _unequal_blocks(col, np.vstack(np.hsplit(row, m)), size)
-        for start, run in table_runs(labels, m * size * size):
-            rows = slice(start * size, (start + len(run)) * size)
-            coeffs = [[fusion_coeff(p, q, s, r) for s in labels] for p in run]
-            verlinde = np.tensordot(np.array(coeffs, float), chars, 1)
-            rules += _unequal_blocks(verlinde.reshape(-1, size), col[rows],
-                                     size)
-            assoc += _unequal_blocks(col[rows] @ wide, tall[rows] @ row, size)
+    # row q * m + p: N_pq^s for every s, one row per pair in run order
+    coeffs = np.array([[fusion_coeff(p, q, s, r) for s in labels]
+                       for q in labels for p in labels], float)
+    runs = table_runs(range(m * m), m * size * size)
+    # (L_p L_q) L_s with block (i, s) for a run's i-th pair, and L_p (L_q L_s)
+    # for the pairs of one label q: buffers sized by the first, longest run
+    # and kept for all, as a fresh 8 MB product per run at r = 60 goes back
+    # to the system when freed and is faulted in again by the next run
+    longest = len(runs[0][1])
+    left = np.empty((longest * size, m * size))
+    right = np.empty((min(longest, m) * size, m * size))
+    unequal = np.empty(left.shape, bool)
+    rules = sym = assoc = 0
+    for start, run in runs:
+        end, n = start + len(run), len(run) * size
+        qs, ps = np.divmod(np.arange(start, end), m)
+        lp, lq = chars[ps], chars[qs]
+        lpq = lp @ lq
+        sym += _blocks_with(lpq != lq @ lp, size)
+        verlinde = (coeffs[start:end] @ chars.reshape(m, -1)).reshape(
+            lpq.shape)
+        rules += _blocks_with(verlinde != lpq, size)
+        np.matmul(lpq.reshape(n, size), wide, out=left[:n])
+        # L_q L_s for every s, one row block per label q the run meets
+        first, last = start // m, (end - 1) // m
+        rows = (tall[first * size:(last + 1) * size] @ wide).reshape(
+            -1, size, m * size)
+        for q in range(first, last + 1):  # one GEMM per label q
+            i, j = max(start, q * m), min(end, (q + 1) * m)  # its pairs
+            product = np.matmul(chars[i - q * m:j - q * m].reshape(-1, size),
+                                rows[q - first], out=right[:(j - i) * size])
+            at = slice((i - start) * size, (j - start) * size)
+            np.not_equal(left[at], product, out=unequal[at])
+        assoc += _blocks_with(unequal[:n], size)
     return rules, sym, assoc
 
 
-def _unequal_blocks(x: np.ndarray, y: np.ndarray, size: int) -> int:
-    """The number of size x size blocks in which x and y differ."""
-    rows, cols = x.shape[0] // size, x.shape[1] // size
-    return int((x != y).reshape(rows, size, cols, size).any(axis=(1, 3)).sum())
+def _blocks_with(unequal: np.ndarray, size: int) -> int:
+    """The number of size x size blocks of the boolean stack or matrix
+    `unequal` that hold a True."""
+    unequal = unequal.reshape(-1, size, unequal.shape[-1])
+    return int(unequal.any(axis=1).reshape(-1, size).any(axis=1).sum())
 
 
 def psi_table(kind: ModelKind) -> np.ndarray:

@@ -120,11 +120,6 @@ class WeightPoint(_Pair):
         coords = tuple(int(c) for c in coords)
         return cls(base=(0,) * len(coords), offset=coords)
 
-    @classmethod
-    def from_level_coordinate(cls, l: int) -> "WeightPoint":
-        """Rank-2 point with a_1 - a_2 = l."""
-        return cls.integer((l, 0))
-
     @property
     def rank(self) -> int:
         return len(self.offset)
@@ -192,15 +187,23 @@ def identity_arrow(a: WeightPoint) -> Arrow:
     return Arrow(a, zero_vector(a.rank))
 
 
+def arrow_with_target(source: WeightPoint, shift: LatticeVector,
+                      target: WeightPoint) -> Arrow:
+    """The arrow (source, shift) carrying `target`, which the caller knows
+    to be source + shift: a builder that has its target at hand spares the
+    point `Arrow.target` would build."""
+    arrow = tuple.__new__(Arrow, (source, shift))
+    # the entry `Arrow.target` caches, which equality, hashing, copy and
+    # pickle do not see
+    arrow.__dict__["target"] = target
+    return arrow
+
+
 def inverse(gamma: Arrow) -> Arrow:
     """The inverse arrow (a + mu, -mu), which carries its target a: the
     products of `convolution.involution` then build no point."""
     source, shift = gamma
-    arrow = Arrow(gamma.target, tuple([-x for x in shift]))
-    # the entry `Arrow.target` caches, which equality, hashing, copy and
-    # pickle do not see
-    arrow.__dict__["target"] = source
-    return arrow
+    return arrow_with_target(gamma.target, tuple([-x for x in shift]), source)
 
 
 # points of one alcove: the 99,681 of (n, r) = (3, 448) peak at 83 MB RSS

@@ -296,24 +296,35 @@ def _random_arrows(rng: random.Random, kind: rsos.ModelKind, table: dict,
     {-1, 0, 1}^n, each kept with a value in [low, high) when a + mu is in the
     alcove too.
 
-    The draws make the rng calls of `rng.choice(alcove)` and of n
-    `rng.randrange(-1, 2)`: each digit of mu + 1 is `rng.choice((0, 1, 2))`,
-    the same `_randbelow(3)` at less cost.  They are read as one code, a's
-    index followed by the base-3 digits of mu + 1, and `table`, one dict per
-    run, maps each drawn code to its arrow, or to None when a + mu leaves the
-    alcove: a run builds and tests each arrow once."""
+    The draws make the rng calls of `rng.choice(alcove)`, of n
+    `rng.randrange(-1, 2)` and of `rng.randrange(low, high)`, inlined as
+    the rejection loop `Random._randbelow` runs on `rng.getrandbits(k)`,
+    k = bound.bit_length(), so the stream and the final state are the same.
+    They are read as one code, a's index followed by the base-3 digits of
+    mu + 1, and `table`, one dict per run, maps each drawn code to its arrow,
+    or to None when a + mu leaves the alcove: a run builds and tests each
+    arrow once."""
     points, n = kind.alcove(), kind.rank
-    randrange, choice, digits = rng.randrange, rng.choice, (0, 1, 2)
+    getrandbits, size, width = rng.getrandbits, len(points), high - low
+    bits, value_bits = size.bit_length(), width.bit_length()
     out = {}
     for _ in range(draws):
-        code = randrange(len(points))
+        code = getrandbits(bits)
+        while code >= size:
+            code = getrandbits(bits)
         for _ in range(n):
-            code = 3 * code + choice(digits)
+            digit = getrandbits(2)
+            while digit == 3:
+                digit = getrandbits(2)
+            code = 3 * code + digit
         if code not in table:
             table[code] = _coded_arrow(kind, code)
         arrow = table[code]
         if arrow is not None:
-            out[arrow] = randrange(low, high)
+            value = getrandbits(value_bits)
+            while value >= width:
+                value = getrandbits(value_bits)
+            out[arrow] = low + value
     return out
 
 

@@ -1,17 +1,23 @@
 """Independent references for the tests, built the plain way: one arrow
 composite, one face weight from one flat R-matrix, one dense permutation
 matrix, one L-operator per site folded by `l_tensor`, one arrow built per
-random draw, one commutator per pair of transfer matrices.  The reports
-read face weights off R-matrix tables, cross a chain's sites in
-`transfer.vector_chain`, apply alignments by index arrays, look drawn
-arrows up in a table and multiply transfer matrices stacked over pairs."""
+random draw, one commutator per pair of transfer matrices, one fresh point
+per arrow of a rank-2 character, and the Verlinde check one label at a
+time.  The reports read face weights off R-matrix tables, cross a chain's
+sites in `transfer.vector_chain`, apply alignments by index arrays, look
+drawn arrows up in a table, multiply transfer matrices stacked over pairs,
+build rank-2 characters on the alcove's own points and stack the Verlinde
+products over runs of label pairs."""
 
 import random
 
 import numpy as np
 
-from rsoskit.convolution import DifferenceOperator
+import rsoskit.fusion as fu
+from rsoskit.convolution import (ConvolutionElement, DifferenceOperator,
+                                 matrix_form)
 from rsoskit.elliptic import EllipticParams, pair_index, r_matrix
+from rsoskit.errors import ShapeMismatch, TooLarge
 from rsoskit.graded import (GradedMorphism, GradedSpace, align, tensor_space,
                             unit_space)
 from rsoskit.groupoid import Arrow, ModelKind, WeightPoint, add_vectors, eps
@@ -121,3 +127,69 @@ def commutator_norm(ts: list[DifferenceOperator]) -> float:
             worst = max(worst, float(np.abs(
                 zw.get(g, 0) - wz.get(g, 0)).max(initial=0.0)))
     return worst
+
+
+def level_point(l: int) -> WeightPoint:
+    """The rank-2 point with a_1 - a_2 = l, built afresh."""
+    return WeightPoint.integer((l, 0))
+
+
+def sym_power_character_n2(p: int, kind: ModelKind) -> ConvolutionElement:
+    """L_p with one fresh point per arrow, built from its level coordinate,
+    and targets left to `Arrow.target`."""
+    r = kind.level
+    return ConvolutionElement(kind, {
+        Arrow(level_point(l), (p - j, j)): 1
+        for j in range(p + 1) for l in range(1 + j, r - p + j)})
+
+
+def central_element_n2(kind: ModelKind, power: int = 1) -> ConvolutionElement:
+    """u^power with one fresh point per arrow."""
+    return ConvolutionElement(kind, {
+        Arrow(level_point(l), (power, power)): 1
+        for l in range(1, kind.level)})
+
+
+def verify_fusion_rules(r: int) -> tuple[int, int, int]:
+    """The Verlinde check one label q at a time: L_q L_s and L_p L_q for
+    every p and s in two products, the bound for that q, then per run of
+    p's the Verlinde sums and both sides of associativity.  It reads the
+    characters, coefficients and runs through `rsoskit.fusion`, so a test
+    that perturbs them there perturbs this reference too."""
+    kind = ModelKind.rsos(2, r)
+    labels, m, size = range(r - 1), r - 1, len(kind.alcove())
+    # L_p has degree p, so every compared block has degree p + q
+    chars = np.array([matrix_form(fu.sym_power_character_n2(p, kind), p)
+                      for p in labels])
+    # u^k with k = (p+q-s)/2 <= min(p, q), so every power is in range(r - 1);
+    # its arrows (a, (k, k)) are loops, so it drops out of the Verlinde sums
+    for k in labels:
+        if not np.array_equal(matrix_form(fu.central_element_n2(kind, k),
+                                          2 * k), np.eye(size)):
+            raise ShapeMismatch(f"u^{k} is not the identity on the alcove")
+    tall, wide = np.vstack(chars), np.hstack(chars)  # block p: L_p
+    top = np.abs(chars).max()
+    rules = sym = assoc = 0
+    for q in labels:
+        row, col = chars[q] @ wide, tall @ chars[q]  # L_q L_s, L_p L_q
+        # every entry and partial sum of a product below is at most this
+        bound = size * top * max(np.abs(row).max(), np.abs(col).max(), m * top)
+        if bound > 2 ** 53:
+            raise TooLarge(f"Verlinde products bounded by {bound:.0f} exceed "
+                           "2**53, beyond which float64 drops integers")
+        sym += unequal_blocks(col, np.vstack(np.hsplit(row, m)), size)
+        for start, run in fu.table_runs(labels, m * size * size):
+            rows = slice(start * size, (start + len(run)) * size)
+            coeffs = [[fu.fusion_coeff(p, q, s, r) for s in labels]
+                      for p in run]
+            verlinde = np.tensordot(np.array(coeffs, float), chars, 1)
+            rules += unequal_blocks(verlinde.reshape(-1, size), col[rows],
+                                    size)
+            assoc += unequal_blocks(col[rows] @ wide, tall[rows] @ row, size)
+    return rules, sym, assoc
+
+
+def unequal_blocks(x: np.ndarray, y: np.ndarray, size: int) -> int:
+    """The number of size x size blocks in which x and y differ."""
+    rows, cols = x.shape[0] // size, x.shape[1] // size
+    return int((x != y).reshape(rows, size, cols, size).any(axis=(1, 3)).sum())

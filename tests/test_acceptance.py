@@ -79,7 +79,7 @@ def test_criterion_04_restriction_and_star_triangle():
 def test_criterion_05_rank2_boltzmann_table():
     import random
     from rsoskit.elliptic import bracket, r_matrix
-    from rsoskit.groupoid import WeightPoint
+    from oracles import level_point
     params = EllipticParams.rsos(2, 5, TAU)
     rng = random.Random(5)
     worst = 0.0
@@ -93,7 +93,7 @@ def test_criterion_05_rank2_boltzmann_table():
             [0, br(l + z) * br(1) / den, -br(l + 1) * br(z) / den, 0],
             [0, -br(l - 1) * br(z) / den, br(l - z) * br(1) / den, 0],
             [0, 0, 0, 1]])
-        got = r_matrix(z, WeightPoint.from_level_coordinate(l), params)
+        got = r_matrix(z, level_point(l), params)
         worst = max(worst, float(np.abs(got - expected).max()))
     _report("rank-2 Boltzmann table vs displayed 4x4 matrix", worst, 1e-10)
     assert worst < 1e-10

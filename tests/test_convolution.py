@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rsoskit.convolution as cv
-from oracles import compose, random_arrows
+from oracles import compose, level_point, random_arrows
 from rsoskit import suites
 from rsoskit.convolution import (ConvolutionElement, DifferenceOperator,
                                  character, chi, conv_mul, involution,
@@ -75,7 +75,7 @@ def test_square_of_vector_character_coefficients():
     chv = character(build_vector_space(KIND))
     sq = conv_mul(chv, chv)
     for l, expected in ((1, 1), (2, 2), (3, 2), (4, 1)):
-        assert sq.coeff(Arrow(WeightPoint.from_level_coordinate(l), (1, 1))) \
+        assert sq.coeff(Arrow(level_point(l), (1, 1))) \
             == expected
 
 
@@ -197,7 +197,7 @@ def test_stacked_blocks_compose_and_trace_slice_by_slice():
 
 def test_support_outside_alcove_rejected():
     bad = ConvolutionElement(
-        CTX, {Arrow(WeightPoint.from_level_coordinate(4), (1, 0)): 1})
+        CTX, {Arrow(level_point(4), (1, 0)): 1})
     with pytest.raises(SupportOutsideAlcove):
         to_difference_operator(bad, POINTS)
 
@@ -339,7 +339,7 @@ SOS = ModelKind.sos((0.29 + 0.1j, 0.11, 0))
     L11[2] + L11[1],
     _scaled(L11[2], Fraction(1, 3)),
     L11[2] + ConvolutionElement(R11, {
-        Arrow(WeightPoint.from_level_coordinate(10), (2, 0)): 1}),
+        Arrow(level_point(10), (2, 0)): 1}),
     ConvolutionElement(SOS, {Arrow(WeightPoint(SOS.base, (0, 0, 0)),
                                    (1, 1, 0)): 1}),
 ], ids=["mixed-degree", "fraction", "leaves-the-alcove", "orbit-model"])
@@ -423,7 +423,7 @@ def test_element_copies_its_coefficients_and_drops_zeros():
 
 
 def test_conv_mul_drops_cancelled_terms():
-    a = WeightPoint.from_level_coordinate(2)
+    a = level_point(2)
     x = ConvolutionElement(CTX, {Arrow(a, (1, 0)): 1, Arrow(a, (0, 1)): 1})
     y = ConvolutionElement(CTX, {Arrow(a + (1, 0), (0, 1)): 1,
                                  Arrow(a + (0, 1), (1, 0)): -1})
@@ -477,6 +477,25 @@ def test_characters_suite_makes_the_pinned_draws(monkeypatch):
     monkeypatch.setattr(suites, "_random_arrows", recorded)
     cases = characters_suite(RunConfig(n=2, r=5))
     assert made == CHARACTER_DRAWS and all(c.passed for c in cases)
+
+
+def _draw_below(rng, bound):
+    """The draw `_random_arrows` makes inline: rejection on
+    getrandbits(bound.bit_length())."""
+    bits = bound.bit_length()
+    value = rng.getrandbits(bits)
+    while value >= bound:
+        value = rng.getrandbits(bits)
+    return value
+
+
+def test_draws_on_generator_words_are_randrange():
+    for bound in [*range(1, 71), *(2 ** k for k in range(31))]:
+        for seed in range(5):
+            inline, reference = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                assert _draw_below(inline, bound) == reference.randrange(bound)
+            assert inline.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("n,r", [(2, 5), (2, 11), (3, 7), (4, 6), (3, 60)])

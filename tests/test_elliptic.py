@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import level_point
 from rsoskit import elliptic, suites
 from rsoskit.elliptic import (EllipticParams, _guarded, bracket,
                               dynamical_ybe_residual, pair_index, r_matrix,
@@ -123,11 +124,11 @@ def test_r_matrix_unitarity_spec_point():
 
 def test_r_matrix_near_pole_refused():
     p = params(2, 5)
-    a = WeightPoint.from_level_coordinate(2)
+    a = level_point(2)
     with pytest.raises(NearPole):
         r_matrix(1.0, a, p)
     with pytest.raises(NearPole):
-        r_matrix(0.3, WeightPoint.from_level_coordinate(5), p)
+        r_matrix(0.3, level_point(5), p)
 
 
 def test_unitarity_sweep():
@@ -206,7 +207,7 @@ def test_r_reg1_vanishes_on_diagonal_vectors():
 def test_r_reg1_middle_block_rank_one_interior():
     p = params(2, 5)
     for l in (2, 3):
-        a = WeightPoint.from_level_coordinate(l)
+        a = level_point(l)
         m = r_reg1([a], p)[0][1:3, 1:3]
         assert abs(abs(m[0, 0]) - abs(m[0, 1])) < 1e-12
         s = np.linalg.svd(m, compute_uv=False)

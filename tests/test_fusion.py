@@ -1,11 +1,15 @@
 import cmath
+import copy
 import math
+import pickle
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
+import oracles
 import rsoskit.fusion as fu
+from oracles import level_point
 from rsoskit import elliptic
 from rsoskit.convolution import (ConvolutionElement, character, chi, conv_mul,
                                  to_difference_operator)
@@ -61,7 +65,7 @@ def test_fusion_bases_boundary_case_appears_at_walls():
     kind = ModelKind.rsos(2, 5)
     params = EllipticParams.rsos(2, 5, TAU)
     [fb] = [b for b in fusion_bases(kind.alcove(), kind, params)
-            if b.point == WeightPoint.from_level_coordinate(1)]
+            if b.point == level_point(1)]
     cases = {s.case for s in fb.sectors}
     assert "boundary" in cases
 
@@ -329,8 +333,9 @@ def test_verlinde_counts_match_pairwise_products(name, r, monkeypatch):
 
 @pytest.mark.parametrize("name", PERTURBED)
 def test_verlinde_counts_do_not_depend_on_the_runs(name, monkeypatch):
-    # 2^10 entries hold less than one label's 10 x 10 x 10 products at
-    # r = 11, so every run is a single p
+    # 2^10 entries hold less than one pair's 10 x 10 x 10 products
+    # (L_p L_q) L_s at r = 11, so every run is a single pair, and less than
+    # one label's L_q L_s, so every run of the bound is a single q
     perturbed, counts = PERTURBED[name]
     monkeypatch.setattr(fu, "sym_power_character_n2", perturbed)
     monkeypatch.setattr(elliptic, "TABLE_BUDGET", 2 ** 10)
@@ -347,6 +352,80 @@ def test_verlinde_products_past_float64_integers_are_refused(monkeypatch):
     monkeypatch.setattr(fu, "sym_power_character_n2", _scale(2, 2 ** 30))
     with pytest.raises(TooLarge, match=r"exceed 2\*\*53"):
         verify_fusion_rules(5)
+
+
+def test_one_pass_check_matches_the_per_label_oracle():
+    for r in range(3, 17):
+        assert verify_fusion_rules(r) == oracles.verify_fusion_rules(r)
+
+
+@pytest.mark.parametrize("budget", [2 ** 10, 2 ** 14])
+@pytest.mark.parametrize("r", [5, 11])
+@pytest.mark.parametrize("name", PERTURBED)
+def test_one_pass_check_matches_the_oracle_on_perturbed_rings(name, r, budget,
+                                                              monkeypatch):
+    monkeypatch.setattr(fu, "sym_power_character_n2", PERTURBED[name][0])
+    monkeypatch.setattr(elliptic, "TABLE_BUDGET", budget)
+    assert verify_fusion_rules(r) == oracles.verify_fusion_rules(r)
+
+
+def test_one_pass_check_refuses_as_the_oracle_does(monkeypatch):
+    monkeypatch.setattr(fu, "sym_power_character_n2", _scale(2, 2 ** 30))
+    messages = []
+    for check in (verify_fusion_rules, oracles.verify_fusion_rules):
+        with pytest.raises(TooLarge) as refused:
+            check(5)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+
+
+def test_the_bound_is_checked_for_every_label_before_any_count(monkeypatch):
+    # with L_8 scaled by 2^20 at r = 11 only label 8's bound passes 2^53
+    # (L_8 L_8 holds 2^40 entries): the per-label oracle reads the Verlinde
+    # coefficients of labels 0..7 before it refuses, the one-pass check none
+    monkeypatch.setattr(fu, "sym_power_character_n2", _scale(8, 2 ** 20))
+    read, coeff = set(), fu.fusion_coeff
+    monkeypatch.setattr(fu, "fusion_coeff", lambda p, q, s, r: (
+        read.add(q) or coeff(p, q, s, r)))
+    with pytest.raises(TooLarge) as per_label:
+        oracles.verify_fusion_rules(11)
+    assert read == set(range(8))
+    read.clear()
+    with pytest.raises(TooLarge) as one_pass:
+        verify_fusion_rules(11)
+    assert read == set() and str(one_pass.value) == str(per_label.value)
+
+
+def test_characters_carry_their_targets_from_the_alcove():
+    # the same elements as one fresh point per arrow, keys in the same
+    # order, and every carried target is the shifted source
+    for r in range(3, 31):
+        kind = ModelKind.rsos(2, r)
+        for p in range(r - 1):
+            for got, want in ((sym_power_character_n2(p, kind),
+                               oracles.sym_power_character_n2(p, kind)),
+                              (central_element_n2(kind, p),
+                               oracles.central_element_n2(kind, p))):
+                assert got == want
+                assert list(got.coeffs) == list(want.coeffs)
+                for g in got.coeffs:
+                    assert vars(g)["target"] == g.source.shifted(g.shift)
+
+
+def test_carried_targets_stay_outside_the_fields():
+    kind = ModelKind.rsos(2, 7)
+    clones = (copy.copy, copy.deepcopy,
+              lambda x: pickle.loads(pickle.dumps(x)))
+    for x in (sym_power_character_n2(3, kind), central_element_n2(kind, 2)):
+        for g in x.coeffs:
+            plain = type(g)(*g)
+            assert "target" in vars(g) and "target" not in vars(plain)
+            assert g == plain and hash(g) == hash(plain)
+            assert repr(g) == repr(plain)
+            for clone in clones:
+                y = clone(g)
+                assert y == g and hash(y) == hash(g)
+                assert "target" not in vars(y) and y.target == g.target
 
 
 def test_verlinde_check_needs_homogeneous_characters(monkeypatch):

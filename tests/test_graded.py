@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import aligned
+from oracles import aligned, level_point
 from rsoskit.elliptic import EllipticParams
 from rsoskit.errors import ContextMismatch, ShapeMismatch, TooLarge
 from rsoskit.graded import (GradedMorphism, GradedSpace, align, composite,
@@ -24,7 +24,7 @@ def vector_space():
 
 
 def _point(l):
-    return WeightPoint.from_level_coordinate(l)
+    return level_point(l)
 
 
 def _offsets(S):

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from oracles import compose, in_alcove
+from oracles import compose, in_alcove, level_point
 from rsoskit import groupoid
 from rsoskit.errors import TooLarge
 from rsoskit.groupoid import (Arrow, WeightPoint, add_vectors, eps,
@@ -82,7 +82,7 @@ def test_inverse_carries_its_target_and_only_its_fields():
 
 def test_alcove_membership_rank2_levels():
     alcove = set(rsos_alcove(2, 5))
-    assert [WeightPoint.from_level_coordinate(l) in alcove
+    assert [level_point(l) in alcove
             for l in range(6)] == [False, True, True, True, True, False]
 
 

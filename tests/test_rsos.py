@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import boltzmann_weight, in_alcove
+from oracles import boltzmann_weight, in_alcove, level_point
 from rsoskit.convolution import character
 from rsoskit.elliptic import (EllipticParams, bracket, pair_index, r_matrix,
                               r_table)
@@ -25,7 +25,7 @@ def setup_n2(r=5):
 
 
 def _point(l):
-    return WeightPoint.from_level_coordinate(l)
+    return level_point(l)
 
 
 def test_vector_space_arrows_rank2():
